@@ -29,13 +29,15 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # aliasing class sanitizers catch).
 OCCLUM_VM_SUPERBLOCK=1 "$BUILD_DIR/tests/vm_test"
 
-# Extra leg: the SMP scheduler under the sanitizers. OCCLUM_CORES=4
-# reruns every OcclumSystem scenario over per-core run queues, and
-# the targeted batteries exercise stealing, cross-core wakeups, and
-# the dup2/epoll fd-lifecycle paths (the roster use-after-free class
-# only ASan can see).
-OCCLUM_CORES=4 "$BUILD_DIR/tests/libos_test"
-OCCLUM_CORES=4 "$BUILD_DIR/tests/epoll_test"
+# Extra leg: the SMP scheduler under the sanitizers. OCCLUM_CORES=2
+# and 4 rerun every OcclumSystem scenario over per-core run queues,
+# and the targeted batteries exercise stealing, cross-core wakeups,
+# and the dup2/epoll fd-lifecycle paths (the roster use-after-free
+# class only ASan can see).
+for cores in 2 4; do
+    OCCLUM_CORES="$cores" "$BUILD_DIR/tests/libos_test"
+    OCCLUM_CORES="$cores" "$BUILD_DIR/tests/epoll_test"
+done
 "$BUILD_DIR/tests/oskit_test" --gtest_filter='Smp.*:Regression.*:Timers.*'
 
 # Extra leg: the transition-orderliness battery (DESIGN.md §9) under

@@ -6,6 +6,7 @@
 #include "faultsim/faultsim.h"
 #include "isa/isa.h"
 #include "oskit/loader.h"
+#include "sgx/monitor.h"
 #include "trace/trace.h"
 
 namespace occlum::libos {
@@ -142,13 +143,24 @@ OcclumSystem::OcclumSystem(sgx::Platform &platform,
 {
     // Core topology first (it must precede the first spawn): the
     // config pins it explicitly, else OCCLUM_CORES selects it, else
-    // the classic single-walk scheduler.
+    // one core.
     int cores = config_.cores;
     if (cores <= 0) {
+        cores = 1;
         const char *env = std::getenv("OCCLUM_CORES");
-        cores = env != nullptr ? std::atoi(env) : 1;
+        if (env != nullptr && *env != '\0') {
+            // A typo read as one core would make an SMP CI leg test
+            // the unicore walk; fail loudly instead.
+            auto parsed = oskit::parse_core_count(env);
+            OCC_CHECK_MSG(parsed.ok(),
+                          "OCCLUM_CORES: " << parsed.error().message);
+            cores = parsed.value();
+        }
     }
     set_cores(cores);
+    // The monitor parses OCCLUM_ORDERLINESS on first use; touch it now
+    // so a bad value fails at boot, not at the first injected AEX.
+    sgx::TransitionMonitor::instance();
     core_threads_.resize(static_cast<size_t>(this->cores()));
 
     // One enclave for the whole system (paper Fig. 1a).

@@ -1,6 +1,7 @@
 #include "oskit/kernel.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "base/log.h"
 #include "oskit/epoll.h"
@@ -498,12 +499,6 @@ Kernel::mark_wake_pending(Process &proc)
 }
 
 void
-Kernel::wake_process(Process &proc)
-{
-    mark_wake_pending(proc);
-}
-
-void
 Kernel::arm_timer(Process &proc, uint64_t when)
 {
     if (when >= proc.wake_time) {
@@ -655,6 +650,9 @@ void
 Kernel::run_one_quantum(Process &proc)
 {
     ctr_sched_visits_->add();
+    if (num_cores_ > 1) {
+        core_ctrs_[current_core_].quanta->add();
+    }
     // Runnable: execute a quantum. The span covers the charge so
     // its duration equals the cycles the SIP's code consumed.
     uint64_t before_cycles = proc.cpu->cycles();
@@ -729,87 +727,28 @@ Kernel::run_one_quantum(Process &proc)
     }
 }
 
-bool
-Kernel::step_round()
+Result<int>
+parse_core_count(const std::string &text)
 {
-    return num_cores_ == 1 ? step_round_uni() : step_round_smp();
-}
-
-bool
-Kernel::step_round_uni()
-{
-    OCC_TRACE_SPAN(kSched, "sched.round");
-    any_progress_ = false;
-    fire_due_timers();
-    // The walk visits runnable and wake-pending pids in ascending
-    // order. A woken process is dispatched at exactly the walk slot
-    // where the old retry-polling scheduler's retry would have
-    // succeeded (failed retries charged zero cycles), so the
-    // simulated cycle stream is unchanged. Processes spawned during
-    // the round first run next round, as they did when the walk
-    // iterated a pid snapshot taken at round start. (Spawns cannot
-    // land *below* the resume cursor: pids are strictly monotonic,
-    // so every new pid is above last_existing_pid — the SMP walk
-    // keeps the same rule via its round-start snapshot.)
-    std::set<int> &run_queue_ = run_queues_[0];
-    const int last_existing_pid = next_pid_ - 1;
-    int last = 0; // pids start at 1
-    for (;;) {
-        auto rit = run_queue_.upper_bound(last);
-        if (rit == run_queue_.end() || *rit > last_existing_pid) {
-            break;
-        }
-        int pid = *rit;
-        last = pid;
-        auto it = procs_.find(pid);
-        if (it == procs_.end()) {
-            run_queue_.erase(pid);
-            continue;
-        }
-        Process &proc = *it->second;
-        if (proc.state == ProcState::kDead) {
-            run_queue_.erase(pid);
-            continue;
-        }
-        if (proc.state == ProcState::kBlocked) {
-            if (!proc.wake_pending) {
-                // Stale entry (the process blocked after joining the
-                // walk); it leaves until an explicit wakeup.
-                run_queue_.erase(pid);
-                continue;
-            }
-            proc.wake_pending = false;
-            ctr_sched_visits_->add();
-            // Retry the in-flight syscall.
-            {
-                OCC_TRACE_SPAN(kLibos, abi::sys_name(proc.sys_num),
-                               static_cast<uint64_t>(pid));
-                if (handle_syscall(proc)) {
-                    any_progress_ = true;
-                } else {
-                    ctr_wasted_retries_->add();
-                }
-            }
-            fire_due_timers();
-            continue;
-        }
-        run_one_quantum(proc);
-        // Quanta advance the clock; timers that came due mid-round
-        // wake their processes before the walk reaches their pid, the
-        // same slot the old per-round retry would have succeeded at.
-        fire_due_timers();
+    int cores = 0;
+    const char *end = text.data() + text.size();
+    auto [stop, ec] = std::from_chars(text.data(), end, cores);
+    if (ec != std::errc() || stop != end || cores < 1 ||
+        cores > kMaxCores) {
+        return Error(ErrorCode::kInval,
+                     "expected a core count in [1, " +
+                         std::to_string(kMaxCores) + "], got '" + text +
+                         "'");
     }
-    return any_progress_;
+    return cores;
 }
-
-// ---------------------------------------------------------------------
-// SMP scheduling (cores > 1)
-// ---------------------------------------------------------------------
 
 void
 Kernel::set_cores(int cores)
 {
-    cores = std::max(1, std::min(cores, 64));
+    OCC_CHECK_MSG(cores >= 1 && cores <= kMaxCores,
+                  "core count " << cores << " outside [1, " << kMaxCores
+                                << "]");
     if (cores == num_cores_) {
         return;
     }
@@ -821,7 +760,6 @@ Kernel::set_cores(int cores)
                   "set_cores must run before the first spawn");
     num_cores_ = cores;
     run_queues_.assign(static_cast<size_t>(cores), {});
-    core_rotor_.assign(static_cast<size_t>(cores), 0);
     aex_countdown_.assign(static_cast<size_t>(cores), 0);
     core_ctrs_.clear();
     if (cores > 1) {
@@ -842,179 +780,37 @@ Kernel::set_cores(int cores)
     }
 }
 
-void
-Kernel::smp_drain_wake_pending(int core, int cap)
-{
-    // Snapshot first: a successful retry can wake further pids onto
-    // this queue (they run next round) or kill entries outright.
-    std::vector<int> pending;
-    std::set<int> &queue = run_queues_[core];
-    for (auto it = queue.begin(); it != queue.end() && *it <= cap;) {
-        auto pit = procs_.find(*it);
-        if (pit == procs_.end() ||
-            pit->second->state == ProcState::kDead) {
-            it = queue.erase(it);
-            continue;
-        }
-        if (pit->second->state == ProcState::kBlocked &&
-            pit->second->wake_pending) {
-            pending.push_back(*it);
-        }
-        ++it;
-    }
-    for (int pid : pending) {
-        auto it = procs_.find(pid);
-        if (it == procs_.end()) {
-            run_queues_[core].erase(pid);
-            continue;
-        }
-        Process &proc = *it->second;
-        if (proc.state != ProcState::kBlocked || !proc.wake_pending) {
-            continue; // state changed under an earlier retry
-        }
-        if (proc.ran_round == round_seq_) {
-            // Stolen-then-woken hazard: an idle core stole this SIP
-            // earlier in the round, its quantum blocked in a syscall,
-            // and a later core's quantum woke it. Retrying now would
-            // complete the syscall on the home core's timeline —
-            // which rewound to the round start — so the SIP would
-            // effectively run twice in one round, overlapping its own
-            // stolen quantum in simulated time. Keep wake_pending set
-            // and retry next round instead.
-            ctr_deferred_retries_->add();
-            continue;
-        }
-        proc.wake_pending = false;
-        ctr_sched_visits_->add();
-        {
-            OCC_TRACE_SPAN(kLibos, abi::sys_name(proc.sys_num),
-                           static_cast<uint64_t>(pid));
-            if (handle_syscall(proc)) {
-                any_progress_ = true;
-            } else {
-                ctr_wasted_retries_->add();
-            }
-        }
-    }
-}
-
-int
-Kernel::smp_pick(int core, int cap, bool &stolen)
-{
-    stolen = false;
-    auto eligible = [&](int pid) -> Process * {
-        auto it = procs_.find(pid);
-        if (it == procs_.end()) {
-            return nullptr;
-        }
-        Process &proc = *it->second;
-        if (proc.state != ProcState::kRunnable ||
-            proc.ran_round == round_seq_) {
-            return nullptr;
-        }
-        return &proc;
-    };
-    // Own queue: next eligible pid above the rotor, wrapping once.
-    std::set<int> &own = run_queues_[core];
-    for (int pass = 0; pass < 2; ++pass) {
-        int from = pass == 0 ? core_rotor_[core] : 0;
-        for (auto it = own.upper_bound(from);
-             it != own.end() && *it <= cap;) {
-            int pid = *it;
-            auto pit = procs_.find(pid);
-            if (pit == procs_.end() ||
-                pit->second->state == ProcState::kDead ||
-                (pit->second->state == ProcState::kBlocked &&
-                 !pit->second->wake_pending)) {
-                // Dead or stale entry: drop it from the walk.
-                it = own.erase(it);
-                continue;
-            }
-            if (eligible(pid)) {
-                core_rotor_[core] = pid;
-                return pid;
-            }
-            ++it;
-        }
-        if (core_rotor_[core] == 0) {
-            break; // the first pass already started at the bottom
-        }
-    }
-    // Idle: deterministic steal. Victim = the most-loaded other core
-    // (eligible pids only; ties to the lowest core index), and only
-    // when it has at least two eligible pids — taking a lone pid
-    // would just migrate work without adding parallelism. The stolen
-    // pid is the victim's lowest eligible (it waited longest at the
-    // bottom of an over-long queue).
-    int victim = -1;
-    int victim_count = 1;
-    for (int other = 0; other < num_cores_; ++other) {
-        if (other == core) {
-            continue;
-        }
-        int count = 0;
-        for (int pid : run_queues_[other]) {
-            if (pid > cap) {
-                break;
-            }
-            if (eligible(pid)) {
-                ++count;
-            }
-        }
-        if (count > victim_count) {
-            victim_count = count;
-            victim = other;
-        }
-    }
-    if (victim < 0) {
-        return -1;
-    }
-    for (int pid : run_queues_[victim]) {
-        if (pid > cap) {
-            break;
-        }
-        if (eligible(pid)) {
-            stolen = true;
-            return pid;
-        }
-    }
-    return -1;
-}
-
 bool
-Kernel::step_round_smp()
+Kernel::step_round()
 {
     OCC_TRACE_SPAN(kSched, "sched.round");
     any_progress_ = false;
     fire_due_timers();
     ++round_seq_;
-    // Round barrier: every core replays its share of the round from
-    // the same start time; the clock then advances to the slowest
-    // core's end time. Cores therefore run in parallel in simulated
-    // time while the host executes them sequentially in core order —
-    // completion order is a pure function of (seed, plan, cores).
-    const int cap = next_pid_ - 1; // spawns run next round
+    // Round barrier: every core walks its share of the round from the
+    // same start time; the clock then advances to the slowest core's
+    // end time. Cores therefore run in parallel in simulated time
+    // while the host executes them sequentially in core order —
+    // completion order is a pure function of (seed, plan, cores). At
+    // cores == 1 the rewind and the barrier are no-ops and nothing can
+    // be stolen: this is exactly the classic single-queue walk.
+    // Processes spawned during the round first run next round (pids
+    // are strictly monotonic, so every new pid is above the cap).
+    const int cap = next_pid_ - 1;
     const uint64_t round_start = clock_->cycles();
     uint64_t round_end = round_start;
     for (int core = 0; core < num_cores_; ++core) {
         current_core_ = core;
         clock_->set_cycles(round_start);
-        // Phase 1: retry dispatches for woken pids homed here (they
-        // charge syscall work to this core's share of the round).
-        smp_drain_wake_pending(core, cap);
-        // Phase 2: one user quantum — own queue first, else steal.
-        bool stolen = false;
-        int pid = smp_pick(core, cap, stolen);
-        if (pid > 0) {
-            Process &proc = *procs_.find(pid)->second;
-            proc.ran_round = round_seq_;
-            core_ctrs_[core].quanta->add();
-            if (stolen) {
-                core_ctrs_[core].steals->add();
-                OCC_TRACE_INSTANT(kSched, "sched.steal",
-                                  static_cast<uint64_t>(pid));
-            }
-            run_one_quantum(proc);
+        int ran = walk_core(core, cap);
+        while (Process *proc = pick_steal(core, cap, ran)) {
+            proc->ran_round = round_seq_;
+            core_ctrs_[core].steals->add();
+            OCC_TRACE_INSTANT(kSched, "sched.steal",
+                              static_cast<uint64_t>(proc->pid));
+            run_one_quantum(*proc);
+            fire_due_timers();
+            ++ran;
         }
         round_end = std::max(round_end, clock_->cycles());
     }
@@ -1022,6 +818,110 @@ Kernel::step_round_smp()
     clock_->set_cycles(round_end);
     fire_due_timers();
     return any_progress_;
+}
+
+int
+Kernel::walk_core(int core, int cap)
+{
+    // The walk visits runnable and wake-pending pids in ascending
+    // order. A woken process is dispatched at exactly the walk slot
+    // where the old retry-polling scheduler's retry would have
+    // succeeded (failed retries charged zero cycles), so the
+    // simulated cycle stream is unchanged.
+    std::set<int> &queue = run_queues_[core];
+    int ran = 0;
+    int last = 0; // pids start at 1
+    for (;;) {
+        auto rit = queue.upper_bound(last);
+        if (rit == queue.end() || *rit > cap) {
+            break;
+        }
+        int pid = *rit;
+        last = pid;
+        auto it = procs_.find(pid);
+        if (it == procs_.end() || it->second->state == ProcState::kDead ||
+            (it->second->state == ProcState::kBlocked &&
+             !it->second->wake_pending)) {
+            // Dead, or a stale entry (the process blocked after
+            // joining the walk); it leaves until an explicit wakeup.
+            queue.erase(pid);
+            continue;
+        }
+        Process &proc = *it->second;
+        if (proc.ran_round == round_seq_) {
+            // An earlier core stole this pid this round. If its stolen
+            // quantum blocked and a later walk woke it, retrying now
+            // would complete the syscall on this core's timeline —
+            // rewound to the round start — so the SIP would run twice
+            // in one round, overlapping its own quantum in simulated
+            // time. Keep wake_pending set and retry next round.
+            if (proc.state == ProcState::kBlocked) {
+                ctr_deferred_retries_->add();
+            }
+            continue;
+        }
+        proc.ran_round = round_seq_;
+        if (proc.state == ProcState::kBlocked) {
+            proc.wake_pending = false;
+            ctr_sched_visits_->add();
+            // Retry the in-flight syscall.
+            OCC_TRACE_SPAN(kLibos, abi::sys_name(proc.sys_num),
+                           static_cast<uint64_t>(pid));
+            if (handle_syscall(proc)) {
+                any_progress_ = true;
+            } else {
+                ctr_wasted_retries_->add();
+            }
+        } else {
+            run_one_quantum(proc);
+            ++ran;
+        }
+        // Quanta advance the clock; timers that came due mid-walk
+        // wake their processes before the walk reaches their pid, the
+        // same slot the old per-round retry would have succeeded at.
+        fire_due_timers();
+    }
+    return ran;
+}
+
+Process *
+Kernel::pick_steal(int core, int cap, int ran)
+{
+    // Victim = the most-loaded other queue by eligible pids (runnable,
+    // not yet visited this round; ties to the lowest core index), and
+    // only while it holds more of them than this core has run this
+    // round plus one — below that a steal would migrate work without
+    // shortening the round. The stolen pid is the victim's lowest
+    // eligible one (it waited longest at the bottom of the queue).
+    Process *stolen = nullptr;
+    int victim_count = ran + 1;
+    for (int other = 0; other < num_cores_; ++other) {
+        if (other == core) {
+            continue;
+        }
+        int count = 0;
+        Process *lowest = nullptr;
+        for (int pid : run_queues_[other]) {
+            if (pid > cap) {
+                break;
+            }
+            auto it = procs_.find(pid);
+            if (it == procs_.end() ||
+                it->second->state != ProcState::kRunnable ||
+                it->second->ran_round == round_seq_) {
+                continue;
+            }
+            if (lowest == nullptr) {
+                lowest = it->second.get();
+            }
+            ++count;
+        }
+        if (count > victim_count) {
+            victim_count = count;
+            stolen = lowest;
+        }
+    }
+    return stolen;
 }
 
 void

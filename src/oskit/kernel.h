@@ -66,9 +66,9 @@ struct Process {
      */
     int home_core = 0;
     /**
-     * Round sequence number of the last quantum this process ran
-     * (SMP only). A pid stolen by an earlier core in the round must
-     * not run again when a later core scans its home queue.
+     * Round sequence number of the last scheduler visit (quantum or
+     * syscall retry). A pid stolen by an earlier core in the round
+     * must not run again when its home core walks its queue.
      */
     uint64_t ran_round = 0;
     ProcState state = ProcState::kRunnable;
@@ -188,6 +188,16 @@ struct KernelStats {
     uint64_t faults = 0;
 };
 
+/** Upper bound of Kernel::set_cores. */
+constexpr int kMaxCores = 64;
+
+/**
+ * Parse a core count such as the OCCLUM_CORES value: a decimal
+ * integer in [1, kMaxCores] with nothing around it. Anything else is
+ * an error naming the text, never a silent default or clamp.
+ */
+Result<int> parse_core_count(const std::string &text);
+
 /** The shared kernel. Subclass per OS personality. */
 class Kernel
 {
@@ -238,8 +248,8 @@ class Kernel
                       const std::array<int64_t, 3> *stdio_fds = nullptr);
 
     /**
-     * Run one scheduler round over all processes. Returns true if any
-     * process made progress (executed instructions or completed a
+     * Run one scheduler round over all processes (DESIGN.md §3.4).
+     * Returns true if any process made progress (executed instructions or completed a
      * syscall). When false, callers may advance the clock to
      * next_wake_time() or conclude the system is idle.
      */
@@ -259,12 +269,10 @@ class Kernel
     uint64_t next_wake_time() const;
 
     /**
-     * Configure the number of simulated cores. Must be called before
-     * the first spawn (home cores are assigned at spawn). cores == 1
-     * (the default) runs the exact single-queue walk this kernel has
-     * always had — bit-identical cycle streams; cores > 1 switches to
-     * per-core run queues with deterministic work stealing under a
-     * per-round core barrier (see step_round_smp).
+     * Configure the number of simulated cores, 1..kMaxCores. Must be
+     * called before the first spawn (home cores are assigned at
+     * spawn). Each core owns a run queue; cores == 1 (the default) is
+     * the degenerate case of one queue and nothing to steal.
      */
     void set_cores(int cores);
     int cores() const { return num_cores_; }
@@ -302,9 +310,6 @@ class Kernel
      * the waiters queued so earlier events can still reach them.
      */
     void wake_queue(WaitQueue &queue, uint64_t when);
-
-    /** Immediate wakeup of one blocked process (if any is blocked). */
-    void wake_process(Process &proc);
 
   private:
     /** Route a queue notification to its epoll watches (wake_queue). */
@@ -432,20 +437,12 @@ class Kernel
     bool timer_entry_live(uint64_t when, int pid) const;
     void compact_timers_if_worthwhile() const;
 
-    /** The classic single-queue walk (cores == 1, bit-identical). */
-    bool step_round_uni();
-    /** Per-core walks under the round barrier (cores > 1). */
-    bool step_round_smp();
-    /** Retry every wake-pending pid homed on `core` (pids <= cap). */
-    void smp_drain_wake_pending(int core, int cap);
-    /**
-     * Pick the pid core `core` executes this round: the next eligible
-     * pid on its own queue above the rotor (wrapping once), else a
-     * steal — the lowest eligible pid from the most-loaded other
-     * queue (ties: lowest core index), only when the victim has at
-     * least two eligible pids left. Returns -1 when the core idles.
-     */
-    int smp_pick(int core, int cap, bool &stolen);
+    /** One ascending walk of `core`'s home queue (pids <= cap):
+     *  retries and quanta in pid order. Returns the quanta run. */
+    int walk_core(int core, int cap);
+    /** The pid `core` steals next after running `ran` quanta this
+     *  round; nullptr when none is worth it. */
+    Process *pick_steal(int core, int cap, int ran);
     /** One quantum + exit handling for a runnable process. */
     void run_one_quantum(Process &proc);
 
@@ -484,7 +481,7 @@ class Kernel
     trace::Counter *ctr_wakeups_;
     trace::Counter *ctr_wasted_retries_;
     /** Wake-pending retries pushed to the next round because the SIP
-     *  already ran a (stolen) quantum this round. */
+     *  already ran a stolen quantum this round. */
     trace::Counter *ctr_deferred_retries_;
     trace::Counter *ctr_poll_calls_;
     trace::Counter *ctr_sched_visits_;
@@ -496,8 +493,7 @@ class Kernel
 
     /**
      * Per-core scheduling walks: runnable pids plus wake-pending
-     * blocked pids, visited in ascending order, one set per core
-     * (exactly one set when cores == 1 — the classic single walk).
+     * blocked pids, visited in ascending order, one set per core.
      * Membership is always by home core; blocked processes leave the
      * set, so idle connections cost zero dispatches per round.
      */
@@ -509,18 +505,10 @@ class Kernel
         return run_queues_[proc.home_core];
     }
 
-    // ---- SMP state (inert at cores == 1) ---------------------------
     int num_cores_ = 1;
     int current_core_ = 0;
     /** Monotonic round counter stamping Process::ran_round. */
     uint64_t round_seq_ = 0;
-    /**
-     * Per-core walk rotor: the last pid the core ran from its own
-     * queue. The next pick resumes above it (wrapping once), so a
-     * core's SIPs share quanta round-robin instead of the lowest pid
-     * monopolizing the core.
-     */
-    std::vector<int> core_rotor_{0};
     /** Per-core metrics, registered by set_cores when cores > 1. */
     struct CoreCounters {
         trace::Counter *quanta = nullptr;

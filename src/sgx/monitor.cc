@@ -1,7 +1,6 @@
 #include "sgx/monitor.h"
 
 #include <cstdlib>
-#include <cstring>
 
 #include "base/log.h"
 #include "trace/metrics.h"
@@ -98,16 +97,33 @@ next_phase(Transition event, TcsPhase from)
 
 } // namespace
 
+Result<OrderlinessMode>
+parse_orderliness_mode(const std::string &text)
+{
+    if (text == "0") {
+        return OrderlinessMode::kOff;
+    }
+    if (text == "1") {
+        return OrderlinessMode::kRecord;
+    }
+    if (text == "strict" || text == "2") {
+        return OrderlinessMode::kStrict;
+    }
+    return Error(ErrorCode::kInval,
+                 "expected 0, 1, 2 or strict, got '" + text + "'");
+}
+
 TransitionMonitor::TransitionMonitor()
 {
     const char *env = std::getenv("OCCLUM_ORDERLINESS");
-    if (env != nullptr) {
-        if (std::strcmp(env, "0") == 0) {
-            enabled_ = false;
-        } else if (std::strcmp(env, "strict") == 0 ||
-                   std::strcmp(env, "2") == 0) {
-            strict_ = true;
-        }
+    if (env != nullptr && *env != '\0') {
+        auto mode = parse_orderliness_mode(env);
+        // A typo read as the default mode would let a strict CI leg
+        // pass without checking anything; fail loudly instead.
+        OCC_CHECK_MSG(mode.ok(),
+                      "OCCLUM_ORDERLINESS: " << mode.error().message);
+        enabled_ = mode.value() != OrderlinessMode::kOff;
+        strict_ = mode.value() == OrderlinessMode::kStrict;
     }
 }
 

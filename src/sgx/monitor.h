@@ -27,9 +27,11 @@
  * counters it keeps (sgx.orderliness.*) are registered lazily on the
  * first recorded event so fault-free benches publish no new rows.
  *
- * Env toggle OCCLUM_ORDERLINESS: "0" disables recording, "strict"
- * (or "2") panics on the first violation, anything else (and unset)
- * means record-and-count. Violations always emit a kSgx trace
+ * Env toggle OCCLUM_ORDERLINESS: "0" disables recording, "1" (and
+ * unset) means record-and-count, "strict" (or "2") panics on the
+ * first violation; any other value stops the process with an error
+ * naming it, so a typo cannot quietly drop a CI leg back to the
+ * default. Violations always emit a kSgx trace
  * instant carrying the pid, and the record ring keeps the cycle,
  * tcs, pid, and core context for post-mortem inspection.
  */
@@ -39,7 +41,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
+
+#include "base/result.h"
 
 namespace occlum::trace {
 class Counter;
@@ -69,6 +74,16 @@ enum class Transition : uint8_t {
     kEresumeRefused,
     kBindRefused,
 };
+
+/** How the monitor responds to transitions (OCCLUM_ORDERLINESS). */
+enum class OrderlinessMode : uint8_t {
+    kOff,    // "0": record nothing
+    kRecord, // "1": record and count violations
+    kStrict, // "strict" or "2": panic on the first violation
+};
+
+/** Parse an OCCLUM_ORDERLINESS value; unknown text is an error. */
+Result<OrderlinessMode> parse_orderliness_mode(const std::string &text);
 
 const char *tcs_phase_name(TcsPhase phase);
 const char *transition_name(Transition event);

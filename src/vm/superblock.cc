@@ -26,8 +26,7 @@ namespace {
 
 /**
  * Dispatch-label table published by the first (probe) call into
- * exec_superblock on computed-goto builds; stays null under the
- * switch fallback. Label addresses are per-function constants, so one
+ * exec_superblock. Label addresses are per-function constants, so one
  * table serves every Cpu instance.
  */
 const void *const *g_sb_label_table = nullptr;
@@ -100,55 +99,6 @@ bind_ea(Uop *u, const isa::MemOperand &mem, uint64_t instr_end)
         break;
     }
 }
-
-/**
- * Execute one kAluPack component. Callers inline this per component
- * slot, so under computed-goto dispatch each slot gets its own
- * jump-table branch with a stable per-trace target.
- */
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((always_inline))
-#endif
-[[maybe_unused]] inline void
-exec_alu(uint64_t *regs, uint8_t code, uint8_t rd, uint8_t rs,
-         int64_t imm)
-{
-    uint64_t v = static_cast<uint64_t>(imm);
-    switch (static_cast<UopKind>(code)) {
-      case UopKind::kMovRI: regs[rd] = v; break;
-      case UopKind::kMovRR: regs[rd] = regs[rs]; break;
-      case UopKind::kAddRI: regs[rd] += v; break;
-      case UopKind::kAddRR: regs[rd] += regs[rs]; break;
-      case UopKind::kSubRI: regs[rd] -= v; break;
-      case UopKind::kSubRR: regs[rd] -= regs[rs]; break;
-      case UopKind::kMulRI: regs[rd] *= v; break;
-      case UopKind::kMulRR: regs[rd] *= regs[rs]; break;
-      case UopKind::kAndRI: regs[rd] &= v; break;
-      case UopKind::kAndRR: regs[rd] &= regs[rs]; break;
-      case UopKind::kOrRI: regs[rd] |= v; break;
-      case UopKind::kOrRR: regs[rd] |= regs[rs]; break;
-      case UopKind::kXorRI: regs[rd] ^= v; break;
-      case UopKind::kXorRR: regs[rd] ^= regs[rs]; break;
-      case UopKind::kShlRI: regs[rd] <<= (imm & 63); break;
-      case UopKind::kShrRI: regs[rd] >>= (imm & 63); break;
-      case UopKind::kSarRI:
-        regs[rd] = static_cast<uint64_t>(
-            static_cast<int64_t>(regs[rd]) >> (imm & 63));
-        break;
-      case UopKind::kShlRR: regs[rd] <<= (regs[rs] & 63); break;
-      case UopKind::kShrRR: regs[rd] >>= (regs[rs] & 63); break;
-      case UopKind::kSarRR:
-        regs[rd] = static_cast<uint64_t>(
-            static_cast<int64_t>(regs[rd]) >> (regs[rs] & 63));
-        break;
-      default:
-        OCC_PANIC("non-packable code in kAluPack");
-    }
-}
-
-} // namespace
-
-namespace {
 
 /**
  * rip -> uop index for the trace being built: open-addressed, linear
@@ -592,26 +542,24 @@ Cpu::promote_superblock(uint64_t entry_rip)
         uint64_t none = 0;
         exec_superblock(sb, 0, &none, nullptr);
     }
-    if (g_sb_label_table != nullptr) {
-        for (Uop &u : sb.uops) {
-            u.handler = g_sb_label_table[static_cast<size_t>(u.kind)];
-            // Memory uops bind the width-constant body variant (the
-            // extension slots past kNumUopKinds) so the hot loop never
-            // branches on op->size.
-            int group;
-            switch (u.kind) {
-              case UopKind::kLoad:     group = 0; break;
-              case UopKind::kStore:    group = 1; break;
-              case UopKind::kLoadChk:  group = 2; break;
-              case UopKind::kStoreChk: group = 3; break;
-              case UopKind::kLoadAlu:  group = 4; break;
-              default:                 group = -1; break;
-            }
-            if (group >= 0) {
-                int w = u.size == 8 ? 0 : u.size == 4 ? 1 : 2;
-                u.handler = g_sb_label_table
-                    [kNumUopKinds + static_cast<size_t>(group * 3 + w)];
-            }
+    for (Uop &u : sb.uops) {
+        u.handler = g_sb_label_table[static_cast<size_t>(u.kind)];
+        // Memory uops bind the width-constant body variant (the
+        // extension slots past kNumUopKinds) so the hot loop never
+        // branches on op->size.
+        int group;
+        switch (u.kind) {
+          case UopKind::kLoad:     group = 0; break;
+          case UopKind::kStore:    group = 1; break;
+          case UopKind::kLoadChk:  group = 2; break;
+          case UopKind::kStoreChk: group = 3; break;
+          case UopKind::kLoadAlu:  group = 4; break;
+          default:                 group = -1; break;
+        }
+        if (group >= 0) {
+            int w = u.size == 8 ? 0 : u.size == 4 ? 1 : 2;
+            u.handler = g_sb_label_table
+                [kNumUopKinds + static_cast<size_t>(group * 3 + w)];
         }
     }
     ++sb_promotions_;
@@ -632,12 +580,12 @@ Cpu::promote_superblock(uint64_t entry_rip)
  * most of an interpreter's per-op cost. With the GNU labels-as-values
  * extension each op body ends in its *own* dispatch jump, and inside
  * a trace each of those sites has a stable successor, so the replayed
- * loop runs nearly branch-miss-free. Compilers without the extension
- * fall back to the plain while/switch shape; both expansions share
- * the same op bodies below.
+ * loop runs nearly branch-miss-free. The build requires GCC or Clang
+ * (the extension, __restrict, and the unconditional -Wall -Wextra).
  */
-#if defined(__GNUC__) || defined(__clang__)
-#define OCC_SB_CGOTO 1
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "superblock replay needs GCC/Clang labels-as-values"
+#endif
 #define SB_OP(name) lbl_##name
 #define SB_DISPATCH()                                                   \
     do {                                                                \
@@ -648,13 +596,7 @@ Cpu::promote_superblock(uint64_t entry_rip)
         goto *op->handler;                                              \
     } while (0)
 #define SB_NEXT() SB_DISPATCH()
-#else
-#define OCC_SB_CGOTO 0
-#define SB_OP(name) case UopKind::k##name
-#define SB_NEXT() break
-#endif
 
-#if OCC_SB_CGOTO
 /*
  * kAluPack inner dispatch. Each pack slot goes through its own label
  * table so each slot's indirect branch has a stable per-trace target;
@@ -708,7 +650,6 @@ Cpu::promote_superblock(uint64_t entry_rip)
     alu##S##_Neg: regs[RD] = 0 - regs[RD]; NEXT;                        \
     alu##S##_Not: regs[RD] = ~regs[RD]; NEXT;                           \
     alu##S##_Bad: OCC_PANIC("non-packable code in kAluPack")
-#endif
 
 Cpu::SbResult
 Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
@@ -722,7 +663,6 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     // Not const: trace linking (link_or_leave below) swaps in the
     // uop buffer of a successor trace without leaving this frame.
     const Uop *__restrict uops = sb.uops.data();
-    int32_t n = static_cast<int32_t>(sb.uops.size());
     uint64_t *__restrict const regs = state_.regs.data();
     AddressSpace &mem = *mem_;
 
@@ -768,7 +708,6 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     };
     const Uop *__restrict op;
     int32_t i = 0;
-#if OCC_SB_CGOTO
     // One label per UopKind, in enum order (count asserted below;
     // every op body is reached by the full test battery, so an
     // ordering slip cannot survive a test run).
@@ -797,8 +736,8 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         &&lbl_LoadChk, &&lbl_StoreChk, &&lbl_LoadAlu,
         // Width-constant memory bodies, past the UopKind-indexed
         // range. promote_superblock rebinds a memory uop's handler to
-        // the variant matching its install-time width; the shared
-        // generic bodies above stay for the switch fallback. Order:
+        // the variant matching its install-time width, so the generic
+        // bodies bound above are never dispatched to. Order:
         // group-major (Load, Store, LoadChk, StoreChk, LoadAlu),
         // width 8/4/1.
         &&lbl_Load8, &&lbl_Load4, &&lbl_Load1,
@@ -818,24 +757,11 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     SB_ALU_TABLE(4);
     SB_ALU_TABLE(5);
     SB_ALU_TABLE(6); // kLoadAlu's appended mini-op
-    (void)n;
     if (exit == nullptr) {
         g_sb_label_table = kLabels; // probe from promote_superblock
         return SbResult::kLeft;
     }
     SB_DISPATCH();
-#else
-    if (exit == nullptr) {
-        return SbResult::kLeft; // probe: the switch dispatches on kind
-    }
-  resume_loop:
-    while (i < n) {
-        op = uops + i;
-        if (budget - done < op->n_instrs) {
-            goto budget_stop;
-        }
-        switch (op->kind) {
-#endif
 
     SB_OP(Charge):
         cycles += op->cost;
@@ -1162,7 +1088,6 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         SB_NEXT();
     }
 
-#if OCC_SB_CGOTO
     /*
      * Width-constant clones of the four memory bodies above (reached
      * only through the extension slots of kLabels — the kind-indexed
@@ -1294,7 +1219,6 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     SB_STORECHK_W(4)
     SB_STORECHK_W(1)
 #undef SB_STORECHK_W
-#endif // OCC_SB_CGOTO
 
     // A load with one ALU mini-op appended (see the Uop doc). Only
     // the load can fault, and it is the first component, so a fault
@@ -1316,22 +1240,15 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         regs[op->reg1] = value;
         cycles += op->cost;
         done += op->n_instrs;
-#if OCC_SB_CGOTO
         goto *kAlu6[op->bnd];
         SB_ALU_BODIES(6, op->mask, op->reg2, op->imm,
                       do {
                           ++i;
                           SB_DISPATCH();
                       } while (0));
-#else
-        exec_alu(regs, op->bnd, op->mask, op->reg2, op->imm);
-        ++i;
-        SB_NEXT();
-#endif
     }
 
-#if OCC_SB_CGOTO
-#define SB_LOADALU_W(SZ)                                                \
+#define SB_LOADALU_W(SZ)                                              \
     lbl_LoadAlu##SZ: {                                                  \
         uint64_t addr = ea(*op);                                        \
         uint64_t value = 0;                                             \
@@ -1352,7 +1269,6 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     SB_LOADALU_W(4)
     SB_LOADALU_W(1)
 #undef SB_LOADALU_W
-#endif // OCC_SB_CGOTO
 
     SB_OP(Push):
     SB_OP(PushImm): {
@@ -1648,7 +1564,6 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     SB_OP(AluPack):
         cycles += op->cost;
         done += op->n_instrs;
-#if OCC_SB_CGOTO
         goto *kAlu0[op->bnd];
         SB_ALU_BODIES(0, op->reg1, op->reg2, op->imm,
                       goto *kAlu1[op->mask]);
@@ -1666,16 +1581,6 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
                           ++i;
                           SB_DISPATCH();
                       } while (0));
-#else
-        exec_alu(regs, op->bnd, op->reg1, op->reg2, op->imm);
-        exec_alu(regs, op->mask, op->base, op->index, op->disp);
-        if (op->n_instrs == 3) {
-            exec_alu(regs, op->scale, op->ea, op->size,
-                     static_cast<int64_t>(op->exit_rip));
-        }
-        ++i;
-        SB_NEXT();
-#endif
 
     // A pack with a merged compare + intra-trace branch: a tight loop
     // body in one uop, one dispatch per iteration. n_instrs counts the
@@ -1683,7 +1588,6 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     SB_OP(AluPackBr):
         cycles += op->cost;
         done += op->n_instrs;
-#if OCC_SB_CGOTO
         goto *kAlu3[op->bnd];
         SB_ALU_BODIES(3, op->reg1, op->reg2, op->imm,
                       goto *kAlu4[op->mask]);
@@ -1712,37 +1616,9 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         ++i;
         SB_NEXT();
     }
-#else
-        exec_alu(regs, op->bnd, op->reg1, op->reg2, op->imm);
-        exec_alu(regs, op->mask, op->base, op->index, op->disp);
-        if (op->n_instrs == 5) {
-            exec_alu(regs, op->scale, op->ea, op->size,
-                     static_cast<int64_t>(op->exit_rip));
-        }
-        {
-            uint64_t a = regs[op->cost_head & 0xff];
-            uint64_t b = (op->cost_head & 0x10000u)
-                             ? regs[(op->cost_head >> 8) & 0xff]
-                             : op->address2;
-            flag_a = a;
-            flag_b = b;
-            flags_deferred = true;
-            i = cond_holds(op->cond, a, b) ? op->target : i + 1;
-        }
-        SB_NEXT();
-#endif
 
     SB_OP(Dead):
         OCC_PANIC("dead uop reached execution");
-
-#if !OCC_SB_CGOTO
-        }
-    }
-    // Fell off the stitched end (defensive - traces end in terminals).
-    state_.rip = uops[n - 1].next_rip;
-    flush();
-    return SbResult::kLeft;
-#endif
 
   link_or_leave:
     // Trace linking: a guard or branch exit whose continuation rip is
@@ -1761,14 +1637,9 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         if (linked != superblocks_.end() &&
             linked->second.generation == mem.code_generation()) {
             uops = linked->second.uops.data();
-            n = static_cast<int32_t>(linked->second.uops.size());
             ++sb_exec_hits_;
             i = 0;
-#if OCC_SB_CGOTO
             SB_DISPATCH();
-#else
-            goto resume_loop;
-#endif
         }
     }
     flush();

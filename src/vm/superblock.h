@@ -162,8 +162,7 @@ struct Uop {
     uint64_t next_rip = 0;  // rip after the covered instructions
     // Direct-threading slot: the dispatch label for `kind`, bound at
     // install time so the hot loop loads one pointer instead of the
-    // dependent kind-then-table pair. Null outside computed-goto
-    // builds (the switch fallback dispatches on `kind`).
+    // dependent kind-then-table pair.
     const void *handler = nullptr;
 };
 

@@ -107,6 +107,27 @@ TEST(MonitorAutomaton, RefusalsAreLegalEverywhereAndNeverAdvance)
     EXPECT_EQ(mon.violations(), violations0);
 }
 
+TEST(MonitorAutomaton, ModeParsingRejectsUnknownText)
+{
+    using sgx::OrderlinessMode;
+    using sgx::parse_orderliness_mode;
+    EXPECT_EQ(parse_orderliness_mode("0").value(), OrderlinessMode::kOff);
+    EXPECT_EQ(parse_orderliness_mode("1").value(), OrderlinessMode::kRecord);
+    EXPECT_EQ(parse_orderliness_mode("2").value(), OrderlinessMode::kStrict);
+    EXPECT_EQ(parse_orderliness_mode("strict").value(),
+              OrderlinessMode::kStrict);
+    // A typo must not read as the default record mode: the strict CI
+    // legs would then pass without panicking on anything.
+    for (const char *bad : {"strcit", "Strict", "strict ", "3", "-1", "",
+                            "on", "00"}) {
+        auto mode = parse_orderliness_mode(bad);
+        ASSERT_FALSE(mode.ok()) << "'" << bad << "'";
+        EXPECT_NE(mode.error().message.find(std::string("'") + bad + "'"),
+                  std::string::npos)
+            << mode.error().message;
+    }
+}
+
 TEST(MonitorAutomaton, IllegalTransitionsAreCountedNotServiced)
 {
     ScopedMonitorMode mode(/*strict=*/false);

@@ -31,6 +31,15 @@ struct ProgramCase {
     const char *source;
 };
 
+// Print the case by name: gtest's default dumps the object's bytes, i.e.
+// two pointers, which put an ASLR-dependent address into every test name
+// that gtest_discover_tests registers with ctest.
+void
+PrintTo(const ProgramCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class InstrumentEquivalence
     : public ::testing::TestWithParam<ProgramCase>
 {
