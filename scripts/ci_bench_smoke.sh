@@ -37,6 +37,17 @@ cmp "$JSON" "$JSON_SB0" ||
     { echo "smoke failed: superblock tier changed simulated results" >&2;
       exit 1; }
 
+# Reference-crypto leg: the same bench with the byte-wise reference
+# AES selected (OCCLUM_CRYPTO_REFERENCE=1). EncFs encrypts every block
+# through it, and the fast path must be bit-identical, so the JSON
+# must match the default run byte for byte.
+OCCLUM_CRYPTO_REFERENCE=1 BENCH_FILTER='bench_fig6cd_file_io' \
+    scripts/bench_record.sh "$BUILD_DIR" "$LABEL-cref"
+JSON_CREF="bench/results/$LABEL-cref/BENCH_fig6cd_file_io.json"
+cmp "$JSON" "$JSON_CREF" ||
+    { echo "smoke failed: reference crypto changed simulated results" >&2;
+      exit 1; }
+
 # The smoke snapshots are CI artifacts, not recorded results.
-rm -rf "$OUT_DIR" "bench/results/$LABEL-sb0"
+rm -rf "$OUT_DIR" "bench/results/$LABEL-sb0" "bench/results/$LABEL-cref"
 echo "bench smoke OK"

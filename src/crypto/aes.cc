@@ -1,7 +1,8 @@
 #include "crypto/aes.h"
 
-#include <cstdlib>
 #include <cstring>
+
+#include "base/env.h"
 
 namespace occlum::crypto {
 
@@ -124,14 +125,7 @@ store_be32(uint8_t *p, uint32_t w)
     p[3] = uint8_t(w);
 }
 
-bool
-initial_reference_mode()
-{
-    const char *env = std::getenv("OCCLUM_CRYPTO_REFERENCE");
-    return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-bool g_reference_mode = initial_reference_mode();
+bool g_reference_mode = env_flag("OCCLUM_CRYPTO_REFERENCE", false);
 
 } // namespace
 

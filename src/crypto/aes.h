@@ -61,8 +61,9 @@ class Aes128
     /**
      * Select the byte-wise reference implementation (true) or the
      * T-table fast path (false, default). The initial value honours
-     * the OCCLUM_CRYPTO_REFERENCE environment variable. Outputs are
-     * bit-identical; only wall-clock differs.
+     * the OCCLUM_CRYPTO_REFERENCE environment variable ("1" selects
+     * the reference, "0" or unset the fast path, anything else
+     * panics). Outputs are bit-identical; only wall-clock differs.
      */
     static void set_reference_mode(bool reference);
     static bool reference_mode();

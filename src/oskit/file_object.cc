@@ -108,10 +108,9 @@ PipeEnd::read(Kernel &kernel, uint8_t *buf, uint64_t len)
         return IoResult::block();
     }
     uint64_t n = std::min<uint64_t>(len, pipe_->buffer.size());
-    for (uint64_t i = 0; i < n; ++i) {
-        buf[i] = pipe_->buffer.front();
-        pipe_->buffer.pop_front();
-    }
+    auto end = pipe_->buffer.begin() + static_cast<std::ptrdiff_t>(n);
+    std::copy(pipe_->buffer.begin(), end, buf);
+    pipe_->buffer.erase(pipe_->buffer.begin(), end);
     kernel.charge(kernel.pipe_op_cost() +
                   static_cast<uint64_t>(n * kernel.pipe_byte_cost()));
     if (n > 0) {

@@ -240,11 +240,8 @@ Kernel::kill_process(Process &proc, DeathCause cause, int64_t code)
     proc.death = cause;
     proc.exit_code = code;
     detach_waits(proc);
-    if (proc.wake_time != ~0ull && !proc.wake_pending) {
-        ++timer_dead_; // the armed heap entry just went stale
-    }
+    cancel_timer(proc);
     proc.wake_pending = false;
-    proc.wake_time = ~0ull; // invalidates any armed timers
     home_queue(proc).erase(proc.pid);
     // Release fds so pipe peers see EOF / EPIPE (the release hooks
     // wake any peers blocked on the other end).
@@ -322,77 +319,7 @@ Kernel::all_exited() const
 uint64_t
 Kernel::next_wake_time() const
 {
-    // Heap peek with lazy pruning, replacing the O(procs) scan over
-    // every blocked process. An entry is live iff its pid is still
-    // blocked, not already wake-pending, and its wake_time matches.
-    while (!timers_.empty()) {
-        auto [when, pid] = timers_.front();
-        if (timer_entry_live(when, pid)) {
-            return when;
-        }
-        timer_pop();
-    }
-    return ~0ull;
-}
-
-// ---------------------------------------------------------------------
-// timer heap
-// ---------------------------------------------------------------------
-
-bool
-Kernel::timer_entry_live(uint64_t when, int pid) const
-{
-    auto it = procs_.find(pid);
-    if (it == procs_.end()) {
-        return false;
-    }
-    const Process &proc = *it->second;
-    return proc.state == ProcState::kBlocked && !proc.wake_pending &&
-           proc.wake_time == when;
-}
-
-void
-Kernel::timer_push(uint64_t when, int pid) const
-{
-    timers_.emplace_back(when, pid);
-    std::push_heap(timers_.begin(), timers_.end(), std::greater<>());
-}
-
-void
-Kernel::timer_pop() const
-{
-    // Popping the top only ever removes a stale entry here or a
-    // just-consumed one in fire_due_timers; either way the entry no
-    // longer counts toward the dead backlog.
-    if (!timer_entry_live(timers_.front().first,
-                          timers_.front().second) &&
-        timer_dead_ > 0) {
-        --timer_dead_;
-    }
-    std::pop_heap(timers_.begin(), timers_.end(), std::greater<>());
-    timers_.pop_back();
-}
-
-void
-Kernel::compact_timers_if_worthwhile() const
-{
-    // Opportunistic compaction: once stale entries are both numerous
-    // and the majority, rebuild the heap from the live ones. Without
-    // this, a timeout re-armed and cancelled in a loop (poll with a
-    // far deadline, woken early by data, every iteration) leaks one
-    // far-future entry per iteration: it never reaches the top, so
-    // lazy pruning never sees it. Compaction only drops entries the
-    // liveness predicate already ignores, so wake order, cycle
-    // streams, and BENCH output are untouched.
-    constexpr size_t kMinDead = 64;
-    if (timer_dead_ < kMinDead || timer_dead_ * 2 < timers_.size()) {
-        return;
-    }
-    std::erase_if(timers_, [this](const std::pair<uint64_t, int> &e) {
-        return !timer_entry_live(e.first, e.second);
-    });
-    std::make_heap(timers_.begin(), timers_.end(), std::greater<>());
-    timer_dead_ = 0;
+    return timers_.empty() ? ~0ull : timers_.begin()->first;
 }
 
 // ---------------------------------------------------------------------
@@ -481,12 +408,7 @@ Kernel::mark_wake_pending(Process &proc)
     }
     detach_waits(proc);
     proc.wake_pending = true;
-    // Invalidate any armed timers (the heap's lazy deletion keys off
-    // wake_time matching the entry).
-    if (proc.wake_time != ~0ull) {
-        ++timer_dead_;
-    }
-    proc.wake_time = ~0ull;
+    cancel_timer(proc);
     // The woken pid lands on its home core's queue — wakeups cross
     // cores with no routing decision because membership is by home.
     home_queue(proc).insert(proc.pid);
@@ -504,12 +426,18 @@ Kernel::arm_timer(Process &proc, uint64_t when)
     if (when >= proc.wake_time) {
         return; // no timer, or an earlier one is already armed
     }
-    if (proc.wake_time != ~0ull) {
-        ++timer_dead_; // the superseded entry just went stale
-    }
+    cancel_timer(proc);
     proc.wake_time = when;
-    timer_push(when, proc.pid);
-    compact_timers_if_worthwhile();
+    timers_.emplace(when, proc.pid);
+}
+
+void
+Kernel::cancel_timer(Process &proc)
+{
+    if (proc.wake_time != ~0ull) {
+        timers_.erase({proc.wake_time, proc.pid});
+        proc.wake_time = ~0ull;
+    }
 }
 
 void
@@ -553,18 +481,10 @@ void
 Kernel::fire_due_timers()
 {
     uint64_t now = clock_->cycles();
-    while (!timers_.empty() && timers_.front().first <= now) {
-        auto [when, pid] = timers_.front();
-        bool live = timer_entry_live(when, pid);
-        timer_pop();
-        if (live) {
-            // The entry is consumed with the pop, so clear wake_time
-            // first — mark_wake_pending would otherwise count it as
-            // a stale entry still sitting in the heap.
-            Process &proc = *procs_.find(pid)->second;
-            proc.wake_time = ~0ull;
-            mark_wake_pending(proc);
-        }
+    while (!timers_.empty() && timers_.begin()->first <= now) {
+        Process &proc = *procs_.at(timers_.begin()->second);
+        cancel_timer(proc);
+        mark_wake_pending(proc);
     }
 }
 
@@ -973,10 +893,7 @@ Kernel::handle_syscall(Process &proc)
     }
     proc.in_syscall = false;
     proc.state = ProcState::kRunnable;
-    if (proc.wake_time != ~0ull) {
-        ++timer_dead_; // completion invalidates any armed entry
-    }
-    proc.wake_time = ~0ull;
+    cancel_timer(proc);
     proc.sys_deadline = ~0ull;
     home_queue(proc).insert(proc.pid);
     proc.cpu->set_reg(0, static_cast<uint64_t>(*result));

@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <queue>
 #include <set>
 #include <string>
 #include <utility>
@@ -98,7 +97,8 @@ struct Process {
     uint64_t mmap_cursor = 0;
     uint64_t mmap_end = 0;
 
-    /** Earliest time a blocked process should retry (cycles). */
+    /** Earliest time a blocked process should retry (cycles); while
+     *  armed, the key of its entry in Kernel::timers_. */
     uint64_t wake_time = ~0ull;
 
     /**
@@ -282,9 +282,8 @@ class Kernel
     /** Pids in death order — the determinism tests' fingerprint. */
     const std::vector<int> &death_order() const { return death_order_; }
 
-    /** Timer-heap introspection (compaction tests). */
+    /** Armed timed waits (one per process with a wake_time). */
     size_t timer_entries() const { return timers_.size(); }
-    uint64_t timer_dead_entries() const { return timer_dead_; }
 
     Result<int64_t> exit_code(int pid) const;
     /** Full post-mortem info (cause, fault kind) for a dead pid. */
@@ -306,7 +305,7 @@ class Kernel
      * Notify a wait queue that the condition it guards may now (or at
      * `when`, if in the future) hold. Waiters whose condition is due
      * are marked wake-pending and rejoin the scheduling walk at their
-     * pid position; future events arm the timer heap instead, leaving
+     * pid position; future events arm their timers instead, leaving
      * the waiters queued so earlier events can still reach them.
      */
     void wake_queue(WaitQueue &queue, uint64_t when);
@@ -425,17 +424,14 @@ class Kernel
     /** Schedule one retry dispatch for a blocked process. */
     void mark_wake_pending(Process &proc);
 
-    /** Arm the timer heap (and the process's wake_time) for `when`. */
+    /** Arm the process's timer for `when`, unless an earlier one is. */
     void arm_timer(Process &proc, uint64_t when);
+
+    /** Disarm the process's timer (if any) and reset its wake_time. */
+    void cancel_timer(Process &proc);
 
     /** Pop every due timer, waking the processes they refer to. */
     void fire_due_timers();
-
-    /** Timer-heap plumbing (lazy deletion + opportunistic compaction). */
-    void timer_push(uint64_t when, int pid) const;
-    void timer_pop() const;
-    bool timer_entry_live(uint64_t when, int pid) const;
-    void compact_timers_if_worthwhile() const;
 
     /** One ascending walk of `core`'s home queue (pids <= cap):
      *  retries and quanta in pid order. Returns the quanta run. */
@@ -521,20 +517,13 @@ class Kernel
     std::vector<int> death_order_;
 
     /**
-     * Min-heap of (wake_time, pid) timed waits, replacing the
-     * O(procs) next_wake_time() scan. Lazy deletion: an entry is live
-     * iff the pid is still blocked, not wake-pending, and its
-     * wake_time equals the entry's (stale entries pop harmlessly).
-     * timer_dead_ counts entries known to be stale; once they
-     * dominate, compact_timers() rebuilds the heap from the live
-     * entries — without it a poll/epoll timeout re-armed and
-     * cancelled in a loop grows the heap without bound (every re-arm
-     * pushes, the cancelled entry is far in the future and never
-     * reaches the top to be pruned). Mutable so next_wake_time() can
-     * prune dead entries.
+     * Timed waits, ordered by (wake_time, pid): exactly one entry per
+     * process whose wake_time is armed. Every path that resets
+     * wake_time (wakeup, completion, death, an earlier re-arm) erases
+     * the entry through cancel_timer, so due timers fire in
+     * (when, pid) order and nothing stale is ever left behind.
      */
-    mutable std::vector<std::pair<uint64_t, int>> timers_;
-    mutable uint64_t timer_dead_ = 0;
+    std::set<std::pair<uint64_t, int>> timers_;
 
     /** waitpid(pid) wait queues, keyed by the awaited pid. */
     std::map<int, WaitQueue> pid_waiters_;

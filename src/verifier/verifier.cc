@@ -794,25 +794,6 @@ Analysis::stage4_memory_accesses()
     }
 
     // ---- phase B: policy checks against the fixpoint ------------------
-    if (const char *trace = getenv("OCC_VERIFIER_TRACE")) {
-        uint64_t want = strtoull(trace, nullptr, 10);
-        for (uint64_t o = want > 40 ? want - 40 : 0; o <= want + 8; ++o) {
-            auto iit = reachable_.find(o);
-            if (iit == reachable_.end()) continue;
-            auto sit = in_states_.find(o);
-            std::fprintf(stderr, "%llu: %s |", (unsigned long long)o,
-                         isa::to_string(iit->second).c_str());
-            if (sit == in_states_.end()) { std::fprintf(stderr, " NO STATE\n"); continue; }
-            for (int r = 0; r < 16; ++r) {
-                const AbsVal &v = sit->second.regs[r];
-                if (!v.is_top())
-                    std::fprintf(stderr, " r%d=%s[%lld,%lld]", r,
-                                 v.kind == AbsVal::Kind::kDomRel ? "D" : "C",
-                                 (long long)v.lo, (long long)v.hi);
-            }
-            std::fprintf(stderr, "\n");
-        }
-    }
     for (const auto &[off, instr] : reachable_) {
         auto it = in_states_.find(off);
         if (it == in_states_.end() || !it->second.reachable) {

@@ -1,7 +1,6 @@
 #include "vm/cpu.h"
 
-#include <cstdlib>
-
+#include "base/env.h"
 #include "base/log.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
@@ -23,17 +22,7 @@ bool g_default_block_cache_enabled = true;
  * environment (the crypto reference-mode pattern): default on,
  * OCCLUM_VM_SUPERBLOCK=0 pins tier 1 for CI legs and bisection.
  */
-bool
-initial_superblock_enabled()
-{
-    const char *env = std::getenv("OCCLUM_VM_SUPERBLOCK");
-    if (env == nullptr || env[0] == '\0') {
-        return true;
-    }
-    return env[0] != '0';
-}
-
-bool g_default_superblock_enabled = initial_superblock_enabled();
+bool g_default_superblock_enabled = env_flag("OCCLUM_VM_SUPERBLOCK", true);
 
 FaultKind
 data_fault_kind(AccessFault fault)

@@ -156,9 +156,9 @@ class Cpu
      * state and zeroes the dispatch counters, like the block-cache
      * toggle. Mirrors the crypto reference-mode pattern: the
      * process-wide default comes from OCCLUM_VM_SUPERBLOCK ("0"
-     * disables; default on), and the static setter overrides it for
-     * ablation/bisection without threading a flag through every
-     * personality.
+     * disables, "1" enables, unset is on, anything else panics), and
+     * the static setter overrides it for ablation/bisection without
+     * threading a flag through every personality.
      */
     void set_superblock_enabled(bool on);
     bool superblock_enabled() const { return superblock_enabled_; }

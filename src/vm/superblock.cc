@@ -723,7 +723,8 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         &&lbl_Neg, &&lbl_Not,
         &&lbl_CmpRI, &&lbl_CmpRR, &&lbl_TestRR,
         &&lbl_Lea, &&lbl_Rdcycle,
-        &&lbl_Load, &&lbl_Store, &&lbl_Push, &&lbl_PushImm, &&lbl_Pop,
+        &&lbl_Dead, &&lbl_Dead, // Load, Store
+        &&lbl_Push, &&lbl_PushImm, &&lbl_Pop,
         &&lbl_BndChkMem, &&lbl_BndChkReg,
         &&lbl_Goto, &&lbl_JccGoto, &&lbl_JccExit,
         &&lbl_CmpRIJccGoto, &&lbl_CmpRRJccGoto,
@@ -733,11 +734,11 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         &&lbl_JmpRegExit, &&lbl_JmpMemExit, &&lbl_ExitTo,
         &&lbl_Ltrap, &&lbl_Priv,
         &&lbl_AluPack, &&lbl_AluPackBr,
-        &&lbl_LoadChk, &&lbl_StoreChk, &&lbl_LoadAlu,
+        &&lbl_Dead, &&lbl_Dead, &&lbl_Dead, // LoadChk, StoreChk, LoadAlu
         // Width-constant memory bodies, past the UopKind-indexed
-        // range. promote_superblock rebinds a memory uop's handler to
-        // the variant matching its install-time width, so the generic
-        // bodies bound above are never dispatched to. Order:
+        // range. promote_superblock rebinds every memory uop (kLoad,
+        // kStore and the three above, whose kind-indexed slots panic)
+        // to the variant matching its install-time width. Order:
         // group-major (Load, Store, LoadChk, StoreChk, LoadAlu),
         // width 8/4/1.
         &&lbl_Load8, &&lbl_Load4, &&lbl_Load1,
@@ -968,135 +969,13 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         ++i;
         SB_NEXT();
 
-    SB_OP(Load): {
-        cycles += op->cost;
-        ++done;
-        uint64_t addr = ea(*op);
-        uint64_t value = 0;
-        AccessFault f =
-            op->size == 8 ? mem.read_fast<8>(addr, &value)
-          : op->size == 4 ? mem.read_fast<4>(addr, &value)
-                          : mem.read_fast<1>(addr, &value);
-        if (f != AccessFault::kNone) {
-            do_fault(sb_fault_kind(f), addr, op->address);
-            flush();
-            return SbResult::kExit;
-        }
-        regs[op->reg1] = value;
-        ++i;
-        SB_NEXT();
-    }
-    SB_OP(Store): {
-        cycles += op->cost;
-        ++done;
-        uint64_t addr = ea(*op);
-        uint64_t value = regs[op->reg1];
-        AccessFault f =
-            op->size == 8 ? mem.write_fast<8>(addr, &value)
-          : op->size == 4 ? mem.write_fast<4>(addr, &value)
-                          : mem.write_fast<1>(addr, &value);
-        if (f != AccessFault::kNone) {
-            do_fault(sb_fault_kind(f), addr, op->address);
-            flush();
-            return SbResult::kExit;
-        }
-        // Self-modifying code: a store into an executable page
-        // advanced the generation — the rest of this trace may be
-        // stale. Demote to tier 1 at the next instruction.
-        if (mem.code_generation() != sb.generation) {
-            state_.rip = op->next_rip;
-            flush();
-            return SbResult::kLeft;
-        }
-        ++i;
-        SB_NEXT();
-    }
-
-    // Bound check(s) folded into the access: one EA, one dispatch.
-    // Charge tiers mirror the unfused sequence exactly — a lo fail
-    // charges only the head check, a hi fail the whole check portion,
-    // an access fault the full group (the access itself charged, as
-    // in the plain kLoad/kStore bodies).
-    SB_OP(LoadChk): {
-        uint64_t addr = ea(*op);
-        const BoundReg &bc = state_.bnds[op->bnd];
-        if ((op->mask & 1) && addr < bc.lo) {
-            cycles += op->cost_head;
-            ++done;
-            do_fault(FaultKind::kBoundRange, addr, op->address);
-            flush();
-            return SbResult::kExit;
-        }
-        if ((op->mask & 2) && addr > bc.hi) {
-            cycles += static_cast<uint32_t>(op->target);
-            done += static_cast<uint8_t>(op->n_instrs - 1);
-            do_fault(FaultKind::kBoundRange, addr, op->address2);
-            flush();
-            return SbResult::kExit;
-        }
-        cycles += op->cost;
-        done += op->n_instrs;
-        uint64_t value = 0;
-        AccessFault f =
-            op->size == 8 ? mem.read_fast<8>(addr, &value)
-          : op->size == 4 ? mem.read_fast<4>(addr, &value)
-                          : mem.read_fast<1>(addr, &value);
-        if (f != AccessFault::kNone) {
-            do_fault(sb_fault_kind(f), addr, op->exit_rip);
-            flush();
-            return SbResult::kExit;
-        }
-        regs[op->reg1] = value;
-        ++i;
-        SB_NEXT();
-    }
-    SB_OP(StoreChk): {
-        uint64_t addr = ea(*op);
-        const BoundReg &bc = state_.bnds[op->bnd];
-        if ((op->mask & 1) && addr < bc.lo) {
-            cycles += op->cost_head;
-            ++done;
-            do_fault(FaultKind::kBoundRange, addr, op->address);
-            flush();
-            return SbResult::kExit;
-        }
-        if ((op->mask & 2) && addr > bc.hi) {
-            cycles += static_cast<uint32_t>(op->target);
-            done += static_cast<uint8_t>(op->n_instrs - 1);
-            do_fault(FaultKind::kBoundRange, addr, op->address2);
-            flush();
-            return SbResult::kExit;
-        }
-        cycles += op->cost;
-        done += op->n_instrs;
-        uint64_t value = regs[op->reg1];
-        AccessFault f =
-            op->size == 8 ? mem.write_fast<8>(addr, &value)
-          : op->size == 4 ? mem.write_fast<4>(addr, &value)
-                          : mem.write_fast<1>(addr, &value);
-        if (f != AccessFault::kNone) {
-            do_fault(sb_fault_kind(f), addr, op->exit_rip);
-            flush();
-            return SbResult::kExit;
-        }
-        if (mem.code_generation() != sb.generation) {
-            state_.rip = op->next_rip;
-            flush();
-            return SbResult::kLeft;
-        }
-        ++i;
-        SB_NEXT();
-    }
-
     /*
-     * Width-constant clones of the four memory bodies above (reached
-     * only through the extension slots of kLabels — the kind-indexed
-     * dispatch never lands here). The generic bodies pick the access
-     * width with data-dependent branches; since one shared body serves
-     * every trace, those branches mispredict whenever the workload
-     * mixes widths, and memory uops are the bulk of hot-loop
-     * dispatches. Everything except the width is identical, including
-     * fault points and the tiered cycle charges.
+     * Memory bodies, one clone per access width, reached only through
+     * the extension slots of kLabels (the kind-indexed slots of the
+     * memory kinds panic). A single body picking the width at run time
+     * would branch on op->size; since one shared body serves every
+     * trace, that branch mispredicts whenever the workload mixes
+     * widths, and memory uops are the bulk of hot-loop dispatches.
      */
 #define SB_LOAD_W(SZ)                                                   \
     lbl_Load##SZ: {                                                     \
@@ -1144,6 +1023,11 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     SB_STORE_W(1)
 #undef SB_STORE_W
 
+    // Bound check(s) folded into the access: one EA, one dispatch.
+    // Charge tiers mirror the unfused sequence exactly — a lo fail
+    // charges only the head check, a hi fail the whole check portion,
+    // an access fault the full group (the access itself charged, as
+    // in the plain kLoad/kStore bodies).
 #define SB_LOADCHK_W(SZ)                                                \
     lbl_LoadChk##SZ: {                                                  \
         uint64_t addr = ea(*op);                                        \
@@ -1223,31 +1107,6 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     // A load with one ALU mini-op appended (see the Uop doc). Only
     // the load can fault, and it is the first component, so a fault
     // charges the load alone (cost_head) at the load's rip.
-    SB_OP(LoadAlu): {
-        uint64_t addr = ea(*op);
-        uint64_t value = 0;
-        AccessFault f =
-            op->size == 8 ? mem.read_fast<8>(addr, &value)
-          : op->size == 4 ? mem.read_fast<4>(addr, &value)
-                          : mem.read_fast<1>(addr, &value);
-        if (f != AccessFault::kNone) {
-            cycles += op->cost_head;
-            ++done;
-            do_fault(sb_fault_kind(f), addr, op->address);
-            flush();
-            return SbResult::kExit;
-        }
-        regs[op->reg1] = value;
-        cycles += op->cost;
-        done += op->n_instrs;
-        goto *kAlu6[op->bnd];
-        SB_ALU_BODIES(6, op->mask, op->reg2, op->imm,
-                      do {
-                          ++i;
-                          SB_DISPATCH();
-                      } while (0));
-    }
-
 #define SB_LOADALU_W(SZ)                                              \
     lbl_LoadAlu##SZ: {                                                  \
         uint64_t addr = ea(*op);                                        \
@@ -1269,6 +1128,11 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     SB_LOADALU_W(4)
     SB_LOADALU_W(1)
 #undef SB_LOADALU_W
+    SB_ALU_BODIES(6, op->mask, op->reg2, op->imm,
+                  do {
+                      ++i;
+                      SB_DISPATCH();
+                  } while (0));
 
     SB_OP(Push):
     SB_OP(PushImm): {

@@ -499,20 +499,25 @@ TEST(EpollWorkload, ProxyIsDeterministicAtEveryCoreCount)
     // for each core count, two fresh runs of the full proxy scenario
     // (network arrivals, stealing, cross-core wakeups and all) agree
     // on the SIP completion order *and* the total simulated cycles.
-    for (int cores : {1, 2, 4}) {
+    // Both are pinned to the recorded values, so a scheduler or timer
+    // change that perturbs simulated time fails here: the backends die
+    // in spawn order (the frontend shuts its job pipes down in order)
+    // and the frontend (pid 1) outlives the 4 backends it reaps.
+    // Injected faults legitimately shift the cycle count.
+    const bool clean = !faultsim::FaultSim::instance().active();
+    const std::pair<int, uint64_t> kRecorded[] = {
+        {1, 9826458}, {2, 9219922}, {4, 9239328}};
+    for (auto [cores, cycles] : kRecorded) {
         auto first = run_proxy_at(cores);
         auto second = run_proxy_at(cores);
         EXPECT_EQ(first.first, second.first) << "cores=" << cores;
         EXPECT_EQ(first.second, second.second) << "cores=" << cores;
-        // Frontend (pid 1) outlives the 4 backends it reaps.
-        ASSERT_EQ(first.first.size(), 5u) << "cores=" << cores;
-        EXPECT_EQ(first.first.back(), 1) << "cores=" << cores;
+        EXPECT_EQ(first.first, (std::vector<int>{2, 3, 4, 5, 1}))
+            << "cores=" << cores;
+        if (clean) {
+            EXPECT_EQ(first.second, cycles) << "cores=" << cores;
+        }
     }
-    // And cores=1 reproduces the pre-SMP kernel exactly: the backends
-    // die in spawn order (the frontend shuts its job pipes down in
-    // order), as recorded from the seed scheduler.
-    auto uni = run_proxy_at(1);
-    EXPECT_EQ(uni.first, (std::vector<int>{2, 3, 4, 5, 1}));
 }
 
 TEST(EpollWorkload, ReverseProxyServesThroughBackendPool)

@@ -1210,16 +1210,15 @@ func main() {
               0);
 }
 
-// ---- timer-heap compaction (PR 9 bugfix sweep) ------------------------
+// ---- timed waits: eager cancellation ---------------------------------
 
-TEST(Timers, PollRearmCancelLoopKeepsHeapBounded)
+TEST(Timers, PollRearmCancelLoopLeavesNoEntries)
 {
-    // A poll() with a far deadline that is woken early by data leaves
-    // its (when, pid) entry dead in the heap: it is far in the
-    // future, so lazy top-pruning never reaches it. Re-armed in a
-    // loop, the heap grew by one entry per iteration (~1500 here)
-    // until compaction was added; now stale entries are swept once
-    // they are numerous and the majority.
+    // A poll() with a far deadline that is woken early by data cancels
+    // its timed wait. Re-armed in a loop, a lazily deleted timer
+    // structure grows by one stale entry per iteration (~1500 here);
+    // with eager cancellation every entry is erased as its wait ends,
+    // so nothing is left once all processes are gone.
     KernelHarness h;
     auto child = toolchain::compile(R"(
 global byte b[4];
@@ -1278,10 +1277,7 @@ func main() {
     auto code = h.sys.exit_code(pid.value());
     ASSERT_TRUE(code.ok());
     EXPECT_EQ(code.value(), 0);
-    // Seed behaviour: ~1500 dead entries left behind. With
-    // compaction the heap stays within a small constant of the live
-    // count (threshold 64, majority rule).
-    EXPECT_LT(h.sys.timer_entries(), 512u);
+    EXPECT_EQ(h.sys.timer_entries(), 0u);
 }
 
 // ---- SMP scheduling (PR 9 tentpole) -----------------------------------

@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 
+#include "base/env.h"
 #include "isa/assembler.h"
 #include "vm/address_space.h"
 #include "vm/cpu.h"
@@ -913,6 +914,24 @@ TEST_F(Superblock, TierTogglesResetDispatchCounters)
     expect_all_zero(h.cpu, "after block cache off");
 }
 
+TEST(EnvFlag, AcceptsExactlyZeroOrOne)
+{
+    EXPECT_TRUE(parse_env_flag(nullptr, true).value());
+    EXPECT_FALSE(parse_env_flag(nullptr, false).value());
+    EXPECT_TRUE(parse_env_flag("", true).value());
+    EXPECT_FALSE(parse_env_flag("", false).value());
+    EXPECT_FALSE(parse_env_flag("0", true).value());
+    EXPECT_TRUE(parse_env_flag("1", false).value());
+    for (const char *bad : {"off", "on", "false", "true", "yes", "2",
+                            "00", "01", " 1", "1 ", "-1", "0x1"}) {
+        auto flag = parse_env_flag(bad, true);
+        ASSERT_FALSE(flag.ok()) << bad;
+        EXPECT_EQ(flag.code(), ErrorCode::kInval) << bad;
+        EXPECT_NE(flag.error().message.find(bad), std::string::npos)
+            << flag.error().message;
+    }
+}
+
 TEST(SuperblockDefault, FollowsEnvAndStaticSetter)
 {
     // Mirrors the crypto reference-mode pattern: the static default
@@ -920,9 +939,9 @@ TEST(SuperblockDefault, FollowsEnvAndStaticSetter)
     // applies at construction. Runs outside the Superblock fixture so
     // the env-derived value is still observable here.
     const bool saved = Cpu::default_superblock_enabled();
-    const char *env = std::getenv("OCCLUM_VM_SUPERBLOCK");
-    const bool env_on = env == nullptr || env[0] == '\0' || env[0] != '0';
-    EXPECT_EQ(saved, env_on);
+    EXPECT_EQ(saved,
+              parse_env_flag(std::getenv("OCCLUM_VM_SUPERBLOCK"), true)
+                  .value());
     Cpu::set_default_superblock_enabled(false);
     {
         AddressSpace space;
