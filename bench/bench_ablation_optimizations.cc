@@ -61,22 +61,19 @@ struct TracedMeasure {
 };
 
 /**
- * Best-of-N wall-clock run under one interpreter-tier configuration:
- * tier 0 (decode every time), tier 1 (predecoded blocks), or tier 2
- * (blocks + superblock traces). The defaults are flipped before the
- * system (and its CPUs) is built so the whole run — loader, kernel,
- * workload — executes in that mode.
+ * Best-of-N wall-clock run under one interpreter tier: tier 0 (decode
+ * every time), tier 1 (predecoded blocks), or tier 2 (blocks +
+ * superblock traces). The default is flipped before the system (and
+ * its CPUs) is built so the whole run — loader, kernel, workload —
+ * executes in that tier.
  */
 TracedMeasure
-measure_vm_tier(const oelf::Image &image, bool cached, bool superblock,
-                int reps)
+measure_vm_tier(const oelf::Image &image, vm::Tier tier, int reps)
 {
     TracedMeasure best;
     best.wall_ms = 1e18;
-    bool saved = vm::Cpu::default_block_cache_enabled();
-    bool saved_sb = vm::Cpu::default_superblock_enabled();
-    vm::Cpu::set_default_block_cache_enabled(cached);
-    vm::Cpu::set_default_superblock_enabled(superblock);
+    vm::Tier saved = vm::Cpu::default_tier();
+    vm::Cpu::set_default_tier(tier);
     for (int i = 0; i < reps; ++i) {
         SimClock clock;
         host::HostFileStore files;
@@ -96,8 +93,7 @@ measure_vm_tier(const oelf::Image &image, bool cached, bool superblock,
             std::chrono::duration<double, std::milli>(t1 - t0).count();
         best.wall_ms = std::min(best.wall_ms, ms);
     }
-    vm::Cpu::set_default_block_cache_enabled(saved);
-    vm::Cpu::set_default_superblock_enabled(saved_sb);
+    vm::Cpu::set_default_tier(saved);
     return best;
 }
 
@@ -403,11 +399,11 @@ main()
     // bit-identical across all three rows (asserted). The wall-clock
     // ratios are the speedups each tier buys.
     TracedMeasure cache_off =
-        measure_vm_tier(out.value().image, false, false, kReps);
+        measure_vm_tier(out.value().image, vm::Tier::kDecode, kReps);
     TracedMeasure cache_on =
-        measure_vm_tier(out.value().image, true, false, kReps);
+        measure_vm_tier(out.value().image, vm::Tier::kBlocks, kReps);
     TracedMeasure sb_on =
-        measure_vm_tier(out.value().image, true, true, kReps);
+        measure_vm_tier(out.value().image, vm::Tier::kTraces, kReps);
     OCC_CHECK_MSG(cache_off.sim_cycles == cache_on.sim_cycles,
                   "block cache must not perturb simulated cycles");
     OCC_CHECK_MSG(cache_off.sim_cycles == sb_on.sim_cycles,

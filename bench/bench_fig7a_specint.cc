@@ -74,11 +74,11 @@ run_kernel(const Bytes &image, CacheStats *stats = nullptr,
 
 /** Best-of-N wall-clock for one image under one tier default. */
 double
-best_wall(const Bytes &image, bool superblock, int reps,
+best_wall(const Bytes &image, vm::Tier tier, int reps,
           double expect_cycles, CacheStats *stats = nullptr)
 {
-    bool saved = vm::Cpu::default_superblock_enabled();
-    vm::Cpu::set_default_superblock_enabled(superblock);
+    vm::Tier saved = vm::Cpu::default_tier();
+    vm::Cpu::set_default_tier(tier);
     double best = 1e18;
     for (int i = 0; i < reps; ++i) {
         double ms = 0;
@@ -87,7 +87,7 @@ best_wall(const Bytes &image, bool superblock, int reps,
                       "execution tier must not perturb simulated cycles");
         best = std::min(best, ms);
     }
-    vm::Cpu::set_default_superblock_enabled(saved);
+    vm::Cpu::set_default_tier(saved);
     return best;
 }
 
@@ -97,8 +97,8 @@ int
 main()
 {
     // The headline sweep reproduces the tier-1 numbers exactly.
-    bool saved_sb = vm::Cpu::default_superblock_enabled();
-    vm::Cpu::set_default_superblock_enabled(false);
+    vm::Tier saved_tier = vm::Cpu::default_tier();
+    vm::Cpu::set_default_tier(vm::Tier::kBlocks);
 
     Table table("Fig 7a: MMDSFI overhead on SPECint2006-like kernels");
     table.set_header({"benchmark", "plain (Mcycles)",
@@ -125,9 +125,10 @@ main()
         // identical, wall clock best-of-3 for both configurations.
         constexpr int kReps = 3;
         CacheStats sb_stats;
-        double wall_t1 = best_wall(build.occlum, false, kReps, sfi);
+        double wall_t1 =
+            best_wall(build.occlum, vm::Tier::kBlocks, kReps, sfi);
         double wall_t2 =
-            best_wall(build.occlum, true, kReps, sfi, &sb_stats);
+            best_wall(build.occlum, vm::Tier::kTraces, kReps, sfi, &sb_stats);
         double sb_speedup = wall_t2 > 0 ? wall_t1 / wall_t2 : 0.0;
         total_wall_t1 += wall_t1;
         total_wall_t2 += wall_t2;
@@ -161,6 +162,6 @@ main()
     report.add("MEAN", "overhead_pct", overheads.mean() * 100);
     report.add("MEAN", "superblock_wall_speedup", total_speedup);
     report.write();
-    vm::Cpu::set_default_superblock_enabled(saved_sb);
+    vm::Cpu::set_default_tier(saved_tier);
     return 0;
 }

@@ -50,14 +50,12 @@ BM_AesCtr(benchmark::State &state)
 BENCHMARK(BM_AesCtr)->Arg(4096);
 
 /**
- * Interpreter throughput. `cache` toggles the predecoded basic-block
- * cache and `superblock` the trace tier on top, so each tier's
- * wall-clock win is visible in one report; simulated cycles are
- * identical in every mode (asserted by the ablation bench).
+ * Interpreter throughput at one tier, so each tier's wall-clock win
+ * is visible in one report; simulated cycles are identical in every
+ * tier (asserted by the ablation bench).
  */
 void
-vm_interpreter_bench(benchmark::State &state, bool cache,
-                     bool superblock)
+vm_interpreter_bench(benchmark::State &state, vm::Tier tier)
 {
     vm::AddressSpace space;
     OCC_CHECK(space.map(0x1000, 0x1000, vm::kPermRX).ok());
@@ -79,8 +77,7 @@ vm_interpreter_bench(benchmark::State &state, bool cache,
     uint64_t promotions = 0, sb_entries = 0;
     for (auto _ : state) {
         vm::Cpu cpu(space);
-        cpu.set_block_cache_enabled(cache);
-        cpu.set_superblock_enabled(superblock);
+        cpu.set_tier(tier);
         cpu.set_rip(0x1000);
         cpu.set_sp(0x11000 - 16);
         benchmark::DoNotOptimize(cpu.run(100000));
@@ -94,7 +91,7 @@ vm_interpreter_bench(benchmark::State &state, bool cache,
     }
     state.counters["bb_hits"] = static_cast<double>(hits);
     state.counters["bb_misses"] = static_cast<double>(misses);
-    if (superblock) {
+    if (tier == vm::Tier::kTraces) {
         state.counters["sb_promotions"] = static_cast<double>(promotions);
         state.counters["sb_entries"] = static_cast<double>(sb_entries);
     }
@@ -104,21 +101,21 @@ vm_interpreter_bench(benchmark::State &state, bool cache,
 void
 BM_VmInterpreter(benchmark::State &state)
 {
-    vm_interpreter_bench(state, /*cache=*/true, /*superblock=*/false);
+    vm_interpreter_bench(state, vm::Tier::kBlocks);
 }
 BENCHMARK(BM_VmInterpreter);
 
 void
 BM_VmInterpreterNoCache(benchmark::State &state)
 {
-    vm_interpreter_bench(state, /*cache=*/false, /*superblock=*/false);
+    vm_interpreter_bench(state, vm::Tier::kDecode);
 }
 BENCHMARK(BM_VmInterpreterNoCache);
 
 void
 BM_VmInterpreterSuperblock(benchmark::State &state)
 {
-    vm_interpreter_bench(state, /*cache=*/true, /*superblock=*/true);
+    vm_interpreter_bench(state, vm::Tier::kTraces);
 }
 BENCHMARK(BM_VmInterpreterSuperblock);
 

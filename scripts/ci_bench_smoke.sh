@@ -3,8 +3,8 @@
 # cheapest figure bench through scripts/bench_record.sh and checks
 # that a snapshot with machine-readable JSON came out, so bench or
 # script rot is caught on every push rather than at paper-figure
-# time. The full (slow) suite is recorded manually via
-# scripts/bench_record.sh.
+# time, then runs perfbench's self-check. The full (slow) suite is
+# recorded manually via scripts/bench_record.sh.
 #
 # Usage: scripts/ci_bench_smoke.sh [build-dir]   (default: build-bench)
 set -euo pipefail
@@ -50,4 +50,10 @@ cmp "$JSON" "$JSON_CREF" ||
 
 # The smoke snapshots are CI artifacts, not recorded results.
 rm -rf "$OUT_DIR" "bench/results/$LABEL-sb0" "bench/results/$LABEL-cref"
+
+# perfbench self-check: reproduces fig5b gzip.c and bench_smp proxy-c1
+# exactly and runs the oracle checks of all four workloads, so a
+# change that perturbs simulated results fails here. Builds into
+# $CARGO_TARGET_DIR (default .bench_build/); about 3 s once built.
+python3 perfbench/run.py --self-check
 echo "bench smoke OK"

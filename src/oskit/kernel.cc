@@ -1165,7 +1165,9 @@ Kernel::dispatch(Process &proc, uint64_t num,
         if (len == 0) return neg_errno(ErrorCode::kInval);
         uint64_t addr = (proc.mmap_cursor + vm::kPageMask) &
                         ~vm::kPageMask;
-        if (addr + len > proc.mmap_end) {
+        // No addition here: a length near 2^64 would wrap addr + len
+        // below mmap_end and move the cursor onto any page it likes.
+        if (addr > proc.mmap_end || len > proc.mmap_end - addr) {
             return neg_errno(ErrorCode::kNoMem);
         }
         // Domain/process memory is mapped eagerly at load time (the

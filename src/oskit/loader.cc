@@ -82,7 +82,6 @@ load_image(vm::AddressSpace &space, const oelf::Image &image,
         OCC_CHECK(space.write_raw(domain.c_begin, code.data(),
                                   code.size()) == vm::AccessFault::kNone);
     }
-    space.touch_code();
 
     // Initialized data after the PCB.
     if (!image.data.empty()) {

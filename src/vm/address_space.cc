@@ -76,6 +76,9 @@ AddressSpace::protect(uint64_t addr, uint64_t len, uint8_t perms)
 bool
 AddressSpace::is_mapped(uint64_t addr, uint64_t len) const
 {
+    if (len > ~addr) {
+        return false; // [addr, addr+len) wraps past the top of memory
+    }
     for (uint64_t a = addr & ~kPageMask; a < addr + len; a += kPageSize) {
         if (!pages_.count(a / kPageSize)) {
             return false;

@@ -63,7 +63,8 @@ class AddressSpace
     /** Change permissions on already-mapped pages. */
     Status protect(uint64_t addr, uint64_t len, uint8_t perms);
 
-    /** True if every page of [addr, addr+len) is mapped. */
+    /** True if every page of [addr, addr+len) is mapped; false for a
+     *  range that wraps past the top of the address space. */
     bool is_mapped(uint64_t addr, uint64_t len) const;
 
     /** Permissions of the page containing addr (kPermNone if unmapped). */

@@ -1,5 +1,7 @@
 #include "vm/cpu.h"
 
+#include <algorithm>
+
 #include "base/env.h"
 #include "base/log.h"
 #include "trace/metrics.h"
@@ -15,14 +17,14 @@ namespace {
 /** Longest straight-line run kept in one cached block. */
 constexpr size_t kMaxBlockInstrs = 64;
 
-bool g_default_block_cache_enabled = true;
-
 /**
- * Process-wide superblock-tier default, read once from the
- * environment (the crypto reference-mode pattern): default on,
+ * Process-wide default tier, read once from the environment (the
+ * crypto reference-mode pattern): traces by default,
  * OCCLUM_VM_SUPERBLOCK=0 pins tier 1 for CI legs and bisection.
  */
-bool g_default_superblock_enabled = env_flag("OCCLUM_VM_SUPERBLOCK", true);
+Tier g_default_tier = env_flag("OCCLUM_VM_SUPERBLOCK", true)
+                          ? Tier::kTraces
+                          : Tier::kBlocks;
 
 FaultKind
 data_fault_kind(AccessFault fault)
@@ -52,45 +54,32 @@ ends_block(Opcode op)
 } // namespace
 
 void
-Cpu::set_default_block_cache_enabled(bool on)
+Cpu::set_default_tier(Tier tier)
 {
-    g_default_block_cache_enabled = on;
+    g_default_tier = tier;
 }
 
-bool
-Cpu::default_block_cache_enabled()
+Tier
+Cpu::default_tier()
 {
-    return g_default_block_cache_enabled;
-}
-
-void
-Cpu::set_default_superblock_enabled(bool on)
-{
-    g_default_superblock_enabled = on;
-}
-
-bool
-Cpu::default_superblock_enabled()
-{
-    return g_default_superblock_enabled;
+    return g_default_tier;
 }
 
 void
-Cpu::set_block_cache_enabled(bool on)
+Cpu::set_tier(Tier tier)
 {
-    block_cache_enabled_ = on;
-    block_cache_.clear();
-    superblocks_.clear(); // Block::sb pointers died with the blocks
+    tier_ = tier;
+    block_cache_.clear(); // drops exec counts and traces together
     reset_dispatch_counters();
 }
 
-void
-Cpu::set_superblock_enabled(bool on)
+size_t
+Cpu::superblock_count() const
 {
-    superblock_enabled_ = on;
-    block_cache_.clear(); // drops exec counts and sb pointers together
-    superblocks_.clear();
-    reset_dispatch_counters();
+    return std::count_if(block_cache_.begin(), block_cache_.end(),
+                         [](const auto &entry) {
+                             return entry.second.sb != nullptr;
+                         });
 }
 
 void
@@ -134,9 +123,9 @@ Cpu::run(uint64_t max_instructions)
     uint64_t before_sb_inval = sb_invalidations_;
     uint64_t before_sb_hits = sb_exec_hits_;
     uint64_t before_sb_folded = sb_guards_folded_;
-    CpuExit exit = block_cache_enabled_
-                       ? run_blocks(max_instructions)
-                       : run_decode_loop(max_instructions);
+    CpuExit exit = tier_ == Tier::kDecode
+                       ? run_decode_loop(max_instructions)
+                       : run_blocks(max_instructions);
 
     // Dispatch-level metrics: one registry lookup per process (the
     // entries are process-wide), one add per executed quantum.
@@ -230,9 +219,9 @@ Cpu::lookup_block(uint64_t rip, CpuExit *exit)
         }
         ++bb_invalidations_; // stale block: discarded lazily, rebuilt
         if (cached->second.sb != nullptr) {
-            // The stitched trace dies with its block (SMC or an
-            // X-perm change demotes this entry back to tier 1; it
-            // re-promotes once the rebuilt block gets hot again).
+            // The trace dies with its block (SMC or an X-perm change
+            // demotes this entry back to tier 1; it re-promotes once
+            // the rebuilt block gets hot again).
             ++sb_invalidations_;
         }
     }
@@ -270,10 +259,8 @@ Cpu::lookup_block(uint64_t rip, CpuExit *exit)
         }
         pc = instr.end();
     }
-    auto [pos, inserted] =
-        block_cache_.insert_or_assign(rip, std::move(block));
-    (void)inserted;
-    return &pos->second;
+    return &block_cache_.insert_or_assign(rip, std::move(block))
+                .first->second;
 }
 
 CpuExit
@@ -294,36 +281,27 @@ Cpu::run_blocks(uint64_t max_instructions)
                 return exit;
             }
         }
-        if (superblock_enabled_) {
-            // Tier-2 dispatch. Every path to this point validated the
-            // block against the current generation, and a block's sb
-            // is only ever set while the generations match, so a
-            // trace reached here is runnable; the generation check
-            // below is a defensive belt, not a hot path.
-            Superblock *sb = block->sb;
-            if (sb == nullptr &&
+        if (tier_ == Tier::kTraces) {
+            // Tier-2 dispatch. Every path to this point looked the
+            // block up under the current generation, and the block
+            // owns its trace, so a trace reached here is runnable.
+            if (block->sb == nullptr &&
                 ++block->exec_count == kPromoteThreshold) {
-                sb = promote_superblock(block->instrs[0].address);
-                block->sb = sb;
+                block->sb = promote_superblock(block->instrs[0].address);
             }
-            if (sb != nullptr) {
-                if (sb->generation != mem_->code_generation()) {
-                    ++sb_invalidations_;
-                    block->sb = nullptr;
-                    block->exec_count = 0;
-                } else if (max_instructions - executed >=
-                           sb->first_n_instrs) {
-                    // (The budget guard keeps a trace whose first uop
-                    // needs more budget than remains from re-entering
-                    // forever; tier 1 finishes such slivers exactly.)
-                    ++sb_exec_hits_;
-                    if (exec_superblock(*sb, max_instructions, &executed,
-                                        &exit) == SbResult::kExit) {
-                        return exit;
-                    }
-                    block = nullptr;
-                    continue;
+            const Superblock *sb = block->sb.get();
+            // (The budget guard keeps a trace whose first uop needs
+            // more budget than remains from re-entering forever;
+            // tier 1 finishes such slivers exactly.)
+            if (sb != nullptr &&
+                max_instructions - executed >= sb->first_n_instrs) {
+                ++sb_exec_hits_;
+                if (exec_superblock(*sb, max_instructions, &executed,
+                                    &exit) == SbResult::kExit) {
+                    return exit;
                 }
+                block = nullptr;
+                continue;
             }
         }
         const Instruction *instrs = block->instrs.data();
@@ -347,29 +325,12 @@ Cpu::run_blocks(uint64_t max_instructions)
                 return exit;
             }
             if (step == Step::kTransfer) {
-                // execute stored the new rip. Chain through the
-                // inline successor cache when it resolves the target;
-                // validate against the *current* generation (a call's
-                // push may just have written an executable page).
-                uint64_t target = state_.rip;
-                uint64_t gen = mem_->code_generation();
-                for (int s = 0; s < 2; ++s) {
-                    Block *cand = block->succ[s];
-                    if (cand && block->succ_rip[s] == target &&
-                        cand->generation == gen) {
-                        next = cand;
-                        ++bb_hits_;
-                        break;
-                    }
-                }
+                // execute stored the new rip; look it up under the
+                // *current* generation (a call's push may just have
+                // written an executable page).
+                next = lookup_block(state_.rip, &exit);
                 if (!next) {
-                    next = lookup_block(target, &exit);
-                    if (!next) {
-                        return exit;
-                    }
-                    block->succ_rip[block->succ_victim] = target;
-                    block->succ[block->succ_victim] = next;
-                    block->succ_victim ^= 1;
+                    return exit;
                 }
                 break;
             }

@@ -17,28 +17,29 @@
  * jump into the middle of a variable-length instruction builds its
  * own, differently-decoded block — the overlapping-instruction
  * semantics that make the disassembly problem real are preserved.
- * Blocks are invalidated by the AddressSpace generation counter,
- * which now advances automatically on writes to executable pages and
- * on mapping-permission changes involving X. Cycle accounting is
- * identical with the cache on or off: the same per-instruction
+ * Each block records the AddressSpace code generation it was decoded
+ * under; the generation advances on writes to executable pages and
+ * on mapping-permission changes involving X, and a block whose
+ * generation is stale is rebuilt on its next lookup. Cycle
+ * accounting is identical in every tier: the same per-instruction
  * isa::cycle_cost is charged by the shared execute step.
  *
- * On top of the block cache sits the superblock tier (tier 2, see
- * superblock.h): blocks that reach kPromoteThreshold dispatches are
- * stitched into traces of pre-resolved micro-ops and replayed by a
- * straight-line loop. The tier is wall-clock-only — simulated cycles,
- * instruction counts, fault points, and quantum-slice boundaries are
- * bit-identical to the other tiers — and rides the same generation
- * counter for invalidation: self-modifying code and X-permission
- * changes demote traces back to tier 1. The tier requires the block
- * cache (promotion counts block dispatches); with the cache off it is
- * inert.
+ * The block cache is the only code cache. A block that reaches
+ * kPromoteThreshold dispatches is stitched into a trace of
+ * pre-resolved micro-ops (tier 2, see superblock.h) that the block
+ * owns, so the trace is valid exactly while its block is: rebuilding
+ * a stale block (self-modifying code, an X-permission change) drops
+ * its trace, and the rebuilt block re-promotes once it is hot again.
+ * The trace tier is wall-clock-only — simulated cycles, instruction
+ * counts, fault points, and quantum-slice boundaries are bit-identical
+ * to the other tiers. Tier selects how far up this ladder a Cpu goes.
  */
 #ifndef OCCLUM_VM_CPU_H
 #define OCCLUM_VM_CPU_H
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -97,14 +98,18 @@ struct CpuState {
     uint64_t rip = 0;
 };
 
+/** How far up the interpreter ladder a Cpu goes. */
+enum class Tier {
+    kDecode, // decode every instruction (the ablation baseline)
+    kBlocks, // replay predecoded basic blocks (tier 1)
+    kTraces, // also promote hot blocks to superblock traces (tier 2)
+};
+
 /** The interpreter. */
 class Cpu
 {
   public:
-    explicit Cpu(AddressSpace &mem)
-        : mem_(&mem), block_cache_enabled_(default_block_cache_enabled()),
-          superblock_enabled_(default_superblock_enabled())
-    {}
+    explicit Cpu(AddressSpace &mem) : mem_(&mem), tier_(default_tier()) {}
 
     // ---- state access ------------------------------------------------
     uint64_t reg(int i) const { return state_.regs[i]; }
@@ -126,22 +131,24 @@ class Cpu
 
     AddressSpace &mem() { return *mem_; }
 
-    // ---- block-cache control -----------------------------------------
+    // ---- tier control ------------------------------------------------
     /**
-     * Enable/disable the basic-block cache. Drops cached blocks and
-     * superblocks and zeroes all dispatch counters, so ablation rows
-     * never mix counts from two tier configurations.
+     * Select the interpreter tier. Drops all cached blocks (and with
+     * them their traces) and zeroes every dispatch counter, so
+     * ablation rows never mix counts from two tiers.
      */
-    void set_block_cache_enabled(bool on);
-    bool block_cache_enabled() const { return block_cache_enabled_; }
+    void set_tier(Tier tier);
+    Tier tier() const { return tier_; }
 
     /**
-     * Default for newly constructed Cpus. The ablation bench flips
-     * this to run whole workloads in decode-every-time mode without
-     * threading a flag through every personality.
+     * Tier for newly constructed Cpus. Seeded from
+     * OCCLUM_VM_SUPERBLOCK ("0" selects kBlocks, "1" or unset
+     * kTraces, anything else panics); the static setter overrides it
+     * for ablation and bisection without threading a flag through
+     * every personality.
      */
-    static void set_default_block_cache_enabled(bool on);
-    static bool default_block_cache_enabled();
+    static void set_default_tier(Tier tier);
+    static Tier default_tier();
 
     /** Block-cache statistics (per-Cpu; also mirrored in the trace
      *  registry as vm.block_cache.{hits,misses,invalidations}). */
@@ -150,21 +157,6 @@ class Cpu
     uint64_t block_cache_invalidations() const { return bb_invalidations_; }
     size_t block_cache_blocks() const { return block_cache_.size(); }
 
-    // ---- superblock-tier control -------------------------------------
-    /**
-     * Enable/disable the superblock tier (tier 2). Drops all cached
-     * state and zeroes the dispatch counters, like the block-cache
-     * toggle. Mirrors the crypto reference-mode pattern: the
-     * process-wide default comes from OCCLUM_VM_SUPERBLOCK ("0"
-     * disables, "1" enables, unset is on, anything else panics), and
-     * the static setter overrides it for ablation/bisection without
-     * threading a flag through every personality.
-     */
-    void set_superblock_enabled(bool on);
-    bool superblock_enabled() const { return superblock_enabled_; }
-    static void set_default_superblock_enabled(bool on);
-    static bool default_superblock_enabled();
-
     /** Superblock statistics (per-Cpu; mirrored in the trace registry
      *  as vm.superblock.{promotions,invalidations,exec_hits,
      *  guards_folded}). */
@@ -172,7 +164,9 @@ class Cpu
     uint64_t superblock_invalidations() const { return sb_invalidations_; }
     uint64_t superblock_exec_hits() const { return sb_exec_hits_; }
     uint64_t superblock_guards_folded() const { return sb_guards_folded_; }
-    size_t superblock_count() const { return superblocks_.size(); }
+    /** Traces held by cached blocks (a stale block keeps its trace
+     *  until its next lookup rebuilds it). */
+    size_t superblock_count() const;
 
     // ---- execution -----------------------------------------------------
     /**
@@ -188,24 +182,12 @@ class Cpu
     struct Block {
         std::vector<isa::Instruction> instrs;
         uint64_t generation = ~0ull;
-        /**
-         * Inline successor cache ("block linking"): the last two
-         * transfer targets taken out of this block, so the common
-         * jump/branch chains to its target block without a hash
-         * lookup. Entries are validated against the current code
-         * generation before use; map nodes are never erased (only
-         * replaced in place or cleared wholesale), so the pointers
-         * stay valid as long as the cache itself lives.
-         */
-        std::array<uint64_t, 2> succ_rip{};
-        std::array<Block *, 2> succ{};
-        uint8_t succ_victim = 0;
         /** Dispatch count; at kPromoteThreshold the block is stitched
          *  into a superblock (tier 2). */
         uint32_t exec_count = 0;
-        /** The promoted trace, or nullptr. Points into superblocks_;
-         *  valid while the generations match (checked at dispatch). */
-        Superblock *sb = nullptr;
+        /** The promoted trace, or nullptr. Valid while the block is:
+         *  rebuilding the block drops it. */
+        std::unique_ptr<Superblock> sb;
     };
 
     /** What the shared execute step did with control flow. */
@@ -224,17 +206,18 @@ class Cpu
 
     /** Block-cached interpreter loop; run() wraps it with metrics. */
     CpuExit run_blocks(uint64_t max_instructions);
-    /** Decode-every-time loop (cache off; the ablation baseline). */
+    /** Decode-every-time loop (Tier::kDecode). */
     CpuExit run_decode_loop(uint64_t max_instructions);
 
-    /** Translate + install a superblock at entry_rip (tier 2);
-     *  nullptr when no useful trace exists. In superblock.cc. */
-    Superblock *promote_superblock(uint64_t entry_rip);
-    /** Replay a trace until it exits or the budget lands inside it.
-     *  Charges exactly what the per-instruction tiers would. */
+    /** Translate a superblock at entry_rip (tier 2); nullptr when no
+     *  useful trace exists. In superblock.cc. */
+    std::unique_ptr<Superblock> promote_superblock(uint64_t entry_rip);
+    /** Replay a trace, chaining into the traces of other cached
+     *  blocks, until it exits or the budget lands inside it. Charges
+     *  exactly what the per-instruction tiers would. */
     SbResult exec_superblock(const Superblock &sb, uint64_t max_instructions,
                              uint64_t *executed_io, CpuExit *exit);
-    /** Zero all bb/sb counters (tier toggles must not mix counts). */
+    /** Zero all bb/sb counters (tier changes must not mix counts). */
     void reset_dispatch_counters();
 
     /** Fetch + decode one instruction; kNone on success. */
@@ -288,17 +271,11 @@ class Cpu
     CpuState state_;
     uint64_t cycles_ = 0;
     uint64_t instructions_ = 0;
+    Tier tier_;
     std::unordered_map<uint64_t, Block> block_cache_;
-    bool block_cache_enabled_;
     uint64_t bb_hits_ = 0;
     uint64_t bb_misses_ = 0;
     uint64_t bb_invalidations_ = 0;
-
-    /** Installed traces, keyed by entry rip. Nodes are stable (never
-     *  erased, only replaced in place or cleared wholesale), so the
-     *  Block::sb pointers stay valid for the life of the cache. */
-    std::unordered_map<uint64_t, Superblock> superblocks_;
-    bool superblock_enabled_;
     uint64_t sb_promotions_ = 0;
     uint64_t sb_invalidations_ = 0;
     uint64_t sb_exec_hits_ = 0;

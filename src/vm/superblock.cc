@@ -158,7 +158,7 @@ class RipIndex
 
 bool
 translate_superblock(const SbDecodeFn &decode, uint64_t entry_rip,
-                     uint64_t generation, Superblock *out)
+                     Superblock *out)
 {
     std::vector<Uop> uops;
     uops.reserve(32);
@@ -489,19 +489,17 @@ translate_superblock(const SbDecodeFn &decode, uint64_t entry_rip,
     peephole::compact(uops);
 
     out->uops = std::move(uops);
-    out->entry_rip = entry_rip;
-    out->generation = generation;
     out->first_n_instrs = std::max<uint32_t>(1, out->uops[0].n_instrs);
     out->guards_folded = folded;
     return true;
 }
 
-Superblock *
+std::unique_ptr<Superblock>
 Cpu::promote_superblock(uint64_t entry_rip)
 {
-    Superblock sb;
+    auto sb = std::make_unique<Superblock>();
     // Serve decodes from predecoded tier-1 blocks when possible: the
-    // trace mostly walks the promoted block itself (plus linked
+    // trace mostly walks the promoted block itself (plus its
     // successors), all already decoded under the current generation.
     // Stale-generation blocks are skipped — their bytes may differ.
     const Block *src = nullptr;
@@ -532,7 +530,7 @@ Cpu::promote_superblock(uint64_t entry_rip)
         }
         return decode_at(rip, instr) == FaultKind::kNone;
     };
-    if (!translate_superblock(decode, entry_rip, gen, &sb)) {
+    if (!translate_superblock(decode, entry_rip, sb.get())) {
         return nullptr;
     }
     // Direct threading: bind each uop to its dispatch label. The
@@ -540,9 +538,9 @@ Cpu::promote_superblock(uint64_t entry_rip)
     // publish the function-local label table.
     if (g_sb_label_table == nullptr) {
         uint64_t none = 0;
-        exec_superblock(sb, 0, &none, nullptr);
+        exec_superblock(*sb, 0, &none, nullptr);
     }
-    for (Uop &u : sb.uops) {
+    for (Uop &u : sb->uops) {
         u.handler = g_sb_label_table[static_cast<size_t>(u.kind)];
         // Memory uops bind the width-constant body variant (the
         // extension slots past kNumUopKinds) so the hot loop never
@@ -563,14 +561,8 @@ Cpu::promote_superblock(uint64_t entry_rip)
         }
     }
     ++sb_promotions_;
-    sb_guards_folded_ += sb.guards_folded;
-    // Map nodes are stable; insert_or_assign replaces a stale trace
-    // for the same entry in place (no Block points at it anymore —
-    // re-promotion only happens after the pointing block was rebuilt).
-    auto [it, inserted] = superblocks_.insert_or_assign(entry_rip,
-                                                        std::move(sb));
-    (void)inserted;
-    return &it->second;
+    sb_guards_folded_ += sb->guards_folded;
+    return sb;
 }
 
 /*
@@ -665,6 +657,9 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     const Uop *__restrict uops = sb.uops.data();
     uint64_t *__restrict const regs = state_.regs.data();
     AddressSpace &mem = *mem_;
+    // Every trace run here, linked ones included, was valid under the
+    // generation at entry; a store that moves it leaves the trace.
+    const uint64_t gen = mem.code_generation();
 
     // Counters live in locals for the duration of the trace and are
     // flushed on every exit path; the deltas are exactly what the
@@ -1010,7 +1005,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             flush();                                                    \
             return SbResult::kExit;                                     \
         }                                                               \
-        if (mem.code_generation() != sb.generation) {                   \
+        if (mem.code_generation() != gen) {                             \
             state_.rip = op->next_rip;                                  \
             flush();                                                    \
             return SbResult::kLeft;                                     \
@@ -1091,7 +1086,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             flush();                                                    \
             return SbResult::kExit;                                     \
         }                                                               \
-        if (mem.code_generation() != sb.generation) {                   \
+        if (mem.code_generation() != gen) {                             \
             state_.rip = op->next_rip;                                  \
             flush();                                                    \
             return SbResult::kLeft;                                     \
@@ -1149,7 +1144,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             return SbResult::kExit;
         }
         regs[isa::kSp] = new_sp;
-        if (mem.code_generation() != sb.generation) {
+        if (mem.code_generation() != gen) {
             state_.rip = op->next_rip;
             flush();
             return SbResult::kLeft;
@@ -1318,7 +1313,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             state_.rip = op->exit_rip;
             goto link_or_leave;
         }
-        if (mem.code_generation() != sb.generation) {
+        if (mem.code_generation() != gen) {
             state_.rip = op->next_rip;
             flush();
             return SbResult::kLeft;
@@ -1486,21 +1481,20 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
 
   link_or_leave:
     // Trace linking: a guard or branch exit whose continuation rip is
-    // itself a promoted trace entry chains straight into that trace's
+    // a cached block with a trace chains straight into that trace's
     // uops instead of bouncing through run_blocks (block lookup, tier
     // dispatch, re-entry) — call-heavy guests spend most exits on
-    // exactly such trace-to-trace edges. The generation is checked
-    // against the address space (not the departing trace) so a store
-    // that just invalidated code can never chain into a stale trace,
-    // and the counter-flush/budget semantics are unchanged: counters
-    // stay in locals, and the budget check at the first dispatched uop
-    // refuses entry exactly like run_blocks' first_n_instrs guard
-    // (state_.rip already names the entry).
+    // exactly such trace-to-trace edges. The block's generation is
+    // checked against the address space (a call's push may just have
+    // invalidated code), and the counter-flush/budget semantics are
+    // unchanged: counters stay in locals, and the budget check at the
+    // first dispatched uop refuses entry exactly like run_blocks'
+    // first_n_instrs guard (state_.rip already names the entry).
     {
-        auto linked = superblocks_.find(state_.rip);
-        if (linked != superblocks_.end() &&
+        auto linked = block_cache_.find(state_.rip);
+        if (linked != block_cache_.end() && linked->second.sb &&
             linked->second.generation == mem.code_generation()) {
-            uops = linked->second.uops.data();
+            uops = linked->second.sb->uops.data();
             ++sb_exec_hits_;
             i = 0;
             SB_DISPATCH();

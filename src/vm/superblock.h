@@ -166,11 +166,9 @@ struct Uop {
     const void *handler = nullptr;
 };
 
-/** An installed trace. Valid while `generation` matches the space. */
+/** An installed trace, owned by the block it was promoted from. */
 struct Superblock {
     std::vector<Uop> uops;
-    uint64_t entry_rip = 0;
-    uint64_t generation = ~0ull;
     uint32_t first_n_instrs = 1; // budget needed to enter the trace
     uint32_t guards_folded = 0;  // fused pairs + elided duplicates
 };
@@ -185,7 +183,7 @@ using SbDecodeFn = std::function<bool(uint64_t rip, isa::Instruction *out)>;
  * time; it is pure wall-clock work.
  */
 bool translate_superblock(const SbDecodeFn &decode, uint64_t entry_rip,
-                          uint64_t generation, Superblock *out);
+                          Superblock *out);
 
 // ---- peephole passes (superblock_peephole.cc) ---------------------------
 // All passes operate on the linear uop buffer between lowering and

@@ -10,6 +10,7 @@
 #include "isa/assembler.h"
 #include "libos/occlum_system.h"
 #include "oelf/abi.h"
+#include "oelf/oelf.h"
 #include "toolchain/minic.h"
 #include "verifier/verifier.h"
 #include "workloads/workloads.h"
@@ -259,6 +260,46 @@ func main() {
     ASSERT_TRUE(p2.ok());
     h.sys->run();
     EXPECT_EQ(h.sys->exit_code(p2.value()).value(), 0);
+}
+
+TEST(Isolation, WrappingMmapLengthCannotReachASiblingSlot)
+{
+    // mmap with a length near 2^64: addr + len wraps below the mmap
+    // limit, so a wrapping bounds check would accept it, move the
+    // cursor onto a page of the attacker's choosing, and the next
+    // mmap would zero-fill the victim's memory in the slot below. One
+    // binary plays both parts (same layout in both slots): argc 1 is
+    // the victim, argc 2 the attacker in the next slot up.
+    OcclumSystem::Config config;
+    uint64_t span = oelf::kTrampSize + config.slot_code_size +
+                    oelf::kGuardSize + config.slot_data_size +
+                    oelf::kGuardSize;
+    SecurityHarness h;
+    h.add("sip", R"(
+func main() {
+    if (argc() == 1) {
+        var v = mmap(4096);
+        wstore(v, 0x5ec2e7);
+        var spin = 0;
+        while (spin < 2000000) { spin = spin + 1; }
+        return wload(v) == 0x5ec2e7;
+    }
+    var p = mmap(4096);
+    var target = p - )" + std::to_string(span) + R"(; // the victim's page
+    var r = syscall(12, 0, target - (p + 4096), 3, 34, 0 - 1, 0);
+    var q = mmap(4096); // would land on (and zero) the victim's page
+    if (r != 0 - 12) { return 2; }
+    if (q != p + 4096) { return 3; }
+    return 0;
+}
+)");
+    auto victim = h.sys->spawn("sip", {"sip"});
+    ASSERT_TRUE(victim.ok());
+    auto attacker = h.sys->spawn("sip", {"sip", "attack"});
+    ASSERT_TRUE(attacker.ok());
+    h.sys->run();
+    EXPECT_EQ(h.sys->exit_code(attacker.value()).value(), 0);
+    EXPECT_EQ(h.sys->exit_code(victim.value()).value(), 1);
 }
 
 } // namespace

@@ -6,7 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
+#include <iterator>
+#include <random>
+#include <string>
 
 #include "base/env.h"
 #include "isa/assembler.h"
@@ -94,6 +98,18 @@ TEST(AddressSpace, CrossPageAccess)
     EXPECT_EQ(back, v);
     // Partially unmapped cross-page access faults.
     EXPECT_EQ(space.write(0x2ffc, &v, 8), AccessFault::kUnmapped);
+}
+
+TEST(AddressSpace, IsMappedRejectsWrappingRanges)
+{
+    // A range whose end wraps past 2^64 must not read as mapped: the
+    // naive page walk from addr to addr+len runs zero times for it.
+    AddressSpace space;
+    ASSERT_TRUE(space.map(0x1000, 0x2000, kPermRW).ok());
+    EXPECT_TRUE(space.is_mapped(0x1000, 0x2000));
+    EXPECT_FALSE(space.is_mapped(0x2000, 0ull - 0x1000)); // wraps to 0x1000
+    EXPECT_FALSE(space.is_mapped(0x2000, 0ull - 0x2000)); // ends at 2^64
+    EXPECT_FALSE(space.is_mapped(0ull - 0x1000, 0x2000)); // wraps to 0x1000
 }
 
 TEST(Cpu, ArithmeticAndMov)
@@ -462,7 +478,7 @@ TEST(BlockCache, HitsAccumulateAcrossLoopIterations)
     // This test asserts tier-1 dispatch-counter mechanics; with the
     // superblock tier on, the loop would promote at the threshold and
     // bb-hit accumulation would freeze at ~kPromoteThreshold.
-    h.cpu.set_superblock_enabled(false);
+    h.cpu.set_tier(Tier::kBlocks);
     isa::Assembler a(kCode);
     a.mov_ri(1, 0);
     a.mov_ri(2, 100);
@@ -591,9 +607,9 @@ TEST(BlockCache, OffModeIsBitIdenticalInCyclesAndState)
     };
     VmHarness on;
     VmHarness off;
-    off.cpu.set_block_cache_enabled(false);
-    ASSERT_TRUE(on.cpu.block_cache_enabled());
-    ASSERT_FALSE(off.cpu.block_cache_enabled());
+    off.cpu.set_tier(Tier::kDecode);
+    ASSERT_NE(on.cpu.tier(), Tier::kDecode);
+    ASSERT_EQ(off.cpu.tier(), Tier::kDecode);
 
     isa::Assembler a1(kCode);
     program(a1);
@@ -692,28 +708,25 @@ TEST(BlockCache, CfiLabelStartsANewBlock)
 // ---- superblock tier (tier 2) -----------------------------------------
 
 /**
- * The superblock battery tests the tier itself, so it must run with
- * the tier available even when OCCLUM_VM_SUPERBLOCK=0 pins the
- * process default off (CI bisection legs run the whole suite that
- * way). The fixture forces the default on and restores the
- * env-derived value afterwards; tier-off comparisons inside the
- * tests still use the per-cpu set_superblock_enabled(false).
+ * The superblock battery tests the trace tier itself, so it must run
+ * at Tier::kTraces even when OCCLUM_VM_SUPERBLOCK=0 pins the process
+ * default to kBlocks (CI bisection legs run the whole suite that
+ * way). The fixture forces the default and restores the env-derived
+ * value afterwards; tier-1 comparisons inside the tests still use the
+ * per-cpu set_tier(Tier::kBlocks).
  */
 class Superblock : public ::testing::Test
 {
   protected:
     void SetUp() override
     {
-        saved_default_ = Cpu::default_superblock_enabled();
-        Cpu::set_default_superblock_enabled(true);
+        saved_default_ = Cpu::default_tier();
+        Cpu::set_default_tier(Tier::kTraces);
     }
-    void TearDown() override
-    {
-        Cpu::set_default_superblock_enabled(saved_default_);
-    }
+    void TearDown() override { Cpu::set_default_tier(saved_default_); }
 
   private:
-    bool saved_default_ = true;
+    Tier saved_default_ = Tier::kTraces;
 };
 
 TEST_F(Superblock, OnOffBitIdenticalInCyclesAndState)
@@ -742,8 +755,8 @@ TEST_F(Superblock, OnOffBitIdenticalInCyclesAndState)
     };
     VmHarness on;
     VmHarness off;
-    off.cpu.set_superblock_enabled(false);
-    ASSERT_TRUE(on.cpu.superblock_enabled());
+    off.cpu.set_tier(Tier::kBlocks);
+    ASSERT_EQ(on.cpu.tier(), Tier::kTraces);
 
     isa::Assembler a1(kCode);
     program(a1);
@@ -809,7 +822,7 @@ TEST_F(Superblock, SmcInsideStitchedTraceDemotesToTier1)
     VmHarness off;
     ASSERT_TRUE(on.space.protect(kCode, 0x1000, kPermRWX).ok());
     ASSERT_TRUE(off.space.protect(kCode, 0x1000, kPermRWX).ok());
-    off.cpu.set_superblock_enabled(false);
+    off.cpu.set_tier(Tier::kBlocks);
 
     isa::Assembler a1(kCode);
     build(a1, patch_addr);
@@ -894,10 +907,10 @@ TEST_F(Superblock, TierTogglesResetDispatchCounters)
     EXPECT_GT(h.cpu.block_cache_misses(), 0u);
     EXPECT_GE(h.cpu.superblock_promotions(), 1u);
 
-    // Disabling the tier drops all cached state and zeroes every
+    // Changing the tier drops all cached state and zeroes every
     // dispatch counter — ablation rows never mix configurations.
-    h.cpu.set_superblock_enabled(false);
-    expect_all_zero(h.cpu, "after superblock off");
+    h.cpu.set_tier(Tier::kBlocks);
+    expect_all_zero(h.cpu, "after kBlocks");
     EXPECT_EQ(h.cpu.block_cache_blocks(), 0u);
 
     h.cpu.set_reg(1, 0);
@@ -907,11 +920,11 @@ TEST_F(Superblock, TierTogglesResetDispatchCounters)
     EXPECT_GT(h.cpu.block_cache_hits(), 90u); // tier-1 counts resume
     EXPECT_EQ(h.cpu.superblock_promotions(), 0u);
 
-    h.cpu.set_superblock_enabled(true);
-    expect_all_zero(h.cpu, "after superblock on");
+    h.cpu.set_tier(Tier::kTraces);
+    expect_all_zero(h.cpu, "after kTraces");
 
-    h.cpu.set_block_cache_enabled(false);
-    expect_all_zero(h.cpu, "after block cache off");
+    h.cpu.set_tier(Tier::kDecode);
+    expect_all_zero(h.cpu, "after kDecode");
 }
 
 TEST(EnvFlag, AcceptsExactlyZeroOrOne)
@@ -935,26 +948,23 @@ TEST(EnvFlag, AcceptsExactlyZeroOrOne)
 TEST(SuperblockDefault, FollowsEnvAndStaticSetter)
 {
     // Mirrors the crypto reference-mode pattern: the static default
-    // (seeded from OCCLUM_VM_SUPERBLOCK, on unless set to "0")
-    // applies at construction. Runs outside the Superblock fixture so
-    // the env-derived value is still observable here.
-    const bool saved = Cpu::default_superblock_enabled();
+    // (seeded from OCCLUM_VM_SUPERBLOCK: kTraces unless set to "0",
+    // which selects kBlocks) applies at construction. Runs outside
+    // the Superblock fixture so the env-derived value is still
+    // observable here.
+    const Tier saved = Cpu::default_tier();
     EXPECT_EQ(saved,
               parse_env_flag(std::getenv("OCCLUM_VM_SUPERBLOCK"), true)
-                  .value());
-    Cpu::set_default_superblock_enabled(false);
-    {
+                      .value()
+                  ? Tier::kTraces
+                  : Tier::kBlocks);
+    for (Tier tier : {Tier::kBlocks, Tier::kTraces, Tier::kDecode}) {
+        Cpu::set_default_tier(tier);
         AddressSpace space;
         Cpu cpu(space);
-        EXPECT_FALSE(cpu.superblock_enabled());
+        EXPECT_EQ(cpu.tier(), tier);
     }
-    Cpu::set_default_superblock_enabled(true);
-    {
-        AddressSpace space;
-        Cpu cpu(space);
-        EXPECT_TRUE(cpu.superblock_enabled());
-    }
-    Cpu::set_default_superblock_enabled(saved);
+    Cpu::set_default_tier(saved);
 }
 
 TEST_F(Superblock, BudgetSlicesNeverOvershootAndMatchOneShot)
@@ -1021,7 +1031,7 @@ TEST_F(Superblock, GuardFoldingPreservesStateAndCycles)
     };
     VmHarness on;
     VmHarness off;
-    off.cpu.set_superblock_enabled(false);
+    off.cpu.set_tier(Tier::kBlocks);
 
     isa::Assembler a1(kCode);
     program(a1);
@@ -1062,7 +1072,7 @@ TEST_F(Superblock, FusedGuardFaultPointsAreExact)
     auto run_pair = [](auto &program, BoundReg bnd) {
         VmHarness on;
         VmHarness off;
-        off.cpu.set_superblock_enabled(false);
+        off.cpu.set_tier(Tier::kBlocks);
         on.cpu.set_bnd(isa::kBndData, bnd);
         off.cpu.set_bnd(isa::kBndData, bnd);
         isa::Assembler a1(kCode);
@@ -1126,7 +1136,7 @@ TEST_F(Superblock, LoadAluFusionFaultPointsAreExact)
     };
     VmHarness on;
     VmHarness off;
-    off.cpu.set_superblock_enabled(false);
+    off.cpu.set_tier(Tier::kBlocks);
     isa::Assembler a1(kCode);
     program(a1);
     CpuExit e1 = on.run(a1);
@@ -1170,7 +1180,7 @@ TEST_F(Superblock, StitchedCallRetTracesAreExact)
     };
     VmHarness on;
     VmHarness off;
-    off.cpu.set_superblock_enabled(false);
+    off.cpu.set_tier(Tier::kBlocks);
 
     isa::Assembler a1(kCode);
     program(a1);
@@ -1215,6 +1225,445 @@ TEST_F(Superblock, OverlappingDecodesPromoteIndependently)
     EXPECT_GE(h.cpu.superblock_promotions(), 2u);
     EXPECT_GE(h.cpu.superblock_count(), 2u);
     EXPECT_EQ(h.cpu.superblock_invalidations(), 0u);
+}
+
+TEST_F(Superblock, RebuiltBlockDropsItsTrace)
+{
+    // A trace belongs to the block it was promoted from. After a
+    // self-modifying store, the next lookup rebuilds the block and
+    // the old trace goes with it: the count drops to zero and stays
+    // there until the rebuilt block is hot enough to re-promote.
+    size_t mov_len =
+        encoded_len([](isa::Assembler &a) { a.mov_ri(1, 0); });
+    isa::Assembler a(kCode);
+    a.mov_ri(1, 0);
+    a.mov_ri(3, static_cast<int64_t>(kCode + 2)); // mov r1's immediate
+    a.mov_ri(5, 0);
+    a.bind("loop");
+    a.add_ri(1, 1);
+    a.sub_ri(2, 1);
+    a.cmp_ri(2, 0);
+    a.jcc(Cond::kNe, "loop");
+    a.store8(mem_bd(3, 0), 5); // rewrites code: every block goes stale
+    a.ltrap();
+    VmHarness h;
+    ASSERT_TRUE(h.space.protect(kCode, 0x1000, kPermRWX).ok());
+    h.cpu.set_reg(2, 100);
+    ASSERT_EQ(h.run(a).kind, ExitKind::kLtrap);
+    EXPECT_EQ(h.cpu.reg(1), 100u);
+    ASSERT_GE(h.cpu.superblock_promotions(), 1u);
+    ASSERT_GE(h.cpu.superblock_count(), 1u);
+
+    // A few cold iterations rebuild the loop block without promoting.
+    uint64_t loop = kCode + 3 * mov_len;
+    h.cpu.set_reg(2, 3);
+    h.cpu.set_rip(loop);
+    ASSERT_EQ(h.cpu.run(1000).kind, ExitKind::kLtrap);
+    EXPECT_GE(h.cpu.superblock_invalidations(), 1u);
+    EXPECT_EQ(h.cpu.superblock_count(), 0u);
+
+    // Hot again: the rebuilt block re-promotes.
+    uint64_t promos = h.cpu.superblock_promotions();
+    h.cpu.set_reg(2, 100);
+    h.cpu.set_rip(loop);
+    ASSERT_EQ(h.cpu.run(1'000'000).kind, ExitKind::kLtrap);
+    EXPECT_GT(h.cpu.superblock_promotions(), promos);
+    EXPECT_GE(h.cpu.superblock_count(), 1u);
+}
+
+// ---- every uop body, one generated program ----------------------------
+
+/** Emits one packable register-ALU op (the kAluPack subset). */
+using AluEmit = void (*)(isa::Assembler &, uint8_t rd, uint8_t rs,
+                         int32_t imm);
+
+/** Every packable op, RI and RR forms (superblock_peephole.cc). */
+const AluEmit kPackableOps[] = {
+    [](isa::Assembler &a, uint8_t d, uint8_t, int32_t i) { a.mov_ri(d, i); },
+    [](isa::Assembler &a, uint8_t d, uint8_t s, int32_t) { a.mov_rr(d, s); },
+    [](isa::Assembler &a, uint8_t d, uint8_t, int32_t i) { a.add_ri(d, i); },
+    [](isa::Assembler &a, uint8_t d, uint8_t s, int32_t) { a.add_rr(d, s); },
+    [](isa::Assembler &a, uint8_t d, uint8_t, int32_t i) { a.sub_ri(d, i); },
+    [](isa::Assembler &a, uint8_t d, uint8_t s, int32_t) { a.sub_rr(d, s); },
+    [](isa::Assembler &a, uint8_t d, uint8_t, int32_t i) { a.mul_ri(d, i); },
+    [](isa::Assembler &a, uint8_t d, uint8_t s, int32_t) { a.mul_rr(d, s); },
+    [](isa::Assembler &a, uint8_t d, uint8_t, int32_t i) { a.and_ri(d, i); },
+    [](isa::Assembler &a, uint8_t d, uint8_t s, int32_t) { a.and_rr(d, s); },
+    [](isa::Assembler &a, uint8_t d, uint8_t, int32_t i) { a.or_ri(d, i); },
+    [](isa::Assembler &a, uint8_t d, uint8_t s, int32_t) { a.or_rr(d, s); },
+    [](isa::Assembler &a, uint8_t d, uint8_t, int32_t i) { a.xor_ri(d, i); },
+    [](isa::Assembler &a, uint8_t d, uint8_t s, int32_t) { a.xor_rr(d, s); },
+    [](isa::Assembler &a, uint8_t d, uint8_t, int32_t i) {
+        a.shl_ri(d, static_cast<uint8_t>(i & 63));
+    },
+    [](isa::Assembler &a, uint8_t d, uint8_t, int32_t i) {
+        a.shr_ri(d, static_cast<uint8_t>(i & 63));
+    },
+    [](isa::Assembler &a, uint8_t d, uint8_t, int32_t i) {
+        a.sar_ri(d, static_cast<uint8_t>(i & 63));
+    },
+    [](isa::Assembler &a, uint8_t d, uint8_t s, int32_t) { a.shl_rr(d, s); },
+    [](isa::Assembler &a, uint8_t d, uint8_t s, int32_t) { a.shr_rr(d, s); },
+    [](isa::Assembler &a, uint8_t d, uint8_t s, int32_t) { a.sar_rr(d, s); },
+    [](isa::Assembler &a, uint8_t d, uint8_t, int32_t) { a.neg(d); },
+    [](isa::Assembler &a, uint8_t d, uint8_t, int32_t) { a.not_(d); },
+};
+constexpr size_t kNumPackableOps = std::size(kPackableOps);
+
+/** Code reservation for the generated program (below kData). */
+constexpr uint64_t kGenCodeSize = 0x8000;
+
+/**
+ * A seeded program whose hot outer loop reaches every uop body of the
+ * trace tier: each packable op alone, in all three kAluPack slots, in
+ * all three kAluPackBr slots and as kLoadAlu's appended op; division
+ * and remainder; loads and stores at widths 8/4/1, plain and fused
+ * with a bound check or a charge run; base, SIB and rip-relative lea;
+ * push/pop; register bound checks; stitched calls with guarded
+ * returns, a call chain deeper than kMaxStitchDepth (kCallExit, and
+ * kRetExit in traces entered mid-chain), an MMDSFI-style pop + jmp-reg
+ * return, call-reg/call-mem/jmp-reg/jmp-mem exits; fused and plain
+ * branches, both intra-trace and exiting.
+ *
+ * Fixed register roles: r0 inner-loop limit, r9 inner counter, r10
+ * outer counter, r11 data base, r12 SIB index, r13 address temp. The
+ * op generators draw registers from r1..r8 only.
+ */
+Bytes
+uop_coverage_program(uint32_t seed)
+{
+    std::mt19937 rng(seed);
+    isa::Assembler a(kCode);
+    auto reg = [&] { return static_cast<uint8_t>(1 + rng() % 8); };
+    auto imm = [&] { return static_cast<int32_t>(rng()); };
+    auto alu = [&](size_t k) {
+        kPackableOps[k % kNumPackableOps](a, reg(), reg(), imm());
+    };
+    // An 8-aligned offset into the low half of the data page (the
+    // call-mem/jmp-mem slots live in the high half).
+    auto data = [&] {
+        return mem_bd(11, static_cast<int32_t>(rng() % 0x100) * 8);
+    };
+    auto load_w = [&](int w, uint8_t r, isa::MemOperand m) {
+        if (w == 0) a.load(r, m);
+        if (w == 1) a.load32(r, m);
+        if (w == 2) a.load8(r, m);
+    };
+    auto store_w = [&](int w, isa::MemOperand m, uint8_t r) {
+        if (w == 0) a.store(m, r);
+        if (w == 1) a.store32(m, r);
+        if (w == 2) a.store8(m, r);
+    };
+    int labels = 0;
+    auto fresh = [&] { return "l" + std::to_string(labels++); };
+
+    a.mov_ri(0, 3);
+    a.mov_ri(10, 40);
+    a.mov_ri(11, static_cast<int64_t>(kData));
+    a.mov_ri(12, 5);
+    for (uint8_t r = 1; r <= 8; ++r) {
+        a.mov_ri(r, imm());
+    }
+    a.bind("outer");
+
+    // Each op alone: non-packable neighbours keep packs from forming.
+    for (size_t k = 0; k < kNumPackableOps; ++k) {
+        alu(k);
+        if (k % 2 == 0) {
+            a.rdcycle(reg());
+        } else {
+            a.test_rr(reg(), reg());
+        }
+    }
+    // kAluPack: op k sits in slot 0, 1 and 2 of groups k, k-1, k-2.
+    for (size_t k = 0; k < kNumPackableOps; ++k) {
+        alu(k);
+        alu(k + 1);
+        alu(k + 2);
+        a.test_rr(reg(), reg());
+    }
+    // kAluPackBr: three-op packs closing a three-iteration inner loop
+    // with a fused compare + back edge; the counter increment rotates
+    // through the slots so op k again lands in all three.
+    for (size_t k = 0; k < kNumPackableOps; ++k) {
+        for (size_t slot = 0; slot < 3; ++slot) {
+            std::string loop = fresh();
+            a.mov_ri(9, 0);
+            a.bind(loop);
+            for (size_t s = 0; s < 3; ++s) {
+                if (s == slot) {
+                    a.add_ri(9, 1);
+                } else {
+                    alu(k + s);
+                }
+            }
+            if (k % 2 == 0) {
+                a.cmp_ri(9, 3);
+            } else {
+                a.cmp_rr(9, 0);
+            }
+            a.jcc(Cond::kLt, loop);
+        }
+    }
+    // The two- and one-op branch packs, and a plain (unfused) back
+    // edge behind test.
+    {
+        std::string two = fresh(), one = fresh(), plain = fresh();
+        a.mov_ri(9, 0);
+        a.bind(two);
+        alu(rng());
+        a.add_ri(9, 1);
+        a.cmp_ri(9, 3);
+        a.jcc(Cond::kLt, two);
+        a.mov_ri(9, 0);
+        a.bind(one);
+        a.add_ri(9, 1);
+        a.cmp_rr(9, 0);
+        a.jcc(Cond::kLt, one);
+        a.mov_ri(9, 3);
+        a.bind(plain);
+        a.sub_ri(9, 1);
+        a.test_rr(9, 9);
+        a.jcc(Cond::kNe, plain);
+    }
+    // kLoadAlu: a load (width cycling 8/4/1) feeding one lone op.
+    for (size_t k = 0; k < kNumPackableOps; ++k) {
+        load_w(static_cast<int>(k % 3), reg(), data());
+        alu(k);
+        a.test_rr(reg(), reg());
+    }
+    // Loads and stores at every width: plain, behind a guard pair, a
+    // single lo or hi check, and a charge run (nop).
+    for (int w = 0; w < 3; ++w) {
+        load_w(w, reg(), data());
+        a.rdcycle(reg());
+        store_w(w, data(), reg());
+        a.rdcycle(reg());
+        isa::MemOperand m = data();
+        a.mem_guard(m);
+        load_w(w, reg(), m);
+        m = data();
+        a.mem_guard(m);
+        store_w(w, m, reg());
+        m = data();
+        a.bndcl_mem(isa::kBndData, m);
+        load_w(w, reg(), m);
+        m = data();
+        a.bndcu_mem(isa::kBndData, m);
+        store_w(w, m, reg());
+        a.nop();
+        load_w(w, reg(), data());
+        a.nop();
+        store_w(w, data(), reg());
+        a.rdcycle(reg());
+    }
+    // A guard pair on an address no access follows stays its own uop.
+    a.mem_guard(data());
+    a.rdcycle(reg());
+    // Division (divisor forced odd, never zero, then the wrapping
+    // INT64_MIN / -1 case), lea forms, SIB access, stack traffic,
+    // register bound checks.
+    a.mov_rr(13, reg());
+    a.or_ri(13, 1);
+    a.div_rr(reg(), 13);
+    a.mod_rr(reg(), 13);
+    for (bool div : {true, false}) {
+        uint8_t r = reg();
+        a.mov_ri(13, -1);
+        a.mov_ri(r, INT64_MIN);
+        if (div) {
+            a.div_rr(r, 13);
+        } else {
+            a.mod_rr(r, 13);
+        }
+    }
+    a.lea(reg(), isa::mem_sib(11, 12, 3, 16));
+    a.lea(reg(), mem_bd(11, 24));
+    a.lea(reg(), mem_rip(64));
+    a.load(reg(), isa::mem_sib(11, 12, 3, 8));
+    a.store(isa::mem_sib(11, 12, 2, 64), reg());
+    a.push(reg());
+    a.push_imm(imm());
+    a.pop(reg());
+    a.pop(reg());
+    a.bndcl_reg(isa::kBndData, reg());
+    a.bndcu_reg(isa::kBndData, reg());
+    a.bndcu_reg(isa::kBndData, reg());
+    // Calls and indirect transfers.
+    a.call("chain0");
+    a.call("mmdsfi");
+    a.call("mmdsfi_skip"); // returns past the nop: a mispredicted guard
+    a.nop();
+    a.mov_rl(13, "leaf_reg");
+    a.call_reg(13);
+    a.mov_rl(13, "leaf_mem");
+    a.store(mem_bd(11, 0xf00), 13);
+    a.call_mem(mem_bd(11, 0xf00));
+    a.mov_rl(13, "after_jmp_reg");
+    a.jmp_reg(13);
+    a.bind("after_jmp_reg");
+    a.mov_rl(13, "after_jmp_mem");
+    a.store(mem_bd(11, 0xf08), 13);
+    a.jmp_mem(mem_bd(11, 0xf08));
+    a.bind("after_jmp_mem");
+    // Forward branches leave the trace: fused and plain, the second
+    // of two jccs reading the first one's deferred compare.
+    {
+        std::string skip1 = fresh(), skip2 = fresh(), skip3 = fresh();
+        a.cmp_ri(reg(), 0);
+        a.jcc(Cond::kGe, skip1);
+        a.jcc(Cond::kEq, skip1);
+        alu(rng());
+        a.bind(skip1);
+        a.cmp_rr(reg(), reg());
+        a.jcc(Cond::kB, skip2);
+        alu(rng());
+        a.bind(skip2);
+        a.test_rr(reg(), reg());
+        a.jcc(Cond::kNe, skip3);
+        alu(rng());
+        a.bind(skip3);
+    }
+    // Compares on their own (no branch follows), and fused compare +
+    // back edges that no ALU op packs into; plain jccs behind them
+    // read the deferred compare, on an exit and on a back edge.
+    a.cmp_ri(reg(), imm());
+    a.rdcycle(reg());
+    a.cmp_rr(reg(), reg());
+    a.rdcycle(reg());
+    {
+        std::string ri = fresh(), rr = fresh(), deferred = fresh(),
+                    out = fresh();
+        a.mov_ri(9, 0);
+        a.bind(ri);
+        a.add_ri(9, 1);
+        a.rdcycle(reg());
+        a.cmp_ri(9, 3);
+        a.jcc(Cond::kLt, ri);
+        a.jcc(Cond::kNe, out); // never taken: reads the deferred compare
+        a.mov_ri(9, 0);
+        a.bind(rr);
+        a.add_ri(9, 1);
+        a.rdcycle(reg());
+        a.cmp_rr(9, 0);
+        a.jcc(Cond::kLt, rr);
+        a.mov_ri(9, 0);
+        a.bind(deferred);
+        a.add_ri(9, 1);
+        a.rdcycle(reg());
+        a.cmp_ri(9, 3);
+        a.jcc(Cond::kGt, out); // never taken: fuses, defers the flags
+        a.jcc(Cond::kLt, deferred);
+        a.bind(out);
+    }
+    // Outer back edge through a plain jmp (kGoto).
+    a.sub_ri(10, 1);
+    a.cmp_ri(10, 0);
+    a.jcc(Cond::kEq, "done");
+    a.jmp("outer");
+    a.bind("done");
+    a.ltrap();
+
+    // A direct-call chain one deeper than the stitch limit.
+    for (int d = 0; d <= kMaxStitchDepth; ++d) {
+        a.bind("chain" + std::to_string(d));
+        alu(rng());
+        if (d < kMaxStitchDepth) {
+            a.call("chain" + std::to_string(d + 1));
+        }
+        a.ret();
+    }
+    a.bind("mmdsfi");
+    alu(rng());
+    a.pop(13);
+    a.jmp_reg(13);
+    a.bind("mmdsfi_skip");
+    a.pop(13);
+    a.add_ri(13, static_cast<int32_t>(
+                     encoded_len([](isa::Assembler &b) { b.nop(); })));
+    a.jmp_reg(13);
+    a.bind("leaf_reg");
+    alu(rng());
+    a.ret();
+    a.bind("leaf_mem");
+    alu(rng());
+    a.ret();
+    return a.finish();
+}
+
+/** Everything architectural one run leaves behind. */
+struct TierOutcome {
+    CpuExit exit;
+    CpuState state;
+    uint64_t cycles = 0;
+    uint64_t instructions = 0;
+    uint64_t memory_digest = 0;
+    uint64_t sb_exec_hits = 0;
+};
+
+TierOutcome
+run_at_tier(const Bytes &code, Tier tier)
+{
+    AddressSpace space;
+    EXPECT_TRUE(space.map(kCode, kGenCodeSize, kPermRX).ok());
+    EXPECT_TRUE(space.map(kData, 0x1000, kPermRW).ok());
+    EXPECT_TRUE(space.map(kStackTop - 0x2000, 0x2000, kPermRW).ok());
+    EXPECT_EQ(space.write_raw(kCode, code.data(), code.size()),
+              AccessFault::kNone);
+    Cpu cpu(space);
+    cpu.set_tier(tier);
+    cpu.set_sp(kStackTop - 8);
+    cpu.set_rip(kCode);
+    TierOutcome out;
+    out.exit = cpu.run(10'000'000);
+    out.state = cpu.state();
+    out.cycles = cpu.cycles();
+    out.instructions = cpu.instructions();
+    out.sb_exec_hits = cpu.superblock_exec_hits();
+    // FNV-1a over the data page and the stack.
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (uint64_t base : {kData, kStackTop - 0x2000, kStackTop - 0x1000}) {
+        std::array<uint8_t, 0x1000> page{};
+        EXPECT_EQ(space.read_raw(base, page.data(), page.size()),
+                  AccessFault::kNone);
+        for (uint8_t byte : page) {
+            h = (h ^ byte) * 0x100000001b3ull;
+        }
+    }
+    out.memory_digest = h;
+    return out;
+}
+
+TEST_F(Superblock, GeneratedProgramRunsEveryUopBodyAlikeInEveryTier)
+{
+    for (uint32_t seed : {1u, 2u, 20261016u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Bytes code = uop_coverage_program(seed);
+        ASSERT_LE(code.size(), kGenCodeSize);
+        TierOutcome decode = run_at_tier(code, Tier::kDecode);
+        ASSERT_EQ(decode.exit.kind, ExitKind::kLtrap);
+        for (Tier tier : {Tier::kBlocks, Tier::kTraces}) {
+            TierOutcome got = run_at_tier(code, tier);
+            EXPECT_EQ(got.exit.kind, decode.exit.kind);
+            EXPECT_EQ(got.exit.rip, decode.exit.rip);
+            EXPECT_EQ(got.state.regs, decode.state.regs);
+            for (int b = 0; b < isa::kNumBndRegs; ++b) {
+                EXPECT_EQ(got.state.bnds[b].lo, decode.state.bnds[b].lo);
+                EXPECT_EQ(got.state.bnds[b].hi, decode.state.bnds[b].hi);
+            }
+            EXPECT_EQ(got.state.flags.zf, decode.state.flags.zf);
+            EXPECT_EQ(got.state.flags.sf, decode.state.flags.sf);
+            EXPECT_EQ(got.state.flags.cf, decode.state.flags.cf);
+            EXPECT_EQ(got.state.flags.of, decode.state.flags.of);
+            EXPECT_EQ(got.state.rip, decode.state.rip);
+            EXPECT_EQ(got.cycles, decode.cycles);
+            EXPECT_EQ(got.instructions, decode.instructions);
+            EXPECT_EQ(got.memory_digest, decode.memory_digest);
+            if (tier == Tier::kTraces) {
+                EXPECT_GT(got.sb_exec_hits, 0u);
+            }
+        }
+    }
 }
 
 } // namespace
