@@ -27,6 +27,7 @@
 
 #include "crypto/aes.h"
 #include "crypto/hmac.h"
+#include "crypto/reference.h"
 #include "faultsim/faultsim.h"
 #include "libos/encfs.h"
 #include "trace/trace.h"
@@ -154,9 +155,9 @@ measure_encfs_crypto(bool ttable, bool midstate, size_t readahead,
 
     TracedMeasure best;
     best.wall_ms = 1e18;
-    bool saved_ref = crypto::Aes128::reference_mode();
+    bool saved_ref = crypto::reference_mode();
     bool saved_mid = crypto::HmacKey::midstate_enabled();
-    crypto::Aes128::set_reference_mode(!ttable);
+    crypto::set_reference_mode(!ttable);
     crypto::HmacKey::set_midstate_enabled(midstate);
 
     Bytes chunk(kChunk);
@@ -199,7 +200,7 @@ measure_encfs_crypto(bool ttable, bool midstate, size_t readahead,
             std::chrono::duration<double, std::milli>(t1 - t0).count();
         best.wall_ms = std::min(best.wall_ms, ms);
     }
-    crypto::Aes128::set_reference_mode(saved_ref);
+    crypto::set_reference_mode(saved_ref);
     crypto::HmacKey::set_midstate_enabled(saved_mid);
     return best;
 }
@@ -435,10 +436,13 @@ main()
 
     // ---- crypto data-plane ablation ----------------------------------
     // The same EncFs streaming workload under each data-plane device:
-    // reference AES + no HMAC midstates + no readahead, then each
-    // optimization stacked on. All of them are wall-clock-only — the
-    // cost model charges per byte moved, not per implementation — so
-    // the simulated cycle counts must be bit-identical (asserted).
+    // reference crypto (scalar AES and SHA-256) + no HMAC midstates +
+    // no readahead, then each optimization stacked on. All of them
+    // are wall-clock-only — the cost model charges per byte moved,
+    // not per implementation — so the simulated cycle counts must be
+    // bit-identical (asserted). The second row switches AES to T-tables
+    // and SHA-256 to SHA-NI together (one crypto-wide reference flag);
+    // without SHA-NI in CPUID, SHA-256 stays scalar in every row.
     struct CryptoRow {
         const char *name;
         const char *json_key;
@@ -447,9 +451,9 @@ main()
         size_t readahead;
     };
     const CryptoRow crypto_rows[] = {
-        {"reference (scalar AES, no midstate, no RA)", "crypto_reference",
-         false, false, 0},
-        {"+T-table AES", "crypto_ttable", true, false, 0},
+        {"reference (scalar AES+SHA, no midstate, no RA)",
+         "crypto_reference", false, false, 0},
+        {"+T-table AES, SHA-NI", "crypto_ttable", true, false, 0},
         {"+HMAC midstates", "crypto_midstate", true, true, 0},
         {"+readahead 8", "crypto_readahead", true, true, 8},
     };

@@ -13,6 +13,7 @@
 
 #include "baseline/linux_system.h"
 #include "crypto/aes.h"
+#include "crypto/reference.h"
 #include "crypto/sha256.h"
 #include "isa/assembler.h"
 #include "toolchain/minic.h"
@@ -34,6 +35,19 @@ BM_Sha256(benchmark::State &state)
 }
 BENCHMARK(BM_Sha256)->Arg(4096)->Arg(65536);
 
+/** BM_Sha256 on the scalar reference compression, so the SHA-NI
+ *  kernel's gain shows in one report (equal rows on CPUs without
+ *  SHA-NI). */
+void
+BM_Sha256Reference(benchmark::State &state)
+{
+    bool saved = crypto::reference_mode();
+    crypto::set_reference_mode(true);
+    BM_Sha256(state);
+    crypto::set_reference_mode(saved);
+}
+BENCHMARK(BM_Sha256Reference)->Arg(4096)->Arg(65536);
+
 void
 BM_AesCtr(benchmark::State &state)
 {
@@ -52,18 +66,26 @@ BENCHMARK(BM_AesCtr)->Arg(4096);
 /**
  * Interpreter throughput at one tier, so each tier's wall-clock win
  * is visible in one report; simulated cycles are identical in every
- * tier (asserted by the ablation bench).
+ * tier (asserted by the ablation bench). With `rwx_data` the data
+ * page is mapped RWX, as the EIP baseline maps its data region, and
+ * the loop stores into it once per iteration.
  */
 void
-vm_interpreter_bench(benchmark::State &state, vm::Tier tier)
+vm_interpreter_bench(benchmark::State &state, vm::Tier tier,
+                     bool rwx_data = false)
 {
     vm::AddressSpace space;
     OCC_CHECK(space.map(0x1000, 0x1000, vm::kPermRX).ok());
-    OCC_CHECK(space.map(0x10000, 0x1000, vm::kPermRW).ok());
+    OCC_CHECK(space.map(0x10000, 0x1000,
+                        rwx_data ? vm::kPermRWX : vm::kPermRW)
+                  .ok());
     isa::Assembler a(0x1000);
     a.mov_ri(1, 0);
     a.mov_ri(2, 1000);
     a.bind("loop");
+    if (rwx_data) {
+        a.store(isa::mem_abs(0x10000), 1);
+    }
     a.add_ri(1, 3);
     a.xor_rr(3, 1);
     a.sub_ri(2, 1);
@@ -73,7 +95,7 @@ vm_interpreter_bench(benchmark::State &state, vm::Tier tier)
     Bytes code = a.finish();
     OCC_CHECK(space.write_raw(0x1000, code.data(), code.size()) ==
               vm::AccessFault::kNone);
-    uint64_t hits = 0, misses = 0;
+    uint64_t hits = 0, misses = 0, invalidations = 0;
     uint64_t promotions = 0, sb_entries = 0;
     for (auto _ : state) {
         vm::Cpu cpu(space);
@@ -83,6 +105,7 @@ vm_interpreter_bench(benchmark::State &state, vm::Tier tier)
         benchmark::DoNotOptimize(cpu.run(100000));
         hits = cpu.block_cache_hits();
         misses = cpu.block_cache_misses();
+        invalidations = cpu.block_cache_invalidations();
         promotions = cpu.superblock_promotions();
         sb_entries = cpu.superblock_exec_hits();
         state.counters["instr/s"] = benchmark::Counter(
@@ -91,6 +114,12 @@ vm_interpreter_bench(benchmark::State &state, vm::Tier tier)
     }
     state.counters["bb_hits"] = static_cast<double>(hits);
     state.counters["bb_misses"] = static_cast<double>(misses);
+    if (rwx_data) {
+        // Stores into an RWX page that never supplied decoded bytes
+        // must leave every block valid: this reads 0.
+        state.counters["bb_invalidations"] =
+            static_cast<double>(invalidations);
+    }
     if (tier == vm::Tier::kTraces) {
         state.counters["sb_promotions"] = static_cast<double>(promotions);
         state.counters["sb_entries"] = static_cast<double>(sb_entries);
@@ -118,6 +147,14 @@ BM_VmInterpreterSuperblock(benchmark::State &state)
     vm_interpreter_bench(state, vm::Tier::kTraces);
 }
 BENCHMARK(BM_VmInterpreterSuperblock);
+
+/** The trace tier over the EIP baseline's RWX-data layout. */
+void
+BM_VmInterpreterRwxData(benchmark::State &state)
+{
+    vm_interpreter_bench(state, vm::Tier::kTraces, true);
+}
+BENCHMARK(BM_VmInterpreterRwxData);
 
 void
 BM_CompileMiniC(benchmark::State &state)

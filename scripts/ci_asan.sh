@@ -29,6 +29,14 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # aliasing class sanitizers catch).
 OCCLUM_VM_SUPERBLOCK=1 "$BUILD_DIR/tests/vm_test"
 
+# Extra leg: the scalar reference crypto under the sanitizers. On a
+# host whose CPU has SHA-NI the default run hashes with the hardware
+# kernel, so the scalar SHA-256 compression (and the byte-wise AES)
+# would otherwise go unsanitized; sgx_test drives it through EEXTEND
+# measurement and report MACs.
+OCCLUM_CRYPTO_REFERENCE=1 "$BUILD_DIR/tests/crypto_test"
+OCCLUM_CRYPTO_REFERENCE=1 "$BUILD_DIR/tests/sgx_test"
+
 # Extra leg: the SMP scheduler under the sanitizers. OCCLUM_CORES=2
 # and 4 rerun every OcclumSystem scenario over per-core run queues,
 # and the targeted batteries exercise stealing, cross-core wakeups,

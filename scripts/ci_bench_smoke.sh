@@ -37,10 +37,12 @@ cmp "$JSON" "$JSON_SB0" ||
     { echo "smoke failed: superblock tier changed simulated results" >&2;
       exit 1; }
 
-# Reference-crypto leg: the same bench with the byte-wise reference
-# AES selected (OCCLUM_CRYPTO_REFERENCE=1). EncFs encrypts every block
-# through it, and the fast path must be bit-identical, so the JSON
-# must match the default run byte for byte.
+# Reference-crypto leg: the same bench with the scalar reference
+# crypto selected (OCCLUM_CRYPTO_REFERENCE=1): byte-wise AES and the
+# scalar SHA-256 compression instead of T-table AES and SHA-NI. EncFs
+# encrypts and HMACs every block through them, and the fast paths must
+# be bit-identical, so the JSON must match the default run byte for
+# byte — this byte-compares both AES and SHA-256.
 OCCLUM_CRYPTO_REFERENCE=1 BENCH_FILTER='bench_fig6cd_file_io' \
     scripts/bench_record.sh "$BUILD_DIR" "$LABEL-cref"
 JSON_CREF="bench/results/$LABEL-cref/BENCH_fig6cd_file_io.json"

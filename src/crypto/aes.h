@@ -11,8 +11,8 @@
  * S-box, so the fast path shares the reference path's provenance.
  * CTR mode processes four counter blocks per iteration and XORs the
  * keystream word-wise. The byte-wise scalar implementation is kept as
- * a reference path, selectable with the OCCLUM_CRYPTO_REFERENCE
- * environment variable (or set_reference_mode()); both paths are
+ * a reference path, selected by the crypto-wide reference mode
+ * (crypto/reference.h, env OCCLUM_CRYPTO_REFERENCE); both paths are
  * asserted bit-identical in tests.
  *
  * CTR mode is used by the encrypted file system and by the EIP
@@ -57,16 +57,6 @@ class Aes128
         ctr_crypt(iv, counter0, in.data(), out.data(), in.size());
         return out;
     }
-
-    /**
-     * Select the byte-wise reference implementation (true) or the
-     * T-table fast path (false, default). The initial value honours
-     * the OCCLUM_CRYPTO_REFERENCE environment variable ("1" selects
-     * the reference, "0" or unset the fast path, anything else
-     * panics). Outputs are bit-identical; only wall-clock differs.
-     */
-    static void set_reference_mode(bool reference);
-    static bool reference_mode();
 
   private:
     void encrypt_block_tt(const uint8_t in[16], uint8_t out[16]) const;

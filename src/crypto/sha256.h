@@ -6,8 +6,14 @@
  * the compression function under HMAC. Tested against the FIPS/NIST
  * vectors in tests/crypto_test.cc.
  *
- * The compression loop is unrolled (8 rounds per step, no register
- * rotation chain) for throughput, and the hasher exposes a resumable
+ * Compression is dispatched once per update: on CPUs whose CPUID
+ * reports the SHA extensions (SHA-NI) a sha256rnds2/msg1/msg2 kernel
+ * hashes every full block of the call with the state in registers;
+ * otherwise, or when the crypto-wide reference mode is on
+ * (crypto/reference.h, env OCCLUM_CRYPTO_REFERENCE=1), the scalar
+ * loop runs. The scalar loop is the reference: unrolled 8 rounds per
+ * step, no register rotation chain. Both produce the same digests
+ * (differentially tested). The hasher also exposes a resumable
  * *midstate*: the 8-word chaining value at a 64-byte block boundary.
  * HmacKey caches the post-pad midstates so each MAC skips two
  * compressions, and sgx::Enclave resumes one persistent page hasher
@@ -67,6 +73,10 @@ class Sha256
     /** The midstate of a fresh hasher (total_len = 0). */
     static const Sha256Midstate &initial_midstate();
 
+    /** True if this CPU has the SHA extensions, i.e. the SHA-NI
+     *  kernel runs whenever reference mode is off. */
+    static bool has_sha_ni();
+
     /** One-shot convenience. */
     static Sha256Digest
     digest(const uint8_t *data, size_t len)
@@ -83,7 +93,8 @@ class Sha256
     }
 
   private:
-    void compress(const uint8_t block[64]);
+    /** Compress `n` consecutive 64-byte blocks into state_. */
+    void compress(const uint8_t *blocks, size_t n);
 
     uint32_t state_[8];
     uint8_t buffer_[64];

@@ -113,7 +113,9 @@ Enclave::add_pages(uint64_t vaddr, uint64_t len, uint8_t perms,
     if ((vaddr & vm::kPageMask) || (len & vm::kPageMask) || len == 0) {
         return Status(ErrorCode::kInval, "EADD: unaligned range");
     }
-    if (vaddr < base_ || vaddr + len > base_ + size_) {
+    // Subtraction form: `vaddr + len` could wrap past 2^64 and land
+    // back inside the enclave.
+    if (vaddr < base_ || len > size_ || vaddr - base_ > size_ - len) {
         return Status(ErrorCode::kInval, "EADD: outside enclave range");
     }
     if (content.size() > len) {
@@ -215,8 +217,9 @@ Enclave::runtime_protect(uint64_t vaddr, uint64_t len, uint8_t perms)
     if (mem_.code_generation() != gen_before) {
         // The permission change involved an executable page, so the
         // address space advanced its code generation — every CPU
-        // block/decode cache derived from these pages is now stale
-        // and will be rebuilt on next dispatch.
+        // block/decode cache is now stale and will be rebuilt on next
+        // dispatch. (Stores alone advance it only when they hit a
+        // page that has supplied decoded bytes.)
         OCC_TRACE_INSTANT(kSgx, "sgx.protect.code_invalidate", vaddr);
     }
     return Status();

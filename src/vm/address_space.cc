@@ -4,11 +4,26 @@
 
 namespace occlum::vm {
 
+namespace {
+
+/** [addr, addr+len) runs past 2^64 - 1, so `addr + len` wraps and a
+ *  page walk up to it would visit nothing. */
+bool
+wraps(uint64_t addr, uint64_t len)
+{
+    return len > ~addr;
+}
+
+} // namespace
+
 Status
 AddressSpace::map(uint64_t addr, uint64_t len, uint8_t perms)
 {
     if ((addr & kPageMask) || (len & kPageMask) || len == 0) {
         return Status(ErrorCode::kInval, "map: unaligned range");
+    }
+    if (wraps(addr, len)) {
+        return Status(ErrorCode::kInval, "map: range wraps");
     }
     for (uint64_t a = addr; a < addr + len; a += kPageSize) {
         if (pages_.count(a / kPageSize)) {
@@ -53,6 +68,9 @@ AddressSpace::protect(uint64_t addr, uint64_t len, uint8_t perms)
     if ((addr & kPageMask) || (len & kPageMask) || len == 0) {
         return Status(ErrorCode::kInval, "protect: unaligned range");
     }
+    if (wraps(addr, len)) {
+        return Status(ErrorCode::kInval, "protect: range wraps");
+    }
     for (uint64_t a = addr; a < addr + len; a += kPageSize) {
         if (!pages_.count(a / kPageSize)) {
             return Status(ErrorCode::kNoMem, "protect: page not mapped");
@@ -76,8 +94,8 @@ AddressSpace::protect(uint64_t addr, uint64_t len, uint8_t perms)
 bool
 AddressSpace::is_mapped(uint64_t addr, uint64_t len) const
 {
-    if (len > ~addr) {
-        return false; // [addr, addr+len) wraps past the top of memory
+    if (wraps(addr, len)) {
+        return false;
     }
     for (uint64_t a = addr & ~kPageMask; a < addr + len; a += kPageSize) {
         if (!pages_.count(a / kPageSize)) {
@@ -153,10 +171,13 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
                 materialize(*page);
             }
             std::memcpy(page->data.get() + (addr & kPageMask), buf, len);
-            if (page->perms & kPermX) {
+            if (page->code) {
                 touch_code();
             }
         } else {
+            if (require & kPermX) {
+                page->code = true; // fetch: the bytes may get decoded
+            }
             if (!page->data) {
                 std::memset(buf, 0, len); // lazy page: logically zeros
             } else {
@@ -169,12 +190,12 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
 
     uint8_t *out = static_cast<uint8_t *>(buf);
     uint64_t done = 0;
-    bool wrote_exec = false;
+    bool wrote_code = false;
     // Even a faulting multi-page write has already modified the pages
     // before the fault, so the generation bump must happen on every
     // exit path, not only on success.
     auto finish = [&](AccessFault f) {
-        if (Write && wrote_exec) {
+        if (Write && wrote_code) {
             touch_code();
         }
         return f;
@@ -197,8 +218,11 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
                 materialize(*page);
             }
             std::memcpy(page->data.get() + (a & kPageMask), out + done, n);
-            wrote_exec = wrote_exec || (page->perms & kPermX);
+            wrote_code = wrote_code || page->code;
         } else {
+            if (require & kPermX) {
+                page->code = true; // an instruction may straddle here
+            }
             if (!page->data) {
                 std::memset(out + done, 0, n);
             } else {
@@ -208,9 +232,9 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
         }
         done += n;
     }
-    // Writes into executable pages (guest stores through an RWX
-    // mapping, loader/debugger pokes via write_raw) invalidate
-    // predecoded blocks covering those bytes.
+    // Writes into pages that have supplied decoded bytes (guest
+    // stores through an RWX mapping, loader/debugger pokes via
+    // write_raw) invalidate predecoded blocks covering those bytes.
     return finish(AccessFault::kNone);
 }
 
@@ -251,12 +275,12 @@ AccessFault
 AddressSpace::zero_raw(uint64_t addr, uint64_t len)
 {
     uint64_t done = 0;
-    bool wrote_exec = false;
+    bool wrote_code = false;
     while (done < len) {
         uint64_t a = addr + done;
         Page *page = find_page(a);
         if (!page) {
-            if (wrote_exec) {
+            if (wrote_code) {
                 touch_code();
             }
             return AccessFault::kUnmapped;
@@ -266,14 +290,14 @@ AddressSpace::zero_raw(uint64_t addr, uint64_t len)
         if (page->data) {
             // Materialized page: clear just the requested span.
             std::memset(page->data.get() + (a & kPageMask), 0, n);
-            wrote_exec = wrote_exec || (page->perms & kPermX);
+            wrote_code = wrote_code || page->code;
         }
         // Lazy pages are already logically zero: nothing to do, and
         // crucially no backing store is allocated, so zero-filling a
         // fresh multi-MiB mapping stays O(pages touched).
         done += n;
     }
-    if (wrote_exec) {
+    if (wrote_code) {
         touch_code();
     }
     return AccessFault::kNone;

@@ -54,13 +54,15 @@ class AddressSpace
     AddressSpace &operator=(const AddressSpace &) = delete;
 
     /** Map [addr, addr+len) with `perms`; addr/len must be page-aligned.
-     *  Fails with kExist if any page is already mapped. */
+     *  Fails with kExist if any page is already mapped, and with
+     *  kInval for a range that wraps past the top of memory. */
     Status map(uint64_t addr, uint64_t len, uint8_t perms);
 
     /** Unmap [addr, addr+len); silently skips unmapped pages. */
     void unmap(uint64_t addr, uint64_t len);
 
-    /** Change permissions on already-mapped pages. */
+    /** Change permissions on already-mapped pages (kInval for a
+     *  wrapping range, like map). */
     Status protect(uint64_t addr, uint64_t len, uint8_t perms);
 
     /** True if every page of [addr, addr+len) is mapped; false for a
@@ -82,9 +84,10 @@ class AddressSpace
      * common in-page access never leaves the caller's frame. An
      * access that straddles a page boundary falls back to the generic
      * path. Coherence is identical to read()/write() — in particular
-     * a write into an executable page advances the code-generation
-     * counter, which is what lets folded guards stay sound: the trace
-     * re-checks the generation after every store.
+     * a write into a page that has supplied decoded bytes advances
+     * the code-generation counter, which is what lets folded guards
+     * stay sound: the trace re-checks the generation after every
+     * store.
      */
     template <uint64_t N>
     AccessFault
@@ -126,7 +129,7 @@ class AddressSpace
                 materialize(*page);
             }
             std::memcpy(page->data.get() + (addr & kPageMask), in, N);
-            if (page->perms & kPermX) {
+            if (page->code) {
                 touch_code();
             }
             return AccessFault::kNone;
@@ -148,9 +151,12 @@ class AddressSpace
     /**
      * Bump the generation counter (invalidates CPU block/decode
      * caches). The counter also advances automatically on any write
-     * into an executable page and on map/protect/unmap operations
-     * that add or remove X permission, so callers only need this for
-     * out-of-band modifications (e.g. tests poking at raw pages).
+     * into a page that has supplied decoded bytes (a page fetch() has
+     * read) and on map/protect/unmap operations that add or remove X
+     * permission, so callers only need this for out-of-band
+     * modifications (e.g. tests poking at raw pages). Stores into an
+     * executable page that was never fetched from — the RWX data
+     * region of the EIP baseline — leave every code cache valid.
      */
     void touch_code() { ++code_generation_; }
     uint64_t code_generation() const { return code_generation_; }
@@ -162,10 +168,16 @@ class AddressSpace
      * mapped pages start in this state, so mapping a multi-MiB
      * reserve region (enclave slots, heaps) is O(pages) map entries,
      * not O(bytes) of memset.
+     *
+     * `code` is set by the first fetch() that reads the page and
+     * stays set until the page is unmapped: from then on the page may
+     * back decoded instructions, so a write to it advances the code
+     * generation.
      */
     struct Page {
         std::unique_ptr<uint8_t[]> data;
         uint8_t perms = kPermNone;
+        bool code = false;
     };
 
     /**

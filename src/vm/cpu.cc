@@ -327,7 +327,7 @@ Cpu::run_blocks(uint64_t max_instructions)
             if (step == Step::kTransfer) {
                 // execute stored the new rip; look it up under the
                 // *current* generation (a call's push may just have
-                // written an executable page).
+                // written a page that supplied decoded bytes).
                 next = lookup_block(state_.rip, &exit);
                 if (!next) {
                     return exit;

@@ -18,9 +18,11 @@
  * own, differently-decoded block — the overlapping-instruction
  * semantics that make the disassembly problem real are preserved.
  * Each block records the AddressSpace code generation it was decoded
- * under; the generation advances on writes to executable pages and
- * on mapping-permission changes involving X, and a block whose
- * generation is stale is rebuilt on its next lookup. Cycle
+ * under; the generation advances on writes to a page that has
+ * supplied decoded bytes and on mapping-permission changes involving
+ * X, and a block whose generation is stale is rebuilt on its next
+ * lookup. Stores into executable pages nothing was fetched from (an
+ * RWX data region) keep every block valid. Cycle
  * accounting is identical in every tier: the same per-instruction
  * isa::cycle_cost is charged by the shared execute step.
  *

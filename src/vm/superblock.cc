@@ -1308,8 +1308,8 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         regs[isa::kSp] = new_sp;
         if (op->kind == UopKind::kCallExit) {
             // Linking re-validates the generation, so a push that
-            // landed in an executable page cannot chain into a trace
-            // that just went stale.
+            // landed in a page that has supplied decoded bytes cannot
+            // chain into a trace that just went stale.
             state_.rip = op->exit_rip;
             goto link_or_leave;
         }

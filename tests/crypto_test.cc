@@ -6,9 +6,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <vector>
+
 #include "base/bytes.h"
 #include "crypto/aes.h"
 #include "crypto/hmac.h"
+#include "crypto/reference.h"
 #include "crypto/sha256.h"
 
 namespace occlum::crypto {
@@ -26,114 +31,150 @@ digest_hex(const Sha256Digest &d)
     return to_hex(d.data(), d.size());
 }
 
+/** Runs the body under both crypto implementations (the fast paths
+ *  — T-table AES, SHA-NI where CPUID has it — and the scalar
+ *  reference), restoring the mode afterwards. */
+template <typename Fn>
+void
+for_both_modes(Fn &&body)
+{
+    bool saved = reference_mode();
+    for (bool reference : {false, true}) {
+        SCOPED_TRACE(reference ? "reference mode" : "fast mode");
+        set_reference_mode(reference);
+        body(reference);
+    }
+    set_reference_mode(saved);
+}
+
 // ---- SHA-256 (FIPS 180-4 examples) -----------------------------------
 
 TEST(Sha256, EmptyString)
 {
-    EXPECT_EQ(digest_hex(Sha256::digest(Bytes{})),
-              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b"
-              "7852b855");
+    for_both_modes([&](bool) {
+        EXPECT_EQ(digest_hex(Sha256::digest(Bytes{})),
+                  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b"
+                  "7852b855");
+    });
 }
 
 TEST(Sha256, Abc)
 {
-    EXPECT_EQ(digest_hex(Sha256::digest(str_bytes("abc"))),
-              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61"
-              "f20015ad");
+    for_both_modes([&](bool) {
+        EXPECT_EQ(digest_hex(Sha256::digest(str_bytes("abc"))),
+                  "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61"
+                  "f20015ad");
+    });
 }
 
 TEST(Sha256, TwoBlockMessage)
 {
-    EXPECT_EQ(digest_hex(Sha256::digest(str_bytes(
-                  "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnop"
-                  "nopq"))),
-              "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd4"
-              "19db06c1");
+    for_both_modes([&](bool) {
+        EXPECT_EQ(digest_hex(Sha256::digest(str_bytes(
+                      "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnop"
+                      "nopq"))),
+                  "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd4"
+                  "19db06c1");
+    });
 }
 
 TEST(Sha256, MillionAs)
 {
-    Sha256 h;
-    Bytes chunk(1000, 'a');
-    for (int i = 0; i < 1000; ++i) {
-        h.update(chunk);
-    }
-    EXPECT_EQ(digest_hex(h.finish()),
-              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39cc"
-              "c7112cd0");
+    for_both_modes([&](bool) {
+        Sha256 h;
+        Bytes chunk(1000, 'a');
+        for (int i = 0; i < 1000; ++i) {
+            h.update(chunk);
+        }
+        EXPECT_EQ(digest_hex(h.finish()),
+                  "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39cc"
+                  "c7112cd0");
+    });
 }
 
 TEST(Sha256, IncrementalMatchesOneShot)
 {
-    Bytes data;
-    for (int i = 0; i < 999; ++i) {
-        data.push_back(static_cast<uint8_t>(i * 37));
-    }
-    Sha256 h;
-    // Uneven chunking exercises the internal buffering.
-    size_t off = 0;
-    size_t sizes[] = {1, 63, 64, 65, 127, 500, 179};
-    for (size_t s : sizes) {
-        size_t n = std::min(s, data.size() - off);
-        h.update(data.data() + off, n);
-        off += n;
-    }
-    ASSERT_EQ(off, data.size());
-    EXPECT_EQ(h.finish(), Sha256::digest(data));
+    for_both_modes([&](bool) {
+        Bytes data;
+        for (int i = 0; i < 999; ++i) {
+            data.push_back(static_cast<uint8_t>(i * 37));
+        }
+        Sha256 h;
+        // Uneven chunking exercises the internal buffering.
+        size_t off = 0;
+        size_t sizes[] = {1, 63, 64, 65, 127, 500, 179};
+        for (size_t s : sizes) {
+            size_t n = std::min(s, data.size() - off);
+            h.update(data.data() + off, n);
+            off += n;
+        }
+        ASSERT_EQ(off, data.size());
+        EXPECT_EQ(h.finish(), Sha256::digest(data));
+    });
 }
 
 TEST(Sha256, PaddingBoundaries)
 {
-    // Lengths straddling the 55/56/64-byte padding edges.
-    for (size_t len : {54u, 55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u}) {
-        Bytes data(len, 0x5a);
-        Sha256 a;
-        a.update(data);
-        Sha256 b;
-        for (auto byte : data) {
-            b.update(&byte, 1);
+    for_both_modes([&](bool) {
+        // Lengths straddling the 55/56/64-byte padding edges.
+        for (size_t len : {54u, 55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u}) {
+            Bytes data(len, 0x5a);
+            Sha256 a;
+            a.update(data);
+            Sha256 b;
+            for (auto byte : data) {
+                b.update(&byte, 1);
+            }
+            EXPECT_EQ(a.finish(), b.finish()) << "len=" << len;
         }
-        EXPECT_EQ(a.finish(), b.finish()) << "len=" << len;
-    }
+    });
 }
 
 // ---- HMAC-SHA-256 (RFC 4231) -------------------------------------------
 
 TEST(Hmac, Rfc4231Case1)
 {
-    Bytes key(20, 0x0b);
-    Bytes data = str_bytes("Hi There");
-    EXPECT_EQ(to_hex(hmac_sha256(key, data).data(), 32),
-              "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c"
-              "2e32cff7");
+    for_both_modes([&](bool) {
+        Bytes key(20, 0x0b);
+        Bytes data = str_bytes("Hi There");
+        EXPECT_EQ(to_hex(hmac_sha256(key, data).data(), 32),
+                  "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c"
+                  "2e32cff7");
+    });
 }
 
 TEST(Hmac, Rfc4231Case2)
 {
-    Bytes key = str_bytes("Jefe");
-    Bytes data = str_bytes("what do ya want for nothing?");
-    EXPECT_EQ(to_hex(hmac_sha256(key, data).data(), 32),
-              "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b9"
-              "64ec3843");
+    for_both_modes([&](bool) {
+        Bytes key = str_bytes("Jefe");
+        Bytes data = str_bytes("what do ya want for nothing?");
+        EXPECT_EQ(to_hex(hmac_sha256(key, data).data(), 32),
+                  "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b9"
+                  "64ec3843");
+    });
 }
 
 TEST(Hmac, Rfc4231Case3)
 {
-    Bytes key(20, 0xaa);
-    Bytes data(50, 0xdd);
-    EXPECT_EQ(to_hex(hmac_sha256(key, data).data(), 32),
-              "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514"
-              "ced565fe");
+    for_both_modes([&](bool) {
+        Bytes key(20, 0xaa);
+        Bytes data(50, 0xdd);
+        EXPECT_EQ(to_hex(hmac_sha256(key, data).data(), 32),
+                  "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514"
+                  "ced565fe");
+    });
 }
 
 TEST(Hmac, Rfc4231Case6LongKey)
 {
-    Bytes key(131, 0xaa);
-    Bytes data = str_bytes("Test Using Larger Than Block-Size Key - "
-                           "Hash Key First");
-    EXPECT_EQ(to_hex(hmac_sha256(key, data).data(), 32),
-              "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f"
-              "0ee37f54");
+    for_both_modes([&](bool) {
+        Bytes key(131, 0xaa);
+        Bytes data = str_bytes("Test Using Larger Than Block-Size Key - "
+                               "Hash Key First");
+        EXPECT_EQ(to_hex(hmac_sha256(key, data).data(), 32),
+                  "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f"
+                  "0ee37f54");
+    });
 }
 
 TEST(Hmac, DigestEqualConstantTime)
@@ -217,20 +258,6 @@ TEST(Aes128, DistinctIvDistinctStream)
 
 // ---- Known-answer batteries for the rebuilt fast paths ------------------
 
-/** Runs the body under both AES implementations (T-table and scalar
- *  reference), restoring the mode afterwards. */
-template <typename Fn>
-void
-for_both_aes_modes(Fn &&body)
-{
-    bool saved = Aes128::reference_mode();
-    for (bool reference : {false, true}) {
-        Aes128::set_reference_mode(reference);
-        body(reference);
-    }
-    Aes128::set_reference_mode(saved);
-}
-
 // SP 800-38A F.5.1 CTR-AES128.Encrypt: counter block
 // f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff = IV f0..fb, counter 0xfcfdfeff.
 const char *kSpCtrKey = "2b7e151628aed2a6abf7158809cf4f3c";
@@ -251,7 +278,7 @@ const char *kSpCtrCipher =
 
 TEST(Aes128Kat, Sp800_38aCtrMultiBlock)
 {
-    for_both_aes_modes([&](bool reference) {
+    for_both_modes([&](bool reference) {
         Aes128 aes(key_from_hex(kSpCtrKey));
         Bytes ct = aes.ctr_crypt(kSpCtrIv, kSpCtrCounter0,
                                  from_hex(kSpCtrPlain));
@@ -267,7 +294,7 @@ TEST(Aes128Kat, CtrNonBlockAlignedLengths)
     // lengths that end mid-block and mid-keystream-batch).
     Bytes plain = from_hex(kSpCtrPlain);
     Bytes full = from_hex(kSpCtrCipher);
-    for_both_aes_modes([&](bool reference) {
+    for_both_modes([&](bool reference) {
         Aes128 aes(key_from_hex(kSpCtrKey));
         for (size_t len : {1u, 5u, 15u, 17u, 31u, 33u, 47u, 60u, 63u}) {
             Bytes part(plain.begin(), plain.begin() + len);
@@ -296,10 +323,10 @@ TEST(Aes128Kat, CtrCounterWrap)
     EXPECT_EQ(crossing, pre);
 
     // And the wrap behaves identically in both implementations.
-    Aes128::set_reference_mode(true);
+    set_reference_mode(true);
     Aes128 ref_aes(key_from_hex(kSpCtrKey));
     EXPECT_EQ(ref_aes.ctr_crypt(iv, 0xfffffffe, zeros), crossing);
-    Aes128::set_reference_mode(false);
+    set_reference_mode(false);
 }
 
 TEST(Aes128Kat, FastMatchesReferenceOnRandomInputs)
@@ -329,11 +356,11 @@ TEST(Aes128Kat, FastMatchesReferenceOnRandomInputs)
             b = static_cast<uint8_t>(next());
         }
 
-        Aes128::set_reference_mode(false);
+        set_reference_mode(false);
         Bytes fast = Aes128(key).ctr_crypt(iv, counter0, data);
-        Aes128::set_reference_mode(true);
+        set_reference_mode(true);
         Bytes ref = Aes128(key).ctr_crypt(iv, counter0, data);
-        Aes128::set_reference_mode(false);
+        set_reference_mode(false);
         EXPECT_EQ(fast, ref) << "trial=" << trial;
 
         uint8_t block_fast[16], block_ref[16];
@@ -341,121 +368,195 @@ TEST(Aes128Kat, FastMatchesReferenceOnRandomInputs)
                  data.begin() + std::min<size_t>(16, data.size()));
         pt.resize(16, 0);
         Aes128(key).encrypt_block(pt.data(), block_fast);
-        Aes128::set_reference_mode(true);
+        set_reference_mode(true);
         Aes128(key).encrypt_block(pt.data(), block_ref);
-        Aes128::set_reference_mode(false);
+        set_reference_mode(false);
         EXPECT_EQ(to_hex(block_fast, 16), to_hex(block_ref, 16));
     }
 }
 
 TEST(Sha256Kat, NistBoundaryLengths)
 {
-    // 55 bytes: longest message whose padding fits one block;
-    // 56 bytes: shortest that spills the length into a second block;
-    // 64 bytes: exactly one compression plus a full padding block.
-    EXPECT_EQ(digest_hex(Sha256::digest(Bytes(55, 'a'))),
-              "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e91"
-              "0f734318");
-    EXPECT_EQ(digest_hex(Sha256::digest(Bytes(56, 'a'))),
-              "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef797068"
-              "6ec6738a");
-    EXPECT_EQ(digest_hex(Sha256::digest(Bytes(64, 'a'))),
-              "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df"
-              "154668eb");
+    for_both_modes([&](bool) {
+        // 55 bytes: longest message whose padding fits one block;
+        // 56 bytes: shortest that spills the length into a second block;
+        // 64 bytes: exactly one compression plus a full padding block.
+        EXPECT_EQ(digest_hex(Sha256::digest(Bytes(55, 'a'))),
+                  "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e91"
+                  "0f734318");
+        EXPECT_EQ(digest_hex(Sha256::digest(Bytes(56, 'a'))),
+                  "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef797068"
+                  "6ec6738a");
+        EXPECT_EQ(digest_hex(Sha256::digest(Bytes(64, 'a'))),
+                  "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df"
+                  "154668eb");
+    });
 }
 
 TEST(Sha256Kat, MidstateSaveResume)
 {
-    // Hashing [A|B] equals capturing the midstate after the 64-byte-
-    // aligned prefix A and resuming it in a different hasher.
-    Bytes a(128, 0x11);
-    Bytes b(77, 0x22);
-    Sha256 whole;
-    whole.update(a);
-    whole.update(b);
+    for_both_modes([&](bool) {
+        // Hashing [A|B] equals capturing the midstate after the 64-byte-
+        // aligned prefix A and resuming it in a different hasher.
+        Bytes a(128, 0x11);
+        Bytes b(77, 0x22);
+        Sha256 whole;
+        whole.update(a);
+        whole.update(b);
 
-    Sha256 prefix;
-    prefix.update(a);
-    Sha256Midstate m = prefix.midstate();
-    Sha256 resumed;
-    resumed.resume(m);
-    resumed.update(b);
-    EXPECT_EQ(whole.finish(), resumed.finish());
+        Sha256 prefix;
+        prefix.update(a);
+        Sha256Midstate m = prefix.midstate();
+        Sha256 resumed;
+        resumed.resume(m);
+        resumed.update(b);
+        EXPECT_EQ(whole.finish(), resumed.finish());
 
-    // The cached initial midstate is the empty-hash state.
-    Sha256 fresh;
-    fresh.resume(Sha256::initial_midstate());
-    fresh.update(b);
-    EXPECT_EQ(fresh.finish(), Sha256::digest(b));
+        // The cached initial midstate is the empty-hash state.
+        Sha256 fresh;
+        fresh.resume(Sha256::initial_midstate());
+        fresh.update(b);
+        EXPECT_EQ(fresh.finish(), Sha256::digest(b));
+    });
+}
+
+TEST(Sha256Kat, ShaNiMatchesReferenceOnRandomSplits)
+{
+    // Seeded random messages of 0-8 KiB, absorbed through random
+    // update() boundaries. The reference half (split invariance of
+    // the scalar path) runs everywhere; the SHA-NI half compares the
+    // hardware kernel with it, including midstates captured in one
+    // mode and resumed in the other, and is skipped on CPUs without
+    // the SHA extensions.
+    const bool saved = reference_mode();
+    std::mt19937_64 rng(20261016);
+    for (int trial = 0; trial < 200; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        Bytes data(rng() % (8 * 1024 + 1));
+        for (auto &b : data) {
+            b = static_cast<uint8_t>(rng());
+        }
+        std::vector<size_t> cuts;
+        for (size_t off = 0; off < data.size();) {
+            size_t n = std::min<size_t>(1 + rng() % 300, data.size() - off);
+            cuts.push_back(n);
+            off += n;
+        }
+        auto split_digest = [&](bool reference) {
+            set_reference_mode(reference);
+            Sha256 h;
+            size_t off = 0;
+            for (size_t n : cuts) {
+                h.update(data.data() + off, n);
+                off += n;
+            }
+            return h.finish();
+        };
+        // Hash the first `prefix` bytes (a 64-byte multiple) in one
+        // mode, then resume the midstate and finish in the other.
+        size_t prefix = data.size() / 128 * 64;
+        auto cross_digest = [&](bool first_reference) {
+            set_reference_mode(first_reference);
+            Sha256 head;
+            head.update(data.data(), prefix);
+            Sha256Midstate m = head.midstate();
+            set_reference_mode(!first_reference);
+            Sha256 tail;
+            tail.resume(m);
+            tail.update(data.data() + prefix, data.size() - prefix);
+            return tail.finish();
+        };
+
+        set_reference_mode(true);
+        const Sha256Digest want = Sha256::digest(data);
+        EXPECT_EQ(split_digest(true), want);
+        if (Sha256::has_sha_ni()) {
+            EXPECT_EQ(split_digest(false), want);
+            EXPECT_EQ(cross_digest(true), want);
+            EXPECT_EQ(cross_digest(false), want);
+        }
+    }
+    set_reference_mode(saved);
+    if (!Sha256::has_sha_ni()) {
+        GTEST_SKIP() << "CPU lacks SHA-NI: hardware half not run";
+    }
 }
 
 TEST(HmacKat, Rfc4231Case4)
 {
-    Bytes key;
-    for (uint8_t b = 0x01; b <= 0x19; ++b) {
-        key.push_back(b);
-    }
-    Bytes data(50, 0xcd);
-    EXPECT_EQ(to_hex(hmac_sha256(key, data).data(), 32),
-              "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff4"
-              "6729665b");
+    for_both_modes([&](bool) {
+        Bytes key;
+        for (uint8_t b = 0x01; b <= 0x19; ++b) {
+            key.push_back(b);
+        }
+        Bytes data(50, 0xcd);
+        EXPECT_EQ(to_hex(hmac_sha256(key, data).data(), 32),
+                  "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff4"
+                  "6729665b");
+    });
 }
 
 TEST(HmacKat, Rfc4231Case7LongKeyLongData)
 {
-    Bytes key(131, 0xaa);
-    Bytes data = str_bytes(
-        "This is a test using a larger than block-size key and a "
-        "larger than block-size data. The key needs to be hashed "
-        "before being used by the HMAC algorithm.");
-    EXPECT_EQ(to_hex(hmac_sha256(key, data).data(), 32),
-              "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f5153"
-              "5c3a35e2");
+    for_both_modes([&](bool) {
+        Bytes key(131, 0xaa);
+        Bytes data = str_bytes(
+            "This is a test using a larger than block-size key and a "
+            "larger than block-size data. The key needs to be hashed "
+            "before being used by the HMAC algorithm.");
+        EXPECT_EQ(to_hex(hmac_sha256(key, data).data(), 32),
+                  "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f5153"
+                  "5c3a35e2");
+    });
 }
 
 TEST(HmacKat, HmacKeyMatchesOneShot)
 {
-    // The midstate-caching HmacKey must agree with the free function
-    // for short keys, exactly-block-size keys, and >64-byte keys
-    // (which are hashed down first), with midstates on and off.
-    bool saved = HmacKey::midstate_enabled();
-    for (bool midstate : {true, false}) {
-        HmacKey::set_midstate_enabled(midstate);
-        for (size_t key_len : {1u, 20u, 63u, 64u, 65u, 131u}) {
-            Bytes key(key_len, 0);
-            for (size_t i = 0; i < key_len; ++i) {
-                key[i] = static_cast<uint8_t>(i * 31 + 7);
-            }
-            HmacKey hk(key.data(), key.size());
-            for (size_t data_len : {0u, 1u, 50u, 64u, 200u}) {
-                Bytes data(data_len, 0);
-                for (size_t i = 0; i < data_len; ++i) {
-                    data[i] = static_cast<uint8_t>(i ^ key_len);
+    for_both_modes([&](bool) {
+        // The midstate-caching HmacKey must agree with the free function
+        // for short keys, exactly-block-size keys, and >64-byte keys
+        // (which are hashed down first), with midstates on and off.
+        bool saved = HmacKey::midstate_enabled();
+        for (bool midstate : {true, false}) {
+            HmacKey::set_midstate_enabled(midstate);
+            for (size_t key_len : {1u, 20u, 63u, 64u, 65u, 131u}) {
+                Bytes key(key_len, 0);
+                for (size_t i = 0; i < key_len; ++i) {
+                    key[i] = static_cast<uint8_t>(i * 31 + 7);
                 }
-                EXPECT_EQ(hk.mac(data),
-                          hmac_sha256(key.data(), key.size(),
-                                      data.data(), data.size()))
-                    << "midstate=" << midstate << " key=" << key_len
-                    << " data=" << data_len;
+                HmacKey hk(key.data(), key.size());
+                for (size_t data_len : {0u, 1u, 50u, 64u, 200u}) {
+                    Bytes data(data_len, 0);
+                    for (size_t i = 0; i < data_len; ++i) {
+                        data[i] = static_cast<uint8_t>(i ^ key_len);
+                    }
+                    EXPECT_EQ(hk.mac(data),
+                              hmac_sha256(key.data(), key.size(),
+                                          data.data(), data.size()))
+                        << "midstate=" << midstate << " key=" << key_len
+                        << " data=" << data_len;
+                }
             }
         }
-    }
-    HmacKey::set_midstate_enabled(saved);
+        HmacKey::set_midstate_enabled(saved);
+    });
 }
 
 TEST(HmacKat, StreamingMatchesOneShot)
 {
-    Bytes key(32, 0x42);
-    HmacKey hk(key.data(), key.size());
-    Bytes part1(100, 0x01), part2(28, 0x02);
-    Sha256 inner = hk.begin();
-    inner.update(part1);
-    inner.update(part2);
-    Sha256Digest streamed = hk.finish(inner);
+    for_both_modes([&](bool) {
+        Bytes key(32, 0x42);
+        HmacKey hk(key.data(), key.size());
+        Bytes part1(100, 0x01), part2(28, 0x02);
+        Sha256 inner = hk.begin();
+        inner.update(part1);
+        inner.update(part2);
+        Sha256Digest streamed = hk.finish(inner);
 
-    Bytes whole = part1;
-    whole.insert(whole.end(), part2.begin(), part2.end());
-    EXPECT_EQ(streamed, hk.mac(whole));
+        Bytes whole = part1;
+        whole.insert(whole.end(), part2.begin(), part2.end());
+        EXPECT_EQ(streamed, hk.mac(whole));
+    });
 }
 
 TEST(Hmac, HkdfExpandLabelIsLabeledHmac)

@@ -127,6 +127,30 @@ TEST(Enclave, RejectsOutOfRangeAndUnalignedAdds)
     EXPECT_FALSE(enclave.add_pages(kBase, 0, vm::kPermRW).ok());
 }
 
+TEST(Enclave, RejectsWrappingAddsBeforeEpcAccounting)
+{
+    // A vaddr + len that wraps past 2^64 must fail the range check
+    // before the EPC is charged or any page is mapped.
+    Platform platform;
+    Enclave enclave(platform, kBase, 1 << 20);
+    EXPECT_EQ(enclave.add_pages(0ull - vm::kPageSize, 2 * vm::kPageSize,
+                                vm::kPermRW)
+                  .code(),
+              ErrorCode::kInval);
+    EXPECT_EQ(enclave.add_pages(kBase + vm::kPageSize,
+                                0ull - vm::kPageSize, vm::kPermRW)
+                  .code(),
+              ErrorCode::kInval); // ends exactly at kBase
+    EXPECT_EQ(platform.epc_used(), 0u);
+    EXPECT_EQ(enclave.added_pages(), 0u);
+    EXPECT_EQ(enclave.mem().mapped_pages(), 0u);
+    // The last page of the enclave is still addable.
+    EXPECT_TRUE(enclave
+                    .add_pages(kBase + (1 << 20) - vm::kPageSize,
+                               vm::kPageSize, vm::kPermRW)
+                    .ok());
+}
+
 TEST(Enclave, CreationChargesMeasurementCycles)
 {
     Platform platform;

@@ -112,6 +112,69 @@ TEST(AddressSpace, IsMappedRejectsWrappingRanges)
     EXPECT_FALSE(space.is_mapped(0ull - 0x1000, 0x2000)); // wraps to 0x1000
 }
 
+TEST(AddressSpace, MapAndProtectRejectWrappingRanges)
+{
+    // map and protect walk [addr, addr+len) like is_mapped: without
+    // its wrap guard a wrapping range would report success having
+    // touched no page at all.
+    AddressSpace space;
+    const uint64_t top = 0ull - kPageSize;
+    EXPECT_EQ(space.map(top, 2 * kPageSize, kPermRW).code(),
+              ErrorCode::kInval); // wraps to 0x1000
+    EXPECT_EQ(space.map(top, kPageSize, kPermRW).code(),
+              ErrorCode::kInval); // ends at 2^64
+    EXPECT_EQ(space.mapped_pages(), 0u);
+
+    ASSERT_TRUE(space.map(0x1000, 0x1000, kPermRW).ok());
+    EXPECT_EQ(space.protect(top, 2 * kPageSize, kPermRWX).code(),
+              ErrorCode::kInval);
+    EXPECT_EQ(space.protect(0x2000, 0ull - 0x1000, kPermRWX).code(),
+              ErrorCode::kInval); // wraps to 0x1000
+    EXPECT_EQ(space.perms_at(0x1000), kPermRW);
+    EXPECT_EQ(space.mapped_pages(), 1u);
+}
+
+TEST(AddressSpace, OnlyPagesThatSuppliedCodeAdvanceTheGeneration)
+{
+    // The code generation follows pages that fetch() has read, not
+    // pages that merely carry X: stores into RWX data leave it alone.
+    AddressSpace space;
+    ASSERT_TRUE(space.map(0x1000, 0x3000, kPermRWX).ok());
+    uint64_t gen = space.code_generation();
+    uint64_t v = 0x1122334455667788ull;
+    ASSERT_EQ(space.write(0x1000, &v, 8), AccessFault::kNone);
+    ASSERT_EQ(space.write_fast<8>(0x2000, &v), AccessFault::kNone);
+    ASSERT_EQ(space.write_raw(0x2ffc, &v, 8), AccessFault::kNone);
+    ASSERT_EQ(space.zero_raw(0x1000, 0x2000), AccessFault::kNone);
+    EXPECT_EQ(space.code_generation(), gen);
+
+    // A fetch that straddles 0x2000|0x3000 marks both pages; 0x1000
+    // still has supplied nothing.
+    uint8_t window[8];
+    ASSERT_EQ(space.fetch(0x2ffc, window, sizeof(window)),
+              AccessFault::kNone);
+    ASSERT_EQ(space.write(0x1000, &v, 8), AccessFault::kNone);
+    EXPECT_EQ(space.code_generation(), gen);
+
+    // Every write path into a marked page bumps it: a write to the
+    // second page only, and a multi-page write that starts on the
+    // unmarked page.
+    ASSERT_EQ(space.write(0x3000, &v, 1), AccessFault::kNone);
+    EXPECT_GT(space.code_generation(), gen);
+    gen = space.code_generation();
+    ASSERT_EQ(space.write_fast<8>(0x2008, &v), AccessFault::kNone);
+    EXPECT_GT(space.code_generation(), gen);
+    gen = space.code_generation();
+    ASSERT_EQ(space.write_raw(0x3008, &v, 8), AccessFault::kNone);
+    EXPECT_GT(space.code_generation(), gen);
+    gen = space.code_generation();
+    ASSERT_EQ(space.zero_raw(0x2000, 8), AccessFault::kNone);
+    EXPECT_GT(space.code_generation(), gen);
+    gen = space.code_generation();
+    ASSERT_EQ(space.write(0x1ffc, &v, 8), AccessFault::kNone);
+    EXPECT_GT(space.code_generation(), gen);
+}
+
 TEST(Cpu, ArithmeticAndMov)
 {
     VmHarness h;
@@ -508,7 +571,8 @@ TEST(BlockCache, WriteToCodePageInvalidatesWithoutTouchCode)
     EXPECT_EQ(h.cpu.reg(1), 1u);
 
     // Rewrite the code bytes *without* calling touch_code: the write
-    // into an executable page must advance the generation by itself.
+    // into a page that has supplied decoded bytes must advance the
+    // generation by itself.
     isa::Assembler b(kCode);
     b.mov_ri(1, 2);
     b.ltrap();
@@ -786,7 +850,8 @@ TEST_F(Superblock, SmcInsideStitchedTraceDemotesToTier1)
     // instruction in the same stitched loop body. The store executes
     // long after promotion; the trace must notice the generation bump
     // at the store uop, exit, and demote, and the patched byte must
-    // take effect on the very next instruction — same as tier 1.
+    // take effect on the very next instruction — same as tier 1 and
+    // the decode loop.
     auto build = [](isa::Assembler &a, uint64_t patch_addr) {
         a.mov_ri(1, 0);
         a.mov_ri(2, 100);
@@ -815,31 +880,45 @@ TEST_F(Superblock, SmcInsideStitchedTraceDemotesToTier1)
     size_t store_len = encoded_len(
         [](isa::Assembler &a) { a.store8(mem_bd(3, 0), 5); });
     // The first immediate byte of `mov r4, 7` sits 2 bytes into it.
-    uint64_t patch_addr =
-        kCode + 4 * mov_len + cmp_len + jcc_len + store_len + 2;
+    const uint64_t patch_off =
+        4 * mov_len + cmp_len + jcc_len + store_len + 2;
 
-    VmHarness on;
-    VmHarness off;
-    ASSERT_TRUE(on.space.protect(kCode, 0x1000, kPermRWX).ok());
-    ASSERT_TRUE(off.space.protect(kCode, 0x1000, kPermRWX).ok());
-    off.cpu.set_tier(Tier::kBlocks);
+    // Two layouts over two RWX pages: the loop at the start of the
+    // first page, and the loop placed so that `mov r4, 7` starts on
+    // the first page and its patched immediate opens the second —
+    // the store rewrites only a page the instruction straddles into.
+    for (uint64_t origin : {kCode, kCode + kPageSize - patch_off}) {
+        SCOPED_TRACE("origin " + std::to_string(origin));
+        uint64_t cycles = 0, instructions = 0;
+        for (Tier tier : {Tier::kDecode, Tier::kBlocks, Tier::kTraces}) {
+            SCOPED_TRACE("tier " + std::to_string(static_cast<int>(tier)));
+            VmHarness h;
+            ASSERT_TRUE(h.space.protect(kCode, kPageSize, kPermRWX).ok());
+            ASSERT_TRUE(
+                h.space.map(kCode + kPageSize, kPageSize, kPermRWX).ok());
+            h.cpu.set_tier(tier);
+            isa::Assembler a(origin);
+            build(a, origin + patch_off);
+            Bytes code = a.finish();
+            ASSERT_EQ(h.space.write_raw(origin, code.data(), code.size()),
+                      AccessFault::kNone);
+            h.cpu.set_rip(origin);
 
-    isa::Assembler a1(kCode);
-    build(a1, patch_addr);
-    CpuExit e1 = on.run(a1);
-    isa::Assembler a2(kCode);
-    build(a2, patch_addr);
-    CpuExit e2 = off.run(a2);
-
-    EXPECT_EQ(e1.kind, ExitKind::kLtrap);
-    EXPECT_EQ(e2.kind, ExitKind::kLtrap);
-    // 60 iterations at 7, then the patch lands, then 40 at 5.
-    EXPECT_EQ(on.cpu.reg(1), 60u * 7 + 40u * 5);
-    EXPECT_EQ(off.cpu.reg(1), on.cpu.reg(1));
-    EXPECT_EQ(on.cpu.cycles(), off.cpu.cycles());
-    EXPECT_EQ(on.cpu.instructions(), off.cpu.instructions());
-    EXPECT_GE(on.cpu.superblock_promotions(), 1u);
-    EXPECT_GE(on.cpu.superblock_invalidations(), 1u);
+            EXPECT_EQ(h.cpu.run(1'000'000).kind, ExitKind::kLtrap);
+            // 60 iterations at 7, then the patch lands, then 40 at 5.
+            EXPECT_EQ(h.cpu.reg(1), 60u * 7 + 40u * 5);
+            if (tier == Tier::kDecode) {
+                cycles = h.cpu.cycles();
+                instructions = h.cpu.instructions();
+            }
+            EXPECT_EQ(h.cpu.cycles(), cycles);
+            EXPECT_EQ(h.cpu.instructions(), instructions);
+            if (tier == Tier::kTraces) {
+                EXPECT_GE(h.cpu.superblock_promotions(), 1u);
+                EXPECT_GE(h.cpu.superblock_invalidations(), 1u);
+            }
+        }
+    }
 }
 
 TEST_F(Superblock, MprotectOnExecPagesDemotesAndRepromotes)
@@ -1225,6 +1304,111 @@ TEST_F(Superblock, OverlappingDecodesPromoteIndependently)
     EXPECT_GE(h.cpu.superblock_promotions(), 2u);
     EXPECT_GE(h.cpu.superblock_count(), 2u);
     EXPECT_EQ(h.cpu.superblock_invalidations(), 0u);
+}
+
+TEST_F(Superblock, RwxDataStoresKeepCodeCachesAtEveryTier)
+{
+    // The EIP baseline's layout: data mapped RWX but never executed.
+    // A hot loop storing into such a page must leave the code
+    // generation alone, so no block or trace is ever rebuilt.
+    for (Tier tier : {Tier::kDecode, Tier::kBlocks, Tier::kTraces}) {
+        SCOPED_TRACE("tier " + std::to_string(static_cast<int>(tier)));
+        VmHarness h;
+        ASSERT_TRUE(h.space.protect(kData, kPageSize, kPermRWX).ok());
+        h.cpu.set_tier(tier);
+        isa::Assembler a(kCode);
+        a.mov_ri(1, 0);
+        a.mov_ri(2, 200);
+        a.bind("loop");
+        a.store(mem_abs(kData), 2);
+        a.store8(mem_abs(kData + 0x800), 2);
+        a.load(3, mem_abs(kData));
+        a.add_rr(1, 3);
+        a.sub_ri(2, 1);
+        a.cmp_ri(2, 0);
+        a.jcc(Cond::kNe, "loop");
+        a.ltrap();
+        Bytes code = a.finish();
+        ASSERT_EQ(h.space.write_raw(kCode, code.data(), code.size()),
+                  AccessFault::kNone);
+        const uint64_t gen = h.space.code_generation();
+        h.cpu.set_rip(kCode);
+
+        ASSERT_EQ(h.cpu.run(1'000'000).kind, ExitKind::kLtrap);
+        EXPECT_EQ(h.cpu.reg(1), 200u * 201 / 2);
+        EXPECT_EQ(h.space.code_generation(), gen);
+        EXPECT_EQ(h.cpu.block_cache_invalidations(), 0u);
+        EXPECT_EQ(h.cpu.superblock_invalidations(), 0u);
+        if (tier == Tier::kTraces) {
+            EXPECT_GE(h.cpu.superblock_promotions(), 1u);
+            EXPECT_GE(h.cpu.superblock_exec_hits(), 1u);
+        }
+    }
+}
+
+TEST_F(Superblock, JitRewriteRunsNewBytesAtEveryTier)
+{
+    // A guest JIT: a hot loop copies one of two stubs into an RWX
+    // page, calls it, and switches stubs every iteration. Once the
+    // page has supplied decoded bytes, every copy must invalidate the
+    // stub decoded before it, so each call runs the bytes just
+    // written.
+    constexpr uint64_t kJit = 0x40000;
+    auto stub = [](int64_t value) {
+        isa::Assembler s(kJit);
+        s.mov_ri(1, value);
+        s.ret();
+        Bytes bytes = s.finish();
+        EXPECT_LE(bytes.size(), 16u);
+        bytes.resize(16, 0);
+        return bytes;
+    };
+    const Bytes stubs[2] = {stub(1), stub(2)};
+
+    uint64_t cycles = 0, instructions = 0;
+    for (Tier tier : {Tier::kDecode, Tier::kBlocks, Tier::kTraces}) {
+        SCOPED_TRACE("tier " + std::to_string(static_cast<int>(tier)));
+        VmHarness h;
+        ASSERT_TRUE(h.space.map(kJit, kPageSize, kPermRWX).ok());
+        for (int k = 0; k < 2; ++k) {
+            ASSERT_EQ(h.space.write_raw(kData + 0x100 * (k + 1),
+                                        stubs[k].data(), 16),
+                      AccessFault::kNone);
+        }
+        h.cpu.set_tier(tier);
+        isa::Assembler a(kCode);
+        a.mov_ri(2, 100);
+        a.mov_ri(7, 0);
+        a.mov_ri(11, static_cast<int64_t>(kJit));
+        a.bind("loop");
+        // r9 = the stub for this iteration: odd r2 takes stub 2.
+        a.mov_rr(10, 2);
+        a.and_ri(10, 1);
+        a.shl_ri(10, 8);
+        a.mov_ri(9, static_cast<int64_t>(kData + 0x100));
+        a.add_rr(9, 10);
+        a.load(10, mem_bd(9, 0));
+        a.store(mem_bd(11, 0), 10);
+        a.load(10, mem_bd(9, 8));
+        a.store(mem_bd(11, 8), 10);
+        a.call_reg(11);
+        a.add_rr(7, 1);
+        a.sub_ri(2, 1);
+        a.cmp_ri(2, 0);
+        a.jcc(Cond::kNe, "loop");
+        a.ltrap();
+
+        ASSERT_EQ(h.run(a).kind, ExitKind::kLtrap);
+        EXPECT_EQ(h.cpu.reg(7), 50u * 1 + 50u * 2);
+        if (tier == Tier::kDecode) {
+            cycles = h.cpu.cycles();
+            instructions = h.cpu.instructions();
+        } else {
+            EXPECT_GE(h.cpu.block_cache_invalidations(), 1u);
+        }
+        EXPECT_EQ(h.cpu.cycles(), cycles);
+        EXPECT_EQ(h.cpu.instructions(), instructions);
+    }
 }
 
 TEST_F(Superblock, RebuiltBlockDropsItsTrace)
