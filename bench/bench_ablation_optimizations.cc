@@ -147,7 +147,7 @@ measure_tracing(const oelf::Image &image, bool traced, int reps)
  * (asserted per-rep here and across rows in main).
  */
 TracedMeasure
-measure_encfs_crypto(bool ttable, bool midstate, size_t readahead,
+measure_encfs_crypto(bool hw_crypto, bool midstate, size_t readahead,
                      int reps)
 {
     constexpr uint64_t kChunk = 4096;
@@ -157,7 +157,7 @@ measure_encfs_crypto(bool ttable, bool midstate, size_t readahead,
     best.wall_ms = 1e18;
     bool saved_ref = crypto::reference_mode();
     bool saved_mid = crypto::HmacKey::midstate_enabled();
-    crypto::set_reference_mode(!ttable);
+    crypto::set_reference_mode(!hw_crypto);
     crypto::HmacKey::set_midstate_enabled(midstate);
 
     Bytes chunk(kChunk);
@@ -440,20 +440,22 @@ main()
     // no readahead, then each optimization stacked on. All of them
     // are wall-clock-only — the cost model charges per byte moved,
     // not per implementation — so the simulated cycle counts must be
-    // bit-identical (asserted). The second row switches AES to T-tables
+    // bit-identical (asserted). The second row switches AES to AES-NI
     // and SHA-256 to SHA-NI together (one crypto-wide reference flag);
-    // without SHA-NI in CPUID, SHA-256 stays scalar in every row.
+    // a primitive whose extension CPUID lacks stays scalar in every
+    // row. The row keeps its older JSON key, crypto_ttable, so earlier
+    // snapshots still diff against it.
     struct CryptoRow {
         const char *name;
         const char *json_key;
-        bool ttable;
+        bool hw_crypto;
         bool midstate;
         size_t readahead;
     };
     const CryptoRow crypto_rows[] = {
         {"reference (scalar AES+SHA, no midstate, no RA)",
          "crypto_reference", false, false, 0},
-        {"+T-table AES, SHA-NI", "crypto_ttable", true, false, 0},
+        {"+AES-NI, SHA-NI", "crypto_ttable", true, false, 0},
         {"+HMAC midstates", "crypto_midstate", true, true, 0},
         {"+readahead 8", "crypto_readahead", true, true, 8},
     };
@@ -461,7 +463,7 @@ main()
     for (size_t i = 0; i < 4; ++i) {
         const CryptoRow &row = crypto_rows[i];
         crypto_measures[i] = measure_encfs_crypto(
-            row.ttable, row.midstate, row.readahead, kReps);
+            row.hw_crypto, row.midstate, row.readahead, kReps);
         OCC_CHECK_MSG(
             crypto_measures[i].sim_cycles == crypto_measures[0].sim_cycles,
             "crypto data-plane config must not perturb simulated cycles");

@@ -30,12 +30,16 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 OCCLUM_VM_SUPERBLOCK=1 "$BUILD_DIR/tests/vm_test"
 
 # Extra leg: the scalar reference crypto under the sanitizers. On a
-# host whose CPU has SHA-NI the default run hashes with the hardware
-# kernel, so the scalar SHA-256 compression (and the byte-wise AES)
-# would otherwise go unsanitized; sgx_test drives it through EEXTEND
-# measurement and report MACs.
+# host whose CPU has AES-NI and SHA-NI the default run encrypts and
+# hashes with the hardware kernels, so the byte-wise AES and the
+# scalar SHA-256 compression would otherwise go unsanitized outside
+# crypto_test. sgx_test drives SHA-256 through EEXTEND measurement
+# and report MACs; encfs_test drives AES-CTR and HMAC through EncFs
+# blocks; attest_test drives both through RecordCodec seal/open.
 OCCLUM_CRYPTO_REFERENCE=1 "$BUILD_DIR/tests/crypto_test"
 OCCLUM_CRYPTO_REFERENCE=1 "$BUILD_DIR/tests/sgx_test"
+OCCLUM_CRYPTO_REFERENCE=1 "$BUILD_DIR/tests/encfs_test"
+OCCLUM_CRYPTO_REFERENCE=1 "$BUILD_DIR/tests/attest_test"
 
 # Extra leg: the SMP scheduler under the sanitizers. OCCLUM_CORES=2
 # and 4 rerun every OcclumSystem scenario over per-core run queues,

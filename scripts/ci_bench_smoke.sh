@@ -39,7 +39,7 @@ cmp "$JSON" "$JSON_SB0" ||
 
 # Reference-crypto leg: the same bench with the scalar reference
 # crypto selected (OCCLUM_CRYPTO_REFERENCE=1): byte-wise AES and the
-# scalar SHA-256 compression instead of T-table AES and SHA-NI. EncFs
+# scalar SHA-256 compression instead of AES-NI and SHA-NI. EncFs
 # encrypts and HMACs every block through them, and the fast paths must
 # be bit-identical, so the JSON must match the default run byte for
 # byte — this byte-compares both AES and SHA-256.

@@ -2,6 +2,11 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 #include "crypto/reference.h"
 
 namespace occlum::crypto {
@@ -30,27 +35,11 @@ gmul(uint8_t a, uint8_t b)
     return p;
 }
 
-inline uint32_t
-rotr32(uint32_t w, int n)
+/** The AES S-box, computed once from first principles. */
+const std::array<uint8_t, 256> &
+sbox()
 {
-    return (w >> n) | (w << (32 - n));
-}
-
-/**
- * The AES S-box and encryption T-tables, computed once from first
- * principles. te0[x] packs the MixColumns column {02,01,01,03}·S[x]
- * big-endian; te1..te3 are byte rotations of te0, so one 32-bit
- * lookup per state byte performs SubBytes+ShiftRows+MixColumns.
- */
-struct SboxTables {
-    uint8_t sbox[256];
-    uint32_t te0[256];
-    uint32_t te1[256];
-    uint32_t te2[256];
-    uint32_t te3[256];
-
-    SboxTables()
-    {
+    static const std::array<uint8_t, 256> s = [] {
         // Multiplicative inverses via exhaustive search (256^2 ops,
         // done once at startup).
         uint8_t inv[256] = {0};
@@ -62,58 +51,20 @@ struct SboxTables {
                 }
             }
         }
+        // Affine transform: b ^ rot1(b) ^ rot2(b) ^ rot3(b) ^ rot4(b)
+        // ^ 0x63, with rotN = left-rotate by N bits.
+        auto rotl8 = [](uint8_t v, int n) {
+            return static_cast<uint8_t>((v << n) | (v >> (8 - n)));
+        };
+        std::array<uint8_t, 256> t{};
         for (int i = 0; i < 256; ++i) {
             uint8_t x = inv[i];
-            // Affine transform: b ^ rot1(b) ^ rot2(b) ^ rot3(b) ^
-            // rot4(b) ^ 0x63, with rotN = left-rotate by N bits.
-            auto rotl8 = [](uint8_t v, int n) {
-                return static_cast<uint8_t>((v << n) | (v >> (8 - n)));
-            };
-            sbox[i] = static_cast<uint8_t>(x ^ rotl8(x, 1) ^ rotl8(x, 2) ^
-                                           rotl8(x, 3) ^ rotl8(x, 4) ^
-                                           0x63);
+            t[i] = static_cast<uint8_t>(x ^ rotl8(x, 1) ^ rotl8(x, 2) ^
+                                        rotl8(x, 3) ^ rotl8(x, 4) ^ 0x63);
         }
-        for (int i = 0; i < 256; ++i) {
-            uint8_t s = sbox[i];
-            uint8_t s2 = xtime(s);
-            uint8_t s3 = static_cast<uint8_t>(s2 ^ s);
-            te0[i] = (uint32_t(s2) << 24) | (uint32_t(s) << 16) |
-                     (uint32_t(s) << 8) | uint32_t(s3);
-            te1[i] = rotr32(te0[i], 8);
-            te2[i] = rotr32(te0[i], 16);
-            te3[i] = rotr32(te0[i], 24);
-        }
-    }
-};
-
-const SboxTables &
-tables()
-{
-    static const SboxTables t;
-    return t;
-}
-
-inline uint32_t
-sub_word(uint32_t w)
-{
-    const uint8_t *s = tables().sbox;
-    return (uint32_t(s[(w >> 24) & 0xff]) << 24) |
-           (uint32_t(s[(w >> 16) & 0xff]) << 16) |
-           (uint32_t(s[(w >> 8) & 0xff]) << 8) |
-           uint32_t(s[w & 0xff]);
-}
-
-inline uint32_t
-rot_word(uint32_t w)
-{
-    return (w << 8) | (w >> 24);
-}
-
-inline uint32_t
-load_be32(const uint8_t *p)
-{
-    return (uint32_t(p[0]) << 24) | (uint32_t(p[1]) << 16) |
-           (uint32_t(p[2]) << 8) | uint32_t(p[3]);
+        return t;
+    }();
+    return s;
 }
 
 inline void
@@ -125,112 +76,174 @@ store_be32(uint8_t *p, uint32_t w)
     p[3] = uint8_t(w);
 }
 
+#if defined(__x86_64__)
+/** The 11 round keys, loaded from the byte-order schedule. */
+__attribute__((target("aes,sse4.1"))) inline void
+load_round_keys(const uint8_t *round_keys, __m128i rk[11])
+{
+    for (int r = 0; r < 11; ++r) {
+        rk[r] = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(round_keys + 16 * r));
+    }
+}
+
+/** One block: AddRoundKey, aesenc x9, aesenclast. */
+__attribute__((target("aes,sse4.1"))) inline __m128i
+encrypt_ni(const __m128i rk[11], __m128i b)
+{
+    b = _mm_xor_si128(b, rk[0]);
+    for (int r = 1; r < 10; ++r) {
+        b = _mm_aesenc_si128(b, rk[r]);
+    }
+    return _mm_aesenclast_si128(b, rk[10]);
+}
+
+__attribute__((target("aes,sse4.1"))) void
+encrypt_block_ni(const uint8_t *round_keys, const uint8_t in[16],
+                 uint8_t out[16])
+{
+    __m128i rk[11];
+    load_round_keys(round_keys, rk);
+    __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i *>(in));
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(out), encrypt_ni(rk, b));
+}
+
+/** The counter block iv || be32(c), from `base` = iv || 0 (pinsrd). */
+__attribute__((target("aes,sse4.1"))) inline __m128i
+counter_block(__m128i base, uint32_t c)
+{
+    return _mm_insert_epi32(base, int(__builtin_bswap32(c)), 3);
+}
+
+/** XOR 16 bytes of `in` with the keystream block into `out`. */
+__attribute__((target("aes,sse4.1"))) inline void
+xor_block(const uint8_t *in, uint8_t *out, __m128i ks)
+{
+    __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i *>(in));
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(out), _mm_xor_si128(d, ks));
+}
+
+/**
+ * CTR mode on AES-NI. Eight counter blocks go through each round
+ * together, so each block's aesenc latency hides behind the other
+ * seven. The uint32_t counter wraps mod 2^32 wherever it falls.
+ */
+__attribute__((target("aes,sse4.1"))) void
+ctr_crypt_ni(const uint8_t *round_keys, const uint8_t iv[12],
+             uint32_t counter, const uint8_t *in, uint8_t *out, size_t len)
+{
+    __m128i rk[11];
+    load_round_keys(round_keys, rk);
+    uint8_t nonce[16] = {0};
+    std::memcpy(nonce, iv, 12);
+    const __m128i base =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(nonce));
+
+    size_t off = 0;
+    for (; len - off >= 128; off += 128, counter += 8) {
+        // Unrolled over j, so the eight blocks stay in registers.
+        __m128i b[8];
+#pragma GCC unroll 8
+        for (int j = 0; j < 8; ++j) {
+            b[j] = _mm_xor_si128(counter_block(base, counter + j), rk[0]);
+        }
+        for (int r = 1; r < 10; ++r) {
+#pragma GCC unroll 8
+            for (int j = 0; j < 8; ++j) {
+                b[j] = _mm_aesenc_si128(b[j], rk[r]);
+            }
+        }
+#pragma GCC unroll 8
+        for (int j = 0; j < 8; ++j) {
+            xor_block(in + off + 16 * j, out + off + 16 * j,
+                      _mm_aesenclast_si128(b[j], rk[10]));
+        }
+    }
+    for (; len - off >= 16; off += 16) {
+        xor_block(in + off, out + off,
+                  encrypt_ni(rk, counter_block(base, counter++)));
+    }
+    if (off < len) {
+        uint8_t ks[16];
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(ks),
+                         encrypt_ni(rk, counter_block(base, counter)));
+        for (size_t i = 0; off + i < len; ++i) {
+            out[off + i] = in[off + i] ^ ks[i];
+        }
+    }
+}
+
+/** CPUID leaf 1: ECX bit 25 (AES) and bit 19 (SSE4.1, for pinsrd). */
+const bool g_has_aes_ni = [] {
+    unsigned a, b, c, d;
+    return __get_cpuid(1, &a, &b, &c, &d) && (c & (1u << 25)) &&
+           (c & (1u << 19));
+}();
+#else
+const bool g_has_aes_ni = false;
+#endif
+
 } // namespace
 
 Aes128::Aes128(const Key128 &key)
 {
-    // Key expansion (FIPS 197 §5.2), Nk=4, Nr=10.
-    for (int i = 0; i < 4; ++i) {
-        round_keys_[i] = (uint32_t(key[4 * i]) << 24) |
-                         (uint32_t(key[4 * i + 1]) << 16) |
-                         (uint32_t(key[4 * i + 2]) << 8) |
-                         uint32_t(key[4 * i + 3]);
-    }
-    uint32_t rcon = 0x01;
+    // Key expansion (FIPS 197 §5.2), Nk=4, Nr=10, on bytes: word i is
+    // w[4i..4i+3], which leaves each round key in AES byte order.
+    const std::array<uint8_t, 256> &s = sbox();
+    uint8_t *w = round_keys_.data();
+    std::memcpy(w, key.data(), 16);
+    uint8_t rcon = 0x01;
     for (int i = 4; i < 44; ++i) {
-        uint32_t temp = round_keys_[i - 1];
+        uint8_t t[4];
+        std::memcpy(t, w + 4 * (i - 1), 4);
         if (i % 4 == 0) {
-            temp = sub_word(rot_word(temp)) ^ (rcon << 24);
-            rcon = xtime(static_cast<uint8_t>(rcon));
+            // RotWord, SubWord, then Rcon into the leading byte.
+            uint8_t t0 = t[0];
+            t[0] = static_cast<uint8_t>(s[t[1]] ^ rcon);
+            t[1] = s[t[2]];
+            t[2] = s[t[3]];
+            t[3] = s[t0];
+            rcon = xtime(rcon);
         }
-        round_keys_[i] = round_keys_[i - 4] ^ temp;
+        for (int k = 0; k < 4; ++k) {
+            w[4 * i + k] = static_cast<uint8_t>(w[4 * (i - 4) + k] ^ t[k]);
+        }
     }
+}
+
+bool
+Aes128::has_aes_ni()
+{
+    return g_has_aes_ni;
 }
 
 void
 Aes128::encrypt_block(const uint8_t in[16], uint8_t out[16]) const
 {
-    if (reference_mode()) {
-        encrypt_block_ref(in, out);
-    } else {
-        encrypt_block_tt(in, out);
+#if defined(__x86_64__)
+    if (g_has_aes_ni && !reference_mode()) {
+        encrypt_block_ni(round_keys_.data(), in, out);
+        return;
     }
-}
-
-void
-Aes128::encrypt_block_tt(const uint8_t in[16], uint8_t out[16]) const
-{
-    const SboxTables &t = tables();
-    const uint32_t *rk = round_keys_.data();
-
-    // State as four big-endian column words; each word's MSB is row 0,
-    // matching the reference path's column-major byte layout.
-    uint32_t s0 = load_be32(in) ^ rk[0];
-    uint32_t s1 = load_be32(in + 4) ^ rk[1];
-    uint32_t s2 = load_be32(in + 8) ^ rk[2];
-    uint32_t s3 = load_be32(in + 12) ^ rk[3];
-
-    uint32_t t0, t1, t2, t3;
-    for (int round = 1; round < 10; ++round) {
-        rk += 4;
-        t0 = t.te0[s0 >> 24] ^ t.te1[(s1 >> 16) & 0xff] ^
-             t.te2[(s2 >> 8) & 0xff] ^ t.te3[s3 & 0xff] ^ rk[0];
-        t1 = t.te0[s1 >> 24] ^ t.te1[(s2 >> 16) & 0xff] ^
-             t.te2[(s3 >> 8) & 0xff] ^ t.te3[s0 & 0xff] ^ rk[1];
-        t2 = t.te0[s2 >> 24] ^ t.te1[(s3 >> 16) & 0xff] ^
-             t.te2[(s0 >> 8) & 0xff] ^ t.te3[s1 & 0xff] ^ rk[2];
-        t3 = t.te0[s3 >> 24] ^ t.te1[(s0 >> 16) & 0xff] ^
-             t.te2[(s1 >> 8) & 0xff] ^ t.te3[s2 & 0xff] ^ rk[3];
-        s0 = t0;
-        s1 = t1;
-        s2 = t2;
-        s3 = t3;
-    }
-
-    // Final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns.
-    const uint8_t *s = t.sbox;
-    rk += 4;
-    t0 = (uint32_t(s[s0 >> 24]) << 24) |
-         (uint32_t(s[(s1 >> 16) & 0xff]) << 16) |
-         (uint32_t(s[(s2 >> 8) & 0xff]) << 8) |
-         uint32_t(s[s3 & 0xff]);
-    t1 = (uint32_t(s[s1 >> 24]) << 24) |
-         (uint32_t(s[(s2 >> 16) & 0xff]) << 16) |
-         (uint32_t(s[(s3 >> 8) & 0xff]) << 8) |
-         uint32_t(s[s0 & 0xff]);
-    t2 = (uint32_t(s[s2 >> 24]) << 24) |
-         (uint32_t(s[(s3 >> 16) & 0xff]) << 16) |
-         (uint32_t(s[(s0 >> 8) & 0xff]) << 8) |
-         uint32_t(s[s1 & 0xff]);
-    t3 = (uint32_t(s[s3 >> 24]) << 24) |
-         (uint32_t(s[(s0 >> 16) & 0xff]) << 16) |
-         (uint32_t(s[(s1 >> 8) & 0xff]) << 8) |
-         uint32_t(s[s2 & 0xff]);
-    store_be32(out, t0 ^ rk[0]);
-    store_be32(out + 4, t1 ^ rk[1]);
-    store_be32(out + 8, t2 ^ rk[2]);
-    store_be32(out + 12, t3 ^ rk[3]);
+#endif
+    encrypt_block_ref(in, out);
 }
 
 void
 Aes128::encrypt_block_ref(const uint8_t in[16], uint8_t out[16]) const
 {
-    const uint8_t *sbox = tables().sbox;
+    const std::array<uint8_t, 256> &s = sbox();
     uint8_t state[16];
     std::memcpy(state, in, 16);
 
     auto add_round_key = [&](int round) {
-        for (int c = 0; c < 4; ++c) {
-            uint32_t rk = round_keys_[4 * round + c];
-            state[4 * c] ^= uint8_t(rk >> 24);
-            state[4 * c + 1] ^= uint8_t(rk >> 16);
-            state[4 * c + 2] ^= uint8_t(rk >> 8);
-            state[4 * c + 3] ^= uint8_t(rk);
+        for (int i = 0; i < 16; ++i) {
+            state[i] ^= round_keys_[16 * round + i];
         }
     };
     auto sub_bytes = [&]() {
         for (int i = 0; i < 16; ++i) {
-            state[i] = sbox[state[i]];
+            state[i] = s[state[i]];
         }
     };
     auto shift_rows = [&]() {
@@ -272,41 +285,23 @@ void
 Aes128::ctr_crypt(const std::array<uint8_t, 12> &iv, uint32_t counter0,
                   const uint8_t *in, uint8_t *out, size_t len) const
 {
+#if defined(__x86_64__)
+    if (g_has_aes_ni && !reference_mode()) {
+        ctr_crypt_ni(round_keys_.data(), iv.data(), counter0, in, out, len);
+        return;
+    }
+#endif
     uint8_t counter_block[16];
     std::memcpy(counter_block, iv.data(), 12);
     uint32_t counter = counter0;
-    size_t off = 0;
-
-    if (!reference_mode()) {
-        // Fast path: 4 counter blocks of keystream per iteration,
-        // XORed 64 bits at a time (memcpy keeps it alignment-safe;
-        // compilers lower it to plain loads/stores).
-        uint8_t keystream[64];
-        while (len - off >= sizeof(keystream)) {
-            for (int b = 0; b < 4; ++b) {
-                store_be32(counter_block + 12, counter++);
-                encrypt_block_tt(counter_block, keystream + 16 * b);
-            }
-            for (size_t i = 0; i < sizeof(keystream); i += 8) {
-                uint64_t data, ks;
-                std::memcpy(&data, in + off + i, 8);
-                std::memcpy(&ks, keystream + i, 8);
-                data ^= ks;
-                std::memcpy(out + off + i, &data, 8);
-            }
-            off += sizeof(keystream);
-        }
-    }
-
-    while (off < len) {
+    for (size_t off = 0; off < len; off += 16) {
         store_be32(counter_block + 12, counter++);
         uint8_t keystream[16];
-        encrypt_block(counter_block, keystream);
+        encrypt_block_ref(counter_block, keystream);
         size_t n = std::min<size_t>(16, len - off);
         for (size_t i = 0; i < n; ++i) {
             out[off + i] = in[off + i] ^ keystream[i];
         }
-        off += n;
     }
 }
 

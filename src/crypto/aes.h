@@ -5,15 +5,14 @@
  *
  * The S-box is derived at static-initialization time from the GF(2^8)
  * multiplicative inverse and the affine transform, which removes the
- * risk of a typo in a 256-entry literal table. The four encryption
- * T-tables (SubBytes+ShiftRows+MixColumns folded into 32-bit lookups,
- * the standard software-AES formulation) are derived from that same
- * S-box, so the fast path shares the reference path's provenance.
- * CTR mode processes four counter blocks per iteration and XORs the
- * keystream word-wise. The byte-wise scalar implementation is kept as
- * a reference path, selected by the crypto-wide reference mode
- * (crypto/reference.h, env OCCLUM_CRYPTO_REFERENCE); both paths are
- * asserted bit-identical in tests.
+ * risk of a typo in a 256-entry literal table. The FIPS 197 §5.2 key
+ * expansion runs once per key and stores the 11 round keys in AES
+ * byte order, read by both implementations. On CPUs whose CPUID
+ * reports AES-NI (leaf 1 ECX bit 25) an aesenc/aesenclast kernel
+ * encrypts blocks and runs CTR mode with 8 counter blocks in flight;
+ * otherwise, or when the crypto-wide reference mode is on
+ * (crypto/reference.h, env OCCLUM_CRYPTO_REFERENCE=1), the byte-wise
+ * reference runs. Both are differentially tested bit-identical.
  *
  * CTR mode is used by the encrypted file system and by the EIP
  * baseline's encrypted IPC streams. Tested against FIPS 197 and
@@ -58,11 +57,15 @@ class Aes128
         return out;
     }
 
+    /** True if this CPU has AES-NI, i.e. the hardware kernel runs
+     *  whenever reference mode is off. */
+    static bool has_aes_ni();
+
   private:
-    void encrypt_block_tt(const uint8_t in[16], uint8_t out[16]) const;
     void encrypt_block_ref(const uint8_t in[16], uint8_t out[16]) const;
 
-    std::array<uint32_t, 44> round_keys_;
+    /** Round key r is bytes [16r, 16r + 16). */
+    std::array<uint8_t, 11 * 16> round_keys_;
 };
 
 } // namespace occlum::crypto

@@ -4,7 +4,7 @@
  *
  * Each primitive with an optimized kernel keeps its straightforward
  * scalar implementation as a reference: byte-wise AES-128 beside the
- * T-table path, and the scalar SHA-256 compression beside the SHA-NI
+ * AES-NI kernel, and the scalar SHA-256 compression beside the SHA-NI
  * one. One flag selects the reference for all of them. Outputs are
  * bit-identical either way; only wall-clock differs.
  */

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
@@ -31,20 +32,34 @@ digest_hex(const Sha256Digest &d)
     return to_hex(d.data(), d.size());
 }
 
+/** Restores the crypto mode it found when it goes out of scope, so a
+ *  test that flips the mode cannot leak it into later tests (the
+ *  OCCLUM_CRYPTO_REFERENCE=1 CI leg depends on that). */
+class ScopedCryptoMode
+{
+  public:
+    ScopedCryptoMode() : saved_(reference_mode()) {}
+    ~ScopedCryptoMode() { set_reference_mode(saved_); }
+    ScopedCryptoMode(const ScopedCryptoMode &) = delete;
+    ScopedCryptoMode &operator=(const ScopedCryptoMode &) = delete;
+
+  private:
+    bool saved_;
+};
+
 /** Runs the body under both crypto implementations (the fast paths
- *  — T-table AES, SHA-NI where CPUID has it — and the scalar
+ *  — AES-NI and SHA-NI where CPUID has them — and the scalar
  *  reference), restoring the mode afterwards. */
 template <typename Fn>
 void
 for_both_modes(Fn &&body)
 {
-    bool saved = reference_mode();
+    ScopedCryptoMode restore;
     for (bool reference : {false, true}) {
         SCOPED_TRACE(reference ? "reference mode" : "fast mode");
         set_reference_mode(reference);
         body(reference);
     }
-    set_reference_mode(saved);
 }
 
 // ---- SHA-256 (FIPS 180-4 examples) -----------------------------------
@@ -199,21 +214,25 @@ key_from_hex(const std::string &hex)
 
 TEST(Aes128, Fips197Example)
 {
-    Aes128 aes(key_from_hex("000102030405060708090a0b0c0d0e0f"));
-    Bytes pt = from_hex("00112233445566778899aabbccddeeff");
-    uint8_t ct[16];
-    aes.encrypt_block(pt.data(), ct);
-    EXPECT_EQ(to_hex(ct, 16), "69c4e0d86a7b0430d8cdb78070b4c55a");
+    for_both_modes([&](bool) {
+        Aes128 aes(key_from_hex("000102030405060708090a0b0c0d0e0f"));
+        Bytes pt = from_hex("00112233445566778899aabbccddeeff");
+        uint8_t ct[16];
+        aes.encrypt_block(pt.data(), ct);
+        EXPECT_EQ(to_hex(ct, 16), "69c4e0d86a7b0430d8cdb78070b4c55a");
+    });
 }
 
 TEST(Aes128, Sp800_38aBlock)
 {
     // SP 800-38A F.1.1 AES-128 ECB block 1.
-    Aes128 aes(key_from_hex("2b7e151628aed2a6abf7158809cf4f3c"));
-    Bytes pt = from_hex("6bc1bee22e409f96e93d7e117393172a");
-    uint8_t ct[16];
-    aes.encrypt_block(pt.data(), ct);
-    EXPECT_EQ(to_hex(ct, 16), "3ad77bb40d7a3660a89ecaf32466ef97");
+    for_both_modes([&](bool) {
+        Aes128 aes(key_from_hex("2b7e151628aed2a6abf7158809cf4f3c"));
+        Bytes pt = from_hex("6bc1bee22e409f96e93d7e117393172a");
+        uint8_t ct[16];
+        aes.encrypt_block(pt.data(), ct);
+        EXPECT_EQ(to_hex(ct, 16), "3ad77bb40d7a3660a89ecaf32466ef97");
+    });
 }
 
 TEST(Aes128, CtrRoundTrip)
@@ -307,71 +326,126 @@ TEST(Aes128Kat, CtrNonBlockAlignedLengths)
 
 TEST(Aes128Kat, CtrCounterWrap)
 {
-    // The 32-bit block counter wraps modulo 2^32: a stream crossing
-    // the wrap equals the concatenation of the pre-wrap tail and a
-    // fresh stream starting at counter 0.
-    Aes128 aes(key_from_hex(kSpCtrKey));
+    // The 32-bit block counter wraps modulo 2^32. 20 blocks plus a
+    // 7-byte partial block from 0xfffffffa put the wrap between the
+    // sixth and seventh block of the first 8-block batch. Every
+    // keystream block must be E(iv || be32(counter)) for the wrapped
+    // counter, and the stream must equal the pre-wrap head followed
+    // by a fresh stream from counter 0.
     std::array<uint8_t, 12> iv = {9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2};
-    Bytes zeros(64, 0);
-    Bytes crossing = aes.ctr_crypt(iv, 0xfffffffe, zeros);
+    constexpr uint32_t kStart = 0xfffffffa;
+    constexpr size_t kLen = 20 * 16 + 7;
+    const size_t head_len = 16 * (0x100000000ull - kStart);
+    Bytes zeros(kLen, 0);
+    Bytes crossing[2];
+    for_both_modes([&](bool reference) {
+        Aes128 aes(key_from_hex(kSpCtrKey));
+        Bytes ks = aes.ctr_crypt(iv, kStart, zeros);
+        for (size_t blk = 0; blk * 16 < kLen; ++blk) {
+            uint8_t counter_block[16], want[16];
+            std::copy(iv.begin(), iv.end(), counter_block);
+            uint32_t c = kStart + static_cast<uint32_t>(blk);
+            for (int i = 0; i < 4; ++i) {
+                counter_block[12 + i] = static_cast<uint8_t>(c >> (24 - 8 * i));
+            }
+            aes.encrypt_block(counter_block, want);
+            size_t n = std::min<size_t>(16, kLen - 16 * blk);
+            EXPECT_EQ(to_hex(ks.data() + 16 * blk, n), to_hex(want, n))
+                << "block " << blk;
+        }
 
-    Bytes head(zeros.begin(), zeros.begin() + 32);
-    Bytes tail(zeros.begin(), zeros.begin() + 32);
-    Bytes pre = aes.ctr_crypt(iv, 0xfffffffe, head);
-    Bytes post = aes.ctr_crypt(iv, 0, tail);
-    pre.insert(pre.end(), post.begin(), post.end());
-    EXPECT_EQ(crossing, pre);
-
-    // And the wrap behaves identically in both implementations.
-    set_reference_mode(true);
-    Aes128 ref_aes(key_from_hex(kSpCtrKey));
-    EXPECT_EQ(ref_aes.ctr_crypt(iv, 0xfffffffe, zeros), crossing);
-    set_reference_mode(false);
+        Bytes pre = aes.ctr_crypt(
+            iv, kStart, Bytes(zeros.begin(), zeros.begin() + head_len));
+        Bytes post =
+            aes.ctr_crypt(iv, 0, Bytes(zeros.begin() + head_len, zeros.end()));
+        pre.insert(pre.end(), post.begin(), post.end());
+        EXPECT_EQ(ks, pre);
+        crossing[reference] = ks;
+    });
+    EXPECT_EQ(crossing[0], crossing[1]);
 }
 
-TEST(Aes128Kat, FastMatchesReferenceOnRandomInputs)
+TEST(Aes128Kat, AesNiMatchesReferenceOnRandomInputs)
 {
-    // Deterministic xorshift-filled buffers across many lengths; the
-    // T-table path must agree with the first-principles path bit for
-    // bit on every byte.
-    uint64_t rng = 0x9e3779b97f4a7c15ull;
-    auto next = [&rng]() {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        return rng;
-    };
-    for (int trial = 0; trial < 8; ++trial) {
+    // Seeded random CTR calls: lengths of 0-8 KiB (every fourth an
+    // exact multiple of the 128-byte batch), counter starts (every
+    // third within 8 of 2^32, so the wrap lands inside a batch),
+    // unaligned in/out pointers and in-place calls, plus one block
+    // through encrypt_block. The reference half (in-place and
+    // unaligned calls agree with a plain call) runs everywhere; the
+    // hardware half compares the AES-NI kernel with the reference and
+    // is skipped on CPUs without AES-NI. Bytes around the output
+    // window must stay untouched in both.
+    ScopedCryptoMode restore;
+    std::mt19937_64 rng(20261016);
+    constexpr uint8_t kGuard = 0xcd;
+    for (int trial = 0; trial < 256; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
         Key128 key{};
         for (auto &b : key) {
-            b = static_cast<uint8_t>(next());
+            b = static_cast<uint8_t>(rng());
         }
         std::array<uint8_t, 12> iv{};
         for (auto &b : iv) {
-            b = static_cast<uint8_t>(next());
+            b = static_cast<uint8_t>(rng());
         }
-        uint32_t counter0 = static_cast<uint32_t>(next());
-        Bytes data(1 + (next() % 500), 0);
+        uint32_t counter0 = trial % 3 == 0
+                                ? static_cast<uint32_t>(0xffffffffu - rng() % 8)
+                                : static_cast<uint32_t>(rng());
+        size_t len = trial % 4 == 0 ? 128 * (rng() % 65)
+                                    : rng() % (8 * 1024 + 1);
+        Bytes data(len);
         for (auto &b : data) {
-            b = static_cast<uint8_t>(next());
+            b = static_cast<uint8_t>(rng());
+        }
+        const size_t in_off = rng() % 16;
+        const size_t out_off = rng() % 16;
+        Bytes block(16);
+        for (auto &b : block) {
+            b = static_cast<uint8_t>(rng());
         }
 
-        set_reference_mode(false);
-        Bytes fast = Aes128(key).ctr_crypt(iv, counter0, data);
-        set_reference_mode(true);
-        Bytes ref = Aes128(key).ctr_crypt(iv, counter0, data);
-        set_reference_mode(false);
-        EXPECT_EQ(fast, ref) << "trial=" << trial;
+        auto check = [&](bool reference, const Bytes &want,
+                         const std::string &want_block) {
+            set_reference_mode(reference);
+            SCOPED_TRACE(reference ? "reference mode" : "AES-NI mode");
+            Aes128 aes(key);
+            Bytes in(len + 16);
+            std::copy(data.begin(), data.end(), in.begin() + in_off);
+            Bytes out(len + 32, kGuard);
+            aes.ctr_crypt(iv, counter0, in.data() + in_off,
+                          out.data() + 16 + out_off, len);
+            EXPECT_EQ(Bytes(out.begin() + 16 + out_off,
+                            out.begin() + 16 + out_off + len),
+                      want);
+            for (size_t i = 0; i < out.size(); ++i) {
+                if (i < 16 + out_off || i >= 16 + out_off + len) {
+                    ASSERT_EQ(out[i], kGuard) << "byte " << i;
+                }
+            }
+            // In place, at an unaligned offset.
+            aes.ctr_crypt(iv, counter0, in.data() + in_off,
+                          in.data() + in_off, len);
+            EXPECT_EQ(Bytes(in.begin() + in_off, in.begin() + in_off + len),
+                      want);
+            uint8_t ct[16];
+            aes.encrypt_block(block.data(), ct);
+            EXPECT_EQ(to_hex(ct, 16), want_block);
+        };
 
-        uint8_t block_fast[16], block_ref[16];
-        Bytes pt(data.begin(),
-                 data.begin() + std::min<size_t>(16, data.size()));
-        pt.resize(16, 0);
-        Aes128(key).encrypt_block(pt.data(), block_fast);
         set_reference_mode(true);
-        Aes128(key).encrypt_block(pt.data(), block_ref);
-        set_reference_mode(false);
-        EXPECT_EQ(to_hex(block_fast, 16), to_hex(block_ref, 16));
+        Aes128 ref(key);
+        const Bytes want = ref.ctr_crypt(iv, counter0, data);
+        uint8_t ref_block[16];
+        ref.encrypt_block(block.data(), ref_block);
+        const std::string want_block = to_hex(ref_block, 16);
+        check(true, want, want_block);
+        if (Aes128::has_aes_ni()) {
+            check(false, want, want_block);
+        }
+    }
+    if (!Aes128::has_aes_ni()) {
+        GTEST_SKIP() << "CPU lacks AES-NI: hardware half not run";
     }
 }
 
@@ -428,7 +502,7 @@ TEST(Sha256Kat, ShaNiMatchesReferenceOnRandomSplits)
     // hardware kernel with it, including midstates captured in one
     // mode and resumed in the other, and is skipped on CPUs without
     // the SHA extensions.
-    const bool saved = reference_mode();
+    ScopedCryptoMode restore;
     std::mt19937_64 rng(20261016);
     for (int trial = 0; trial < 200; ++trial) {
         SCOPED_TRACE("trial " + std::to_string(trial));
@@ -476,7 +550,6 @@ TEST(Sha256Kat, ShaNiMatchesReferenceOnRandomSplits)
             EXPECT_EQ(cross_digest(false), want);
         }
     }
-    set_reference_mode(saved);
     if (!Sha256::has_sha_ni()) {
         GTEST_SKIP() << "CPU lacks SHA-NI: hardware half not run";
     }
