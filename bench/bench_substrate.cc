@@ -76,34 +76,78 @@ BM_AesCtrReference(benchmark::State &state)
 }
 BENCHMARK(BM_AesCtrReference)->Arg(1024)->Arg(4096);
 
+/** Which loop vm_interpreter_bench runs. */
+enum class VmLoop {
+    kRegisters,   // register-only ALU loop
+    kRwxData,     // plus one store per iteration into an RWX page
+    kStackLocals, // MMDSFI-shaped: every local lives in the frame
+};
+
 /**
  * Interpreter throughput at one tier, so each tier's wall-clock win
  * is visible in one report; simulated cycles are identical in every
- * tier (asserted by the ablation bench). With `rwx_data` the data
- * page is mapped RWX, as the EIP baseline maps its data region, and
- * the loop stores into it once per iteration.
+ * tier (asserted by the ablation bench). kRwxData maps the data page
+ * RWX, as the EIP baseline maps its data region, and the loop stores
+ * into it once per iteration. kStackLocals runs the sip-storm job's
+ * loop (`h = (h * 31 + i) & 0xffff` while `i < n`) with h, i and n in
+ * stack-frame slots, each load and store behind a mem_guard on a
+ * frame-relative operand, the way instrumented code touches locals:
+ * its rows price the trace tier's memory uops.
  */
 void
 vm_interpreter_bench(benchmark::State &state, vm::Tier tier,
-                     bool rwx_data = false)
+                     VmLoop loop = VmLoop::kRegisters)
 {
+    constexpr uint64_t kPage = 0x10000;
     vm::AddressSpace space;
     OCC_CHECK(space.map(0x1000, 0x1000, vm::kPermRX).ok());
-    OCC_CHECK(space.map(0x10000, 0x1000,
-                        rwx_data ? vm::kPermRWX : vm::kPermRW)
+    OCC_CHECK(space.map(kPage, 0x1000,
+                        loop == VmLoop::kRwxData ? vm::kPermRWX
+                                                 : vm::kPermRW)
                   .ok());
     isa::Assembler a(0x1000);
-    a.mov_ri(1, 0);
-    a.mov_ri(2, 1000);
-    a.bind("loop");
-    if (rwx_data) {
-        a.store(isa::mem_abs(0x10000), 1);
+    if (loop == VmLoop::kStackLocals) {
+        constexpr uint8_t kFp = 5;
+        auto slot = [](int32_t k) { return isa::mem_bd(kFp, 8 * k); };
+        auto guarded_store = [&](int32_t k, uint8_t r) {
+            a.mem_guard(slot(k));
+            a.store(slot(k), r);
+        };
+        auto guarded_load = [&](uint8_t r, int32_t k) {
+            a.mem_guard(slot(k));
+            a.load(r, slot(k));
+        };
+        a.mov_ri(kFp, static_cast<int64_t>(kPage + 0x800));
+        a.mov_ri(1, 0);
+        guarded_store(0, 1); // h
+        guarded_store(1, 1); // i
+        a.mov_ri(1, 1000);
+        guarded_store(2, 1); // n
+        a.bind("loop");
+        guarded_load(1, 0);
+        a.mul_ri(1, 31);
+        guarded_load(2, 1);
+        a.add_rr(1, 2);
+        a.and_ri(1, 0xffff);
+        guarded_store(0, 1);
+        a.add_ri(2, 1);
+        guarded_store(1, 2);
+        guarded_load(3, 2);
+        a.cmp_rr(2, 3);
+        a.jcc(isa::Cond::kLt, "loop");
+    } else {
+        a.mov_ri(1, 0);
+        a.mov_ri(2, 1000);
+        a.bind("loop");
+        if (loop == VmLoop::kRwxData) {
+            a.store(isa::mem_abs(kPage), 1);
+        }
+        a.add_ri(1, 3);
+        a.xor_rr(3, 1);
+        a.sub_ri(2, 1);
+        a.cmp_ri(2, 0);
+        a.jcc(isa::Cond::kNe, "loop");
     }
-    a.add_ri(1, 3);
-    a.xor_rr(3, 1);
-    a.sub_ri(2, 1);
-    a.cmp_ri(2, 0);
-    a.jcc(isa::Cond::kNe, "loop");
     a.ltrap();
     Bytes code = a.finish();
     OCC_CHECK(space.write_raw(0x1000, code.data(), code.size()) ==
@@ -114,7 +158,8 @@ vm_interpreter_bench(benchmark::State &state, vm::Tier tier,
         vm::Cpu cpu(space);
         cpu.set_tier(tier);
         cpu.set_rip(0x1000);
-        cpu.set_sp(0x11000 - 16);
+        cpu.set_sp(kPage + 0x1000 - 16);
+        cpu.set_bnd(0, {kPage, kPage + 0xfff}); // the guards' domain
         benchmark::DoNotOptimize(cpu.run(100000));
         hits = cpu.block_cache_hits();
         misses = cpu.block_cache_misses();
@@ -127,7 +172,7 @@ vm_interpreter_bench(benchmark::State &state, vm::Tier tier,
     }
     state.counters["bb_hits"] = static_cast<double>(hits);
     state.counters["bb_misses"] = static_cast<double>(misses);
-    if (rwx_data) {
+    if (loop == VmLoop::kRwxData) {
         // Stores into an RWX page that never supplied decoded bytes
         // must leave every block valid: this reads 0.
         state.counters["bb_invalidations"] =
@@ -165,9 +210,17 @@ BENCHMARK(BM_VmInterpreterSuperblock);
 void
 BM_VmInterpreterRwxData(benchmark::State &state)
 {
-    vm_interpreter_bench(state, vm::Tier::kTraces, true);
+    vm_interpreter_bench(state, vm::Tier::kTraces, VmLoop::kRwxData);
 }
 BENCHMARK(BM_VmInterpreterRwxData);
+
+/** The trace tier over bound-checked stack-frame locals. */
+void
+BM_VmInterpreterStackLocals(benchmark::State &state)
+{
+    vm_interpreter_bench(state, vm::Tier::kTraces, VmLoop::kStackLocals);
+}
+BENCHMARK(BM_VmInterpreterStackLocals);
 
 void
 BM_CompileMiniC(benchmark::State &state)

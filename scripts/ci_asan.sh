@@ -21,13 +21,13 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-# Extra leg: the vm tests with the superblock tier forced on, so the
-# trace translator, peephole fusions, and computed-goto replay loop
-# run under ASan/UBSan even for tests that would otherwise exercise
-# only the lower tiers (uop field-reuse bugs — pack slots, fused
-# check charges, trace linking — are exactly the out-of-bounds /
-# aliasing class sanitizers catch).
-OCCLUM_VM_SUPERBLOCK=1 "$BUILD_DIR/tests/vm_test"
+# Extra leg: the vm and property tests with the default tier pinned
+# to tier 1. The default run above already replays traces (the trace
+# translator, peephole fusions, computed-goto loop and host-pointer
+# TLB); this leg puts the block interpreter under ASan/UBSan on its
+# own, the tier that also finishes every trace's budget tail.
+OCCLUM_VM_SUPERBLOCK=0 "$BUILD_DIR/tests/vm_test"
+OCCLUM_VM_SUPERBLOCK=0 "$BUILD_DIR/tests/property_test"
 
 # Extra leg: the scalar reference crypto under the sanitizers. On a
 # host whose CPU has AES-NI and SHA-NI the default run encrypts and

@@ -14,6 +14,10 @@ wraps(uint64_t addr, uint64_t len)
     return len > ~addr;
 }
 
+/** What a read entry of a lazy page points at: its logical bytes.
+ *  Read-only memory, and no write entry ever names it. */
+alignas(64) const uint8_t kZeroPage[kPageSize] = {};
+
 } // namespace
 
 Status
@@ -84,6 +88,7 @@ AddressSpace::protect(uint64_t addr, uint64_t len, uint8_t perms)
         // was fetchable may no longer be, and vice versa.
         touched_exec = touched_exec || ((page.perms | perms) & kPermX);
         page.perms = perms;
+        drop_entries(a / kPageSize); // refilled under the new perms
     }
     if (touched_exec) {
         touch_code();
@@ -116,6 +121,33 @@ void
 AddressSpace::flush_tlb() const
 {
     tlb_.fill(TlbEntry{});
+    read_tlb_.fill(HostEntry{});
+    write_tlb_.fill(HostEntry{});
+}
+
+void
+AddressSpace::fill_entries(uint64_t page_no, const Page &page) const
+{
+    const size_t s = page_no % kTlbEntries;
+    if (page.perms & kPermR) {
+        read_tlb_[s] = {page_no, page.data ? page.data.get()
+                                           : const_cast<uint8_t *>(kZeroPage)};
+    }
+    if ((page.perms & kPermW) && page.data && !page.code) {
+        write_tlb_[s] = {page_no, page.data.get()};
+    }
+}
+
+void
+AddressSpace::drop_entries(uint64_t page_no) const
+{
+    const size_t s = page_no % kTlbEntries;
+    if (read_tlb_[s].page_no == page_no) {
+        read_tlb_[s] = HostEntry{};
+    }
+    if (write_tlb_[s].page_no == page_no) {
+        write_tlb_[s] = HostEntry{};
+    }
 }
 
 AddressSpace::Page *
@@ -144,10 +176,11 @@ AddressSpace::find_page(uint64_t addr)
 }
 
 void
-AddressSpace::materialize(Page &page)
+AddressSpace::materialize(uint64_t page_no, Page &page)
 {
     page.data = std::make_unique<uint8_t[]>(kPageSize);
     std::memset(page.data.get(), 0, kPageSize);
+    drop_entries(page_no); // its read entry still names kZeroPage
 }
 
 template <bool Write>
@@ -157,7 +190,8 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
     // Fast path: the access stays inside one page (nearly every data
     // access the interpreter issues).
     if ((addr & kPageMask) + len <= kPageSize) {
-        Page *page = lookup_page(addr / kPageSize);
+        const uint64_t page_no = addr / kPageSize;
+        Page *page = lookup_page(page_no);
         if (!page) {
             return AccessFault::kUnmapped;
         }
@@ -168,15 +202,18 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
         }
         if constexpr (Write) {
             if (!page->data) {
-                materialize(*page);
+                materialize(page_no, *page);
             }
             std::memcpy(page->data.get() + (addr & kPageMask), buf, len);
             if (page->code) {
                 touch_code();
             }
         } else {
-            if (require & kPermX) {
-                page->code = true; // fetch: the bytes may get decoded
+            if ((require & kPermX) && !page->code) {
+                // fetch: the bytes may get decoded, so stores to the
+                // page must take the bumping write() from now on
+                page->code = true;
+                drop_entries(page_no);
             }
             if (!page->data) {
                 std::memset(buf, 0, len); // lazy page: logically zeros
@@ -185,6 +222,7 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
                             len);
             }
         }
+        fill_entries(page_no, *page);
         return AccessFault::kNone;
     }
 
@@ -215,13 +253,14 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
         uint64_t n = std::min(in_page, len - done);
         if constexpr (Write) {
             if (!page->data) {
-                materialize(*page);
+                materialize(a / kPageSize, *page);
             }
             std::memcpy(page->data.get() + (a & kPageMask), out + done, n);
             wrote_code = wrote_code || page->code;
         } else {
-            if (require & kPermX) {
+            if ((require & kPermX) && !page->code) {
                 page->code = true; // an instruction may straddle here
+                drop_entries(a / kPageSize);
             }
             if (!page->data) {
                 std::memset(out + done, 0, n);

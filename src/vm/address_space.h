@@ -79,62 +79,59 @@ class AddressSpace
 
     /**
      * Width-templated single-access fast paths used by the superblock
-     * tier's micro-op loop: TLB probe, permission check, and the copy
-     * inline at the call site with a compile-time width, so the
-     * common in-page access never leaves the caller's frame. An
-     * access that straddles a page boundary falls back to the generic
-     * path. Coherence is identical to read()/write() — in particular
-     * a write into a page that has supplied decoded bytes advances
-     * the code-generation counter, which is what lets folded guards
-     * stay sound: the trace re-checks the generation after every
-     * store.
+     * tier's micro-op loop: a softmmu-style host-pointer TLB. An entry
+     * exists only where the access needs no further check, so a hit is
+     * one tag compare plus the host copy, inline at the call site. The
+     * tag is compared against the page of the access's *last* byte
+     * while the slot is picked by its first, so an access that
+     * straddles a page boundary can never hit. A miss takes the
+     * generic read()/write(), which faults or fills the entry.
+     *
+     * A write entry never exists for a page that has supplied decoded
+     * bytes, so a write_hit() can never advance the code generation;
+     * only a store that misses can, which is why the trace re-checks
+     * the generation after a missed store only.
      */
     template <uint64_t N>
     AccessFault
     read_fast(uint64_t addr, void *out) const
     {
-        static_assert(N <= kPageSize);
-        if ((addr & kPageMask) + N <= kPageSize) {
-            Page *page = lookup_page(addr / kPageSize);
-            if (page == nullptr) {
-                return AccessFault::kUnmapped;
-            }
-            if (!(page->perms & kPermR)) {
-                return AccessFault::kNoRead;
-            }
-            if (page->data == nullptr) {
-                std::memset(out, 0, N); // lazy page: logically zeros
-            } else {
-                std::memcpy(out, page->data.get() + (addr & kPageMask), N);
-            }
+        static_assert(N >= 1 && N <= kPageSize);
+        const HostEntry &entry = read_tlb_[slot(addr)];
+        if (entry.page_no == (addr + N - 1) / kPageSize) [[likely]] {
+            std::memcpy(out, entry.host + (addr & kPageMask), N);
             return AccessFault::kNone;
         }
-        return read(addr, out, N);
+        // The miss reads into its own buffer: handing `out` to the
+        // out-of-line read() would pin the caller's value to memory
+        // on the hit path too.
+        uint8_t bytes[N] = {};
+        AccessFault fault = read(addr, bytes, N);
+        std::memcpy(out, bytes, N);
+        return fault;
+    }
+
+    /** Store on a write-entry hit only; false means nothing was
+     *  written and the caller must take write(). */
+    template <uint64_t N>
+    bool
+    write_hit(uint64_t addr, const void *in)
+    {
+        static_assert(N >= 1 && N <= kPageSize);
+        const HostEntry &entry = write_tlb_[slot(addr)];
+        if (entry.page_no == (addr + N - 1) / kPageSize) [[likely]] {
+            std::memcpy(entry.host + (addr & kPageMask), in, N);
+            return true;
+        }
+        return false;
     }
 
     template <uint64_t N>
     AccessFault
     write_fast(uint64_t addr, const void *in)
     {
-        static_assert(N <= kPageSize);
-        if ((addr & kPageMask) + N <= kPageSize) {
-            Page *page = lookup_page(addr / kPageSize);
-            if (page == nullptr) {
-                return AccessFault::kUnmapped;
-            }
-            if (!(page->perms & kPermW)) {
-                return AccessFault::kNoWrite;
-            }
-            if (page->data == nullptr) {
-                materialize(*page);
-            }
-            std::memcpy(page->data.get() + (addr & kPageMask), in, N);
-            if (page->code) {
-                touch_code();
-            }
-            return AccessFault::kNone;
-        }
-        return write(addr, in, N);
+        return write_hit<N>(addr, in) ? AccessFault::kNone
+                                      : write(addr, in, N);
     }
 
     // ---- trusted accessors used by the LibOS / loaders ---------------
@@ -181,10 +178,10 @@ class AddressSpace
     };
 
     /**
-     * Direct-mapped software TLB over the page table. Entries cache
-     * Page pointers, which unordered_map keeps stable across inserts;
-     * only unmap() (node erase) has to flush. Permissions are read
-     * through the pointer, so protect() needs no flush either.
+     * Direct-mapped cache of Page pointers for the generic paths.
+     * unordered_map keeps nodes stable across inserts, so only
+     * unmap() (node erase) has to flush it; permissions are read
+     * through the pointer.
      */
     static constexpr size_t kTlbEntries = 256;
     struct TlbEntry {
@@ -192,11 +189,38 @@ class AddressSpace
         Page *page = nullptr;
     };
 
-    /** First write to a lazy zero page: allocate + clear its backing. */
-    static void materialize(Page &page);
+    /**
+     * One host-pointer TLB entry: `host` is the base of the page's
+     * bytes. ~0 is no page number (the top page cannot be mapped), so
+     * a default entry never hits. Invariants, kept by fill_entries()
+     * and the drops in materialize(), access() (fetch), protect() and
+     * unmap():
+     *   read entry  — page has R; host is its data, or kZeroPage while
+     *                 the page is lazy;
+     *   write entry — page has W, is materialized, and has no `code`.
+     */
+    struct HostEntry {
+        uint64_t page_no = ~0ull;
+        uint8_t *host = nullptr;
+    };
 
-    /** TLB probe, inline so the fast read/write paths never leave the
-     *  call site on a hit; the page-table walk stays out of line. */
+    static size_t
+    slot(uint64_t addr)
+    {
+        return (addr / kPageSize) % kTlbEntries;
+    }
+
+    /** First write to a lazy zero page: allocate + clear its backing
+     *  (and drop its read entry, which points at kZeroPage). */
+    void materialize(uint64_t page_no, Page &page);
+    /** After an in-page access: install whatever entries `page` now
+     *  qualifies for. */
+    void fill_entries(uint64_t page_no, const Page &page) const;
+    /** Drop both host entries of one page. */
+    void drop_entries(uint64_t page_no) const;
+
+    /** Page-pointer probe for the generic paths; the page-table walk
+     *  stays out of line. */
     Page *
     lookup_page(uint64_t page_no) const
     {
@@ -209,6 +233,7 @@ class AddressSpace
     Page *lookup_page_slow(uint64_t page_no) const;
     const Page *find_page(uint64_t addr) const;
     Page *find_page(uint64_t addr);
+    /** Empty the Page-pointer cache and both host-pointer TLBs. */
     void flush_tlb() const;
 
     /** Generic copy loop; `require` selects the permission bit. */
@@ -218,6 +243,8 @@ class AddressSpace
 
     std::unordered_map<uint64_t, Page> pages_;
     mutable std::array<TlbEntry, kTlbEntries> tlb_{};
+    mutable std::array<HostEntry, kTlbEntries> read_tlb_{};
+    mutable std::array<HostEntry, kTlbEntries> write_tlb_{};
     uint64_t code_generation_ = 0;
 };
 

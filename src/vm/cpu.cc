@@ -1,7 +1,5 @@
 #include "vm/cpu.h"
 
-#include <algorithm>
-
 #include "base/env.h"
 #include "base/log.h"
 #include "trace/metrics.h"
@@ -54,6 +52,48 @@ ends_block(Opcode op)
 } // namespace
 
 void
+Cpu::BlockTable::clear()
+{
+    slots_.clear();
+    slots_.resize(kMinSlots);
+    size_ = 0;
+}
+
+void
+Cpu::BlockTable::place(uint64_t rip, std::unique_ptr<Block> block)
+{
+    const size_t mask = slots_.size() - 1;
+    size_t s = home(rip) & mask;
+    while (slots_[s].block != nullptr) {
+        s = (s + 1) & mask;
+    }
+    slots_[s].rip = rip;
+    slots_[s].block = std::move(block);
+}
+
+Cpu::Block *
+Cpu::BlockTable::insert(uint64_t rip)
+{
+    if (2 * (size_ + 1) > slots_.size()) {
+        // Grow before the load factor passes 1/2; the blocks move by
+        // pointer, so Block* held elsewhere stays valid.
+        std::vector<Slot> old = std::move(slots_);
+        slots_.clear();
+        slots_.resize(2 * old.size());
+        for (Slot &slot : old) {
+            if (slot.block != nullptr) {
+                place(slot.rip, std::move(slot.block));
+            }
+        }
+    }
+    auto block = std::make_unique<Block>();
+    Block *raw = block.get();
+    place(rip, std::move(block));
+    ++size_;
+    return raw;
+}
+
+void
 Cpu::set_default_tier(Tier tier)
 {
     g_default_tier = tier;
@@ -76,10 +116,11 @@ Cpu::set_tier(Tier tier)
 size_t
 Cpu::superblock_count() const
 {
-    return std::count_if(block_cache_.begin(), block_cache_.end(),
-                         [](const auto &entry) {
-                             return entry.second.sb != nullptr;
-                         });
+    size_t count = 0;
+    block_cache_.for_each([&count](const Block &block) {
+        count += block.sb != nullptr;
+    });
+    return count;
 }
 
 void
@@ -211,14 +252,14 @@ Cpu::Block *
 Cpu::lookup_block(uint64_t rip, CpuExit *exit)
 {
     uint64_t gen = mem_->code_generation();
-    auto cached = block_cache_.find(rip);
-    if (cached != block_cache_.end()) {
-        if (cached->second.generation == gen) {
+    Block *cached = block_cache_.find(rip);
+    if (cached != nullptr) {
+        if (cached->generation == gen) {
             ++bb_hits_;
-            return &cached->second;
+            return cached;
         }
-        ++bb_invalidations_; // stale block: discarded lazily, rebuilt
-        if (cached->second.sb != nullptr) {
+        ++bb_invalidations_; // stale block: rebuilt in place below
+        if (cached->sb != nullptr) {
             // The trace dies with its block (SMC or an X-perm change
             // demotes this entry back to tier 1; it re-promotes once
             // the rebuilt block gets hot again).
@@ -259,8 +300,9 @@ Cpu::lookup_block(uint64_t rip, CpuExit *exit)
         }
         pc = instr.end();
     }
-    return &block_cache_.insert_or_assign(rip, std::move(block))
-                .first->second;
+    Block *slot = cached != nullptr ? cached : block_cache_.insert(rip);
+    *slot = std::move(block);
+    return slot;
 }
 
 CpuExit
@@ -290,11 +332,11 @@ Cpu::run_blocks(uint64_t max_instructions)
                 block->sb = promote_superblock(block->instrs[0].address);
             }
             const Superblock *sb = block->sb.get();
-            // (The budget guard keeps a trace whose first uop needs
-            // more budget than remains from re-entering forever;
-            // tier 1 finishes such slivers exactly.)
+            // (The budget guard keeps a trace whose first segment
+            // needs more budget than remains from re-entering
+            // forever; tier 1 finishes such tails exactly.)
             if (sb != nullptr &&
-                max_instructions - executed >= sb->first_n_instrs) {
+                max_instructions - executed >= sb->uops[0].seg_instrs) {
                 ++sb_exec_hits_;
                 if (exec_superblock(*sb, max_instructions, &executed,
                                     &exit) == SbResult::kExit) {

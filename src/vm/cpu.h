@@ -42,7 +42,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "isa/isa.h"
@@ -192,6 +191,67 @@ class Cpu
         std::unique_ptr<Superblock> sb;
     };
 
+    /**
+     * The block cache: entry rip -> Block, open addressing with linear
+     * probing over a power-of-two slot array kept at most half full.
+     * Blocks live out of line, so a Block* stays valid while the table
+     * grows (run_blocks holds one across lookups). A stale block is
+     * rebuilt in place and the whole table is only ever cleared at
+     * once, so nothing is erased and probe runs never break.
+     */
+    class BlockTable
+    {
+      public:
+        BlockTable() { clear(); }
+
+        Block *
+        find(uint64_t rip) const
+        {
+            const size_t mask = slots_.size() - 1;
+            for (size_t s = home(rip) & mask;; s = (s + 1) & mask) {
+                const Slot &slot = slots_[s];
+                if (slot.block == nullptr) {
+                    return nullptr;
+                }
+                if (slot.rip == rip) {
+                    return slot.block.get();
+                }
+            }
+        }
+        /** Add an empty block for `rip`, which find() just missed. */
+        Block *insert(uint64_t rip);
+        size_t size() const { return size_; }
+        void clear();
+
+        template <typename F>
+        void
+        for_each(F &&visit) const
+        {
+            for (const Slot &slot : slots_) {
+                if (slot.block != nullptr) {
+                    visit(*slot.block);
+                }
+            }
+        }
+
+      private:
+        struct Slot {
+            uint64_t rip = 0;
+            std::unique_ptr<Block> block; // null: empty slot
+        };
+        static constexpr size_t kMinSlots = 16;
+        static size_t
+        home(uint64_t rip)
+        {
+            return static_cast<size_t>(rip * 0x9e3779b97f4a7c15ull >> 32);
+        }
+        /** Put `block` into the first free slot of its probe run. */
+        void place(uint64_t rip, std::unique_ptr<Block> block);
+
+        std::vector<Slot> slots_;
+        size_t size_ = 0;
+    };
+
     /** What the shared execute step did with control flow. */
     enum class Step {
         kNext,     // fell through; rip not yet advanced by execute
@@ -274,7 +334,7 @@ class Cpu
     uint64_t cycles_ = 0;
     uint64_t instructions_ = 0;
     Tier tier_;
-    std::unordered_map<uint64_t, Block> block_cache_;
+    BlockTable block_cache_;
     uint64_t bb_hits_ = 0;
     uint64_t bb_misses_ = 0;
     uint64_t bb_invalidations_ = 0;

@@ -488,8 +488,20 @@ translate_superblock(const SbDecodeFn &decode, uint64_t entry_rip,
     peephole::fuse_load_alu(uops, is_target);
     peephole::compact(uops);
 
+    // Budget segments: each uop learns the instruction count from it
+    // through the next intra-trace branch. The replay loop checks the
+    // budget only where a segment can begin (entry, after a branch,
+    // at a link), so everything else dispatches unchecked.
+    uint32_t seg = 0;
+    for (size_t k = uops.size(); k-- > 0;) {
+        if (is_intra_trace_branch(uops[k].kind)) {
+            seg = 0;
+        }
+        seg += uops[k].n_instrs;
+        uops[k].seg_instrs = static_cast<uint16_t>(seg);
+    }
+
     out->uops = std::move(uops);
-    out->first_n_instrs = std::max<uint32_t>(1, out->uops[0].n_instrs);
     out->guards_folded = folded;
     return true;
 }
@@ -520,10 +532,10 @@ Cpu::promote_superblock(uint64_t entry_rip)
                 }
             }
         }
-        auto it = block_cache_.find(rip);
-        if (it != block_cache_.end() && it->second.generation == gen &&
-            !it->second.instrs.empty()) {
-            src = &it->second;
+        const Block *cached = block_cache_.find(rip);
+        if (cached != nullptr && cached->generation == gen &&
+            !cached->instrs.empty()) {
+            src = cached;
             cursor = 1;
             *instr = src->instrs[0];
             return true;
@@ -579,15 +591,27 @@ Cpu::promote_superblock(uint64_t entry_rip)
 #error "superblock replay needs GCC/Clang labels-as-values"
 #endif
 #define SB_OP(name) lbl_##name
-#define SB_DISPATCH()                                                   \
+/*
+ * Budget per segment: SB_NEXT dispatches unchecked, SB_SEGMENT checks
+ * the remaining budget against the uop's whole segment first. Only a
+ * segment head dispatches through SB_SEGMENT — trace entry, both
+ * successors of an intra-trace branch, and a link into another trace
+ * — and a segment runs no further than its closing branch, so no
+ * uop in between can overshoot.
+ */
+#define SB_NEXT()                                                       \
     do {                                                                \
         op = uops + i;                                                  \
-        if (budget - done < op->n_instrs) {                             \
+        goto *op->handler;                                              \
+    } while (0)
+#define SB_SEGMENT()                                                    \
+    do {                                                                \
+        op = uops + i;                                                  \
+        if (left < op->seg_instrs) {                                    \
             goto budget_stop;                                           \
         }                                                               \
         goto *op->handler;                                              \
     } while (0)
-#define SB_NEXT() SB_DISPATCH()
 
 /*
  * kAluPack inner dispatch. Each pack slot goes through its own label
@@ -663,26 +687,31 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
 
     // Counters live in locals for the duration of the trace and are
     // flushed on every exit path; the deltas are exactly what the
-    // per-instruction tiers would have produced.
+    // per-instruction tiers would have produced. `left` counts the
+    // budget down, so a segment head compares one register.
     uint64_t cycles = cycles_;
-    uint64_t done = 0;
     const uint64_t budget = max_instructions - *executed_io;
+    uint64_t left = budget;
     // Deferred compare: fused compare-branches park their operands in
     // locals instead of writing state_.flags inside the hot loop; any
-    // trace exit (every path goes through flush) or unfused flag
+    // trace exit (every path goes through SB_FLUSH) or unfused flag
     // reader materializes the architectural flags first, so exits are
     // bit-identical to the per-instruction tiers.
     uint64_t flag_a = 0, flag_b = 0;
     bool flags_deferred = false;
 
-    auto flush = [&]() {
-        if (flags_deferred) {
-            set_cmp_flags(flag_a, flag_b);
-        }
-        cycles_ = cycles;
-        instructions_ += done;
-        *executed_io += done;
-    };
+    // A macro, not a by-reference lambda: capturing the counters by
+    // reference keeps them in stack slots, so every uop's `cycles +=`
+    // became a load-add-store chain through memory.
+#define SB_FLUSH()                                                      \
+    do {                                                                \
+        if (flags_deferred) {                                           \
+            set_cmp_flags(flag_a, flag_b);                              \
+        }                                                               \
+        cycles_ = cycles;                                               \
+        instructions_ += budget - left;                                 \
+        *executed_io += budget - left;                                  \
+    } while (0)
     auto do_fault = [&](FaultKind kind, uint64_t addr, uint64_t rip) {
         state_.rip = rip;
         exit->kind = ExitKind::kFault;
@@ -757,71 +786,71 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         g_sb_label_table = kLabels; // probe from promote_superblock
         return SbResult::kLeft;
     }
-    SB_DISPATCH();
+    SB_SEGMENT();
 
     SB_OP(Charge):
         cycles += op->cost;
-        done += op->n_instrs;
+        left -= op->n_instrs;
         ++i;
         SB_NEXT();
 
     SB_OP(MovRI):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] = static_cast<uint64_t>(op->imm);
         ++i;
         SB_NEXT();
     SB_OP(MovRR):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] = regs[op->reg2];
         ++i;
         SB_NEXT();
 
     SB_OP(AddRI):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] += static_cast<uint64_t>(op->imm);
         ++i;
         SB_NEXT();
     SB_OP(AddRR):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] += regs[op->reg2];
         ++i;
         SB_NEXT();
     SB_OP(SubRI):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] -= static_cast<uint64_t>(op->imm);
         ++i;
         SB_NEXT();
     SB_OP(SubRR):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] -= regs[op->reg2];
         ++i;
         SB_NEXT();
     SB_OP(MulRI):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] *= static_cast<uint64_t>(op->imm);
         ++i;
         SB_NEXT();
     SB_OP(MulRR):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] *= regs[op->reg2];
         ++i;
         SB_NEXT();
     SB_OP(DivRR):
     SB_OP(ModRR): {
         cycles += op->cost;
-        ++done;
+        --left;
         int64_t divisor = static_cast<int64_t>(regs[op->reg2]);
         if (divisor == 0) {
             do_fault(FaultKind::kDivide, op->address, op->address);
-            flush();
+            SB_FLUSH();
             return SbResult::kExit;
         }
         int64_t dividend = static_cast<int64_t>(regs[op->reg1]);
@@ -838,74 +867,74 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     }
     SB_OP(AndRI):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] &= static_cast<uint64_t>(op->imm);
         ++i;
         SB_NEXT();
     SB_OP(AndRR):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] &= regs[op->reg2];
         ++i;
         SB_NEXT();
     SB_OP(OrRI):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] |= static_cast<uint64_t>(op->imm);
         ++i;
         SB_NEXT();
     SB_OP(OrRR):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] |= regs[op->reg2];
         ++i;
         SB_NEXT();
     SB_OP(XorRI):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] ^= static_cast<uint64_t>(op->imm);
         ++i;
         SB_NEXT();
     SB_OP(XorRR):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] ^= regs[op->reg2];
         ++i;
         SB_NEXT();
     SB_OP(ShlRI):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] <<= (op->imm & 63);
         ++i;
         SB_NEXT();
     SB_OP(ShrRI):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] >>= (op->imm & 63);
         ++i;
         SB_NEXT();
     SB_OP(SarRI):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] = static_cast<uint64_t>(
             static_cast<int64_t>(regs[op->reg1]) >> (op->imm & 63));
         ++i;
         SB_NEXT();
     SB_OP(ShlRR):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] <<= (regs[op->reg2] & 63);
         ++i;
         SB_NEXT();
     SB_OP(ShrRR):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] >>= (regs[op->reg2] & 63);
         ++i;
         SB_NEXT();
     SB_OP(SarRR):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] = static_cast<uint64_t>(
             static_cast<int64_t>(regs[op->reg1]) >>
             (regs[op->reg2] & 63));
@@ -913,34 +942,34 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         SB_NEXT();
     SB_OP(Neg):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] = 0 - regs[op->reg1];
         ++i;
         SB_NEXT();
     SB_OP(Not):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] = ~regs[op->reg1];
         ++i;
         SB_NEXT();
 
     SB_OP(CmpRI):
         cycles += op->cost;
-        ++done;
+        --left;
         set_cmp_flags(regs[op->reg1], static_cast<uint64_t>(op->imm));
         flags_deferred = false;
         ++i;
         SB_NEXT();
     SB_OP(CmpRR):
         cycles += op->cost;
-        ++done;
+        --left;
         set_cmp_flags(regs[op->reg1], regs[op->reg2]);
         flags_deferred = false;
         ++i;
         SB_NEXT();
     SB_OP(TestRR): {
         cycles += op->cost;
-        ++done;
+        --left;
         flags_deferred = false;
         uint64_t r = regs[op->reg1] & regs[op->reg2];
         state_.flags.zf = (r == 0);
@@ -953,16 +982,34 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
 
     SB_OP(Lea):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] = ea(*op);
         ++i;
         SB_NEXT();
     SB_OP(Rdcycle):
         cycles += op->cost;
-        ++done;
+        --left;
         regs[op->reg1] = cycles; // after charging, like execute()
         ++i;
         SB_NEXT();
+
+    /*
+     * Trace stores try the host-pointer write entry first. A hit
+     * cannot touch a page that has supplied decoded bytes (no write
+     * entry exists for one), so only the miss path — the generic
+     * write(), which faults, fills the entry, or advances the code
+     * generation — re-checks the generation and leaves on a change.
+     */
+#define SB_WRITE_MISS(ADDR, VALUE, SZ, FAULT_RIP)                       \
+    do {                                                                \
+        uint64_t spill = VALUE; /* keeps VALUE itself in a register */  \
+        AccessFault f = mem.write(ADDR, &spill, SZ);                    \
+        if (f != AccessFault::kNone) {                                  \
+            do_fault(sb_fault_kind(f), ADDR, FAULT_RIP);                \
+            SB_FLUSH();                                                 \
+            return SbResult::kExit;                                     \
+        }                                                               \
+    } while (0)
 
     /*
      * Memory bodies, one clone per access width, reached only through
@@ -975,13 +1022,13 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
 #define SB_LOAD_W(SZ)                                                   \
     lbl_Load##SZ: {                                                     \
         cycles += op->cost;                                             \
-        ++done;                                                         \
+        --left;                                                         \
         uint64_t addr = ea(*op);                                        \
         uint64_t value = 0;                                             \
         AccessFault f = mem.read_fast<SZ>(addr, &value);                \
         if (f != AccessFault::kNone) {                                  \
             do_fault(sb_fault_kind(f), addr, op->address);              \
-            flush();                                                    \
+            SB_FLUSH();                                                 \
             return SbResult::kExit;                                     \
         }                                                               \
         regs[op->reg1] = value;                                         \
@@ -996,19 +1043,14 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
 #define SB_STORE_W(SZ)                                                  \
     lbl_Store##SZ: {                                                    \
         cycles += op->cost;                                             \
-        ++done;                                                         \
+        --left;                                                         \
         uint64_t addr = ea(*op);                                        \
         uint64_t value = regs[op->reg1];                                \
-        AccessFault f = mem.write_fast<SZ>(addr, &value);               \
-        if (f != AccessFault::kNone) {                                  \
-            do_fault(sb_fault_kind(f), addr, op->address);              \
-            flush();                                                    \
-            return SbResult::kExit;                                     \
-        }                                                               \
-        if (mem.code_generation() != gen) {                             \
-            state_.rip = op->next_rip;                                  \
-            flush();                                                    \
-            return SbResult::kLeft;                                     \
+        if (!mem.write_hit<SZ>(addr, &value)) {                         \
+            SB_WRITE_MISS(addr, value, SZ, op->address);                \
+            if (mem.code_generation() != gen) {                         \
+                goto store_left;                                        \
+            }                                                           \
         }                                                               \
         ++i;                                                            \
         SB_NEXT();                                                      \
@@ -1029,25 +1071,25 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         const BoundReg &bc = state_.bnds[op->bnd];                      \
         if ((op->mask & 1) && addr < bc.lo) {                           \
             cycles += op->cost_head;                                    \
-            ++done;                                                     \
+            --left;                                                     \
             do_fault(FaultKind::kBoundRange, addr, op->address);        \
-            flush();                                                    \
+            SB_FLUSH();                                                 \
             return SbResult::kExit;                                     \
         }                                                               \
         if ((op->mask & 2) && addr > bc.hi) {                           \
             cycles += static_cast<uint32_t>(op->target);                \
-            done += static_cast<uint8_t>(op->n_instrs - 1);             \
+            left -= static_cast<uint8_t>(op->n_instrs - 1);             \
             do_fault(FaultKind::kBoundRange, addr, op->address2);       \
-            flush();                                                    \
+            SB_FLUSH();                                                 \
             return SbResult::kExit;                                     \
         }                                                               \
         cycles += op->cost;                                             \
-        done += op->n_instrs;                                           \
+        left -= op->n_instrs;                                           \
         uint64_t value = 0;                                             \
         AccessFault f = mem.read_fast<SZ>(addr, &value);                \
         if (f != AccessFault::kNone) {                                  \
             do_fault(sb_fault_kind(f), addr, op->exit_rip);             \
-            flush();                                                    \
+            SB_FLUSH();                                                 \
             return SbResult::kExit;                                     \
         }                                                               \
         regs[op->reg1] = value;                                         \
@@ -1065,31 +1107,26 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         const BoundReg &bc = state_.bnds[op->bnd];                      \
         if ((op->mask & 1) && addr < bc.lo) {                           \
             cycles += op->cost_head;                                    \
-            ++done;                                                     \
+            --left;                                                     \
             do_fault(FaultKind::kBoundRange, addr, op->address);        \
-            flush();                                                    \
+            SB_FLUSH();                                                 \
             return SbResult::kExit;                                     \
         }                                                               \
         if ((op->mask & 2) && addr > bc.hi) {                           \
             cycles += static_cast<uint32_t>(op->target);                \
-            done += static_cast<uint8_t>(op->n_instrs - 1);             \
+            left -= static_cast<uint8_t>(op->n_instrs - 1);             \
             do_fault(FaultKind::kBoundRange, addr, op->address2);       \
-            flush();                                                    \
+            SB_FLUSH();                                                 \
             return SbResult::kExit;                                     \
         }                                                               \
         cycles += op->cost;                                             \
-        done += op->n_instrs;                                           \
+        left -= op->n_instrs;                                           \
         uint64_t value = regs[op->reg1];                                \
-        AccessFault f = mem.write_fast<SZ>(addr, &value);               \
-        if (f != AccessFault::kNone) {                                  \
-            do_fault(sb_fault_kind(f), addr, op->exit_rip);             \
-            flush();                                                    \
-            return SbResult::kExit;                                     \
-        }                                                               \
-        if (mem.code_generation() != gen) {                             \
-            state_.rip = op->next_rip;                                  \
-            flush();                                                    \
-            return SbResult::kLeft;                                     \
+        if (!mem.write_hit<SZ>(addr, &value)) {                         \
+            SB_WRITE_MISS(addr, value, SZ, op->exit_rip);               \
+            if (mem.code_generation() != gen) {                         \
+                goto store_left;                                        \
+            }                                                           \
         }                                                               \
         ++i;                                                            \
         SB_NEXT();                                                      \
@@ -1109,14 +1146,14 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         AccessFault f = mem.read_fast<SZ>(addr, &value);                \
         if (f != AccessFault::kNone) {                                  \
             cycles += op->cost_head;                                    \
-            ++done;                                                     \
+            --left;                                                     \
             do_fault(sb_fault_kind(f), addr, op->address);              \
-            flush();                                                    \
+            SB_FLUSH();                                                 \
             return SbResult::kExit;                                     \
         }                                                               \
         regs[op->reg1] = value;                                         \
         cycles += op->cost;                                             \
-        done += op->n_instrs;                                           \
+        left -= op->n_instrs;                                           \
         goto *kAlu6[op->bnd];                                           \
     }
     SB_LOADALU_W(8)
@@ -1126,40 +1163,36 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     SB_ALU_BODIES(6, op->mask, op->reg2, op->imm,
                   do {
                       ++i;
-                      SB_DISPATCH();
+                      SB_NEXT();
                   } while (0));
 
     SB_OP(Push):
     SB_OP(PushImm): {
         cycles += op->cost;
-        ++done;
+        --left;
         uint64_t value = op->kind == UopKind::kPush
                              ? regs[op->reg1]
                              : static_cast<uint64_t>(op->imm);
         uint64_t new_sp = regs[isa::kSp] - 8;
-        AccessFault f = mem.write_fast<8>(new_sp, &value);
-        if (f != AccessFault::kNone) {
-            do_fault(sb_fault_kind(f), new_sp, op->address);
-            flush();
-            return SbResult::kExit;
+        if (!mem.write_hit<8>(new_sp, &value)) {
+            SB_WRITE_MISS(new_sp, value, 8, op->address);
+            if (mem.code_generation() != gen) {
+                regs[isa::kSp] = new_sp;
+                goto store_left;
+            }
         }
         regs[isa::kSp] = new_sp;
-        if (mem.code_generation() != gen) {
-            state_.rip = op->next_rip;
-            flush();
-            return SbResult::kLeft;
-        }
         ++i;
         SB_NEXT();
     }
     SB_OP(Pop): {
         cycles += op->cost;
-        ++done;
+        --left;
         uint64_t value = 0;
         AccessFault f = mem.read_fast<8>(regs[isa::kSp], &value);
         if (f != AccessFault::kNone) {
             do_fault(sb_fault_kind(f), regs[isa::kSp], op->address);
-            flush();
+            SB_FLUSH();
             return SbResult::kExit;
         }
         regs[isa::kSp] += 8;
@@ -1177,45 +1210,45 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             // First component of a fused pair: charge only the
             // head — the upper check never executed.
             cycles += op->mask == 3 ? op->cost_head : op->cost;
-            ++done;
+            --left;
             do_fault(FaultKind::kBoundRange, value, op->address);
-            flush();
+            SB_FLUSH();
             return SbResult::kExit;
         }
         if ((op->mask & 2) && value > b.hi) {
             cycles += op->cost;
-            done += op->n_instrs;
+            left -= op->n_instrs;
             do_fault(FaultKind::kBoundRange, value, op->address2);
-            flush();
+            SB_FLUSH();
             return SbResult::kExit;
         }
         cycles += op->cost;
-        done += op->n_instrs;
+        left -= op->n_instrs;
         ++i;
         SB_NEXT();
     }
 
     SB_OP(Goto):
         cycles += op->cost;
-        done += op->n_instrs;
+        left -= op->n_instrs;
         i = op->target;
-        SB_NEXT();
+        SB_SEGMENT();
     SB_OP(JccGoto):
         cycles += op->cost;
-        ++done;
+        --left;
         if (flags_deferred) {
             set_cmp_flags(flag_a, flag_b);
             flags_deferred = false;
         }
         if (eval_cond(op->cond)) {
             i = op->target;
-            SB_NEXT();
+            SB_SEGMENT();
         }
         ++i;
-        SB_NEXT();
+        SB_SEGMENT();
     SB_OP(JccExit):
         cycles += op->cost;
-        ++done;
+        --left;
         if (flags_deferred) {
             set_cmp_flags(flag_a, flag_b);
             flags_deferred = false;
@@ -1229,7 +1262,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     // Fused compare-branches decide the branch with cond_holds() on
     // the operands and only park the compared pair; the architectural
     // flags materialize lazily at the next unfused reader or at any
-    // trace exit (flush), keeping four dead byte-stores per loop
+    // trace exit (SB_FLUSH), keeping four dead byte-stores per loop
     // iteration off the hot path.
     // The taken/not-taken split is a real branch, not a select: `i`
     // then comes from op->target (a constant per uop) instead of a
@@ -1237,35 +1270,35 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     // store-to-load chain out of the next dispatch's address.
     SB_OP(CmpRIJccGoto): {
         cycles += op->cost;
-        done += op->n_instrs;
+        left -= op->n_instrs;
         uint64_t a = regs[op->reg1], b = static_cast<uint64_t>(op->imm);
         flag_a = a;
         flag_b = b;
         flags_deferred = true;
         if (cond_holds(op->cond, a, b)) {
             i = op->target;
-            SB_NEXT();
+            SB_SEGMENT();
         }
         ++i;
-        SB_NEXT();
+        SB_SEGMENT();
     }
     SB_OP(CmpRRJccGoto): {
         cycles += op->cost;
-        done += op->n_instrs;
+        left -= op->n_instrs;
         uint64_t a = regs[op->reg1], b = regs[op->reg2];
         flag_a = a;
         flag_b = b;
         flags_deferred = true;
         if (cond_holds(op->cond, a, b)) {
             i = op->target;
-            SB_NEXT();
+            SB_SEGMENT();
         }
         ++i;
-        SB_NEXT();
+        SB_SEGMENT();
     }
     SB_OP(CmpRIJccExit): {
         cycles += op->cost;
-        done += op->n_instrs;
+        left -= op->n_instrs;
         uint64_t a = regs[op->reg1], b = static_cast<uint64_t>(op->imm);
         flag_a = a;
         flag_b = b;
@@ -1278,7 +1311,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     }
     SB_OP(CmpRRJccExit): {
         cycles += op->cost;
-        done += op->n_instrs;
+        left -= op->n_instrs;
         uint64_t a = regs[op->reg1], b = regs[op->reg2];
         flag_a = a;
         flag_b = b;
@@ -1296,27 +1329,24 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     SB_OP(Call):
     SB_OP(CallExit): {
         cycles += op->cost;
-        ++done;
+        --left;
         uint64_t value = static_cast<uint64_t>(op->imm);
         uint64_t new_sp = regs[isa::kSp] - 8;
-        AccessFault f = mem.write_fast<8>(new_sp, &value);
-        if (f != AccessFault::kNone) {
-            do_fault(sb_fault_kind(f), new_sp, op->address);
-            flush();
-            return SbResult::kExit;
+        if (!mem.write_hit<8>(new_sp, &value)) {
+            SB_WRITE_MISS(new_sp, value, 8, op->address);
+            // kCallExit needs no check: linking re-validates the
+            // generation, so a push that landed in a page that has
+            // supplied decoded bytes cannot chain into a stale trace.
+            if (op->kind == UopKind::kCall &&
+                mem.code_generation() != gen) {
+                regs[isa::kSp] = new_sp;
+                goto store_left;
+            }
         }
         regs[isa::kSp] = new_sp;
         if (op->kind == UopKind::kCallExit) {
-            // Linking re-validates the generation, so a push that
-            // landed in a page that has supplied decoded bytes cannot
-            // chain into a trace that just went stale.
             state_.rip = op->exit_rip;
             goto link_or_leave;
-        }
-        if (mem.code_generation() != gen) {
-            state_.rip = op->next_rip;
-            flush();
-            return SbResult::kLeft;
         }
         ++i;
         SB_NEXT();
@@ -1324,7 +1354,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     SB_OP(CallRegExit):
     SB_OP(CallMemExit): {
         cycles += op->cost;
-        ++done;
+        --left;
         uint64_t target;
         if (op->kind == UopKind::kCallRegExit) {
             target = regs[op->reg1];
@@ -1333,7 +1363,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             AccessFault f = mem.read_fast<8>(addr, &target);
             if (f != AccessFault::kNone) {
                 do_fault(sb_fault_kind(f), addr, op->address);
-                flush();
+                SB_FLUSH();
                 return SbResult::kExit;
             }
         }
@@ -1342,7 +1372,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         AccessFault f = mem.write_fast<8>(new_sp, &value);
         if (f != AccessFault::kNone) {
             do_fault(sb_fault_kind(f), new_sp, op->address);
-            flush();
+            SB_FLUSH();
             return SbResult::kExit;
         }
         regs[isa::kSp] = new_sp;
@@ -1352,12 +1382,12 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     SB_OP(RetGuard):
     SB_OP(RetExit): {
         cycles += op->cost;
-        ++done;
+        --left;
         uint64_t target;
         AccessFault f = mem.read_fast<8>(regs[isa::kSp], &target);
         if (f != AccessFault::kNone) {
             do_fault(sb_fault_kind(f), regs[isa::kSp], op->address);
-            flush();
+            SB_FLUSH();
             return SbResult::kExit;
         }
         regs[isa::kSp] += 8 + static_cast<uint64_t>(op->imm);
@@ -1370,7 +1400,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     }
     SB_OP(JmpRegGuard):
         cycles += op->cost;
-        ++done;
+        --left;
         if (regs[op->reg1] == op->exit_rip) {
             ++i; // predicted (MMDSFI return rewrite)
             SB_NEXT();
@@ -1379,18 +1409,18 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         goto link_or_leave;
     SB_OP(JmpRegExit):
         cycles += op->cost;
-        ++done;
+        --left;
         state_.rip = regs[op->reg1];
         goto link_or_leave;
     SB_OP(JmpMemExit): {
         cycles += op->cost;
-        ++done;
+        --left;
         uint64_t addr = ea(*op);
         uint64_t target;
         AccessFault f = mem.read_fast<8>(addr, &target);
         if (f != AccessFault::kNone) {
             do_fault(sb_fault_kind(f), addr, op->address);
-            flush();
+            SB_FLUSH();
             return SbResult::kExit;
         }
         state_.rip = target;
@@ -1402,27 +1432,27 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
 
     SB_OP(Ltrap):
         cycles += op->cost;
-        ++done;
+        --left;
         state_.rip = op->next_rip; // resume past the trap
         exit->kind = ExitKind::kLtrap;
         exit->fault = FaultKind::kNone;
         exit->rip = op->address;
-        flush();
+        SB_FLUSH();
         return SbResult::kExit;
     SB_OP(Priv):
         cycles += op->cost;
-        ++done;
+        --left;
         state_.rip = op->address;
         exit->kind = ExitKind::kPrivileged;
         exit->fault = FaultKind::kNone;
         exit->priv_op = static_cast<Opcode>(op->imm);
         exit->rip = op->address;
-        flush();
+        SB_FLUSH();
         return SbResult::kExit;
 
     SB_OP(AluPack):
         cycles += op->cost;
-        done += op->n_instrs;
+        left -= op->n_instrs;
         goto *kAlu0[op->bnd];
         SB_ALU_BODIES(0, op->reg1, op->reg2, op->imm,
                       goto *kAlu1[op->mask]);
@@ -1430,7 +1460,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
                       do {
                           if (op->n_instrs != 3) {
                               ++i;
-                              SB_DISPATCH();
+                              SB_NEXT();
                           }
                           goto *kAlu2[op->scale];
                       } while (0));
@@ -1438,7 +1468,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
                       static_cast<int64_t>(op->exit_rip),
                       do {
                           ++i;
-                          SB_DISPATCH();
+                          SB_NEXT();
                       } while (0));
 
     // A pack with a merged compare + intra-trace branch: a tight loop
@@ -1446,7 +1476,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     // compare+branch pair, so a 3-slot pack has n_instrs == 5.
     SB_OP(AluPackBr):
         cycles += op->cost;
-        done += op->n_instrs;
+        left -= op->n_instrs;
         goto *kAlu3[op->bnd];
         SB_ALU_BODIES(3, op->reg1, op->reg2, op->imm,
                       goto *kAlu4[op->mask]);
@@ -1470,10 +1500,10 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         flags_deferred = true;
         if (cond_holds(op->cond, a, b)) {
             i = op->target; // real branch: see the JccGoto comment
-            SB_NEXT();
+            SB_SEGMENT();
         }
         ++i;
-        SB_NEXT();
+        SB_SEGMENT();
     }
 
     SB_OP(Dead):
@@ -1487,29 +1517,37 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     // exactly such trace-to-trace edges. The block's generation is
     // checked against the address space (a call's push may just have
     // invalidated code), and the counter-flush/budget semantics are
-    // unchanged: counters stay in locals, and the budget check at the
-    // first dispatched uop refuses entry exactly like run_blocks'
-    // first_n_instrs guard (state_.rip already names the entry).
+    // unchanged: counters stay in locals, and the link is a segment
+    // head, so the budget check of the linked trace's first segment
+    // refuses entry exactly like run_blocks' entry guard
+    // (state_.rip already names the entry).
     {
-        auto linked = block_cache_.find(state_.rip);
-        if (linked != block_cache_.end() && linked->second.sb &&
-            linked->second.generation == mem.code_generation()) {
-            uops = linked->second.sb->uops.data();
+        const Block *linked = block_cache_.find(state_.rip);
+        if (linked != nullptr && linked->sb != nullptr &&
+            linked->generation == mem.code_generation()) {
+            uops = linked->sb->uops.data();
             ++sb_exec_hits_;
             i = 0;
-            SB_DISPATCH();
+            SB_SEGMENT();
         }
     }
-    flush();
+    SB_FLUSH();
+    return SbResult::kLeft;
+
+  store_left:
+    // A missed store advanced the code generation: the uops after it
+    // may replay stale bytes, so leave; the next lookup rebuilds.
+    state_.rip = op->next_rip;
+    SB_FLUSH();
     return SbResult::kLeft;
 
   budget_stop:
-    // Budget lands inside this uop: leave with rip at its first
-    // instruction; tier 1 finishes the tail one instruction at a
-    // time, so quantum slicing (AEX) sees exactly the same boundaries
-    // as the other tiers.
+    // The remaining budget does not cover the segment starting at
+    // this uop: leave with rip at its first instruction; tier 1
+    // finishes the tail one instruction at a time, so quantum slicing
+    // (AEX) sees exactly the same boundaries as the other tiers.
     state_.rip = op->address;
-    flush();
+    SB_FLUSH();
     return SbResult::kLeft;
 }
 

@@ -47,8 +47,11 @@ namespace occlum::vm {
 
 /** Execution-count threshold at which a block is promoted to tier 2. */
 constexpr uint32_t kPromoteThreshold = 12;
-/** Longest trace kept in one superblock, in original instructions. */
+/** Longest trace kept in one superblock, in original instructions.
+ *  Bounds both uop indices (`Uop::target`) and segment counts
+ *  (`Uop::seg_instrs`), so both fit 16 bits. */
 constexpr size_t kMaxTraceInstrs = 512;
+static_assert(kMaxTraceInstrs < 0x7fff);
 /** Deepest direct-call nesting stitched through. */
 constexpr int kMaxStitchDepth = 8;
 
@@ -135,8 +138,8 @@ enum : uint8_t { kEaConst = 0, kEaBaseDisp = 1, kEaSib = 2 };
  * load leaves free: `bnd` the sub-opcode, `mask` the destination
  * register, `reg2` the source register, `imm` the immediate. Only the
  * load can fault, and it is the first component, so a fault charges
- * `cost_head` (the load alone) at `address` and the budget check
- * refuses the pair whole.
+ * `cost_head` (the load alone) at `address`; budget segments count
+ * the pair whole.
  */
 struct Uop {
     UopKind kind = UopKind::kCharge;
@@ -153,7 +156,12 @@ struct Uop {
     isa::Cond cond = isa::Cond::kEq;
     uint32_t cost = 1;      // total cycles for the covered instructions
     uint32_t cost_head = 0; // cycles of the first component of a fused pair
-    int32_t target = -1;    // intra-trace uop index (kGoto family)
+    int16_t target = -1;    // intra-trace uop index (kGoto family)
+    // Instructions from this uop through the next intra-trace branch
+    // (or the trace's end), inclusive: the budget a segment entered
+    // here needs. Only consulted at segment heads (see
+    // exec_superblock).
+    uint16_t seg_instrs = 0;
     int64_t imm = 0;        // ALU immediate / pushed value / ret pop bytes
     int64_t disp = 0;       // EA displacement, or the constant EA itself
     uint64_t exit_rip = 0;  // exit target / expected indirect target
@@ -166,10 +174,19 @@ struct Uop {
     const void *handler = nullptr;
 };
 
+/** True for the uops that branch within the trace; each one ends a
+ *  budget segment. */
+inline bool
+is_intra_trace_branch(UopKind kind)
+{
+    return kind == UopKind::kGoto || kind == UopKind::kJccGoto ||
+           kind == UopKind::kCmpRIJccGoto ||
+           kind == UopKind::kCmpRRJccGoto || kind == UopKind::kAluPackBr;
+}
+
 /** An installed trace, owned by the block it was promoted from. */
 struct Superblock {
-    std::vector<Uop> uops;
-    uint32_t first_n_instrs = 1; // budget needed to enter the trace
+    std::vector<Uop> uops; // uops[0].seg_instrs: the budget to enter
     uint32_t guards_folded = 0;  // fused pairs + elided duplicates
 };
 
@@ -242,9 +259,9 @@ void collapse_charge_runs(std::vector<Uop> &uops,
  * Pack runs of 2-3 adjacent pure register-ALU uops into one kAluPack
  * superinstruction (see the Uop field-reuse table). Packable uops
  * cannot fault, touch memory, or set flags, so the pack executes
- * atomically; the budget check refuses a whole pack exactly like any
- * other multi-instruction uop and tier 1 finishes the tail. Runs last,
- * after the other fusions have claimed their patterns.
+ * atomically; budget segments count whole uops, so a budget stop
+ * never lands inside a pack. Runs last, after the other fusions have
+ * claimed their patterns.
  */
 void fuse_alu_packs(std::vector<Uop> &uops,
                     const std::vector<uint8_t> &is_target);

@@ -252,8 +252,8 @@ fuse_bound_accesses(std::vector<Uop> &uops,
         Uop &chk = uops[i];
         // kCharge heads fuse too (mask 0 = no checks): an elided
         // guard or nop run in front of an access is pure dispatch
-        // cost, and the merged uop's all-or-nothing budget handling
-        // already covers multi-instruction groups.
+        // cost, and budget segments count whole uops, so
+        // multi-instruction groups are already covered.
         bool is_check = chk.kind == UopKind::kBndChkMem;
         if (!is_check && chk.kind != UopKind::kCharge) {
             continue;
@@ -283,7 +283,7 @@ fuse_bound_accesses(std::vector<Uop> &uops,
         // their own cost), `target` for the whole check portion.
         if (is_check) {
             chk.cost_head = chk.mask == 3 ? chk.cost_head : chk.cost;
-            chk.target = static_cast<int32_t>(chk.cost);
+            chk.target = static_cast<int16_t>(chk.cost);
             ++*folded;
         } else {
             chk.mask = 0; // no checks, charge-then-access only
@@ -555,12 +555,7 @@ compact(std::vector<Uop> &uops)
         // Only branch kinds hold a uop index in `target`
         // (kLoadChk/kStoreChk reuse the field as the check-portion
         // cycle charge — relocating that would corrupt accounting).
-        bool target_is_index =
-            u.kind == UopKind::kGoto || u.kind == UopKind::kJccGoto ||
-            u.kind == UopKind::kCmpRIJccGoto ||
-            u.kind == UopKind::kCmpRRJccGoto ||
-            u.kind == UopKind::kAluPackBr;
-        if (target_is_index && u.target >= 0) {
+        if (is_intra_trace_branch(u.kind) && u.target >= 0) {
             // Dead uops are never targets, so the slot is valid.
             u.target = new_index[static_cast<size_t>(u.target)];
         }

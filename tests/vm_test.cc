@@ -175,6 +175,83 @@ TEST(AddressSpace, OnlyPagesThatSuppliedCodeAdvanceTheGeneration)
     EXPECT_GT(space.code_generation(), gen);
 }
 
+TEST(AddressSpace, HostTlbFollowsPermsLazyZeroAndCodeBit)
+{
+    // The host-pointer TLB caches a read entry (lazy pages: the shared
+    // zero page) and a write entry per page; every state change that
+    // makes an entry wrong must drop it before the next fast access.
+    AddressSpace space;
+    ASSERT_TRUE(space.map(0x1000, 0x3000, kPermRW).ok());
+    const uint64_t w = 0x1122334455667788ull;
+    uint64_t v = ~0ull;
+
+    // Lazy page: the read hits the zero page; the write materializes
+    // the page, so the next read must see the written bytes, and a
+    // sibling lazy page must still read zeros.
+    ASSERT_EQ(space.read_fast<8>(0x1008, &v), AccessFault::kNone);
+    EXPECT_EQ(v, 0u);
+    ASSERT_EQ(space.read_fast<8>(0x1008, &v), AccessFault::kNone);
+    ASSERT_EQ(space.write_fast<8>(0x1008, &w), AccessFault::kNone);
+    ASSERT_EQ(space.read_fast<8>(0x1008, &v), AccessFault::kNone);
+    EXPECT_EQ(v, w);
+    ASSERT_EQ(space.read_fast<8>(0x2008, &v), AccessFault::kNone);
+    EXPECT_EQ(v, 0u);
+
+    // Straddling 8-byte accesses take the two-page path even with both
+    // pages' entries warm. This one also materializes the lazy pages
+    // 0x2000 and 0x3000, whose zero-page read entries must go.
+    ASSERT_EQ(space.read_fast<8>(0x3008, &v), AccessFault::kNone);
+    const uint64_t s = 0xa1a2a3a4b1b2b3b4ull;
+    ASSERT_EQ(space.write_fast<8>(0x2ffc, &s), AccessFault::kNone);
+    ASSERT_EQ(space.read_fast<8>(0x2ffc, &v), AccessFault::kNone);
+    EXPECT_EQ(v, s);
+    uint32_t lo = 0, hi = 0;
+    ASSERT_EQ(space.read_fast<4>(0x2ffc, &lo), AccessFault::kNone);
+    ASSERT_EQ(space.read_fast<4>(0x3000, &hi), AccessFault::kNone);
+    EXPECT_EQ(lo, static_cast<uint32_t>(s));
+    EXPECT_EQ(hi, static_cast<uint32_t>(s >> 32));
+    // At the end of the mapping the second page is missing.
+    ASSERT_EQ(space.write_fast<8>(0x3ff0, &w), AccessFault::kNone);
+    ASSERT_EQ(space.read_fast<8>(0x3ff0, &v), AccessFault::kNone);
+    EXPECT_EQ(space.read_fast<8>(0x3ffc, &v), AccessFault::kUnmapped);
+    EXPECT_EQ(space.write_fast<8>(0x3ffc, &s), AccessFault::kUnmapped);
+
+    // A cached write entry dies with W: protect(R) refuses the store.
+    ASSERT_TRUE(space.write_hit<8>(0x1010, &w));
+    ASSERT_TRUE(space.protect(0x1000, 0x1000, kPermR).ok());
+    EXPECT_FALSE(space.write_hit<8>(0x1010, &w));
+    EXPECT_EQ(space.write_fast<8>(0x1010, &w), AccessFault::kNoWrite);
+    ASSERT_EQ(space.read_fast<8>(0x1010, &v), AccessFault::kNone);
+    EXPECT_EQ(v, w);
+    ASSERT_TRUE(space.protect(0x1000, 0x1000, kPermNone).ok());
+    EXPECT_EQ(space.read_fast<8>(0x1010, &v), AccessFault::kNoRead);
+
+    // unmap + map at the same address: the old entries name freed
+    // bytes, and the fresh page reads as zeros.
+    ASSERT_EQ(space.write_fast<8>(0x2010, &w), AccessFault::kNone);
+    ASSERT_EQ(space.read_fast<8>(0x2010, &v), AccessFault::kNone);
+    space.unmap(0x2000, 0x1000);
+    EXPECT_EQ(space.read_fast<8>(0x2010, &v), AccessFault::kUnmapped);
+    EXPECT_EQ(space.write_fast<8>(0x2010, &w), AccessFault::kUnmapped);
+    ASSERT_TRUE(space.map(0x2000, 0x1000, kPermRW).ok());
+    ASSERT_EQ(space.read_fast<8>(0x2010, &v), AccessFault::kNone);
+    EXPECT_EQ(v, 0u);
+
+    // fetch() marks a page whose write entry is cached as code: the
+    // next store misses and advances the generation.
+    ASSERT_TRUE(space.map(0x5000, 0x1000, kPermRWX).ok());
+    ASSERT_EQ(space.write_fast<8>(0x5000, &w), AccessFault::kNone);
+    ASSERT_TRUE(space.write_hit<8>(0x5008, &w));
+    uint64_t gen = space.code_generation();
+    uint8_t window[8];
+    ASSERT_EQ(space.fetch(0x5000, window, sizeof(window)),
+              AccessFault::kNone);
+    EXPECT_FALSE(space.write_hit<8>(0x5010, &w));
+    EXPECT_EQ(space.code_generation(), gen);
+    ASSERT_EQ(space.write_fast<8>(0x5010, &w), AccessFault::kNone);
+    EXPECT_GT(space.code_generation(), gen);
+}
+
 TEST(Cpu, ArithmeticAndMov)
 {
     VmHarness h;
@@ -771,6 +848,67 @@ TEST(BlockCache, CfiLabelStartsANewBlock)
 
 // ---- superblock tier (tier 2) -----------------------------------------
 
+TEST(BlockCache, FlatTableGrowsPastAThousandEntries)
+{
+    // A chain of 1100 one-block hops, walked three times: the flat
+    // table grows from its minimum through several doublings while
+    // run_blocks holds a Block* across each insert (ASan checks the
+    // pointers stay good). Every entry rip is a distinct block, plus
+    // the final ltrap block; the hand count of lookups is exact
+    // because three passes stay below the promotion threshold.
+    constexpr int kHops = 1100;
+    constexpr uint64_t kPasses = 3;
+    static_assert(kPasses < kPromoteThreshold);
+    constexpr uint64_t kChainCode = 0x100000;
+    constexpr uint64_t kChainSize = 0x10000;
+    isa::Assembler a(kChainCode);
+    a.bind("top");
+    for (int k = 0; k < kHops - 1; ++k) {
+        a.add_ri(1, 1);
+        a.jmp("hop" + std::to_string(k + 1));
+        a.bind("hop" + std::to_string(k + 1));
+    }
+    a.sub_ri(2, 1);
+    a.cmp_ri(2, 0);
+    a.jcc(Cond::kNe, "top");
+    a.ltrap();
+    Bytes code = a.finish();
+    ASSERT_LE(code.size(), kChainSize);
+
+    for (Tier tier : {Tier::kBlocks, Tier::kTraces}) {
+        SCOPED_TRACE("tier " + std::to_string(static_cast<int>(tier)));
+        AddressSpace space;
+        ASSERT_TRUE(space.map(kChainCode, kChainSize, kPermRX).ok());
+        ASSERT_EQ(space.write_raw(kChainCode, code.data(), code.size()),
+                  AccessFault::kNone);
+        Cpu cpu(space);
+        cpu.set_tier(tier);
+        cpu.set_reg(2, kPasses);
+        cpu.set_rip(kChainCode);
+        ASSERT_EQ(cpu.run(1'000'000).kind, ExitKind::kLtrap);
+        EXPECT_EQ(cpu.reg(1), kPasses * (kHops - 1));
+        // kHops chain blocks + the ltrap block, one lookup per block
+        // dispatch: the first pass misses, later passes hit.
+        EXPECT_EQ(cpu.block_cache_blocks(), static_cast<size_t>(kHops) + 1);
+        EXPECT_EQ(cpu.block_cache_misses(), kHops + 1u);
+        EXPECT_EQ(cpu.block_cache_hits(), (kPasses - 1) * kHops);
+        EXPECT_EQ(cpu.block_cache_invalidations(), 0u);
+        EXPECT_EQ(cpu.superblock_promotions(), 0u);
+
+        // Hot now: more passes promote and link traces through the
+        // grown table and still count every hop.
+        cpu.set_reg(1, 0);
+        cpu.set_reg(2, 20);
+        cpu.set_rip(kChainCode);
+        ASSERT_EQ(cpu.run(10'000'000).kind, ExitKind::kLtrap);
+        EXPECT_EQ(cpu.reg(1), 20u * (kHops - 1));
+        EXPECT_EQ(cpu.block_cache_blocks(), static_cast<size_t>(kHops) + 1);
+        if (tier == Tier::kTraces) {
+            EXPECT_GT(cpu.superblock_promotions(), 0u);
+        }
+    }
+}
+
 /**
  * The superblock battery tests the trace tier itself, so it must run
  * at Tier::kTraces even when OCCLUM_VM_SUPERBLOCK=0 pins the process
@@ -1048,10 +1186,14 @@ TEST(SuperblockDefault, FollowsEnvAndStaticSetter)
 
 TEST_F(Superblock, BudgetSlicesNeverOvershootAndMatchOneShot)
 {
-    // AEX/quantum slicing: running the same hot program in budget
-    // slices of 7 must consume exactly min(7, remaining) instructions
-    // per slice and land on bit-identical final state.
-    auto program = [](isa::Assembler &a) {
+    // AEX/quantum slicing: running a hot program in budget slices of
+    // every size from 1 to 24 must consume exactly the slice per run
+    // (the last run at most the slice, never nothing) and land on the
+    // state of a one-shot run, at tier 1 and at the trace tier. The
+    // trace checks the budget per segment, so a slice that cannot
+    // cover the next segment leaves at its head and tier 1 finishes
+    // the tail.
+    auto short_loop = [](isa::Assembler &a) {
         a.mov_ri(1, 0);
         a.mov_ri(2, 100);
         a.bind("loop");
@@ -1063,29 +1205,91 @@ TEST_F(Superblock, BudgetSlicesNeverOvershootAndMatchOneShot)
         a.jcc(Cond::kNe, "loop");
         a.ltrap();
     };
-    VmHarness sliced;
-    VmHarness oneshot;
-    isa::Assembler a1(kCode);
-    program(a1);
-    CpuExit exit = sliced.run(a1, 7);
-    while (exit.kind == ExitKind::kInstrBudget) {
-        uint64_t before = sliced.cpu.instructions();
-        exit = sliced.cpu.run(7);
-        uint64_t used = sliced.cpu.instructions() - before;
-        ASSERT_GE(used, 1u);
-        ASSERT_LE(used, 7u);
-    }
-    EXPECT_EQ(exit.kind, ExitKind::kLtrap);
-
-    isa::Assembler a2(kCode);
-    program(a2);
-    EXPECT_EQ(oneshot.run(a2).kind, ExitKind::kLtrap);
-
-    EXPECT_EQ(sliced.cpu.cycles(), oneshot.cpu.cycles());
-    EXPECT_EQ(sliced.cpu.instructions(), oneshot.cpu.instructions());
-    EXPECT_EQ(sliced.cpu.rip(), oneshot.cpu.rip());
-    for (int r = 0; r < isa::kNumRegs; ++r) {
-        EXPECT_EQ(sliced.cpu.reg(r), oneshot.cpu.reg(r)) << "reg " << r;
+    // A 4-instruction inner loop, then a 60-instruction straight run
+    // of guarded stores and loads before the outer back edge: traces
+    // enter on the short segment and stop at the head of the long
+    // one, which is longer than any slice.
+    auto long_segment = [](isa::Assembler &a) {
+        a.mov_ri(1, 0);
+        a.mov_ri(2, 20);
+        a.mov_ri(3, static_cast<int64_t>(kData));
+        a.bind("outer");
+        a.mov_ri(6, 3);
+        a.bind("inner");
+        a.add_ri(1, 1);
+        a.sub_ri(6, 1);
+        a.cmp_ri(6, 0);
+        a.jcc(Cond::kNe, "inner");
+        for (int k = 0; k < 12; ++k) {
+            a.mem_guard(mem_bd(3, 8 * k));
+            a.store(mem_bd(3, 8 * k), 1);
+            a.load(4, mem_bd(3, 8 * k));
+            a.add_rr(5, 4);
+        }
+        a.sub_ri(2, 1);
+        a.cmp_ri(2, 0);
+        a.jcc(Cond::kNe, "outer");
+        a.ltrap();
+    };
+    // A loop closed by an unconditional jmp: its back edge is a kGoto,
+    // and the loop leaves through a forward exit at the top.
+    auto jmp_loop = [](isa::Assembler &a) {
+        a.mov_ri(1, 0);
+        a.mov_ri(2, 50);
+        a.bind("top");
+        a.cmp_ri(2, 0);
+        a.jcc(Cond::kEq, "done");
+        a.add_ri(1, 5);
+        a.store(mem_abs(kData), 1);
+        a.load(3, mem_abs(kData));
+        a.sub_ri(2, 1);
+        a.jmp("top");
+        a.bind("done");
+        a.ltrap();
+    };
+    for (auto program : {+short_loop, +long_segment, +jmp_loop}) {
+        VmHarness reference;
+        reference.cpu.set_tier(Tier::kBlocks);
+        isa::Assembler a0(kCode);
+        program(a0);
+        ASSERT_EQ(reference.run(a0).kind, ExitKind::kLtrap);
+        for (Tier tier : {Tier::kBlocks, Tier::kTraces}) {
+            for (uint64_t slice = 0; slice <= 24; ++slice) {
+                // slice 0 stands for one shot; 1..24 are the slices.
+                SCOPED_TRACE("tier " + std::to_string(static_cast<int>(tier)) +
+                             " slice " + std::to_string(slice));
+                VmHarness h;
+                h.cpu.set_tier(tier);
+                isa::Assembler a(kCode);
+                program(a);
+                const uint64_t budget = slice == 0 ? 1'000'000 : slice;
+                CpuExit exit = h.run(a, budget);
+                uint64_t used = h.cpu.instructions();
+                for (;;) {
+                    ASSERT_GE(used, 1u);
+                    if (exit.kind != ExitKind::kInstrBudget) {
+                        ASSERT_LE(used, budget);
+                        break;
+                    }
+                    ASSERT_EQ(used, budget);
+                    uint64_t before = h.cpu.instructions();
+                    exit = h.cpu.run(budget);
+                    used = h.cpu.instructions() - before;
+                }
+                EXPECT_EQ(exit.kind, ExitKind::kLtrap);
+                EXPECT_EQ(h.cpu.cycles(), reference.cpu.cycles());
+                EXPECT_EQ(h.cpu.instructions(),
+                          reference.cpu.instructions());
+                EXPECT_EQ(h.cpu.rip(), reference.cpu.rip());
+                for (int r = 0; r < isa::kNumRegs; ++r) {
+                    EXPECT_EQ(h.cpu.reg(r), reference.cpu.reg(r))
+                        << "reg " << r;
+                }
+                if (tier == Tier::kTraces && (slice == 0 || slice == 24)) {
+                    EXPECT_GT(h.cpu.superblock_exec_hits(), 0u);
+                }
+            }
+        }
     }
 }
 
