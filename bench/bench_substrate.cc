@@ -3,7 +3,9 @@
  * Substrate microbenchmarks (google-benchmark): wall-clock
  * performance of the building blocks the simulation itself runs on —
  * SHA-256 (enclave measurement), AES-CTR (encrypted FS), the OVM
- * interpreter, the MiniC compiler, and the verifier. These measure
+ * interpreter, the MiniC compiler, the verifier, the Occlum spawn
+ * path (parse, signature check, slot wipe, load) and the EIP reserve
+ * measurement. These measure
  * the *simulator*, not the simulated system; the figure benches
  * report simulated time.
  */
@@ -16,6 +18,8 @@
 #include "crypto/reference.h"
 #include "crypto/sha256.h"
 #include "isa/assembler.h"
+#include "oskit/loader.h"
+#include "sgx/sgx.h"
 #include "toolchain/minic.h"
 #include "verifier/verifier.h"
 #include "vm/cpu.h"
@@ -252,6 +256,72 @@ BM_VerifyBinary(benchmark::State &state)
         verifier.verify(out.value().image).reachable_instructions);
 }
 BENCHMARK(BM_VerifyBinary);
+
+/**
+ * The host work of one Occlum spawn, without the kernel: parse the
+ * signed bytes into the enclave-side Image, check its signature, wipe
+ * the reused slot as the loader's contract asks (trampoline, code
+ * tail, data region) and load the 256 KiB-padded image into it.
+ */
+void
+BM_OcclumSpawn(benchmark::State &state)
+{
+    toolchain::CompileOptions options;
+    options.pad_code_to = 256 << 10;
+    auto out = toolchain::compile("func main() { return 0; }", options);
+    OCC_CHECK(out.ok());
+    crypto::Key128 key{};
+    key[0] = 0x5E;
+    verifier::Verifier verifier(key);
+    auto signed_image = verifier.verify_and_sign(out.value().image);
+    OCC_CHECK(signed_image.ok());
+    const Bytes raw = signed_image.value().serialize();
+
+    constexpr uint64_t kBase = 0x100000000ull;
+    const oelf::Image &shape = signed_image.value();
+    const uint64_t d_begin = kBase + shape.data_offset();
+    vm::AddressSpace slot;
+    OCC_CHECK(slot.map(kBase, oelf::kTrampSize + shape.code_region_size(),
+                       vm::kPermRX)
+                  .ok());
+    OCC_CHECK(slot.map(d_begin, shape.data_region_size(), vm::kPermRW).ok());
+    uint32_t domain_id = 0;
+    for (auto _ : state) {
+        auto parsed = oelf::Image::parse(raw);
+        OCC_CHECK(parsed.ok() && parsed.value().check_signature(key));
+        const oelf::Image &image = parsed.value();
+        slot.zero_raw(kBase, oelf::kTrampSize);
+        slot.zero_raw(kBase + oelf::kTrampSize + image.code.size(),
+                      image.code_region_size() - image.code.size());
+        slot.zero_raw(d_begin, image.data_region_size());
+        oskit::LoadOptions load;
+        load.domain_id = ++domain_id;
+        load.map_pages = false;
+        auto domain = oskit::load_image(slot, image, kBase, {"p"}, load);
+        OCC_CHECK(domain.ok());
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<int64_t>(raw.size()));
+}
+BENCHMARK(BM_OcclumSpawn)->Unit(benchmark::kMicrosecond);
+
+/** EADD+EEXTEND accounting of an EIP-sized zero reserve (pages). */
+void
+BM_MeasureReserved(benchmark::State &state)
+{
+    const uint64_t pages = static_cast<uint64_t>(state.range(0));
+    for (auto _ : state) {
+        sgx::Platform platform;
+        sgx::Enclave enclave(platform, 0x100000000ull,
+                             pages * vm::kPageSize);
+        OCC_CHECK(enclave.measure_reserved(pages * vm::kPageSize).ok());
+        benchmark::DoNotOptimize(enclave);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(pages));
+}
+BENCHMARK(BM_MeasureReserved)->Arg(64)->Arg(79 << 10)
+    ->Unit(benchmark::kMicrosecond);
 
 /**
  * Console output as usual, plus every iteration-level run collected

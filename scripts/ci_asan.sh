@@ -35,11 +35,15 @@ OCCLUM_VM_SUPERBLOCK=0 "$BUILD_DIR/tests/property_test"
 # scalar SHA-256 compression would otherwise go unsanitized outside
 # crypto_test. sgx_test drives SHA-256 through EEXTEND measurement
 # and report MACs; encfs_test drives AES-CTR and HMAC through EncFs
-# blocks; attest_test drives both through RecordCodec seal/open.
+# blocks; attest_test drives both through RecordCodec seal/open;
+# toolchain_test and libos_test sign OELF images and check their
+# signatures on every Occlum spawn (the streamed content digest).
 OCCLUM_CRYPTO_REFERENCE=1 "$BUILD_DIR/tests/crypto_test"
 OCCLUM_CRYPTO_REFERENCE=1 "$BUILD_DIR/tests/sgx_test"
 OCCLUM_CRYPTO_REFERENCE=1 "$BUILD_DIR/tests/encfs_test"
 OCCLUM_CRYPTO_REFERENCE=1 "$BUILD_DIR/tests/attest_test"
+OCCLUM_CRYPTO_REFERENCE=1 "$BUILD_DIR/tests/toolchain_test"
+OCCLUM_CRYPTO_REFERENCE=1 "$BUILD_DIR/tests/libos_test"
 
 # Extra leg: the SMP scheduler under the sanitizers. OCCLUM_CORES=2
 # and 4 rerun every OcclumSystem scenario over per-core run queues,

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI job: smoke-test the benchmark recording pipeline. Runs the
-# cheapest figure bench through scripts/bench_record.sh and checks
-# that a snapshot with machine-readable JSON came out, so bench or
+# two cheap figure benches through scripts/bench_record.sh, checks
+# that a snapshot with machine-readable JSON came out and that the
+# spawn rows match their committed snapshot, so bench or
 # script rot is caught on every push rather than at paper-figure
 # time, then runs perfbench's self-check. The full (slow) suite is
 # recorded manually via scripts/bench_record.sh.
@@ -13,7 +14,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-bench}"
 LABEL="ci-smoke"
 
-BENCH_FILTER='bench_fig6cd_file_io' \
+BENCH_FILTER='bench_fig6cd_file_io|bench_fig6a_spawn' \
     scripts/bench_record.sh "$BUILD_DIR" "$LABEL"
 
 OUT_DIR="bench/results/$LABEL"
@@ -24,6 +25,16 @@ if [ ! -s "$JSON" ]; then
 fi
 grep -q '"rows"\|"name"' "$JSON" ||
     { echo "smoke failed: $JSON has no report payload" >&2; exit 1; }
+
+# Spawn pin: fig6a reports simulated spawn latency only (Linux, EIP
+# and Occlum rows by binary size), so its JSON must match the
+# committed snapshot byte for byte. A loader, signature-check or
+# enclave-measurement change that moves a spawn's simulated cost
+# fails here.
+SPAWN_PIN="bench/results/2026-08-07-pr8-superblock/BENCH_fig6a_spawn.json"
+cmp "$OUT_DIR/BENCH_fig6a_spawn.json" "$SPAWN_PIN" ||
+    { echo "smoke failed: spawn rows differ from $SPAWN_PIN" >&2;
+      exit 1; }
 
 # Superblock-off leg: the same bench with the trace tier pinned off
 # (OCCLUM_VM_SUPERBLOCK=0). The fig6cd report is simulated-time only

@@ -274,6 +274,9 @@ Sha256::compress(const uint8_t *blocks, size_t n)
 void
 Sha256::update(const uint8_t *data, size_t len)
 {
+    if (len == 0) {
+        return; // an empty Bytes may pass a null `data`
+    }
     total_len_ += len;
     // Top up a partially filled buffer first.
     if (buffered_ != 0) {

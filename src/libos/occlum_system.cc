@@ -298,20 +298,24 @@ OcclumSystem::create_process(const std::string &path,
     }
     Slot &slot = slots_[slot_index];
 
-    // Wipe the whole slot (a reused slot must not leak the previous
-    // SIP's memory), then load.
-    enclave_->mem().zero_raw(slot.base, oelf::kTrampSize +
-                                            config_.slot_code_size);
+    // Wipe the slot (a reused slot must not leak the previous SIP's
+    // memory), then load. The loader leaves the wipe to us
+    // (LoadOptions::map_pages): zero everything but the code bytes,
+    // which the load overwrites.
+    vm::AddressSpace &mem = enclave_->mem();
+    uint64_t code_end = slot.base + oelf::kTrampSize + image.code.size();
+    mem.zero_raw(slot.base, oelf::kTrampSize);
+    mem.zero_raw(code_end, config_.slot_code_size - image.code.size());
     uint64_t data_base = slot.base + oelf::kTrampSize +
                          config_.slot_code_size + oelf::kGuardSize;
-    enclave_->mem().zero_raw(data_base, config_.slot_data_size);
+    mem.zero_raw(data_base, config_.slot_data_size);
 
     oskit::LoadOptions options;
     options.domain_id = next_domain_id_++;
     options.rewrite_cfi = true;
     options.map_pages = false; // slots were EADDed before EINIT
-    auto domain = oskit::load_image(enclave_->mem(), image, slot.base,
-                                    argv, options);
+    auto domain =
+        oskit::load_image(mem, image, slot.base, argv, options);
     if (!domain.ok()) {
         return domain.error();
     }

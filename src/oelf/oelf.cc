@@ -52,6 +52,37 @@ class Reader
     size_t pos_ = 0;
 };
 
+/**
+ * Append everything that precedes the code bytes: fixed header,
+ * symbol table, signature flag and (if `with_signature`) the
+ * signature. The one definition of the layout that serialize() writes
+ * and content_digest() signs; the unsigned form sets the flag to 0.
+ */
+void
+put_header(const Image &img, bool with_signature, Bytes &out)
+{
+    out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
+    put_le<uint32_t>(out, kVersion);
+    put_le<uint64_t>(out, img.entry_offset);
+    put_le<uint64_t>(out, img.code.size());
+    put_le<uint64_t>(out, img.data.size());
+    put_le<uint64_t>(out, img.bss_size);
+    put_le<uint64_t>(out, img.heap_size);
+    put_le<uint64_t>(out, img.stack_size);
+    put_le<uint64_t>(out, img.code_reserve);
+    put_le<uint32_t>(out, img.flags);
+    put_le<uint32_t>(out, static_cast<uint32_t>(img.symbols.size()));
+    for (const auto &sym : img.symbols) {
+        put_le<uint16_t>(out, static_cast<uint16_t>(sym.name.size()));
+        out.insert(out.end(), sym.name.begin(), sym.name.end());
+        put_le<uint64_t>(out, sym.offset);
+    }
+    out.push_back(with_signature ? 1 : 0);
+    if (with_signature) {
+        out.insert(out.end(), img.signature.begin(), img.signature.end());
+    }
+}
+
 } // namespace
 
 uint64_t
@@ -69,26 +100,8 @@ Bytes
 Image::serialize() const
 {
     Bytes out;
-    out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
-    put_le<uint32_t>(out, kVersion);
-    put_le<uint64_t>(out, entry_offset);
-    put_le<uint64_t>(out, code.size());
-    put_le<uint64_t>(out, data.size());
-    put_le<uint64_t>(out, bss_size);
-    put_le<uint64_t>(out, heap_size);
-    put_le<uint64_t>(out, stack_size);
-    put_le<uint64_t>(out, code_reserve);
-    put_le<uint32_t>(out, flags);
-    put_le<uint32_t>(out, static_cast<uint32_t>(symbols.size()));
-    for (const auto &sym : symbols) {
-        put_le<uint16_t>(out, static_cast<uint16_t>(sym.name.size()));
-        out.insert(out.end(), sym.name.begin(), sym.name.end());
-        put_le<uint64_t>(out, sym.offset);
-    }
-    out.push_back(has_signature ? 1 : 0);
-    if (has_signature) {
-        out.insert(out.end(), signature.begin(), signature.end());
-    }
+    put_header(*this, has_signature, out);
+    out.reserve(out.size() + code.size() + data.size());
     out.insert(out.end(), code.begin(), code.end());
     out.insert(out.end(), data.begin(), data.end());
     return out;
@@ -157,11 +170,16 @@ Image::parse(const Bytes &raw)
 crypto::Sha256Digest
 Image::content_digest() const
 {
-    // Hash a copy with the signature blanked so signing is stable.
-    Image unsigned_copy = *this;
-    unsigned_copy.has_signature = false;
-    unsigned_copy.signature = {};
-    return crypto::Sha256::digest(unsigned_copy.serialize());
+    // SHA-256 of the unsigned serialization, streamed: the header goes
+    // through a small buffer and the segments are hashed in place, so
+    // signing and every spawn-time check copy nothing image-sized.
+    Bytes header;
+    put_header(*this, false, header);
+    crypto::Sha256 hasher;
+    hasher.update(header);
+    hasher.update(code);
+    hasher.update(data);
+    return hasher.finish();
 }
 
 void

@@ -139,7 +139,12 @@ struct Image {
     Bytes serialize() const;
     static Result<Image> parse(const Bytes &raw);
 
-    /** Digest over everything except the signature fields. */
+    /**
+     * SHA-256 of the unsigned serialization (signature flag 0, no
+     * signature bytes), streamed: header, then code, then data, with
+     * no image-sized copy. Hash the enclave-side Image parse()
+     * produced, never the host bytes it came from.
+     */
     crypto::Sha256Digest content_digest() const;
 
     /** Sign with the given verifier key (HMAC over content digest). */

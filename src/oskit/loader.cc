@@ -10,17 +10,37 @@ namespace occlum::oskit {
 
 namespace {
 
-/** Rewrite the domain-ID field of every cfi_label in a code blob. */
+/**
+ * Stamp `domain_id` into the domain-ID field of every cfi_label of
+ * `code`, which has just been copied to `c_begin`. Labels are found in
+ * the (read-only) image and patched in the slot: a scan resumes after
+ * a label's 8 bytes, and no label starts in the last 7 bytes.
+ */
 void
-rewrite_cfi_labels(Bytes &code, uint32_t domain_id)
+stamp_cfi_labels(vm::AddressSpace &space, uint64_t c_begin,
+                 const Bytes &code, uint32_t domain_id)
 {
     if (code.size() < isa::kCfiLabelSize) {
         return;
     }
-    for (size_t i = 0; i + isa::kCfiLabelSize <= code.size(); ++i) {
-        if (std::memcmp(code.data() + i, isa::kCfiMagic, 4) == 0) {
-            set_le<uint32_t>(code.data() + i + 4, domain_id);
-            i += isa::kCfiLabelSize - 1;
+    uint8_t id[4];
+    set_le<uint32_t>(id, domain_id);
+    const uint8_t *bytes = code.data();
+    const size_t starts = code.size() - isa::kCfiLabelSize + 1;
+    size_t i = 0;
+    while (i < starts) {
+        const void *hit =
+            std::memchr(bytes + i, isa::kCfiMagic[0], starts - i);
+        if (!hit) {
+            break;
+        }
+        i = static_cast<const uint8_t *>(hit) - bytes;
+        if (std::memcmp(bytes + i, isa::kCfiMagic, 4) == 0) {
+            OCC_CHECK(space.write_raw(c_begin + i + 4, id, sizeof(id)) ==
+                      vm::AccessFault::kNone);
+            i += isa::kCfiLabelSize;
+        } else {
+            ++i;
         }
     }
 }
@@ -55,13 +75,11 @@ load_image(vm::AddressSpace &space, const oelf::Image &image,
             domain.d_begin, image.data_region_size(),
             options.data_rwx ? vm::kPermRWX : vm::kPermRW));
     } else {
+        // The caller has wiped the slot (see LoadOptions::map_pages).
         if (!space.is_mapped(base, code_pages) ||
             !space.is_mapped(domain.d_begin, image.data_region_size())) {
             return Error(ErrorCode::kNoMem, "domain slot not mapped");
         }
-        // Fresh slate for a reused slot.
-        space.zero_raw(base, code_pages);
-        space.zero_raw(domain.d_begin, image.data_region_size());
     }
 
     // Trampoline: cfi_label(domain_id); ltrap. The cfi_label makes the
@@ -73,14 +91,15 @@ load_image(vm::AddressSpace &space, const oelf::Image &image,
     OCC_CHECK(space.write_raw(base, gate_code.data(), gate_code.size()) ==
               vm::AccessFault::kNone);
 
-    // User code with the domain ID stamped into every cfi_label.
-    Bytes code = image.code;
-    if (options.rewrite_cfi) {
-        rewrite_cfi_labels(code, options.domain_id);
+    // User code, then the domain ID stamped into every cfi_label.
+    if (!image.code.empty()) {
+        OCC_CHECK(space.write_raw(domain.c_begin, image.code.data(),
+                                  image.code.size()) ==
+                  vm::AccessFault::kNone);
     }
-    if (!code.empty()) {
-        OCC_CHECK(space.write_raw(domain.c_begin, code.data(),
-                                  code.size()) == vm::AccessFault::kNone);
+    if (options.rewrite_cfi) {
+        stamp_cfi_labels(space, domain.c_begin, image.code,
+                         options.domain_id);
     }
 
     // Initialized data after the PCB.

@@ -5,8 +5,8 @@
  * Performs the loader duties of paper §6: copy segments, write the
  * PCB (trampoline address, heap bounds, argv — the auxiliary-vector
  * stand-in), inject the trampoline page (the only way out of the
- * MMDSFI sandbox), rewrite the domain ID into every cfi_label, and
- * initialize the CPU state including the MPX bound registers.
+ * MMDSFI sandbox), stamp the domain ID into every cfi_label in place,
+ * and initialize the CPU state including the MPX bound registers.
  */
 #ifndef OCCLUM_OSKIT_LOADER_H
 #define OCCLUM_OSKIT_LOADER_H
@@ -41,8 +41,13 @@ struct LoadOptions {
     bool rewrite_cfi = true;
     /**
      * Map the pages (Linux/EIP). When false the pages must already
-     * exist (Occlum's preallocated SGX 1.0 domain slots); they are
-     * zeroed instead.
+     * exist (Occlum's preallocated SGX 1.0 domain slots) and the
+     * caller owns the wipe: the loader writes only the trampoline
+     * gate, the code bytes, the PCB, argv and the initialized data,
+     * so every other byte of the domain must already be zero — the
+     * rest of the trampoline page, the code region past
+     * `image.code.size()`, and the data region. The code bytes
+     * themselves need no wipe; the load overwrites them.
      */
     bool map_pages = true;
     /**

@@ -139,10 +139,12 @@ class Enclave
 
     /**
      * EADD+EEXTEND accounting for zero "reserve" pages (heap, stacks)
-     * without materializing backing memory. The measurement and the
-     * cycle cost are identical to add_pages() of zero pages; only the
-     * simulator's RAM footprint differs. Used by the EIP baseline,
-     * whose minimal enclaves are hundreds of MiB of mostly-zero pages.
+     * without materializing backing memory. The cycle cost is that
+     * of add_pages() of zero pages; each page is measured as the
+     * record LE64(~0) anonymous-reserve marker, RW perms, zero-page
+     * digest, absorbed 64 records (41 SHA-256 blocks) per update.
+     * Used by the EIP baseline, whose minimal enclaves are hundreds
+     * of MiB of mostly-zero pages.
      */
     Status measure_reserved(uint64_t len);
 

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "baseline/eip_system.h"
+#include "isa/assembler.h"
 #include "libos/occlum_system.h"
+#include "oelf/abi.h"
 #include "toolchain/minic.h"
 #include "verifier/verifier.h"
 
@@ -290,6 +292,119 @@ func main() {
 )"),
               0);
     EXPECT_EQ(h.sys->free_slots(), 2);
+}
+
+/** True if every byte of `bytes[begin, end)` is zero. */
+bool
+all_zero(const Bytes &bytes, size_t begin, size_t end)
+{
+    return std::all_of(bytes.begin() + begin, bytes.begin() + end,
+                       [](uint8_t b) { return b == 0; });
+}
+
+TEST(OcclumSystem, ReusedSlotIsWipedForAShorterImage)
+{
+    // Paper §3.1: a SIP must not see a predecessor's memory. SIP A
+    // (more code, padded) fills its globals, heap, mmap area and stack
+    // with a pattern; SIP B (less code) reuses A's slot. The loader
+    // only writes what B's image and PCB need, so everything else the
+    // slot holds must have been wiped before B's load.
+    OcclumHarness h(1);
+    OcclumSystem::Config defaults;
+    const uint64_t base = defaults.enclave_base;
+    const uint64_t code_size = defaults.slot_code_size;
+    const uint64_t data_size = defaults.slot_data_size;
+    const uint64_t data_base =
+        base + oelf::kTrampSize + code_size + oelf::kGuardSize;
+    vm::AddressSpace &mem = h.sys->enclave().mem();
+    auto read_slot = [&](uint64_t addr, uint64_t len) {
+        Bytes out(len);
+        EXPECT_EQ(mem.read_raw(addr, out.data(), len), vm::AccessFault::kNone);
+        return out;
+    };
+
+    // A: bulk code (a long straight-line function), then the fills.
+    std::string a_source = "global int g[512];\nfunc bulk(x) {\n";
+    for (int i = 0; i < 300; ++i) {
+        a_source += "    x = x * 3 + " + std::to_string(i) + ";\n";
+    }
+    a_source += R"(    return x;
+}
+func main() {
+    var stk[200];
+    var i = 0;
+    while (i < 512) { g[i] = 1515870810; i = i + 1; }
+    i = 0;
+    while (i < 200) { stk[i] = 1515870810; i = i + 1; }
+    var a = heap_begin();
+    var end = stk - 64;
+    while (a < end) { wstore(a, 1515870810); a = a + 8; }
+    return bulk(0) * 0;
+}
+)";
+    toolchain::CompileOptions padded;
+    padded.pad_code_to = 256 << 10;
+    auto a_out = toolchain::compile(a_source, padded);
+    ASSERT_TRUE(a_out.ok()) << a_out.error().message;
+    verifier::Verifier verifier(vkey());
+    auto a_signed = verifier.verify_and_sign(a_out.value().image);
+    ASSERT_TRUE(a_signed.ok());
+    h.binaries.put("a", a_signed.value().serialize());
+
+    // B scans its own heap, mmap area and stack before touching them.
+    h.add_program("b", R"(
+func main() {
+    var stk[200];
+    var i = 0;
+    while (i < 200) { if (stk[i] != 0) { return 1; } i = i + 1; }
+    var a = heap_begin();
+    var end = stk - 64;
+    while (a < end) { if (wload(a) != 0) { return 2; } a = a + 8; }
+    return 0;
+}
+)");
+    auto b_image = oelf::Image::parse(*h.binaries.get("b").value());
+    ASSERT_TRUE(b_image.ok());
+    const oelf::Image &b = b_image.value();
+    const oelf::Image &a = a_signed.value();
+    // A's real (nonzero) code runs past B's code, so the code check
+    // below sees stale bytes unless the tail was wiped.
+    ASSERT_FALSE(all_zero(a.code, b.code.size(), a.code.size()));
+
+    auto a_pid = h.sys->spawn("a", {"a"});
+    ASSERT_TRUE(a_pid.ok());
+    h.sys->run();
+    ASSERT_EQ(h.sys->exit_code(a_pid.value()).value(), 0);
+    ASSERT_EQ(h.sys->free_slots(), 1);
+    Bytes stale = read_slot(data_base, data_size);
+    ASSERT_FALSE(all_zero(stale, abi::kPcbSize + b.data.size(), data_size));
+
+    auto b_pid = h.sys->spawn("b", {"b"});
+    ASSERT_TRUE(b_pid.ok());
+    ASSERT_EQ(h.sys->free_slots(), 0);
+
+    // Code region past B's code: zero.
+    Bytes code = read_slot(base + oelf::kTrampSize, code_size);
+    EXPECT_TRUE(all_zero(code, b.code.size(), code.size()));
+    // Trampoline: exactly B's gate, then zeros.
+    Bytes data = read_slot(data_base, data_size);
+    uint32_t domain_id =
+        get_le<uint32_t>(data.data() + abi::kPcbDomainId);
+    isa::Assembler gate(base);
+    gate.cfi_label(domain_id);
+    gate.ltrap();
+    Bytes gate_code = gate.finish();
+    Bytes tramp = read_slot(base, oelf::kTrampSize);
+    EXPECT_TRUE(std::equal(gate_code.begin(), gate_code.end(),
+                           tramp.begin()));
+    EXPECT_TRUE(all_zero(tramp, gate_code.size(), tramp.size()));
+    // Data region: B's initialized data after the PCB, zeros beyond.
+    EXPECT_TRUE(std::equal(b.data.begin(), b.data.end(),
+                           data.begin() + abi::kPcbSize));
+    EXPECT_TRUE(all_zero(data, abi::kPcbSize + b.data.size(), data_size));
+
+    h.sys->run();
+    EXPECT_EQ(h.sys->exit_code(b_pid.value()).value(), 0);
 }
 
 TEST(Occlum, SpawnCostScalesWithBinarySizeNotEnclaveCreation)

@@ -7,6 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "base/rng.h"
 #include "baseline/linux_system.h"
 #include "faultsim/faultsim.h"
 #include "oskit/loader.h"
@@ -96,6 +99,134 @@ TEST(Loader, CfiLabelsRewrittenToDomainId)
         }
     }
     EXPECT_GT(found, 0);
+}
+
+/**
+ * The per-byte cfi_label rewrite the loader used to run over a copy
+ * of the code, kept as the reference its in-slot stamping must match:
+ * a match is stamped and the scan resumes 8 bytes on; no label starts
+ * in the last 7 bytes.
+ */
+void
+reference_cfi_rewrite(Bytes &code, uint32_t domain_id)
+{
+    if (code.size() < isa::kCfiLabelSize) {
+        return;
+    }
+    for (size_t i = 0; i + isa::kCfiLabelSize <= code.size(); ++i) {
+        if (std::memcmp(code.data() + i, isa::kCfiMagic, 4) == 0) {
+            set_le<uint32_t>(code.data() + i + 4, domain_id);
+            i += isa::kCfiLabelSize - 1;
+        }
+    }
+}
+
+/** Code blobs built to trip up a label scan. */
+std::vector<Bytes>
+adversarial_code_blobs()
+{
+    const Bytes magic(std::begin(isa::kCfiMagic), std::end(isa::kCfiMagic));
+    auto put = [](Bytes &blob, size_t at, const Bytes &bytes) {
+        std::copy(bytes.begin(), bytes.end(), blob.begin() + at);
+    };
+    std::vector<Bytes> blobs;
+
+    Bytes blob(3 * vm::kPageSize + 123, 0x90);
+    // Overlapping magic: CF CF 1A BE 1D — the label starts one byte in.
+    put(blob, 0, {0xCF});
+    put(blob, 1, magic);
+    // Back-to-back labels, then a label whose ID would read as magic.
+    put(blob, 64, magic);
+    put(blob, 72, magic);
+    put(blob, 80, magic);
+    put(blob, 84, magic);
+    // A magic inside a label's ID field is consumed, not stamped.
+    put(blob, 128, magic);
+    put(blob, 132, magic);
+    put(blob, 136, magic);
+    // Labels straddling the slot's first code page boundary: the ID
+    // field, then the magic itself.
+    put(blob, vm::kPageSize - 6, magic);
+    put(blob, 2 * vm::kPageSize - 2, magic);
+    // The last label that fits, then a magic in the last 7 bytes
+    // (unstamped) and a lone trailing 0xCF.
+    put(blob, blob.size() - 15, magic);
+    put(blob, blob.size() - 7, magic);
+    blob.back() = 0xCF;
+    blobs.push_back(blob);
+
+    // Dense seeded noise over the magic's bytes and zeros.
+    Rng rng(0xCF1ABE1D);
+    const uint8_t alphabet[] = {0xCF, 0x1A, 0xBE, 0x1D, 0x00};
+    Bytes noise(2 * vm::kPageSize + 7);
+    for (auto &b : noise) {
+        b = alphabet[rng.next_below(sizeof(alphabet))];
+    }
+    for (size_t at = 5; at + 4 <= noise.size(); at += 37) {
+        put(noise, at, magic);
+    }
+    blobs.push_back(noise);
+
+    // Shorter than a label, and exactly one label long.
+    Bytes tiny = magic;
+    tiny.push_back(0xCF);
+    blobs.push_back(tiny);
+    Bytes one = magic;
+    one.insert(one.end(), {1, 2, 3, 4});
+    blobs.push_back(one);
+    return blobs;
+}
+
+TEST(Loader, CfiStampingMatchesReferenceScan)
+{
+    constexpr uint64_t kBase = 0x40000000;
+    for (const Bytes &blob : adversarial_code_blobs()) {
+        oelf::Image image;
+        image.code = blob;
+        image.heap_size = 64 << 10;
+        image.stack_size = 16 << 10;
+        uint64_t code_pages = oelf::kTrampSize + image.code_region_size();
+        for (uint32_t id : {0u, 0x1234u, 0xffffffffu}) {
+            for (bool map_pages : {true, false}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "size " << blob.size() << " id " << id
+                             << " map_pages " << map_pages);
+                vm::AddressSpace space;
+                uint64_t d_begin = kBase + image.data_offset();
+                if (!map_pages) {
+                    // A reused slot, wiped per the contract except for
+                    // the code bytes the load overwrites.
+                    ASSERT_TRUE(
+                        space.map(kBase, code_pages, vm::kPermRX).ok());
+                    ASSERT_TRUE(space
+                                    .map(d_begin, image.data_region_size(),
+                                         vm::kPermRW)
+                                    .ok());
+                    Bytes stale(blob.size(), 0xCF);
+                    ASSERT_EQ(space.write_raw(kBase + oelf::kTrampSize,
+                                              stale.data(), stale.size()),
+                              vm::AccessFault::kNone);
+                }
+                LoadOptions options;
+                options.domain_id = id;
+                options.map_pages = map_pages;
+                auto domain = load_image(space, image, kBase, {"p"}, options);
+                ASSERT_TRUE(domain.ok());
+
+                Bytes expect = blob;
+                reference_cfi_rewrite(expect, id);
+                Bytes region(image.code_region_size());
+                ASSERT_EQ(space.read_raw(domain.value().c_begin,
+                                         region.data(), region.size()),
+                          vm::AccessFault::kNone);
+                EXPECT_TRUE(std::equal(expect.begin(), expect.end(),
+                                       region.begin()));
+                EXPECT_TRUE(std::all_of(region.begin() + blob.size(),
+                                        region.end(),
+                                        [](uint8_t b) { return b == 0; }));
+            }
+        }
+    }
 }
 
 TEST(Loader, RejectsOversizedArgv)

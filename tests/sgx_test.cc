@@ -8,6 +8,7 @@
 
 #include <algorithm>
 
+#include "crypto/reference.h"
 #include "sgx/sgx.h"
 
 namespace occlum::sgx {
@@ -489,6 +490,56 @@ TEST(Enclave, ZeroReserveMatchesExplicitZeroPages)
         e2.add_pages(kBase, 16 * vm::kPageSize, vm::kPermRW).ok());
     uint64_t cost2 = p2.clock().cycles() - before2;
     EXPECT_EQ(cost1, cost2);
+}
+
+TEST(Enclave, ReserveMeasurementMatchesPerPageStream)
+{
+    // measure_reserved absorbs prebuilt runs of page records; the
+    // byte stream must be the per-page one: ECREATE header, then per
+    // page LE64(~0) + RW perms + SHA-256 of a zero page. A leading
+    // explicit page leaves the stream off a block boundary.
+    constexpr uint64_t kSize = 64 << 20;
+    const bool saved_mode = crypto::reference_mode();
+    Bytes zeros(vm::kPageSize, 0);
+    for (bool reference : {false, true}) {
+        crypto::set_reference_mode(reference);
+        crypto::Sha256Digest zero_digest = crypto::Sha256::digest(zeros);
+        for (uint64_t pages : {1u, 63u, 64u, 65u, 1000u}) {
+            for (bool lead_page : {false, true}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "reference " << reference << " pages "
+                             << pages << " lead " << lead_page);
+                crypto::Sha256 expect;
+                Bytes header;
+                put_le<uint64_t>(header, kBase);
+                put_le<uint64_t>(header, kSize);
+                expect.update(header);
+
+                Platform p;
+                Enclave e(p, kBase, kSize);
+                if (lead_page) {
+                    ASSERT_TRUE(
+                        e.add_pages(kBase, vm::kPageSize, vm::kPermRX).ok());
+                    Bytes meta;
+                    put_le<uint64_t>(meta, kBase);
+                    meta.push_back(vm::kPermRX);
+                    expect.update(meta);
+                    expect.update(zero_digest.data(), zero_digest.size());
+                }
+                ASSERT_TRUE(e.measure_reserved(pages * vm::kPageSize).ok());
+                for (uint64_t i = 0; i < pages; ++i) {
+                    Bytes meta;
+                    put_le<uint64_t>(meta, ~0ull);
+                    meta.push_back(vm::kPermRW);
+                    expect.update(meta);
+                    expect.update(zero_digest.data(), zero_digest.size());
+                }
+                ASSERT_TRUE(e.init().ok());
+                EXPECT_EQ(e.measurement(), expect.finish());
+            }
+        }
+    }
+    crypto::set_reference_mode(saved_mode);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/linux_system.h"
+#include "crypto/reference.h"
 #include "toolchain/minic.h"
 
 namespace occlum::toolchain {
@@ -295,6 +296,84 @@ TEST(MiniC, ImageRoundTripsAndSigns)
     // Tampering breaks the signature.
     parsed.value().code[0] ^= 1;
     EXPECT_FALSE(parsed.value().check_signature(key));
+}
+
+/** A hand-built image: `code_len` code bytes, `symbols` symbols. */
+oelf::Image
+digest_test_image(size_t code_len, size_t data_len, size_t symbols)
+{
+    oelf::Image image;
+    image.entry_offset = code_len / 2;
+    image.code.resize(code_len);
+    for (size_t i = 0; i < code_len; ++i) {
+        image.code[i] = static_cast<uint8_t>(i * 7 + 1);
+    }
+    image.data.assign(data_len, 0x5A);
+    image.bss_size = 123;
+    image.flags = oelf::kFlagInstrumented;
+    image.code_reserve = 1 << 20;
+    for (size_t i = 0; i < symbols; ++i) {
+        image.symbols.push_back(
+            {"sym_" + std::to_string(i) + std::string(i % 13, 'x'),
+             i * 16});
+    }
+    return image;
+}
+
+TEST(Oelf, StreamedDigestMatchesUnsignedSerialization)
+{
+    crypto::Key128 key{};
+    key[5] = 0x3C;
+    const bool saved_mode = crypto::reference_mode();
+    for (bool reference : {false, true}) {
+        crypto::set_reference_mode(reference);
+        for (size_t code_len : {4096u, 4097u, 4159u, 64u, 65u}) {
+            for (size_t data_len : {0u, 1u, 300u}) {
+                for (size_t symbols : {0u, 1u, 250u}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "reference " << reference << " code "
+                                 << code_len << " data " << data_len
+                                 << " symbols " << symbols);
+                    oelf::Image image =
+                        digest_test_image(code_len, data_len, symbols);
+                    // The digest is SHA-256 of the unsigned
+                    // serialization, before and after signing.
+                    crypto::Sha256Digest expect =
+                        crypto::Sha256::digest(image.serialize());
+                    EXPECT_EQ(image.content_digest(), expect);
+                    image.sign(key);
+                    EXPECT_EQ(image.content_digest(), expect);
+
+                    Bytes raw = image.serialize();
+                    auto parsed = oelf::Image::parse(raw);
+                    ASSERT_TRUE(parsed.ok());
+                    EXPECT_TRUE(parsed.value().check_signature(key));
+
+                    // One flipped byte anywhere signed must fail:
+                    // heap_size, flags, a symbol name, code, data.
+                    std::vector<size_t> flips = {40, 64};
+                    if (symbols > 0) {
+                        flips.push_back(74); // first name byte
+                    }
+                    size_t code_at = raw.size() - data_len - code_len;
+                    flips.push_back(code_at);
+                    flips.push_back(code_at + code_len - 1);
+                    if (data_len > 0) {
+                        flips.push_back(raw.size() - 1);
+                    }
+                    for (size_t at : flips) {
+                        Bytes tampered = raw;
+                        tampered[at] ^= 0x01;
+                        auto bad = oelf::Image::parse(tampered);
+                        ASSERT_TRUE(bad.ok()) << "flip at " << at;
+                        EXPECT_FALSE(bad.value().check_signature(key))
+                            << "flip at " << at;
+                    }
+                }
+            }
+        }
+    }
+    crypto::set_reference_mode(saved_mode);
 }
 
 } // namespace
