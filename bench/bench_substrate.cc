@@ -85,6 +85,7 @@ enum class VmLoop {
     kRegisters,   // register-only ALU loop
     kRwxData,     // plus one store per iteration into an RWX page
     kStackLocals, // MMDSFI-shaped: every local lives in the frame
+    kSibLocals,   // the same, each slot addressed [fp + idx*8 + d]
 };
 
 /**
@@ -96,7 +97,10 @@ enum class VmLoop {
  * loop (`h = (h * 31 + i) & 0xffff` while `i < n`) with h, i and n in
  * stack-frame slots, each load and store behind a mem_guard on a
  * frame-relative operand, the way instrumented code touches locals:
- * its rows price the trace tier's memory uops.
+ * its rows price the trace tier's memory uops. kSibLocals runs the
+ * same loop with every slot addressed through a SIB operand
+ * ([fp + idx*8 + d], idx = 1), so its row prices the generic-EA
+ * memory bodies beside the base+displacement ones.
  */
 void
 vm_interpreter_bench(benchmark::State &state, vm::Tier tier,
@@ -110,9 +114,14 @@ vm_interpreter_bench(benchmark::State &state, vm::Tier tier,
                                                  : vm::kPermRW)
                   .ok());
     isa::Assembler a(0x1000);
-    if (loop == VmLoop::kStackLocals) {
+    if (loop == VmLoop::kStackLocals || loop == VmLoop::kSibLocals) {
         constexpr uint8_t kFp = 5;
-        auto slot = [](int32_t k) { return isa::mem_bd(kFp, 8 * k); };
+        constexpr uint8_t kIdx = 6;
+        auto slot = [loop](int32_t k) {
+            return loop == VmLoop::kSibLocals
+                       ? isa::mem_sib(kFp, kIdx, 3, 8 * k - 8)
+                       : isa::mem_bd(kFp, 8 * k);
+        };
         auto guarded_store = [&](int32_t k, uint8_t r) {
             a.mem_guard(slot(k));
             a.store(slot(k), r);
@@ -122,6 +131,7 @@ vm_interpreter_bench(benchmark::State &state, vm::Tier tier,
             a.load(r, slot(k));
         };
         a.mov_ri(kFp, static_cast<int64_t>(kPage + 0x800));
+        a.mov_ri(kIdx, 1);
         a.mov_ri(1, 0);
         guarded_store(0, 1); // h
         guarded_store(1, 1); // i
@@ -225,6 +235,14 @@ BM_VmInterpreterStackLocals(benchmark::State &state)
     vm_interpreter_bench(state, vm::Tier::kTraces, VmLoop::kStackLocals);
 }
 BENCHMARK(BM_VmInterpreterStackLocals);
+
+/** The same locals through SIB operands: the generic-EA bodies. */
+void
+BM_VmInterpreterSibLocals(benchmark::State &state)
+{
+    vm_interpreter_bench(state, vm::Tier::kTraces, VmLoop::kSibLocals);
+}
+BENCHMARK(BM_VmInterpreterSibLocals);
 
 void
 BM_CompileMiniC(benchmark::State &state)

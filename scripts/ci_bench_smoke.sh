@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI job: smoke-test the benchmark recording pipeline. Runs the
-# two cheap figure benches through scripts/bench_record.sh, checks
+# three cheap figure benches through scripts/bench_record.sh, checks
 # that a snapshot with machine-readable JSON came out and that the
-# spawn rows match their committed snapshot, so bench or
-# script rot is caught on every push rather than at paper-figure
+# spawn and SPEC-kernel rows match their committed snapshot, so bench
+# or script rot is caught on every push rather than at paper-figure
 # time, then runs perfbench's self-check. The full (slow) suite is
 # recorded manually via scripts/bench_record.sh.
 #
@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-bench}"
 LABEL="ci-smoke"
 
-BENCH_FILTER='bench_fig6cd_file_io|bench_fig6a_spawn' \
+BENCH_FILTER='bench_fig6cd_file_io|bench_fig6a_spawn|bench_fig7a_specint' \
     scripts/bench_record.sh "$BUILD_DIR" "$LABEL"
 
 OUT_DIR="bench/results/$LABEL"
@@ -34,6 +34,36 @@ grep -q '"rows"\|"name"' "$JSON" ||
 SPAWN_PIN="bench/results/2026-08-07-pr8-superblock/BENCH_fig6a_spawn.json"
 cmp "$OUT_DIR/BENCH_fig6a_spawn.json" "$SPAWN_PIN" ||
     { echo "smoke failed: spawn rows differ from $SPAWN_PIN" >&2;
+      exit 1; }
+
+# SPEC-kernel pin: fig7a's own OCC_CHECK asserts that trace-tier
+# cycles equal tier-1 cycles on all twelve kernels; its simulated
+# rows (plain and MMDSFI Mcycles, overhead, block-cache hit rate) must
+# also equal the committed snapshot. Wall-clock rows and superblock
+# counts are host-dependent and not compared.
+SPEC_PIN="bench/results/2026-08-07-pr8-superblock/BENCH_fig7a_specint.json"
+python3 - "$OUT_DIR/BENCH_fig7a_specint.json" "$SPEC_PIN" <<'EOF' ||
+import json
+import sys
+
+PINNED = {"plain_mcycles", "mmdsfi_mcycles", "overhead_pct",
+          "block_cache_hit_rate_pct"}
+
+
+def rows(path):
+    with open(path) as f:
+        return {(r["label"], r["metric"]): r["value"]
+                for r in json.load(f)["rows"] if r["metric"] in PINNED}
+
+
+got, want = rows(sys.argv[1]), rows(sys.argv[2])
+for key in sorted(set(got) | set(want)):
+    if got.get(key) != want.get(key):
+        print("fig7a %s %s: got %s, pinned %s"
+              % (key[0], key[1], got.get(key), want.get(key)))
+sys.exit(0 if want and got == want else 1)
+EOF
+    { echo "smoke failed: SPEC-kernel rows differ from $SPEC_PIN" >&2;
       exit 1; }
 
 # Superblock-off leg: the same bench with the trace tier pinned off

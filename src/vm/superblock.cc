@@ -30,6 +30,8 @@ namespace {
  * table serves every Cpu instance.
  */
 const void *const *g_sb_label_table = nullptr;
+/** Memory label slots per EA flavour: 5 groups x widths 8/4/1. */
+constexpr size_t kMemSlots = 15;
 
 /**
  * Evaluate `cond` of a compare of (a, b) directly from the operands.
@@ -488,17 +490,22 @@ translate_superblock(const SbDecodeFn &decode, uint64_t entry_rip,
     peephole::fuse_load_alu(uops, is_target);
     peephole::compact(uops);
 
-    // Budget segments: each uop learns the instruction count from it
-    // through the next intra-trace branch. The replay loop checks the
-    // budget only where a segment can begin (entry, after a branch,
-    // at a link), so everything else dispatches unchecked.
+    // Budget segments: each uop learns the instruction count and the
+    // cycles from it through the next intra-trace branch. The replay
+    // loop checks the budget and charges both only where a segment
+    // can begin (entry, after a branch, at a link), so everything
+    // else dispatches unchecked and uncharged.
     uint32_t seg = 0;
+    uint32_t seg_cost = 0;
     for (size_t k = uops.size(); k-- > 0;) {
         if (is_intra_trace_branch(uops[k].kind)) {
             seg = 0;
+            seg_cost = 0;
         }
         seg += uops[k].n_instrs;
+        seg_cost += uops[k].cost;
         uops[k].seg_instrs = static_cast<uint16_t>(seg);
+        uops[k].seg_cost = seg_cost;
     }
 
     out->uops = std::move(uops);
@@ -556,7 +563,8 @@ Cpu::promote_superblock(uint64_t entry_rip)
         u.handler = g_sb_label_table[static_cast<size_t>(u.kind)];
         // Memory uops bind the width-constant body variant (the
         // extension slots past kNumUopKinds) so the hot loop never
-        // branches on op->size.
+        // branches on op->size, and a base+displacement operand the
+        // clone that never branches on op->ea either.
         int group;
         switch (u.kind) {
           case UopKind::kLoad:     group = 0; break;
@@ -567,9 +575,10 @@ Cpu::promote_superblock(uint64_t entry_rip)
           default:                 group = -1; break;
         }
         if (group >= 0) {
-            int w = u.size == 8 ? 0 : u.size == 4 ? 1 : 2;
-            u.handler = g_sb_label_table
-                [kNumUopKinds + static_cast<size_t>(group * 3 + w)];
+            size_t w = u.size == 8 ? 0 : u.size == 4 ? 1 : 2;
+            size_t slot = (u.ea == kEaBaseDisp ? kMemSlots : 0) +
+                          static_cast<size_t>(group) * 3 + w;
+            u.handler = g_sb_label_table[kNumUopKinds + slot];
         }
     }
     ++sb_promotions_;
@@ -592,24 +601,28 @@ Cpu::promote_superblock(uint64_t entry_rip)
 #endif
 #define SB_OP(name) lbl_##name
 /*
- * Budget per segment: SB_NEXT dispatches unchecked, SB_SEGMENT checks
- * the remaining budget against the uop's whole segment first. Only a
- * segment head dispatches through SB_SEGMENT — trace entry, both
- * successors of an intra-trace branch, and a link into another trace
- * — and a segment runs no further than its closing branch, so no
- * uop in between can overshoot.
+ * Budget and charge per segment: SB_NEXT steps the uop pointer and
+ * dispatches unchecked and uncharged; SB_SEGMENT, at the uop `op`
+ * already points to, checks the remaining budget against the uop's
+ * whole segment, then charges the segment's cycles and instructions
+ * in one go. Only a segment head dispatches through SB_SEGMENT —
+ * trace entry, both successors of an intra-trace branch, and a link
+ * into another trace — and a segment runs no further than its
+ * closing branch, so no uop in between can overshoot, and every uop
+ * that leaves earlier gives back the rest (SB_GIVE_BACK).
  */
 #define SB_NEXT()                                                       \
     do {                                                                \
-        op = uops + i;                                                  \
+        ++op;                                                           \
         goto *op->handler;                                              \
     } while (0)
 #define SB_SEGMENT()                                                    \
     do {                                                                \
-        op = uops + i;                                                  \
         if (left < op->seg_instrs) {                                    \
             goto budget_stop;                                           \
         }                                                               \
+        cycles += op->seg_cost;                                         \
+        left -= op->seg_instrs;                                         \
         goto *op->handler;                                              \
     } while (0)
 
@@ -701,7 +714,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     bool flags_deferred = false;
 
     // A macro, not a by-reference lambda: capturing the counters by
-    // reference keeps them in stack slots, so every uop's `cycles +=`
+    // reference keeps them in stack slots, so every segment charge
     // became a load-add-store chain through memory.
 #define SB_FLUSH()                                                      \
     do {                                                                \
@@ -719,6 +732,23 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         exit->fault_addr = addr;
         exit->rip = rip;
     };
+    // Leaving mid-segment: the head charged every uop through the
+    // segment's closing branch, so take back the uops after `op` and
+    // all of op's own group but the COST cycles and INSTRS
+    // instructions that ran (its full cost and n_instrs when it
+    // completed, its partial tier when a fused component faulted).
+#define SB_GIVE_BACK(COST, INSTRS)                                      \
+    do {                                                                \
+        cycles -= op->seg_cost - (COST);                                \
+        left += op->seg_instrs - (INSTRS);                              \
+    } while (0)
+#define SB_FAULT(KIND, ADDR, RIP, COST, INSTRS)                         \
+    do {                                                                \
+        SB_GIVE_BACK(COST, INSTRS);                                     \
+        do_fault(KIND, ADDR, RIP);                                      \
+        SB_FLUSH();                                                     \
+        return SbResult::kExit;                                         \
+    } while (0)
     auto ea = [&regs](const Uop &op) -> uint64_t {
         switch (op.ea) {
           case kEaBaseDisp:
@@ -730,8 +760,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             return static_cast<uint64_t>(op.disp);
         }
     };
-    const Uop *__restrict op;
-    int32_t i = 0;
+    const Uop *__restrict op = uops;
     // One label per UopKind, in enum order (count asserted below;
     // every op body is reached by the full test battery, so an
     // ordering slip cannot survive a test run).
@@ -762,19 +791,25 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         // Width-constant memory bodies, past the UopKind-indexed
         // range. promote_superblock rebinds every memory uop (kLoad,
         // kStore and the three above, whose kind-indexed slots panic)
-        // to the variant matching its install-time width. Order:
-        // group-major (Load, Store, LoadChk, StoreChk, LoadAlu),
-        // width 8/4/1.
+        // to the variant matching its install-time width and EA mode.
+        // Order: generic EA (SIB, constant) then base+displacement;
+        // within each, group-major (Load, Store, LoadChk, StoreChk,
+        // LoadAlu), width 8/4/1.
         &&lbl_Load8, &&lbl_Load4, &&lbl_Load1,
         &&lbl_Store8, &&lbl_Store4, &&lbl_Store1,
         &&lbl_LoadChk8, &&lbl_LoadChk4, &&lbl_LoadChk1,
         &&lbl_StoreChk8, &&lbl_StoreChk4, &&lbl_StoreChk1,
         &&lbl_LoadAlu8, &&lbl_LoadAlu4, &&lbl_LoadAlu1,
+        &&lbl_Load8Bd, &&lbl_Load4Bd, &&lbl_Load1Bd,
+        &&lbl_Store8Bd, &&lbl_Store4Bd, &&lbl_Store1Bd,
+        &&lbl_LoadChk8Bd, &&lbl_LoadChk4Bd, &&lbl_LoadChk1Bd,
+        &&lbl_StoreChk8Bd, &&lbl_StoreChk4Bd, &&lbl_StoreChk1Bd,
+        &&lbl_LoadAlu8Bd, &&lbl_LoadAlu4Bd, &&lbl_LoadAlu1Bd,
     };
     static_assert(sizeof(kLabels) / sizeof(kLabels[0]) ==
-                      kNumUopKinds + 15,
+                      kNumUopKinds + 2 * kMemSlots,
                   "dispatch table must cover every UopKind plus the "
-                  "width-specialized memory slots");
+                  "width- and EA-specialized memory slots");
     SB_ALU_TABLE(0);
     SB_ALU_TABLE(1);
     SB_ALU_TABLE(2);
@@ -789,69 +824,39 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     SB_SEGMENT();
 
     SB_OP(Charge):
-        cycles += op->cost;
-        left -= op->n_instrs;
-        ++i;
         SB_NEXT();
 
     SB_OP(MovRI):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] = static_cast<uint64_t>(op->imm);
-        ++i;
         SB_NEXT();
     SB_OP(MovRR):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] = regs[op->reg2];
-        ++i;
         SB_NEXT();
 
     SB_OP(AddRI):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] += static_cast<uint64_t>(op->imm);
-        ++i;
         SB_NEXT();
     SB_OP(AddRR):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] += regs[op->reg2];
-        ++i;
         SB_NEXT();
     SB_OP(SubRI):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] -= static_cast<uint64_t>(op->imm);
-        ++i;
         SB_NEXT();
     SB_OP(SubRR):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] -= regs[op->reg2];
-        ++i;
         SB_NEXT();
     SB_OP(MulRI):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] *= static_cast<uint64_t>(op->imm);
-        ++i;
         SB_NEXT();
     SB_OP(MulRR):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] *= regs[op->reg2];
-        ++i;
         SB_NEXT();
     SB_OP(DivRR):
     SB_OP(ModRR): {
-        cycles += op->cost;
-        --left;
         int64_t divisor = static_cast<int64_t>(regs[op->reg2]);
         if (divisor == 0) {
-            do_fault(FaultKind::kDivide, op->address, op->address);
-            SB_FLUSH();
-            return SbResult::kExit;
+            SB_FAULT(FaultKind::kDivide, op->address, op->address,
+                     op->cost, op->n_instrs);
         }
         int64_t dividend = static_cast<int64_t>(regs[op->reg1]);
         if (dividend == INT64_MIN && divisor == -1) {
@@ -862,135 +867,79 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         } else {
             regs[op->reg1] = static_cast<uint64_t>(dividend % divisor);
         }
-        ++i;
         SB_NEXT();
     }
     SB_OP(AndRI):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] &= static_cast<uint64_t>(op->imm);
-        ++i;
         SB_NEXT();
     SB_OP(AndRR):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] &= regs[op->reg2];
-        ++i;
         SB_NEXT();
     SB_OP(OrRI):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] |= static_cast<uint64_t>(op->imm);
-        ++i;
         SB_NEXT();
     SB_OP(OrRR):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] |= regs[op->reg2];
-        ++i;
         SB_NEXT();
     SB_OP(XorRI):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] ^= static_cast<uint64_t>(op->imm);
-        ++i;
         SB_NEXT();
     SB_OP(XorRR):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] ^= regs[op->reg2];
-        ++i;
         SB_NEXT();
     SB_OP(ShlRI):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] <<= (op->imm & 63);
-        ++i;
         SB_NEXT();
     SB_OP(ShrRI):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] >>= (op->imm & 63);
-        ++i;
         SB_NEXT();
     SB_OP(SarRI):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] = static_cast<uint64_t>(
             static_cast<int64_t>(regs[op->reg1]) >> (op->imm & 63));
-        ++i;
         SB_NEXT();
     SB_OP(ShlRR):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] <<= (regs[op->reg2] & 63);
-        ++i;
         SB_NEXT();
     SB_OP(ShrRR):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] >>= (regs[op->reg2] & 63);
-        ++i;
         SB_NEXT();
     SB_OP(SarRR):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] = static_cast<uint64_t>(
             static_cast<int64_t>(regs[op->reg1]) >>
             (regs[op->reg2] & 63));
-        ++i;
         SB_NEXT();
     SB_OP(Neg):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] = 0 - regs[op->reg1];
-        ++i;
         SB_NEXT();
     SB_OP(Not):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] = ~regs[op->reg1];
-        ++i;
         SB_NEXT();
 
     SB_OP(CmpRI):
-        cycles += op->cost;
-        --left;
         set_cmp_flags(regs[op->reg1], static_cast<uint64_t>(op->imm));
         flags_deferred = false;
-        ++i;
         SB_NEXT();
     SB_OP(CmpRR):
-        cycles += op->cost;
-        --left;
         set_cmp_flags(regs[op->reg1], regs[op->reg2]);
         flags_deferred = false;
-        ++i;
         SB_NEXT();
     SB_OP(TestRR): {
-        cycles += op->cost;
-        --left;
         flags_deferred = false;
         uint64_t r = regs[op->reg1] & regs[op->reg2];
         state_.flags.zf = (r == 0);
         state_.flags.sf = (static_cast<int64_t>(r) < 0);
         state_.flags.cf = false;
         state_.flags.of = false;
-        ++i;
         SB_NEXT();
     }
 
     SB_OP(Lea):
-        cycles += op->cost;
-        --left;
         regs[op->reg1] = ea(*op);
-        ++i;
         SB_NEXT();
     SB_OP(Rdcycle):
-        cycles += op->cost;
-        --left;
-        regs[op->reg1] = cycles; // after charging, like execute()
-        ++i;
+        // The head charged the whole segment; the value is the counter
+        // after this instruction, like execute().
+        regs[op->reg1] = cycles - (op->seg_cost - op->cost);
         SB_NEXT();
 
     /*
@@ -999,52 +948,58 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
      * entry exists for one), so only the miss path — the generic
      * write(), which faults, fills the entry, or advances the code
      * generation — re-checks the generation and leaves on a change.
+     * A fault here comes from the access, the last component of the
+     * uop's group, so the whole group ran.
      */
 #define SB_WRITE_MISS(ADDR, VALUE, SZ, FAULT_RIP)                       \
     do {                                                                \
         uint64_t spill = VALUE; /* keeps VALUE itself in a register */  \
         AccessFault f = mem.write(ADDR, &spill, SZ);                    \
         if (f != AccessFault::kNone) {                                  \
-            do_fault(sb_fault_kind(f), ADDR, FAULT_RIP);                \
-            SB_FLUSH();                                                 \
-            return SbResult::kExit;                                     \
+            SB_FAULT(sb_fault_kind(f), ADDR, FAULT_RIP, op->cost,       \
+                     op->n_instrs);                                     \
         }                                                               \
     } while (0)
 
     /*
-     * Memory bodies, one clone per access width, reached only through
-     * the extension slots of kLabels (the kind-indexed slots of the
-     * memory kinds panic). A single body picking the width at run time
-     * would branch on op->size; since one shared body serves every
-     * trace, that branch mispredicts whenever the workload mixes
-     * widths, and memory uops are the bulk of hot-loop dispatches.
+     * Memory bodies, one clone per access width and EA mode, reached
+     * only through the extension slots of kLabels (the kind-indexed
+     * slots of the memory kinds panic). A single body picking the
+     * width at run time would branch on op->size; since one shared
+     * body serves every trace, that branch mispredicts whenever the
+     * workload mixes widths, and memory uops are the bulk of hot-loop
+     * dispatches. Most of them address a frame or data slot as
+     * base+displacement, so those bind the `Bd` clone, whose EA is one
+     * add; SIB and constant operands keep the generic ea().
      */
-#define SB_LOAD_W(SZ)                                                   \
-    lbl_Load##SZ: {                                                     \
-        cycles += op->cost;                                             \
-        --left;                                                         \
-        uint64_t addr = ea(*op);                                        \
+#define SB_EA_ANY ea(*op)
+#define SB_EA_BD (regs[op->base] + static_cast<uint64_t>(op->disp))
+#define SB_MEM_CLONES(BODY)                                             \
+    BODY(8, , SB_EA_ANY)                                                \
+    BODY(4, , SB_EA_ANY)                                                \
+    BODY(1, , SB_EA_ANY)                                                \
+    BODY(8, Bd, SB_EA_BD)                                               \
+    BODY(4, Bd, SB_EA_BD)                                               \
+    BODY(1, Bd, SB_EA_BD)
+
+#define SB_LOAD_W(SZ, V, EA)                                            \
+    lbl_Load##SZ##V: {                                                  \
+        uint64_t addr = EA;                                             \
         uint64_t value = 0;                                             \
         AccessFault f = mem.read_fast<SZ>(addr, &value);                \
         if (f != AccessFault::kNone) {                                  \
-            do_fault(sb_fault_kind(f), addr, op->address);              \
-            SB_FLUSH();                                                 \
-            return SbResult::kExit;                                     \
+            SB_FAULT(sb_fault_kind(f), addr, op->address, op->cost,     \
+                     op->n_instrs);                                     \
         }                                                               \
         regs[op->reg1] = value;                                         \
-        ++i;                                                            \
         SB_NEXT();                                                      \
     }
-    SB_LOAD_W(8)
-    SB_LOAD_W(4)
-    SB_LOAD_W(1)
+    SB_MEM_CLONES(SB_LOAD_W)
 #undef SB_LOAD_W
 
-#define SB_STORE_W(SZ)                                                  \
-    lbl_Store##SZ: {                                                    \
-        cycles += op->cost;                                             \
-        --left;                                                         \
-        uint64_t addr = ea(*op);                                        \
+#define SB_STORE_W(SZ, V, EA)                                           \
+    lbl_Store##SZ##V: {                                                 \
+        uint64_t addr = EA;                                             \
         uint64_t value = regs[op->reg1];                                \
         if (!mem.write_hit<SZ>(addr, &value)) {                         \
             SB_WRITE_MISS(addr, value, SZ, op->address);                \
@@ -1052,75 +1007,48 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
                 goto store_left;                                        \
             }                                                           \
         }                                                               \
-        ++i;                                                            \
         SB_NEXT();                                                      \
     }
-    SB_STORE_W(8)
-    SB_STORE_W(4)
-    SB_STORE_W(1)
+    SB_MEM_CLONES(SB_STORE_W)
 #undef SB_STORE_W
 
     // Bound check(s) folded into the access: one EA, one dispatch.
-    // Charge tiers mirror the unfused sequence exactly — a lo fail
-    // charges only the head check, a hi fail the whole check portion,
-    // an access fault the full group (the access itself charged, as
-    // in the plain kLoad/kStore bodies).
-#define SB_LOADCHK_W(SZ)                                                \
-    lbl_LoadChk##SZ: {                                                  \
-        uint64_t addr = ea(*op);                                        \
+    // Fault tiers mirror the unfused sequence exactly — a lo fail
+    // keeps only the head check's cycles, a hi fail the whole check
+    // portion, an access fault the full group.
+#define SB_CHECKS(ADDR)                                                 \
+    do {                                                                \
         const BoundReg &bc = state_.bnds[op->bnd];                      \
-        if ((op->mask & 1) && addr < bc.lo) {                           \
-            cycles += op->cost_head;                                    \
-            --left;                                                     \
-            do_fault(FaultKind::kBoundRange, addr, op->address);        \
-            SB_FLUSH();                                                 \
-            return SbResult::kExit;                                     \
+        if ((op->mask & 1) && ADDR < bc.lo) {                           \
+            SB_FAULT(FaultKind::kBoundRange, ADDR, op->address,         \
+                     op->cost_head, 1);                                 \
         }                                                               \
-        if ((op->mask & 2) && addr > bc.hi) {                           \
-            cycles += static_cast<uint32_t>(op->target);                \
-            left -= static_cast<uint8_t>(op->n_instrs - 1);             \
-            do_fault(FaultKind::kBoundRange, addr, op->address2);       \
-            SB_FLUSH();                                                 \
-            return SbResult::kExit;                                     \
+        if ((op->mask & 2) && ADDR > bc.hi) {                           \
+            SB_FAULT(FaultKind::kBoundRange, ADDR, op->address2,        \
+                     static_cast<uint32_t>(op->target),                 \
+                     op->n_instrs - 1);                                 \
         }                                                               \
-        cycles += op->cost;                                             \
-        left -= op->n_instrs;                                           \
+    } while (0)
+#define SB_LOADCHK_W(SZ, V, EA)                                         \
+    lbl_LoadChk##SZ##V: {                                               \
+        uint64_t addr = EA;                                             \
+        SB_CHECKS(addr);                                                \
         uint64_t value = 0;                                             \
         AccessFault f = mem.read_fast<SZ>(addr, &value);                \
         if (f != AccessFault::kNone) {                                  \
-            do_fault(sb_fault_kind(f), addr, op->exit_rip);             \
-            SB_FLUSH();                                                 \
-            return SbResult::kExit;                                     \
+            SB_FAULT(sb_fault_kind(f), addr, op->exit_rip, op->cost,    \
+                     op->n_instrs);                                     \
         }                                                               \
         regs[op->reg1] = value;                                         \
-        ++i;                                                            \
         SB_NEXT();                                                      \
     }
-    SB_LOADCHK_W(8)
-    SB_LOADCHK_W(4)
-    SB_LOADCHK_W(1)
+    SB_MEM_CLONES(SB_LOADCHK_W)
 #undef SB_LOADCHK_W
 
-#define SB_STORECHK_W(SZ)                                               \
-    lbl_StoreChk##SZ: {                                                 \
-        uint64_t addr = ea(*op);                                        \
-        const BoundReg &bc = state_.bnds[op->bnd];                      \
-        if ((op->mask & 1) && addr < bc.lo) {                           \
-            cycles += op->cost_head;                                    \
-            --left;                                                     \
-            do_fault(FaultKind::kBoundRange, addr, op->address);        \
-            SB_FLUSH();                                                 \
-            return SbResult::kExit;                                     \
-        }                                                               \
-        if ((op->mask & 2) && addr > bc.hi) {                           \
-            cycles += static_cast<uint32_t>(op->target);                \
-            left -= static_cast<uint8_t>(op->n_instrs - 1);             \
-            do_fault(FaultKind::kBoundRange, addr, op->address2);       \
-            SB_FLUSH();                                                 \
-            return SbResult::kExit;                                     \
-        }                                                               \
-        cycles += op->cost;                                             \
-        left -= op->n_instrs;                                           \
+#define SB_STORECHK_W(SZ, V, EA)                                        \
+    lbl_StoreChk##SZ##V: {                                              \
+        uint64_t addr = EA;                                             \
+        SB_CHECKS(addr);                                                \
         uint64_t value = regs[op->reg1];                                \
         if (!mem.write_hit<SZ>(addr, &value)) {                         \
             SB_WRITE_MISS(addr, value, SZ, op->exit_rip);               \
@@ -1128,48 +1056,36 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
                 goto store_left;                                        \
             }                                                           \
         }                                                               \
-        ++i;                                                            \
         SB_NEXT();                                                      \
     }
-    SB_STORECHK_W(8)
-    SB_STORECHK_W(4)
-    SB_STORECHK_W(1)
+    SB_MEM_CLONES(SB_STORECHK_W)
 #undef SB_STORECHK_W
+#undef SB_CHECKS
 
     // A load with one ALU mini-op appended (see the Uop doc). Only
     // the load can fault, and it is the first component, so a fault
-    // charges the load alone (cost_head) at the load's rip.
-#define SB_LOADALU_W(SZ)                                              \
-    lbl_LoadAlu##SZ: {                                                  \
-        uint64_t addr = ea(*op);                                        \
+    // keeps the load alone (cost_head) at the load's rip.
+#define SB_LOADALU_W(SZ, V, EA)                                         \
+    lbl_LoadAlu##SZ##V: {                                               \
+        uint64_t addr = EA;                                             \
         uint64_t value = 0;                                             \
         AccessFault f = mem.read_fast<SZ>(addr, &value);                \
         if (f != AccessFault::kNone) {                                  \
-            cycles += op->cost_head;                                    \
-            --left;                                                     \
-            do_fault(sb_fault_kind(f), addr, op->address);              \
-            SB_FLUSH();                                                 \
-            return SbResult::kExit;                                     \
+            SB_FAULT(sb_fault_kind(f), addr, op->address, op->cost_head, \
+                     1);                                                \
         }                                                               \
         regs[op->reg1] = value;                                         \
-        cycles += op->cost;                                             \
-        left -= op->n_instrs;                                           \
         goto *kAlu6[op->bnd];                                           \
     }
-    SB_LOADALU_W(8)
-    SB_LOADALU_W(4)
-    SB_LOADALU_W(1)
+    SB_MEM_CLONES(SB_LOADALU_W)
 #undef SB_LOADALU_W
-    SB_ALU_BODIES(6, op->mask, op->reg2, op->imm,
-                  do {
-                      ++i;
-                      SB_NEXT();
-                  } while (0));
+#undef SB_MEM_CLONES
+#undef SB_EA_BD
+#undef SB_EA_ANY
+    SB_ALU_BODIES(6, op->mask, op->reg2, op->imm, SB_NEXT());
 
     SB_OP(Push):
     SB_OP(PushImm): {
-        cycles += op->cost;
-        --left;
         uint64_t value = op->kind == UopKind::kPush
                              ? regs[op->reg1]
                              : static_cast<uint64_t>(op->imm);
@@ -1182,22 +1098,17 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             }
         }
         regs[isa::kSp] = new_sp;
-        ++i;
         SB_NEXT();
     }
     SB_OP(Pop): {
-        cycles += op->cost;
-        --left;
         uint64_t value = 0;
         AccessFault f = mem.read_fast<8>(regs[isa::kSp], &value);
         if (f != AccessFault::kNone) {
-            do_fault(sb_fault_kind(f), regs[isa::kSp], op->address);
-            SB_FLUSH();
-            return SbResult::kExit;
+            SB_FAULT(sb_fault_kind(f), regs[isa::kSp], op->address,
+                     op->cost, op->n_instrs);
         }
         regs[isa::kSp] += 8;
         regs[op->reg1] = value;
-        ++i;
         SB_NEXT();
     }
 
@@ -1207,48 +1118,33 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
                              ? ea(*op) : regs[op->reg1];
         const BoundReg &b = state_.bnds[op->bnd];
         if ((op->mask & 1) && value < b.lo) {
-            // First component of a fused pair: charge only the
-            // head — the upper check never executed.
-            cycles += op->mask == 3 ? op->cost_head : op->cost;
-            --left;
-            do_fault(FaultKind::kBoundRange, value, op->address);
-            SB_FLUSH();
-            return SbResult::kExit;
+            // First component of a fused pair: keep only the head —
+            // the upper check never executed.
+            SB_FAULT(FaultKind::kBoundRange, value, op->address,
+                     op->mask == 3 ? op->cost_head : op->cost, 1);
         }
         if ((op->mask & 2) && value > b.hi) {
-            cycles += op->cost;
-            left -= op->n_instrs;
-            do_fault(FaultKind::kBoundRange, value, op->address2);
-            SB_FLUSH();
-            return SbResult::kExit;
+            SB_FAULT(FaultKind::kBoundRange, value, op->address2,
+                     op->cost, op->n_instrs);
         }
-        cycles += op->cost;
-        left -= op->n_instrs;
-        ++i;
         SB_NEXT();
     }
 
     SB_OP(Goto):
-        cycles += op->cost;
-        left -= op->n_instrs;
-        i = op->target;
+        op = uops + op->target;
         SB_SEGMENT();
     SB_OP(JccGoto):
-        cycles += op->cost;
-        --left;
         if (flags_deferred) {
             set_cmp_flags(flag_a, flag_b);
             flags_deferred = false;
         }
         if (eval_cond(op->cond)) {
-            i = op->target;
+            op = uops + op->target;
             SB_SEGMENT();
         }
-        ++i;
+        ++op;
         SB_SEGMENT();
     SB_OP(JccExit):
-        cycles += op->cost;
-        --left;
         if (flags_deferred) {
             set_cmp_flags(flag_a, flag_b);
             flags_deferred = false;
@@ -1257,48 +1153,41 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             state_.rip = op->exit_rip;
             goto link_or_leave;
         }
-        ++i;
         SB_NEXT();
     // Fused compare-branches decide the branch with cond_holds() on
     // the operands and only park the compared pair; the architectural
     // flags materialize lazily at the next unfused reader or at any
     // trace exit (SB_FLUSH), keeping four dead byte-stores per loop
     // iteration off the hot path.
-    // The taken/not-taken split is a real branch, not a select: `i`
+    // The taken/not-taken split is a real branch, not a select: `op`
     // then comes from op->target (a constant per uop) instead of a
     // data-dependent cmov, which keeps the compared register's
     // store-to-load chain out of the next dispatch's address.
     SB_OP(CmpRIJccGoto): {
-        cycles += op->cost;
-        left -= op->n_instrs;
         uint64_t a = regs[op->reg1], b = static_cast<uint64_t>(op->imm);
         flag_a = a;
         flag_b = b;
         flags_deferred = true;
         if (cond_holds(op->cond, a, b)) {
-            i = op->target;
+            op = uops + op->target;
             SB_SEGMENT();
         }
-        ++i;
+        ++op;
         SB_SEGMENT();
     }
     SB_OP(CmpRRJccGoto): {
-        cycles += op->cost;
-        left -= op->n_instrs;
         uint64_t a = regs[op->reg1], b = regs[op->reg2];
         flag_a = a;
         flag_b = b;
         flags_deferred = true;
         if (cond_holds(op->cond, a, b)) {
-            i = op->target;
+            op = uops + op->target;
             SB_SEGMENT();
         }
-        ++i;
+        ++op;
         SB_SEGMENT();
     }
     SB_OP(CmpRIJccExit): {
-        cycles += op->cost;
-        left -= op->n_instrs;
         uint64_t a = regs[op->reg1], b = static_cast<uint64_t>(op->imm);
         flag_a = a;
         flag_b = b;
@@ -1306,12 +1195,9 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         if (cond_holds(op->cond, a, b)) {
             goto fused_exit;
         }
-        ++i;
         SB_NEXT();
     }
     SB_OP(CmpRRJccExit): {
-        cycles += op->cost;
-        left -= op->n_instrs;
         uint64_t a = regs[op->reg1], b = regs[op->reg2];
         flag_a = a;
         flag_b = b;
@@ -1319,7 +1205,6 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         if (cond_holds(op->cond, a, b)) {
             goto fused_exit;
         }
-        ++i;
         SB_NEXT();
     }
     fused_exit:
@@ -1328,8 +1213,6 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
 
     SB_OP(Call):
     SB_OP(CallExit): {
-        cycles += op->cost;
-        --left;
         uint64_t value = static_cast<uint64_t>(op->imm);
         uint64_t new_sp = regs[isa::kSp] - 8;
         if (!mem.write_hit<8>(new_sp, &value)) {
@@ -1348,13 +1231,10 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             state_.rip = op->exit_rip;
             goto link_or_leave;
         }
-        ++i;
         SB_NEXT();
     }
     SB_OP(CallRegExit):
     SB_OP(CallMemExit): {
-        cycles += op->cost;
-        --left;
         uint64_t target;
         if (op->kind == UopKind::kCallRegExit) {
             target = regs[op->reg1];
@@ -1362,18 +1242,16 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             uint64_t addr = ea(*op);
             AccessFault f = mem.read_fast<8>(addr, &target);
             if (f != AccessFault::kNone) {
-                do_fault(sb_fault_kind(f), addr, op->address);
-                SB_FLUSH();
-                return SbResult::kExit;
+                SB_FAULT(sb_fault_kind(f), addr, op->address, op->cost,
+                         op->n_instrs);
             }
         }
         uint64_t value = static_cast<uint64_t>(op->imm);
         uint64_t new_sp = regs[isa::kSp] - 8;
         AccessFault f = mem.write_fast<8>(new_sp, &value);
         if (f != AccessFault::kNone) {
-            do_fault(sb_fault_kind(f), new_sp, op->address);
-            SB_FLUSH();
-            return SbResult::kExit;
+            SB_FAULT(sb_fault_kind(f), new_sp, op->address, op->cost,
+                     op->n_instrs);
         }
         regs[isa::kSp] = new_sp;
         state_.rip = target;
@@ -1381,47 +1259,35 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     }
     SB_OP(RetGuard):
     SB_OP(RetExit): {
-        cycles += op->cost;
-        --left;
         uint64_t target;
         AccessFault f = mem.read_fast<8>(regs[isa::kSp], &target);
         if (f != AccessFault::kNone) {
-            do_fault(sb_fault_kind(f), regs[isa::kSp], op->address);
-            SB_FLUSH();
-            return SbResult::kExit;
+            SB_FAULT(sb_fault_kind(f), regs[isa::kSp], op->address,
+                     op->cost, op->n_instrs);
         }
         regs[isa::kSp] += 8 + static_cast<uint64_t>(op->imm);
         if (op->kind == UopKind::kRetGuard && target == op->exit_rip) {
-            ++i; // predicted return: keep running the trace
-            SB_NEXT();
+            SB_NEXT(); // predicted return: keep running the trace
         }
         state_.rip = target;
         goto link_or_leave;
     }
     SB_OP(JmpRegGuard):
-        cycles += op->cost;
-        --left;
         if (regs[op->reg1] == op->exit_rip) {
-            ++i; // predicted (MMDSFI return rewrite)
-            SB_NEXT();
+            SB_NEXT(); // predicted (MMDSFI return rewrite)
         }
         state_.rip = regs[op->reg1];
         goto link_or_leave;
     SB_OP(JmpRegExit):
-        cycles += op->cost;
-        --left;
         state_.rip = regs[op->reg1];
         goto link_or_leave;
     SB_OP(JmpMemExit): {
-        cycles += op->cost;
-        --left;
         uint64_t addr = ea(*op);
         uint64_t target;
         AccessFault f = mem.read_fast<8>(addr, &target);
         if (f != AccessFault::kNone) {
-            do_fault(sb_fault_kind(f), addr, op->address);
-            SB_FLUSH();
-            return SbResult::kExit;
+            SB_FAULT(sb_fault_kind(f), addr, op->address, op->cost,
+                     op->n_instrs);
         }
         state_.rip = target;
         goto link_or_leave;
@@ -1431,8 +1297,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         goto link_or_leave;
 
     SB_OP(Ltrap):
-        cycles += op->cost;
-        --left;
+        SB_GIVE_BACK(op->cost, op->n_instrs);
         state_.rip = op->next_rip; // resume past the trap
         exit->kind = ExitKind::kLtrap;
         exit->fault = FaultKind::kNone;
@@ -1440,8 +1305,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         SB_FLUSH();
         return SbResult::kExit;
     SB_OP(Priv):
-        cycles += op->cost;
-        --left;
+        SB_GIVE_BACK(op->cost, op->n_instrs);
         state_.rip = op->address;
         exit->kind = ExitKind::kPrivileged;
         exit->fault = FaultKind::kNone;
@@ -1451,32 +1315,24 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         return SbResult::kExit;
 
     SB_OP(AluPack):
-        cycles += op->cost;
-        left -= op->n_instrs;
         goto *kAlu0[op->bnd];
         SB_ALU_BODIES(0, op->reg1, op->reg2, op->imm,
                       goto *kAlu1[op->mask]);
         SB_ALU_BODIES(1, op->base, op->index, op->disp,
                       do {
                           if (op->n_instrs != 3) {
-                              ++i;
                               SB_NEXT();
                           }
                           goto *kAlu2[op->scale];
                       } while (0));
         SB_ALU_BODIES(2, op->ea, op->size,
                       static_cast<int64_t>(op->exit_rip),
-                      do {
-                          ++i;
-                          SB_NEXT();
-                      } while (0));
+                      SB_NEXT());
 
     // A pack with a merged compare + intra-trace branch: a tight loop
     // body in one uop, one dispatch per iteration. n_instrs counts the
     // compare+branch pair, so a 3-slot pack has n_instrs == 5.
     SB_OP(AluPackBr):
-        cycles += op->cost;
-        left -= op->n_instrs;
         goto *kAlu3[op->bnd];
         SB_ALU_BODIES(3, op->reg1, op->reg2, op->imm,
                       goto *kAlu4[op->mask]);
@@ -1499,10 +1355,11 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         flag_b = b;
         flags_deferred = true;
         if (cond_holds(op->cond, a, b)) {
-            i = op->target; // real branch: see the JccGoto comment
+            // A real branch: see the comment above CmpRIJccGoto.
+            op = uops + op->target;
             SB_SEGMENT();
         }
-        ++i;
+        ++op;
         SB_SEGMENT();
     }
 
@@ -1510,6 +1367,9 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         OCC_PANIC("dead uop reached execution");
 
   link_or_leave:
+    // Every uop that gets here ran whole: give back the rest of its
+    // segment before linking (which charges the next one) or leaving.
+    SB_GIVE_BACK(op->cost, op->n_instrs);
     // Trace linking: a guard or branch exit whose continuation rip is
     // a cached block with a trace chains straight into that trace's
     // uops instead of bouncing through run_blocks (block lookup, tier
@@ -1526,8 +1386,8 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         if (linked != nullptr && linked->sb != nullptr &&
             linked->generation == mem.code_generation()) {
             uops = linked->sb->uops.data();
+            op = uops;
             ++sb_exec_hits_;
-            i = 0;
             SB_SEGMENT();
         }
     }
@@ -1537,6 +1397,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
   store_left:
     // A missed store advanced the code generation: the uops after it
     // may replay stale bytes, so leave; the next lookup rebuilds.
+    SB_GIVE_BACK(op->cost, op->n_instrs);
     state_.rip = op->next_rip;
     SB_FLUSH();
     return SbResult::kLeft;

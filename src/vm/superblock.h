@@ -27,12 +27,22 @@
  * before dead uops are compacted out and intra-trace targets
  * relocated.
  *
- * Cycle accounting is bit-identical to the other tiers: every uop
- * charges the exact per-instruction `isa::cycle_cost` sum of the
- * instructions it covers, and a fused uop that faults in its first
- * component charges only that component (`cost_head`). Folded guards
- * still charge their cycles — only the dispatch and the re-check are
- * removed, never the simulated time.
+ * Cycle accounting is bit-identical to the other tiers, but it is
+ * charged per budget segment, not per uop. A segment runs from a
+ * segment head (trace entry, either successor of an intra-trace
+ * branch, a link into another trace) through the next intra-trace
+ * branch. At the head the replay loop checks the instruction budget
+ * against `seg_instrs` and charges `seg_cost` cycles and `seg_instrs`
+ * instructions at once, so straight-line uop bodies charge nothing.
+ * Every uop that leaves the trace before its segment ends — a fault,
+ * a guard or branch exit, a store that moved the code generation,
+ * ltrap or a privileged instruction — gives back what did not run:
+ * the uops after it, and the part of its own group past the fault
+ * point. A fused uop that faults in its first component keeps only
+ * that component (`cost_head`); `rdcycle` reads the counter minus the
+ * rest of its segment. Folded guards still charge their cycles — only
+ * the dispatch and the re-check are removed, never the simulated
+ * time.
  */
 #ifndef OCCLUM_VM_SUPERBLOCK_H
 #define OCCLUM_VM_SUPERBLOCK_H
@@ -159,9 +169,12 @@ struct Uop {
     int16_t target = -1;    // intra-trace uop index (kGoto family)
     // Instructions from this uop through the next intra-trace branch
     // (or the trace's end), inclusive: the budget a segment entered
-    // here needs. Only consulted at segment heads (see
-    // exec_superblock).
+    // here needs, and what its head charges.
     uint16_t seg_instrs = 0;
+    // Cycles over the same span: what a segment head charges. A uop
+    // that leaves mid-segment subtracts the part of this that did not
+    // run (see the file comment).
+    uint32_t seg_cost = 0;
     int64_t imm = 0;        // ALU immediate / pushed value / ret pop bytes
     int64_t disp = 0;       // EA displacement, or the constant EA itself
     uint64_t exit_rip = 0;  // exit target / expected indirect target
@@ -170,9 +183,12 @@ struct Uop {
     uint64_t next_rip = 0;  // rip after the covered instructions
     // Direct-threading slot: the dispatch label for `kind`, bound at
     // install time so the hot loop loads one pointer instead of the
-    // dependent kind-then-table pair.
+    // dependent kind-then-table pair. Memory uops bind a body cloned
+    // per access width, and a base+displacement operand binds a clone
+    // that adds `disp` to `regs[base]` instead of switching on `ea`.
     const void *handler = nullptr;
 };
+static_assert(sizeof(Uop) <= 88, "keep the uop within 88 bytes");
 
 /** True for the uops that branch within the trace; each one ends a
  *  budget segment. */

@@ -1184,115 +1184,6 @@ TEST(SuperblockDefault, FollowsEnvAndStaticSetter)
     Cpu::set_default_tier(saved);
 }
 
-TEST_F(Superblock, BudgetSlicesNeverOvershootAndMatchOneShot)
-{
-    // AEX/quantum slicing: running a hot program in budget slices of
-    // every size from 1 to 24 must consume exactly the slice per run
-    // (the last run at most the slice, never nothing) and land on the
-    // state of a one-shot run, at tier 1 and at the trace tier. The
-    // trace checks the budget per segment, so a slice that cannot
-    // cover the next segment leaves at its head and tier 1 finishes
-    // the tail.
-    auto short_loop = [](isa::Assembler &a) {
-        a.mov_ri(1, 0);
-        a.mov_ri(2, 100);
-        a.bind("loop");
-        a.add_ri(1, 3);
-        a.store(mem_abs(kData), 1);
-        a.load(3, mem_abs(kData));
-        a.sub_ri(2, 1);
-        a.cmp_ri(2, 0);
-        a.jcc(Cond::kNe, "loop");
-        a.ltrap();
-    };
-    // A 4-instruction inner loop, then a 60-instruction straight run
-    // of guarded stores and loads before the outer back edge: traces
-    // enter on the short segment and stop at the head of the long
-    // one, which is longer than any slice.
-    auto long_segment = [](isa::Assembler &a) {
-        a.mov_ri(1, 0);
-        a.mov_ri(2, 20);
-        a.mov_ri(3, static_cast<int64_t>(kData));
-        a.bind("outer");
-        a.mov_ri(6, 3);
-        a.bind("inner");
-        a.add_ri(1, 1);
-        a.sub_ri(6, 1);
-        a.cmp_ri(6, 0);
-        a.jcc(Cond::kNe, "inner");
-        for (int k = 0; k < 12; ++k) {
-            a.mem_guard(mem_bd(3, 8 * k));
-            a.store(mem_bd(3, 8 * k), 1);
-            a.load(4, mem_bd(3, 8 * k));
-            a.add_rr(5, 4);
-        }
-        a.sub_ri(2, 1);
-        a.cmp_ri(2, 0);
-        a.jcc(Cond::kNe, "outer");
-        a.ltrap();
-    };
-    // A loop closed by an unconditional jmp: its back edge is a kGoto,
-    // and the loop leaves through a forward exit at the top.
-    auto jmp_loop = [](isa::Assembler &a) {
-        a.mov_ri(1, 0);
-        a.mov_ri(2, 50);
-        a.bind("top");
-        a.cmp_ri(2, 0);
-        a.jcc(Cond::kEq, "done");
-        a.add_ri(1, 5);
-        a.store(mem_abs(kData), 1);
-        a.load(3, mem_abs(kData));
-        a.sub_ri(2, 1);
-        a.jmp("top");
-        a.bind("done");
-        a.ltrap();
-    };
-    for (auto program : {+short_loop, +long_segment, +jmp_loop}) {
-        VmHarness reference;
-        reference.cpu.set_tier(Tier::kBlocks);
-        isa::Assembler a0(kCode);
-        program(a0);
-        ASSERT_EQ(reference.run(a0).kind, ExitKind::kLtrap);
-        for (Tier tier : {Tier::kBlocks, Tier::kTraces}) {
-            for (uint64_t slice = 0; slice <= 24; ++slice) {
-                // slice 0 stands for one shot; 1..24 are the slices.
-                SCOPED_TRACE("tier " + std::to_string(static_cast<int>(tier)) +
-                             " slice " + std::to_string(slice));
-                VmHarness h;
-                h.cpu.set_tier(tier);
-                isa::Assembler a(kCode);
-                program(a);
-                const uint64_t budget = slice == 0 ? 1'000'000 : slice;
-                CpuExit exit = h.run(a, budget);
-                uint64_t used = h.cpu.instructions();
-                for (;;) {
-                    ASSERT_GE(used, 1u);
-                    if (exit.kind != ExitKind::kInstrBudget) {
-                        ASSERT_LE(used, budget);
-                        break;
-                    }
-                    ASSERT_EQ(used, budget);
-                    uint64_t before = h.cpu.instructions();
-                    exit = h.cpu.run(budget);
-                    used = h.cpu.instructions() - before;
-                }
-                EXPECT_EQ(exit.kind, ExitKind::kLtrap);
-                EXPECT_EQ(h.cpu.cycles(), reference.cpu.cycles());
-                EXPECT_EQ(h.cpu.instructions(),
-                          reference.cpu.instructions());
-                EXPECT_EQ(h.cpu.rip(), reference.cpu.rip());
-                for (int r = 0; r < isa::kNumRegs; ++r) {
-                    EXPECT_EQ(h.cpu.reg(r), reference.cpu.reg(r))
-                        << "reg " << r;
-                }
-                if (tier == Tier::kTraces && (slice == 0 || slice == 24)) {
-                    EXPECT_GT(h.cpu.superblock_exec_hits(), 0u);
-                }
-            }
-        }
-    }
-}
-
 TEST_F(Superblock, GuardFoldingPreservesStateAndCycles)
 {
     // Two identical mem_guard pairs per iteration: the translator
@@ -1441,6 +1332,92 @@ TEST_F(Superblock, LoadAluFusionFaultPointsAreExact)
         EXPECT_EQ(on.cpu.reg(r), off.cpu.reg(r)) << "reg " << r;
     }
     EXPECT_GE(on.cpu.superblock_promotions(), 1u);
+}
+
+TEST_F(Superblock, MidSegmentExitsChargeExactly)
+{
+    // Trace segments are charged whole at their head, so each exit
+    // below sits mid-segment in a promoted loop trace: after four
+    // charged uops and a rdcycle, and (but for the terminal hlt) in
+    // front of more uops of the same segment. The forward jcc leaves
+    // the trace on every pass but r2 == 5, long after promotion, so
+    // the exit runs inside the trace and must give back exactly the
+    // part of the segment that did not run.
+    constexpr uint64_t kReadOnly = kData + 0x1000;
+    // Past the program, on the code page the trace was decoded from:
+    // a store there moves the code generation (store_left).
+    constexpr uint64_t kCodeSpare = kCode + 0xff8;
+    struct Case {
+        const char *name;
+        void (*exit_instr)(isa::Assembler &);
+        ExitKind kind;
+        FaultKind fault;
+    };
+    const Case cases[] = {
+        {"privileged", [](isa::Assembler &a) { a.hlt(); },
+         ExitKind::kPrivileged, FaultKind::kNone},
+        {"divide by zero", [](isa::Assembler &a) { a.div_rr(4, 7); },
+         ExitKind::kFault, FaultKind::kDivide},
+        {"read-only store",
+         [](isa::Assembler &a) { a.store(mem_abs(kReadOnly), 2); },
+         ExitKind::kFault, FaultKind::kPermFault},
+        {"smc store",
+         [](isa::Assembler &a) { a.store(mem_abs(kCodeSpare), 2); },
+         ExitKind::kLtrap, FaultKind::kNone},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        auto program = [&c](isa::Assembler &a) {
+            a.mov_ri(2, 30);
+            a.mov_ri(3, static_cast<int64_t>(kData));
+            a.mov_ri(7, 0);
+            a.bind("loop");
+            a.store(mem_bd(3, 0), 2);
+            a.load(4, mem_bd(3, 8));
+            a.push(2);
+            a.pop(6);
+            a.rdcycle(5);
+            a.cmp_ri(2, 5);
+            a.jcc(Cond::kNe, "skip");
+            c.exit_instr(a);
+            a.store(mem_bd(3, 16), 2);
+            a.load(4, mem_bd(3, 24));
+            a.bind("skip");
+            a.sub_ri(2, 1);
+            a.cmp_ri(2, 0);
+            a.jcc(Cond::kNe, "loop");
+            a.ltrap();
+        };
+        VmHarness on;
+        VmHarness off;
+        off.cpu.set_tier(Tier::kBlocks);
+        CpuExit exits[2];
+        VmHarness *runs[2] = {&on, &off};
+        for (int k = 0; k < 2; ++k) {
+            VmHarness &h = *runs[k];
+            ASSERT_TRUE(h.space.protect(kCode, kPageSize, kPermRWX).ok());
+            ASSERT_TRUE(h.space.map(kReadOnly, kPageSize, kPermR).ok());
+            isa::Assembler a(kCode);
+            program(a);
+            exits[k] = h.run(a);
+        }
+        EXPECT_EQ(exits[0].kind, c.kind);
+        EXPECT_EQ(exits[0].fault, c.fault);
+        EXPECT_EQ(exits[0].kind, exits[1].kind);
+        EXPECT_EQ(exits[0].fault, exits[1].fault);
+        EXPECT_EQ(exits[0].rip, exits[1].rip);
+        EXPECT_EQ(exits[0].fault_addr, exits[1].fault_addr);
+        EXPECT_EQ(on.cpu.cycles(), off.cpu.cycles());
+        EXPECT_EQ(on.cpu.instructions(), off.cpu.instructions());
+        EXPECT_EQ(on.cpu.rip(), off.cpu.rip());
+        EXPECT_EQ(on.cpu.reg(5), off.cpu.reg(5)); // the rdcycle value
+        EXPECT_EQ(on.cpu.reg(2), c.kind == ExitKind::kLtrap ? 0u : 5u);
+        EXPECT_GE(on.cpu.superblock_promotions(), 1u);
+        EXPECT_GT(on.cpu.superblock_exec_hits(), 0u);
+        if (c.kind == ExitKind::kLtrap) {
+            EXPECT_GE(on.cpu.superblock_invalidations(), 1u);
+        }
+    }
 }
 
 TEST_F(Superblock, StitchedCallRetTracesAreExact)
@@ -1705,8 +1682,11 @@ constexpr uint64_t kGenCodeSize = 0x8000;
  * A seeded program whose hot outer loop reaches every uop body of the
  * trace tier: each packable op alone, in all three kAluPack slots, in
  * all three kAluPackBr slots and as kLoadAlu's appended op; division
- * and remainder; loads and stores at widths 8/4/1, plain and fused
- * with a bound check or a charge run; base, SIB and rip-relative lea;
+ * and remainder; loads and stores at widths 8/4/1, plain, fused with
+ * a bound check or a charge run, and as kLoadAlu, each with a
+ * base+displacement, a SIB and a constant (absolute) operand, so both
+ * the base+disp bodies and the generic-EA bodies of every memory group
+ * run; base, SIB and rip-relative lea;
  * push/pop; register bound checks; stitched calls with guarded
  * returns, a call chain deeper than kMaxStitchDepth (kCallExit, and
  * kRetExit in traces entered mid-chain), an MMDSFI-style pop + jmp-reg
@@ -1731,6 +1711,18 @@ uop_coverage_program(uint32_t seed)
     // call-mem/jmp-mem slots live in the high half).
     auto data = [&] {
         return mem_bd(11, static_cast<int32_t>(rng() % 0x100) * 8);
+    };
+    // The same low half, addressed by EA mode: 0 base+disp, 1 SIB
+    // (r11 + r12 << scale + disp), 2 a constant (absolute) address.
+    auto operand = [&](int mode) {
+        if (mode == 1) {
+            return isa::mem_sib(11, 12, static_cast<uint8_t>(rng() % 4),
+                                static_cast<int32_t>(rng() % 0xf0) * 8);
+        }
+        if (mode == 2) {
+            return mem_abs(kData + (rng() % 0x100) * 8);
+        }
+        return data();
     };
     auto load_w = [&](int w, uint8_t r, isa::MemOperand m) {
         if (w == 0) a.load(r, m);
@@ -1814,36 +1806,46 @@ uop_coverage_program(uint32_t seed)
         a.test_rr(9, 9);
         a.jcc(Cond::kNe, plain);
     }
-    // kLoadAlu: a load (width cycling 8/4/1) feeding one lone op.
+    // kLoadAlu: a load (width cycling 8/4/1) feeding one lone op,
+    // then every width once more with a SIB and a constant operand.
     for (size_t k = 0; k < kNumPackableOps; ++k) {
         load_w(static_cast<int>(k % 3), reg(), data());
         alu(k);
         a.test_rr(reg(), reg());
     }
-    // Loads and stores at every width: plain, behind a guard pair, a
-    // single lo or hi check, and a charge run (nop).
-    for (int w = 0; w < 3; ++w) {
-        load_w(w, reg(), data());
-        a.rdcycle(reg());
-        store_w(w, data(), reg());
-        a.rdcycle(reg());
-        isa::MemOperand m = data();
-        a.mem_guard(m);
-        load_w(w, reg(), m);
-        m = data();
-        a.mem_guard(m);
-        store_w(w, m, reg());
-        m = data();
-        a.bndcl_mem(isa::kBndData, m);
-        load_w(w, reg(), m);
-        m = data();
-        a.bndcu_mem(isa::kBndData, m);
-        store_w(w, m, reg());
-        a.nop();
-        load_w(w, reg(), data());
-        a.nop();
-        store_w(w, data(), reg());
-        a.rdcycle(reg());
+    for (int mode = 1; mode <= 2; ++mode) {
+        for (int w = 0; w < 3; ++w) {
+            load_w(w, reg(), operand(mode));
+            alu(rng());
+            a.test_rr(reg(), reg());
+        }
+    }
+    // Loads and stores at every width and EA mode: plain, behind a
+    // guard pair, a single lo or hi check, and a charge run (nop).
+    for (int mode = 0; mode <= 2; ++mode) {
+        for (int w = 0; w < 3; ++w) {
+            load_w(w, reg(), operand(mode));
+            a.rdcycle(reg());
+            store_w(w, operand(mode), reg());
+            a.rdcycle(reg());
+            isa::MemOperand m = operand(mode);
+            a.mem_guard(m);
+            load_w(w, reg(), m);
+            m = operand(mode);
+            a.mem_guard(m);
+            store_w(w, m, reg());
+            m = operand(mode);
+            a.bndcl_mem(isa::kBndData, m);
+            load_w(w, reg(), m);
+            m = operand(mode);
+            a.bndcu_mem(isa::kBndData, m);
+            store_w(w, m, reg());
+            a.nop();
+            load_w(w, reg(), operand(mode));
+            a.nop();
+            store_w(w, operand(mode), reg());
+            a.rdcycle(reg());
+        }
     }
     // A guard pair on an address no access follows stays its own uop.
     a.mem_guard(data());
@@ -1989,8 +1991,13 @@ struct TierOutcome {
     uint64_t sb_exec_hits = 0;
 };
 
+/**
+ * Run `code` to its exit at `tier`: in one shot, or with `slice` > 0
+ * in budget slices of that many instructions, checking that every run
+ * but the last consumes exactly the slice and none overshoots it.
+ */
 TierOutcome
-run_at_tier(const Bytes &code, Tier tier)
+run_at_tier(const Bytes &code, Tier tier, uint64_t slice = 0)
 {
     AddressSpace space;
     EXPECT_TRUE(space.map(kCode, kGenCodeSize, kPermRX).ok());
@@ -2003,7 +2010,21 @@ run_at_tier(const Bytes &code, Tier tier)
     cpu.set_sp(kStackTop - 8);
     cpu.set_rip(kCode);
     TierOutcome out;
-    out.exit = cpu.run(10'000'000);
+    if (slice == 0) {
+        out.exit = cpu.run(10'000'000);
+    } else {
+        for (;;) {
+            uint64_t before = cpu.instructions();
+            out.exit = cpu.run(slice);
+            uint64_t used = cpu.instructions() - before;
+            EXPECT_GE(used, 1u);
+            EXPECT_LE(used, slice);
+            if (out.exit.kind != ExitKind::kInstrBudget || used != slice) {
+                break;
+            }
+        }
+        EXPECT_NE(out.exit.kind, ExitKind::kInstrBudget);
+    }
     out.state = cpu.state();
     out.cycles = cpu.cycles();
     out.instructions = cpu.instructions();
@@ -2022,6 +2043,154 @@ run_at_tier(const Bytes &code, Tier tier)
     return out;
 }
 
+/** Everything architectural of `got` equals `want`. */
+void
+expect_same_outcome(const TierOutcome &got, const TierOutcome &want)
+{
+    EXPECT_EQ(got.exit.kind, want.exit.kind);
+    EXPECT_EQ(got.exit.rip, want.exit.rip);
+    EXPECT_EQ(got.state.regs, want.state.regs);
+    for (int b = 0; b < isa::kNumBndRegs; ++b) {
+        EXPECT_EQ(got.state.bnds[b].lo, want.state.bnds[b].lo);
+        EXPECT_EQ(got.state.bnds[b].hi, want.state.bnds[b].hi);
+    }
+    EXPECT_EQ(got.state.flags.zf, want.state.flags.zf);
+    EXPECT_EQ(got.state.flags.sf, want.state.flags.sf);
+    EXPECT_EQ(got.state.flags.cf, want.state.flags.cf);
+    EXPECT_EQ(got.state.flags.of, want.state.flags.of);
+    EXPECT_EQ(got.state.rip, want.state.rip);
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.instructions, want.instructions);
+    EXPECT_EQ(got.memory_digest, want.memory_digest);
+}
+
+TEST_F(Superblock, BudgetSlicesNeverOvershootAndMatchOneShot)
+{
+    // AEX/quantum slicing: running a hot program in budget slices of
+    // every size from 1 to 24 must consume exactly the slice per run
+    // (the last run at most the slice, never nothing) and land on the
+    // state of a one-shot run, at tier 1 and at the trace tier. The
+    // trace checks the budget per segment, so a slice that cannot
+    // cover the next segment leaves at its head and tier 1 finishes
+    // the tail.
+    auto short_loop = [](isa::Assembler &a) {
+        a.mov_ri(1, 0);
+        a.mov_ri(2, 100);
+        a.bind("loop");
+        a.add_ri(1, 3);
+        a.store(mem_abs(kData), 1);
+        a.load(3, mem_abs(kData));
+        a.sub_ri(2, 1);
+        a.cmp_ri(2, 0);
+        a.jcc(Cond::kNe, "loop");
+        a.ltrap();
+    };
+    // A 4-instruction inner loop, then a 60-instruction straight run
+    // of guarded stores and loads before the outer back edge: traces
+    // enter on the short segment and stop at the head of the long
+    // one, which is longer than any slice.
+    auto long_segment = [](isa::Assembler &a) {
+        a.mov_ri(1, 0);
+        a.mov_ri(2, 20);
+        a.mov_ri(3, static_cast<int64_t>(kData));
+        a.bind("outer");
+        a.mov_ri(6, 3);
+        a.bind("inner");
+        a.add_ri(1, 1);
+        a.sub_ri(6, 1);
+        a.cmp_ri(6, 0);
+        a.jcc(Cond::kNe, "inner");
+        for (int k = 0; k < 12; ++k) {
+            a.mem_guard(mem_bd(3, 8 * k));
+            a.store(mem_bd(3, 8 * k), 1);
+            a.load(4, mem_bd(3, 8 * k));
+            a.add_rr(5, 4);
+        }
+        a.sub_ri(2, 1);
+        a.cmp_ri(2, 0);
+        a.jcc(Cond::kNe, "outer");
+        a.ltrap();
+    };
+    // A loop closed by an unconditional jmp: its back edge is a kGoto,
+    // and the loop leaves through a forward exit at the top.
+    auto jmp_loop = [](isa::Assembler &a) {
+        a.mov_ri(1, 0);
+        a.mov_ri(2, 50);
+        a.bind("top");
+        a.cmp_ri(2, 0);
+        a.jcc(Cond::kEq, "done");
+        a.add_ri(1, 5);
+        a.store(mem_abs(kData), 1);
+        a.load(3, mem_abs(kData));
+        a.sub_ri(2, 1);
+        a.jmp("top");
+        a.bind("done");
+        a.ltrap();
+    };
+    for (auto program : {+short_loop, +long_segment, +jmp_loop}) {
+        VmHarness reference;
+        reference.cpu.set_tier(Tier::kBlocks);
+        isa::Assembler a0(kCode);
+        program(a0);
+        ASSERT_EQ(reference.run(a0).kind, ExitKind::kLtrap);
+        for (Tier tier : {Tier::kBlocks, Tier::kTraces}) {
+            for (uint64_t slice = 0; slice <= 24; ++slice) {
+                // slice 0 stands for one shot; 1..24 are the slices.
+                SCOPED_TRACE("tier " + std::to_string(static_cast<int>(tier)) +
+                             " slice " + std::to_string(slice));
+                VmHarness h;
+                h.cpu.set_tier(tier);
+                isa::Assembler a(kCode);
+                program(a);
+                const uint64_t budget = slice == 0 ? 1'000'000 : slice;
+                CpuExit exit = h.run(a, budget);
+                uint64_t used = h.cpu.instructions();
+                for (;;) {
+                    ASSERT_GE(used, 1u);
+                    if (exit.kind != ExitKind::kInstrBudget) {
+                        ASSERT_LE(used, budget);
+                        break;
+                    }
+                    ASSERT_EQ(used, budget);
+                    uint64_t before = h.cpu.instructions();
+                    exit = h.cpu.run(budget);
+                    used = h.cpu.instructions() - before;
+                }
+                EXPECT_EQ(exit.kind, ExitKind::kLtrap);
+                EXPECT_EQ(h.cpu.cycles(), reference.cpu.cycles());
+                EXPECT_EQ(h.cpu.instructions(),
+                          reference.cpu.instructions());
+                EXPECT_EQ(h.cpu.rip(), reference.cpu.rip());
+                for (int r = 0; r < isa::kNumRegs; ++r) {
+                    EXPECT_EQ(h.cpu.reg(r), reference.cpu.reg(r))
+                        << "reg " << r;
+                }
+                if (tier == Tier::kTraces && (slice == 0 || slice == 24)) {
+                    EXPECT_GT(h.cpu.superblock_exec_hits(), 0u);
+                }
+            }
+        }
+    }
+    // The generated program reaches every uop body, so in slices at
+    // the trace tier every segment head meets a budget stop and every
+    // mid-segment exit gives back inside a sliced run.
+    for (uint32_t seed : {1u, 20261016u}) {
+        SCOPED_TRACE("generated program, seed " + std::to_string(seed));
+        Bytes code = uop_coverage_program(seed);
+        TierOutcome want = run_at_tier(code, Tier::kDecode);
+        ASSERT_EQ(want.exit.kind, ExitKind::kLtrap);
+        for (uint64_t slice : {1u, 2u, 3u, 7u}) {
+            SCOPED_TRACE("slice " + std::to_string(slice));
+            TierOutcome got = run_at_tier(code, Tier::kTraces, slice);
+            expect_same_outcome(got, want);
+            if (slice == 7) {
+                EXPECT_GT(got.sb_exec_hits, 0u);
+            }
+        }
+    }
+}
+
+
 TEST_F(Superblock, GeneratedProgramRunsEveryUopBodyAlikeInEveryTier)
 {
     for (uint32_t seed : {1u, 2u, 20261016u}) {
@@ -2032,21 +2201,7 @@ TEST_F(Superblock, GeneratedProgramRunsEveryUopBodyAlikeInEveryTier)
         ASSERT_EQ(decode.exit.kind, ExitKind::kLtrap);
         for (Tier tier : {Tier::kBlocks, Tier::kTraces}) {
             TierOutcome got = run_at_tier(code, tier);
-            EXPECT_EQ(got.exit.kind, decode.exit.kind);
-            EXPECT_EQ(got.exit.rip, decode.exit.rip);
-            EXPECT_EQ(got.state.regs, decode.state.regs);
-            for (int b = 0; b < isa::kNumBndRegs; ++b) {
-                EXPECT_EQ(got.state.bnds[b].lo, decode.state.bnds[b].lo);
-                EXPECT_EQ(got.state.bnds[b].hi, decode.state.bnds[b].hi);
-            }
-            EXPECT_EQ(got.state.flags.zf, decode.state.flags.zf);
-            EXPECT_EQ(got.state.flags.sf, decode.state.flags.sf);
-            EXPECT_EQ(got.state.flags.cf, decode.state.flags.cf);
-            EXPECT_EQ(got.state.flags.of, decode.state.flags.of);
-            EXPECT_EQ(got.state.rip, decode.state.rip);
-            EXPECT_EQ(got.cycles, decode.cycles);
-            EXPECT_EQ(got.instructions, decode.instructions);
-            EXPECT_EQ(got.memory_digest, decode.memory_digest);
+            expect_same_outcome(got, decode);
             if (tier == Tier::kTraces) {
                 EXPECT_GT(got.sb_exec_hits, 0u);
             }
