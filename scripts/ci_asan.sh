@@ -2,7 +2,9 @@
 # CI job: build the whole tree with AddressSanitizer + UBSan and run
 # the tier-1 test suite. Catches lifetime bugs the plain build can't —
 # e.g. stale Page or Block pointers left behind by the interpreter's
-# block cache or the address-space TLB after an unmap.
+# block cache or the address-space TLB after an unmap. GCC's
+# `undefined` group leaves out float-cast-overflow (an out-of-range
+# double -> integer conversion), so it is named on its own.
 #
 # Usage: scripts/ci_asan.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -12,7 +14,7 @@ BUILD_DIR="${1:-build-asan}"
 
 cmake -B "$BUILD_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DOCCLUM_SANITIZE=address,undefined
+    -DOCCLUM_SANITIZE=address,undefined,float-cast-overflow
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 # halt_on_error: a sanitizer report must fail the job, not scroll by.

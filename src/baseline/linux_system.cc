@@ -62,24 +62,11 @@ ExtFile::write(oskit::Kernel &kernel, const uint8_t *buf, uint64_t len)
 Result<int64_t>
 ExtFile::seek(int64_t offset, int whence)
 {
-    const Bytes *content = store_->get_mutable(path_);
-    int64_t base = 0;
-    switch (whence) {
-      case static_cast<int>(abi::kSeekSet): base = 0; break;
-      case static_cast<int>(abi::kSeekCur):
-        base = static_cast<int64_t>(offset_);
-        break;
-      case static_cast<int>(abi::kSeekEnd):
-        base = static_cast<int64_t>(content->size());
-        break;
-      default:
-        return Error(ErrorCode::kInval, "bad whence");
+    auto pos = oskit::resolve_seek(
+        offset_, store_->get_mutable(path_)->size(), offset, whence);
+    if (pos.ok()) {
+        offset_ = static_cast<uint64_t>(pos.value());
     }
-    int64_t pos = base + offset;
-    if (pos < 0) {
-        return Error(ErrorCode::kInval, "negative seek");
-    }
-    offset_ = static_cast<uint64_t>(pos);
     return pos;
 }
 

@@ -51,23 +51,10 @@ EncFile::seek(int64_t offset, int whence)
     if (!size.ok()) {
         return size.error();
     }
-    int64_t base = 0;
-    switch (whence) {
-      case static_cast<int>(abi::kSeekSet): base = 0; break;
-      case static_cast<int>(abi::kSeekCur):
-        base = static_cast<int64_t>(offset_);
-        break;
-      case static_cast<int>(abi::kSeekEnd):
-        base = static_cast<int64_t>(size.value());
-        break;
-      default:
-        return Error(ErrorCode::kInval, "bad whence");
+    auto pos = oskit::resolve_seek(offset_, size.value(), offset, whence);
+    if (pos.ok()) {
+        offset_ = static_cast<uint64_t>(pos.value());
     }
-    int64_t pos = base + offset;
-    if (pos < 0) {
-        return Error(ErrorCode::kInval, "negative seek");
-    }
-    offset_ = static_cast<uint64_t>(pos);
     return pos;
 }
 
@@ -225,7 +212,6 @@ OcclumSystem::OcclumSystem(sgx::Platform &platform,
     EncFs::Config fs_config;
     fs_config.key = config_.fs_key;
     fs_config.cache_blocks = config_.fs_cache_blocks;
-    fs_config.readahead_blocks = config_.fs_readahead_blocks;
     fs_config.ocall_cycles =
         CostModel::kEexitCycles + CostModel::kEenterCycles;
     encfs_ = std::make_unique<EncFs>(*active_device_, platform.clock(),

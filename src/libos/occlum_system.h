@@ -103,8 +103,6 @@ class OcclumSystem : public oskit::Kernel
         bool debug_enclave = false;
         bool check_signatures = true;
         size_t fs_cache_blocks = 2048;
-        /** EncFs sequential readahead depth (0 disables). */
-        size_t fs_readahead_blocks = 8;
         /**
          * Mount this (persistent) device instead of creating a fresh
          * one — how a restarted system finds the data its predecessor

@@ -8,6 +8,26 @@
 
 namespace occlum::oskit {
 
+Result<int64_t>
+resolve_seek(uint64_t cur, uint64_t size, int64_t offset, int whence)
+{
+    uint64_t base = 0;
+    switch (whence) {
+      case static_cast<int>(abi::kSeekSet): base = 0; break;
+      case static_cast<int>(abi::kSeekCur): base = cur; break;
+      case static_cast<int>(abi::kSeekEnd): base = size; break;
+      default:
+        return Error(ErrorCode::kInval, "bad whence");
+    }
+    int64_t pos = 0;
+    if (base > static_cast<uint64_t>(INT64_MAX) ||
+        __builtin_add_overflow(static_cast<int64_t>(base), offset, &pos) ||
+        pos < 0) {
+        return Error(ErrorCode::kInval, "seek out of range");
+    }
+    return pos;
+}
+
 // ---------------------------------------------------------------------
 // WaitQueue
 // ---------------------------------------------------------------------

@@ -210,6 +210,16 @@ class FileObject
 using FilePtr = std::shared_ptr<FileObject>;
 
 /**
+ * lseek's position arithmetic, shared by every seekable file: resolve
+ * `whence` against the current offset `cur` or the file `size`, add
+ * `offset` without signed overflow, and return the new position.
+ * kInval for an unknown whence, a negative result, or a sum past
+ * INT64_MAX (a hostile SIP's `lseek(fd, INT64_MAX, SEEK_END)`).
+ */
+Result<int64_t> resolve_seek(uint64_t cur, uint64_t size, int64_t offset,
+                             int whence);
+
+/**
  * An in-kernel pipe. Both personalities use it; the *cost* of moving
  * bytes differs (Occlum/Linux copy, EIP encrypts through untrusted
  * memory) and is charged by the kernel around the byte movement.

@@ -21,6 +21,27 @@ neg_errno(ErrorCode code)
 }
 
 /**
+ * Absolute deadline, in cycles, of a poll/epoll_wait timeout of
+ * `timeout_ns` >= 0 starting at `now`. A deadline that does not fit
+ * in 64 bits saturates to ~0 (wait forever) instead of hitting an
+ * out-of-range float->integer conversion or wrapping round to a past
+ * cycle, which would time out at once.
+ */
+uint64_t
+timeout_deadline(uint64_t now, int64_t timeout_ns)
+{
+    double cycles = static_cast<double>(timeout_ns) *
+                    (SimClock::kFrequencyHz / 1e9);
+    uint64_t deadline = 0;
+    if (cycles >= 0x1p64 ||
+        __builtin_add_overflow(now, static_cast<uint64_t>(cycles),
+                               &deadline)) {
+        return ~0ull;
+    }
+    return deadline;
+}
+
+/**
  * A descriptor leaving the fd table must also leave the epoll world:
  * a non-epoll fd is auto-removed from every interest list (Linux
  * semantics — a dead descriptor must not keep producing events), and
@@ -1198,8 +1219,9 @@ Kernel::dispatch(Process &proc, uint64_t num,
             it->second->state == ProcState::kDead) {
             return neg_errno(ErrorCode::kSrch);
         }
+        // Negate in uint64_t: -INT64_MIN does not exist in int64_t.
         kill_process(*it->second, DeathCause::kKilled,
-                     -static_cast<int64_t>(args[1]));
+                     static_cast<int64_t>(0 - args[1]));
         return 0;
       }
 
@@ -1281,9 +1303,7 @@ Kernel::dispatch(Process &proc, uint64_t num,
         if (nfds > kMaxPollFds) return neg_errno(ErrorCode::kInval);
         if (proc.sys_deadline == ~0ull && timeout_ns >= 0) {
             proc.sys_deadline =
-                clock_->cycles() +
-                static_cast<uint64_t>(static_cast<double>(timeout_ns) *
-                                      (SimClock::kFrequencyHz / 1e9));
+                timeout_deadline(clock_->cycles(), timeout_ns);
         }
         uint64_t bytes = nfds * abi::kPollRecordBytes;
         if (io_scratch_.size() < bytes) {
@@ -1396,9 +1416,7 @@ Kernel::dispatch(Process &proc, uint64_t num,
         }
         if (proc.sys_deadline == ~0ull && timeout_ns >= 0) {
             proc.sys_deadline =
-                clock_->cycles() +
-                static_cast<uint64_t>(static_cast<double>(timeout_ns) *
-                                      (SimClock::kFrequencyHz / 1e9));
+                timeout_deadline(clock_->cycles(), timeout_ns);
         }
         uint64_t bytes = max_events * abi::kEpollRecordBytes;
         // All-or-nothing EFAULT *before* collect(): collecting is

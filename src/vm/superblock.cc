@@ -30,8 +30,8 @@ namespace {
  * table serves every Cpu instance.
  */
 const void *const *g_sb_label_table = nullptr;
-/** Memory label slots per EA flavour: 5 groups x widths 8/4/1. */
-constexpr size_t kMemSlots = 15;
+/** Memory label slots per EA flavour: 4 groups x widths 8/4/1. */
+constexpr size_t kMemSlots = 12;
 
 /**
  * Evaluate `cond` of a compare of (a, b) directly from the operands.
@@ -289,9 +289,7 @@ translate_superblock(const SbDecodeFn &decode, uint64_t entry_rip,
             bind_ea(&u, in.mem, in.end());
             if (u.ea == kEaConst) {
                 // A rip-relative/absolute lea folds to a constant at
-                // translation time, so it is just a register move —
-                // and kMovRI is packable where kLea is not (packs
-                // reuse the EA fields).
+                // translation time, so it is just a register move.
                 u.kind = UopKind::kMovRI;
                 u.imm = u.disp;
             }
@@ -484,10 +482,6 @@ translate_superblock(const SbDecodeFn &decode, uint64_t entry_rip,
     // After charge runs are merged, so a collapsed run in front of an
     // access is absorbed whole.
     peephole::fuse_bound_accesses(uops, is_target, &folded);
-    peephole::fuse_alu_packs(uops, is_target);
-    // After packing, so ALU runs keep the pack encoding and only a
-    // lone leftover ALU merges into the load feeding it.
-    peephole::fuse_load_alu(uops, is_target);
     peephole::compact(uops);
 
     // Budget segments: each uop learns the instruction count and the
@@ -571,7 +565,6 @@ Cpu::promote_superblock(uint64_t entry_rip)
           case UopKind::kStore:    group = 1; break;
           case UopKind::kLoadChk:  group = 2; break;
           case UopKind::kStoreChk: group = 3; break;
-          case UopKind::kLoadAlu:  group = 4; break;
           default:                 group = -1; break;
         }
         if (group >= 0) {
@@ -625,60 +618,6 @@ Cpu::promote_superblock(uint64_t entry_rip)
         left -= op->seg_instrs;                                         \
         goto *op->handler;                                              \
     } while (0)
-
-/*
- * kAluPack inner dispatch. Each pack slot goes through its own label
- * table so each slot's indirect branch has a stable per-trace target;
- * a single shared table (or an inlined switch the compiler
- * cross-jumps into one) would give one branch site whose target
- * rotates across slots every pack. Tables are indexed by raw UopKind
- * code; fuse_alu_packs only stores packable codes (<= kNot), the
- * kDivRR/kModRR and non-ALU slots map to the panic label.
- */
-#define SB_ALU_TABLE(S)                                                 \
-    static const void *const kAlu##S[] = {                              \
-        &&alu##S##_Bad, &&alu##S##_Bad, &&alu##S##_MovRI,               \
-        &&alu##S##_MovRR, &&alu##S##_AddRI, &&alu##S##_AddRR,           \
-        &&alu##S##_SubRI, &&alu##S##_SubRR, &&alu##S##_MulRI,           \
-        &&alu##S##_MulRR, &&alu##S##_Bad, &&alu##S##_Bad,               \
-        &&alu##S##_AndRI, &&alu##S##_AndRR, &&alu##S##_OrRI,            \
-        &&alu##S##_OrRR, &&alu##S##_XorRI, &&alu##S##_XorRR,            \
-        &&alu##S##_ShlRI, &&alu##S##_ShrRI, &&alu##S##_SarRI,           \
-        &&alu##S##_ShlRR, &&alu##S##_ShrRR, &&alu##S##_SarRR,           \
-        &&alu##S##_Neg, &&alu##S##_Not,                                 \
-    }
-
-/** One packed mini-op body per packable kind, for slot S. */
-#define SB_ALU_BODIES(S, RD, RS, IMM, NEXT)                             \
-    alu##S##_MovRI: regs[RD] = static_cast<uint64_t>(IMM); NEXT;        \
-    alu##S##_MovRR: regs[RD] = regs[RS]; NEXT;                          \
-    alu##S##_AddRI: regs[RD] += static_cast<uint64_t>(IMM); NEXT;       \
-    alu##S##_AddRR: regs[RD] += regs[RS]; NEXT;                         \
-    alu##S##_SubRI: regs[RD] -= static_cast<uint64_t>(IMM); NEXT;       \
-    alu##S##_SubRR: regs[RD] -= regs[RS]; NEXT;                         \
-    alu##S##_MulRI: regs[RD] *= static_cast<uint64_t>(IMM); NEXT;       \
-    alu##S##_MulRR: regs[RD] *= regs[RS]; NEXT;                         \
-    alu##S##_AndRI: regs[RD] &= static_cast<uint64_t>(IMM); NEXT;       \
-    alu##S##_AndRR: regs[RD] &= regs[RS]; NEXT;                         \
-    alu##S##_OrRI: regs[RD] |= static_cast<uint64_t>(IMM); NEXT;        \
-    alu##S##_OrRR: regs[RD] |= regs[RS]; NEXT;                          \
-    alu##S##_XorRI: regs[RD] ^= static_cast<uint64_t>(IMM); NEXT;       \
-    alu##S##_XorRR: regs[RD] ^= regs[RS]; NEXT;                         \
-    alu##S##_ShlRI: regs[RD] <<= ((IMM) & 63); NEXT;                    \
-    alu##S##_ShrRI: regs[RD] >>= ((IMM) & 63); NEXT;                    \
-    alu##S##_SarRI:                                                     \
-        regs[RD] = static_cast<uint64_t>(                               \
-            static_cast<int64_t>(regs[RD]) >> ((IMM) & 63));            \
-        NEXT;                                                           \
-    alu##S##_ShlRR: regs[RD] <<= (regs[RS] & 63); NEXT;                 \
-    alu##S##_ShrRR: regs[RD] >>= (regs[RS] & 63); NEXT;                 \
-    alu##S##_SarRR:                                                     \
-        regs[RD] = static_cast<uint64_t>(                               \
-            static_cast<int64_t>(regs[RD]) >> (regs[RS] & 63));         \
-        NEXT;                                                           \
-    alu##S##_Neg: regs[RD] = 0 - regs[RD]; NEXT;                        \
-    alu##S##_Not: regs[RD] = ~regs[RD]; NEXT;                           \
-    alu##S##_Bad: OCC_PANIC("non-packable code in kAluPack")
 
 Cpu::SbResult
 Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
@@ -786,37 +725,27 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         &&lbl_JmpRegGuard, &&lbl_RetGuard, &&lbl_RetExit,
         &&lbl_JmpRegExit, &&lbl_JmpMemExit, &&lbl_ExitTo,
         &&lbl_Ltrap, &&lbl_Priv,
-        &&lbl_AluPack, &&lbl_AluPackBr,
-        &&lbl_Dead, &&lbl_Dead, &&lbl_Dead, // LoadChk, StoreChk, LoadAlu
+        &&lbl_Dead, &&lbl_Dead, // LoadChk, StoreChk
         // Width-constant memory bodies, past the UopKind-indexed
         // range. promote_superblock rebinds every memory uop (kLoad,
-        // kStore and the three above, whose kind-indexed slots panic)
+        // kStore and the two above, whose kind-indexed slots panic)
         // to the variant matching its install-time width and EA mode.
         // Order: generic EA (SIB, constant) then base+displacement;
-        // within each, group-major (Load, Store, LoadChk, StoreChk,
-        // LoadAlu), width 8/4/1.
+        // within each, group-major (Load, Store, LoadChk, StoreChk),
+        // width 8/4/1.
         &&lbl_Load8, &&lbl_Load4, &&lbl_Load1,
         &&lbl_Store8, &&lbl_Store4, &&lbl_Store1,
         &&lbl_LoadChk8, &&lbl_LoadChk4, &&lbl_LoadChk1,
         &&lbl_StoreChk8, &&lbl_StoreChk4, &&lbl_StoreChk1,
-        &&lbl_LoadAlu8, &&lbl_LoadAlu4, &&lbl_LoadAlu1,
         &&lbl_Load8Bd, &&lbl_Load4Bd, &&lbl_Load1Bd,
         &&lbl_Store8Bd, &&lbl_Store4Bd, &&lbl_Store1Bd,
         &&lbl_LoadChk8Bd, &&lbl_LoadChk4Bd, &&lbl_LoadChk1Bd,
         &&lbl_StoreChk8Bd, &&lbl_StoreChk4Bd, &&lbl_StoreChk1Bd,
-        &&lbl_LoadAlu8Bd, &&lbl_LoadAlu4Bd, &&lbl_LoadAlu1Bd,
     };
     static_assert(sizeof(kLabels) / sizeof(kLabels[0]) ==
                       kNumUopKinds + 2 * kMemSlots,
                   "dispatch table must cover every UopKind plus the "
                   "width- and EA-specialized memory slots");
-    SB_ALU_TABLE(0);
-    SB_ALU_TABLE(1);
-    SB_ALU_TABLE(2);
-    SB_ALU_TABLE(3);
-    SB_ALU_TABLE(4);
-    SB_ALU_TABLE(5);
-    SB_ALU_TABLE(6); // kLoadAlu's appended mini-op
     if (exit == nullptr) {
         g_sb_label_table = kLabels; // probe from promote_superblock
         return SbResult::kLeft;
@@ -1062,27 +991,9 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
 #undef SB_STORECHK_W
 #undef SB_CHECKS
 
-    // A load with one ALU mini-op appended (see the Uop doc). Only
-    // the load can fault, and it is the first component, so a fault
-    // keeps the load alone (cost_head) at the load's rip.
-#define SB_LOADALU_W(SZ, V, EA)                                         \
-    lbl_LoadAlu##SZ##V: {                                               \
-        uint64_t addr = EA;                                             \
-        uint64_t value = 0;                                             \
-        AccessFault f = mem.read_fast<SZ>(addr, &value);                \
-        if (f != AccessFault::kNone) {                                  \
-            SB_FAULT(sb_fault_kind(f), addr, op->address, op->cost_head, \
-                     1);                                                \
-        }                                                               \
-        regs[op->reg1] = value;                                         \
-        goto *kAlu6[op->bnd];                                           \
-    }
-    SB_MEM_CLONES(SB_LOADALU_W)
-#undef SB_LOADALU_W
 #undef SB_MEM_CLONES
 #undef SB_EA_BD
 #undef SB_EA_ANY
-    SB_ALU_BODIES(6, op->mask, op->reg2, op->imm, SB_NEXT());
 
     SB_OP(Push):
     SB_OP(PushImm): {
@@ -1313,55 +1224,6 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         exit->rip = op->address;
         SB_FLUSH();
         return SbResult::kExit;
-
-    SB_OP(AluPack):
-        goto *kAlu0[op->bnd];
-        SB_ALU_BODIES(0, op->reg1, op->reg2, op->imm,
-                      goto *kAlu1[op->mask]);
-        SB_ALU_BODIES(1, op->base, op->index, op->disp,
-                      do {
-                          if (op->n_instrs != 3) {
-                              SB_NEXT();
-                          }
-                          goto *kAlu2[op->scale];
-                      } while (0));
-        SB_ALU_BODIES(2, op->ea, op->size,
-                      static_cast<int64_t>(op->exit_rip),
-                      SB_NEXT());
-
-    // A pack with a merged compare + intra-trace branch: a tight loop
-    // body in one uop, one dispatch per iteration. n_instrs counts the
-    // compare+branch pair, so a 3-slot pack has n_instrs == 5.
-    SB_OP(AluPackBr):
-        goto *kAlu3[op->bnd];
-        SB_ALU_BODIES(3, op->reg1, op->reg2, op->imm,
-                      goto *kAlu4[op->mask]);
-        SB_ALU_BODIES(4, op->base, op->index, op->disp,
-                      do {
-                          if (op->n_instrs != 5) {
-                              goto alupack_cmpbr;
-                          }
-                          goto *kAlu5[op->scale];
-                      } while (0));
-        SB_ALU_BODIES(5, op->ea, op->size,
-                      static_cast<int64_t>(op->exit_rip),
-                      goto alupack_cmpbr);
-    alupack_cmpbr: {
-        uint64_t a = regs[op->cost_head & 0xff];
-        uint64_t b = (op->cost_head & 0x10000u)
-                         ? regs[(op->cost_head >> 8) & 0xff]
-                         : op->address2;
-        flag_a = a;
-        flag_b = b;
-        flags_deferred = true;
-        if (cond_holds(op->cond, a, b)) {
-            // A real branch: see the comment above CmpRIJccGoto.
-            op = uops + op->target;
-            SB_SEGMENT();
-        }
-        ++op;
-        SB_SEGMENT();
-    }
 
     SB_OP(Dead):
         OCC_PANIC("dead uop reached execution");

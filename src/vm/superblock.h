@@ -101,14 +101,11 @@ enum class UopKind : uint8_t {
 
     kLtrap, kPriv,           // terminal: fill CpuExit
 
-    kAluPack,                // 2-3 packed register-ALU mini-ops
-    kAluPackBr,              // pack + fused compare + intra-trace branch
     kLoadChk, kStoreChk,     // bound check(s) + access, one EA, one uop
-    kLoadAlu,                // load + one register-ALU mini-op
 };
 
 /** Number of UopKind values (size of the dispatch table). */
-constexpr size_t kNumUopKinds = static_cast<size_t>(UopKind::kLoadAlu) + 1;
+constexpr size_t kNumUopKinds = static_cast<size_t>(UopKind::kStoreChk) + 1;
 
 /** Pre-resolved effective-address modes (rip-rel/abs fold to kEaConst). */
 enum : uint8_t { kEaConst = 0, kEaBaseDisp = 1, kEaSib = 2 };
@@ -116,40 +113,12 @@ enum : uint8_t { kEaConst = 0, kEaBaseDisp = 1, kEaSib = 2 };
 /**
  * One micro-op. Operands are bound at translation time.
  *
- * kAluPack reuses the EA fields as extra operand slots — register-ALU
- * mini-ops never form addresses, so the slots are free. Component c of
- * a pack is (sub-opcode, dst reg, src reg, immediate):
- *   c0: (bnd,   reg1, reg2, imm)
- *   c1: (mask,  base, index, disp)
- *   c2: (scale, ea,   size,  exit_rip)   — only when n_instrs == 3
- * Sub-opcodes are raw UopKind values from the packable subset (pure
- * register ALU: no memory, no flags, no faults), so a pack can never
- * exit mid-pack and `n_instrs`/`cost` cover the whole group.
- *
  * kLoadChk/kStoreChk fuse a kBndChkMem on the access operand into the
  * access itself: the EA is computed once and the group dispatches
  * once. `mask` keeps the check selector, `bnd` the bound register,
  * `cost_head` the lo-check cost, `target` the cost of the whole check
  * portion (charged when the hi check fails), and the three fault rips
  * are `address` (lo), `address2` (hi), `exit_rip` (the access).
- *
- * kAluPackBr appends a fused compare + intra-trace branch to the
- * pack, so a tight loop body dispatches once per iteration. The
- * compare operands ride in `cost_head` (cmp reg1 | cmp reg2 << 8 |
- * 0x10000 when the second operand is a register) with the RI
- * immediate in `address2`; `cond`/`target` describe the branch. Only
- * intra-trace branches merge, so `exit_rip` stays free for the c2
- * slot, and packs cannot fault, so the fault-rip fields they shadow
- * are never consulted.
- *
- * kLoadAlu appends one register-ALU mini-op to a plain load (the
- * `load; op` idiom loop bodies produce once longer ALU runs have been
- * packed). The load keeps its normal fields; the ALU rides in slots a
- * load leaves free: `bnd` the sub-opcode, `mask` the destination
- * register, `reg2` the source register, `imm` the immediate. Only the
- * load can fault, and it is the first component, so a fault charges
- * `cost_head` (the load alone) at `address`; budget segments count
- * the pair whole.
  */
 struct Uop {
     UopKind kind = UopKind::kCharge;
@@ -196,8 +165,7 @@ inline bool
 is_intra_trace_branch(UopKind kind)
 {
     return kind == UopKind::kGoto || kind == UopKind::kJccGoto ||
-           kind == UopKind::kCmpRIJccGoto ||
-           kind == UopKind::kCmpRRJccGoto || kind == UopKind::kAluPackBr;
+           kind == UopKind::kCmpRIJccGoto || kind == UopKind::kCmpRRJccGoto;
 }
 
 /** An installed trace, owned by the block it was promoted from. */
@@ -270,27 +238,6 @@ void fuse_compare_branches(std::vector<Uop> &uops,
 /** Merge runs of adjacent kCharge uops (nops, labels, folded guards). */
 void collapse_charge_runs(std::vector<Uop> &uops,
                           const std::vector<uint8_t> &is_target);
-
-/**
- * Pack runs of 2-3 adjacent pure register-ALU uops into one kAluPack
- * superinstruction (see the Uop field-reuse table). Packable uops
- * cannot fault, touch memory, or set flags, so the pack executes
- * atomically; budget segments count whole uops, so a budget stop
- * never lands inside a pack. Runs last, after the other fusions have
- * claimed their patterns.
- */
-void fuse_alu_packs(std::vector<Uop> &uops,
-                    const std::vector<uint8_t> &is_target);
-
-/**
- * Fuse a plain kLoad with a single following packable ALU uop into
- * one kLoadAlu (any destination register — the ALU slots ride in
- * fields the load leaves free). Runs after fuse_alu_packs so ALU runs
- * of two or more keep the denser pack encoding and only lone
- * leftovers merge here.
- */
-void fuse_load_alu(std::vector<Uop> &uops,
-                   const std::vector<uint8_t> &is_target);
 
 /** Drop kDead uops and relocate intra-trace targets. */
 void compact(std::vector<Uop> &uops);

@@ -43,16 +43,8 @@ written_regs(const Uop &op)
       case UopKind::kLoad:
       case UopKind::kLoadChk:
         return 1u << op.reg1;
-      case UopKind::kLoadAlu: // load dst + the ALU mini-op's dst
-        return (1u << op.reg1) | (1u << op.mask);
       case UopKind::kPop:
         return (1u << op.reg1) | (1u << isa::kSp);
-      case UopKind::kAluPack:
-        return (1u << op.reg1) | (1u << op.base) |
-               (op.n_instrs == 3 ? 1u << op.ea : 0u);
-      case UopKind::kAluPackBr: // pack + compare/branch (writes no regs)
-        return (1u << op.reg1) | (1u << op.base) |
-               (op.n_instrs == 5 ? 1u << op.ea : 0u);
       case UopKind::kPush:
       case UopKind::kPushImm:
       case UopKind::kCall:
@@ -364,170 +356,6 @@ collapse_charge_runs(std::vector<Uop> &uops,
             uops[j].kind = UopKind::kDead;
             ++j;
         }
-        i = j;
-    }
-}
-
-namespace {
-
-/**
- * Pure register-ALU uops: no memory access, no flags, no possible
- * fault. Only these may ride inside a kAluPack — anything that can
- * exit mid-uop would break the pack's all-or-nothing accounting.
- * (kLea is excluded because packs reuse its EA fields; kDivRR/kModRR
- * fault on zero; compares set flags; kRdcycle reads simulated time.)
- */
-bool
-is_packable(const Uop &u)
-{
-    switch (u.kind) {
-      case UopKind::kMovRI: case UopKind::kMovRR:
-      case UopKind::kAddRI: case UopKind::kAddRR:
-      case UopKind::kSubRI: case UopKind::kSubRR:
-      case UopKind::kMulRI: case UopKind::kMulRR:
-      case UopKind::kAndRI: case UopKind::kAndRR:
-      case UopKind::kOrRI: case UopKind::kOrRR:
-      case UopKind::kXorRI: case UopKind::kXorRR:
-      case UopKind::kShlRI: case UopKind::kShrRI: case UopKind::kSarRI:
-      case UopKind::kShlRR: case UopKind::kShrRR: case UopKind::kSarRR:
-      case UopKind::kNeg: case UopKind::kNot:
-        return true;
-      default:
-        return false;
-    }
-}
-
-} // namespace
-
-void
-fuse_alu_packs(std::vector<Uop> &uops,
-               const std::vector<uint8_t> &is_target)
-{
-    for (size_t h = 0; h + 1 < uops.size(); ++h) {
-        Uop &a = uops[h];
-        if (!is_packable(a)) {
-            continue;
-        }
-        size_t jb = next_live(uops, is_target, h);
-        if (jb == SIZE_MAX || a.next_rip != uops[jb].address) {
-            continue;
-        }
-        // A lone packable ALU in front of a fused compare + intra-trace
-        // branch still merges (the common `i += k; cmp; jcc` loop
-        // tail): the c1 slot becomes a harmless identity move and the
-        // group dispatches once per iteration.
-        if (!is_packable(uops[jb])) {
-            if (uops[jb].kind != UopKind::kCmpRIJccGoto &&
-                uops[jb].kind != UopKind::kCmpRRJccGoto) {
-                continue;
-            }
-            Uop &br = uops[jb];
-            a.bnd = static_cast<uint8_t>(a.kind); // c0 slot
-            a.kind = UopKind::kAluPackBr;
-            a.mask = static_cast<uint8_t>(UopKind::kMovRR); // c1: r0 = r0
-            a.base = 0;
-            a.index = 0;
-            a.cond = br.cond;
-            a.target = br.target; // pre-compact index; compact relocates
-            a.cost_head =
-                static_cast<uint32_t>(br.reg1) |
-                (static_cast<uint32_t>(br.reg2) << 8) |
-                (br.kind == UopKind::kCmpRRJccGoto ? 0x10000u : 0u);
-            a.address2 = br.kind == UopKind::kCmpRIJccGoto
-                             ? static_cast<uint64_t>(br.imm)
-                             : 0;
-            a.cost += br.cost;
-            a.n_instrs = static_cast<uint8_t>(a.n_instrs + br.n_instrs);
-            a.next_rip = br.next_rip;
-            br.kind = UopKind::kDead;
-            h = jb;
-            continue;
-        }
-        Uop &b = uops[jb];
-        a.bnd = static_cast<uint8_t>(a.kind); // c0 slot (see Uop docs)
-        a.kind = UopKind::kAluPack;
-        a.mask = static_cast<uint8_t>(b.kind); // c1 slot
-        a.base = b.reg1;
-        a.index = b.reg2;
-        a.disp = b.imm;
-        a.cost += b.cost;
-        a.n_instrs = 2;
-        a.address2 = b.address;
-        a.next_rip = b.next_rip;
-        b.kind = UopKind::kDead;
-        size_t last = jb;
-        size_t jc = next_live(uops, is_target, last);
-        if (jc != SIZE_MAX && a.next_rip == uops[jc].address &&
-            is_packable(uops[jc])) {
-            Uop &c = uops[jc];
-            a.scale = static_cast<uint8_t>(c.kind); // c2 slot
-            a.ea = c.reg1;
-            a.size = c.reg2;
-            a.exit_rip = static_cast<uint64_t>(c.imm);
-            a.cost += c.cost;
-            a.n_instrs = 3;
-            a.address2 = c.address;
-            a.next_rip = c.next_rip;
-            c.kind = UopKind::kDead;
-            last = jc;
-        }
-        // A fused compare + intra-trace branch right behind the pack
-        // merges into it (kAluPackBr): the whole loop body becomes a
-        // single uop, one dispatch per iteration. Exit branches keep
-        // their own uop — they need exit_rip, which the c2 slot owns.
-        size_t jr = next_live(uops, is_target, last);
-        if (jr != SIZE_MAX && a.next_rip == uops[jr].address &&
-            (uops[jr].kind == UopKind::kCmpRIJccGoto ||
-             uops[jr].kind == UopKind::kCmpRRJccGoto)) {
-            Uop &br = uops[jr];
-            a.kind = UopKind::kAluPackBr;
-            a.cond = br.cond;
-            a.target = br.target; // pre-compact index; compact relocates
-            a.cost_head =
-                static_cast<uint32_t>(br.reg1) |
-                (static_cast<uint32_t>(br.reg2) << 8) |
-                (br.kind == UopKind::kCmpRRJccGoto ? 0x10000u : 0u);
-            a.address2 = br.kind == UopKind::kCmpRIJccGoto
-                             ? static_cast<uint64_t>(br.imm)
-                             : 0;
-            a.cost += br.cost;
-            a.n_instrs = static_cast<uint8_t>(a.n_instrs + br.n_instrs);
-            a.next_rip = br.next_rip;
-            br.kind = UopKind::kDead;
-            last = jr;
-        }
-        h = last;
-    }
-}
-
-void
-fuse_load_alu(std::vector<Uop> &uops,
-              const std::vector<uint8_t> &is_target)
-{
-    for (size_t i = 0; i + 1 < uops.size(); ++i) {
-        Uop &ld = uops[i];
-        if (ld.kind != UopKind::kLoad) {
-            continue;
-        }
-        size_t j = next_live(uops, is_target, i);
-        if (j == SIZE_MAX || ld.next_rip != uops[j].address ||
-            !is_packable(uops[j])) {
-            continue;
-        }
-        Uop &alu = uops[j];
-        if (ld.n_instrs + alu.n_instrs > 255) {
-            continue;
-        }
-        ld.kind = UopKind::kLoadAlu;
-        ld.bnd = static_cast<uint8_t>(alu.kind);
-        ld.mask = alu.reg1;
-        ld.reg2 = alu.reg2;
-        ld.imm = alu.imm;
-        ld.cost_head = ld.cost;
-        ld.cost += alu.cost;
-        ld.n_instrs = static_cast<uint8_t>(ld.n_instrs + alu.n_instrs);
-        ld.next_rip = alu.next_rip;
-        alu.kind = UopKind::kDead;
         i = j;
     }
 }

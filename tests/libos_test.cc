@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/eip_system.h"
+#include "baseline/linux_system.h"
 #include "isa/assembler.h"
 #include "libos/occlum_system.h"
 #include "oelf/abi.h"
@@ -456,6 +457,99 @@ func main() {
                          {"main", "alpha", "beta"}),
               0);
     EXPECT_EQ(h.sys->console(), "beta\n");
+}
+
+// ---- hostile syscall arguments ------------------------------------------
+
+/**
+ * lseek offsets whose sum with the file size or the current offset
+ * passes INT64_MAX must come back EINVAL (22) and leave the offset
+ * alone; in-range seeks on either side of them still work.
+ */
+const char *const kSeekOverflowProgram = R"(
+global byte p[16] = "/seek.txt";
+global byte buf[8];
+func main() {
+    var fd = open(p, 0x242);   // CREAT|TRUNC|RDWR
+    if (fd < 0) { return 1; }
+    if (write(fd, "0123456789", 10) != 10) { return 2; }
+    if (lseek(fd, 0, 0) != 0) { return 3; }
+    if (read(fd, buf, 4) != 4) { return 4; }
+    if (lseek(fd, 0x7fffffffffffffff, 2) != -22) { return 5; } // SEEK_END
+    if (lseek(fd, 0x7fffffffffffffff, 1) != -22) { return 6; } // SEEK_CUR
+    if (lseek(fd, 0, 1) != 4) { return 7; }     // offset kept
+    if (lseek(fd, 0x8000000000000000, 2) != -22) { return 8; }
+    if (lseek(fd, 0x7fffffffffffffff, 0) != 0x7fffffffffffffff) {
+        return 9;
+    }
+    if (lseek(fd, 1, 1) != -22) { return 10; }
+    if (lseek(fd, 0, 3) != -22) { return 11; }  // bad whence
+    if (lseek(fd, -4, 2) != 6) { return 12; }
+    if (read(fd, buf, 4) != 4) { return 13; }
+    if (bload(buf) != 54) { return 14; }        // '6'
+    return 0;
+}
+)";
+
+TEST(HostileArgs, LseekPastInt64MaxIsEinvalOnOcclum)
+{
+    OcclumHarness h;
+    EXPECT_EQ(h.run_main(kSeekOverflowProgram), 0);
+}
+
+TEST(HostileArgs, LseekPastInt64MaxIsEinvalOnLinux)
+{
+    SimClock clock;
+    host::HostFileStore files;
+    baseline::LinuxSystem sys(clock, files);
+    auto out = toolchain::compile(kSeekOverflowProgram);
+    ASSERT_TRUE(out.ok());
+    files.put("prog", out.value().image.serialize());
+    auto pid = sys.spawn("prog", {"prog"});
+    ASSERT_TRUE(pid.ok());
+    sys.run();
+    EXPECT_EQ(sys.exit_code(pid.value()).value(), 0);
+}
+
+TEST(HostileArgs, KillWithInt64MinCodeLeavesSiblingAlone)
+{
+    // kill(pid, sig) records -sig as the exit code; sig = 2^63 has no
+    // int64_t negation, so the code wraps to INT64_MIN in uint64_t
+    // arithmetic. The victim's sibling runs on undisturbed.
+    OcclumHarness h;
+    h.add_program("spinner", R"(
+func main() {
+    while (1) { yield(); }
+    return 0;
+}
+)");
+    h.add_program("talker", R"(
+func main() {
+    var i = 0;
+    while (i < 20000) { i = i + 1; }
+    println("sibling ok");
+    return 7;
+}
+)");
+    EXPECT_EQ(h.run_main(R"(
+global byte s[16] = "spinner";
+global byte t[16] = "talker";
+func main() {
+    var argvv[1];
+    argvv[0] = s;
+    var victim = spawn(s, argvv, 1);
+    argvv[0] = t;
+    var sibling = spawn(t, argvv, 1);
+    if (victim < 0) { return 1; }
+    if (sibling < 0) { return 2; }
+    if (kill(victim, 0x8000000000000000) != 0) { return 3; }
+    if (waitpid(victim) != 0x8000000000000000) { return 4; }
+    if (waitpid(sibling) != 7) { return 5; }
+    return 0;
+}
+)"),
+              0);
+    EXPECT_EQ(h.sys->console(), "sibling ok\n");
 }
 
 // ---- EIP baseline contrast ------------------------------------------------

@@ -1065,6 +1065,87 @@ func main() {
               0);
 }
 
+/**
+ * Parent half of the huge-timeout tests: an idle pipe whose only
+ * writer is a child that spins for a while before writing one byte.
+ * WAIT is the blocking call; it must sleep until the byte arrives.
+ */
+std::string
+wait_for_late_writer(const std::string &wait)
+{
+    return R"(
+global byte child[8] = "writer";
+global byte buf[8];
+global int pfds[3];
+global int evs[8];
+func main() {
+    var fds[2];
+    if (pipe(fds) != 0) { return 1; }
+    var argvv[1];
+    argvv[0] = child;
+    var io3[3];
+    io3[0] = 0;
+    io3[1] = fds[1];           // child stdout = the write end
+    io3[2] = 2;
+    if (spawn_io(child, argvv, 1, io3) < 0) { return 2; }
+    var t0 = time_ns();
+    var r = 0;
+)" + wait + R"(
+    if (r != 1) { return 3; }
+    if (read(fds[0], buf, 8) != 1) { return 4; }
+    if (time_ns() - t0 < 100000) { return 5; } // it really blocked
+    return 0;
+}
+)";
+}
+
+void
+put_late_writer(KernelHarness &h)
+{
+    auto child = toolchain::compile(R"(
+func main() {
+    var i = 0;
+    while (i < 200000) { i = i + 1; }
+    write(1, "x", 1);
+    return 0;
+}
+)");
+    ASSERT_TRUE(child.ok());
+    h.files.put("writer", child.value().image.serialize());
+}
+
+TEST(Poll, Int64MaxTimeoutBlocksUntilData)
+{
+    // INT64_MAX ns is past 2^64 cycles at 3.5 GHz: the deadline must
+    // saturate to "no deadline", not convert out of range.
+    KernelHarness h;
+    put_late_writer(h);
+    EXPECT_EQ(h.run(wait_for_late_writer(R"(
+    pfds[0] = fds[0];
+    pfds[1] = 0x1;             // POLLIN
+    pfds[2] = 0;
+    r = poll(pfds, 1, 0x7fffffffffffffff);
+    if (pfds[2] != 0x1) { return 6; }
+)")),
+              0);
+}
+
+TEST(Poll, EpollWaitTimeoutNearCycleWrapBlocksUntilData)
+{
+    // 5270498306774156000 ns is 2^64 - 4096 cycles: it fits, but
+    // adding it to the current cycle count wraps. The deadline must
+    // saturate, not land in the past and time out at once.
+    KernelHarness h;
+    put_late_writer(h);
+    EXPECT_EQ(h.run(wait_for_late_writer(R"(
+    var ep = epoll_create();
+    if (epoll_ctl(ep, 1, fds[0], 0x1) != 0) { return 6; }
+    r = epoll_wait(ep, evs, 4, 5270498306774156000);
+    if (evs[0] != fds[0]) { return 7; }
+)")),
+              0);
+}
+
 TEST(Regression, SharedSocketSurvivesCloseByOneSip)
 {
     // A connection's server/client half is shared between two SIPs

@@ -1286,22 +1286,22 @@ TEST_F(Superblock, FusedGuardFaultPointsAreExact)
     run_pair(backward, BoundReg{kData + 400, ~0ull});
 }
 
-TEST_F(Superblock, LoadAluFusionFaultPointsAreExact)
+TEST_F(Superblock, LoadThenAluFaultPointsAreExact)
 {
-    // A load feeding a lone ALU op (the kLoadAlu fusion, with the ALU
-    // destination different from the loaded register) walks a pointer
-    // off the end of the mapped data page — well past promotion, so
-    // the page fault is raised from inside the fused uop. Fault rip,
-    // fault address, cycles, and state must match tier 1 exactly (the
-    // fault charges the load alone; the appended ALU never ran).
+    // A load feeding a lone ALU op (the ALU destination different from
+    // the loaded register) walks a pointer off the end of the mapped
+    // data page — well past promotion, so the page fault is raised
+    // from inside the trace, mid-segment. Fault rip, fault address,
+    // cycles, and state must match tier 1 exactly (the fault charges
+    // the uops up to and including the load; the ALU op never ran).
     auto program = [](isa::Assembler &a) {
         a.mov_ri(2, 1000);
         a.mov_ri(3, static_cast<int64_t>(kData));
         a.mov_ri(5, 0);
         a.bind("loop");
-        a.load8(4, mem_bd(3, 0)); // fuses with the add_rr below
+        a.load8(4, mem_bd(3, 0));
         a.add_rr(5, 4);
-        a.store(mem_abs(kData), 5); // keeps the ALU out of a pack
+        a.store(mem_abs(kData), 5);
         a.add_ri(3, 8);
         a.sub_ri(2, 1);
         a.cmp_ri(2, 0);
@@ -1638,12 +1638,12 @@ TEST_F(Superblock, RebuiltBlockDropsItsTrace)
 
 // ---- every uop body, one generated program ----------------------------
 
-/** Emits one packable register-ALU op (the kAluPack subset). */
+/** Emits one pure register-ALU op (no memory, flags or faults). */
 using AluEmit = void (*)(isa::Assembler &, uint8_t rd, uint8_t rs,
                          int32_t imm);
 
-/** Every packable op, RI and RR forms (superblock_peephole.cc). */
-const AluEmit kPackableOps[] = {
+/** Every pure register-ALU op, RI and RR forms. */
+const AluEmit kAluOps[] = {
     [](isa::Assembler &a, uint8_t d, uint8_t, int32_t i) { a.mov_ri(d, i); },
     [](isa::Assembler &a, uint8_t d, uint8_t s, int32_t) { a.mov_rr(d, s); },
     [](isa::Assembler &a, uint8_t d, uint8_t, int32_t i) { a.add_ri(d, i); },
@@ -1673,17 +1673,18 @@ const AluEmit kPackableOps[] = {
     [](isa::Assembler &a, uint8_t d, uint8_t, int32_t) { a.neg(d); },
     [](isa::Assembler &a, uint8_t d, uint8_t, int32_t) { a.not_(d); },
 };
-constexpr size_t kNumPackableOps = std::size(kPackableOps);
+constexpr size_t kNumAluOps = std::size(kAluOps);
 
 /** Code reservation for the generated program (below kData). */
 constexpr uint64_t kGenCodeSize = 0x8000;
 
 /**
  * A seeded program whose hot outer loop reaches every uop body of the
- * trace tier: each packable op alone, in all three kAluPack slots, in
- * all three kAluPackBr slots and as kLoadAlu's appended op; division
- * and remainder; loads and stores at widths 8/4/1, plain, fused with
- * a bound check or a charge run, and as kLoadAlu, each with a
+ * trace tier: each pure register-ALU op alone, in runs of three, in
+ * each position of a three-op inner loop body closed by a fused
+ * compare + back edge, and right behind a load; division and
+ * remainder; loads and stores at widths 8/4/1, plain, fused with a
+ * bound check or a charge run, and feeding an ALU op, each with a
  * base+displacement, a SIB and a constant (absolute) operand, so both
  * the base+disp bodies and the generic-EA bodies of every memory group
  * run; base, SIB and rip-relative lea;
@@ -1705,7 +1706,7 @@ uop_coverage_program(uint32_t seed)
     auto reg = [&] { return static_cast<uint8_t>(1 + rng() % 8); };
     auto imm = [&] { return static_cast<int32_t>(rng()); };
     auto alu = [&](size_t k) {
-        kPackableOps[k % kNumPackableOps](a, reg(), reg(), imm());
+        kAluOps[k % kNumAluOps](a, reg(), reg(), imm());
     };
     // An 8-aligned offset into the low half of the data page (the
     // call-mem/jmp-mem slots live in the high half).
@@ -1746,8 +1747,8 @@ uop_coverage_program(uint32_t seed)
     }
     a.bind("outer");
 
-    // Each op alone: non-packable neighbours keep packs from forming.
-    for (size_t k = 0; k < kNumPackableOps; ++k) {
+    // Each op alone, between a rdcycle or a test.
+    for (size_t k = 0; k < kNumAluOps; ++k) {
         alu(k);
         if (k % 2 == 0) {
             a.rdcycle(reg());
@@ -1755,17 +1756,18 @@ uop_coverage_program(uint32_t seed)
             a.test_rr(reg(), reg());
         }
     }
-    // kAluPack: op k sits in slot 0, 1 and 2 of groups k, k-1, k-2.
-    for (size_t k = 0; k < kNumPackableOps; ++k) {
+    // Runs of three: op k sits first, second and third in runs k,
+    // k-1, k-2.
+    for (size_t k = 0; k < kNumAluOps; ++k) {
         alu(k);
         alu(k + 1);
         alu(k + 2);
         a.test_rr(reg(), reg());
     }
-    // kAluPackBr: three-op packs closing a three-iteration inner loop
-    // with a fused compare + back edge; the counter increment rotates
-    // through the slots so op k again lands in all three.
-    for (size_t k = 0; k < kNumPackableOps; ++k) {
+    // Three-op bodies of a three-iteration inner loop closed by a
+    // fused compare + back edge; the counter increment rotates
+    // through the positions so op k again lands in all three.
+    for (size_t k = 0; k < kNumAluOps; ++k) {
         for (size_t slot = 0; slot < 3; ++slot) {
             std::string loop = fresh();
             a.mov_ri(9, 0);
@@ -1785,8 +1787,8 @@ uop_coverage_program(uint32_t seed)
             a.jcc(Cond::kLt, loop);
         }
     }
-    // The two- and one-op branch packs, and a plain (unfused) back
-    // edge behind test.
+    // Two- and one-op loop bodies before a fused compare + back edge,
+    // and a plain (unfused) back edge behind test.
     {
         std::string two = fresh(), one = fresh(), plain = fresh();
         a.mov_ri(9, 0);
@@ -1806,9 +1808,9 @@ uop_coverage_program(uint32_t seed)
         a.test_rr(9, 9);
         a.jcc(Cond::kNe, plain);
     }
-    // kLoadAlu: a load (width cycling 8/4/1) feeding one lone op,
-    // then every width once more with a SIB and a constant operand.
-    for (size_t k = 0; k < kNumPackableOps; ++k) {
+    // A load (width cycling 8/4/1) feeding one lone op, then every
+    // width once more with a SIB and a constant operand.
+    for (size_t k = 0; k < kNumAluOps; ++k) {
         load_w(static_cast<int>(k % 3), reg(), data());
         alu(k);
         a.test_rr(reg(), reg());
@@ -1915,8 +1917,8 @@ uop_coverage_program(uint32_t seed)
         a.bind(skip3);
     }
     // Compares on their own (no branch follows), and fused compare +
-    // back edges that no ALU op packs into; plain jccs behind them
-    // read the deferred compare, on an exit and on a back edge.
+    // back edges behind a rdcycle; plain jccs behind them read the
+    // deferred compare, on an exit and on a back edge.
     a.cmp_ri(reg(), imm());
     a.rdcycle(reg());
     a.cmp_rr(reg(), reg());
