@@ -84,6 +84,11 @@ trace_breakdown(bench::JsonReport &report)
 
     uint64_t total = platform.clock().cycles() - t0;
     tracer.disable();
+    // A wrapped ring has lost the begins of its oldest spans, and the
+    // replay below would silently under-count them.
+    OCC_CHECK_MSG(tracer.dropped() == 0,
+                  "trace ring dropped " << tracer.dropped()
+                                        << " events; enlarge it");
     std::vector<trace::Event> events = tracer.events();
     auto self = trace::self_cycles_by_category(events);
     tracer.bind_clock(nullptr);

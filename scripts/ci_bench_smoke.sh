@@ -4,7 +4,8 @@
 # that a snapshot with machine-readable JSON came out and that the
 # spawn and SPEC-kernel rows match their committed snapshot, so bench
 # or script rot is caught on every push rather than at paper-figure
-# time, then runs perfbench's self-check. The full (slow) suite is
+# time, runs the build-path and spawn substrate rows once, then runs
+# perfbench's self-check. The full (slow) suite is
 # recorded manually via scripts/bench_record.sh.
 #
 # Usage: scripts/ci_bench_smoke.sh [build-dir]   (default: build-bench)
@@ -90,6 +91,18 @@ JSON_CREF="bench/results/$LABEL-cref/BENCH_fig6cd_file_io.json"
 cmp "$JSON" "$JSON_CREF" ||
     { echo "smoke failed: reference crypto changed simulated results" >&2;
       exit 1; }
+
+# Substrate build-path and spawn rows: one brief run of the verifier
+# (unpadded and 14 MiB-padded), build_program-style build and Occlum
+# spawn benchmarks, so rot in them fails here. Timings are not
+# compared. Run from the smoke directory, which is removed below, so
+# BENCH_substrate.json does not land in the tree.
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_substrate
+SUBSTRATE="$PWD/$BUILD_DIR/bench/bench_substrate"
+(cd "$OUT_DIR" &&
+    "$SUBSTRATE" \
+        --benchmark_filter='VerifyBinary|BuildProgram|OcclumSpawn' \
+        --benchmark_min_time=0.01)
 
 # The smoke snapshots are CI artifacts, not recorded results.
 rm -rf "$OUT_DIR" "bench/results/$LABEL-sb0" "bench/results/$LABEL-cref"

@@ -36,6 +36,8 @@ class Assembler
     // ---- raw escape hatches (for adversarial tests) -----------------
     /** Append raw bytes verbatim (may form invalid instructions). */
     void raw(const Bytes &bytes);
+    /** Append `n` zero bytes without materializing them until finish(). */
+    void zeros(size_t n);
     /** Append one already-built instruction. */
     void emit(Instruction instr);
     /**
@@ -162,7 +164,7 @@ class Assembler
   private:
     struct Item {
         bool is_raw = false;
-        Bytes raw_bytes;
+        Bytes raw_bytes;        // then zeros up to `length`
         Instruction instr;
         std::string label_ref;  // for direct transfers / mov_rl
         bool ref_is_addr = false; // mov_rl: patch imm with absolute addr

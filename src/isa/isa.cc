@@ -1,5 +1,6 @@
 #include "isa/isa.h"
 
+#include <cstring>
 #include <sstream>
 
 #include "base/log.h"
@@ -452,6 +453,26 @@ cond_name(Cond cond)
       case Cond::kAe: return "ae";
     }
     return "?";
+}
+
+size_t
+find_cfi_label(const uint8_t *code, size_t size, size_t from)
+{
+    if (size < kCfiLabelSize) {
+        return size;
+    }
+    const size_t starts = size - kCfiLabelSize + 1;
+    for (size_t i = from; i < starts; ++i) {
+        const void *hit = std::memchr(code + i, kCfiMagic[0], starts - i);
+        if (!hit) {
+            break;
+        }
+        i = static_cast<const uint8_t *>(hit) - code;
+        if (std::memcmp(code + i, kCfiMagic, 4) == 0) {
+            return i;
+        }
+    }
+    return size;
 }
 
 size_t

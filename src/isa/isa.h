@@ -63,6 +63,15 @@ cfi_label_value(uint32_t domain_id)
     return 0x1DBE1ACFull | (static_cast<uint64_t>(domain_id) << 32);
 }
 
+/**
+ * Offset of the first cfi_label magic in code[from, size) with room
+ * for a whole label after it (no label starts in the last 7 bytes),
+ * or `size` if there is none. Candidates are found with a memchr for
+ * the magic's first byte, so label-free runs such as link padding
+ * cost memchr speed rather than a compare per byte.
+ */
+size_t find_cfi_label(const uint8_t *code, size_t size, size_t from);
+
 /** Operation codes. Gaps are reserved. */
 enum class Opcode : uint8_t {
     kNop = 0x00,

@@ -11,7 +11,11 @@ namespace {
 constexpr uint8_t kMagic[4] = {'O', 'E', 'L', 'F'};
 constexpr uint32_t kVersion = 1;
 
-/** Cursor for bounds-checked parsing. */
+/**
+ * Cursor for bounds-checked parsing. pos_ never passes raw_.size(),
+ * so every check compares a length against the bytes left: a
+ * header-supplied length near 2^64 cannot wrap the test.
+ */
 class Reader
 {
   public:
@@ -21,7 +25,7 @@ class Reader
     bool
     get(T &out)
     {
-        if (pos_ + sizeof(T) > raw_.size()) return false;
+        if (sizeof(T) > raw_.size() - pos_) return false;
         out = get_le<T>(raw_.data() + pos_);
         pos_ += sizeof(T);
         return true;
@@ -30,7 +34,7 @@ class Reader
     bool
     get_bytes(Bytes &out, size_t len)
     {
-        if (pos_ + len > raw_.size()) return false;
+        if (len > raw_.size() - pos_) return false;
         out.assign(raw_.begin() + pos_, raw_.begin() + pos_ + len);
         pos_ += len;
         return true;
@@ -39,7 +43,7 @@ class Reader
     bool
     get_string(std::string &out, size_t len)
     {
-        if (pos_ + len > raw_.size()) return false;
+        if (len > raw_.size() - pos_) return false;
         out.assign(raw_.begin() + pos_, raw_.begin() + pos_ + len);
         pos_ += len;
         return true;

@@ -1,7 +1,5 @@
 #include "oskit/loader.h"
 
-#include <cstring>
-
 #include "base/log.h"
 #include "isa/assembler.h"
 #include "oelf/abi.h"
@@ -20,28 +18,14 @@ void
 stamp_cfi_labels(vm::AddressSpace &space, uint64_t c_begin,
                  const Bytes &code, uint32_t domain_id)
 {
-    if (code.size() < isa::kCfiLabelSize) {
-        return;
-    }
     uint8_t id[4];
     set_le<uint32_t>(id, domain_id);
     const uint8_t *bytes = code.data();
-    const size_t starts = code.size() - isa::kCfiLabelSize + 1;
-    size_t i = 0;
-    while (i < starts) {
-        const void *hit =
-            std::memchr(bytes + i, isa::kCfiMagic[0], starts - i);
-        if (!hit) {
-            break;
-        }
-        i = static_cast<const uint8_t *>(hit) - bytes;
-        if (std::memcmp(bytes + i, isa::kCfiMagic, 4) == 0) {
-            OCC_CHECK(space.write_raw(c_begin + i + 4, id, sizeof(id)) ==
-                      vm::AccessFault::kNone);
-            i += isa::kCfiLabelSize;
-        } else {
-            ++i;
-        }
+    const size_t size = code.size();
+    for (size_t i = isa::find_cfi_label(bytes, size, 0); i < size;
+         i = isa::find_cfi_label(bytes, size, i + isa::kCfiLabelSize)) {
+        OCC_CHECK(space.write_raw(c_begin + i + 4, id, sizeof(id)) ==
+                  vm::AccessFault::kNone);
     }
 }
 

@@ -653,8 +653,7 @@ ProgramCompiler::link()
     uint64_t code_size = assembler.size_estimate();
     if (opts_.pad_code_to > code_size) {
         // Trailing unreachable nops to synthesize a large binary.
-        Bytes pad(opts_.pad_code_to - code_size, 0x00);
-        assembler.raw(pad);
+        assembler.zeros(opts_.pad_code_to - code_size);
         code_size = opts_.pad_code_to;
     }
 

@@ -137,6 +137,11 @@ class Tracer
  * span stream with a stack: time between two consecutive events is
  * attributed to the innermost open span. Instants do not open spans;
  * unmatched ends (their begins were overwritten) are skipped.
+ *
+ * Precondition for exact totals: the ring dropped nothing
+ * (Tracer::dropped() == 0). Once it has wrapped, the cycles of spans
+ * whose begins were overwritten are silently under-counted, so
+ * callers that report a breakdown must check dropped() first.
  */
 std::array<uint64_t, kNumCategories>
 self_cycles_by_category(const std::vector<Event> &events);

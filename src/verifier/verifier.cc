@@ -1,6 +1,5 @@
 #include "verifier/verifier.h"
 
-#include <cstring>
 #include <deque>
 #include <set>
 #include <unordered_map>
@@ -24,6 +23,8 @@ constexpr int64_t kGuard = 4096;
 constexpr int64_t kMaxAccess = 8;
 /** Join budget per instruction before widening to Top. */
 constexpr int kMaxJoins = 24;
+/** Stage 1 byte-map entry for a byte no reachable instruction covers. */
+constexpr uint8_t kUncovered = 0xFF;
 
 // ---------------------------------------------------------------------
 // Abstract values: intervals in absolute or domain-relative coordinates
@@ -277,7 +278,9 @@ class Analysis
     int64_t d_size_;
 
     std::map<uint64_t, Instruction> reachable_; // code offset -> instr
-    std::vector<int64_t> owner_;                // byte -> instr offset
+    // Per code byte: distance back to the first byte of the reachable
+    // instruction covering it, or kUncovered. One byte per code byte.
+    std::vector<uint8_t> back_;
     std::set<uint64_t> labels_;                 // cfi_label offsets
     std::set<uint64_t> guard_exempt_loads_;     // cfi_guard member loads
     std::set<uint64_t> guard_interiors_;        // illegal direct targets
@@ -300,11 +303,11 @@ Analysis::prev_instr(uint64_t off) const
     if (off == 0 || off > code_.size()) {
         return nullptr;
     }
-    int64_t owner = owner_[off - 1];
-    if (owner < 0) {
+    uint8_t back = back_[off - 1];
+    if (back == kUncovered) {
         return nullptr;
     }
-    const Instruction *instr = instr_at(static_cast<uint64_t>(owner));
+    const Instruction *instr = instr_at(off - 1 - back);
     if (!instr || instr->address - code_base_ + instr->length != off) {
         return nullptr;
     }
@@ -317,16 +320,17 @@ Analysis::stage1_disassemble()
     if (code_.empty()) {
         return VerifyReport::fail(1, "empty code segment");
     }
-    owner_.assign(code_.size(), -1);
+    back_.assign(code_.size(), kUncovered);
 
     // Roots: every cfi_label magic occurrence (paper Algorithm 1,
-    // line 2) — plus the entry point, which must itself be a label.
+    // line 2), overlapping ones included — plus the entry point, which
+    // must itself be a label.
     std::deque<uint64_t> worklist;
-    for (size_t i = 0; i + isa::kCfiLabelSize <= code_.size(); ++i) {
-        if (std::memcmp(code_.data() + i, isa::kCfiMagic, 4) == 0) {
-            labels_.insert(i);
-            worklist.push_back(i);
-        }
+    for (size_t i = isa::find_cfi_label(code_.data(), code_.size(), 0);
+         i < code_.size();
+         i = isa::find_cfi_label(code_.data(), code_.size(), i + 1)) {
+        labels_.insert(labels_.end(), i);
+        worklist.push_back(i);
     }
     if (!labels_.count(image_.entry_offset)) {
         return VerifyReport::fail(1, "entry point is not a cfi_label",
@@ -342,7 +346,7 @@ Analysis::stage1_disassemble()
                     1, "control flows past the end of the code segment",
                     addr);
             }
-            if (owner_[addr] == static_cast<int64_t>(addr)) {
+            if (back_[addr] == 0) {
                 break; // already disassembled from here
             }
             auto decoded = isa::decode(code_.data(), code_.size(), addr,
@@ -354,14 +358,15 @@ Analysis::stage1_disassemble()
                     addr);
             }
             Instruction instr = decoded.take();
+            OCC_CHECK(instr.length < kUncovered);
             for (uint64_t b = addr; b < addr + instr.length; ++b) {
-                if (owner_[b] != -1) {
+                if (back_[b] != kUncovered) {
                     return VerifyReport::fail(
                         1, "overlapping reachable instructions", addr);
                 }
             }
-            for (uint64_t b = addr; b < addr + instr.length; ++b) {
-                owner_[b] = static_cast<int64_t>(addr);
+            for (uint32_t k = 0; k < instr.length; ++k) {
+                back_[addr + k] = static_cast<uint8_t>(k);
             }
             Opcode op = instr.op;
             if (isa::transfer_kind(op) == TransferKind::kDirect) {
@@ -933,7 +938,7 @@ Verifier::verify(const oelf::Image &image) const
 }
 
 Result<oelf::Image>
-Verifier::verify_and_sign(const oelf::Image &image) const
+Verifier::verify_and_sign(oelf::Image image) const
 {
     VerifyReport report = verify(image);
     if (!report.ok) {
@@ -942,9 +947,8 @@ Verifier::verify_and_sign(const oelf::Image &image) const
                          std::to_string(report.failed_stage) +
                          "): " + report.reason);
     }
-    oelf::Image signed_image = image;
-    signed_image.sign(key_);
-    return signed_image;
+    image.sign(key_);
+    return image;
 }
 
 } // namespace occlum::verifier

@@ -74,8 +74,12 @@ class Verifier
     /** Run all four stages. */
     VerifyReport verify(const oelf::Image &image) const;
 
-    /** verify() and, on success, return a signed copy of the image. */
-    Result<oelf::Image> verify_and_sign(const oelf::Image &image) const;
+    /**
+     * verify() and, on success, sign `image` in place and return it.
+     * Taken by value so a caller that moves its image in copies
+     * nothing image-sized.
+     */
+    Result<oelf::Image> verify_and_sign(oelf::Image image) const;
 
     const crypto::Key128 &key() const { return key_; }
 

@@ -618,5 +618,168 @@ func main() {
     EXPECT_EQ(sys.exit_code(pid.value()).value(), 4);
 }
 
+// ---- hostile OELF headers --------------------------------------------------
+
+/** Header offsets of the two u64 segment lengths: magic, version and
+ *  entry_offset (4 + 4 + 8 bytes) precede code_size, then data_size. */
+constexpr size_t kCodeSizeAt = 16;
+constexpr size_t kDataSizeAt = 24;
+
+/**
+ * A small well-formed image (no symbols, unsigned) with the u64 at
+ * `field_at` overwritten by `len`. A length within 2^64 - pos of the
+ * top of the range wraps a `pos + len > size` bounds test.
+ */
+Bytes
+crafted_oelf(size_t field_at, uint64_t len)
+{
+    oelf::Image image;
+    image.code = Bytes(48, 0x00);
+    image.data = Bytes(16, 0x5a);
+    Bytes raw = image.serialize();
+    set_le<uint64_t>(raw.data() + field_at, len);
+    return raw;
+}
+
+/** Every (field, length) pair the hostile-header tests feed in. */
+std::vector<Bytes>
+crafted_oelfs()
+{
+    // 73 and 121 are where the code and data reads start (72-byte
+    // header plus the signature flag, then 48 code bytes), so those
+    // lengths wrap pos + len to exactly 0.
+    std::vector<Bytes> out;
+    for (size_t field : {kCodeSizeAt, kDataSizeAt}) {
+        for (uint64_t len : {~0ull, ~0ull - 40, 0ull - 73, 0ull - 121,
+                             1ull << 63}) {
+            out.push_back(crafted_oelf(field, len));
+        }
+    }
+    return out;
+}
+
+TEST(HostileImage, SegmentLengthNear2To64IsATruncatedImage)
+{
+    ASSERT_TRUE(oelf::Image::parse(crafted_oelf(kCodeSizeAt, 48)).ok());
+    for (const Bytes &raw : crafted_oelfs()) {
+        auto parsed = oelf::Image::parse(raw);
+        ASSERT_FALSE(parsed.ok());
+        EXPECT_EQ(parsed.code(), ErrorCode::kNoExec);
+        EXPECT_EQ(parsed.error().message, "OELF parse: truncated segments");
+    }
+}
+
+const char *const kTalkerSource = R"(
+func main() {
+    var i = 0;
+    while (i < 20000) { i = i + 1; }
+    println("sibling ok");
+    return 7;
+}
+)";
+
+/** Spawns the sibling, then "evil" (which must fail with ENOEXEC),
+ *  then reaps the sibling. */
+const char *const kHostileSpawnParent = R"(
+global byte t[16] = "talker";
+global byte e[16] = "evil";
+func main() {
+    var argvv[1];
+    argvv[0] = t;
+    var sibling = spawn(t, argvv, 1);
+    if (sibling < 0) { return 1; }
+    argvv[0] = e;
+    if (spawn(e, argvv, 1) != -8) { return 2; }
+    if (waitpid(sibling) != 7) { return 3; }
+    return 0;
+}
+)";
+
+struct SiblingRun {
+    int64_t parent_exit = -1;
+    std::string console;
+    std::vector<int> death_order;
+};
+
+/**
+ * Run kHostileSpawnParent on one personality with `evil` installed.
+ * `boot` installs the parent and sibling binaries (signed or plain)
+ * and returns the system; the host-side spawn of "evil" must fail
+ * with kNoExec as well.
+ */
+template <typename Boot>
+SiblingRun
+run_beside_hostile(Boot boot, const Bytes &evil)
+{
+    sgx::Platform platform;
+    host::HostFileStore files;
+    files.put("evil", evil);
+    std::unique_ptr<oskit::Kernel> sys = boot(platform, files);
+    EXPECT_EQ(sys->spawn("evil", {"evil"}).code(), ErrorCode::kNoExec);
+    auto pid = sys->spawn("main", {"main"});
+    EXPECT_TRUE(pid.ok()) << (pid.ok() ? "" : pid.error().message);
+    if (!pid.ok()) return {};
+    sys->run();
+    SiblingRun run;
+    run.parent_exit = sys->exit_code(pid.value()).value();
+    run.console = sys->console();
+    run.death_order = sys->death_order();
+    return run;
+}
+
+template <typename Boot>
+void
+expect_hostile_images_refused(Boot boot)
+{
+    // The reference run installs a file with a bad magic: also ENOEXEC.
+    SiblingRun reference =
+        run_beside_hostile(boot, Bytes{'j', 'u', 'n', 'k'});
+    EXPECT_EQ(reference.parent_exit, 0);
+    EXPECT_EQ(reference.console, "sibling ok\n");
+    EXPECT_EQ(reference.death_order.size(), 2u);
+    for (const Bytes &evil : crafted_oelfs()) {
+        SiblingRun run = run_beside_hostile(boot, evil);
+        EXPECT_EQ(run.parent_exit, reference.parent_exit);
+        EXPECT_EQ(run.console, reference.console);
+        EXPECT_EQ(run.death_order, reference.death_order);
+    }
+}
+
+TEST(HostileImage, SpawnIsNoExecAndSiblingRunsOnOcclum)
+{
+    expect_hostile_images_refused(
+        [](sgx::Platform &platform, host::HostFileStore &files) {
+            files.put("talker", build_signed(kTalkerSource));
+            files.put("main", build_signed(kHostileSpawnParent));
+            OcclumSystem::Config config;
+            config.verifier_key = vkey();
+            return std::unique_ptr<oskit::Kernel>(
+                std::make_unique<OcclumSystem>(platform, files, config));
+        });
+}
+
+TEST(HostileImage, SpawnIsNoExecAndSiblingRunsOnEip)
+{
+    expect_hostile_images_refused(
+        [](sgx::Platform &platform, host::HostFileStore &files) {
+            files.put("talker", build_plain(kTalkerSource));
+            files.put("main", build_plain(kHostileSpawnParent));
+            return std::unique_ptr<oskit::Kernel>(
+                std::make_unique<baseline::EipSystem>(platform, files));
+        });
+}
+
+TEST(HostileImage, SpawnIsNoExecAndSiblingRunsOnLinux)
+{
+    expect_hostile_images_refused(
+        [](sgx::Platform &platform, host::HostFileStore &files) {
+            files.put("talker", build_plain(kTalkerSource));
+            files.put("main", build_plain(kHostileSpawnParent));
+            return std::unique_ptr<oskit::Kernel>(
+                std::make_unique<baseline::LinuxSystem>(platform.clock(),
+                                                        files));
+        });
+}
+
 } // namespace
 } // namespace occlum::libos

@@ -374,5 +374,89 @@ TEST_P(MutationRobustness, MutatedImagesNeverLoadOrCrash)
 INSTANTIATE_TEST_SUITE_P(Seeds, MutationRobustness,
                          ::testing::Values(1, 2, 3, 4));
 
+// ---------------------------------------------------------------------
+// Verifier verdicts pinned over seeded mutants
+// ---------------------------------------------------------------------
+
+/** Fold every VerifyReport field into `hasher`. */
+void
+hash_report(crypto::Sha256 &hasher, const verifier::VerifyReport &r)
+{
+    Bytes fields;
+    put_le<uint8_t>(fields, r.ok ? 1 : 0);
+    put_le<uint32_t>(fields, static_cast<uint32_t>(r.failed_stage));
+    put_le<uint64_t>(fields, r.reason.size());
+    fields.insert(fields.end(), r.reason.begin(), r.reason.end());
+    put_le<uint64_t>(fields, r.fail_address);
+    put_le<uint64_t>(fields, r.reachable_instructions);
+    put_le<uint64_t>(fields, r.cfi_labels);
+    put_le<uint64_t>(fields, r.checked_accesses);
+    put_le<uint64_t>(fields, r.guarded_accesses);
+    hasher.update(fields);
+}
+
+TEST(VerifierDigest, SeededMutantsOfWorkloadProgramsKeepTheirVerdicts)
+{
+    // Two workload programs, one padded so planted magics land in
+    // padding too. Each mutant overwrites random code bytes, plants a
+    // cfi_label magic, or scatters stray 0xCF bytes; the digest over
+    // every report field pins Stage 1-4 verdicts, reasons, addresses
+    // and diagnostics bit for bit.
+    struct Subject {
+        std::string source;
+        uint64_t pad_to;
+    };
+    const Subject subjects[] = {
+        {workloads::gcc_stage_source("cc1"), 0},
+        {workloads::proxy_frontend_source(), 64 << 10},
+    };
+    verifier::Verifier verifier(workloads::bench_verifier_key());
+    crypto::Sha256 hasher;
+    int accepted = 0;
+    for (const Subject &subject : subjects) {
+        toolchain::CompileOptions options;
+        options.pad_code_to = subject.pad_to;
+        auto out = toolchain::compile(subject.source, options);
+        ASSERT_TRUE(out.ok()) << out.error().message;
+        const oelf::Image &base = out.value().image;
+        hash_report(hasher, verifier.verify(base));
+        Rng rng(20261017);
+        for (int trial = 0; trial < 96; ++trial) {
+            oelf::Image mutant = base;
+            Bytes &code = mutant.code;
+            switch (rng.next_below(3)) {
+              case 0:
+                for (int i = 0, n = 1 + rng.next_below(4); i < n; ++i) {
+                    code[rng.next_below(code.size())] =
+                        static_cast<uint8_t>(rng.next());
+                }
+                break;
+              case 1: {
+                size_t at = rng.next_below(code.size() - 3);
+                std::copy(std::begin(isa::kCfiMagic),
+                          std::end(isa::kCfiMagic), code.begin() + at);
+                break;
+              }
+              default:
+                for (int i = 0, n = 1 + rng.next_below(8); i < n; ++i) {
+                    code[rng.next_below(code.size())] = isa::kCfiMagic[0];
+                }
+                break;
+            }
+            verifier::VerifyReport report = verifier.verify(mutant);
+            accepted += report.ok ? 1 : 0;
+            hash_report(hasher, report);
+        }
+    }
+    // Pinned with the verifier whose Stage 1 kept an 8-byte owner per
+    // code byte and compared 4 bytes at every offset; the 1-byte map
+    // and the memchr label scan must leave it unchanged.
+    crypto::Sha256Digest digest = hasher.finish();
+    EXPECT_EQ(to_hex(digest.data(), digest.size()),
+              "2d24e84851ac76483c32704c3139fa78"
+              "e96d6f9d8681ab3ebee9b5014b302533")
+        << accepted << " of 192 mutants accepted";
+}
+
 } // namespace
 } // namespace occlum

@@ -199,6 +199,157 @@ TEST(Verifier, Stage1RejectsOverlappingInstructions)
     EXPECT_EQ(r.failed_stage, 1);
 }
 
+// ---- stage 1 semantics: label scan bounds and the byte map --------------
+
+TEST(Verifier, Stage1LabelMagicAtSizeMinus8IsARoot)
+{
+    // The last label candidate: an 8-byte cfi_label ending exactly at
+    // the end of the code. As a root it decodes and falls through past
+    // the end, which only a root can do here (nothing reaches it).
+    Assembler a;
+    a.cfi_label(0);
+    spin(a);
+    a.cfi_label(0);
+    auto image = image_from(a);
+    Verifier v(test_key());
+    VerifyReport r = v.verify(image);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.failed_stage, 1);
+    EXPECT_EQ(r.reason, "control flows past the end of the code segment");
+    EXPECT_EQ(r.fail_address, image.code.size());
+}
+
+TEST(Verifier, Stage1LabelMagicInTheLast7BytesIsNotARoot)
+{
+    Verifier v(test_key());
+    for (size_t tail = 0; tail <= 3; ++tail) {
+        Assembler a;
+        a.cfi_label(0);
+        spin(a);
+        Bytes magic(std::begin(isa::kCfiMagic), std::end(isa::kCfiMagic));
+        a.raw(magic);
+        a.raw(Bytes(tail, 0x00)); // magic at size - 4 - tail
+        VerifyReport r = v.verify(image_from(a));
+        EXPECT_TRUE(r.ok) << tail << ": " << r.reason;
+        EXPECT_EQ(r.cfi_labels, 1u) << tail;
+    }
+}
+
+TEST(Verifier, Stage1StrayCfBytesChangeNothing)
+{
+    // Partial magics (including ones cut off by the end of the code)
+    // must not create roots or disturb the walk.
+    auto build = [](const Bytes &tail) {
+        Assembler a;
+        a.cfi_label(0);
+        a.mov_ri(1, 5);
+        a.add_ri(1, 2);
+        spin(a);
+        a.raw(tail);
+        return image_from(a);
+    };
+    const uint8_t m0 = isa::kCfiMagic[0], m1 = isa::kCfiMagic[1],
+                  m2 = isa::kCfiMagic[2];
+    Bytes stray = {m0, m0, m1, 0x00, m0, m1, m2, 0x1C, 0x00, m0,
+                   0x00, 0x00, 0x00, 0x00, 0x00, 0x00, m0, m1, m2};
+    Verifier v(test_key());
+    VerifyReport zeros = v.verify(build(Bytes(stray.size(), 0x00)));
+    VerifyReport strays = v.verify(build(stray));
+    ASSERT_TRUE(zeros.ok) << zeros.reason;
+    EXPECT_TRUE(strays.ok) << strays.reason;
+    EXPECT_EQ(strays.reachable_instructions, zeros.reachable_instructions);
+    EXPECT_EQ(strays.cfi_labels, zeros.cfi_labels);
+    EXPECT_EQ(strays.checked_accesses, zeros.checked_accesses);
+}
+
+TEST(Verifier, Stage1JumpIntoEveryInteriorByteOfLongestInstruction)
+{
+    // load r1, [abs 0] has the longest encoding (register + absolute
+    // memory operand). Its interior bytes decode as hlt (r1), eexit
+    // (the kAbs mode byte) and nops, so each jump reaches the overlap
+    // test rather than failing to decode.
+    isa::Instruction longest;
+    longest.op = isa::Opcode::kLoad;
+    longest.reg1 = 1;
+    longest.mem = mem_abs(0);
+    const size_t len = isa::encoded_length(longest);
+    ASSERT_EQ(len, 11u);
+    Verifier v(test_key());
+    for (size_t k = 1; k < len; ++k) {
+        Assembler a;
+        a.cfi_label(0);
+        isa::Instruction jcc;
+        jcc.op = isa::Opcode::kJcc;
+        jcc.cond = Cond::kEq;
+        jcc.imm = static_cast<int64_t>(k); // into the next instruction
+        a.emit(jcc);
+        a.emit(longest);
+        spin(a);
+        VerifyReport r = v.verify(image_from(a));
+        EXPECT_FALSE(r.ok) << k;
+        EXPECT_EQ(r.failed_stage, 1) << k;
+        EXPECT_EQ(r.reason, "overlapping reachable instructions") << k;
+    }
+}
+
+TEST(Verifier, Stage1GuardLoadRightAfterPaddingIsStillAGuard)
+{
+    // prev_instr walks back bndcu -> bndcl -> load through the byte
+    // map; the load's own predecessor bytes are unreachable padding.
+    auto build = [](bool guarded) {
+        Assembler a;
+        a.cfi_label(0);
+        a.mov_ri(2, 0x1000);
+        a.jmp("guard");
+        a.raw(Bytes(37, 0x00));
+        a.bind("guard");
+        if (guarded) {
+            a.cfi_guard(2);
+        } else {
+            a.bndcl_reg(isa::kBndCfi, isa::kScratch);
+            a.bndcu_reg(isa::kBndCfi, isa::kScratch);
+        }
+        a.jmp_reg(2);
+        return image_from(a);
+    };
+    Verifier v(test_key());
+    VerifyReport with = v.verify(build(true));
+    EXPECT_TRUE(with.ok) << with.reason;
+    VerifyReport without = v.verify(build(false));
+    EXPECT_FALSE(without.ok);
+    EXPECT_EQ(without.failed_stage, 3);
+    EXPECT_EQ(without.reason,
+              "register-indirect transfer without cfi_guard");
+}
+
+TEST(Verifier, Stage1PaddingLeavesTheWalkUnchanged)
+{
+    const char *source = R"(
+func main() {
+    var i = 0;
+    var s = 0;
+    while (i < 10) { s = s + i; i = i + 1; }
+    return s;
+}
+)";
+    Verifier v(test_key());
+    VerifyReport reports[2];
+    const uint64_t pads[2] = {0, 4 << 20};
+    for (int i = 0; i < 2; ++i) {
+        CompileOptions options;
+        options.pad_code_to = pads[i];
+        options.code_reserve = 8 << 20;
+        auto out = toolchain::compile(source, options);
+        ASSERT_TRUE(out.ok()) << out.error().message;
+        EXPECT_GE(out.value().image.code.size(), pads[i]);
+        reports[i] = v.verify(out.value().image);
+        EXPECT_TRUE(reports[i].ok) << reports[i].reason;
+    }
+    EXPECT_EQ(reports[0].reachable_instructions,
+              reports[1].reachable_instructions);
+    EXPECT_EQ(reports[0].cfi_labels, reports[1].cfi_labels);
+}
+
 // ---- stage 2: dangerous instructions ---------------------------------------
 
 TEST(Verifier, Stage2RejectsDangerousInstructions)
