@@ -5,10 +5,10 @@
  * SHA-256 (enclave measurement), AES-CTR (encrypted FS), the OVM
  * interpreter, the MiniC compiler, the verifier, the build path
  * (compile, verify_and_sign, serialize), the Occlum spawn path
- * (parse, signature check, slot wipe, load) and the EIP reserve
- * measurement. These measure
- * the *simulator*, not the simulated system; the figure benches
- * report simulated time.
+ * (parse, signature check, slot wipe, load), the EIP reserve
+ * measurement, and the byte plane (a pipe round trip, one NetSim
+ * request). These measure the *simulator*, not the simulated system;
+ * the figure benches report simulated time.
  */
 #include <benchmark/benchmark.h>
 
@@ -18,7 +18,9 @@
 #include "crypto/aes.h"
 #include "crypto/reference.h"
 #include "crypto/sha256.h"
+#include "host/host.h"
 #include "isa/assembler.h"
+#include "oskit/file_object.h"
 #include "oskit/loader.h"
 #include "sgx/sgx.h"
 #include "toolchain/minic.h"
@@ -385,6 +387,83 @@ BM_MeasureReserved(benchmark::State &state)
 }
 BENCHMARK(BM_MeasureReserved)->Arg(64)->Arg(79 << 10)
     ->Unit(benchmark::kMicrosecond);
+
+/**
+ * One 10 KiB message through a pipe: written into the write end and
+ * read back out of the read end, the byte movement of a SIP-to-SIP
+ * pipe transfer without the syscall path around it.
+ */
+void
+BM_PipeRoundTrip(benchmark::State &state)
+{
+    SimClock clock;
+    host::HostFileStore files;
+    baseline::LinuxSystem kernel(clock, files);
+    auto pipe = std::make_shared<oskit::Pipe>();
+    oskit::PipeEnd rd(pipe, true);
+    oskit::PipeEnd wr(pipe, false);
+    rd.on_fd_acquire();
+    wr.on_fd_acquire();
+    const Bytes message(10 << 10, 0x5A);
+    Bytes back(message.size());
+    const auto len = static_cast<int64_t>(message.size());
+    for (auto _ : state) {
+        OCC_CHECK(wr.write(kernel, message.data(), message.size()).value ==
+                  len);
+        OCC_CHECK(rd.read(kernel, back.data(), back.size()).value == len);
+        benchmark::DoNotOptimize(back.data());
+    }
+    state.SetBytesProcessed(state.iterations() * len);
+}
+BENCHMARK(BM_PipeRoundTrip);
+
+/**
+ * One proxied page's trip over NetSim: connect, a 27-byte request, a
+ * 10 KiB response drained in 4 KiB recvs, then close, with the clock
+ * advanced to each arrival.
+ */
+void
+BM_NetSimRequest(benchmark::State &state)
+{
+    SimClock clock;
+    host::NetSim net(clock);
+    OCC_CHECK(net.listen(80, 16));
+    const Bytes request(27, 'G');
+    const Bytes response(10 << 10, 0x3C);
+    uint8_t buf[4096];
+    auto advance_to = [&](uint64_t cycle) {
+        OCC_CHECK(cycle != ~0ull);
+        if (cycle > clock.cycles()) {
+            clock.advance(cycle - clock.cycles());
+        }
+    };
+    for (auto _ : state) {
+        auto connected = net.connect(80);
+        OCC_CHECK(connected.ok());
+        host::NetSim::Connection *conn = connected.value();
+        advance_to(net.next_accept_time(80));
+        OCC_CHECK(net.try_accept(80, clock.cycles()) == conn);
+        uint64_t next = 0;
+        net.send(conn, false, request.data(), request.size());
+        advance_to(net.next_arrival_time(conn, true));
+        OCC_CHECK(net.recv(conn, true, buf, sizeof(buf), clock.cycles(),
+                           next) == request.size());
+        net.send(conn, true, response.data(), response.size());
+        advance_to(net.next_arrival_time(conn, false));
+        size_t got = 0;
+        while (got < response.size()) {
+            got += net.recv(conn, false, buf, sizeof(buf), clock.cycles(),
+                            next);
+        }
+        net.close(conn, false);
+        net.close(conn, true);
+        benchmark::DoNotOptimize(buf);
+    }
+    state.SetBytesProcessed(
+        state.iterations() *
+        static_cast<int64_t>(request.size() + response.size()));
+}
+BENCHMARK(BM_NetSimRequest);
 
 /**
  * Console output as usual, plus every iteration-level run collected

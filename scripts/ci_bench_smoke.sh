@@ -92,16 +92,17 @@ cmp "$JSON" "$JSON_CREF" ||
     { echo "smoke failed: reference crypto changed simulated results" >&2;
       exit 1; }
 
-# Substrate build-path and spawn rows: one brief run of the verifier
-# (unpadded and 14 MiB-padded), build_program-style build and Occlum
-# spawn benchmarks, so rot in them fails here. Timings are not
-# compared. Run from the smoke directory, which is removed below, so
-# BENCH_substrate.json does not land in the tree.
+# Substrate build-path, spawn and byte-plane rows: one brief run of
+# the verifier (unpadded and 14 MiB-padded), build_program-style
+# build, Occlum spawn, pipe round-trip and NetSim request benchmarks,
+# so rot in them fails here. Timings are not compared. Run from the
+# smoke directory, which is removed below, so BENCH_substrate.json
+# does not land in the tree.
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_substrate
 SUBSTRATE="$PWD/$BUILD_DIR/bench/bench_substrate"
 (cd "$OUT_DIR" &&
     "$SUBSTRATE" \
-        --benchmark_filter='VerifyBinary|BuildProgram|OcclumSpawn' \
+        --benchmark_filter='VerifyBinary|BuildProgram|OcclumSpawn|PipeRoundTrip|NetSimRequest' \
         --benchmark_min_time=0.01)
 
 # The smoke snapshots are CI artifacts, not recorded results.

@@ -194,19 +194,35 @@ class NetSim
   public:
     explicit NetSim(SimClock &clock) : clock_(&clock) {}
 
-    /** One direction of a connection: chunks with arrival times. */
-    struct Chunk {
+    /**
+     * One direction of a connection: the bytes sent and not yet
+     * released, contiguous, plus one mark per send. Mark i covers
+     * data[marks[i-1].end, marks[i].end) (from 0 for i == 0) and
+     * becomes readable at its arrival_cycles; arrivals are monotone.
+     * `read` is the offset of the next unread byte and `head` the
+     * first mark not fully read, so the direction is empty when
+     * head == marks.size(). A drained direction releases its storage.
+     */
+    struct Stream {
+        struct Mark {
+            size_t end;
+            uint64_t arrival_cycles;
+        };
+
         Bytes data;
-        uint64_t arrival_cycles;
-        size_t consumed = 0;
+        std::vector<Mark> marks;
+        size_t read = 0;
+        size_t head = 0;
+
+        bool empty() const { return head == marks.size(); }
     };
 
     struct Connection {
         int id = 0;
         bool open_server = true;   // server side not closed
         bool open_client = true;   // client side not closed
-        std::deque<Chunk> to_server;
-        std::deque<Chunk> to_client;
+        Stream to_server;
+        Stream to_client;
     };
 
     /** Create a listener; returns false if the port is taken. */

@@ -1,5 +1,7 @@
 #include "host/host.h"
 
+#include <cstring>
+
 #include "base/log.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
@@ -114,11 +116,25 @@ NetSim::send(Connection *conn, bool from_server, const uint8_t *data,
         link_busy_until_ += transfer;
     }
 
-    Chunk chunk;
-    chunk.data.assign(data, data + len);
-    chunk.arrival_cycles = arrival;
-    (from_server ? conn->to_client : conn->to_server)
-        .push_back(std::move(chunk));
+    Stream &stream = from_server ? conn->to_client : conn->to_server;
+    // Drop the fully read marks and their bytes once they are at
+    // least half the buffer: each byte moves at most once more.
+    size_t base = stream.head == 0 ? 0 : stream.marks[stream.head - 1].end;
+    if (base > 0 && base >= stream.data.size() - base) {
+        stream.data.erase(stream.data.begin(),
+                          stream.data.begin() +
+                              static_cast<std::ptrdiff_t>(base));
+        stream.marks.erase(stream.marks.begin(),
+                           stream.marks.begin() +
+                               static_cast<std::ptrdiff_t>(stream.head));
+        for (Stream::Mark &mark : stream.marks) {
+            mark.end -= base;
+        }
+        stream.read -= base;
+        stream.head = 0;
+    }
+    stream.data.insert(stream.data.end(), data, data + len);
+    stream.marks.push_back({stream.data.size(), arrival});
     if (events_.on_data) {
         events_.on_data(conn, !from_server, arrival);
     }
@@ -128,39 +144,45 @@ size_t
 NetSim::recv(Connection *conn, bool at_server, uint8_t *out, size_t cap,
              uint64_t now_cycles, uint64_t &next_arrival)
 {
-    auto &queue = at_server ? conn->to_server : conn->to_client;
+    Stream &stream = at_server ? conn->to_server : conn->to_client;
     next_arrival = ~0ull;
-    if (!queue.empty() &&
-        queue.front().arrival_cycles > now_cycles) {
+    if (stream.empty()) {
+        return 0;
+    }
+    if (stream.marks[stream.head].arrival_cycles > now_cycles) {
         // Report the pending arrival even for zero-capacity probes.
-        next_arrival = queue.front().arrival_cycles;
+        next_arrival = stream.marks[stream.head].arrival_cycles;
     }
-    if (!queue.empty()) {
-        // Short read: the NIC hands over less than asked. Capacity
-        // never drops below 1 byte, so a looping reader always makes
-        // progress (no livelock against the retry machinery).
-        cap = faultsim::FaultSim::instance().net_recv_cap(cap);
-    }
-    size_t total = 0;
-    while (total < cap && !queue.empty()) {
-        Chunk &chunk = queue.front();
-        if (chunk.arrival_cycles > now_cycles) {
-            next_arrival = chunk.arrival_cycles;
+    // Short read: the NIC hands over less than asked. Capacity never
+    // drops below 1 byte, so a looping reader always makes progress
+    // (no livelock against the retry machinery).
+    cap = faultsim::FaultSim::instance().net_recv_cap(cap);
+    // Take whole arrived marks while they fit, then a prefix of the
+    // next one; stop at the first mark still in flight (head of line).
+    size_t begin = stream.read;
+    size_t stop = begin;
+    while (stop - begin < cap && !stream.empty()) {
+        const Stream::Mark &mark = stream.marks[stream.head];
+        if (mark.arrival_cycles > now_cycles) {
+            next_arrival = mark.arrival_cycles;
             break;
         }
-        size_t n = std::min(cap - total,
-                            chunk.data.size() - chunk.consumed);
-        std::copy(chunk.data.begin() + chunk.consumed,
-                  chunk.data.begin() + chunk.consumed + n, out + total);
-        chunk.consumed += n;
-        total += n;
-        if (chunk.consumed == chunk.data.size()) {
-            queue.pop_front();
+        if (mark.end - begin <= cap) {
+            stop = mark.end;
+            ++stream.head;
+        } else {
+            stop = begin + cap;
         }
     }
+    size_t total = stop - begin;
     if (total > 0) {
+        std::memcpy(out, stream.data.data() + begin, total);
         static trace::Counter *ctr = &net_counter("net.bytes_received");
         ctr->add(total);
+    }
+    stream.read = stop;
+    if (stream.empty()) {
+        stream = Stream(); // drained: hold no storage
     }
     return total;
 }
@@ -185,35 +207,28 @@ bool
 NetSim::readable_now(const Connection *conn, bool at_server,
                      uint64_t now_cycles) const
 {
-    // recv() pops fully-consumed chunks, so a non-empty queue's front
-    // always holds unread bytes; arrivals are monotone per direction.
-    const auto &queue = at_server ? conn->to_server : conn->to_client;
-    return !queue.empty() && queue.front().arrival_cycles <= now_cycles;
+    const Stream &stream = at_server ? conn->to_server : conn->to_client;
+    return !stream.empty() &&
+           stream.marks[stream.head].arrival_cycles <= now_cycles;
 }
 
 uint64_t
 NetSim::next_arrival_time(const Connection *conn, bool at_server) const
 {
-    const auto &queue = at_server ? conn->to_server : conn->to_client;
-    return queue.empty() ? ~0ull : queue.front().arrival_cycles;
+    const Stream &stream = at_server ? conn->to_server : conn->to_client;
+    return stream.empty() ? ~0ull : stream.marks[stream.head].arrival_cycles;
 }
 
 bool
 NetSim::is_drained(const Connection *conn, bool at_server,
                    uint64_t now_cycles) const
 {
-    const auto &queue = at_server ? conn->to_server : conn->to_client;
+    (void)now_cycles;
+    const Stream &stream = at_server ? conn->to_server : conn->to_client;
     bool peer_open = at_server ? conn->open_client : conn->open_server;
-    if (peer_open) {
-        return false;
-    }
-    for (const auto &chunk : queue) {
-        (void)now_cycles;
-        if (chunk.consumed < chunk.data.size()) {
-            return false;
-        }
-    }
-    return true;
+    // Marks still unread once every byte is read are zero-length
+    // sends: nothing is left to deliver.
+    return !peer_open && stream.read == stream.data.size();
 }
 
 } // namespace occlum::host

@@ -196,7 +196,6 @@ EpollObject::collect(Kernel &kernel, int64_t *out, uint64_t max_events,
 {
     uint64_t now = kernel.clock().cycles();
     int64_t n = 0;
-    std::deque<int> kept;
     size_t pending = ready_.size();
     while (pending-- > 0) {
         int fd = ready_.front();
@@ -207,14 +206,14 @@ EpollObject::collect(Kernel &kernel, int64_t *out, uint64_t max_events,
         }
         Entry &entry = it->second;
         if (n == static_cast<int64_t>(max_events)) {
-            kept.push_back(fd); // out of room this call; keep queued
+            kept_.push_back(fd); // out of room this call; keep queued
             continue;
         }
         if (entry.due > now) {
             // In-flight: stays a candidate; the caller blocks no
             // later than this.
             min_due = std::min(min_due, entry.due);
-            kept.push_back(fd);
+            kept_.push_back(fd);
             continue;
         }
         uint64_t bits =
@@ -230,7 +229,7 @@ EpollObject::collect(Kernel &kernel, int64_t *out, uint64_t max_events,
                 // notification (a genuinely new edge) re-queues it.
                 entry.queued = false;
             } else {
-                kept.push_back(fd); // level-triggered: still high
+                kept_.push_back(fd); // level-triggered: still high
             }
             continue;
         }
@@ -238,7 +237,7 @@ EpollObject::collect(Kernel &kernel, int64_t *out, uint64_t max_events,
         if (due != ~0ull && due > now) {
             entry.due = due;
             min_due = std::min(min_due, due);
-            kept.push_back(fd);
+            kept_.push_back(fd);
         } else {
             entry.queued = false; // spurious candidate: drop
         }
@@ -246,11 +245,10 @@ EpollObject::collect(Kernel &kernel, int64_t *out, uint64_t max_events,
     // Order-preserving: verified-but-kept candidates rotate back in
     // their original relative order (fairness across busy fds).
     if (ready_.empty()) {
-        ready_ = std::move(kept);
+        ready_.swap(kept_); // kept_ takes the empty storage
     } else {
-        for (int fd : kept) {
-            ready_.push_back(fd);
-        }
+        ready_.insert(ready_.end(), kept_.begin(), kept_.end());
+        kept_.clear();
     }
     return n;
 }

@@ -118,6 +118,9 @@ class EpollObject : public FileObject
 
     std::map<int, Entry> interest_;
     std::deque<int> ready_;
+    // collect()'s scratch list of candidates to re-queue, a member so
+    // a wait does not allocate a fresh deque; empty between calls.
+    std::deque<int> kept_;
     int fd_refs_ = 0;
 };
 

@@ -8,7 +8,6 @@
 #ifndef OCCLUM_OSKIT_FILE_OBJECT_H
 #define OCCLUM_OSKIT_FILE_OBJECT_H
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -223,13 +222,16 @@ Result<int64_t> resolve_seek(uint64_t cur, uint64_t size, int64_t offset,
  * An in-kernel pipe. Both personalities use it; the *cost* of moving
  * bytes differs (Occlum/Linux copy, EIP encrypts through untrusted
  * memory) and is charged by the kernel around the byte movement.
+ *
+ * The bytes live in a fixed ring of kCapacity, allocated on the first
+ * write and freed with the Pipe, so moving bytes never allocates:
+ * push() and pop() are at most two memcpy each.
  */
 class Pipe
 {
   public:
     static constexpr size_t kCapacity = 65536;
 
-    std::deque<uint8_t> buffer;
     int readers = 0;
     int writers = 0;
 
@@ -238,17 +240,30 @@ class Pipe
     WaitQueue read_waiters;
     WaitQueue write_waiters;
 
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    /** Append min(len, room) bytes; returns how many. */
+    size_t push(const uint8_t *src, size_t len);
+    /** Remove min(len, size()) bytes into `dst`; returns how many. */
+    size_t pop(uint8_t *dst, size_t len);
+
     bool
     can_read() const
     {
-        return !buffer.empty() || writers == 0;
+        return !empty() || writers == 0;
     }
 
     bool
     can_write() const
     {
-        return buffer.size() < kCapacity;
+        return size_ < kCapacity;
     }
+
+  private:
+    std::unique_ptr<uint8_t[]> ring_; // kCapacity bytes once written
+    size_t head_ = 0;                 // ring offset of the oldest byte
+    size_t size_ = 0;
 };
 
 /** One end of a pipe. */

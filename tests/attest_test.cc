@@ -735,10 +735,14 @@ TEST(SecureChannel, TamperedRecordPoisonsChannelFailClosed)
     rig.establish();
 
     ASSERT_TRUE(rig.client_channel->send(Bytes(64, 0x11)));
-    // Corrupt the in-flight chunk on the untrusted wire.
-    auto &queue = rig.conn->to_server;
-    ASSERT_FALSE(queue.empty());
-    queue.back().data[kFrameHeaderSize + 8 + 5] ^= 0x20;
+    // Corrupt the in-flight record (the last send) on the untrusted
+    // wire.
+    auto &stream = rig.conn->to_server;
+    ASSERT_FALSE(stream.empty());
+    size_t last = stream.marks.size() - 1;
+    size_t start = last == 0 ? 0 : stream.marks[last - 1].end;
+    ASSERT_LT(start + kFrameHeaderSize + 8 + 5, stream.marks[last].end);
+    stream.data[start + kFrameHeaderSize + 8 + 5] ^= 0x20;
 
     Bytes out;
     ASSERT_EQ(rig.pump_recv(*rig.server_channel, out),

@@ -2,12 +2,14 @@
  * @file
  * Host-world tests: block device cost charging, the NetSim bandwidth
  * and latency model (busy-until link sharing, arrival times, EOF on
- * close), and the base utilities (bytes, stats, rng).
+ * close), its per-direction byte streams (marks, head-of-line stops,
+ * storage release), and the base utilities (bytes, stats, rng).
  */
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
 #include "base/stats.h"
+#include "faultsim/faultsim.h"
 #include "host/host.h"
 
 namespace occlum::host {
@@ -124,6 +126,265 @@ TEST(NetSim, SharedLinkSerializesTransfers)
     uint64_t transfer =
         static_cast<uint64_t>(mb.size() * CostModel::kNetCyclesPerByte);
     EXPECT_GE(a2, a1 + transfer); // serialized on the shared link
+}
+
+// ---- per-direction byte streams ----------------------------------------
+
+/**
+ * One accepted connection on a quiet fault plan (checks counted,
+ * nothing fires), so exact sizes and arrivals hold even under an
+ * ambient OCCLUM_FAULT_PLAN. NetSim hands out the same Connection to
+ * both sides; `at_server` picks the direction.
+ */
+struct StreamRig {
+    faultsim::ScopedFaultPlan quiet{faultsim::FaultPlan{}};
+    SimClock clock;
+    NetSim net{clock};
+    NetSim::Connection *conn = nullptr;
+
+    StreamRig()
+    {
+        EXPECT_TRUE(net.listen(80, 4));
+        auto c = net.connect(80);
+        EXPECT_TRUE(c.ok());
+        conn = c.value();
+    }
+
+    /** Client → server send; returns the arrival cycle. */
+    uint64_t
+    send(const Bytes &bytes)
+    {
+        net.send(conn, false, bytes.data(), bytes.size());
+        return conn->to_server.marks.back().arrival_cycles;
+    }
+
+    void
+    advance_to(uint64_t cycle)
+    {
+        if (cycle > clock.cycles()) {
+            clock.advance(cycle - clock.cycles());
+        }
+    }
+
+    size_t
+    recv(Bytes &out, size_t cap, uint64_t &next_arrival)
+    {
+        out.assign(cap, 0);
+        size_t n = net.recv(conn, true, out.data(), cap, clock.cycles(),
+                            next_arrival);
+        out.resize(n);
+        return n;
+    }
+};
+
+Bytes
+fill(size_t len, uint8_t first)
+{
+    Bytes out(len);
+    for (size_t i = 0; i < len; ++i) {
+        out[i] = static_cast<uint8_t>(first + i);
+    }
+    return out;
+}
+
+Bytes
+concat(std::initializer_list<Bytes> parts)
+{
+    Bytes out;
+    for (const Bytes &part : parts) {
+        out.insert(out.end(), part.begin(), part.end());
+    }
+    return out;
+}
+
+TEST(NetStream, RecvSplitsAMarkAndSpansArrivedMarks)
+{
+    StreamRig rig;
+    Bytes a = fill(100, 0), b = fill(200, 100), c = fill(300, 50);
+    rig.send(a);
+    rig.send(b);
+    rig.advance_to(rig.send(c));
+    Bytes got;
+    uint64_t next = 0;
+    // All of a and the first half of b: b's mark is split.
+    ASSERT_EQ(rig.recv(got, 150, next), 150u);
+    EXPECT_EQ(got, concat({a, Bytes(b.begin(), b.begin() + 50)}));
+    EXPECT_EQ(next, ~0ull);
+    EXPECT_EQ(rig.conn->to_server.head, 1u);
+    EXPECT_EQ(rig.conn->to_server.read, 150u);
+    // The rest of b and most of c in one call.
+    ASSERT_EQ(rig.recv(got, 400, next), 400u);
+    EXPECT_EQ(got, concat({Bytes(b.begin() + 50, b.end()),
+                           Bytes(c.begin(), c.begin() + 250)}));
+    ASSERT_EQ(rig.recv(got, 1000, next), 50u);
+    EXPECT_EQ(got, Bytes(c.begin() + 250, c.end()));
+    EXPECT_TRUE(rig.conn->to_server.empty());
+}
+
+TEST(NetStream, InFlightMarkStopsDelivery)
+{
+    StreamRig rig;
+    Bytes a = fill(100, 1), b = fill(100, 2);
+    rig.advance_to(rig.send(a));
+    uint64_t b_arrival = rig.send(b);
+    ASSERT_GT(b_arrival, rig.clock.cycles());
+    Bytes got;
+    uint64_t next = 0;
+    // a has landed; b is still on the wire: delivery stops at b.
+    ASSERT_EQ(rig.recv(got, 1000, next), 100u);
+    EXPECT_EQ(got, a);
+    EXPECT_EQ(next, b_arrival);
+    EXPECT_FALSE(rig.net.readable_now(rig.conn, true, rig.clock.cycles()));
+    EXPECT_EQ(rig.net.next_arrival_time(rig.conn, true), b_arrival);
+    ASSERT_EQ(rig.recv(got, 1000, next), 0u);
+    EXPECT_EQ(next, b_arrival);
+    rig.advance_to(b_arrival);
+    EXPECT_TRUE(rig.net.readable_now(rig.conn, true, rig.clock.cycles()));
+    ASSERT_EQ(rig.recv(got, 1000, next), 100u);
+    EXPECT_EQ(got, b);
+    EXPECT_EQ(rig.net.next_arrival_time(rig.conn, true), ~0ull);
+}
+
+TEST(NetStream, ZeroCapProbeReportsNextArrival)
+{
+    StreamRig rig;
+    uint64_t arrival = rig.send(fill(64, 3));
+    Bytes got;
+    uint64_t next = 0;
+    ASSERT_EQ(rig.recv(got, 0, next), 0u);
+    EXPECT_EQ(next, arrival);
+    // Landed: the probe reads nothing and reports no pending arrival.
+    rig.advance_to(arrival);
+    ASSERT_EQ(rig.recv(got, 0, next), 0u);
+    EXPECT_EQ(next, ~0ull);
+    EXPECT_TRUE(rig.net.readable_now(rig.conn, true, rig.clock.cycles()));
+    ASSERT_EQ(rig.recv(got, 64, next), 64u);
+    EXPECT_EQ(got, fill(64, 3));
+}
+
+TEST(NetStream, DrainedOnlyAfterPeerClosesAndBytesAreConsumed)
+{
+    StreamRig rig;
+    rig.advance_to(rig.send(fill(10, 4)));
+    uint64_t now = rig.clock.cycles();
+    EXPECT_FALSE(rig.net.is_drained(rig.conn, true, now)); // peer open
+    rig.net.close(rig.conn, false);
+    EXPECT_FALSE(rig.net.is_drained(rig.conn, true, now)); // 10 unread
+    Bytes got;
+    uint64_t next = 0;
+    ASSERT_EQ(rig.recv(got, 4, next), 4u);
+    EXPECT_FALSE(rig.net.is_drained(rig.conn, true, now)); // 6 unread
+    ASSERT_EQ(rig.recv(got, 100, next), 6u);
+    EXPECT_TRUE(rig.net.is_drained(rig.conn, true, now));
+    // The other direction has its own peer: still open.
+    EXPECT_FALSE(rig.net.is_drained(rig.conn, false, now));
+}
+
+TEST(NetStream, DrainedDirectionHoldsNoStorage)
+{
+    StreamRig rig;
+    Bytes got;
+    uint64_t next = 0;
+    for (int round = 0; round < 50; ++round) {
+        rig.advance_to(rig.send(fill(27, 5)));
+        ASSERT_EQ(rig.recv(got, 4096, next), 27u);
+        rig.net.send(rig.conn, true, got.data(), got.size());
+        rig.advance_to(rig.conn->to_client.marks.back().arrival_cycles);
+        ASSERT_EQ(rig.net.recv(rig.conn, false, got.data(), 4096,
+                               rig.clock.cycles(), next),
+                  27u);
+    }
+    rig.net.close(rig.conn, false);
+    rig.net.close(rig.conn, true);
+    for (const NetSim::Stream *s :
+         {&rig.conn->to_server, &rig.conn->to_client}) {
+        EXPECT_EQ(s->data.capacity(), 0u);
+        EXPECT_EQ(s->marks.capacity(), 0u);
+    }
+}
+
+TEST(NetStream, LaggingReaderKeepsTheStreamBounded)
+{
+    // The reader always trails one send behind, so the direction never
+    // drains; read bytes must still be released as the stream moves.
+    StreamRig rig;
+    Bytes got;
+    uint64_t next = 0;
+    rig.advance_to(rig.send(fill(1000, 0)));
+    for (int i = 1; i <= 500; ++i) {
+        rig.advance_to(rig.send(fill(1000, static_cast<uint8_t>(i))));
+        ASSERT_EQ(rig.recv(got, 1000, next), 1000u);
+        ASSERT_EQ(got, fill(1000, static_cast<uint8_t>(i - 1)));
+        ASSERT_LE(rig.conn->to_server.data.size(), 3000u);
+        ASSERT_LE(rig.conn->to_server.marks.size(), 3u);
+    }
+}
+
+TEST(NetStream, ShortReadPlanReturnsPinnedSizes)
+{
+    // Under an armed plan the sizes recv returns depend on exactly
+    // when the short-read stream is drawn (only for a non-empty
+    // direction) and on where head-of-line stops fall. kPinned is what
+    // the one-chunk-per-send implementation returned for this
+    // scenario, zero-length sends included.
+    faultsim::FaultPlan plan;
+    plan.seed = 7;
+    plan.net_short_read = 0.5;
+    plan.net_drop = 0.2;
+    faultsim::ScopedFaultPlan scoped(plan);
+    SimClock clock;
+    NetSim net(clock);
+    ASSERT_TRUE(net.listen(80, 4));
+    NetSim::Connection *conn = net.connect(80).value();
+
+    const size_t kSends[] = {27, 0, 4096, 1, 10240, 0, 0, 333, 65536, 5};
+    const uint64_t kGaps[] = {250000, 0,     120000, 30000, 400000,
+                              0,      10000, 90000,  300000, 50000};
+    const size_t kCaps[] = {3000, 700, 1, 2048, 0};
+    Bytes sent;
+    Bytes got;
+    std::vector<size_t> sizes;
+    uint8_t buf[3000];
+    uint64_t next = 0;
+    size_t call = 0;
+    auto recv = [&] {
+        size_t n = net.recv(conn, false, buf, kCaps[call++ % 5],
+                            clock.cycles(), next);
+        sizes.push_back(n);
+        got.insert(got.end(), buf, buf + n);
+        return n;
+    };
+    for (size_t i = 0; i < 10; ++i) {
+        Bytes part = fill(kSends[i], static_cast<uint8_t>(sent.size()));
+        net.send(conn, true, part.data(), part.size());
+        sent.insert(sent.end(), part.begin(), part.end());
+        for (int r = 0; r < 3; ++r) {
+            recv();
+        }
+        clock.advance(kGaps[i]);
+    }
+    while (got.size() < sent.size()) {
+        if (recv() == 0 && next != ~0ull) {
+            clock.advance(next - clock.cycles());
+        }
+    }
+    EXPECT_EQ(got, sent);
+    const std::vector<size_t> kPinned = {
+        0, 0, 0, 27, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 1500, 350, 1, 2048, 0,
+        197, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 1, 0, 2048, 0, 3000, 350, 1, 2048, 0,
+        2793, 0, 1, 332, 0, 3000, 350, 1, 2048, 0,
+        1500, 350, 1, 1024, 0, 3000, 350, 1, 2048, 0,
+        1500, 700, 1, 1024, 0, 1500, 350, 1, 2048, 0,
+        1500, 350, 1, 2048, 0, 1500, 350, 1, 2048, 0,
+        3000, 700, 1, 1024, 0, 1500, 700, 1, 1024, 0,
+        1500, 350, 1, 2048, 0, 3000, 350, 1, 1024, 0,
+        3000, 350, 1, 1024, 0, 3000, 700, 1, 2048, 0,
+        1500, 350, 1, 1024, 0, 1500, 350, 1, 1024, 0,
+        1500, 350, 1, 2048, 0, 944, 0, 1, 4,
+    };
+    EXPECT_EQ(sizes, kPinned);
 }
 
 TEST(HostFileStore, BasicOps)

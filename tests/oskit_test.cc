@@ -2,12 +2,14 @@
  * @file
  * Kernel-core and loader tests: domain layout invariants, PCB
  * contents, syscall edge cases (bad fds, EFAULT pointers, fd
- * inheritance, dup2), pipe semantics (EOF, EPIPE, backpressure), and
- * scheduler behaviour under blocking.
+ * inheritance, dup2), pipe semantics (EOF, EPIPE, backpressure, the
+ * byte ring against a deque model), and scheduler behaviour under
+ * blocking.
  */
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <deque>
 
 #include "base/rng.h"
 #include "baseline/linux_system.h"
@@ -542,6 +544,225 @@ TEST(Regression, CstringMaxLenClamped)
     auto bad = kernel.read_user_cstring(proc, edge, 4096);
     ASSERT_FALSE(bad.ok());
     EXPECT_EQ(bad.error().code, ErrorCode::kFault);
+}
+
+// ---- the pipe byte ring ------------------------------------------------
+
+/** Both ends of one pipe, driven directly against a bare kernel. */
+struct PipeRig {
+    SimClock clock;
+    host::HostFileStore files;
+    RawKernel kernel{clock, files};
+    std::shared_ptr<Pipe> pipe = std::make_shared<Pipe>();
+    PipeEnd rd{pipe, true};
+    PipeEnd wr{pipe, false};
+
+    PipeRig()
+    {
+        rd.on_fd_acquire();
+        wr.on_fd_acquire();
+    }
+
+    IoResult
+    write(const Bytes &bytes)
+    {
+        return wr.write(kernel, bytes.data(), bytes.size());
+    }
+
+    IoResult
+    read(Bytes &out, size_t len)
+    {
+        out.assign(len, 0);
+        IoResult r = rd.read(kernel, out.data(), len);
+        out.resize(r.value > 0 ? static_cast<size_t>(r.value) : 0);
+        return r;
+    }
+};
+
+/** `len` bytes counting up from `first`, so every offset is visible. */
+Bytes
+pattern(size_t len, uint8_t first)
+{
+    Bytes out(len);
+    for (size_t i = 0; i < len; ++i) {
+        out[i] = static_cast<uint8_t>(first + i);
+    }
+    return out;
+}
+
+constexpr uint64_t kPollIn = static_cast<uint64_t>(abi::kPollIn);
+constexpr uint64_t kPollOut = static_cast<uint64_t>(abi::kPollOut);
+constexpr uint64_t kPollHup = static_cast<uint64_t>(abi::kPollHup);
+constexpr uint64_t kPollErr = static_cast<uint64_t>(abi::kPollErr);
+
+TEST(PipeRing, FillsToCapacityThenBlocks)
+{
+    PipeRig rig;
+    ASSERT_EQ(rig.write(Bytes(65000, 1)).value, 65000);
+    // A partial write takes exactly the room left.
+    IoResult partial = rig.write(Bytes(1000, 2));
+    EXPECT_FALSE(partial.would_block);
+    EXPECT_EQ(partial.value, 536);
+    EXPECT_EQ(rig.pipe->size(), Pipe::kCapacity);
+    EXPECT_FALSE(rig.pipe->can_write());
+    // Full: the next write blocks and moves nothing.
+    uint64_t before = rig.clock.cycles();
+    IoResult full = rig.write(Bytes(1, 3));
+    EXPECT_TRUE(full.would_block);
+    EXPECT_EQ(rig.clock.cycles(), before); // a blocked write is free
+    EXPECT_EQ(rig.pipe->size(), Pipe::kCapacity);
+    // Reading frees exactly that much room.
+    Bytes got;
+    ASSERT_EQ(rig.read(got, 10).value, 10);
+    EXPECT_EQ(got, Bytes(10, 1));
+    EXPECT_EQ(rig.write(Bytes(20, 4)).value, 10);
+    EXPECT_TRUE(rig.write(Bytes(1, 5)).would_block);
+}
+
+TEST(PipeRing, ReadsAndWritesStraddleTheWrap)
+{
+    PipeRig rig;
+    Bytes got;
+    // Park the ring's head 536 bytes before its end.
+    ASSERT_EQ(rig.write(Bytes(65000, 9)).value, 65000);
+    ASSERT_EQ(rig.read(got, 65000).value, 65000);
+    ASSERT_TRUE(rig.pipe->empty());
+    // This write wraps: 536 bytes at the end, 9464 at the start.
+    Bytes sent = pattern(10000, 17);
+    ASSERT_EQ(rig.write(sent).value, 10000);
+    EXPECT_EQ(rig.pipe->size(), 10000u);
+    // So does this read; the bytes come back in order.
+    ASSERT_EQ(rig.read(got, 7000).value, 7000);
+    EXPECT_EQ(got, Bytes(sent.begin(), sent.begin() + 7000));
+    // Fill the wrapped ring to the brim, then drain it in one read.
+    Bytes more = pattern(Pipe::kCapacity, 101);
+    ASSERT_EQ(rig.write(more).value,
+              static_cast<int64_t>(Pipe::kCapacity - 3000));
+    ASSERT_EQ(rig.read(got, Pipe::kCapacity).value,
+              static_cast<int64_t>(Pipe::kCapacity));
+    Bytes want(sent.begin() + 7000, sent.end());
+    want.insert(want.end(), more.begin(),
+                more.begin() + (Pipe::kCapacity - 3000));
+    EXPECT_EQ(got, want);
+    EXPECT_TRUE(rig.pipe->empty());
+}
+
+TEST(PipeRing, BufferedBytesOutliveTheLastWriter)
+{
+    PipeRig rig;
+    Bytes got;
+    // Buffered bytes straddle the wrap when the writer goes away.
+    ASSERT_EQ(rig.write(Bytes(Pipe::kCapacity - 4, 0)).value,
+              static_cast<int64_t>(Pipe::kCapacity - 4));
+    ASSERT_EQ(rig.read(got, Pipe::kCapacity - 4).value,
+              static_cast<int64_t>(Pipe::kCapacity - 4));
+    Bytes sent = pattern(10, 40);
+    ASSERT_EQ(rig.write(sent).value, 10);
+    rig.wr.on_fd_release(rig.kernel);
+    // The bytes come first, then a clean EOF (0, not a block).
+    ASSERT_EQ(rig.read(got, 6).value, 6);
+    EXPECT_EQ(got, Bytes(sent.begin(), sent.begin() + 6));
+    ASSERT_EQ(rig.read(got, 100).value, 4);
+    EXPECT_EQ(got, Bytes(sent.begin() + 6, sent.end()));
+    IoResult eof = rig.read(got, 100);
+    EXPECT_FALSE(eof.would_block);
+    EXPECT_EQ(eof.value, 0);
+}
+
+TEST(PipeRing, PollBitsWhenEmptyFullAndWrapped)
+{
+    PipeRig rig;
+    Bytes got;
+    // Empty.
+    EXPECT_EQ(rig.rd.poll_ready(rig.kernel), 0u);
+    EXPECT_EQ(rig.wr.poll_ready(rig.kernel), kPollOut);
+    // Full.
+    ASSERT_EQ(rig.write(Bytes(Pipe::kCapacity, 1)).value,
+              static_cast<int64_t>(Pipe::kCapacity));
+    EXPECT_EQ(rig.rd.poll_ready(rig.kernel), kPollIn);
+    EXPECT_EQ(rig.wr.poll_ready(rig.kernel), 0u);
+    // Wrapped: the head past the middle, the tail before it.
+    ASSERT_EQ(rig.read(got, 40000).value, 40000);
+    ASSERT_EQ(rig.write(Bytes(30000, 2)).value, 30000);
+    EXPECT_EQ(rig.rd.poll_ready(rig.kernel), kPollIn);
+    EXPECT_EQ(rig.wr.poll_ready(rig.kernel), kPollOut);
+    // Wrapped and full.
+    ASSERT_EQ(rig.write(Bytes(20000, 3)).value, 10000);
+    EXPECT_EQ(rig.rd.poll_ready(rig.kernel), kPollIn);
+    EXPECT_EQ(rig.wr.poll_ready(rig.kernel), 0u);
+    // Writer gone with bytes buffered, then drained.
+    rig.wr.on_fd_release(rig.kernel);
+    EXPECT_EQ(rig.rd.poll_ready(rig.kernel), kPollIn | kPollHup);
+    ASSERT_EQ(rig.read(got, Pipe::kCapacity).value,
+              static_cast<int64_t>(Pipe::kCapacity));
+    EXPECT_EQ(rig.rd.poll_ready(rig.kernel), kPollHup);
+    // Reader gone: the write end reports an error.
+    rig.rd.on_fd_release(rig.kernel);
+    EXPECT_EQ(rig.wr.poll_ready(rig.kernel), kPollErr);
+}
+
+TEST(PipeRing, MatchesDequeModelOverRandomSizes)
+{
+    // A seeded differential against the obvious std::deque pipe:
+    // every return value, every byte, every poll bit and every charge
+    // must agree over reads and writes of 0..70000 bytes.
+    PipeRig rig;
+    std::deque<uint8_t> model;
+    Rng rng(20261017);
+    uint64_t accepted = 0; // stream position of the next byte written
+    Bytes got;
+    for (int step = 0; step < 3000; ++step) {
+        SCOPED_TRACE(step);
+        size_t len = rng.next_below(70001);
+        bool is_write = rng.next_below(2) == 0;
+        uint64_t before = rig.clock.cycles();
+        IoResult r;
+        size_t n = 0;
+        if (is_write) {
+            Bytes sent(len);
+            for (size_t i = 0; i < len; ++i) {
+                sent[i] = static_cast<uint8_t>((accepted + i) * 7 + 3);
+            }
+            size_t room = Pipe::kCapacity - model.size();
+            r = rig.write(sent);
+            ASSERT_EQ(r.would_block, room == 0);
+            n = std::min(len, room);
+            model.insert(model.end(), sent.begin(),
+                         sent.begin() + static_cast<std::ptrdiff_t>(n));
+            accepted += n;
+        } else {
+            r = rig.read(got, len);
+            ASSERT_EQ(r.would_block, model.empty());
+            n = std::min(len, model.size());
+            ASSERT_EQ(got.size(), n);
+            ASSERT_TRUE(std::equal(got.begin(), got.end(), model.begin()));
+            model.erase(model.begin(),
+                        model.begin() + static_cast<std::ptrdiff_t>(n));
+        }
+        if (!r.would_block) {
+            ASSERT_EQ(r.value, static_cast<int64_t>(n));
+            EXPECT_EQ(rig.clock.cycles() - before,
+                      rig.kernel.pipe_op_cost() +
+                          static_cast<uint64_t>(
+                              n * rig.kernel.pipe_byte_cost()));
+        } else {
+            EXPECT_EQ(rig.clock.cycles(), before);
+        }
+        ASSERT_EQ(rig.pipe->size(), model.size());
+        ASSERT_EQ(rig.rd.poll_ready(rig.kernel),
+                  model.empty() ? 0u : kPollIn);
+        ASSERT_EQ(rig.wr.poll_ready(rig.kernel),
+                  model.size() < Pipe::kCapacity ? kPollOut : 0u);
+    }
+    // Hang up and drain: the model's bytes, then EOF.
+    rig.wr.on_fd_release(rig.kernel);
+    Bytes rest(model.begin(), model.end());
+    if (!rest.empty()) {
+        ASSERT_EQ(rig.read(got, Pipe::kCapacity).value,
+                  static_cast<int64_t>(rest.size()));
+        EXPECT_EQ(got, rest);
+    }
+    EXPECT_EQ(rig.read(got, 1).value, 0);
 }
 
 TEST(Syscalls, Dup2RedirectsAndSharesOffset)
