@@ -10,8 +10,8 @@
  * components. This replaces hand-maintained counters: any hot path
  * with an OCC_TRACE_SPAN shows up automatically. The paper's headline
  * (§9.2) is visible directly: syscalls never cross the enclave
- * boundary, so the transition component is tiny and OCALLs appear
- * only at the EncFs device edge.
+ * boundary, so every transition is an OCALL's EEXIT + EENTER at the
+ * EncFs device edge, and the OCALL row is the host's device time.
  *
  * Part 2 — decomposing the MMDSFI overhead into its three sources —
  * confining control transfers, memory stores, and memory loads — for

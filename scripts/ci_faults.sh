@@ -39,7 +39,8 @@
 #           spawn + pipes + sockets pipeline must still serve every
 #           request.
 #   plan 7: a dense AEX storm with the transition-orderliness monitor
-#           in strict mode (DESIGN.md §9) — every EENTER, EEXIT, AEX,
+#           in strict mode (DESIGN.md §9; plans 2 and 4 also get a
+#           strict leg, for their OCALL pairs) — every EENTER, EEXIT, AEX,
 #           ERESUME, and per-core TCS rebind is checked online against
 #           the legal automaton and the first illegal transition
 #           panics with full context. The SmashEx-shaped hazards
@@ -75,11 +76,16 @@ for plan in "${PLANS[@]}"; do
         ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 done
 
-# Plan 7 again with the orderliness monitor in strict mode: one
-# illegal enclave transition anywhere in tier-1 aborts the run.
-echo "=== tier-1 under OCCLUM_FAULT_PLAN='${PLANS[6]}' + OCCLUM_ORDERLINESS=strict ==="
-OCCLUM_FAULT_PLAN="${PLANS[6]}" OCCLUM_ORDERLINESS=strict \
-    ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+# Plans 2, 4 and 7 again with the orderliness monitor in strict mode:
+# one illegal enclave transition anywhere in tier-1 aborts the run.
+# Every EncFs device attempt and every network op is an OCALL, so
+# plan 2 (device retries) and plan 4 (network ops + AEX storm) check
+# each of those EEXIT/EENTER pairs; plan 7 is the dense AEX storm.
+for plan in "${PLANS[1]}" "${PLANS[3]}" "${PLANS[6]}"; do
+    echo "=== tier-1 under OCCLUM_FAULT_PLAN='$plan' + OCCLUM_ORDERLINESS=strict ==="
+    OCCLUM_FAULT_PLAN="$plan" OCCLUM_ORDERLINESS=strict \
+        ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+done
 
 # The AEX-storm plan again, under the sanitizers.
 ASAN_DIR="${BUILD_DIR}-asan-faults"

@@ -70,11 +70,17 @@ alert_frame(AttestError error)
 // ---- Transport --------------------------------------------------------
 
 Transport::Transport(host::NetSim &net, host::NetSim::Connection *conn,
-                     bool at_server, SimClock &clock,
-                     uint64_t ocall_cycles)
-    : net_(&net), conn_(conn), at_server_(at_server), clock_(&clock),
-      ocall_cycles_(ocall_cycles)
+                     bool at_server, sgx::Enclave &enclave)
+    : net_(&net), conn_(conn), at_server_(at_server), enclave_(&enclave),
+      clock_(&enclave.platform().clock())
 {}
+
+void
+Transport::ocall()
+{
+    enclave_->charge_eexit();
+    enclave_->charge_eenter();
+}
 
 void
 Transport::send_frame(const Bytes &frame)
@@ -83,7 +89,7 @@ Transport::send_frame(const Bytes &frame)
         return;
     }
     // Every network operation crosses the enclave boundary once.
-    clock_->advance(ocall_cycles_);
+    ocall();
     net_->send(conn_, at_server_, frame.data(), frame.size());
 }
 
@@ -99,7 +105,7 @@ Transport::pump()
     if (!net_->readable_now(conn_, at_server_, clock_->cycles())) {
         return false;
     }
-    clock_->advance(ocall_cycles_);
+    ocall();
     bool got = false;
     uint8_t chunk[kRecvChunk];
     for (;;) {

@@ -47,18 +47,17 @@
 namespace occlum::attest {
 
 /**
- * Byte-stream framing over one side of a NetSim connection. Owns the
- * reassembly buffer (faultsim's short reads hand frames over in
- * arbitrary slivers) and charges one OCALL round trip per network
- * operation, the same cost the LibOS charges SIP socket syscalls.
+ * Byte-stream framing over one side of a NetSim connection, run by
+ * `enclave`. Owns the reassembly buffer (faultsim's short reads hand
+ * frames over in arbitrary slivers) and takes one OCALL (the
+ * enclave's EEXIT + EENTER) per network operation, as the LibOS does
+ * for SIP socket syscalls.
  */
 class Transport
 {
   public:
     Transport(host::NetSim &net, host::NetSim::Connection *conn,
-              bool at_server, SimClock &clock,
-              uint64_t ocall_cycles = CostModel::kEexitCycles +
-                                      CostModel::kEenterCycles);
+              bool at_server, sgx::Enclave &enclave);
 
     /** Ship one wire frame (header already included). */
     void send_frame(const Bytes &frame);
@@ -87,11 +86,14 @@ class Transport
     host::NetSim::Connection *connection() { return conn_; }
 
   private:
+    /** EEXIT to the host, EENTER back: one network OCALL. */
+    void ocall();
+
     host::NetSim *net_;
     host::NetSim::Connection *conn_;
     bool at_server_;
+    sgx::Enclave *enclave_;
     SimClock *clock_;
-    uint64_t ocall_cycles_;
     Bytes rx_;
     size_t rx_pos_ = 0;
     bool closed_ = false;

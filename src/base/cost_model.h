@@ -143,6 +143,13 @@ struct CostModel {
     static constexpr double kEipEnclaveBytesPerBinaryByte = 4.0;
     /** Serializing + transferring process state at checkpoint/restore. */
     static constexpr double kEipStateTransferCyclesPerByte = 4.0;
+    /**
+     * Per pipe operation: half an EEXIT + EENTER pair (5750 cycles).
+     * This models exitless batching of EIP pipe traffic through
+     * untrusted memory, not an OCALL, so no transition is counted.
+     */
+    static constexpr uint64_t kEipPipeOpCycles =
+        (kEexitCycles + kEenterCycles) / 2;
 
     // ---- Fault handling (src/faultsim; DESIGN.md "Fault model") ---------
     /**

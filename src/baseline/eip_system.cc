@@ -7,6 +7,18 @@ namespace occlum::baseline {
 
 using oskit::IoResult;
 
+namespace {
+
+/** One OCALL out of `enclave`: EEXIT, then EENTER on return. */
+void
+ocall_from(sgx::Enclave &enclave)
+{
+    enclave.charge_eexit();
+    enclave.charge_eenter();
+}
+
+} // namespace
+
 // ---------------------------------------------------------------------
 // ProtectedFile
 // ---------------------------------------------------------------------
@@ -23,12 +35,11 @@ ProtectedFile::read(oskit::Kernel &kernel, uint8_t *buf, uint64_t len)
               buf);
     offset_ += n;
     // OCALL out for the host read, then decrypt + MAC-check in-enclave.
-    kernel.charge(CostModel::kEexitCycles + CostModel::kEenterCycles +
-                  static_cast<uint64_t>(
-                      n * (CostModel::kDiskReadCyclesPerByte +
-                           CostModel::kAesCyclesPerByte +
-                           CostModel::kHmacCyclesPerByte +
-                           CostModel::kMemcpyCyclesPerByte)));
+    kernel.ocall();
+    kernel.charge(static_cast<uint64_t>(
+        n * (CostModel::kDiskReadCyclesPerByte +
+             CostModel::kAesCyclesPerByte + CostModel::kHmacCyclesPerByte +
+             CostModel::kMemcpyCyclesPerByte)));
     return IoResult::ok(static_cast<int64_t>(n));
 }
 
@@ -125,10 +136,10 @@ EipSystem::create_process(const std::string &path,
     // Step 3: vfork+execve-style state hand-off over an encrypted
     // stream (fd table, environment; no address-space copy).
     constexpr uint64_t kStateBytes = 16 << 10;
-    charge(CostModel::kEexitCycles + CostModel::kEenterCycles +
-           static_cast<uint64_t>(
-               kStateBytes * (CostModel::kEipStateTransferCyclesPerByte +
-                              2 * CostModel::kAesCyclesPerByte)));
+    ocall_from(*enclave);
+    charge(static_cast<uint64_t>(
+        kStateBytes * (CostModel::kEipStateTransferCyclesPerByte +
+                       2 * CostModel::kAesCyclesPerByte)));
 
     oskit::init_cpu(*proc->cpu, domain.value());
     proc->domain_base = domain.value().base;
@@ -140,6 +151,14 @@ EipSystem::create_process(const std::string &path,
     enclaves_[reinterpret_cast<uint64_t>(proc.get())] =
         std::move(enclave);
     return proc;
+}
+
+void
+EipSystem::ocall()
+{
+    oskit::Process *caller = syscall_process();
+    OCC_CHECK_MSG(caller != nullptr, "EIP OCALL outside a syscall");
+    ocall_from(*enclaves_.at(reinterpret_cast<uint64_t>(caller)));
 }
 
 void

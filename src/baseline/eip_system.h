@@ -7,7 +7,7 @@
  *    process state over an encrypted stream — the three steps that
  *    make EIP process creation ~10,000x slower than Linux;
  *  - IPC moves through untrusted memory, paying AES encryption +
- *    decryption per byte and two world switches per operation;
+ *    decryption per byte and an amortized world switch per operation;
  *  - the shared file system is read-only protected files (Graphene
  *    lacks a writable encrypted FS); reads decrypt per chunk and exit
  *    the enclave per operation.
@@ -64,10 +64,8 @@ class EipSystem : public oskit::Kernel
         : EipSystem(platform, binaries, Config{}, nullptr)
     {}
 
-    uint64_t net_op_cost() const override
-    {
-        return CostModel::kEexitCycles + CostModel::kEenterCycles;
-    }
+    /** The OCALL gate: EEXIT + EENTER on the caller's own enclave. */
+    void ocall() override;
 
     /**
      * Pipes cross enclave boundaries through untrusted memory: the
@@ -81,11 +79,11 @@ class EipSystem : public oskit::Kernel
                CostModel::kAesCyclesPerByte;
     }
 
-    /** ...plus an (amortized, exitless-batched) world switch per op. */
+    /** ...plus an amortized, exitless-batched world switch per op. */
     uint64_t
     pipe_op_cost() const override
     {
-        return (CostModel::kEexitCycles + CostModel::kEenterCycles) / 2;
+        return CostModel::kEipPipeOpCycles;
     }
 
   protected:

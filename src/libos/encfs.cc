@@ -74,7 +74,9 @@ EncFs::dev_read(uint32_t block, Bytes &out)
     uint64_t backoff = CostModel::kIoRetryBackoffCycles;
     for (uint32_t attempt = 0;; ++attempt) {
         Status status = device_->read_block(block, out);
-        charge_ocall();
+        if (config_.ocall) {
+            config_.ocall();
+        }
         if (status.ok() || status.code() != ErrorCode::kAgain) {
             return status;
         }
@@ -99,7 +101,9 @@ EncFs::dev_write(uint32_t block, const Bytes &in)
     uint64_t backoff = CostModel::kIoRetryBackoffCycles;
     for (uint32_t attempt = 0;; ++attempt) {
         Status status = device_->write_block(block, in);
-        charge_ocall();
+        if (config_.ocall) {
+            config_.ocall();
+        }
         if (status.ok() || status.code() != ErrorCode::kAgain) {
             return status;
         }
@@ -121,12 +125,6 @@ EncFs::charge_crypto(uint64_t bytes)
     clock_->advance(static_cast<uint64_t>(
         bytes * (CostModel::kAesCyclesPerByte +
                  CostModel::kHmacCyclesPerByte)));
-}
-
-void
-EncFs::charge_ocall()
-{
-    clock_->advance(config_.ocall_cycles);
 }
 
 std::array<uint8_t, 12>

@@ -25,6 +25,7 @@
 #ifndef OCCLUM_LIBOS_ENCFS_H
 #define OCCLUM_LIBOS_ENCFS_H
 
+#include <functional>
 #include <list>
 #include <string>
 #include <unordered_map>
@@ -37,12 +38,6 @@
 #include "trace/metrics.h"
 
 namespace occlum::libos {
-
-/** Costs charged by the FS besides the device's own. */
-struct EncFsCharge {
-    uint64_t crypto_cycles = 0; // AES + HMAC work
-    uint64_t ocall_cycles = 0;  // enclave exits for device I/O
-};
 
 /** The encrypted file system over an untrusted block device. */
 class EncFs
@@ -66,9 +61,9 @@ class EncFs
         crypto::Key128 key{};      // sealed FS key
         uint32_t inode_count = 512;
         size_t cache_blocks = 2048; // shared page cache capacity
-        /** Per-device-I/O enclave transition cost (OCALL). Zero when
-         *  the FS is used outside an enclave (tests). */
-        uint64_t ocall_cycles = 0;
+        /** The OCALL gate taken after every device I/O attempt.
+         *  Empty when the FS is used outside an enclave (tests). */
+        std::function<void()> ocall;
         /**
          * Blocks pulled ahead of a detected sequential read stream
          * (0 disables). Prefetched blocks pay exactly the demand-fetch
@@ -142,7 +137,7 @@ class EncFs
      * Device I/O with a bounded retry/backoff policy: a transient
      * (kAgain) host fault is retried up to CostModel::kIoRetryLimit
      * times with exponential backoff charged to the clock; exhausted
-     * retries surface as kIo. Every attempt pays its own OCALL. All
+     * retries surface as kIo. Every attempt is one Config::ocall. All
      * EncFs device traffic goes through these two wrappers.
      */
     Status dev_read(uint32_t block, Bytes &out);
@@ -157,7 +152,6 @@ class EncFs
     void maybe_readahead(uint32_t inode_index, Inode &node,
                          uint64_t offset, uint64_t len);
     void charge_crypto(uint64_t bytes);
-    void charge_ocall();
 
     // ---- allocation ------------------------------------------------------
     Result<uint32_t> alloc_block();

@@ -148,7 +148,6 @@ OcclumSystem::OcclumSystem(sgx::Platform &platform,
     // The monitor parses OCCLUM_ORDERLINESS on first use; touch it now
     // so a bad value fails at boot, not at the first injected AEX.
     sgx::TransitionMonitor::instance();
-    core_threads_.resize(static_cast<size_t>(this->cores()));
 
     // One enclave for the whole system (paper Fig. 1a).
     uint64_t span = slot_span();
@@ -198,6 +197,9 @@ OcclumSystem::OcclumSystem(sgx::Platform &platform,
     }
     OCC_CHECK(enclave_->set_identity(identity).ok());
     OCC_CHECK(enclave_->init().ok());
+    for (int c = 0; c < this->cores(); ++c) {
+        core_threads_.push_back(std::make_unique<sgx::SgxThread>(*enclave_));
+    }
 
     // The encrypted FS over an untrusted host block device. A
     // restarted system mounts the predecessor's external device
@@ -212,8 +214,7 @@ OcclumSystem::OcclumSystem(sgx::Platform &platform,
     EncFs::Config fs_config;
     fs_config.key = config_.fs_key;
     fs_config.cache_blocks = config_.fs_cache_blocks;
-    fs_config.ocall_cycles =
-        CostModel::kEexitCycles + CostModel::kEenterCycles;
+    fs_config.ocall = [this] { ocall(); };
     encfs_ = std::make_unique<EncFs>(*active_device_, platform.clock(),
                                      fs_config);
     fs_status_ =
@@ -436,10 +437,8 @@ OcclumSystem::on_injected_aex(oskit::Process &proc)
     // (and any violation it flags) carry the scheduling context of
     // the injection, not just the raw transition.
     sgx::ScopedMonitorContext ctx(proc.pid, current_core());
-    auto &thread = core_threads_[static_cast<size_t>(current_core())];
-    if (!thread) {
-        thread = std::make_unique<sgx::SgxThread>(*enclave_, *proc.cpu);
-    } else if (!thread->try_bind(*proc.cpu)) {
+    sgx::SgxThread &thread = core_tcs(current_core());
+    if (!thread.try_bind(*proc.cpu)) {
         // SSA frame occupied: the monitor recorded the refused rebind.
         // Unreachable in the current round-trip discipline (every
         // serviced AEX resumes before the hook returns), but an
@@ -447,11 +446,21 @@ OcclumSystem::on_injected_aex(oskit::Process &proc)
         // not a kernel crash.
         return;
     }
-    if (!thread->try_aex()) {
+    if (!thread.try_aex()) {
         return; // already in an AEX (NSSA=1) — cannot nest
     }
-    thread->resume();
+    thread.resume();
     faultsim::FaultSim::instance().count_injected_aex();
+}
+
+void
+OcclumSystem::ocall()
+{
+    // An OCALL is issued by code running inside the enclave, so the
+    // TCS is kInside: a refused EEXIT here is a kernel bug.
+    sgx::SgxThread &thread = core_tcs(current_core());
+    OCC_CHECK_MSG(thread.leave().ok(), "OCALL from a TCS not inside");
+    OCC_CHECK(thread.enter().ok());
 }
 
 Status

@@ -17,8 +17,8 @@
  * calling SIP (paper §6, "Syscall interface"). The file system is the
  * writable EncFs with a single page cache shared by all SIPs, plus
  * /dev and /proc special files implemented entirely inside the
- * enclave. Network operations are delegated to the host and charged
- * an OCALL per operation (paper §6, "Networking").
+ * enclave. Network operations and device I/O are delegated to the
+ * host, one OCALL each (paper §6, "Networking").
  */
 #ifndef OCCLUM_LIBOS_OCCLUM_SYSTEM_H
 #define OCCLUM_LIBOS_OCCLUM_SYSTEM_H
@@ -137,9 +137,16 @@ class OcclumSystem : public oskit::Kernel
     /** Slots currently free (for tests / capacity checks). */
     int free_slots() const;
 
-    uint64_t net_op_cost() const override
+    /**
+     * The OCALL gate: EEXIT then EENTER on the current core's TCS, so
+     * the orderliness monitor checks every host call.
+     */
+    void ocall() override;
+
+    /** The TCS of simulated core `core` (one SSA frame, NSSA=1). */
+    sgx::SgxThread &core_tcs(int core)
     {
-        return CostModel::kEexitCycles + CostModel::kEenterCycles;
+        return *core_threads_[static_cast<size_t>(core)];
     }
 
   protected:
@@ -200,10 +207,10 @@ class OcclumSystem : public oskit::Kernel
     std::vector<Slot> slots_;
     uint32_t next_domain_id_ = 1;
     /**
-     * One TCS (one SSA frame, NSSA=1) per simulated core, rebound to
-     * the interrupted SIP's CPU when an injected AEX lands on that
-     * core — the paper's deployment shape: many SIPs scheduled over a
-     * fixed pool of enclave threads.
+     * One TCS (one SSA frame, NSSA=1) per simulated core, created at
+     * EINIT. OCALLs leave and re-enter it; an injected AEX rebinds it
+     * to the interrupted SIP's CPU — the paper's deployment shape:
+     * many SIPs scheduled over a fixed pool of enclave threads.
      */
     std::vector<std::unique_ptr<sgx::SgxThread>> core_threads_;
 };

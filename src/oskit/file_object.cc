@@ -241,9 +241,9 @@ SocketFile::read(Kernel &kernel, uint8_t *buf, uint64_t len)
     }
     {
         OCC_TRACE_SPAN(kOcall, "net.recv", n);
-        kernel.charge(kernel.net_op_cost() +
-                      static_cast<uint64_t>(
-                          n * CostModel::kMemcpyCyclesPerByte));
+        kernel.ocall();
+        kernel.charge(
+            static_cast<uint64_t>(n * CostModel::kMemcpyCyclesPerByte));
     }
     return IoResult::ok(static_cast<int64_t>(n));
 }
@@ -262,9 +262,9 @@ SocketFile::write(Kernel &kernel, const uint8_t *buf, uint64_t len)
     net_->send(conn_, at_server_, buf, len);
     {
         OCC_TRACE_SPAN(kOcall, "net.send", len);
-        kernel.charge(kernel.net_op_cost() +
-                      static_cast<uint64_t>(
-                          len * CostModel::kMemcpyCyclesPerByte));
+        kernel.ocall();
+        kernel.charge(
+            static_cast<uint64_t>(len * CostModel::kMemcpyCyclesPerByte));
     }
     return IoResult::ok(static_cast<int64_t>(len));
 }

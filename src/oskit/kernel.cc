@@ -903,8 +903,10 @@ bool
 Kernel::handle_syscall(Process &proc)
 {
     OCC_CHECK(proc.in_syscall);
+    syscall_proc_ = &proc;
     std::optional<int64_t> result =
         dispatch(proc, proc.sys_num, proc.sys_args);
+    syscall_proc_ = nullptr;
     if (proc.state == ProcState::kDead) {
         return true; // exit() or killed during dispatch
     }

@@ -342,11 +342,16 @@ class Kernel
         return CostModel::kPipeCopyCyclesPerByte;
     }
 
-    /** Extra cycles per pipe operation (EIP: two world switches). */
+    /** Extra cycles per pipe operation (EIP: an amortized switch). */
     virtual uint64_t pipe_op_cost() const { return 0; }
 
-    /** Extra cycles per network operation (enclaves: an OCALL). */
-    virtual uint64_t net_op_cost() const { return 0; }
+    /**
+     * The OCALL gate: the one way kernel and LibOS code reaches the
+     * untrusted host (device I/O, network). Enclave personalities
+     * take the EEXIT + EENTER pair through the SGX model; the base
+     * kernel runs on the host already, so the default does nothing.
+     */
+    virtual void ocall() {}
 
   protected:
 
@@ -458,6 +463,9 @@ class Kernel
     std::optional<int64_t> dispatch(Process &proc, uint64_t num,
                                     const uint64_t args[abi::kSyscallArgs]);
 
+    /** The process whose syscall is being dispatched, else null. */
+    Process *syscall_process() const { return syscall_proc_; }
+
     SimClock *clock_;
     host::HostFileStore *binaries_;
     host::NetSim *net_;
@@ -503,6 +511,8 @@ class Kernel
 
     int num_cores_ = 1;
     int current_core_ = 0;
+    /** Set by handle_syscall for the duration of one dispatch. */
+    Process *syscall_proc_ = nullptr;
     /** Monotonic round counter stamping Process::ran_round. */
     uint64_t round_seq_ = 0;
     /** Per-core metrics, registered by set_cores when cores > 1. */

@@ -103,8 +103,10 @@ run_attested_rpc(const AttestedRpcOptions &options)
                    "attested_rpc accept");
     }
 
-    attest::Transport client_transport(net, conn.value(), false, clock);
-    attest::Transport server_transport(net, server_conn, true, clock);
+    attest::Transport client_transport(net, conn.value(), false,
+                                       client_sys.enclave());
+    attest::Transport server_transport(net, server_conn, true,
+                                       server_sys.enclave());
 
     attest::EndpointConfig client_cfg;
     client_cfg.is_server = false;

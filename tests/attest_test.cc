@@ -117,10 +117,10 @@ struct Rig {
         server_cfg.nonce_seed = seed + 1;
         client = std::make_unique<HandshakeEndpoint>(
             platform, *client_enclave, *client_verifier,
-            Transport(net, conn, false, platform.clock()), client_cfg);
+            Transport(net, conn, false, *client_enclave), client_cfg);
         server = std::make_unique<HandshakeEndpoint>(
             platform, *server_enclave, *server_verifier,
-            Transport(net, conn, true, platform.clock()), server_cfg);
+            Transport(net, conn, true, *server_enclave), server_cfg);
     }
 
     /** Drive both endpoints until each is established or failed. */
@@ -587,11 +587,11 @@ TEST(Handshake, ReplayedClientHelloRejected)
     server_cfg.nonce_seed = 999;
     HandshakeEndpoint replay_client(
         rig.platform, *rig.client_enclave, *rig.client_verifier,
-        Transport(rig.net, replay_conn, false, rig.platform.clock()),
+        Transport(rig.net, replay_conn, false, *rig.client_enclave),
         client_cfg);
     HandshakeEndpoint replay_server(
         rig.platform, *rig.server_enclave, *rig.server_verifier,
-        Transport(rig.net, replay_conn, true, rig.platform.clock()),
+        Transport(rig.net, replay_conn, true, *rig.server_enclave),
         server_cfg);
 
     int guard = 0;
@@ -624,7 +624,7 @@ TEST(Handshake, RetransmitsThenFailsClosed)
     cfg.nonce_seed = 5;
     HandshakeEndpoint client(
         rig.platform, *rig.client_enclave, *rig.client_verifier,
-        Transport(rig.net, conn, false, rig.platform.clock()), cfg);
+        Transport(rig.net, conn, false, *rig.client_enclave), cfg);
 
     uint64_t deadline =
         rig.platform.clock().cycles() + cfg.deadline_cycles;
@@ -851,6 +851,22 @@ TEST(AttestedRpcScenario, PlaintextAblationIsCheaper)
               plain_report.payload_bytes);
     // Record crypto costs cycles; the ablation must be faster.
     EXPECT_LT(plain_report.total_cycles, encrypted_report.total_cycles);
+}
+
+TEST(AttestedRpcScenario, CyclesArePinnedAtAFixedSeed)
+{
+    // Transport takes one OCALL per network operation, the only OCALL
+    // site no perfbench workload reaches: pin the scenario's simulated
+    // cycles, fault-free, so a change to that charge shows here.
+    ScopedFaultPlan clean{FaultPlan{}};
+    workloads::AttestedRpcOptions options;
+    options.requests = 8;
+    options.seed = 7;
+    workloads::AttestedRpcReport report =
+        workloads::run_attested_rpc(options);
+    ASSERT_TRUE(report.ok) << report.error;
+    EXPECT_EQ(report.handshake_cycles, 1352560u);
+    EXPECT_EQ(report.total_cycles, 2932794u);
 }
 
 TEST(AttestedRpcScenario, SurvivesNetworkFaultsOrFailsClosed)

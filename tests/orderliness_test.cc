@@ -6,9 +6,11 @@
  * an occupied SSA frame, NSSA=1), a field-by-field audit that the
  * post-AEX scrub leaks nothing SSA-resident, AEX storms at
  * syscall-trampoline boundaries and per-core rebind points across
- * cores {1,2,4}, every scripts/ci_faults.sh plan, and a one-shot
+ * cores {1,2,4}, every scripts/ci_faults.sh plan, a one-shot
  * AEX-at-ordinal sweep over the epoll reverse proxy asserting
- * bit-identical completion order run-to-run with zero violations.
+ * bit-identical completion order run-to-run with zero violations, the
+ * OCALL gate's transition accounting, and a host re-entry in the
+ * SmashEx window right after an OCALL returns.
  */
 #include <gtest/gtest.h>
 
@@ -17,12 +19,14 @@
 #include <string>
 #include <vector>
 
+#include "baseline/linux_system.h"
 #include "faultsim/faultsim.h"
 #include "host/host.h"
 #include "libos/occlum_system.h"
 #include "sgx/monitor.h"
 #include "sgx/sgx.h"
 #include "toolchain/minic.h"
+#include "trace/metrics.h"
 #include "verifier/verifier.h"
 #include "workloads/workloads.h"
 
@@ -654,6 +658,268 @@ TEST(OrderlinessBattery, AexAtOrdinalSweepOverTheEpollProxy)
                 << "cores " << cores << " aex_at " << ordinal;
         }
     }
+}
+
+
+// ---------------------------------------------------------------------
+// The OCALL gate: transition accounting, and the SmashEx window at an
+// OCALL return
+// ---------------------------------------------------------------------
+
+/** sgx.eenter / sgx.eexit counter readings. */
+struct TransitionCounts {
+    uint64_t eenter;
+    uint64_t eexit;
+
+    static TransitionCounts
+    now()
+    {
+        trace::Registry &registry = trace::Registry::instance();
+        return {registry.counter("sgx.eenter").value(),
+                registry.counter("sgx.eexit").value()};
+    }
+};
+
+uint64_t
+counter_value(const char *name)
+{
+    return trace::Registry::instance().counter(name).value();
+}
+
+TEST(OcallGate, EveryDeviceAttemptIsOneTransitionPair)
+{
+    ScopedMonitorMode mode(/*strict=*/true);
+    FaultPlan plan;
+    plan.seed = 23;
+    plan.dev_read_transient = 0.2;
+    plan.dev_write_transient = 0.2;
+    ScopedFaultPlan scoped(plan);
+    const TransitionCounts t0 = TransitionCounts::now();
+    const uint64_t dev0 = counter_value("encfs.dev_reads") +
+                          counter_value("encfs.dev_writes");
+    const uint64_t retries0 = counter_value("encfs.io_retries");
+    const uint64_t violations0 = TransitionMonitor::instance().violations();
+
+    // mkfs, then a file larger than the 8-block cache, written back
+    // and read cold: every block crosses the device edge.
+    sgx::Platform platform;
+    host::HostFileStore files;
+    libos::OcclumSystem::Config config;
+    config.num_slots = 1;
+    config.fs_blocks = 1 << 10;
+    config.fs_cache_blocks = 8;
+    libos::OcclumSystem sys(platform, files, config);
+    ASSERT_TRUE(sys.fs_status().ok());
+    Bytes content(64 << 10);
+    for (size_t i = 0; i < content.size(); ++i) {
+        content[i] = static_cast<uint8_t>(i * 13 + 1);
+    }
+    ASSERT_TRUE(sys.fs().write_file("/f", content).ok());
+    ASSERT_TRUE(sys.fs().sync().ok());
+    auto back = sys.fs().read_file("/f");
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back.value(), content);
+
+    const TransitionCounts t1 = TransitionCounts::now();
+    const uint64_t dev = counter_value("encfs.dev_reads") +
+                         counter_value("encfs.dev_writes") - dev0;
+    const uint64_t retries = counter_value("encfs.io_retries") - retries0;
+    EXPECT_GT(retries, 0u); // the plan really faulted the device
+    EXPECT_EQ(t1.eenter - t0.eenter, dev + retries);
+    EXPECT_EQ(t1.eexit - t0.eexit, dev + retries);
+    EXPECT_EQ(TransitionMonitor::instance().violations(), violations0);
+}
+
+/** Cycles and transitions of one `n`-byte socket read on `kernel`. */
+struct SocketReadCost {
+    uint64_t cycles = 0;
+    uint64_t eenter = 0;
+    uint64_t eexit = 0;
+};
+
+SocketReadCost
+one_socket_read(oskit::Kernel &kernel, host::NetSim &net, size_t n)
+{
+    constexpr uint16_t kPort = 8088;
+    SimClock &clock = kernel.clock();
+    EXPECT_TRUE(net.listen(kPort, 1));
+    auto client = net.connect(kPort);
+    EXPECT_TRUE(client.ok());
+    host::NetSim::Connection *server = nullptr;
+    while ((server = net.try_accept(kPort, clock.cycles())) == nullptr) {
+        clock.advance(net.next_accept_time(kPort) - clock.cycles());
+    }
+    Bytes payload(n, 0x42);
+    net.send(client.value(), false, payload.data(), payload.size());
+    uint64_t arrival = net.next_arrival_time(server, true);
+    EXPECT_NE(arrival, ~0ull);
+    clock.advance(arrival - clock.cycles());
+
+    oskit::SocketFile file(&net, server, true);
+    Bytes got(n);
+    const TransitionCounts t0 = TransitionCounts::now();
+    const uint64_t cycles0 = clock.cycles();
+    oskit::IoResult r = file.read(kernel, got.data(), got.size());
+    EXPECT_EQ(r.value, static_cast<int64_t>(n));
+    EXPECT_EQ(got, payload);
+    const TransitionCounts t1 = TransitionCounts::now();
+    return {clock.cycles() - cycles0, t1.eenter - t0.eenter,
+            t1.eexit - t0.eexit};
+}
+
+TEST(OcallGate, OcclumSocketReadIsOneTransitionPair)
+{
+    ScopedFaultPlan clean{FaultPlan{}};
+    ScopedMonitorMode mode(/*strict=*/true);
+    sgx::Platform platform;
+    host::NetSim net(platform.clock());
+    host::HostFileStore files;
+    libos::OcclumSystem::Config config;
+    config.num_slots = 1;
+    config.fs_blocks = 1 << 10;
+    libos::OcclumSystem sys(platform, files, config, &net);
+
+    const uint64_t events0 = TransitionMonitor::instance().events();
+    SocketReadCost cost = one_socket_read(sys, net, 1000);
+    EXPECT_EQ(cost.cycles, CostModel::kEexitCycles +
+                               CostModel::kEenterCycles +
+                               static_cast<uint64_t>(
+                                   1000 * CostModel::kMemcpyCyclesPerByte));
+    EXPECT_EQ(cost.eenter, 1u);
+    EXPECT_EQ(cost.eexit, 1u);
+    // The pair went through core 0's TCS, past the monitor.
+    EXPECT_EQ(TransitionMonitor::instance().events(), events0 + 2);
+    EXPECT_EQ(sys.core_tcs(0).phase(), TcsPhase::kInside);
+}
+
+TEST(OcallGate, LinuxSocketReadTakesNoTransition)
+{
+    ScopedFaultPlan clean{FaultPlan{}};
+    SimClock clock;
+    host::NetSim net(clock);
+    host::HostFileStore files;
+    baseline::LinuxSystem sys(clock, files, &net);
+
+    SocketReadCost cost = one_socket_read(sys, net, 1000);
+    EXPECT_EQ(cost.cycles, static_cast<uint64_t>(
+                               1000 * CostModel::kMemcpyCyclesPerByte));
+    EXPECT_EQ(cost.eenter, 0u);
+    EXPECT_EQ(cost.eexit, 0u);
+}
+
+/**
+ * A hostile host: right after the first OCALL a SIP makes from a
+ * syscall returns into the enclave, it interrupts that core's TCS
+ * (AEX) and tries to EENTER it again while the single SSA frame still
+ * holds the SIP's context — the SmashEx window — before letting it
+ * ERESUME.
+ */
+class SmashExHost : public libos::OcclumSystem
+{
+  public:
+    using OcclumSystem::OcclumSystem;
+
+    bool fired = false;
+    Status reentry;
+    bool still_aexed = false;
+    uint64_t reentry_cycles = 0;
+    uint64_t reentry_eenters = 0;
+    Transition recorded = Transition::kEenter;
+
+    void
+    ocall() override
+    {
+        OcclumSystem::ocall();
+        oskit::Process *caller = syscall_process();
+        if (fired || caller == nullptr) {
+            return;
+        }
+        fired = true;
+        sgx::SgxThread &tcs = core_tcs(current_core());
+        tcs.bind(*caller->cpu);
+        tcs.aex();
+
+        const uint64_t cycles0 = clock().cycles();
+        const uint64_t eenter0 = TransitionCounts::now().eenter;
+        reentry = tcs.enter();
+        reentry_cycles = clock().cycles() - cycles0;
+        reentry_eenters = TransitionCounts::now().eenter - eenter0;
+        still_aexed = tcs.in_aex();
+        recorded = TransitionMonitor::instance().recent().back().event;
+
+        tcs.resume();
+    }
+};
+
+/** Writes, fsyncs and reads back a file: OCALLs from inside syscalls. */
+const char *kFileSipSource = R"(
+global byte buf[8192];
+global byte path[8] = "/smash";
+func main() {
+    var i = 0;
+    while (i < 8192) { buf[i] = (i * 7 + 3) & 255; i = i + 1; }
+    var fd = open(path, 0x242);
+    if (fd < 0) { return 1; }
+    if (write(fd, buf, 8192) != 8192) { return 2; }
+    fsync(fd);
+    close(fd);
+    memset(buf, 0, 8192);
+    fd = open(path, 0);
+    if (read(fd, buf, 8192) != 8192) { return 3; }
+    close(fd);
+    var sum = 0;
+    i = 0;
+    while (i < 8192) { sum = sum + buf[i] * (i + 1); i = i + 1; }
+    print_int(sum);
+    return 0;
+}
+)";
+
+std::string
+run_file_sip(oskit::Kernel &sys, host::HostFileStore &files)
+{
+    files.put("sip", build_signed(kFileSipSource));
+    auto pid = sys.spawn("sip", {"sip"});
+    EXPECT_TRUE(pid.ok());
+    sys.run();
+    EXPECT_EQ(sys.exit_code(pid.value()).value(), 0);
+    return sys.console();
+}
+
+TEST(SmashExBattery, HostEenterAtOcallReturnIsRefusedNotServiced)
+{
+    ScopedFaultPlan clean{FaultPlan{}};
+    ScopedMonitorMode mode(/*strict=*/true); // a serviced one would panic
+    const uint64_t violations0 = TransitionMonitor::instance().violations();
+
+    libos::OcclumSystem::Config config;
+    config.num_slots = 2;
+    config.fs_blocks = 1 << 10;
+    config.fs_cache_blocks = 4; // the SIP's blocks reach the device
+    config.verifier_key = vkey();
+    config.cores = 1;
+
+    sgx::Platform ref_platform;
+    host::HostFileStore ref_files;
+    libos::OcclumSystem ref(ref_platform, ref_files, config);
+    const std::string reference = run_file_sip(ref, ref_files);
+    ASSERT_FALSE(reference.empty());
+
+    sgx::Platform platform;
+    host::HostFileStore files;
+    SmashExHost sys(platform, files, config);
+    const std::string console = run_file_sip(sys, files);
+
+    ASSERT_TRUE(sys.fired);
+    EXPECT_FALSE(sys.reentry.ok());
+    EXPECT_EQ(sys.reentry.code(), ErrorCode::kBusy);
+    EXPECT_EQ(sys.recorded, Transition::kEenterRefused);
+    EXPECT_TRUE(sys.still_aexed);
+    EXPECT_EQ(sys.reentry_cycles, 0u);
+    EXPECT_EQ(sys.reentry_eenters, 0u);
+    EXPECT_EQ(sys.core_tcs(0).phase(), TcsPhase::kInside);
+    EXPECT_EQ(console, reference);
+    EXPECT_EQ(TransitionMonitor::instance().violations(), violations0);
 }
 
 } // namespace
