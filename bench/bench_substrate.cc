@@ -6,20 +6,23 @@
  * interpreter, the MiniC compiler, the verifier, the build path
  * (compile, verify_and_sign, serialize), the Occlum spawn path
  * (parse, signature check, slot wipe, load), the EIP reserve
- * measurement, and the byte plane (a pipe round trip, one NetSim
- * request). These measure the *simulator*, not the simulated system;
+ * measurement, the byte plane (a pipe round trip, one NetSim
+ * request), and the EncFs block path under cache churn. These
+ * measure the *simulator*, not the simulated system;
  * the figure benches report simulated time.
  */
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
 
+#include "base/rng.h"
 #include "baseline/linux_system.h"
 #include "crypto/aes.h"
 #include "crypto/reference.h"
 #include "crypto/sha256.h"
 #include "host/host.h"
 #include "isa/assembler.h"
+#include "libos/encfs.h"
 #include "oskit/file_object.h"
 #include "oskit/loader.h"
 #include "sgx/sgx.h"
@@ -464,6 +467,65 @@ BM_NetSimRequest(benchmark::State &state)
         static_cast<int64_t>(request.size() + response.size()));
 }
 BENCHMARK(BM_NetSimRequest);
+
+/**
+ * The EncFs block path under cache pressure, with no SIP or syscall
+ * around it: a fresh 256-block cache writes a file of 3x its size
+ * sequentially 4 KiB at a time, syncs, reads it back, then does 512
+ * seeded random 4 KiB reads. Every block access is a cache hit, a
+ * miss that evicts (encrypting a dirty victim), or a decrypting miss:
+ * encfs-io's access mix at a twelfth of its size. The format and the
+ * empty device are built outside the timed region.
+ */
+void
+BM_EncFsChurn(benchmark::State &state)
+{
+    constexpr uint64_t kCacheBlocks = 256;
+    constexpr uint64_t kFileBlocks = 3 * kCacheBlocks;
+    constexpr uint64_t kBlock = libos::EncFs::kBlockSize;
+    constexpr int kRandomReads = 512;
+    libos::EncFs::Config config;
+    config.key.fill(0x2b);
+    config.cache_blocks = kCacheBlocks;
+    Bytes block(kBlock, 0xC3);
+    Rng rng(7);
+    std::vector<uint64_t> random(kRandomReads);
+    for (uint64_t &b : random) {
+        b = rng.next_below(kFileBlocks);
+    }
+    for (auto _ : state) {
+        state.PauseTiming();
+        SimClock clock;
+        host::BlockDevice device(clock, 2 * kFileBlocks);
+        libos::EncFs fs(device, clock, config);
+        OCC_CHECK(fs.mkfs().ok());
+        state.ResumeTiming();
+
+        auto inode = fs.open_inode("/churn", true, false);
+        OCC_CHECK(inode.ok());
+        for (uint64_t b = 0; b < kFileBlocks; ++b) {
+            OCC_CHECK(fs.write(inode.value(), b * kBlock, block.data(),
+                               kBlock)
+                          .ok());
+        }
+        OCC_CHECK(fs.sync().ok());
+        for (uint64_t b = 0; b < kFileBlocks; ++b) {
+            OCC_CHECK(fs.read(inode.value(), b * kBlock, block.data(),
+                              kBlock)
+                          .ok());
+        }
+        for (uint64_t b : random) {
+            OCC_CHECK(fs.read(inode.value(), b * kBlock, block.data(),
+                              kBlock)
+                          .ok());
+        }
+        benchmark::DoNotOptimize(block.data());
+    }
+    state.SetBytesProcessed(
+        state.iterations() *
+        static_cast<int64_t>((2 * kFileBlocks + kRandomReads) * kBlock));
+}
+BENCHMARK(BM_EncFsChurn)->Unit(benchmark::kMillisecond);
 
 /**
  * Console output as usual, plus every iteration-level run collected

@@ -4,8 +4,8 @@
 # that a snapshot with machine-readable JSON came out and that the
 # spawn and SPEC-kernel rows match their committed snapshot, so bench
 # or script rot is caught on every push rather than at paper-figure
-# time, runs the build-path and spawn substrate rows once, then runs
-# perfbench's self-check. The full (slow) suite is
+# time, runs the build-path, spawn, byte-plane and EncFs substrate rows
+# once, then runs perfbench's self-check. The full (slow) suite is
 # recorded manually via scripts/bench_record.sh.
 #
 # Usage: scripts/ci_bench_smoke.sh [build-dir]   (default: build-bench)
@@ -92,17 +92,17 @@ cmp "$JSON" "$JSON_CREF" ||
     { echo "smoke failed: reference crypto changed simulated results" >&2;
       exit 1; }
 
-# Substrate build-path, spawn and byte-plane rows: one brief run of
-# the verifier (unpadded and 14 MiB-padded), build_program-style
-# build, Occlum spawn, pipe round-trip and NetSim request benchmarks,
-# so rot in them fails here. Timings are not compared. Run from the
-# smoke directory, which is removed below, so BENCH_substrate.json
-# does not land in the tree.
+# Substrate build-path, spawn, byte-plane and EncFs rows: one brief
+# run of the verifier (unpadded and 14 MiB-padded), build_program-style
+# build, Occlum spawn, pipe round-trip, NetSim request and EncFs churn
+# benchmarks, so rot in them fails here. Timings are not compared.
+# Run from the smoke directory, which is removed below, so
+# BENCH_substrate.json does not land in the tree.
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_substrate
 SUBSTRATE="$PWD/$BUILD_DIR/bench/bench_substrate"
 (cd "$OUT_DIR" &&
     "$SUBSTRATE" \
-        --benchmark_filter='VerifyBinary|BuildProgram|OcclumSpawn|PipeRoundTrip|NetSimRequest' \
+        --benchmark_filter='VerifyBinary|BuildProgram|OcclumSpawn|PipeRoundTrip|NetSimRequest|EncFsChurn' \
         --benchmark_min_time=0.01)
 
 # The smoke snapshots are CI artifacts, not recorded results.

@@ -76,20 +76,13 @@ Transport::Transport(host::NetSim &net, host::NetSim::Connection *conn,
 {}
 
 void
-Transport::ocall()
-{
-    enclave_->charge_eexit();
-    enclave_->charge_eenter();
-}
-
-void
 Transport::send_frame(const Bytes &frame)
 {
     if (closed_) {
         return;
     }
     // Every network operation crosses the enclave boundary once.
-    ocall();
+    enclave_->charge_ocall();
     net_->send(conn_, at_server_, frame.data(), frame.size());
 }
 
@@ -105,7 +98,7 @@ Transport::pump()
     if (!net_->readable_now(conn_, at_server_, clock_->cycles())) {
         return false;
     }
-    ocall();
+    enclave_->charge_ocall();
     bool got = false;
     uint8_t chunk[kRecvChunk];
     for (;;) {

@@ -86,9 +86,6 @@ class Transport
     host::NetSim::Connection *connection() { return conn_; }
 
   private:
-    /** EEXIT to the host, EENTER back: one network OCALL. */
-    void ocall();
-
     host::NetSim *net_;
     host::NetSim::Connection *conn_;
     bool at_server_;

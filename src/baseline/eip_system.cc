@@ -7,18 +7,6 @@ namespace occlum::baseline {
 
 using oskit::IoResult;
 
-namespace {
-
-/** One OCALL out of `enclave`: EEXIT, then EENTER on return. */
-void
-ocall_from(sgx::Enclave &enclave)
-{
-    enclave.charge_eexit();
-    enclave.charge_eenter();
-}
-
-} // namespace
-
 // ---------------------------------------------------------------------
 // ProtectedFile
 // ---------------------------------------------------------------------
@@ -136,7 +124,7 @@ EipSystem::create_process(const std::string &path,
     // Step 3: vfork+execve-style state hand-off over an encrypted
     // stream (fd table, environment; no address-space copy).
     constexpr uint64_t kStateBytes = 16 << 10;
-    ocall_from(*enclave);
+    enclave->charge_ocall();
     charge(static_cast<uint64_t>(
         kStateBytes * (CostModel::kEipStateTransferCyclesPerByte +
                        2 * CostModel::kAesCyclesPerByte)));
@@ -158,7 +146,7 @@ EipSystem::ocall()
 {
     oskit::Process *caller = syscall_process();
     OCC_CHECK_MSG(caller != nullptr, "EIP OCALL outside a syscall");
-    ocall_from(*enclaves_.at(reinterpret_cast<uint64_t>(caller)));
+    enclaves_.at(reinterpret_cast<uint64_t>(caller))->charge_ocall();
 }
 
 void

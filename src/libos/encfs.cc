@@ -51,6 +51,7 @@ EncFs::EncFs(host::BlockDevice &device, SimClock &clock, Config config)
     }
     data_start_ = bitmap_start_ + bitmap_blocks_;
     OCC_CHECK_MSG(data_start_ < total, "device too small for EncFs");
+    OCC_CHECK_MSG(config_.cache_blocks > 0, "EncFs needs a cache slot");
 
     auto &registry = trace::Registry::instance();
     ctr_cache_hits_ = &registry.counter("encfs.cache_hits");
@@ -246,66 +247,120 @@ EncFs::flush_mac_table()
 // block cache
 // ---------------------------------------------------------------------
 
-Result<Bytes *>
+Result<uint8_t *>
 EncFs::get_block(uint32_t block, bool for_write)
 {
     OCC_CHECK_MSG(block >= mac_blocks_ &&
                   block < device_->block_count(),
                   "payload block out of range");
-    auto it = cache_.find(block);
-    if (it != cache_.end()) {
+    uint32_t slot = slot_of(block);
+    if (slot != kNoSlot) {
         ++cache_hits_;
         ctr_cache_hits_->add();
-        if (it->second.lru_it != lru_.begin()) {
-            lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+        if (slot != lru_head_) {
+            lru_unlink(slot);
+            lru_push_front(slot);
         }
-        if (for_write) {
-            it->second.dirty = true;
-        }
-        return &it->second.data;
+        CacheEntry &entry = slots_[slot];
+        entry.dirty |= for_write;
+        return entry.data.data();
     }
     ++cache_misses_;
     ctr_cache_misses_->add();
     OCC_RETURN_IF_ERROR(evict_if_needed());
 
     const MacRecord &record = mac_table_[block];
-    CacheEntry entry;
-    entry.dirty = for_write;
+    if (record.counter != 0) {
+        OCC_RETURN_IF_ERROR(dev_read(block, ciphertext_));
+    }
+    slot = take_slot();
+    CacheEntry &entry = slots_[slot];
     if (record.counter == 0) {
         // Never written: logically zero, nothing to fetch or verify.
         entry.data.assign(kBlockSize, 0);
     } else {
-        Bytes ciphertext;
-        OCC_RETURN_IF_ERROR(dev_read(block, ciphertext));
-        bool ok = decrypt_verify(block, record, ciphertext, entry.data);
+        bool ok = decrypt_verify(block, record, ciphertext_, entry.data);
         charge_crypto(kBlockSize);
         if (!ok) {
+            // The slot holds unverified plaintext: it goes back on the
+            // free stack and the block stays non-resident.
+            free_slots_.push_back(slot);
             return Error(ErrorCode::kIo,
                          "EncFs: integrity check failed on block " +
                              std::to_string(block));
         }
     }
-    lru_.push_front(block);
-    entry.lru_it = lru_.begin();
-    auto [pos, inserted] = cache_.emplace(block, std::move(entry));
-    OCC_CHECK(inserted);
-    return &pos->second.data;
+    entry.block = block;
+    entry.dirty = for_write;
+    if (block >= slot_of_.size()) {
+        slot_of_.resize(block + 1, kNoSlot);
+    }
+    slot_of_[block] = slot;
+    lru_push_front(slot);
+    return entry.data.data();
+}
+
+uint32_t
+EncFs::take_slot()
+{
+    if (!free_slots_.empty()) {
+        uint32_t slot = free_slots_.back();
+        free_slots_.pop_back();
+        return slot;
+    }
+    slots_.emplace_back();
+    return static_cast<uint32_t>(slots_.size() - 1);
+}
+
+void
+EncFs::lru_unlink(uint32_t slot)
+{
+    CacheEntry &entry = slots_[slot];
+    (entry.prev == kNoSlot ? lru_head_ : slots_[entry.prev].next) =
+        entry.next;
+    (entry.next == kNoSlot ? lru_tail_ : slots_[entry.next].prev) =
+        entry.prev;
+}
+
+void
+EncFs::lru_push_front(uint32_t slot)
+{
+    CacheEntry &entry = slots_[slot];
+    entry.prev = kNoSlot;
+    entry.next = lru_head_;
+    (lru_head_ == kNoSlot ? lru_tail_ : slots_[lru_head_].prev) = slot;
+    lru_head_ = slot;
+}
+
+void
+EncFs::reset_cache()
+{
+    std::fill(slot_of_.begin(), slot_of_.end(), kNoSlot);
+    free_slots_.clear();
+    // Pushed high to low, so slot 0 is reused first.
+    for (auto slot = static_cast<uint32_t>(slots_.size()); slot-- > 0;) {
+        slots_[slot].block = kNoBlock;
+        slots_[slot].dirty = false;
+        free_slots_.push_back(slot);
+    }
+    lru_head_ = lru_tail_ = kNoSlot;
+    alloc_hint_ = 0;
 }
 
 Status
-EncFs::flush_entry(uint32_t block, CacheEntry &entry)
+EncFs::flush_entry(CacheEntry &entry)
 {
     if (!entry.dirty) {
         return Status();
     }
+    uint32_t block = entry.block;
     MacRecord &record = mac_table_[block];
     const MacRecord saved = record;
     ++record.counter;
-    Bytes ciphertext;
     record.mac = encrypt_mac(block, record.counter, entry.data,
-                             ciphertext);
+                             ciphertext_);
     charge_crypto(kBlockSize);
-    Status wrote = dev_write(block, ciphertext);
+    Status wrote = dev_write(block, ciphertext_);
     if (!wrote.ok()) {
         // The device still holds the old ciphertext: roll the MAC
         // record back so an uncached re-read of this block still
@@ -326,16 +381,15 @@ EncFs::flush_entry(uint32_t block, CacheEntry &entry)
 Status
 EncFs::evict_if_needed()
 {
-    // O(1) per eviction: the LRU victim is the back of the list (the
-    // old path scanned the whole map per eviction — quadratic under
-    // cache pressure).
-    while (cache_.size() >= config_.cache_blocks) {
-        uint32_t victim = lru_.back();
-        auto it = cache_.find(victim);
-        OCC_CHECK(it != cache_.end());
-        OCC_RETURN_IF_ERROR(flush_entry(victim, it->second));
-        lru_.pop_back();
-        cache_.erase(it);
+    // O(1) per eviction: the victim is the LRU tail.
+    while (slots_.size() - free_slots_.size() >= config_.cache_blocks) {
+        uint32_t victim = lru_tail_;
+        CacheEntry &entry = slots_[victim];
+        OCC_RETURN_IF_ERROR(flush_entry(entry));
+        lru_unlink(victim);
+        slot_of_[entry.block] = kNoSlot;
+        entry.block = kNoBlock;
+        free_slots_.push_back(victim);
         ++evictions_;
         ctr_evictions_->add();
     }
@@ -345,18 +399,18 @@ EncFs::evict_if_needed()
 Status
 EncFs::sync()
 {
-    // Flush in ascending block order: the hash map iterates in an
-    // arbitrary (but deterministic) order, and keeping the device
-    // write sequence sorted preserves the exact trace/device behaviour
-    // of the previous std::map cache.
-    std::vector<uint32_t> blocks;
-    blocks.reserve(cache_.size());
-    for (auto &[block, entry] : cache_) {
-        blocks.push_back(block);
+    // Flush in ascending block order, so the device write sequence
+    // does not depend on which slot holds which block. Clean blocks
+    // write nothing, so only dirty ones are listed.
+    dirty_blocks_.clear();
+    for (const CacheEntry &entry : slots_) {
+        if (entry.block != kNoBlock && entry.dirty) {
+            dirty_blocks_.push_back(entry.block);
+        }
     }
-    std::sort(blocks.begin(), blocks.end());
-    for (uint32_t block : blocks) {
-        OCC_RETURN_IF_ERROR(flush_entry(block, cache_.at(block)));
+    std::sort(dirty_blocks_.begin(), dirty_blocks_.end());
+    for (uint32_t block : dirty_blocks_) {
+        OCC_RETURN_IF_ERROR(flush_entry(slots_[slot_of_[block]]));
     }
     return flush_mac_table();
 }
@@ -370,20 +424,19 @@ EncFs::mkfs()
 {
     mac_table_.assign(device_->block_count(), MacRecord{});
     mac_block_dirty_.assign(mac_blocks_, true);
-    cache_.clear();
-    lru_.clear();
+    reset_cache();
     mounted_ = true;
 
     // Superblock.
-    Bytes *super = nullptr;
+    uint8_t *super = nullptr;
     {
         auto sb = get_block(super_block_, true);
         if (!sb.ok()) return sb.error();
         super = sb.take();
     }
-    std::memset(super->data(), 0, kBlockSize);
-    set_le<uint32_t>(super->data(), kMagic);
-    set_le<uint32_t>(super->data() + 4, config_.inode_count);
+    std::memset(super, 0, kBlockSize);
+    set_le<uint32_t>(super, kMagic);
+    set_le<uint32_t>(super + 4, config_.inode_count);
 
     // Root directory: inode 0.
     Inode root;
@@ -397,7 +450,7 @@ EncFs::mkfs()
     for (uint32_t b = inode_table_start_; b < data_start_; ++b) {
         auto blk = get_block(b, true);
         if (!blk.ok()) return blk.error();
-        std::memset(blk.value()->data(), 0, kBlockSize);
+        std::memset(blk.value(), 0, kBlockSize);
     }
     OCC_RETURN_IF_ERROR(store_inode(0, root));
     root_inode_ = 0;
@@ -408,14 +461,13 @@ Status
 EncFs::mount()
 {
     OCC_RETURN_IF_ERROR(load_mac_table());
-    cache_.clear();
-    lru_.clear();
+    reset_cache();
     mounted_ = true;
     auto sb = get_block(super_block_, false);
     if (!sb.ok()) {
         return sb.error();
     }
-    if (get_le<uint32_t>(sb.value()->data()) != kMagic) {
+    if (get_le<uint32_t>(sb.value()) != kMagic) {
         mounted_ = false;
         return Status(ErrorCode::kInval, "EncFs: bad superblock magic");
     }
@@ -432,25 +484,29 @@ EncFs::alloc_block()
 {
     uint64_t data_blocks = device_->block_count() - data_start_;
     for (uint32_t bb = 0; bb < bitmap_blocks_; ++bb) {
+        // Every bitmap block up to the one that yields is fetched, as
+        // a scan from byte 0 would, so the cache sees the same
+        // accesses; only the bytes below the hint are not re-read.
         auto blk = get_block(bitmap_start_ + bb, false);
         if (!blk.ok()) return blk.error();
-        Bytes &bits = *blk.value();
-        for (uint32_t byte = 0; byte < kBlockSize; ++byte) {
+        const uint8_t *bits = blk.value();
+        uint64_t first = static_cast<uint64_t>(bb) * kBlockSize;
+        for (uint64_t byte = std::max(first, alloc_hint_) - first;
+             byte < kBlockSize; ++byte) {
             if (bits[byte] == 0xff) {
                 continue;
             }
             for (int bit = 0; bit < 8; ++bit) {
-                uint64_t index =
-                    (static_cast<uint64_t>(bb) * kBlockSize + byte) * 8 +
-                    bit;
+                uint64_t index = (first + byte) * 8 + bit;
                 if (index >= data_blocks) {
                     return Error(ErrorCode::kNoSpc, "EncFs full");
                 }
                 if (!(bits[byte] & (1 << bit))) {
                     auto wblk = get_block(bitmap_start_ + bb, true);
                     if (!wblk.ok()) return wblk.error();
-                    (*wblk.value())[byte] |=
+                    wblk.value()[byte] |=
                         static_cast<uint8_t>(1 << bit);
+                    alloc_hint_ = first + byte;
                     return static_cast<uint32_t>(data_start_ + index);
                 }
             }
@@ -470,8 +526,9 @@ EncFs::free_block(uint32_t block)
     auto blk = get_block(bitmap_start_ + bb, true);
     if (!blk.ok()) return blk.error();
     uint64_t in_block = index % (kBlockSize * 8);
-    (*blk.value())[in_block / 8] &=
+    blk.value()[in_block / 8] &=
         static_cast<uint8_t>(~(1 << (in_block % 8)));
+    alloc_hint_ = std::min(alloc_hint_, index / 8);
     return Status();
 }
 
@@ -511,7 +568,7 @@ EncFs::load_inode(uint32_t index)
     auto blk = get_block(inode_table_start_ + index / per_block, false);
     if (!blk.ok()) return blk.error();
     const uint8_t *raw =
-        blk.value()->data() + (index % per_block) * kInodeSize;
+        blk.value() + (index % per_block) * kInodeSize;
     Inode inode;
     inode.type = static_cast<InodeType>(raw[0]);
     inode.size = get_le<uint64_t>(raw + 8);
@@ -531,7 +588,7 @@ EncFs::store_inode(uint32_t index, const Inode &inode)
     uint32_t per_block = kBlockSize / kInodeSize;
     auto blk = get_block(inode_table_start_ + index / per_block, true);
     if (!blk.ok()) return blk.error();
-    uint8_t *raw = blk.value()->data() + (index % per_block) * kInodeSize;
+    uint8_t *raw = blk.value() + (index % per_block) * kInodeSize;
     std::memset(raw, 0, kInodeSize);
     raw[0] = static_cast<uint8_t>(inode.type);
     set_le<uint64_t>(raw + 8, inode.size);
@@ -574,12 +631,12 @@ EncFs::map_file_block(Inode &inode, uint64_t file_block, bool allocate,
         inode_dirty = true;
         auto blk = get_block(inode.indirect, true);
         if (!blk.ok()) return blk.error();
-        std::memset(blk.value()->data(), 0xff, kBlockSize); // kNoBlock
+        std::memset(blk.value(), 0xff, kBlockSize); // kNoBlock
     }
     auto ind = get_block(inode.indirect, false);
     if (!ind.ok()) return ind.error();
     uint32_t block =
-        get_le<uint32_t>(ind.value()->data() + 4 * ind_index);
+        get_le<uint32_t>(ind.value() + 4 * ind_index);
     if (block == kNoBlock) {
         if (!allocate) {
             return kNoBlock;
@@ -588,7 +645,7 @@ EncFs::map_file_block(Inode &inode, uint64_t file_block, bool allocate,
         if (!fresh.ok()) return fresh.error();
         auto wind = get_block(inode.indirect, true);
         if (!wind.ok()) return wind.error();
-        set_le<uint32_t>(wind.value()->data() + 4 * ind_index,
+        set_le<uint32_t>(wind.value() + 4 * ind_index,
                          fresh.value());
         return fresh.value();
     }
@@ -846,7 +903,7 @@ EncFs::read(uint32_t inode_index, uint64_t offset, uint8_t *out,
         } else {
             auto data = get_block(block.value(), false);
             if (!data.ok()) return data.error();
-            std::memcpy(out + done, data.value()->data() + in_block, n);
+            std::memcpy(out + done, data.value() + in_block, n);
         }
         done += n;
     }
@@ -881,7 +938,7 @@ EncFs::maybe_readahead(uint32_t inode_index, Inode &node,
             return;
         }
         if (block.value() == kNoBlock ||
-            cache_.find(block.value()) != cache_.end()) {
+            slot_of(block.value()) != kNoSlot) {
             continue; // hole, or already resident
         }
         ctr_readahead_->add();
@@ -914,7 +971,7 @@ EncFs::write(uint32_t inode_index, uint64_t offset, const uint8_t *in,
         if (!block.ok()) return block.error();
         auto data = get_block(block.value(), true);
         if (!data.ok()) return data.error();
-        std::memcpy(data.value()->data() + in_block, in + done, n);
+        std::memcpy(data.value() + in_block, in + done, n);
         done += n;
     }
     if (offset + len > node.size) {
@@ -954,7 +1011,7 @@ EncFs::truncate(uint32_t inode_index)
         if (!ind.ok()) return ind.error();
         for (uint32_t e = 0; e < kIndirectEntries; ++e) {
             uint32_t block =
-                get_le<uint32_t>(ind.value()->data() + 4 * e);
+                get_le<uint32_t>(ind.value() + 4 * e);
             if (block != kNoBlock) {
                 OCC_RETURN_IF_ERROR(free_block(block));
             }

@@ -26,9 +26,7 @@
 #define OCCLUM_LIBOS_ENCFS_H
 
 #include <functional>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/result.h"
@@ -125,11 +123,20 @@ class EncFs
         uint32_t indirect = kNoBlock;
     };
 
+    static constexpr uint32_t kNoSlot = 0xffffffff;
+
+    /**
+     * One page-cache slot. Its 4 KiB buffer outlives the blocks it
+     * holds: an evicted block leaves the buffer to the slot's next
+     * block. A free slot has block == kNoBlock.
+     */
     struct CacheEntry {
         Bytes data;
+        uint32_t block = kNoBlock;
         bool dirty = false;
-        /** Position in lru_ (front = most recently used). */
-        std::list<uint32_t>::iterator lru_it;
+        /** LRU neighbours (slot indices, kNoSlot at either end). */
+        uint32_t prev = kNoSlot;
+        uint32_t next = kNoSlot;
     };
 
     // ---- device layer --------------------------------------------------
@@ -144,10 +151,25 @@ class EncFs
     Status dev_write(uint32_t block, const Bytes &in);
 
     // ---- block layer ---------------------------------------------------
-    /** Fetch a payload block through the page cache (decrypt+verify). */
-    Result<Bytes *> get_block(uint32_t block, bool for_write);
-    Status flush_entry(uint32_t block, CacheEntry &entry);
+    /**
+     * Fetch a payload block through the page cache (decrypt+verify):
+     * its kBlockSize bytes, valid until the block is evicted.
+     */
+    Result<uint8_t *> get_block(uint32_t block, bool for_write);
+    Status flush_entry(CacheEntry &entry);
     Status evict_if_needed();
+    /** The slot holding `block`, or kNoSlot. */
+    uint32_t
+    slot_of(uint32_t block) const
+    {
+        return block < slot_of_.size() ? slot_of_[block] : kNoSlot;
+    }
+    /** A free slot: popped off the free stack, else a new one. */
+    uint32_t take_slot();
+    void lru_unlink(uint32_t slot);
+    void lru_push_front(uint32_t slot);
+    /** Empty the cache (dirty blocks are dropped), keeping buffers. */
+    void reset_cache();
     /** Pull blocks ahead of a detected sequential read stream. */
     void maybe_readahead(uint32_t inode_index, Inode &node,
                          uint64_t offset, uint64_t len);
@@ -218,13 +240,30 @@ class EncFs
                         const Bytes &ciphertext, Bytes &plain) const;
 
     /**
-     * Page cache: O(1) lookup via the hash map, O(1) LRU via the
-     * intrusive list (front = hottest, eviction pops the back).
-     * unordered_map nodes are pointer-stable, so Bytes* handed out by
-     * get_block stay valid until that block is evicted.
+     * Page cache: slot_of_ maps a device block to its slot in O(1),
+     * and an intrusive list threaded through the slots orders them by
+     * use (head = hottest; eviction takes the tail). Slots, and their
+     * buffers, are created on demand up to the high-water mark of
+     * resident blocks, and never freed. A buffer stays put when
+     * slots_ grows, so the pointer get_block returns stays valid
+     * until that block is evicted; after that it points at whatever
+     * block the slot holds next.
      */
-    std::unordered_map<uint32_t, CacheEntry> cache_;
-    std::list<uint32_t> lru_;
+    std::vector<CacheEntry> slots_;
+    /** Per device block, kNoSlot when absent. Grown on demand to the
+     *  highest block cached so far: an FS that touches only its
+     *  metadata pays for no device-sized index. */
+    std::vector<uint32_t> slot_of_;
+    std::vector<uint32_t> free_slots_;
+    uint32_t lru_head_ = kNoSlot;
+    uint32_t lru_tail_ = kNoSlot;
+    /** Device-side image of one block: read before decrypt, written
+     *  after encrypt. */
+    Bytes ciphertext_;
+    /** sync()'s list of dirty blocks, kept to reuse its storage. */
+    std::vector<uint32_t> dirty_blocks_;
+    /** Bitmap byte index below which every byte is 0xff (all used). */
+    uint64_t alloc_hint_ = 0;
     uint64_t cache_hits_ = 0;
     uint64_t cache_misses_ = 0;
     uint64_t evictions_ = 0;

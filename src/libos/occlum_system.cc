@@ -458,9 +458,8 @@ OcclumSystem::ocall()
 {
     // An OCALL is issued by code running inside the enclave, so the
     // TCS is kInside: a refused EEXIT here is a kernel bug.
-    sgx::SgxThread &thread = core_tcs(current_core());
-    OCC_CHECK_MSG(thread.leave().ok(), "OCALL from a TCS not inside");
-    OCC_CHECK(thread.enter().ok());
+    OCC_CHECK_MSG(core_tcs(current_core()).ocall().ok(),
+                  "OCALL from a TCS not inside");
 }
 
 Status

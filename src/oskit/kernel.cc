@@ -511,7 +511,7 @@ Kernel::fire_due_timers()
 
 std::optional<int64_t>
 Kernel::block_on(Process &proc, uint64_t wake,
-                 const std::vector<WaitQueue *> &queues)
+                 std::span<WaitQueue *const> queues)
 {
     for (WaitQueue *queue : queues) {
         if (std::find(proc.waiting_on.begin(), proc.waiting_on.end(),
@@ -969,7 +969,7 @@ Kernel::dispatch(Process &proc, uint64_t num,
             IoResult r = file->write(*this, tmp, len);
             if (r.would_block) {
                 return block_on(proc, r.wake_time,
-                                {&file->write_waiters()});
+                                file->write_waiters());
             }
             if (r.value == neg_errno(ErrorCode::kPipe) &&
                 file->epipe_kills()) {
@@ -997,8 +997,7 @@ Kernel::dispatch(Process &proc, uint64_t num,
         }
         IoResult r = file->read(*this, tmp, len);
         if (r.would_block) {
-            return block_on(proc, r.wake_time,
-                            {&file->read_waiters()});
+            return block_on(proc, r.wake_time, file->read_waiters());
         }
         if (r.value > 0) {
             if (!copy_to_user(proc, buf, tmp,
@@ -1080,7 +1079,7 @@ Kernel::dispatch(Process &proc, uint64_t num,
             // such child" like an unknown pid.
             return neg_errno(ErrorCode::kChild);
         }
-        return block_on(proc, ~0ull, {&pid_waiters_[pid]});
+        return block_on(proc, ~0ull, pid_waiters_[pid]);
       }
 
       case Sys::kGetPid:
@@ -1269,7 +1268,7 @@ Kernel::dispatch(Process &proc, uint64_t num,
         if (!conn) {
             return block_on(proc,
                             net_->next_accept_time(listener->port()),
-                            {&file->read_waiters()});
+                            file->read_waiters());
         }
         charge(CostModel::kNetAcceptCycles);
         int fd = proc.alloc_fd();
@@ -1451,7 +1450,7 @@ Kernel::dispatch(Process &proc, uint64_t num,
             return n;
         }
         return block_on(proc, std::min(proc.sys_deadline, min_due),
-                        {&ep->read_waiters()});
+                        ep->read_waiters());
       }
 
       case Sys::kGetArg: {

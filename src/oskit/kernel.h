@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -421,7 +422,15 @@ class Kernel
      */
     std::optional<int64_t>
     block_on(Process &proc, uint64_t wake,
-             const std::vector<WaitQueue *> &queues);
+             std::span<WaitQueue *const> queues);
+
+    /** block_on() for the common case of a single queue. */
+    std::optional<int64_t>
+    block_on(Process &proc, uint64_t wake, WaitQueue &queue)
+    {
+        WaitQueue *one = &queue;
+        return block_on(proc, wake, std::span<WaitQueue *const>(&one, 1));
+    }
 
     /** Detach a process from every wait queue it joined. */
     void detach_waits(Process &proc);

@@ -102,25 +102,46 @@ Enclave::~Enclave()
     platform_->release_epc(reserved_bytes_);
 }
 
-// Transition edges: the span brackets the clock charge, so its
-// duration is exactly the transition's calibrated cycle cost and the
-// breakdown benches can attribute it to the sgx category.
+// Transition edges: each *_edge bumps its counter and charges the
+// clock; the charge_* wrappers bracket one edge (or an OCALL's pair)
+// in a span, so its duration is exactly the calibrated cycle cost and
+// the breakdown benches can attribute it to the sgx category.
 void
-Enclave::charge_eenter()
+Enclave::eenter_edge()
 {
     static trace::Counter *ctr = &transition_counter("sgx.eenter");
-    OCC_TRACE_SPAN(kSgx, "sgx.eenter");
     ctr->add();
     charge(CostModel::kEenterCycles);
 }
 
 void
-Enclave::charge_eexit()
+Enclave::eexit_edge()
 {
     static trace::Counter *ctr = &transition_counter("sgx.eexit");
-    OCC_TRACE_SPAN(kSgx, "sgx.eexit");
     ctr->add();
     charge(CostModel::kEexitCycles);
+}
+
+void
+Enclave::charge_eenter()
+{
+    OCC_TRACE_SPAN(kSgx, "sgx.eenter");
+    eenter_edge();
+}
+
+void
+Enclave::charge_eexit()
+{
+    OCC_TRACE_SPAN(kSgx, "sgx.eexit");
+    eexit_edge();
+}
+
+void
+Enclave::charge_ocall()
+{
+    OCC_TRACE_SPAN(kSgx, "sgx.ocall");
+    eexit_edge();
+    eenter_edge();
 }
 
 void
@@ -363,6 +384,26 @@ SgxThread::record(Transition event)
 Status
 SgxThread::enter()
 {
+    return enter_edge(true);
+}
+
+Status
+SgxThread::leave()
+{
+    return leave_edge(true);
+}
+
+Status
+SgxThread::ocall()
+{
+    OCC_TRACE_SPAN(kSgx, "sgx.ocall");
+    OCC_RETURN_IF_ERROR(leave_edge(false));
+    return enter_edge(false);
+}
+
+Status
+SgxThread::enter_edge(bool own_span)
+{
     if (phase_ == TcsPhase::kAexed) {
         // The SmashEx shape: re-entry while the single SSA frame
         // (NSSA=1) still holds the interrupted context. Refused with
@@ -377,12 +418,16 @@ SgxThread::enter()
     }
     phase_ = TcsPhase::kInside;
     record(Transition::kEenter);
-    enclave_->charge_eenter();
+    if (own_span) {
+        enclave_->charge_eenter();
+    } else {
+        enclave_->eenter_edge();
+    }
     return Status();
 }
 
 Status
-SgxThread::leave()
+SgxThread::leave_edge(bool own_span)
 {
     if (phase_ != TcsPhase::kInside) {
         record(Transition::kEexitRefused);
@@ -391,7 +436,11 @@ SgxThread::leave()
     }
     phase_ = TcsPhase::kOutside;
     record(Transition::kEexit);
-    enclave_->charge_eexit();
+    if (own_span) {
+        enclave_->charge_eexit();
+    } else {
+        enclave_->eexit_edge();
+    }
     return Status();
 }
 

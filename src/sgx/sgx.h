@@ -182,6 +182,13 @@ class Enclave
     void charge_eenter();
     void charge_eexit();
     void charge_aex();
+    /**
+     * One OCALL's world switch: EEXIT then EENTER, both counted and
+     * charged, under a single span for the pair. OCALLs are the
+     * hottest transitions, and a span per edge doubled their trace
+     * volume.
+     */
+    void charge_ocall();
 
     /**
      * EREPORT: produce a local-attestation report binding `user_data`.
@@ -214,7 +221,12 @@ class Enclave
     uint64_t added_pages() const { return added_pages_; }
 
   private:
+    friend class SgxThread;
+
     void charge(uint64_t cycles) { platform_->clock().advance(cycles); }
+    /** The bare edges: counter and charge, no span of their own. */
+    void eenter_edge();
+    void eexit_edge();
 
     Platform *platform_;
     uint64_t base_;
@@ -272,6 +284,13 @@ class SgxThread
 
     /** EEXIT: leave the enclave. Refused unless executing inside. */
     Status leave();
+
+    /**
+     * An OCALL round trip: leave() then enter(), with the same checks
+     * and monitor records, under one sgx span for the pair (see
+     * Enclave::charge_ocall).
+     */
+    Status ocall();
 
     /**
      * Re-point a bound-CPU TCS at another logical processor's state.
@@ -333,6 +352,10 @@ class SgxThread
   private:
     /** Report one transition to the monitor at the platform clock. */
     void record(Transition event);
+    /** enter()/leave() with the edge charged bare (own_span false)
+     *  or under its own span. */
+    Status enter_edge(bool own_span);
+    Status leave_edge(bool own_span);
 
     Enclave *enclave_;
     /** Set only by the owning constructor. */

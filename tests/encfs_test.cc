@@ -2,14 +2,17 @@
  * @file
  * Encrypted file-system tests: correctness (files, directories,
  * growth through the indirect block, persistence across remount),
- * and the security properties — ciphertext on the device, integrity
- * rejection on tamper.
+ * the security properties — ciphertext on the device, integrity
+ * rejection on tamper — and the page cache: pinned hit/miss/eviction
+ * counts and device write sequence, slot recycling, first-fit block
+ * allocation and remount.
  */
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "base/rng.h"
+#include "faultsim/faultsim.h"
 #include "libos/encfs.h"
 
 namespace occlum::libos {
@@ -47,6 +50,85 @@ pattern(size_t n, uint64_t seed)
     }
     return out;
 }
+
+/**
+ * Reads the device the way a holder of the FS key can: the write
+ * counters from the on-device MAC table, and each payload block's
+ * plaintext. Valid after a sync(), when the MAC table is on disk.
+ */
+struct DeviceView {
+    static constexpr uint32_t kRecordsPerBlock = 4096 / 40;
+
+    host::BlockDevice &device;
+    /** EncFs geometry: the MAC table covers every payload block. */
+    uint32_t mac_blocks;
+
+    explicit DeviceView(host::BlockDevice &d)
+        : device(d),
+          mac_blocks(static_cast<uint32_t>(
+              (d.block_count() + kRecordsPerBlock) /
+              (kRecordsPerBlock + 1)))
+    {}
+
+    uint64_t
+    counter(uint32_t block) const
+    {
+        uint32_t index = block - mac_blocks;
+        const Bytes &raw = device.raw_block(index / kRecordsPerBlock);
+        if (raw.empty()) {
+            return 0;
+        }
+        return get_le<uint64_t>(raw.data() +
+                                (index % kRecordsPerBlock) * 40 + 32);
+    }
+
+    Bytes
+    plaintext(uint32_t block) const
+    {
+        crypto::Aes128 cipher(FsHarness::make_config().key);
+        return cipher.ctr_crypt(EncFs::ctr_iv(block, counter(block)), 0,
+                                device.raw_block(block));
+    }
+
+    /** The payload block holding exactly `content`, or kNoBlock. */
+    uint32_t
+    find(const Bytes &content) const
+    {
+        for (uint32_t b = mac_blocks; b < device.block_count(); ++b) {
+            if (!device.raw_block(b).empty() && plaintext(b) == content) {
+                return b;
+            }
+        }
+        return EncFs::kNoBlock;
+    }
+};
+
+/**
+ * The device write sequence, observed from the OCALL gate (which EncFs
+ * takes after every device I/O attempt) by diffing the device against
+ * a shadow copy: a successful write always changes its block, since
+ * every write carries a fresh counter.
+ */
+struct WriteLog {
+    host::BlockDevice &device;
+    std::vector<Bytes> shadow;
+    std::vector<uint32_t> blocks;
+
+    explicit WriteLog(host::BlockDevice &d)
+        : device(d), shadow(d.block_count())
+    {}
+
+    void
+    observe()
+    {
+        for (uint32_t b = 0; b < device.block_count(); ++b) {
+            if (device.raw_block(b) != shadow[b]) {
+                shadow[b] = device.raw_block(b);
+                blocks.push_back(b);
+            }
+        }
+    }
+};
 
 TEST(EncFs, WriteReadSmallFile)
 {
@@ -358,6 +440,264 @@ TEST(EncFs, RereadsAcrossCounterWrapBoundary)
     auto back = h.fs.read_file("/w");
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(back.value(), b);
+}
+
+TEST(EncFs, SeededMixPinsCacheAndDeviceTraffic)
+{
+    // A seeded read/write/sync mix over two files through an 8-block
+    // cache. The pinned values are the page cache's observable
+    // behaviour: hit/miss/eviction counts, simulated cycles and the
+    // exact device write sequence, each write's block and counter.
+    // The device must not fail: a retried I/O would add cycles.
+    faultsim::ScopedFaultPlan clean{faultsim::FaultPlan{}};
+    SimClock clock;
+    host::BlockDevice device(clock, 256);
+    WriteLog log(device);
+    EncFs::Config config = FsHarness::make_config();
+    config.inode_count = 16;
+    config.cache_blocks = 8;
+    config.ocall = [&log] { log.observe(); };
+    EncFs fs(device, clock, config);
+    ASSERT_TRUE(fs.mkfs().ok());
+
+    constexpr uint64_t kSpan = 48 * 4096;
+    uint32_t inodes[2];
+    std::vector<Bytes> model(2);
+    for (int f = 0; f < 2; ++f) {
+        auto inode = fs.open_inode("/m" + std::to_string(f), true, false);
+        ASSERT_TRUE(inode.ok());
+        inodes[f] = inode.value();
+    }
+    Rng rng(2024);
+    for (int op = 0; op < 400; ++op) {
+        uint64_t kind = rng.next_below(8);
+        size_t f = rng.next_below(2);
+        uint64_t offset = rng.next_below(kSpan);
+        uint64_t len = 1 + rng.next_below(3 * 4096);
+        if (kind == 0) {
+            ASSERT_TRUE(fs.sync().ok());
+        } else if (kind < 4) {
+            Bytes data = pattern(len, op);
+            ASSERT_TRUE(fs.write(inodes[f], offset, data.data(), len).ok());
+            if (model[f].size() < offset + len) {
+                model[f].resize(offset + len, 0);
+            }
+            std::copy(data.begin(), data.end(),
+                      model[f].begin() + offset);
+        } else {
+            Bytes out(len);
+            auto n = fs.read(inodes[f], offset, out.data(), len);
+            ASSERT_TRUE(n.ok());
+            uint64_t expect_n =
+                offset >= model[f].size()
+                    ? 0
+                    : std::min(len, model[f].size() - offset);
+            ASSERT_EQ(static_cast<uint64_t>(n.value()), expect_n) << op;
+            ASSERT_TRUE(std::equal(out.begin(), out.begin() + expect_n,
+                                   model[f].begin() + offset))
+                << op;
+        }
+    }
+    ASSERT_TRUE(fs.sync().ok());
+
+    // Each payload write bumps its block's counter by one, so the
+    // counter a write carried is its block's write count so far. The
+    // final counters on the device must agree with the log.
+    DeviceView view(device);
+    std::vector<uint64_t> writes(device.block_count(), 0);
+    uint64_t digest = 0xcbf29ce484222325ull; // FNV-1a over (block, ctr)
+    for (uint32_t block : log.blocks) {
+        uint64_t counter = block < view.mac_blocks ? 0 : ++writes[block];
+        for (uint64_t word : {uint64_t{block}, counter}) {
+            digest = (digest ^ word) * 0x100000001b3ull;
+        }
+    }
+    for (uint32_t b = view.mac_blocks; b < device.block_count(); ++b) {
+        EXPECT_EQ(view.counter(b), writes[b]) << "block " << b;
+    }
+
+    EXPECT_EQ(fs.cache_hits(), 647u);
+    EXPECT_EQ(fs.cache_misses(), 689u);
+    EXPECT_EQ(fs.evictions(), 681u);
+    EXPECT_EQ(log.blocks.size(), 448u);
+    EXPECT_EQ(digest, 16076209498383842208ull);
+    EXPECT_EQ(clock.cycles(), 93846246u);
+}
+
+TEST(EncFs, IntegrityFailureOnMissCachesNothing)
+{
+    SimClock clock;
+    host::BlockDevice device(clock, 4096);
+    EncFs::Config config = FsHarness::make_config();
+    config.cache_blocks = 4;
+    config.readahead_blocks = 0;
+    Bytes data = pattern(4 * 4096, 41);
+    {
+        EncFs fs(device, clock, config);
+        ASSERT_TRUE(fs.mkfs().ok());
+        ASSERT_TRUE(fs.write_file("/f", data).ok());
+        ASSERT_TRUE(fs.sync().ok());
+    }
+    Bytes third(data.begin() + 2 * 4096, data.begin() + 3 * 4096);
+    uint32_t victim = DeviceView(device).find(third);
+    ASSERT_NE(victim, EncFs::kNoBlock);
+    device.raw_block(victim)[100] ^= 0x1;
+
+    EncFs fs(device, clock, config);
+    ASSERT_TRUE(fs.mount().ok());
+    auto inode = fs.open_inode("/f", false, false);
+    ASSERT_TRUE(inode.ok());
+    Bytes out(4096);
+    EXPECT_FALSE(fs.read(inode.value(), 2 * 4096, out.data(), 4096).ok());
+    // The failed block was not left resident: a retry misses again,
+    // and fails again, rather than returning unverified plaintext.
+    uint64_t misses = fs.cache_misses();
+    EXPECT_FALSE(fs.read(inode.value(), 2 * 4096, out.data(), 4096).ok());
+    EXPECT_EQ(fs.cache_misses(), misses + 1);
+
+    // Once the device holds the genuine ciphertext again, the same
+    // read verifies and returns the right block.
+    device.raw_block(victim)[100] ^= 0x1;
+    ASSERT_TRUE(fs.read(inode.value(), 2 * 4096, out.data(), 4096).ok());
+    EXPECT_EQ(out, third);
+}
+
+TEST(EncFs, RecycledCacheSlotsNeverLeakAnotherBlock)
+{
+    SimClock clock;
+    host::BlockDevice device(clock, 4096);
+    EncFs::Config config = FsHarness::make_config();
+    config.cache_blocks = 4;
+    config.readahead_blocks = 0;
+    Bytes data = pattern(16 * 4096, 42);
+    {
+        EncFs fs(device, clock, config);
+        ASSERT_TRUE(fs.mkfs().ok());
+        ASSERT_TRUE(fs.write_file("/f", data).ok());
+        ASSERT_TRUE(fs.sync().ok());
+    }
+    EncFs fs(device, clock, config);
+    ASSERT_TRUE(fs.mount().ok());
+    auto inode = fs.open_inode("/f", false, false);
+    ASSERT_TRUE(inode.ok());
+    // Every read after the first few misses into a slot that last held
+    // some other block.
+    Bytes out(4096);
+    for (uint64_t b : {15, 0, 7, 3, 12, 1, 9, 14, 2, 8, 4, 11, 6, 13, 5,
+                       10, 15, 0}) {
+        ASSERT_TRUE(fs.read(inode.value(), b * 4096, out.data(), 4096)
+                        .ok());
+        EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                               data.begin() + b * 4096))
+            << "file block " << b;
+    }
+    EXPECT_GE(fs.evictions(), 12u);
+
+    // A never-written block reads as zeros, even in a recycled slot.
+    auto fresh = fs.open_inode("/g", true, false);
+    ASSERT_TRUE(fresh.ok());
+    uint8_t edge = 0x5a;
+    ASSERT_TRUE(fs.write(fresh.value(), 0, &edge, 1).ok());
+    ASSERT_TRUE(fs.write(fresh.value(), 4095, &edge, 1).ok());
+    ASSERT_TRUE(fs.read(fresh.value(), 0, out.data(), 4096).ok());
+    Bytes expect(4096, 0);
+    expect.front() = expect.back() = edge;
+    EXPECT_EQ(out, expect);
+}
+
+TEST(EncFs, IndirectFileReadsBackThroughFourBlockCache)
+{
+    SimClock clock;
+    host::BlockDevice device(clock, 4096);
+    EncFs::Config config = FsHarness::make_config();
+    config.cache_blocks = 4;
+    // 130 blocks: past the 120 direct pointers into the indirect block,
+    // with the inode, bitmap and indirect blocks competing for 4 slots.
+    Bytes data = pattern(130 * 4096 + 123, 43);
+    {
+        EncFs fs(device, clock, config);
+        ASSERT_TRUE(fs.mkfs().ok());
+        ASSERT_TRUE(fs.write_file("/big", data).ok());
+        auto back = fs.read_file("/big");
+        ASSERT_TRUE(back.ok());
+        EXPECT_EQ(back.value(), data);
+        ASSERT_TRUE(fs.sync().ok());
+    }
+    EncFs cold(device, clock, config);
+    ASSERT_TRUE(cold.mount().ok());
+    auto back = cold.read_file("/big");
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back.value(), data);
+}
+
+TEST(EncFs, FreedLowBlocksAreAllocatedFirst)
+{
+    FsHarness h;
+    // Twelve one-block files take consecutive data blocks.
+    std::vector<uint32_t> at;
+    for (int i = 0; i < 12; ++i) {
+        ASSERT_TRUE(h.fs.write_file("/f" + std::to_string(i),
+                                    pattern(4096, 100 + i))
+                        .ok());
+    }
+    ASSERT_TRUE(h.fs.sync().ok());
+    DeviceView view(h.device);
+    for (int i = 0; i < 12; ++i) {
+        at.push_back(view.find(pattern(4096, 100 + i)));
+        ASSERT_NE(at.back(), EncFs::kNoBlock);
+        if (i > 0) {
+            EXPECT_EQ(at[i], at[i - 1] + 1);
+        }
+    }
+
+    // Free two low blocks: the next allocations fill them lowest
+    // first, then continue past the highest block in use.
+    ASSERT_TRUE(h.fs.unlink("/f7").ok());
+    ASSERT_TRUE(h.fs.unlink("/f2").ok());
+    for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE(h.fs.write_file("/g" + std::to_string(i),
+                                    pattern(4096, 200 + i))
+                        .ok());
+    }
+    ASSERT_TRUE(h.fs.sync().ok());
+    EXPECT_EQ(view.find(pattern(4096, 200)), at[2]);
+    EXPECT_EQ(view.find(pattern(4096, 201)), at[7]);
+    EXPECT_EQ(view.find(pattern(4096, 202)), at[11] + 1);
+}
+
+TEST(EncFs, RemountResetsTheCache)
+{
+    SimClock clock;
+    host::BlockDevice device(clock, 4096);
+    EncFs::Config config = FsHarness::make_config();
+    config.readahead_blocks = 0;
+    EncFs fs(device, clock, config);
+    ASSERT_TRUE(fs.mkfs().ok());
+    Bytes synced = pattern(8 * 4096, 51);
+    ASSERT_TRUE(fs.write_file("/f", synced).ok());
+    ASSERT_TRUE(fs.sync().ok());
+    // Dirty in the cache only: a remount drops it unwritten.
+    auto inode = fs.open_inode("/f", false, false);
+    ASSERT_TRUE(inode.ok());
+    Bytes scribble = pattern(4096, 52);
+    ASSERT_TRUE(fs.write(inode.value(), 0, scribble.data(), 4096).ok());
+
+    ASSERT_TRUE(fs.mount().ok());
+    uint64_t misses = fs.cache_misses();
+    auto back = fs.read_file("/f");
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back.value(), synced);
+    // Every data block came from the device again.
+    EXPECT_GE(fs.cache_misses() - misses, 8u);
+
+    // Allocation restarts from the on-device bitmap: a new file after
+    // the remount survives another remount next to the old one.
+    Bytes more = pattern(3 * 4096, 53);
+    ASSERT_TRUE(fs.write_file("/g", more).ok());
+    ASSERT_TRUE(fs.sync().ok());
+    ASSERT_TRUE(fs.mount().ok());
+    EXPECT_EQ(fs.read_file("/f").value(), synced);
+    EXPECT_EQ(fs.read_file("/g").value(), more);
 }
 
 } // namespace

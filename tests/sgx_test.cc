@@ -10,6 +10,8 @@
 
 #include "crypto/reference.h"
 #include "sgx/sgx.h"
+#include "trace/metrics.h"
+#include "trace/trace.h"
 
 namespace occlum::sgx {
 namespace {
@@ -366,6 +368,52 @@ TEST(SgxThread, EnterRefusedOnOccupiedSsaFrame)
     ASSERT_FALSE(busy.ok());
     EXPECT_EQ(busy.code(), ErrorCode::kBusy);
 }
+
+#ifndef OCCLUM_TRACE_DISABLED
+TEST(SgxThread, OcallIsOneTransitionPairUnderOneSpan)
+{
+    // Both OCALL gates, the TCS's (Occlum) and the bare enclave's (EIP,
+    // the attest transport), charge and count an EEXIT and an EENTER
+    // but record one sgx span for the pair, not one per edge.
+    Platform platform;
+    Enclave enclave(platform, kBase, 1 << 20);
+    ASSERT_TRUE(
+        enclave.add_pages(kBase, vm::kPageSize, vm::kPermRX).ok());
+    ASSERT_TRUE(enclave.init().ok());
+    SgxThread thread(enclave);
+
+    trace::Registry &registry = trace::Registry::instance();
+    const uint64_t eenter0 = registry.counter("sgx.eenter").value();
+    const uint64_t eexit0 = registry.counter("sgx.eexit").value();
+    trace::Tracer &tracer = trace::Tracer::instance();
+    tracer.bind_clock(&platform.clock());
+    tracer.enable(64);
+    const uint64_t cycles0 = platform.clock().cycles();
+    Status gate = thread.ocall();
+    enclave.charge_ocall();
+    const uint64_t spent = platform.clock().cycles() - cycles0;
+    std::vector<trace::Event> events = tracer.events();
+    tracer.disable();
+    tracer.bind_clock(nullptr);
+
+    ASSERT_TRUE(gate.ok());
+    EXPECT_EQ(thread.phase(), TcsPhase::kInside);
+    constexpr uint64_t kPair =
+        CostModel::kEexitCycles + CostModel::kEenterCycles;
+    EXPECT_EQ(spent, 2 * kPair);
+    EXPECT_EQ(registry.counter("sgx.eenter").value() - eenter0, 2u);
+    EXPECT_EQ(registry.counter("sgx.eexit").value() - eexit0, 2u);
+    ASSERT_EQ(events.size(), 4u);
+    for (size_t i = 0; i < events.size(); ++i) {
+        EXPECT_EQ(events[i].cat, trace::Category::kSgx);
+        EXPECT_STREQ(events[i].name, "sgx.ocall");
+        EXPECT_EQ(events[i].type, i % 2 == 0 ? trace::EventType::kBegin
+                                             : trace::EventType::kEnd);
+    }
+    EXPECT_EQ(events[1].ts - events[0].ts, kPair);
+    EXPECT_EQ(events[3].ts - events[2].ts, kPair);
+}
+#endif // OCCLUM_TRACE_DISABLED
 
 TEST(Attestation, ReportsVerifyOnSamePlatformOnly)
 {
