@@ -270,13 +270,15 @@ EncFs::get_block(uint32_t block, bool for_write)
     OCC_RETURN_IF_ERROR(evict_if_needed());
 
     const MacRecord &record = mac_table_[block];
-    if (record.counter != 0) {
+    const bool zeros = record.counter == 0 || record.fresh;
+    if (!zeros) {
         OCC_RETURN_IF_ERROR(dev_read(block, ciphertext_));
     }
     slot = take_slot();
     CacheEntry &entry = slots_[slot];
-    if (record.counter == 0) {
-        // Never written: logically zero, nothing to fetch or verify.
+    if (zeros) {
+        // Never written, or allocated since its last flush: logically
+        // zero, nothing to fetch or verify.
         entry.data.assign(kBlockSize, 0);
     } else {
         bool ok = decrypt_verify(block, record, ciphertext_, entry.data);
@@ -374,6 +376,7 @@ EncFs::flush_entry(CacheEntry &entry)
     }
     uint32_t records_per_block = kBlockSize / kMacRecordSize;
     mac_block_dirty_[(block - mac_blocks_) / records_per_block] = true;
+    record.fresh = false;
     entry.dirty = false;
     return Status();
 }
@@ -507,7 +510,18 @@ EncFs::alloc_block()
                     wblk.value()[byte] |=
                         static_cast<uint8_t>(1 << bit);
                     alloc_hint_ = first + byte;
-                    return static_cast<uint32_t>(data_start_ + index);
+                    const auto block =
+                        static_cast<uint32_t>(data_start_ + index);
+                    // A freed block still holds its last owner's bytes,
+                    // on the device and maybe in the cache: the new
+                    // owner must see zeros.
+                    mac_table_[block].fresh = true;
+                    const uint32_t slot = slot_of(block);
+                    if (slot != kNoSlot) {
+                        std::fill(slots_[slot].data.begin(),
+                                  slots_[slot].data.end(), 0);
+                    }
+                    return block;
                 }
             }
         }
@@ -558,8 +572,24 @@ EncFs::alloc_inode(InodeType type)
 // inodes
 // ---------------------------------------------------------------------
 
+EncFs::DirectRange
+EncFs::direct_range(uint64_t offset, uint64_t len, uint64_t extra)
+{
+    const uint64_t first = offset / kBlockSize;
+    if (first >= kDirectBlocks) {
+        return {kDirectBlocks, 0};
+    }
+    // Blocks spanned, counted without forming offset + len (a hostile
+    // length must not wrap).
+    const uint64_t span =
+        len == 0 ? 1 : ((offset % kBlockSize) + (len - 1)) / kBlockSize + 1;
+    const uint64_t want = std::min<uint64_t>(span, kDirectBlocks) + extra;
+    const uint64_t count = std::min<uint64_t>(want, kDirectBlocks - first);
+    return {static_cast<uint32_t>(first), static_cast<uint32_t>(count)};
+}
+
 Result<EncFs::Inode>
-EncFs::load_inode(uint32_t index)
+EncFs::load_inode(uint32_t index, DirectRange range)
 {
     if (index >= config_.inode_count) {
         return Error(ErrorCode::kInval, "bad inode index");
@@ -572,7 +602,7 @@ EncFs::load_inode(uint32_t index)
     Inode inode;
     inode.type = static_cast<InodeType>(raw[0]);
     inode.size = get_le<uint64_t>(raw + 8);
-    for (uint32_t d = 0; d < kDirectBlocks; ++d) {
+    for (uint32_t d = range.first; d < range.first + range.count; ++d) {
         inode.direct[d] = get_le<uint32_t>(raw + 16 + 4 * d);
     }
     inode.indirect = get_le<uint32_t>(raw + 16 + 4 * kDirectBlocks);
@@ -580,7 +610,7 @@ EncFs::load_inode(uint32_t index)
 }
 
 Status
-EncFs::store_inode(uint32_t index, const Inode &inode)
+EncFs::store_inode(uint32_t index, const Inode &inode, DirectRange range)
 {
     if (index >= config_.inode_count) {
         return Status(ErrorCode::kInval, "bad inode index");
@@ -589,10 +619,12 @@ EncFs::store_inode(uint32_t index, const Inode &inode)
     auto blk = get_block(inode_table_start_ + index / per_block, true);
     if (!blk.ok()) return blk.error();
     uint8_t *raw = blk.value() + (index % per_block) * kInodeSize;
-    std::memset(raw, 0, kInodeSize);
+    if (range.first == 0 && range.count == kDirectBlocks) {
+        std::memset(raw, 0, kInodeSize);
+    }
     raw[0] = static_cast<uint8_t>(inode.type);
     set_le<uint64_t>(raw + 8, inode.size);
-    for (uint32_t d = 0; d < kDirectBlocks; ++d) {
+    for (uint32_t d = range.first; d < range.first + range.count; ++d) {
         set_le<uint32_t>(raw + 16 + 4 * d, inode.direct[d]);
     }
     set_le<uint32_t>(raw + 16 + 4 * kDirectBlocks, inode.indirect);
@@ -882,7 +914,10 @@ EncFs::read(uint32_t inode_index, uint64_t offset, uint8_t *out,
 {
     OCC_TRACE_SPAN(kFs, "encfs.read", len);
     clock_->advance(CostModel::kEncFsOpCycles);
-    auto inode = load_inode(inode_index);
+    // The blocks read, plus what readahead may map past them.
+    auto inode = load_inode(
+        inode_index,
+        direct_range(offset, len, config_.readahead_blocks + 1));
     if (!inode.ok()) return inode.error();
     Inode node = inode.take();
     if (offset >= node.size) {
@@ -957,7 +992,8 @@ EncFs::write(uint32_t inode_index, uint64_t offset, const uint8_t *in,
 {
     OCC_TRACE_SPAN(kFs, "encfs.write", len);
     clock_->advance(CostModel::kEncFsOpCycles);
-    auto inode = load_inode(inode_index);
+    const DirectRange range = direct_range(offset, len, 0);
+    auto inode = load_inode(inode_index, range);
     if (!inode.ok()) return inode.error();
     Inode node = inode.take();
     uint64_t done = 0;
@@ -979,7 +1015,7 @@ EncFs::write(uint32_t inode_index, uint64_t offset, const uint8_t *in,
         inode_dirty = true;
     }
     if (inode_dirty) {
-        OCC_RETURN_IF_ERROR(store_inode(inode_index, node));
+        OCC_RETURN_IF_ERROR(store_inode(inode_index, node, range));
     }
     clock_->advance(static_cast<uint64_t>(
         done * CostModel::kMemcpyCyclesPerByte));

@@ -181,8 +181,24 @@ class EncFs
     Result<uint32_t> alloc_inode(InodeType type);
 
     // ---- inode / directory helpers ----------------------------------------
-    Result<Inode> load_inode(uint32_t index);
-    Status store_inode(uint32_t index, const Inode &inode);
+    /** The direct pointers an inode access decodes (or encodes):
+     *  [first, first + count). The default is all of them. */
+    struct DirectRange {
+        uint32_t first;
+        uint32_t count;
+    };
+    /** The direct pointers of file bytes [offset, offset + len), plus
+     *  `extra` blocks past them (a read's readahead window). */
+    static DirectRange direct_range(uint64_t offset, uint64_t len,
+                                    uint64_t extra);
+    /** Decode type, size, indirect and the `range` direct pointers;
+     *  the others are left unset. */
+    Result<Inode> load_inode(uint32_t index,
+                             DirectRange range = {0, kDirectBlocks});
+    /** Encode what load_inode(index, range) decoded; a partial range
+     *  leaves the other direct pointers on the table untouched. */
+    Status store_inode(uint32_t index, const Inode &inode,
+                       DirectRange range = {0, kDirectBlocks});
     /** Logical file block -> device block (optionally allocating). */
     Result<uint32_t> map_file_block(Inode &inode, uint64_t file_block,
                                     bool allocate, bool &inode_dirty);
@@ -217,6 +233,13 @@ class EncFs
     struct MacRecord {
         crypto::Sha256Digest mac{};
         uint64_t counter = 0;
+        /**
+         * Allocated since its last flush: the block is logically
+         * zero whatever the device still holds (a freed file's
+         * ciphertext), so a miss installs zeros without reading it.
+         * The counter keeps counting, so no CTR nonce repeats.
+         */
+        bool fresh = false;
     };
     std::vector<MacRecord> mac_table_;
     std::vector<bool> mac_block_dirty_;

@@ -311,6 +311,9 @@ OcclumSystem::create_process(const std::string &path,
     proc->space = &enclave_->mem();
     proc->owned_cpu = std::make_unique<vm::Cpu>(enclave_->mem());
     proc->cpu = proc->owned_cpu.get();
+    // The slot is the SIP's own memory: its quanta may run on another
+    // host thread, which must touch nothing beyond it.
+    proc->cpu->confine_to(slot.base, slot.base + slot_span());
     oskit::init_cpu(*proc->cpu, domain.value());
     proc->domain_base = domain.value().base;
     proc->d_begin = domain.value().d_begin;

@@ -241,6 +241,9 @@ Kernel::spawn(const std::string &path, const std::vector<std::string> &argv,
         uint64_t pid64 = static_cast<uint64_t>(pid);
         proc->space->write_raw(proc->d_begin + abi::kPcbPid, &pid64, 8);
     }
+    // An inline quantum reaching into another SIP's memory (only an
+    // unsigned binary can) must see it as of its own walk slot.
+    proc->space->set_foreign_access_hook([this] { drop_preruns(); });
     run_queues_[proc->home_core].insert(pid);
     procs_.emplace(pid, std::move(proc));
     ++stats_.spawns;
@@ -257,6 +260,8 @@ Kernel::kill_process(Process &proc, DeathCause cause, int64_t code)
     if (proc.state == ProcState::kDead) {
         return;
     }
+    // A killed sibling's pre-run never happened.
+    drop_prerun(proc);
     proc.state = ProcState::kDead;
     proc.death = cause;
     proc.exit_code = code;
@@ -293,6 +298,7 @@ Kernel::kill_process(Process &proc, DeathCause cause, int64_t code)
                       static_cast<uint64_t>(proc.pid));
     death_order_.push_back(proc.pid);
     destroy_process(proc);
+    proc.cpu->release_caches();
     any_progress_ = true;
 }
 
@@ -531,9 +537,122 @@ Kernel::block_on(Process &proc, uint64_t wake,
 // scheduler
 // ---------------------------------------------------------------------
 
+void
+Kernel::start_preruns()
+{
+    std::vector<Process *> &batch = prerun_batch_;
+    batch.clear();
+    batch.swap(budget_exits_);
+    const bool sustained = prev_budget_exits_ >= 2;
+    prev_budget_exits_ = batch.size();
+    // AEX storms slice quanta inline (run_user_quantum).
+    if (batch.size() < 2 || !sustained || pool_ == nullptr ||
+        faultsim::FaultSim::instance().aex_period() != 0) {
+        return;
+    }
+    // Killed since its quantum (a later slot of the last round).
+    std::erase_if(batch, [](const Process *proc) {
+        return proc->state != ProcState::kRunnable;
+    });
+    if (batch.size() < 2) {
+        return;
+    }
+    for (Process *proc : batch) {
+        proc->prerun_cycles = proc->cpu->cycles();
+        proc->prerun_instructions = proc->cpu->instructions();
+        preruns_.push_back(proc);
+    }
+    run_preruns(batch);
+}
+
+void
+Kernel::run_preruns(const std::vector<Process *> &batch)
+{
+    for (Process *proc : batch) {
+        proc->prerun_generation = proc->space->code_generation();
+    }
+    const uint64_t quantum = quantum_;
+    pool_->run(batch.size(), [&batch, quantum](size_t i) {
+        Process &proc = *batch[i];
+        vm::Cpu &cpu = *proc.cpu;
+        if (proc.prerun == PreRun::kReady) {
+            cpu.rollback_speculation();
+        }
+        proc.prerun_exit = cpu.speculate(quantum);
+        if (cpu.speculation_aborted()) {
+            cpu.rollback_speculation();
+            proc.prerun = PreRun::kInline;
+        } else {
+            proc.prerun = PreRun::kReady;
+        }
+    });
+    prerun_stats_.preruns += batch.size();
+    for (const Process *proc : batch) {
+        prerun_stats_.yields += proc->prerun == PreRun::kInline;
+    }
+}
+
+vm::CpuExit
+Kernel::take_prerun(Process &proc)
+{
+    if (proc.prerun == PreRun::kReady &&
+        proc.space->code_generation() != proc.prerun_generation) {
+        // An earlier slot changed code (a spawn into a reused slot,
+        // a store to a fetched page): this pre-run and every other
+        // outstanding one ran against stale blocks. Redo them all.
+        std::vector<Process *> redo;
+        for (Process *other : preruns_) {
+            if (other->prerun == PreRun::kReady) {
+                redo.push_back(other);
+            }
+        }
+        prerun_stats_.reruns += redo.size();
+        if (redo.size() > 1) {
+            run_preruns(redo);
+        } else {
+            proc.cpu->rollback_speculation();
+            proc.prerun = PreRun::kInline;
+        }
+    }
+    const PreRun kind = proc.prerun;
+    proc.prerun = PreRun::kNone;
+    preruns_.erase(std::find(preruns_.begin(), preruns_.end(), &proc));
+    if (kind == PreRun::kInline) {
+        return proc.cpu->run(quantum_);
+    }
+    ++prerun_stats_.commits;
+    proc.cpu->commit_speculation(proc.prerun_exit);
+    return proc.prerun_exit;
+}
+
+void
+Kernel::drop_prerun(Process &proc)
+{
+    if (proc.prerun == PreRun::kNone) {
+        return;
+    }
+    if (proc.prerun == PreRun::kReady) {
+        proc.cpu->rollback_speculation();
+    }
+    proc.prerun = PreRun::kNone;
+    preruns_.erase(std::find(preruns_.begin(), preruns_.end(), &proc));
+    ++prerun_stats_.discards;
+}
+
+void
+Kernel::drop_preruns()
+{
+    while (!preruns_.empty()) {
+        drop_prerun(*preruns_.back());
+    }
+}
+
 vm::CpuExit
 Kernel::run_user_quantum(Process &proc)
 {
+    if (proc.prerun != PreRun::kNone) {
+        return take_prerun(proc); // only when no AEX plan is armed
+    }
     uint64_t period = faultsim::FaultSim::instance().aex_period();
     if (period == 0) {
         // Idle path: must stay literally the pre-faultsim code so the
@@ -595,9 +714,13 @@ Kernel::run_one_quantum(Process &proc)
         core_ctrs_[current_core_].quanta->add();
     }
     // Runnable: execute a quantum. The span covers the charge so
-    // its duration equals the cycles the SIP's code consumed.
-    uint64_t before_cycles = proc.cpu->cycles();
-    uint64_t before_instrs = proc.cpu->instructions();
+    // its duration equals the cycles the SIP's code consumed. (A
+    // pre-run already advanced the CPU; its base is kept.)
+    const bool pre = proc.prerun != PreRun::kNone;
+    uint64_t before_cycles =
+        pre ? proc.prerun_cycles : proc.cpu->cycles();
+    uint64_t before_instrs =
+        pre ? proc.prerun_instructions : proc.cpu->instructions();
     vm::CpuExit exit;
     {
         OCC_TRACE_SPAN(kVm, "cpu.quantum",
@@ -611,6 +734,9 @@ Kernel::run_one_quantum(Process &proc)
         any_progress_ = true;
     }
 
+    if (exit.kind == vm::ExitKind::kInstrBudget) {
+        budget_exits_.push_back(&proc);
+    }
     switch (exit.kind) {
       case vm::ExitKind::kInstrBudget:
         break;
@@ -738,6 +864,7 @@ Kernel::step_round()
     // Processes spawned during the round first run next round (pids
     // are strictly monotonic, so every new pid is above the cap).
     const int cap = next_pid_ - 1;
+    start_preruns();
     const uint64_t round_start = clock_->cycles();
     uint64_t round_end = round_start;
     for (int core = 0; core < num_cores_; ++core) {
@@ -755,6 +882,8 @@ Kernel::step_round()
         }
         round_end = std::max(round_end, clock_->cycles());
     }
+    // Every candidate was visited (or killed) above; nothing remains.
+    drop_preruns();
     current_core_ = 0;
     clock_->set_cycles(round_end);
     fire_due_timers();

@@ -33,6 +33,7 @@
 #include "base/sim_clock.h"
 #include "oelf/abi.h"
 #include "oskit/file_object.h"
+#include "oskit/quantum_pool.h"
 #include "trace/metrics.h"
 #include "vm/cpu.h"
 
@@ -46,6 +47,13 @@ enum class DeathCause {
     kPrivileged, // executed a privileged instruction
     kKilled,     // kill() by another process
     kPipe,       // wrote to a pipe with no readers (SIGPIPE-shaped)
+};
+
+/** Where a process's quantum of the current round stands. */
+enum class PreRun {
+    kNone,   // runs inline at its walk slot, as always
+    kReady,  // pre-run speculatively; committed (or redone) at its slot
+    kInline, // the pre-run was refused and undone; runs inline
 };
 
 /** Scheduler state of a process. */
@@ -72,6 +80,14 @@ struct Process {
      */
     uint64_t ran_round = 0;
     ProcState state = ProcState::kRunnable;
+    PreRun prerun = PreRun::kNone;
+    /** Code generation the kReady pre-run executed under. */
+    uint64_t prerun_generation = 0;
+    /** The kReady pre-run's exit, consumed at the walk slot. */
+    vm::CpuExit prerun_exit;
+    /** CPU cycles and instructions before the pre-run. */
+    uint64_t prerun_cycles = 0;
+    uint64_t prerun_instructions = 0;
     DeathCause death = DeathCause::kNone;
     int64_t exit_code = 0;
     vm::FaultKind last_fault = vm::FaultKind::kNone;
@@ -189,6 +205,18 @@ struct KernelStats {
     uint64_t faults = 0;
 };
 
+/**
+ * Host-side pre-run bookkeeping (never part of any simulated result:
+ * it depends on the host's CPUs).
+ */
+struct PreRunStats {
+    uint64_t preruns = 0;   // speculative quanta executed
+    uint64_t commits = 0;   // ... kept at their walk slot
+    uint64_t yields = 0;    // refused (foreign access, code store)
+    uint64_t reruns = 0;    // redone after an earlier slot moved code
+    uint64_t discards = 0;  // undone: killed, or foreign access inline
+};
+
 /** Upper bound of Kernel::set_cores. */
 constexpr int kMaxCores = 64;
 
@@ -300,6 +328,14 @@ class Kernel
 
     /** Instructions per scheduling quantum. */
     void set_quantum(uint64_t quantum) { quantum_ = quantum; }
+
+    /**
+     * Host threads for pre-running quanta (QuantumPool::shared() by
+     * default; nullptr runs every quantum inline at its slot). Results
+     * are the same for every pool; tests pin that.
+     */
+    void set_quantum_pool(QuantumPool *pool) { pool_ = pool; }
+    const PreRunStats &prerun_stats() const { return prerun_stats_; }
 
     // ---- wakeups ---------------------------------------------------
     /**
@@ -456,6 +492,25 @@ class Kernel
     /** One quantum + exit handling for a runnable process. */
     void run_one_quantum(Process &proc);
 
+    /**
+     * Pre-run phase of a round: every runnable process whose last
+     * quantum ended on its budget speculatively executes its next
+     * quantum on the pool, to be committed at its walk slot — once
+     * two rounds in a row have had at least two such quanta. A lone
+     * CPU-bound quantum gains nothing, and a lone round of them (a
+     * server's start-up) is not worth the first batch's threads.
+     */
+    void start_preruns();
+    /** Execute (or, for kReady entries, redo) `batch`'s pre-runs. */
+    void run_preruns(const std::vector<Process *> &batch);
+    /** The quantum pre-run for `proc`, redone first if an earlier slot
+     *  moved the code generation; inline if the pre-run was refused. */
+    vm::CpuExit take_prerun(Process &proc);
+    /** Undo `proc`'s outstanding pre-run, if any. */
+    void drop_prerun(Process &proc);
+    /** Undo every outstanding pre-run. */
+    void drop_preruns();
+
     /** Point the NetSim's event observers at this kernel. */
     void install_net_events();
 
@@ -534,6 +589,19 @@ class Kernel
 
     /** Pids in the order they died (determinism fingerprint). */
     std::vector<int> death_order_;
+
+    QuantumPool *pool_ = QuantumPool::shared();
+    /** Processes whose PreRun is not kNone (this round only). */
+    std::vector<Process *> preruns_;
+    /** Processes whose quantum this round ended on its budget: the
+     *  next round's pre-run candidates (every runnable process runs
+     *  once per round, so no older entry can be missing). */
+    std::vector<Process *> budget_exits_;
+    /** Last round's list, reused as start_preruns' batch. */
+    std::vector<Process *> prerun_batch_;
+    /** How many quanta ended on their budget the round before. */
+    size_t prev_budget_exits_ = 0;
+    PreRunStats prerun_stats_;
 
     /**
      * Timed waits, ordered by (wake_time, pid): exactly one entry per

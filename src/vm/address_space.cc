@@ -60,7 +60,8 @@ AddressSpace::unmap(uint64_t addr, uint64_t len)
         had_exec = had_exec || (it->second.perms & kPermX);
         pages_.erase(it);
     }
-    flush_tlb(); // erased nodes may be cached in the TLB
+    // Erased nodes may be cached anywhere: every cache empties itself.
+    epoch_.fetch_add(1, std::memory_order_release);
     if (had_exec) {
         touch_code();
     }
@@ -88,8 +89,9 @@ AddressSpace::protect(uint64_t addr, uint64_t len, uint8_t perms)
         // was fetchable may no longer be, and vice versa.
         touched_exec = touched_exec || ((page.perms | perms) & kPermX);
         page.perms = perms;
-        drop_entries(a / kPageSize); // refilled under the new perms
     }
+    // Host entries are refilled under the new perms.
+    epoch_.fetch_add(1, std::memory_order_release);
     if (touched_exec) {
         touch_code();
     }
@@ -113,85 +115,201 @@ AddressSpace::is_mapped(uint64_t addr, uint64_t len) const
 uint8_t
 AddressSpace::perms_at(uint64_t addr) const
 {
-    const Page *page = find_page(addr);
+    kernel_cache_.sync();
+    const Page *page = kernel_cache_.lookup(addr / kPageSize);
     return page ? page->perms : static_cast<uint8_t>(kPermNone);
 }
 
 void
-AddressSpace::flush_tlb() const
+AddressSpace::advance_epoch(AccessCache &by)
 {
-    tlb_.fill(TlbEntry{});
-    read_tlb_.fill(HostEntry{});
-    write_tlb_.fill(HostEntry{});
-}
-
-void
-AddressSpace::fill_entries(uint64_t page_no, const Page &page) const
-{
-    const size_t s = page_no % kTlbEntries;
-    if (page.perms & kPermR) {
-        read_tlb_[s] = {page_no, page.data ? page.data.get()
-                                           : const_cast<uint8_t *>(kZeroPage)};
-    }
-    if ((page.perms & kPermW) && page.data && !page.code) {
-        write_tlb_[s] = {page_no, page.data.get()};
+    uint64_t old = epoch_.fetch_add(1, std::memory_order_acq_rel);
+    if (by.epoch_ == old) {
+        by.epoch_ = old + 1;
     }
 }
 
 void
-AddressSpace::drop_entries(uint64_t page_no) const
-{
-    const size_t s = page_no % kTlbEntries;
-    if (read_tlb_[s].page_no == page_no) {
-        read_tlb_[s] = HostEntry{};
-    }
-    if (write_tlb_[s].page_no == page_no) {
-        write_tlb_[s] = HostEntry{};
-    }
-}
-
-AddressSpace::Page *
-AddressSpace::lookup_page_slow(uint64_t page_no) const
-{
-    TlbEntry &entry = tlb_[page_no % kTlbEntries];
-    auto it = pages_.find(page_no);
-    if (it == pages_.end()) {
-        return nullptr; // misses are not cached (map() must be seen)
-    }
-    entry.page_no = page_no;
-    entry.page = const_cast<Page *>(&it->second);
-    return entry.page;
-}
-
-const AddressSpace::Page *
-AddressSpace::find_page(uint64_t addr) const
-{
-    return lookup_page(addr / kPageSize);
-}
-
-AddressSpace::Page *
-AddressSpace::find_page(uint64_t addr)
-{
-    return lookup_page(addr / kPageSize);
-}
-
-void
-AddressSpace::materialize(uint64_t page_no, Page &page)
+AddressSpace::materialize(AccessCache &cache, uint64_t page_no, Page &page)
 {
     page.data = std::make_unique<uint8_t[]>(kPageSize);
     std::memset(page.data.get(), 0, kPageSize);
-    drop_entries(page_no); // its read entry still names kZeroPage
+    // Read entries of the lazy page still name the zero page.
+    cache.drop(page_no);
+    advance_epoch(cache);
 }
+
+// ---------------------------------------------------------------------
+// AccessCache
+// ---------------------------------------------------------------------
+
+void
+AccessCache::sync()
+{
+    uint64_t epoch = space_->epoch_.load(std::memory_order_acquire);
+    if (epoch != epoch_) {
+        flush();
+        epoch_ = epoch;
+    }
+}
+
+void
+AccessCache::flush()
+{
+    tlb_.fill(TlbEntry{});
+    read_.fill(HostEntry{});
+    write_.fill(HostEntry{});
+}
+
+void
+AccessCache::fill(uint64_t page_no, const Page &page, bool writable)
+{
+    const size_t s = page_no % kEntries;
+    if (page.perms & kPermR) {
+        read_[s] = {page_no, page.data ? page.data.get()
+                                       : const_cast<uint8_t *>(kZeroPage)};
+    }
+    if (writable && (page.perms & kPermW) && page.data && !page.code) {
+        write_[s] = {page_no, page.data.get()};
+    }
+}
+
+void
+AccessCache::drop(uint64_t page_no)
+{
+    const size_t s = page_no % kEntries;
+    if (read_[s].page_no == page_no) {
+        read_[s] = HostEntry{};
+    }
+    if (write_[s].page_no == page_no) {
+        write_[s] = HostEntry{};
+    }
+}
+
+Page *
+AccessCache::lookup_slow(uint64_t page_no)
+{
+    auto it = space_->pages_.find(page_no);
+    if (it == space_->pages_.end()) {
+        return nullptr; // misses are not cached (map() must be seen)
+    }
+    TlbEntry &entry = tlb_[page_no % kEntries];
+    entry.page_no = page_no;
+    entry.page = &it->second;
+    return entry.page;
+}
+
+void
+AccessCache::journal(Page &page)
+{
+    for (const PageUndo &undo : undo_) {
+        if (undo.page == &page) {
+            return;
+        }
+    }
+    PageUndo undo;
+    undo.page = &page;
+    if (page.data) {
+        if (spare_.empty()) {
+            undo.bytes = std::make_unique<uint8_t[]>(kPageSize);
+        } else {
+            undo.bytes = std::move(spare_.back());
+            spare_.pop_back();
+        }
+        std::memcpy(undo.bytes.get(), page.data.get(), kPageSize);
+    }
+    undo_.push_back(std::move(undo));
+}
+
+void
+AccessCache::begin_speculation()
+{
+    sync();
+    // Write entries filled before now skip the journal.
+    write_.fill(HostEntry{});
+    speculating_ = true;
+    aborted_ = false;
+}
+
+void
+AccessCache::end_speculation(bool keep)
+{
+    for (PageUndo &undo : undo_) {
+        if (keep) {
+            // nothing to restore
+        } else if (undo.bytes == nullptr) {
+            // Was lazy: zeros again, keeping the backing so no cache
+            // has to forget it. Lazy and zero-filled differ only to a
+            // later wipe of a fetched page; a redone quantum writes
+            // this page again, and a killed SIP's written pages are
+            // never fetched (Occlum data is not executable; other
+            // personalities drop the whole space).
+            std::memset(undo.page->data.get(), 0, kPageSize);
+        } else {
+            std::memcpy(undo.page->data.get(), undo.bytes.get(),
+                        kPageSize);
+        }
+        if (undo.bytes != nullptr) {
+            spare_.push_back(std::move(undo.bytes));
+        }
+    }
+    if (!keep) {
+        for (Page *page : marked_) {
+            page->code = false;
+        }
+        // Write entries opened by the speculation must not outlive it.
+        write_.fill(HostEntry{});
+    }
+    undo_.clear();
+    marked_.clear();
+    speculating_ = false;
+    aborted_ = false;
+}
+
+AccessFault
+AccessCache::read(uint64_t addr, void *out, uint64_t len)
+{
+    return space_->access<false>(*this, addr, out, len, kPermR);
+}
+
+AccessFault
+AccessCache::write(uint64_t addr, const void *in, uint64_t len)
+{
+    return space_->access<true>(*this, addr, const_cast<void *>(in), len,
+                                kPermW);
+}
+
+AccessFault
+AccessCache::fetch(uint64_t addr, void *out, uint64_t len)
+{
+    return space_->access<false>(*this, addr, out, len, kPermX);
+}
+
+// ---------------------------------------------------------------------
+// the generic access path
+// ---------------------------------------------------------------------
 
 template <bool Write>
 AccessFault
-AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
+AddressSpace::access(AccessCache &cache, uint64_t addr, void *buf,
+                     uint64_t len, uint8_t require)
 {
+    const bool own = cache.owns(addr, len);
+    if (!own) {
+        if (cache.speculating_) {
+            // Another SIP's memory: its owner may be running right now.
+            cache.aborted_ = true;
+            return AccessFault::kUnmapped;
+        }
+        if (foreign_hook_) {
+            foreign_hook_();
+        }
+    }
     // Fast path: the access stays inside one page (nearly every data
     // access the interpreter issues).
     if ((addr & kPageMask) + len <= kPageSize) {
         const uint64_t page_no = addr / kPageSize;
-        Page *page = lookup_page(page_no);
+        Page *page = cache.lookup(page_no);
         if (!page) {
             return AccessFault::kUnmapped;
         }
@@ -201,8 +319,17 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
             return AccessFault::kNoRead;
         }
         if constexpr (Write) {
+            if (cache.speculating_) {
+                if (page->code) {
+                    // The store would advance the code generation,
+                    // which every other Cpu reads.
+                    cache.aborted_ = true;
+                    return AccessFault::kNoWrite;
+                }
+                cache.journal(*page);
+            }
             if (!page->data) {
-                materialize(page_no, *page);
+                materialize(cache, page_no, *page);
             }
             std::memcpy(page->data.get() + (addr & kPageMask), buf, len);
             if (page->code) {
@@ -213,7 +340,11 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
                 // fetch: the bytes may get decoded, so stores to the
                 // page must take the bumping write() from now on
                 page->code = true;
-                drop_entries(page_no);
+                if (cache.speculating_) {
+                    cache.marked_.push_back(page);
+                }
+                cache.drop(page_no);
+                advance_epoch(cache);
             }
             if (!page->data) {
                 std::memset(buf, 0, len); // lazy page: logically zeros
@@ -222,7 +353,10 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
                             len);
             }
         }
-        fill_entries(page_no, *page);
+        if (own) {
+            // A speculation's write entries name journaled pages only.
+            cache.fill(page_no, *page, Write || !cache.speculating_);
+        }
         return AccessFault::kNone;
     }
 
@@ -240,7 +374,7 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
     };
     while (done < len) {
         uint64_t a = addr + done;
-        Page *page = find_page(a);
+        Page *page = cache.lookup(a / kPageSize);
         if (!page) {
             return finish(AccessFault::kUnmapped);
         }
@@ -252,15 +386,26 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
         uint64_t in_page = kPageSize - (a & kPageMask);
         uint64_t n = std::min(in_page, len - done);
         if constexpr (Write) {
+            if (cache.speculating_) {
+                if (page->code) {
+                    cache.aborted_ = true;
+                    return finish(AccessFault::kNoWrite);
+                }
+                cache.journal(*page);
+            }
             if (!page->data) {
-                materialize(a / kPageSize, *page);
+                materialize(cache, a / kPageSize, *page);
             }
             std::memcpy(page->data.get() + (a & kPageMask), out + done, n);
             wrote_code = wrote_code || page->code;
         } else {
             if ((require & kPermX) && !page->code) {
                 page->code = true; // an instruction may straddle here
-                drop_entries(a / kPageSize);
+                if (cache.speculating_) {
+                    cache.marked_.push_back(page);
+                }
+                cache.drop(a / kPageSize);
+                advance_epoch(cache);
             }
             if (!page->data) {
                 std::memset(out + done, 0, n);
@@ -278,46 +423,30 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
 }
 
 AccessFault
-AddressSpace::read(uint64_t addr, void *out, uint64_t len) const
-{
-    return const_cast<AddressSpace *>(this)->access<false>(addr, out, len,
-                                                           kPermR);
-}
-
-AccessFault
-AddressSpace::write(uint64_t addr, const void *in, uint64_t len)
-{
-    return access<true>(addr, const_cast<void *>(in), len, kPermW);
-}
-
-AccessFault
-AddressSpace::fetch(uint64_t addr, void *out, uint64_t len) const
-{
-    return const_cast<AddressSpace *>(this)->access<false>(addr, out, len,
-                                                           kPermX);
-}
-
-AccessFault
 AddressSpace::read_raw(uint64_t addr, void *out, uint64_t len) const
 {
-    return const_cast<AddressSpace *>(this)->access<false>(addr, out, len,
-                                                           0);
+    kernel_cache_.sync();
+    return const_cast<AddressSpace *>(this)->access<false>(
+        kernel_cache_, addr, out, len, 0);
 }
 
 AccessFault
 AddressSpace::write_raw(uint64_t addr, const void *in, uint64_t len)
 {
-    return access<true>(addr, const_cast<void *>(in), len, 0);
+    kernel_cache_.sync();
+    return access<true>(kernel_cache_, addr, const_cast<void *>(in), len,
+                        0);
 }
 
 AccessFault
 AddressSpace::zero_raw(uint64_t addr, uint64_t len)
 {
+    kernel_cache_.sync();
     uint64_t done = 0;
     bool wrote_code = false;
     while (done < len) {
         uint64_t a = addr + done;
-        Page *page = find_page(a);
+        Page *page = kernel_cache_.lookup(a / kPageSize);
         if (!page) {
             if (wrote_code) {
                 touch_code();

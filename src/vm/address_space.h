@@ -12,10 +12,13 @@
 #define OCCLUM_VM_ADDRESS_SPACE_H
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "base/bytes.h"
 #include "base/result.h"
@@ -45,11 +48,233 @@ enum class AccessFault {
     kNoExec,
 };
 
+class AddressSpace;
+
+/**
+ * One 4 KiB page. A null `data` means the page is logically all-zeros
+ * and has no backing store yet; the first write materializes it.
+ * Newly mapped pages start in this state, so mapping a multi-MiB
+ * reserve region (enclave slots, heaps) is O(pages) map entries, not
+ * O(bytes) of memset.
+ *
+ * `code` is set by the first fetch() that reads the page and stays
+ * set until the page is unmapped: from then on the page may back
+ * decoded instructions, so a write to it advances the code
+ * generation.
+ */
+struct Page {
+    std::unique_ptr<uint8_t[]> data;
+    uint8_t perms = kPermNone;
+    bool code = false;
+};
+
+/**
+ * One accessor's private translation caches over an AddressSpace: a
+ * direct-mapped Page-pointer cache for the generic paths and a
+ * softmmu-style host-pointer TLB (a read and a write entry per slot)
+ * for the width-templated fast paths. Each vm::Cpu owns one, so a
+ * quantum's lookups touch nothing another Cpu's quantum writes; the
+ * AddressSpace keeps one more for its own (trusted, kernel-side)
+ * accessors.
+ *
+ * Coherence: every unmap, protect, materialization and code mark
+ * advances the space's atomic epoch. An accessor that made the change
+ * drops its own affected entries at once; every other cache empties
+ * itself at its next sync(): the space's own cache on entry to each of
+ * its accessors, a vm::Cpu's at the start of each quantum. Nothing
+ * but the Cpu's own accesses can change what its entries name while
+ * its quantum runs: the kernel is not running, and other Cpus only
+ * touch pages outside its private range, for which it holds none.
+ * (A new mapping needs no bump: no entry names an unmapped page.)
+ *
+ * Confinement: set_private_range() limits the host entries to one
+ * address range (an Occlum SIP's domain slot). An access that leaves
+ * it takes the generic path every time; a speculating cache refuses
+ * it (see begin_speculation), any other calls the space's
+ * foreign-access hook first.
+ */
+class AccessCache
+{
+  public:
+    explicit AccessCache(AddressSpace &space) : space_(&space) {}
+    AccessCache(const AccessCache &) = delete;
+    AccessCache &operator=(const AccessCache &) = delete;
+
+    /** Keep host entries (and speculative accesses) inside [lo, hi). */
+    void
+    set_private_range(uint64_t lo, uint64_t hi)
+    {
+        confined_ = true;
+        lo_ = lo;
+        hi_ = hi;
+        flush();
+    }
+
+    /** Empty every entry if the space's epoch moved since last time. */
+    void sync();
+
+    // ---- checked accessors (the Cpu's view of memory) ---------------
+    AccessFault read(uint64_t addr, void *out, uint64_t len);
+    AccessFault write(uint64_t addr, const void *in, uint64_t len);
+    AccessFault fetch(uint64_t addr, void *out, uint64_t len);
+
+    /**
+     * Width-templated single-access fast paths used by the superblock
+     * tier's micro-op loop. An entry exists only where the access
+     * needs no further check, so a hit is one tag compare plus the
+     * host copy, inline at the call site. The tag is compared against
+     * the page of the access's *last* byte while the slot is picked by
+     * its first, so an access that straddles a page boundary can never
+     * hit. A miss takes the generic read()/write(), which faults or
+     * fills the entry.
+     *
+     * A write entry never exists for a page that has supplied decoded
+     * bytes, so a write_hit() can never advance the code generation;
+     * only a store that misses can, which is why the trace re-checks
+     * the generation after a missed store only.
+     */
+    template <uint64_t N>
+    AccessFault
+    read_fast(uint64_t addr, void *out)
+    {
+        static_assert(N >= 1 && N <= kPageSize);
+        const HostEntry &entry = read_[slot(addr)];
+        if (entry.page_no == (addr + N - 1) / kPageSize) [[likely]] {
+            std::memcpy(out, entry.host + (addr & kPageMask), N);
+            return AccessFault::kNone;
+        }
+        // The miss reads into its own buffer: handing `out` to the
+        // out-of-line read() would pin the caller's value to memory
+        // on the hit path too.
+        uint8_t bytes[N] = {};
+        AccessFault fault = read(addr, bytes, N);
+        std::memcpy(out, bytes, N);
+        return fault;
+    }
+
+    /** Store on a write-entry hit only; false means nothing was
+     *  written and the caller must take write(). */
+    template <uint64_t N>
+    bool
+    write_hit(uint64_t addr, const void *in)
+    {
+        static_assert(N >= 1 && N <= kPageSize);
+        const HostEntry &entry = write_[slot(addr)];
+        if (entry.page_no == (addr + N - 1) / kPageSize) [[likely]] {
+            std::memcpy(entry.host + (addr & kPageMask), in, N);
+            return true;
+        }
+        return false;
+    }
+
+    template <uint64_t N>
+    AccessFault
+    write_fast(uint64_t addr, const void *in)
+    {
+        return write_hit<N>(addr, in) ? AccessFault::kNone
+                                      : write(addr, in, N);
+    }
+
+    inline uint64_t code_generation() const;
+
+    // ---- speculation ---------------------------------------------------
+    /**
+     * Journal every change this cache makes until end_speculation():
+     * the first store to a page saves its bytes (or that it was lazy),
+     * and every code mark is remembered. A speculating cache never
+     * advances the code generation and never touches memory outside
+     * its private range: such an access fails instead and sets
+     * aborted(), so a speculative quantum only ever changes its own
+     * pages and can be undone exactly.
+     */
+    void begin_speculation();
+    bool aborted() const { return aborted_; }
+    /** Keep the journaled changes, or (keep == false) undo them. */
+    void end_speculation(bool keep);
+
+  private:
+    friend class AddressSpace;
+
+    static constexpr size_t kEntries = 256;
+    struct TlbEntry {
+        uint64_t page_no = ~0ull;
+        Page *page = nullptr;
+    };
+    /**
+     * One host-pointer TLB entry: `host` is the base of the page's
+     * bytes. ~0 is no page number (the top page cannot be mapped), so
+     * a default entry never hits. Invariants, kept by fill() and the
+     * drops in materialization, code marking and sync():
+     *   read entry  — page has R; host is its data, or a shared zero
+     *                 page while the page is lazy;
+     *   write entry — page has W, is materialized, and has no `code`;
+     *                 while speculating, also journaled.
+     */
+    struct HostEntry {
+        uint64_t page_no = ~0ull;
+        uint8_t *host = nullptr;
+    };
+    /** A page's bytes before the speculation's first store to it;
+     *  null bytes: the page was lazy. */
+    struct PageUndo {
+        Page *page = nullptr;
+        std::unique_ptr<uint8_t[]> bytes;
+    };
+
+    static size_t
+    slot(uint64_t addr)
+    {
+        return (addr / kPageSize) % kEntries;
+    }
+
+    /** True if [addr, addr+len) lies inside the private range. */
+    bool
+    owns(uint64_t addr, uint64_t len) const
+    {
+        return !confined_ ||
+               (addr >= lo_ && addr < hi_ && len <= hi_ - addr);
+    }
+
+    Page *
+    lookup(uint64_t page_no)
+    {
+        TlbEntry &entry = tlb_[page_no % kEntries];
+        if (entry.page_no == page_no) {
+            return entry.page;
+        }
+        return lookup_slow(page_no);
+    }
+    Page *lookup_slow(uint64_t page_no);
+    void flush();
+    /** Drop both host entries of one page. */
+    void drop(uint64_t page_no);
+    /** After an in-page access: install the entries `page` now
+     *  qualifies for (the write entry only if `writable`). */
+    void fill(uint64_t page_no, const Page &page, bool writable);
+    /** Save `page` before the speculation's first store to it. */
+    void journal(Page &page);
+
+    AddressSpace *space_;
+    std::array<TlbEntry, kEntries> tlb_{};
+    std::array<HostEntry, kEntries> read_{};
+    std::array<HostEntry, kEntries> write_{};
+    uint64_t epoch_ = 0;
+    bool confined_ = false;
+    uint64_t lo_ = 0;
+    uint64_t hi_ = 0;
+    bool speculating_ = false;
+    bool aborted_ = false;
+    std::vector<PageUndo> undo_;
+    std::vector<Page *> marked_;
+    /** Recycled undo buffers. */
+    std::vector<std::unique_ptr<uint8_t[]>> spare_;
+};
+
 /** Sparse paged memory. */
 class AddressSpace
 {
   public:
-    AddressSpace() = default;
+    AddressSpace() : kernel_cache_(*this) {}
     AddressSpace(const AddressSpace &) = delete;
     AddressSpace &operator=(const AddressSpace &) = delete;
 
@@ -72,66 +297,42 @@ class AddressSpace
     /** Permissions of the page containing addr (kPermNone if unmapped). */
     uint8_t perms_at(uint64_t addr) const;
 
-    // ---- checked accessors used by the CPU --------------------------
-    AccessFault read(uint64_t addr, void *out, uint64_t len) const;
-    AccessFault write(uint64_t addr, const void *in, uint64_t len);
-    AccessFault fetch(uint64_t addr, void *out, uint64_t len) const;
-
-    /**
-     * Width-templated single-access fast paths used by the superblock
-     * tier's micro-op loop: a softmmu-style host-pointer TLB. An entry
-     * exists only where the access needs no further check, so a hit is
-     * one tag compare plus the host copy, inline at the call site. The
-     * tag is compared against the page of the access's *last* byte
-     * while the slot is picked by its first, so an access that
-     * straddles a page boundary can never hit. A miss takes the
-     * generic read()/write(), which faults or fills the entry.
-     *
-     * A write entry never exists for a page that has supplied decoded
-     * bytes, so a write_hit() can never advance the code generation;
-     * only a store that misses can, which is why the trace re-checks
-     * the generation after a missed store only.
-     */
+    // ---- checked accessors through the space's own cache ------------
+    AccessFault read(uint64_t addr, void *out, uint64_t len) const
+    {
+        kernel_cache_.sync();
+        return kernel_cache_.read(addr, out, len);
+    }
+    AccessFault write(uint64_t addr, const void *in, uint64_t len)
+    {
+        kernel_cache_.sync();
+        return kernel_cache_.write(addr, in, len);
+    }
+    AccessFault fetch(uint64_t addr, void *out, uint64_t len) const
+    {
+        kernel_cache_.sync();
+        return kernel_cache_.fetch(addr, out, len);
+    }
     template <uint64_t N>
     AccessFault
     read_fast(uint64_t addr, void *out) const
     {
-        static_assert(N >= 1 && N <= kPageSize);
-        const HostEntry &entry = read_tlb_[slot(addr)];
-        if (entry.page_no == (addr + N - 1) / kPageSize) [[likely]] {
-            std::memcpy(out, entry.host + (addr & kPageMask), N);
-            return AccessFault::kNone;
-        }
-        // The miss reads into its own buffer: handing `out` to the
-        // out-of-line read() would pin the caller's value to memory
-        // on the hit path too.
-        uint8_t bytes[N] = {};
-        AccessFault fault = read(addr, bytes, N);
-        std::memcpy(out, bytes, N);
-        return fault;
+        kernel_cache_.sync();
+        return kernel_cache_.read_fast<N>(addr, out);
     }
-
-    /** Store on a write-entry hit only; false means nothing was
-     *  written and the caller must take write(). */
     template <uint64_t N>
     bool
     write_hit(uint64_t addr, const void *in)
     {
-        static_assert(N >= 1 && N <= kPageSize);
-        const HostEntry &entry = write_tlb_[slot(addr)];
-        if (entry.page_no == (addr + N - 1) / kPageSize) [[likely]] {
-            std::memcpy(entry.host + (addr & kPageMask), in, N);
-            return true;
-        }
-        return false;
+        kernel_cache_.sync();
+        return kernel_cache_.write_hit<N>(addr, in);
     }
-
     template <uint64_t N>
     AccessFault
     write_fast(uint64_t addr, const void *in)
     {
-        return write_hit<N>(addr, in) ? AccessFault::kNone
-                                      : write(addr, in, N);
+        kernel_cache_.sync();
+        return kernel_cache_.write_fast<N>(addr, in);
     }
 
     // ---- trusted accessors used by the LibOS / loaders ---------------
@@ -158,95 +359,44 @@ class AddressSpace
     void touch_code() { ++code_generation_; }
     uint64_t code_generation() const { return code_generation_; }
 
+    /**
+     * Called before a non-speculating cache with a private range
+     * touches memory outside it (an unsigned SIP reaching into another
+     * slot), so the owner of speculative state there can undo it
+     * first. Unset by default.
+     */
+    void
+    set_foreign_access_hook(std::function<void()> hook)
+    {
+        foreign_hook_ = std::move(hook);
+    }
+
   private:
-    /**
-     * A null `data` means the page is logically all-zeros and has no
-     * backing store yet; the first write materializes it. Newly
-     * mapped pages start in this state, so mapping a multi-MiB
-     * reserve region (enclave slots, heaps) is O(pages) map entries,
-     * not O(bytes) of memset.
-     *
-     * `code` is set by the first fetch() that reads the page and
-     * stays set until the page is unmapped: from then on the page may
-     * back decoded instructions, so a write to it advances the code
-     * generation.
-     */
-    struct Page {
-        std::unique_ptr<uint8_t[]> data;
-        uint8_t perms = kPermNone;
-        bool code = false;
-    };
-
-    /**
-     * Direct-mapped cache of Page pointers for the generic paths.
-     * unordered_map keeps nodes stable across inserts, so only
-     * unmap() (node erase) has to flush it; permissions are read
-     * through the pointer.
-     */
-    static constexpr size_t kTlbEntries = 256;
-    struct TlbEntry {
-        uint64_t page_no = ~0ull;
-        Page *page = nullptr;
-    };
-
-    /**
-     * One host-pointer TLB entry: `host` is the base of the page's
-     * bytes. ~0 is no page number (the top page cannot be mapped), so
-     * a default entry never hits. Invariants, kept by fill_entries()
-     * and the drops in materialize(), access() (fetch), protect() and
-     * unmap():
-     *   read entry  — page has R; host is its data, or kZeroPage while
-     *                 the page is lazy;
-     *   write entry — page has W, is materialized, and has no `code`.
-     */
-    struct HostEntry {
-        uint64_t page_no = ~0ull;
-        uint8_t *host = nullptr;
-    };
-
-    static size_t
-    slot(uint64_t addr)
-    {
-        return (addr / kPageSize) % kTlbEntries;
-    }
-
-    /** First write to a lazy zero page: allocate + clear its backing
-     *  (and drop its read entry, which points at kZeroPage). */
-    void materialize(uint64_t page_no, Page &page);
-    /** After an in-page access: install whatever entries `page` now
-     *  qualifies for. */
-    void fill_entries(uint64_t page_no, const Page &page) const;
-    /** Drop both host entries of one page. */
-    void drop_entries(uint64_t page_no) const;
-
-    /** Page-pointer probe for the generic paths; the page-table walk
-     *  stays out of line. */
-    Page *
-    lookup_page(uint64_t page_no) const
-    {
-        TlbEntry &entry = tlb_[page_no % kTlbEntries];
-        if (entry.page_no == page_no) {
-            return entry.page;
-        }
-        return lookup_page_slow(page_no);
-    }
-    Page *lookup_page_slow(uint64_t page_no) const;
-    const Page *find_page(uint64_t addr) const;
-    Page *find_page(uint64_t addr);
-    /** Empty the Page-pointer cache and both host-pointer TLBs. */
-    void flush_tlb() const;
+    friend class AccessCache;
 
     /** Generic copy loop; `require` selects the permission bit. */
     template <bool Write>
-    AccessFault access(uint64_t addr, void *buf, uint64_t len,
-                       uint8_t require);
+    AccessFault access(AccessCache &cache, uint64_t addr, void *buf,
+                       uint64_t len, uint8_t require);
+    /** First write to a lazy zero page: allocate + clear its backing. */
+    void materialize(AccessCache &cache, uint64_t page_no, Page &page);
+    /** Advance the epoch on `by`'s behalf: `by` keeps its entries if
+     *  it was current (it dropped what the change affects itself). */
+    void advance_epoch(AccessCache &by);
 
     std::unordered_map<uint64_t, Page> pages_;
-    mutable std::array<TlbEntry, kTlbEntries> tlb_{};
-    mutable std::array<HostEntry, kTlbEntries> read_tlb_{};
-    mutable std::array<HostEntry, kTlbEntries> write_tlb_{};
+    /** Advanced by every change a cache entry could depend on. */
+    std::atomic<uint64_t> epoch_{0};
     uint64_t code_generation_ = 0;
+    std::function<void()> foreign_hook_;
+    mutable AccessCache kernel_cache_;
 };
+
+inline uint64_t
+AccessCache::code_generation() const
+{
+    return space_->code_generation();
+}
 
 } // namespace occlum::vm
 

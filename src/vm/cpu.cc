@@ -94,6 +94,34 @@ Cpu::BlockTable::insert(uint64_t rip)
 }
 
 void
+Cpu::BlockTable::erase(uint64_t rip)
+{
+    // Backward-shift deletion: pull every later member of the probe
+    // run whose home lies at or before the hole into it, so find()
+    // still never meets an empty slot inside a run.
+    const size_t mask = slots_.size() - 1;
+    size_t hole = home(rip) & mask;
+    while (slots_[hole].rip != rip || slots_[hole].block == nullptr) {
+        OCC_CHECK(slots_[hole].block != nullptr);
+        hole = (hole + 1) & mask;
+    }
+    slots_[hole] = Slot{};
+    --size_;
+    for (size_t s = (hole + 1) & mask; slots_[s].block != nullptr;
+         s = (s + 1) & mask) {
+        const size_t want = home(slots_[s].rip) & mask;
+        // Leave the entry if its home is cyclically in (hole, s].
+        const bool stays = hole <= s ? (want > hole && want <= s)
+                                     : (want > hole || want <= s);
+        if (!stays) {
+            slots_[hole] = std::move(slots_[s]);
+            slots_[s] = Slot{};
+            hole = s;
+        }
+    }
+}
+
+void
 Cpu::set_default_tier(Tier tier)
 {
     g_default_tier = tier;
@@ -113,6 +141,14 @@ Cpu::set_tier(Tier tier)
     reset_dispatch_counters();
 }
 
+void
+Cpu::release_caches()
+{
+    OCC_CHECK(!speculating_);
+    block_cache_.clear();
+    cache_.reset();
+}
+
 size_t
 Cpu::superblock_count() const
 {
@@ -126,13 +162,7 @@ Cpu::superblock_count() const
 void
 Cpu::reset_dispatch_counters()
 {
-    bb_hits_ = 0;
-    bb_misses_ = 0;
-    bb_invalidations_ = 0;
-    sb_promotions_ = 0;
-    sb_invalidations_ = 0;
-    sb_exec_hits_ = 0;
-    sb_guards_folded_ = 0;
+    dispatch_ = DispatchCounters{};
 }
 
 uint64_t
@@ -153,21 +183,85 @@ Cpu::effective_address(const isa::MemOperand &mem, uint64_t instr_end) const
     OCC_PANIC("bad addr mode");
 }
 
+Cpu::Checkpoint
+Cpu::checkpoint() const
+{
+    return Checkpoint{cycles_, instructions_, dispatch_};
+}
+
+CpuExit
+Cpu::run_unpublished(uint64_t max_instructions)
+{
+    cache_->sync(); // the kernel may have changed pages since last time
+    return tier_ == Tier::kDecode ? run_decode_loop(max_instructions)
+                                  : run_blocks(max_instructions);
+}
+
 CpuExit
 Cpu::run(uint64_t max_instructions)
 {
-    uint64_t before_instrs = instructions_;
-    uint64_t before_hits = bb_hits_;
-    uint64_t before_misses = bb_misses_;
-    uint64_t before_inval = bb_invalidations_;
-    uint64_t before_sb_promote = sb_promotions_;
-    uint64_t before_sb_inval = sb_invalidations_;
-    uint64_t before_sb_hits = sb_exec_hits_;
-    uint64_t before_sb_folded = sb_guards_folded_;
-    CpuExit exit = tier_ == Tier::kDecode
-                       ? run_decode_loop(max_instructions)
-                       : run_blocks(max_instructions);
+    const Checkpoint base = checkpoint();
+    CpuExit exit = run_unpublished(max_instructions);
+    publish(base, exit);
+    return exit;
+}
 
+CpuExit
+Cpu::speculate(uint64_t max_instructions)
+{
+    OCC_CHECK(!speculating_);
+    spec_base_ = checkpoint();
+    spec_state_ = state_;
+    speculating_ = true;
+    ++spec_seq_;
+    cache_->begin_speculation();
+    return run_unpublished(max_instructions);
+}
+
+void
+Cpu::commit_speculation(const CpuExit &exit)
+{
+    OCC_CHECK(speculating_ && !cache_->aborted());
+    cache_->end_speculation(true);
+    block_undo_.clear();
+    speculating_ = false;
+    publish(spec_base_, exit);
+}
+
+void
+Cpu::rollback_speculation()
+{
+    OCC_CHECK(speculating_);
+    cache_->end_speculation(false);
+    // Newest first, so a block the speculation inserted is erased
+    // only after everything else that names it was restored.
+    for (size_t i = block_undo_.size(); i-- > 0;) {
+        BlockUndo &undo = block_undo_[i];
+        Block *block = undo.block;
+        if (undo.inserted) {
+            block_cache_.erase(undo.rip);
+            continue;
+        }
+        if (undo.rebuilt) {
+            block->instrs = std::move(undo.instrs);
+            block->sb = std::move(undo.sb);
+        } else if (!undo.had_sb) {
+            block->sb.reset(); // promoted during the speculation
+        }
+        block->generation = undo.generation;
+        block->exec_count = undo.exec_count;
+    }
+    block_undo_.clear();
+    state_ = spec_state_;
+    cycles_ = spec_base_.cycles;
+    instructions_ = spec_base_.instructions;
+    dispatch_ = spec_base_.dispatch;
+    speculating_ = false;
+}
+
+void
+Cpu::publish(const Checkpoint &base, const CpuExit &exit) const
+{
     // Dispatch-level metrics: one registry lookup per process (the
     // entries are process-wide), one add per executed quantum.
     static trace::Counter *ctr_instrs =
@@ -192,15 +286,16 @@ Cpu::run(uint64_t max_instructions)
         &trace::Registry::instance().counter("vm.superblock.exec_hits");
     static trace::Counter *ctr_sb_folded =
         &trace::Registry::instance().counter("vm.superblock.guards_folded");
-    ctr_instrs->add(instructions_ - before_instrs);
+    const DispatchCounters &was = base.dispatch;
+    ctr_instrs->add(instructions_ - base.instructions);
     ctr_quanta->add();
-    ctr_bb_hits->add(bb_hits_ - before_hits);
-    ctr_bb_misses->add(bb_misses_ - before_misses);
-    ctr_bb_inval->add(bb_invalidations_ - before_inval);
-    ctr_sb_promote->add(sb_promotions_ - before_sb_promote);
-    ctr_sb_inval->add(sb_invalidations_ - before_sb_inval);
-    ctr_sb_hits->add(sb_exec_hits_ - before_sb_hits);
-    ctr_sb_folded->add(sb_guards_folded_ - before_sb_folded);
+    ctr_bb_hits->add(dispatch_.bb_hits - was.bb_hits);
+    ctr_bb_misses->add(dispatch_.bb_misses - was.bb_misses);
+    ctr_bb_inval->add(dispatch_.bb_invalidations - was.bb_invalidations);
+    ctr_sb_promote->add(dispatch_.sb_promotions - was.sb_promotions);
+    ctr_sb_inval->add(dispatch_.sb_invalidations - was.sb_invalidations);
+    ctr_sb_hits->add(dispatch_.sb_exec_hits - was.sb_exec_hits);
+    ctr_sb_folded->add(dispatch_.sb_guards_folded - was.sb_guards_folded);
     switch (exit.kind) {
       case ExitKind::kLtrap:
         ctr_ltraps->add();
@@ -215,7 +310,6 @@ Cpu::run(uint64_t max_instructions)
       case ExitKind::kInstrBudget:
         break;
     }
-    return exit;
 }
 
 FaultKind
@@ -226,11 +320,11 @@ Cpu::decode_at(uint64_t rip, Instruction *out)
     // One ranged fetch covers the whole window when it stays on a
     // page; fall back to byte-wise only when the window crosses into
     // an unfetchable page (the tail bytes may simply not exist).
-    if (mem_->fetch(rip, buf, sizeof(buf)) == AccessFault::kNone) {
+    if (cache_->fetch(rip, buf, sizeof(buf)) == AccessFault::kNone) {
         got = sizeof(buf);
     } else {
         while (got < sizeof(buf)) {
-            if (mem_->fetch(rip + got, buf + got, 1) !=
+            if (cache_->fetch(rip + got, buf + got, 1) !=
                 AccessFault::kNone) {
                 break;
             }
@@ -255,18 +349,18 @@ Cpu::lookup_block(uint64_t rip, CpuExit *exit)
     Block *cached = block_cache_.find(rip);
     if (cached != nullptr) {
         if (cached->generation == gen) {
-            ++bb_hits_;
+            ++dispatch_.bb_hits;
             return cached;
         }
-        ++bb_invalidations_; // stale block: rebuilt in place below
+        ++dispatch_.bb_invalidations; // stale block: rebuilt in place below
         if (cached->sb != nullptr) {
             // The trace dies with its block (SMC or an X-perm change
             // demotes this entry back to tier 1; it re-promotes once
             // the rebuilt block gets hot again).
-            ++sb_invalidations_;
+            ++dispatch_.sb_invalidations;
         }
     }
-    ++bb_misses_;
+    ++dispatch_.bb_misses;
 
     Block block;
     block.generation = gen;
@@ -300,7 +394,31 @@ Cpu::lookup_block(uint64_t rip, CpuExit *exit)
         }
         pc = instr.end();
     }
-    Block *slot = cached != nullptr ? cached : block_cache_.insert(rip);
+    if (!speculating_) {
+        Block *slot = cached != nullptr ? cached : block_cache_.insert(rip);
+        *slot = std::move(block);
+        return slot;
+    }
+    Block *slot;
+    if (cached != nullptr) {
+        BlockUndo &undo = note_block(cached);
+        if (!undo.rebuilt && !undo.inserted) {
+            undo.rebuilt = true;
+            undo.instrs = std::move(cached->instrs);
+            undo.sb = std::move(cached->sb);
+        }
+        slot = cached;
+        block.undo_index = slot->undo_index;
+    } else {
+        slot = block_cache_.insert(rip);
+        block.undo_index = block_undo_.size();
+        BlockUndo undo;
+        undo.block = slot;
+        undo.rip = rip;
+        undo.inserted = true;
+        block_undo_.push_back(std::move(undo));
+    }
+    block.spec_seq = spec_seq_;
     *slot = std::move(block);
     return slot;
 }
@@ -327,9 +445,14 @@ Cpu::run_blocks(uint64_t max_instructions)
             // Tier-2 dispatch. Every path to this point looked the
             // block up under the current generation, and the block
             // owns its trace, so a trace reached here is runnable.
-            if (block->sb == nullptr &&
-                ++block->exec_count == kPromoteThreshold) {
-                block->sb = promote_superblock(block->instrs[0].address);
+            if (block->sb == nullptr) {
+                if (speculating_) {
+                    note_block(block);
+                }
+                if (++block->exec_count == kPromoteThreshold) {
+                    block->sb =
+                        promote_superblock(block->instrs[0].address);
+                }
             }
             const Superblock *sb = block->sb.get();
             // (The budget guard keeps a trace whose first segment
@@ -337,7 +460,7 @@ Cpu::run_blocks(uint64_t max_instructions)
             // forever; tier 1 finishes such tails exactly.)
             if (sb != nullptr &&
                 max_instructions - executed >= sb->uops[0].seg_instrs) {
-                ++sb_exec_hits_;
+                ++dispatch_.sb_exec_hits;
                 if (exec_superblock(*sb, max_instructions, &executed,
                                     &exit) == SbResult::kExit) {
                     return exit;
@@ -489,7 +612,7 @@ Cpu::execute(const Instruction &instr, CpuExit *exit)
         uint64_t size = instr.op == Opcode::kLoad8 ? 1
                       : instr.op == Opcode::kLoad32 ? 4 : 8;
         uint64_t value = 0;
-        AccessFault f = mem_->read(addr, &value, size);
+        AccessFault f = cache_->read(addr, &value, size);
         if (f != AccessFault::kNone) {
             return fault(data_fault_kind(f), addr);
         }
@@ -503,7 +626,7 @@ Cpu::execute(const Instruction &instr, CpuExit *exit)
         uint64_t size = instr.op == Opcode::kStore8 ? 1
                       : instr.op == Opcode::kStore32 ? 4 : 8;
         uint64_t value = regs[instr.reg1];
-        AccessFault f = mem_->write(addr, &value, size);
+        AccessFault f = cache_->write(addr, &value, size);
         if (f != AccessFault::kNone) {
             return fault(data_fault_kind(f), addr);
         }
@@ -625,13 +748,13 @@ Cpu::execute(const Instruction &instr, CpuExit *exit)
             target = regs[instr.reg1];
         } else {
             uint64_t addr = effective_address(instr.mem, next_rip);
-            AccessFault f = mem_->read(addr, &target, 8);
+            AccessFault f = cache_->read(addr, &target, 8);
             if (f != AccessFault::kNone) {
                 return fault(data_fault_kind(f), addr);
             }
         }
         uint64_t new_sp = regs[isa::kSp] - 8;
-        AccessFault f = mem_->write(new_sp, &next_rip, 8);
+        AccessFault f = cache_->write(new_sp, &next_rip, 8);
         if (f != AccessFault::kNone) {
             return fault(data_fault_kind(f), new_sp);
         }
@@ -645,7 +768,7 @@ Cpu::execute(const Instruction &instr, CpuExit *exit)
       case Opcode::kJmpMem: {
         uint64_t addr = effective_address(instr.mem, next_rip);
         uint64_t target;
-        AccessFault f = mem_->read(addr, &target, 8);
+        AccessFault f = cache_->read(addr, &target, 8);
         if (f != AccessFault::kNone) {
             return fault(data_fault_kind(f), addr);
         }
@@ -655,7 +778,7 @@ Cpu::execute(const Instruction &instr, CpuExit *exit)
       case Opcode::kRet:
       case Opcode::kRetImm: {
         uint64_t target;
-        AccessFault f = mem_->read(regs[isa::kSp], &target, 8);
+        AccessFault f = cache_->read(regs[isa::kSp], &target, 8);
         if (f != AccessFault::kNone) {
             return fault(data_fault_kind(f), regs[isa::kSp]);
         }
@@ -670,7 +793,7 @@ Cpu::execute(const Instruction &instr, CpuExit *exit)
                              ? regs[instr.reg1]
                              : static_cast<uint64_t>(instr.imm);
         uint64_t new_sp = regs[isa::kSp] - 8;
-        AccessFault f = mem_->write(new_sp, &value, 8);
+        AccessFault f = cache_->write(new_sp, &value, 8);
         if (f != AccessFault::kNone) {
             return fault(data_fault_kind(f), new_sp);
         }
@@ -679,7 +802,7 @@ Cpu::execute(const Instruction &instr, CpuExit *exit)
       }
       case Opcode::kPop: {
         uint64_t value;
-        AccessFault f = mem_->read(regs[isa::kSp], &value, 8);
+        AccessFault f = cache_->read(regs[isa::kSp], &value, 8);
         if (f != AccessFault::kNone) {
             return fault(data_fault_kind(f), regs[isa::kSp]);
         }

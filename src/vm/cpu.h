@@ -110,7 +110,11 @@ enum class Tier {
 class Cpu
 {
   public:
-    explicit Cpu(AddressSpace &mem) : mem_(&mem), tier_(default_tier()) {}
+    explicit Cpu(AddressSpace &mem)
+        : mem_(&mem), cache_(std::make_unique<AccessCache>(mem)),
+          tier_(default_tier())
+    {
+    }
 
     // ---- state access ------------------------------------------------
     uint64_t reg(int i) const { return state_.regs[i]; }
@@ -131,6 +135,22 @@ class Cpu
     uint64_t instructions() const { return instructions_; }
 
     AddressSpace &mem() { return *mem_; }
+
+    /**
+     * Confine this Cpu's host-pointer TLB to [lo, hi), its process's
+     * own memory in a shared address space (an Occlum domain slot).
+     * Accesses outside still work, through the generic path; only a
+     * speculative quantum refuses them (see speculate()).
+     */
+    void
+    confine_to(uint64_t lo, uint64_t hi)
+    {
+        cache_->set_private_range(lo, hi);
+    }
+
+    /** Free the TLBs and the block cache of a CPU that will never run
+     *  again (its process died); registers and counters stay. */
+    void release_caches();
 
     // ---- tier control ------------------------------------------------
     /**
@@ -153,18 +173,34 @@ class Cpu
 
     /** Block-cache statistics (per-Cpu; also mirrored in the trace
      *  registry as vm.block_cache.{hits,misses,invalidations}). */
-    uint64_t block_cache_hits() const { return bb_hits_; }
-    uint64_t block_cache_misses() const { return bb_misses_; }
-    uint64_t block_cache_invalidations() const { return bb_invalidations_; }
+    uint64_t block_cache_hits() const { return dispatch_.bb_hits; }
+    uint64_t block_cache_misses() const { return dispatch_.bb_misses; }
+    uint64_t
+    block_cache_invalidations() const
+    {
+        return dispatch_.bb_invalidations;
+    }
     size_t block_cache_blocks() const { return block_cache_.size(); }
 
     /** Superblock statistics (per-Cpu; mirrored in the trace registry
      *  as vm.superblock.{promotions,invalidations,exec_hits,
      *  guards_folded}). */
-    uint64_t superblock_promotions() const { return sb_promotions_; }
-    uint64_t superblock_invalidations() const { return sb_invalidations_; }
-    uint64_t superblock_exec_hits() const { return sb_exec_hits_; }
-    uint64_t superblock_guards_folded() const { return sb_guards_folded_; }
+    uint64_t
+    superblock_promotions() const
+    {
+        return dispatch_.sb_promotions;
+    }
+    uint64_t
+    superblock_invalidations() const
+    {
+        return dispatch_.sb_invalidations;
+    }
+    uint64_t superblock_exec_hits() const { return dispatch_.sb_exec_hits; }
+    uint64_t
+    superblock_guards_folded() const
+    {
+        return dispatch_.sb_guards_folded;
+    }
     /** Traces held by cached blocks (a stale block keeps its trace
      *  until its next lookup rebuilds it). */
     size_t superblock_count() const;
@@ -178,6 +214,29 @@ class Cpu
      */
     CpuExit run(uint64_t max_instructions);
 
+    // ---- speculative quanta ------------------------------------------
+    /**
+     * Execute a quantum like run(), but undoably and without
+     * publishing anything: the trace-registry counters and the
+     * cpu.fault/cpu.priv instants wait for commit_speculation(). The
+     * quantum changes only this Cpu and its own pages, journaling
+     * both; it never advances the code generation and never touches
+     * memory outside the confine_to() range — an instruction that
+     * would do either fails the speculation instead (see
+     * speculation_aborted()). Safe to run concurrently with the
+     * speculative quanta of other Cpus over other ranges.
+     */
+    CpuExit speculate(uint64_t max_instructions);
+    /** True if the speculation hit an access it must not make; its
+     *  result is void and it must be rolled back. */
+    bool speculation_aborted() const { return cache_->aborted(); }
+    /** Keep the speculative quantum and publish it as run() would
+     *  have, with `exit` the exit speculate() returned. */
+    void commit_speculation(const CpuExit &exit);
+    /** Undo the speculative quantum: registers, counters, block cache,
+     *  memory and code marks return to their state before it. */
+    void rollback_speculation();
+
   private:
     /** A predecoded straight-line run, keyed by its entry rip. */
     struct Block {
@@ -189,6 +248,42 @@ class Cpu
         /** The promoted trace, or nullptr. Valid while the block is:
          *  rebuilding the block drops it. */
         std::unique_ptr<Superblock> sb;
+        /** Speculation that last journaled this block (spec_seq_),
+         *  and where in block_undo_. */
+        uint64_t spec_seq = 0;
+        size_t undo_index = 0;
+    };
+
+    /** A block's state before a speculation first changed it. */
+    struct BlockUndo {
+        Block *block = nullptr;
+        uint64_t rip = 0;
+        bool inserted = false; // the speculation created the block
+        bool rebuilt = false;  // instrs/sb below hold the old ones
+        bool had_sb = false;
+        uint64_t generation = 0;
+        uint32_t exec_count = 0;
+        std::vector<isa::Instruction> instrs;
+        std::unique_ptr<Superblock> sb;
+    };
+
+    /** Block-cache and superblock statistics (per-Cpu). */
+    struct DispatchCounters {
+        uint64_t bb_hits = 0;
+        uint64_t bb_misses = 0;
+        uint64_t bb_invalidations = 0;
+        uint64_t sb_promotions = 0;
+        uint64_t sb_invalidations = 0;
+        uint64_t sb_exec_hits = 0;
+        uint64_t sb_guards_folded = 0;
+    };
+
+    /** The counters a quantum advances: what run() publishes deltas
+     *  against (and, with the registers, what a rollback restores). */
+    struct Checkpoint {
+        uint64_t cycles = 0;
+        uint64_t instructions = 0;
+        DispatchCounters dispatch;
     };
 
     /**
@@ -220,6 +315,8 @@ class Cpu
         }
         /** Add an empty block for `rip`, which find() just missed. */
         Block *insert(uint64_t rip);
+        /** Remove the block keyed `rip` (a rolled-back insert). */
+        void erase(uint64_t rip);
         size_t size() const { return size_; }
         void clear();
 
@@ -265,6 +362,28 @@ class Cpu
         kLeft, // left the trace; rip is set, the outer loop continues
         kExit, // run() must return `exit`
     };
+
+    /** One quantum in the current tier, publishing nothing. */
+    CpuExit run_unpublished(uint64_t max_instructions);
+    Checkpoint checkpoint() const;
+    /** Add the quantum since `base` to the trace registry. */
+    void publish(const Checkpoint &base, const CpuExit &exit) const;
+    /** Journal `block` before the speculation first changes it. */
+    BlockUndo &
+    note_block(Block *block)
+    {
+        if (block->spec_seq != spec_seq_) {
+            block->spec_seq = spec_seq_;
+            block->undo_index = block_undo_.size();
+            BlockUndo undo;
+            undo.block = block;
+            undo.generation = block->generation;
+            undo.exec_count = block->exec_count;
+            undo.had_sb = block->sb != nullptr;
+            block_undo_.push_back(std::move(undo));
+        }
+        return block_undo_[block->undo_index];
+    }
 
     /** Block-cached interpreter loop; run() wraps it with metrics. */
     CpuExit run_blocks(uint64_t max_instructions);
@@ -330,18 +449,24 @@ class Cpu
     }
 
     AddressSpace *mem_;
+    /** This Cpu's private TLBs over *mem_ (and its speculation
+     *  journal of memory changes). */
+    std::unique_ptr<AccessCache> cache_;
     CpuState state_;
     uint64_t cycles_ = 0;
     uint64_t instructions_ = 0;
     Tier tier_;
     BlockTable block_cache_;
-    uint64_t bb_hits_ = 0;
-    uint64_t bb_misses_ = 0;
-    uint64_t bb_invalidations_ = 0;
-    uint64_t sb_promotions_ = 0;
-    uint64_t sb_invalidations_ = 0;
-    uint64_t sb_exec_hits_ = 0;
-    uint64_t sb_guards_folded_ = 0;
+    DispatchCounters dispatch_;
+
+    /** Set between speculate() and its commit or rollback. */
+    bool speculating_ = false;
+    /** Numbers speculations; a block journaled by the current one
+     *  carries it in Block::spec_seq. */
+    uint64_t spec_seq_ = 0;
+    Checkpoint spec_base_;
+    CpuState spec_state_;
+    std::vector<BlockUndo> block_undo_;
 };
 
 } // namespace occlum::vm

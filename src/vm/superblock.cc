@@ -549,10 +549,14 @@ Cpu::promote_superblock(uint64_t entry_rip)
     // Direct threading: bind each uop to its dispatch label. The
     // first promotion probes exec_superblock (exit == nullptr) to
     // publish the function-local label table.
-    if (g_sb_label_table == nullptr) {
+    // (A function-local static: Cpus on several host threads may
+    // promote their first traces at once.)
+    static const bool probed = [&] {
         uint64_t none = 0;
         exec_superblock(*sb, 0, &none, nullptr);
-    }
+        return true;
+    }();
+    (void)probed;
     for (Uop &u : sb->uops) {
         u.handler = g_sb_label_table[static_cast<size_t>(u.kind)];
         // Memory uops bind the width-constant body variant (the
@@ -574,8 +578,8 @@ Cpu::promote_superblock(uint64_t entry_rip)
             u.handler = g_sb_label_table[kNumUopKinds + slot];
         }
     }
-    ++sb_promotions_;
-    sb_guards_folded_ += sb->guards_folded;
+    ++dispatch_.sb_promotions;
+    dispatch_.sb_guards_folded += sb->guards_folded;
     return sb;
 }
 
@@ -632,7 +636,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     // uop buffer of a successor trace without leaving this frame.
     const Uop *__restrict uops = sb.uops.data();
     uint64_t *__restrict const regs = state_.regs.data();
-    AddressSpace &mem = *mem_;
+    AccessCache &mem = *cache_;
     // Every trace run here, linked ones included, was valid under the
     // generation at entry; a store that moves it leaves the trace.
     const uint64_t gen = mem.code_generation();
@@ -1249,7 +1253,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             linked->generation == mem.code_generation()) {
             uops = linked->sb->uops.data();
             op = uops;
-            ++sb_exec_hits_;
+            ++dispatch_.sb_exec_hits;
             SB_SEGMENT();
         }
     }

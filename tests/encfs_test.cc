@@ -665,6 +665,69 @@ TEST(EncFs, FreedLowBlocksAreAllocatedFirst)
     EXPECT_EQ(view.find(pattern(4096, 202)), at[11] + 1);
 }
 
+/**
+ * Create `path`, write its first and last byte only, and expect the
+ * 4094 bytes between them to read back as zeros.
+ */
+void
+expect_partial_block_reads_zero(EncFs &fs, const std::string &path)
+{
+    auto inode = fs.open_inode(path, true, false);
+    ASSERT_TRUE(inode.ok());
+    const uint8_t mark = 0xa5;
+    ASSERT_TRUE(fs.write(inode.value(), 0, &mark, 1).ok());
+    ASSERT_TRUE(fs.write(inode.value(), 4095, &mark, 1).ok());
+    Bytes middle(4094, 0xee);
+    auto got = fs.read(inode.value(), 1, middle.data(), middle.size());
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got.value(), 4094);
+    EXPECT_EQ(middle, Bytes(4094, 0)) << path;
+}
+
+TEST(EncFs, FreedBlockReadsAsZerosToItsNextOwner)
+{
+    // A deleted file's block, reallocated: still cached (dirty, or
+    // clean after a sync), or only on the device after a remount. In
+    // no case may its old plaintext show through the new owner's
+    // partial write.
+    for (int variant = 0; variant < 3; ++variant) {
+        SCOPED_TRACE(variant);
+        FsHarness h;
+        ASSERT_TRUE(h.fs.write_file("/secret", pattern(4096, 77)).ok());
+        if (variant >= 1) {
+            ASSERT_TRUE(h.fs.sync().ok());
+        }
+        ASSERT_TRUE(h.fs.unlink("/secret").ok());
+        if (variant == 2) {
+            ASSERT_TRUE(h.fs.sync().ok());
+            ASSERT_TRUE(h.fs.mount().ok()); // empties the cache
+        }
+        expect_partial_block_reads_zero(h.fs, "/new");
+    }
+}
+
+TEST(EncFs, IndirectBlockFreedByTruncateReadsAsZeros)
+{
+    // /big takes direct blocks 0..119, then its indirect block (a
+    // list of block numbers), then ten more data blocks. Truncated,
+    // all are free again; /fill takes back the 120 lowest, so the
+    // next allocation — /new's first data block — is the old
+    // indirect block.
+    for (bool remount : {false, true}) {
+        SCOPED_TRACE(remount);
+        FsHarness h;
+        ASSERT_TRUE(h.fs.write_file("/big", pattern(130 * 4096, 5)).ok());
+        ASSERT_TRUE(h.fs.sync().ok());
+        ASSERT_TRUE(h.fs.open_inode("/big", false, true).ok());
+        if (remount) {
+            ASSERT_TRUE(h.fs.sync().ok());
+            ASSERT_TRUE(h.fs.mount().ok());
+        }
+        ASSERT_TRUE(h.fs.write_file("/fill", pattern(120 * 4096, 6)).ok());
+        expect_partial_block_reads_zero(h.fs, "/new");
+    }
+}
+
 TEST(EncFs, RemountResetsTheCache)
 {
     SimClock clock;

@@ -9,10 +9,13 @@
 
 #include "baseline/eip_system.h"
 #include "baseline/linux_system.h"
+#include "faultsim/faultsim.h"
 #include "isa/assembler.h"
 #include "libos/occlum_system.h"
 #include "oelf/abi.h"
+#include "oskit/quantum_pool.h"
 #include "toolchain/minic.h"
+#include "trace/metrics.h"
 #include "verifier/verifier.h"
 
 namespace occlum::libos {
@@ -563,6 +566,360 @@ build_plain(const std::string &source)
     EXPECT_TRUE(out.ok());
     return out.value().image.serialize();
 }
+
+// ---- pre-run and commit (DESIGN.md §3.4 "host execution") ----------------
+
+/** What a run must reproduce exactly, whatever runs its quanta. */
+struct RunPrint {
+    uint64_t cycles = 0;
+    std::map<std::string, uint64_t> counters; // vm.* and kernel.* deltas
+    std::vector<int> death_order;
+    std::string console;
+    std::vector<int64_t> codes;
+    std::vector<std::string> deaths; // cause/fault/address per pid
+    uint64_t code_generation = 0;
+    oskit::PreRunStats prerun;
+};
+
+/** Kernel-side counters a pre-run could disturb (host-side keys such
+ *  as per-core quanta are included: they are simulated results too). */
+std::map<std::string, uint64_t>
+vm_kernel_counters()
+{
+    std::map<std::string, uint64_t> out;
+    for (const auto &[name, counter] :
+         trace::Registry::instance().counters()) {
+        if (name.rfind("vm.", 0) == 0 || name.rfind("kernel.", 0) == 0) {
+            out[name] = counter.value();
+        }
+    }
+    return out;
+}
+
+/**
+ * Spawn `programs` (name, argv) under one parent-less OcclumSystem at
+ * `cores`, run to completion with `pool` pre-running quanta (nullptr:
+ * every quantum inline), and fingerprint the run.
+ */
+RunPrint
+run_sips(const std::vector<std::pair<std::string, std::string>> &sources,
+         const std::vector<std::vector<std::string>> &spawns, int cores,
+         oskit::QuantumPool *pool, bool check_signatures = true)
+{
+    // A clean plan whatever OCCLUM_FAULT_PLAN says: the pinned values
+    // are those of an undisturbed run, and an AEX storm disables
+    // pre-runs.
+    faultsim::ScopedFaultPlan clean{faultsim::FaultPlan{}};
+    sgx::Platform platform;
+    host::HostFileStore binaries;
+    OcclumSystem::Config config;
+    config.num_slots = 8;
+    config.verifier_key = vkey();
+    config.cores = cores;
+    config.check_signatures = check_signatures;
+    for (const auto &[name, source] : sources) {
+        if (check_signatures) {
+            binaries.put(name, build_signed(source));
+            continue;
+        }
+        // Unsigned: cfi labels (the LibOS checks syscall returns) but
+        // no load guards, so a load may leave the SIP's domain.
+        toolchain::CompileOptions options;
+        options.instrument = {true, true, false, true};
+        auto out = toolchain::compile(source, options);
+        EXPECT_TRUE(out.ok());
+        binaries.put(name, out.value().image.serialize());
+    }
+    OcclumSystem sys(platform, binaries, config);
+    sys.set_quantum_pool(pool);
+    // Short quanta: many rounds, each with several CPU-bound SIPs.
+    sys.set_quantum(2000);
+    std::map<std::string, uint64_t> before = vm_kernel_counters();
+    std::vector<int> pids;
+    for (const auto &argv : spawns) {
+        auto pid = sys.spawn(argv[0], argv);
+        EXPECT_TRUE(pid.ok());
+        pids.push_back(pid.ok() ? pid.value() : -1);
+    }
+    sys.run();
+    RunPrint print;
+    print.cycles = sys.clock().cycles();
+    for (const auto &[name, value] : vm_kernel_counters()) {
+        print.counters[name] = value - before[name];
+    }
+    print.death_order = sys.death_order();
+    print.console = sys.console();
+    for (int pid : pids) {
+        auto code = sys.exit_code(pid);
+        print.codes.push_back(code.ok() ? code.value() : -999);
+        auto record = sys.death_record(pid);
+        std::string death = "alive";
+        if (record.ok()) {
+            const oskit::DeathRecord &r = record.value();
+            death = std::to_string(static_cast<int>(r.cause)) + "/" +
+                    std::to_string(static_cast<int>(r.fault)) + "/" +
+                    std::to_string(r.fault_addr);
+        }
+        print.deaths.push_back(death);
+    }
+    // A later spawn into every slot shows the code marks left behind.
+    for (const auto &argv : spawns) {
+        EXPECT_TRUE(sys.spawn(argv[0], argv).ok());
+    }
+    print.code_generation = sys.enclave().mem().code_generation();
+    print.prerun = sys.prerun_stats();
+    return print;
+}
+
+void
+expect_same_run(const RunPrint &want, const RunPrint &got)
+{
+    EXPECT_EQ(want.cycles, got.cycles);
+    EXPECT_EQ(want.counters, got.counters);
+    EXPECT_EQ(want.death_order, got.death_order);
+    EXPECT_EQ(want.console, got.console);
+    EXPECT_EQ(want.codes, got.codes);
+}
+
+/** A spawner that starts `n` workers with loop lengths from argv and
+ *  a looping compute worker: a sip-storm in miniature. */
+const std::vector<std::pair<std::string, std::string>> kStorm = {
+    {"worker", R"(
+global byte argbuf[24];
+global int table[64];
+func main() {
+    getarg(1, argbuf, 24);
+    var n = atoi(argbuf);
+    var h = 0;
+    var i = 0;
+    while (i < n) {
+        h = (h * 31 + i + table[(i * 7) & 63]) & 0xffff;
+        table[i & 63] = h;
+        i = i + 1;
+    }
+    print_int(h & 0x7f);
+    print(" ");
+    return h & 0x7f;
+}
+)"},
+    {"storm", R"(
+global byte child[8] = "worker";
+global byte arg[24];
+global int pids[4];
+func main() {
+    var lens[6];
+    lens[0] = 9000; lens[1] = 31000; lens[2] = 4000;
+    lens[3] = 22000; lens[4] = 15000; lens[5] = 27000;
+    var next = 0;
+    var slot = 0;
+    var sum = 0;
+    var argvv[2];
+    argvv[0] = child;
+    argvv[1] = arg;
+    while (next < 4) {
+        itoa(lens[next], arg);
+        pids[next] = spawn(child, argvv, 2);
+        next = next + 1;
+    }
+    var reaped = 0;
+    while (reaped < 6) {
+        sum = sum + waitpid(pids[slot]);
+        reaped = reaped + 1;
+        if (next < 6) {
+            itoa(lens[next], arg);
+            pids[slot] = spawn(child, argvv, 2);
+            next = next + 1;
+        }
+        slot = slot + 1;
+        if (slot == 4) { slot = 0; }
+    }
+    print("sum ");
+    print_int(sum);
+    return 0;
+}
+)"},
+};
+
+/** Every vm.* / kernel.* counter a run moved, as "name=value;". */
+std::string
+counter_string(const RunPrint &run)
+{
+    std::string out;
+    for (const auto &[name, value] : run.counters) {
+        if (value != 0) {
+            out += name + "=" + std::to_string(value) + ";";
+        }
+    }
+    return out;
+}
+
+TEST(PreRun, StormMatchesInlineAndTheParentAtOneAndFourCores)
+{
+    // The storm at cores 1 and 4: a spawner reusing slots (every spawn
+    // moves the code generation mid-round) among CPU-bound workers.
+    // Pre-running on 0 workers (the main thread alone) and on 3 must
+    // reproduce the inline run exactly — simulated time, every vm.*
+    // and kernel.* counter, death order, output and exit codes — and
+    // the inline run reproduces the values captured before quanta
+    // could run on host threads.
+    struct Golden {
+        int cores;
+        uint64_t cycles;
+        const char *counters;
+    };
+    const Golden golden[] = {
+        {1, 536063511,
+         "kernel.sched_visits=1822;kernel.spawns=7;"
+         "kernel.syscalls=39;kernel.wakeups=3;"
+         "vm.block_cache.hits=5665;vm.block_cache.invalidations=133;"
+         "vm.block_cache.misses=708;vm.instructions=3571044;"
+         "vm.ltraps=39;vm.quanta=1819;"
+         "vm.superblock.exec_hits=3376;vm.superblock.guards_folded=500;"
+         "vm.superblock.invalidations=9;vm.superblock.promotions=52;"},
+        {4, 531241554,
+         "kernel.core0.quanta=72;kernel.core0.steals=2;"
+         "kernel.core1.quanta=380;kernel.core1.wakeups=3;"
+         "kernel.core2.quanta=403;kernel.core3.quanta=964;"
+         "kernel.sched_visits=1822;kernel.spawns=7;"
+         "kernel.syscalls=39;kernel.wakeups=3;"
+         "vm.block_cache.hits=5665;vm.block_cache.invalidations=133;"
+         "vm.block_cache.misses=708;vm.instructions=3571044;"
+         "vm.ltraps=39;vm.quanta=1819;"
+         "vm.superblock.exec_hits=3376;vm.superblock.guards_folded=500;"
+         "vm.superblock.invalidations=9;vm.superblock.promotions=52;"},
+    };
+    oskit::QuantumPool none(0);
+    oskit::QuantumPool three(3);
+    for (const Golden &g : golden) {
+        SCOPED_TRACE(g.cores);
+        RunPrint inline_run =
+            run_sips(kStorm, {{"storm"}}, g.cores, nullptr);
+        EXPECT_EQ(inline_run.cycles, g.cycles);
+        EXPECT_EQ(counter_string(inline_run), g.counters);
+        EXPECT_EQ(inline_run.death_order,
+                  (std::vector<int>{4, 2, 5, 6, 3, 7, 1}));
+        EXPECT_EQ(inline_run.console, "71 127 31 84 14 47 sum 374");
+        EXPECT_EQ(inline_run.codes, std::vector<int64_t>{0});
+        EXPECT_EQ(inline_run.prerun.preruns, 0u);
+        for (oskit::QuantumPool *pool : {&none, &three}) {
+            RunPrint pre = run_sips(kStorm, {{"storm"}}, g.cores, pool);
+            expect_same_run(inline_run, pre);
+            EXPECT_GT(pre.prerun.commits, 0u);
+            EXPECT_GT(pre.prerun.reruns, 0u); // spawns moved code
+            EXPECT_EQ(pre.prerun.yields, 0u);
+        }
+    }
+}
+
+TEST(PreRun, KilledSiblingsPreRunLeavesNoTrace)
+{
+    // pid 1 computes, then kills pid 3 — runnable and CPU-bound, its
+    // quantum already pre-run — at a walk slot before pid 3's. The
+    // discarded pre-run must not show in any counter, in pid 2's
+    // DeathRecord, or in a code mark a later spawn into its slot could
+    // see (the final code generation).
+    const std::vector<std::pair<std::string, std::string>> sources = {
+        {"killer", R"(
+func main() {
+    var i = 0;
+    var h = 1;
+    while (i < 30000) { h = h * 3 + i; i = i + 1; }
+    kill(3, 9);
+    i = 0;
+    while (i < 10000) { h = h * 5 + i; i = i + 1; }
+    return h & 0x3f;
+}
+)"},
+        {"victim", R"(
+global int cells[512];
+func main() {
+    var i = 0;
+    while (1) { cells[i & 511] = cells[(i * 3) & 511] + i; i = i + 1; }
+    return 0;
+}
+)"},
+        {"bystander", R"(
+func main() {
+    var i = 0;
+    var h = 7;
+    while (i < 60000) { h = (h * 31 + i) & 0xffff; i = i + 1; }
+    return h & 0x7f;
+}
+)"},
+    };
+    // Pids 1..3: the victim shares the killer's home core at cores 2.
+    const std::vector<std::vector<std::string>> spawns = {
+        {"killer"}, {"bystander"}, {"victim"}};
+    oskit::QuantumPool three(3);
+    for (int cores : {1, 2}) {
+        SCOPED_TRACE(cores);
+        RunPrint inline_run = run_sips(sources, spawns, cores, nullptr);
+        RunPrint pre = run_sips(sources, spawns, cores, &three);
+        expect_same_run(inline_run, pre);
+        EXPECT_EQ(inline_run.codes[2], -9);
+        EXPECT_EQ(pre.deaths, inline_run.deaths);
+        EXPECT_EQ(pre.code_generation, inline_run.code_generation);
+        EXPECT_GT(pre.prerun.discards, 0u);
+    }
+}
+
+TEST(PreRun, UnsignedForeignLoadYieldsAndMatchesInline)
+{
+    // Without signatures (or load guards) nothing confines a SIP's
+    // loads to its slot: pid 1
+    // reads pid 2's data region, which pid 2 keeps rewriting. The
+    // reads must see pid 2's memory as of pid 1's walk slot, so pid
+    // 1's pre-run yields, and its inline quantum undoes the pre-runs
+    // still outstanding before it touches another slot.
+    const std::vector<std::pair<std::string, std::string>> sources = {
+        {"peek", R"(
+global byte argbuf[24];
+func main() {
+    getarg(1, argbuf, 24);
+    var base = atoi(argbuf);
+    var sum = 0;
+    var round = 0;
+    while (round < 40) {
+        var k = 0;
+        while (k < 256) {
+            sum = (sum * 3 + wload(base + k * 8)) & 0xffffff;
+            k = k + 1;
+        }
+        round = round + 1;
+    }
+    print_int(sum);
+    return 0;
+}
+)"},
+        {"busy", R"(
+global int cells[512];
+func main() {
+    var i = 0;
+    while (i < 120000) { cells[i & 511] = cells[(i * 7) & 511] + i; i = i + 1; }
+    return 0;
+}
+)"},
+    };
+    OcclumSystem::Config config;
+    const uint64_t span = oelf::kTrampSize + config.slot_code_size +
+                          oelf::kGuardSize + config.slot_data_size +
+                          oelf::kGuardSize;
+    // Slot 1's data region (pid 2 is spawned second).
+    const uint64_t target = config.enclave_base + span + oelf::kTrampSize +
+                            config.slot_code_size + oelf::kGuardSize;
+    const std::vector<std::vector<std::string>> spawns = {
+        {"peek", std::to_string(target)}, {"busy"}, {"busy"}};
+    oskit::QuantumPool three(3);
+    RunPrint inline_run =
+        run_sips(sources, spawns, 1, nullptr, /*check_signatures=*/false);
+    RunPrint pre =
+        run_sips(sources, spawns, 1, &three, /*check_signatures=*/false);
+    expect_same_run(inline_run, pre);
+    EXPECT_EQ(inline_run.codes, (std::vector<int64_t>{0, 0, 0}));
+    EXPECT_GT(pre.prerun.yields, 0u);
+    EXPECT_GT(pre.prerun.discards, 0u);
+}
+
 
 TEST(Eip, RunsProgramsInPerProcessEnclaves)
 {

@@ -451,6 +451,191 @@ TEST(Cpu, LoopExecutesExactly)
     EXPECT_EQ(h.cpu.reg(1), 300u);
 }
 
+// ---- speculative quanta (the kernel's pre-run) --------------------------
+
+/**
+ * A loop that reads and rewrites a counter on a data page, touches a
+ * second, lazy data page, and calls a function on a second code page
+ * (so its first fetch marks that page), then exits through ltrap.
+ */
+Bytes
+speculation_program()
+{
+    isa::Assembler a(kCode);
+    a.mov_ri(1, kData);
+    a.mov_ri(2, 400);
+    a.bind("loop");
+    a.load(3, mem_bd(1, 0));   // read first: a read may not open a
+    a.add_ri(3, 5);            // write entry the journal never saw
+    a.store(mem_bd(1, 0), 3);
+    a.sub_ri(2, 1);
+    a.cmp_ri(2, 0);
+    a.jcc(Cond::kNe, "loop");
+    a.store(mem_bd(1, 0x1008), 3); // first write: a lazy page
+    a.load(5, mem_bd(1, 0x2000));  // a materialized page, read first
+    a.add_ri(5, 1);
+    a.store(mem_bd(1, 0x2000), 5);
+    a.mov_ri(4, kCode + 0x1000);
+    a.call_reg(4);
+    a.ltrap();
+    return a.finish();
+}
+
+struct SpecHarness {
+    AddressSpace space;
+    Cpu cpu{space};
+
+    SpecHarness()
+    {
+        EXPECT_TRUE(space.map(kCode, 0x2000, kPermRX).ok());
+        EXPECT_TRUE(space.map(kData, 0x3000, kPermRW).ok());
+        EXPECT_TRUE(space.map(kStackTop - 0x2000, 0x2000, kPermRW).ok());
+        Bytes code = speculation_program();
+        EXPECT_EQ(space.write_raw(kCode, code.data(), code.size()),
+                  AccessFault::kNone);
+        isa::Assembler callee(kCode + 0x1000);
+        callee.add_ri(3, 1);
+        callee.ret();
+        Bytes tail = callee.finish();
+        EXPECT_EQ(space.write_raw(kCode + 0x1000, tail.data(), tail.size()),
+                  AccessFault::kNone);
+        uint64_t seed = 7;
+        EXPECT_EQ(space.write_raw(kData, &seed, 8), AccessFault::kNone);
+        EXPECT_EQ(space.write_raw(kData + 0x2000, &seed, 8),
+                  AccessFault::kNone);
+        cpu.set_sp(kStackTop - 8);
+        cpu.set_rip(kCode);
+    }
+};
+
+TEST(Speculation, RollbackLeavesNoTraceThenRunMatchesInline)
+{
+    // Reference: the same program run inline in two quanta.
+    SpecHarness ref;
+    CpuExit ref_first = ref.cpu.run(1500);
+    CpuExit ref_exit = ref.cpu.run(1'000'000);
+    ASSERT_EQ(ref_exit.kind, ExitKind::kLtrap);
+
+    SpecHarness h;
+    ASSERT_EQ(h.cpu.run(1500).kind, ref_first.kind); // warm blocks
+    const CpuState state = h.cpu.state();
+    const uint64_t cycles = h.cpu.cycles();
+    const uint64_t instrs = h.cpu.instructions();
+    const uint64_t hits = h.cpu.block_cache_hits();
+    const size_t blocks = h.cpu.block_cache_blocks();
+    const size_t traces = h.cpu.superblock_count();
+    uint64_t counter = 0;
+    ASSERT_EQ(h.space.read_raw(kData, &counter, 8), AccessFault::kNone);
+
+    CpuExit spec = h.cpu.speculate(1'000'000);
+    EXPECT_EQ(spec.kind, ExitKind::kLtrap);
+    EXPECT_FALSE(h.cpu.speculation_aborted());
+    h.cpu.rollback_speculation();
+
+    EXPECT_EQ(h.cpu.state().regs, state.regs);
+    EXPECT_EQ(h.cpu.rip(), state.rip);
+    EXPECT_EQ(h.cpu.cycles(), cycles);
+    EXPECT_EQ(h.cpu.instructions(), instrs);
+    EXPECT_EQ(h.cpu.block_cache_hits(), hits);
+    EXPECT_EQ(h.cpu.block_cache_blocks(), blocks);
+    EXPECT_EQ(h.cpu.superblock_count(), traces);
+    uint64_t after = ~0ull;
+    ASSERT_EQ(h.space.read_raw(kData, &after, 8), AccessFault::kNone);
+    EXPECT_EQ(after, counter);
+    ASSERT_EQ(h.space.read_raw(kData + 0x1008, &after, 8),
+              AccessFault::kNone);
+    EXPECT_EQ(after, 0u);
+    ASSERT_EQ(h.space.read_raw(kData + 0x2000, &after, 8),
+              AccessFault::kNone);
+    EXPECT_EQ(after, 7u);
+    // The callee page's code mark was undone: storing to it through
+    // a trusted write leaves the generation alone again.
+    const uint64_t gen = h.space.code_generation();
+    uint64_t zero = 0;
+    ASSERT_EQ(h.space.write_raw(kCode + 0x1800, &zero, 8),
+              AccessFault::kNone);
+    EXPECT_EQ(h.space.code_generation(), gen);
+
+    // Redone inline, the quantum ends exactly as the reference.
+    CpuExit exit = h.cpu.run(1'000'000);
+    EXPECT_EQ(exit.kind, ref_exit.kind);
+    EXPECT_EQ(exit.rip, ref_exit.rip);
+    EXPECT_EQ(h.cpu.state().regs, ref.cpu.state().regs);
+    EXPECT_EQ(h.cpu.cycles(), ref.cpu.cycles());
+    EXPECT_EQ(h.cpu.block_cache_hits(), ref.cpu.block_cache_hits());
+    EXPECT_EQ(h.cpu.block_cache_misses(), ref.cpu.block_cache_misses());
+    EXPECT_EQ(h.cpu.superblock_promotions(),
+              ref.cpu.superblock_promotions());
+}
+
+TEST(Speculation, CommitKeepsTheQuantum)
+{
+    SpecHarness ref;
+    CpuExit ref_exit = ref.cpu.run(1'000'000);
+    SpecHarness h;
+    CpuExit spec = h.cpu.speculate(1'000'000);
+    ASSERT_FALSE(h.cpu.speculation_aborted());
+    h.cpu.commit_speculation(spec);
+    EXPECT_EQ(spec.kind, ref_exit.kind);
+    EXPECT_EQ(h.cpu.state().regs, ref.cpu.state().regs);
+    EXPECT_EQ(h.cpu.cycles(), ref.cpu.cycles());
+    uint64_t a = 0, b = 1;
+    ASSERT_EQ(h.space.read_raw(kData, &a, 8), AccessFault::kNone);
+    ASSERT_EQ(ref.space.read_raw(kData, &b, 8), AccessFault::kNone);
+    EXPECT_EQ(a, b);
+}
+
+TEST(Speculation, ForeignAccessAndCodeStoreAbort)
+{
+    // Confined to [kCode, kData + 0x3000): the stack is foreign, so
+    // the call's push refuses; a store into a fetched RWX page would
+    // advance the code generation, so it refuses too. Neither touches
+    // memory, and the rollback returns the Cpu to its start.
+    {
+        SpecHarness h;
+        h.cpu.confine_to(kCode, kData + 0x3000);
+        uint64_t stack_word = 0x55;
+        ASSERT_EQ(h.space.write_raw(kStackTop - 16, &stack_word, 8),
+                  AccessFault::kNone);
+        h.cpu.speculate(1'000'000);
+        EXPECT_TRUE(h.cpu.speculation_aborted());
+        h.cpu.rollback_speculation();
+        EXPECT_EQ(h.cpu.rip(), kCode);
+        EXPECT_EQ(h.cpu.instructions(), 0u);
+        uint64_t word = 0;
+        ASSERT_EQ(h.space.read_raw(kStackTop - 16, &word, 8),
+                  AccessFault::kNone);
+        EXPECT_EQ(word, 0x55u);
+        // Inline, the same access simply works.
+        EXPECT_EQ(h.cpu.run(1'000'000).kind, ExitKind::kLtrap);
+    }
+    {
+        AddressSpace space;
+        ASSERT_TRUE(space.map(kCode, 0x1000, kPermRWX).ok());
+        isa::Assembler a(kCode);
+        a.mov_ri(1, kCode + 0x800);
+        a.mov_ri(2, 9);
+        a.store(mem_bd(1, 0), 2); // into the page being executed
+        a.ltrap();
+        Bytes code = a.finish();
+        ASSERT_EQ(space.write_raw(kCode, code.data(), code.size()),
+                  AccessFault::kNone);
+        Cpu cpu(space);
+        cpu.set_rip(kCode);
+        const uint64_t gen = space.code_generation();
+        cpu.speculate(1000);
+        EXPECT_TRUE(cpu.speculation_aborted());
+        EXPECT_EQ(space.code_generation(), gen);
+        cpu.rollback_speculation();
+        EXPECT_EQ(cpu.run(1000).kind, ExitKind::kLtrap);
+        EXPECT_GT(space.code_generation(), gen);
+        uint64_t word = 0;
+        ASSERT_EQ(space.read_raw(kCode + 0x800, &word, 8),
+                  AccessFault::kNone);
+        EXPECT_EQ(word, 9u);
+    }
+}
+
 TEST(Cpu, GuardRegionFaultsLikeMmdsfiExpects)
 {
     // Unmapped pages adjacent to data fault on access: the mechanism
