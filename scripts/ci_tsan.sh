@@ -4,12 +4,14 @@
 #
 # Since quanta are pre-run on host threads (DESIGN.md §3.4, "host
 # execution"), a round's CPU-bound quanta execute concurrently, each
-# on its own vm::Cpu over its own pages of one shared AddressSpace.
-# What keeps them apart is a protocol, not memory safety: per-Cpu
-# TLBs, an atomic epoch, accesses confined to the SIP's slot, and a
-# pool barrier between the parallel phase and the serial commit. A
-# slip in that protocol is a data race — two threads touching the
-# same page, TLB entry or block cache without a happens-before edge.
+# on its own vm::Cpu over its own pages of one shared AddressSpace,
+# while the kernel's walk goes on on the main thread. What keeps them
+# apart is a protocol, not memory safety: per-Cpu TLBs, an atomic
+# epoch and code generation, accesses confined to the SIP's slot, a
+# lock on the page table's structure, and a walk that settles a pid's
+# pre-run before it touches that pid. A slip in that protocol is a
+# data race — two threads touching the same page, TLB entry, block
+# cache or page-table node without a happens-before edge.
 # ASan cannot see it: a racy access still lands in live, correctly
 # sized memory, so nothing is out of bounds or freed. Only TSan
 # checks the ordering between threads.

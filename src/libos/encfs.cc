@@ -605,6 +605,7 @@ EncFs::load_inode(uint32_t index, DirectRange range)
     for (uint32_t d = range.first; d < range.first + range.count; ++d) {
         inode.direct[d] = get_le<uint32_t>(raw + 16 + 4 * d);
     }
+    inode.decoded = range;
     inode.indirect = get_le<uint32_t>(raw + 16 + 4 * kDirectBlocks);
     return inode;
 }
@@ -619,6 +620,9 @@ EncFs::store_inode(uint32_t index, const Inode &inode, DirectRange range)
     auto blk = get_block(inode_table_start_ + index / per_block, true);
     if (!blk.ok()) return blk.error();
     uint8_t *raw = blk.value() + (index % per_block) * kInodeSize;
+    OCC_CHECK(range.first >= inode.decoded.first &&
+              range.first + range.count <=
+                  inode.decoded.first + inode.decoded.count);
     if (range.first == 0 && range.count == kDirectBlocks) {
         std::memset(raw, 0, kInodeSize);
     }
@@ -636,6 +640,9 @@ EncFs::map_file_block(Inode &inode, uint64_t file_block, bool allocate,
                       bool &inode_dirty)
 {
     if (file_block < kDirectBlocks) {
+        // Outside the decoded range the pointer is not the inode's.
+        OCC_CHECK(file_block >= inode.decoded.first &&
+                  file_block < inode.decoded.first + inode.decoded.count);
         uint32_t block = inode.direct[file_block];
         if (block == kNoBlock) {
             if (!allocate) {

@@ -116,10 +116,19 @@ class EncFs
 
     enum class InodeType : uint8_t { kFree = 0, kFile = 1, kDir = 2 };
 
+    /** The direct pointers an inode access decodes (or encodes):
+     *  [first, first + count). The default is all of them. */
+    struct DirectRange {
+        uint32_t first;
+        uint32_t count;
+    };
+
     struct Inode {
         InodeType type = InodeType::kFree;
         uint64_t size = 0;
+        /** Only the `decoded` pointers hold values (load_inode). */
         uint32_t direct[kDirectBlocks];
+        DirectRange decoded{0, kDirectBlocks};
         uint32_t indirect = kNoBlock;
     };
 
@@ -181,12 +190,6 @@ class EncFs
     Result<uint32_t> alloc_inode(InodeType type);
 
     // ---- inode / directory helpers ----------------------------------------
-    /** The direct pointers an inode access decodes (or encodes):
-     *  [first, first + count). The default is all of them. */
-    struct DirectRange {
-        uint32_t first;
-        uint32_t count;
-    };
     /** The direct pointers of file bytes [offset, offset + len), plus
      *  `extra` blocks past them (a read's readahead window). */
     static DirectRange direct_range(uint64_t offset, uint64_t len,

@@ -538,6 +538,36 @@ Kernel::block_on(Process &proc, uint64_t wake,
 // ---------------------------------------------------------------------
 
 void
+PreRunTask::run()
+{
+    if (speculated) {
+        // Posted again: the walk found this speculation stale.
+        cpu->rollback_speculation();
+        speculated = false;
+        ++reruns;
+    }
+    for (;;) {
+        ++runs;
+        exit = cpu->speculate(quantum);
+        generation = cpu->speculation_generation();
+        if (cpu->speculation_aborted()) {
+            cpu->rollback_speculation();
+            yielded = true;
+            return;
+        }
+        if (space->code_generation() == generation) {
+            speculated = true;
+            return;
+        }
+        // The walk moved code while this ran (a spawn into a reused
+        // slot, a store to a fetched page): its slot will see another
+        // generation. Again, under the new one.
+        cpu->rollback_speculation();
+        ++reruns;
+    }
+}
+
+void
 Kernel::start_preruns()
 {
     std::vector<Process *> &batch = prerun_batch_;
@@ -557,85 +587,92 @@ Kernel::start_preruns()
     if (batch.size() < 2) {
         return;
     }
+    to_post_.clear();
     for (Process *proc : batch) {
-        proc->prerun_cycles = proc->cpu->cycles();
-        proc->prerun_instructions = proc->cpu->instructions();
+        PreRunTask &task = proc->prerun;
+        task.posted = true;
+        task.base_cycles = proc->cpu->cycles();
+        task.base_instructions = proc->cpu->instructions();
+        task.cpu = proc->cpu;
+        task.space = proc->space;
+        task.quantum = quantum_;
+        task.speculated = false;
+        task.yielded = false;
         preruns_.push_back(proc);
+        to_post_.push_back(&task);
     }
-    run_preruns(batch);
+    prerun_stats_.posted += to_post_.size();
+    pool_->post(to_post_);
 }
 
-void
-Kernel::run_preruns(const std::vector<Process *> &batch)
+bool
+Kernel::settle_prerun(Process &proc)
 {
-    for (Process *proc : batch) {
-        proc->prerun_generation = proc->space->code_generation();
+    PreRunTask &task = proc.prerun;
+    const bool ran = pool_->settle(task);
+    prerun_stats_.preruns += task.runs;
+    prerun_stats_.reruns += task.reruns;
+    task.runs = 0;
+    task.reruns = 0;
+    if (!ran) {
+        ++prerun_stats_.taken_back;
+    } else if (task.yielded) {
+        ++prerun_stats_.yields;
     }
-    const uint64_t quantum = quantum_;
-    pool_->run(batch.size(), [&batch, quantum](size_t i) {
-        Process &proc = *batch[i];
-        vm::Cpu &cpu = *proc.cpu;
-        if (proc.prerun == PreRun::kReady) {
-            cpu.rollback_speculation();
-        }
-        proc.prerun_exit = cpu.speculate(quantum);
-        if (cpu.speculation_aborted()) {
-            cpu.rollback_speculation();
-            proc.prerun = PreRun::kInline;
-        } else {
-            proc.prerun = PreRun::kReady;
-        }
-    });
-    prerun_stats_.preruns += batch.size();
-    for (const Process *proc : batch) {
-        prerun_stats_.yields += proc->prerun == PreRun::kInline;
-    }
+    return ran;
 }
 
 vm::CpuExit
 Kernel::take_prerun(Process &proc)
 {
-    if (proc.prerun == PreRun::kReady &&
-        proc.space->code_generation() != proc.prerun_generation) {
-        // An earlier slot changed code (a spawn into a reused slot,
-        // a store to a fetched page): this pre-run and every other
-        // outstanding one ran against stale blocks. Redo them all.
-        std::vector<Process *> redo;
+    PreRunTask &task = proc.prerun;
+    task.posted = false;
+    preruns_.erase(std::find(preruns_.begin(), preruns_.end(), &proc));
+    settle_prerun(proc);
+    if (task.speculated &&
+        proc.space->code_generation() != task.generation) {
+        // An earlier slot moved code after the pre-run finished. So it
+        // did for every other finished pre-run of the same space:
+        // redo those on the pool while this one runs inline.
+        task.speculated = false;
+        proc.cpu->rollback_speculation();
+        ++prerun_stats_.reruns;
+        to_post_.clear();
         for (Process *other : preruns_) {
-            if (other->prerun == PreRun::kReady) {
-                redo.push_back(other);
+            PreRunTask &stale = other->prerun;
+            if (other->space == proc.space && stale.done() &&
+                stale.speculated &&
+                other->space->code_generation() != stale.generation) {
+                settle_prerun(*other);
+                to_post_.push_back(&stale);
             }
         }
-        prerun_stats_.reruns += redo.size();
-        if (redo.size() > 1) {
-            run_preruns(redo);
-        } else {
-            proc.cpu->rollback_speculation();
-            proc.prerun = PreRun::kInline;
-        }
+        prerun_stats_.posted += to_post_.size();
+        pool_->post(to_post_);
     }
-    const PreRun kind = proc.prerun;
-    proc.prerun = PreRun::kNone;
-    preruns_.erase(std::find(preruns_.begin(), preruns_.end(), &proc));
-    if (kind == PreRun::kInline) {
+    if (!task.speculated) {
         return proc.cpu->run(quantum_);
     }
+    task.speculated = false;
     ++prerun_stats_.commits;
-    proc.cpu->commit_speculation(proc.prerun_exit);
-    return proc.prerun_exit;
+    proc.cpu->commit_speculation(task.exit);
+    return task.exit;
 }
 
 void
 Kernel::drop_prerun(Process &proc)
 {
-    if (proc.prerun == PreRun::kNone) {
+    PreRunTask &task = proc.prerun;
+    if (!task.posted) {
         return;
     }
-    if (proc.prerun == PreRun::kReady) {
+    task.posted = false;
+    preruns_.erase(std::find(preruns_.begin(), preruns_.end(), &proc));
+    settle_prerun(proc);
+    if (task.speculated) {
+        task.speculated = false;
         proc.cpu->rollback_speculation();
     }
-    proc.prerun = PreRun::kNone;
-    preruns_.erase(std::find(preruns_.begin(), preruns_.end(), &proc));
     ++prerun_stats_.discards;
 }
 
@@ -650,7 +687,7 @@ Kernel::drop_preruns()
 vm::CpuExit
 Kernel::run_user_quantum(Process &proc)
 {
-    if (proc.prerun != PreRun::kNone) {
+    if (proc.prerun.posted) {
         return take_prerun(proc); // only when no AEX plan is armed
     }
     uint64_t period = faultsim::FaultSim::instance().aex_period();
@@ -716,11 +753,11 @@ Kernel::run_one_quantum(Process &proc)
     // Runnable: execute a quantum. The span covers the charge so
     // its duration equals the cycles the SIP's code consumed. (A
     // pre-run already advanced the CPU; its base is kept.)
-    const bool pre = proc.prerun != PreRun::kNone;
+    const bool pre = proc.prerun.posted;
     uint64_t before_cycles =
-        pre ? proc.prerun_cycles : proc.cpu->cycles();
+        pre ? proc.prerun.base_cycles : proc.cpu->cycles();
     uint64_t before_instrs =
-        pre ? proc.prerun_instructions : proc.cpu->instructions();
+        pre ? proc.prerun.base_instructions : proc.cpu->instructions();
     vm::CpuExit exit;
     {
         OCC_TRACE_SPAN(kVm, "cpu.quantum",

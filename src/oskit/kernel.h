@@ -49,11 +49,40 @@ enum class DeathCause {
     kPipe,       // wrote to a pipe with no readers (SIGPIPE-shaped)
 };
 
-/** Where a process's quantum of the current round stands. */
-enum class PreRun {
-    kNone,   // runs inline at its walk slot, as always
-    kReady,  // pre-run speculatively; committed (or redone) at its slot
-    kInline, // the pre-run was refused and undone; runs inline
+/**
+ * A process's pre-run (DESIGN.md §3.4): its next quantum, executed
+ * speculatively on a pool thread while the walk goes on, and committed
+ * or undone at its walk slot. The kernel owns the fields before the
+ * "written by run()" mark; the pool thread running the task writes
+ * the ones after it, which the kernel reads only once the task is
+ * settled (or done()).
+ */
+struct PreRunTask final : QuantumPool::Task {
+    /** Posted this round and not yet settled at its slot. */
+    bool posted = false;
+    /** CPU cycles and instructions before the pre-run. */
+    uint64_t base_cycles = 0;
+    uint64_t base_instructions = 0;
+    vm::Cpu *cpu = nullptr;
+    const vm::AddressSpace *space = nullptr;
+    uint64_t quantum = 0;
+
+    // ---- written by run() ---------------------------------------------
+    /** A speculation is outstanding (neither committed nor undone). */
+    bool speculated = false;
+    /** The speculation was refused (foreign access, code store). */
+    bool yielded = false;
+    /** Code generation the outstanding speculation executed under. */
+    uint64_t generation = 0;
+    /** Its exit, consumed at the walk slot. */
+    vm::CpuExit exit;
+    /** Speculations run since the kernel last counted them, and how
+     *  many of those were undone because the code generation moved. */
+    uint32_t runs = 0;
+    uint32_t reruns = 0;
+
+  private:
+    void run() override;
 };
 
 /** Scheduler state of a process. */
@@ -80,14 +109,7 @@ struct Process {
      */
     uint64_t ran_round = 0;
     ProcState state = ProcState::kRunnable;
-    PreRun prerun = PreRun::kNone;
-    /** Code generation the kReady pre-run executed under. */
-    uint64_t prerun_generation = 0;
-    /** The kReady pre-run's exit, consumed at the walk slot. */
-    vm::CpuExit prerun_exit;
-    /** CPU cycles and instructions before the pre-run. */
-    uint64_t prerun_cycles = 0;
-    uint64_t prerun_instructions = 0;
+    PreRunTask prerun;
     DeathCause death = DeathCause::kNone;
     int64_t exit_code = 0;
     vm::FaultKind last_fault = vm::FaultKind::kNone;
@@ -210,10 +232,12 @@ struct KernelStats {
  * it depends on the host's CPUs).
  */
 struct PreRunStats {
+    uint64_t posted = 0;    // quanta handed to the pool
     uint64_t preruns = 0;   // speculative quanta executed
     uint64_t commits = 0;   // ... kept at their walk slot
     uint64_t yields = 0;    // refused (foreign access, code store)
-    uint64_t reruns = 0;    // redone after an earlier slot moved code
+    uint64_t reruns = 0;    // undone: an earlier slot moved code
+    uint64_t taken_back = 0; // reached by the walk before any thread
     uint64_t discards = 0;  // undone: killed, or foreign access inline
 };
 
@@ -494,17 +518,23 @@ class Kernel
 
     /**
      * Pre-run phase of a round: every runnable process whose last
-     * quantum ended on its budget speculatively executes its next
-     * quantum on the pool, to be committed at its walk slot — once
-     * two rounds in a row have had at least two such quanta. A lone
+     * quantum ended on its budget posts its next quantum to the pool,
+     * to run speculatively while the walk goes on and be settled at
+     * its walk slot — once two rounds in a row have had at least two
+     * such quanta. A lone
      * CPU-bound quantum gains nothing, and a lone round of them (a
      * server's start-up) is not worth the first batch's threads.
      */
     void start_preruns();
-    /** Execute (or, for kReady entries, redo) `batch`'s pre-runs. */
-    void run_preruns(const std::vector<Process *> &batch);
-    /** The quantum pre-run for `proc`, redone first if an earlier slot
-     *  moved the code generation; inline if the pre-run was refused. */
+    /** Settle `proc`'s posted pre-run and count it; false if no
+     *  thread started it. */
+    bool settle_prerun(Process &proc);
+    /**
+     * `proc`'s quantum at its walk slot: the pre-run's, or an inline
+     * one if the pre-run was taken back, refused, or ran under a code
+     * generation an earlier slot has since moved (then every other
+     * finished pre-run that is stale too is posted again).
+     */
     vm::CpuExit take_prerun(Process &proc);
     /** Undo `proc`'s outstanding pre-run, if any. */
     void drop_prerun(Process &proc);
@@ -591,8 +621,10 @@ class Kernel
     std::vector<int> death_order_;
 
     QuantumPool *pool_ = QuantumPool::shared();
-    /** Processes whose PreRun is not kNone (this round only). */
+    /** Processes whose pre-run is posted (this round only). */
     std::vector<Process *> preruns_;
+    /** Scratch list of tasks handed to QuantumPool::post(). */
+    std::vector<QuantumPool::Task *> to_post_;
     /** Processes whose quantum this round ended on its budget: the
      *  next round's pre-run candidates (every runnable process runs
      *  once per round, so no older entry can be missing). */

@@ -2,48 +2,9 @@
 
 #include <sched.h>
 
-#include <chrono>
+#include <algorithm>
 
 namespace occlum::oskit {
-
-namespace {
-
-/**
- * How long an idle thread polls before it sleeps. A round's batches
- * come a few tens of microseconds apart (the commits and syscalls
- * between two batches are short); a futex wakeup costs about that
- * much again, so a brief poll hides it without holding a CPU for long
- * once the kernel has gone serial.
- */
-constexpr auto kSpin = std::chrono::microseconds(100);
-
-/**
- * Poll `done` for up to kSpin; true if it came true. Each poll round
- * ends in sched_yield: on a host whose CPUs are shared, a poller must
- * not keep a preempted straggler of the same batch off its CPU.
- */
-template <typename F>
-bool
-spin_until(F &&done)
-{
-    const auto until = std::chrono::steady_clock::now() + kSpin;
-    for (;;) {
-        for (int i = 0; i < 16; ++i) {
-            if (done()) {
-                return true;
-            }
-#if defined(__x86_64__) || defined(__i386__)
-            __builtin_ia32_pause();
-#endif
-        }
-        sched_yield();
-        if (std::chrono::steady_clock::now() >= until) {
-            return false;
-        }
-    }
-}
-
-} // namespace
 
 QuantumPool::~QuantumPool()
 {
@@ -51,91 +12,83 @@ QuantumPool::~QuantumPool()
         std::lock_guard<std::mutex> lock(mu_);
         stopping_ = true;
     }
-    start_cv_.notify_all();
+    work_cv_.notify_all();
     for (std::thread &t : threads_) {
         t.join();
     }
 }
 
 void
-QuantumPool::drain()
-{
-    for (;;) {
-        size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count_) {
-            return;
-        }
-        (*task_)(i);
-        if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            std::lock_guard<std::mutex> lock(mu_);
-            done_cv_.notify_one();
-        }
-    }
-}
-
-void
 QuantumPool::worker_main()
 {
-    uint64_t seen = 0;
+    std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-        spin_until([&] {
-            return batch_.load(std::memory_order_acquire) != seen;
-        });
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            start_cv_.wait(lock, [&] {
-                return stopping_ ||
-                       batch_.load(std::memory_order_relaxed) != seen;
-            });
-            if (stopping_) {
-                return;
-            }
-            seen = batch_.load(std::memory_order_relaxed);
-            ++active_;
+        work_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
+        if (stopping_) {
+            return;
         }
-        drain();
-        std::lock_guard<std::mutex> lock(mu_);
-        if (--active_ == 0) {
-            done_cv_.notify_one();
-        }
+        Task *task = queue_.back();
+        queue_.pop_back();
+        task->state_ = Task::kRunning;
+        lock.unlock();
+        task->run();
+        task->state_ = Task::kDone;
+        task->state_.notify_one();
+        lock.lock();
     }
 }
 
 void
-QuantumPool::run(size_t count, const std::function<void(size_t)> &task)
+QuantumPool::post(std::span<Task *const> tasks)
 {
-    if (count == 0) {
+    if (tasks.empty()) {
         return;
     }
-    if (count > 1 && threads_.size() < static_cast<size_t>(workers_)) {
+    if (workers_ == 0) {
+        for (Task *task : tasks) {
+            task->run();
+            task->state_ = Task::kDone;
+        }
+        return;
+    }
+    if (threads_.empty()) {
         for (int i = 0; i < workers_; ++i) {
             threads_.emplace_back([this] { worker_main(); });
         }
     }
     {
-        std::unique_lock<std::mutex> lock(mu_);
-        // A worker that woke too late for the last batch may still be
-        // in drain(), reading the batch fields.
-        done_cv_.wait(lock, [&] { return active_ == 0; });
-        task_ = &task;
-        count_ = count;
-        next_.store(0, std::memory_order_relaxed);
-        pending_.store(count, std::memory_order_relaxed);
-        batch_.fetch_add(1, std::memory_order_release);
+        std::lock_guard<std::mutex> lock(mu_);
+        for (Task *task : tasks) {
+            task->state_ = Task::kQueued;
+            queue_.push_back(task);
+        }
     }
-    if (count > 1) {
-        start_cv_.notify_all();
+    if (tasks.size() == 1) {
+        work_cv_.notify_one();
+    } else {
+        work_cv_.notify_all();
     }
-    drain();
-    if (spin_until([&] {
-            return pending_.load(std::memory_order_acquire) == 0;
-        })) {
-        return;
+}
+
+bool
+QuantumPool::settle(Task &task)
+{
+    int state = task.state_.load();
+    if (state == Task::kQueued) {
+        std::lock_guard<std::mutex> lock(mu_);
+        state = task.state_.load();
+        if (state == Task::kQueued) {
+            queue_.erase(std::find(queue_.begin(), queue_.end(), &task));
+            task.state_ = Task::kIdle;
+            return false;
+        }
     }
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] {
-        return pending_.load(std::memory_order_acquire) == 0;
-    });
+    while (state == Task::kRunning) {
+        task.state_.wait(Task::kRunning);
+        state = task.state_.load();
+    }
+    task.state_ = Task::kIdle;
+    return true;
 }
 
 QuantumPool *

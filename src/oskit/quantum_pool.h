@@ -1,10 +1,12 @@
 /**
  * @file
- * A fixed pool of host threads that runs one batch of independent
- * tasks at a time, the calling thread taking a share. The kernel uses
- * it to pre-run a round's CPU-bound quanta (DESIGN.md §3.4); the
- * threads never decide a simulated result, they only compute quanta
- * the kernel then commits one by one in its usual order.
+ * A fixed pool of host threads that runs posted tasks, each of which
+ * its poster later settles on its own: a task no thread has started
+ * yet is taken back, one in flight is waited for. The kernel uses it
+ * to pre-run a round's CPU-bound quanta (DESIGN.md §3.4) while its
+ * walk goes on; the threads never decide a simulated result, they
+ * only compute quanta the kernel then commits one by one in its usual
+ * order.
  */
 #ifndef OCCLUM_OSKIT_QUANTUM_POOL_H
 #define OCCLUM_OSKIT_QUANTUM_POOL_H
@@ -12,8 +14,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <functional>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -22,13 +24,37 @@ namespace occlum::oskit {
 class QuantumPool
 {
   public:
+    /** One unit of work, posted and settled any number of times. */
+    class Task
+    {
+      public:
+        Task() = default;
+        Task(const Task &) = delete;
+        Task &operator=(const Task &) = delete;
+
+        /** True once a thread finished it: settle() will not wait. */
+        bool done() const { return state_ == kDone; }
+
+      protected:
+        ~Task() = default;
+
+      private:
+        friend class QuantumPool;
+        virtual void run() = 0;
+
+        enum State : int { kIdle, kQueued, kRunning, kDone };
+        /** kQueued exactly while the task is in the pool's queue;
+         *  both change under the pool's mutex. */
+        std::atomic<int> state_{kIdle};
+    };
+
     /**
-     * A pool of `workers` host threads (0: every task runs on the
-     * calling thread). The threads start with the first batch of two
-     * or more tasks: until a process has a second thread, glibc and
+     * A pool of `workers` host threads (0: post() runs each task on
+     * the calling thread at once). The threads start with the first
+     * post(): until a process has a second thread, glibc and
      * libstdc++ keep their single-threaded fast paths (unlocked
-     * malloc arenas, plain shared_ptr counts), so a process that
-     * never pre-runs a quantum must not pay for the pool.
+     * malloc arenas, plain shared_ptr counts), so a process that never
+     * pre-runs a quantum must not pay for the pool.
      */
     explicit QuantumPool(int workers) : workers_(workers) {}
     ~QuantumPool();
@@ -36,11 +62,19 @@ class QuantumPool
     QuantumPool &operator=(const QuantumPool &) = delete;
 
     /**
-     * Run task(0) .. task(count - 1), each exactly once, on the
-     * workers and the calling thread; returns when all are done.
-     * Everything the tasks wrote is visible to the caller afterwards.
+     * Queue idle `tasks`. Threads take the most recently queued task
+     * first: a poster that settles its tasks in posting order reaches
+     * the first ones itself while the threads work from the back.
      */
-    void run(size_t count, const std::function<void(size_t)> &task);
+    void post(std::span<Task *const> tasks);
+
+    /**
+     * Settle a posted task and leave it idle: take it back if no
+     * thread has started it (false: it did not run), otherwise wait
+     * until it is done (true). Everything a task that ran wrote is
+     * visible to the caller afterwards.
+     */
+    bool settle(Task &task);
 
     /**
      * The process-wide pool: one worker per CPU of this process's
@@ -51,24 +85,14 @@ class QuantumPool
 
   private:
     void worker_main();
-    /** Claim and run tasks of the current batch until none is left. */
-    void drain();
 
     const int workers_;
     std::vector<std::thread> threads_;
     std::mutex mu_;
-    std::condition_variable start_cv_;
-    std::condition_variable done_cv_;
-    /** Batch number; workers wait for it to move. */
-    std::atomic<uint64_t> batch_{0};
+    std::condition_variable work_cv_;
+    /** Queued tasks, taken from the back. */
+    std::vector<Task *> queue_;
     bool stopping_ = false;
-    const std::function<void(size_t)> *task_ = nullptr;
-    size_t count_ = 0;
-    std::atomic<size_t> next_{0};
-    /** Tasks of the current batch not yet finished. */
-    std::atomic<size_t> pending_{0};
-    /** Workers inside drain(); the batch fields change only at 0. */
-    int active_ = 0;
 };
 
 } // namespace occlum::oskit

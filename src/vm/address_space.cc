@@ -1,6 +1,7 @@
 #include "vm/address_space.h"
 
 #include <cstring>
+#include <mutex>
 
 namespace occlum::vm {
 
@@ -34,6 +35,7 @@ AddressSpace::map(uint64_t addr, uint64_t len, uint8_t perms)
             return Status(ErrorCode::kExist, "map: page already mapped");
         }
     }
+    std::unique_lock<std::shared_mutex> lock(pages_mu_);
     pages_.reserve(pages_.size() + len / kPageSize);
     for (uint64_t a = addr; a < addr + len; a += kPageSize) {
         Page page; // backing store stays lazy until the first write
@@ -52,13 +54,17 @@ void
 AddressSpace::unmap(uint64_t addr, uint64_t len)
 {
     bool had_exec = false;
-    for (uint64_t a = addr & ~kPageMask; a < addr + len; a += kPageSize) {
-        auto it = pages_.find(a / kPageSize);
-        if (it == pages_.end()) {
-            continue;
+    {
+        std::unique_lock<std::shared_mutex> lock(pages_mu_);
+        for (uint64_t a = addr & ~kPageMask; a < addr + len;
+             a += kPageSize) {
+            auto it = pages_.find(a / kPageSize);
+            if (it == pages_.end()) {
+                continue;
+            }
+            had_exec = had_exec || (it->second.perms & kPermX);
+            pages_.erase(it);
         }
-        had_exec = had_exec || (it->second.perms & kPermX);
-        pages_.erase(it);
     }
     // Erased nodes may be cached anywhere: every cache empties itself.
     epoch_.fetch_add(1, std::memory_order_release);
@@ -189,6 +195,11 @@ AccessCache::drop(uint64_t page_no)
 Page *
 AccessCache::lookup_slow(uint64_t page_no)
 {
+    std::shared_lock<std::shared_mutex> lock(space_->pages_mu_,
+                                             std::defer_lock);
+    if (speculating_) {
+        lock.lock();
+    }
     auto it = space_->pages_.find(page_no);
     if (it == space_->pages_.end()) {
         return nullptr; // misses are not cached (map() must be seen)
@@ -227,6 +238,7 @@ AccessCache::begin_speculation()
     sync();
     // Write entries filled before now skip the journal.
     write_.fill(HostEntry{});
+    spec_generation_ = space_->code_generation();
     speculating_ = true;
     aborted_ = false;
 }

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -175,6 +176,8 @@ class AccessCache
                                       : write(addr, in, N);
     }
 
+    /** The space's code generation; while speculating, the one the
+     *  speculation began under (see begin_speculation). */
     inline uint64_t code_generation() const;
 
     // ---- speculation ---------------------------------------------------
@@ -185,7 +188,11 @@ class AccessCache
      * advances the code generation and never touches memory outside
      * its private range: such an access fails instead and sets
      * aborted(), so a speculative quantum only ever changes its own
-     * pages and can be undone exactly.
+     * pages and can be undone exactly. It also reports the code
+     * generation of its start throughout: the kernel may advance the
+     * space's meanwhile (the speculation is then discarded), and a
+     * quantum that saw two generations would be neither the one
+     * before the change nor the one after it.
      */
     void begin_speculation();
     bool aborted() const { return aborted_; }
@@ -264,6 +271,7 @@ class AccessCache
     uint64_t hi_ = 0;
     bool speculating_ = false;
     bool aborted_ = false;
+    uint64_t spec_generation_ = 0;
     std::vector<PageUndo> undo_;
     std::vector<Page *> marked_;
     /** Recycled undo buffers. */
@@ -296,44 +304,6 @@ class AddressSpace
 
     /** Permissions of the page containing addr (kPermNone if unmapped). */
     uint8_t perms_at(uint64_t addr) const;
-
-    // ---- checked accessors through the space's own cache ------------
-    AccessFault read(uint64_t addr, void *out, uint64_t len) const
-    {
-        kernel_cache_.sync();
-        return kernel_cache_.read(addr, out, len);
-    }
-    AccessFault write(uint64_t addr, const void *in, uint64_t len)
-    {
-        kernel_cache_.sync();
-        return kernel_cache_.write(addr, in, len);
-    }
-    AccessFault fetch(uint64_t addr, void *out, uint64_t len) const
-    {
-        kernel_cache_.sync();
-        return kernel_cache_.fetch(addr, out, len);
-    }
-    template <uint64_t N>
-    AccessFault
-    read_fast(uint64_t addr, void *out) const
-    {
-        kernel_cache_.sync();
-        return kernel_cache_.read_fast<N>(addr, out);
-    }
-    template <uint64_t N>
-    bool
-    write_hit(uint64_t addr, const void *in)
-    {
-        kernel_cache_.sync();
-        return kernel_cache_.write_hit<N>(addr, in);
-    }
-    template <uint64_t N>
-    AccessFault
-    write_fast(uint64_t addr, const void *in)
-    {
-        kernel_cache_.sync();
-        return kernel_cache_.write_fast<N>(addr, in);
-    }
 
     // ---- trusted accessors used by the LibOS / loaders ---------------
     /** Copy bytes ignoring permissions (still faults on unmapped). */
@@ -385,9 +355,18 @@ class AddressSpace
     void advance_epoch(AccessCache &by);
 
     std::unordered_map<uint64_t, Page> pages_;
+    /**
+     * Guards pages_'s structure against the kernel's thread. Only that
+     * thread maps and unmaps, so only its changes take the lock (in
+     * write mode) and only a speculating cache's lookups (on a pool
+     * thread, maybe while the kernel walks on) take it to read.
+     */
+    mutable std::shared_mutex pages_mu_;
     /** Advanced by every change a cache entry could depend on. */
     std::atomic<uint64_t> epoch_{0};
-    uint64_t code_generation_ = 0;
+    /** Atomic: pool threads read it while the kernel's thread runs
+     *  (a speculating cache never advances it). */
+    std::atomic<uint64_t> code_generation_{0};
     std::function<void()> foreign_hook_;
     mutable AccessCache kernel_cache_;
 };
@@ -395,7 +374,7 @@ class AddressSpace
 inline uint64_t
 AccessCache::code_generation() const
 {
-    return space_->code_generation();
+    return speculating_ ? spec_generation_ : space_->code_generation();
 }
 
 } // namespace occlum::vm

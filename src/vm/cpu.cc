@@ -245,7 +245,8 @@ Cpu::rollback_speculation()
         if (undo.rebuilt) {
             block->instrs = std::move(undo.instrs);
             block->sb = std::move(undo.sb);
-        } else if (!undo.had_sb) {
+        }
+        if (!undo.had_sb) {
             block->sb.reset(); // promoted during the speculation
         }
         block->generation = undo.generation;
@@ -345,7 +346,7 @@ Cpu::decode_at(uint64_t rip, Instruction *out)
 Cpu::Block *
 Cpu::lookup_block(uint64_t rip, CpuExit *exit)
 {
-    uint64_t gen = mem_->code_generation();
+    uint64_t gen = cache_->code_generation();
     Block *cached = block_cache_.find(rip);
     if (cached != nullptr) {
         if (cached->generation == gen) {
@@ -503,7 +504,7 @@ Cpu::run_blocks(uint64_t max_instructions)
             // page (self-modifying code under a data_rwx layout). If
             // the generation moved, this block's remaining decoded
             // ops may be stale — resume through a fresh lookup.
-            if (mem_->code_generation() != block->generation) {
+            if (cache_->code_generation() != block->generation) {
                 state_.rip = instr.end();
                 break; // next == nullptr: fresh lookup
             }

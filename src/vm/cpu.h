@@ -223,13 +223,23 @@ class Cpu
      * both; it never advances the code generation and never touches
      * memory outside the confine_to() range — an instruction that
      * would do either fails the speculation instead (see
-     * speculation_aborted()). Safe to run concurrently with the
-     * speculative quanta of other Cpus over other ranges.
+     * speculation_aborted()). It runs under the code generation of
+     * its start throughout (speculation_generation()). Safe to run
+     * concurrently with the speculative quanta of other Cpus over
+     * other ranges, and with a kernel that touches neither this Cpu
+     * nor its range and changes the page table only under the
+     * space's lock (DESIGN.md §3.4).
      */
     CpuExit speculate(uint64_t max_instructions);
     /** True if the speculation hit an access it must not make; its
      *  result is void and it must be rolled back. */
     bool speculation_aborted() const { return cache_->aborted(); }
+    /** The code generation the outstanding speculation ran under: it
+     *  equals an inline quantum only while the space's still does. */
+    uint64_t speculation_generation() const
+    {
+        return cache_->code_generation();
+    }
     /** Keep the speculative quantum and publish it as run() would
      *  have, with `exit` the exit speculate() returned. */
     void commit_speculation(const CpuExit &exit);

@@ -517,7 +517,7 @@ Cpu::promote_superblock(uint64_t entry_rip)
     // Stale-generation blocks are skipped — their bytes may differ.
     const Block *src = nullptr;
     size_t cursor = 0;
-    const uint64_t gen = mem_->code_generation();
+    const uint64_t gen = cache_->code_generation();
     auto decode = [&, this](uint64_t rip, Instruction *instr) {
         if (src != nullptr) {
             const std::vector<Instruction> &ins = src->instrs;

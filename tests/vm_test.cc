@@ -76,12 +76,13 @@ TEST(AddressSpace, MapUnmapProtect)
 TEST(AddressSpace, PermissionEnforcement)
 {
     AddressSpace space;
+    AccessCache mem(space); // a Cpu's view
     ASSERT_TRUE(space.map(0x1000, 0x1000, kPermR).ok());
     uint64_t v = 42;
-    EXPECT_EQ(space.write(0x1000, &v, 8), AccessFault::kNoWrite);
-    EXPECT_EQ(space.read(0x1000, &v, 8), AccessFault::kNone);
-    EXPECT_EQ(space.fetch(0x1000, &v, 1), AccessFault::kNoExec);
-    EXPECT_EQ(space.read(0x5000, &v, 8), AccessFault::kUnmapped);
+    EXPECT_EQ(mem.write(0x1000, &v, 8), AccessFault::kNoWrite);
+    EXPECT_EQ(mem.read(0x1000, &v, 8), AccessFault::kNone);
+    EXPECT_EQ(mem.fetch(0x1000, &v, 1), AccessFault::kNoExec);
+    EXPECT_EQ(mem.read(0x5000, &v, 8), AccessFault::kUnmapped);
     // Trusted raw access bypasses permissions but not mapping.
     EXPECT_EQ(space.write_raw(0x1000, &v, 8), AccessFault::kNone);
     EXPECT_EQ(space.write_raw(0x5000, &v, 8), AccessFault::kUnmapped);
@@ -90,14 +91,15 @@ TEST(AddressSpace, PermissionEnforcement)
 TEST(AddressSpace, CrossPageAccess)
 {
     AddressSpace space;
+    AccessCache mem(space); // a Cpu's view
     ASSERT_TRUE(space.map(0x1000, 0x2000, kPermRW).ok());
     uint64_t v = 0x1122334455667788ull;
-    EXPECT_EQ(space.write(0x1ffc, &v, 8), AccessFault::kNone);
+    EXPECT_EQ(mem.write(0x1ffc, &v, 8), AccessFault::kNone);
     uint64_t back = 0;
-    EXPECT_EQ(space.read(0x1ffc, &back, 8), AccessFault::kNone);
+    EXPECT_EQ(mem.read(0x1ffc, &back, 8), AccessFault::kNone);
     EXPECT_EQ(back, v);
     // Partially unmapped cross-page access faults.
-    EXPECT_EQ(space.write(0x2ffc, &v, 8), AccessFault::kUnmapped);
+    EXPECT_EQ(mem.write(0x2ffc, &v, 8), AccessFault::kUnmapped);
 }
 
 TEST(AddressSpace, IsMappedRejectsWrappingRanges)
@@ -139,11 +141,12 @@ TEST(AddressSpace, OnlyPagesThatSuppliedCodeAdvanceTheGeneration)
     // The code generation follows pages that fetch() has read, not
     // pages that merely carry X: stores into RWX data leave it alone.
     AddressSpace space;
+    AccessCache mem(space); // a Cpu's view
     ASSERT_TRUE(space.map(0x1000, 0x3000, kPermRWX).ok());
     uint64_t gen = space.code_generation();
     uint64_t v = 0x1122334455667788ull;
-    ASSERT_EQ(space.write(0x1000, &v, 8), AccessFault::kNone);
-    ASSERT_EQ(space.write_fast<8>(0x2000, &v), AccessFault::kNone);
+    ASSERT_EQ(mem.write(0x1000, &v, 8), AccessFault::kNone);
+    ASSERT_EQ(mem.write_fast<8>(0x2000, &v), AccessFault::kNone);
     ASSERT_EQ(space.write_raw(0x2ffc, &v, 8), AccessFault::kNone);
     ASSERT_EQ(space.zero_raw(0x1000, 0x2000), AccessFault::kNone);
     EXPECT_EQ(space.code_generation(), gen);
@@ -151,18 +154,18 @@ TEST(AddressSpace, OnlyPagesThatSuppliedCodeAdvanceTheGeneration)
     // A fetch that straddles 0x2000|0x3000 marks both pages; 0x1000
     // still has supplied nothing.
     uint8_t window[8];
-    ASSERT_EQ(space.fetch(0x2ffc, window, sizeof(window)),
+    ASSERT_EQ(mem.fetch(0x2ffc, window, sizeof(window)),
               AccessFault::kNone);
-    ASSERT_EQ(space.write(0x1000, &v, 8), AccessFault::kNone);
+    ASSERT_EQ(mem.write(0x1000, &v, 8), AccessFault::kNone);
     EXPECT_EQ(space.code_generation(), gen);
 
     // Every write path into a marked page bumps it: a write to the
     // second page only, and a multi-page write that starts on the
     // unmarked page.
-    ASSERT_EQ(space.write(0x3000, &v, 1), AccessFault::kNone);
+    ASSERT_EQ(mem.write(0x3000, &v, 1), AccessFault::kNone);
     EXPECT_GT(space.code_generation(), gen);
     gen = space.code_generation();
-    ASSERT_EQ(space.write_fast<8>(0x2008, &v), AccessFault::kNone);
+    ASSERT_EQ(mem.write_fast<8>(0x2008, &v), AccessFault::kNone);
     EXPECT_GT(space.code_generation(), gen);
     gen = space.code_generation();
     ASSERT_EQ(space.write_raw(0x3008, &v, 8), AccessFault::kNone);
@@ -171,7 +174,7 @@ TEST(AddressSpace, OnlyPagesThatSuppliedCodeAdvanceTheGeneration)
     ASSERT_EQ(space.zero_raw(0x2000, 8), AccessFault::kNone);
     EXPECT_GT(space.code_generation(), gen);
     gen = space.code_generation();
-    ASSERT_EQ(space.write(0x1ffc, &v, 8), AccessFault::kNone);
+    ASSERT_EQ(mem.write(0x1ffc, &v, 8), AccessFault::kNone);
     EXPECT_GT(space.code_generation(), gen);
 }
 
@@ -181,6 +184,7 @@ TEST(AddressSpace, HostTlbFollowsPermsLazyZeroAndCodeBit)
     // zero page) and a write entry per page; every state change that
     // makes an entry wrong must drop it before the next fast access.
     AddressSpace space;
+    AccessCache mem(space); // a Cpu's view
     ASSERT_TRUE(space.map(0x1000, 0x3000, kPermRW).ok());
     const uint64_t w = 0x1122334455667788ull;
     uint64_t v = ~0ull;
@@ -188,67 +192,70 @@ TEST(AddressSpace, HostTlbFollowsPermsLazyZeroAndCodeBit)
     // Lazy page: the read hits the zero page; the write materializes
     // the page, so the next read must see the written bytes, and a
     // sibling lazy page must still read zeros.
-    ASSERT_EQ(space.read_fast<8>(0x1008, &v), AccessFault::kNone);
+    ASSERT_EQ(mem.read_fast<8>(0x1008, &v), AccessFault::kNone);
     EXPECT_EQ(v, 0u);
-    ASSERT_EQ(space.read_fast<8>(0x1008, &v), AccessFault::kNone);
-    ASSERT_EQ(space.write_fast<8>(0x1008, &w), AccessFault::kNone);
-    ASSERT_EQ(space.read_fast<8>(0x1008, &v), AccessFault::kNone);
+    ASSERT_EQ(mem.read_fast<8>(0x1008, &v), AccessFault::kNone);
+    ASSERT_EQ(mem.write_fast<8>(0x1008, &w), AccessFault::kNone);
+    ASSERT_EQ(mem.read_fast<8>(0x1008, &v), AccessFault::kNone);
     EXPECT_EQ(v, w);
-    ASSERT_EQ(space.read_fast<8>(0x2008, &v), AccessFault::kNone);
+    ASSERT_EQ(mem.read_fast<8>(0x2008, &v), AccessFault::kNone);
     EXPECT_EQ(v, 0u);
 
     // Straddling 8-byte accesses take the two-page path even with both
     // pages' entries warm. This one also materializes the lazy pages
     // 0x2000 and 0x3000, whose zero-page read entries must go.
-    ASSERT_EQ(space.read_fast<8>(0x3008, &v), AccessFault::kNone);
+    ASSERT_EQ(mem.read_fast<8>(0x3008, &v), AccessFault::kNone);
     const uint64_t s = 0xa1a2a3a4b1b2b3b4ull;
-    ASSERT_EQ(space.write_fast<8>(0x2ffc, &s), AccessFault::kNone);
-    ASSERT_EQ(space.read_fast<8>(0x2ffc, &v), AccessFault::kNone);
+    ASSERT_EQ(mem.write_fast<8>(0x2ffc, &s), AccessFault::kNone);
+    ASSERT_EQ(mem.read_fast<8>(0x2ffc, &v), AccessFault::kNone);
     EXPECT_EQ(v, s);
     uint32_t lo = 0, hi = 0;
-    ASSERT_EQ(space.read_fast<4>(0x2ffc, &lo), AccessFault::kNone);
-    ASSERT_EQ(space.read_fast<4>(0x3000, &hi), AccessFault::kNone);
+    ASSERT_EQ(mem.read_fast<4>(0x2ffc, &lo), AccessFault::kNone);
+    ASSERT_EQ(mem.read_fast<4>(0x3000, &hi), AccessFault::kNone);
     EXPECT_EQ(lo, static_cast<uint32_t>(s));
     EXPECT_EQ(hi, static_cast<uint32_t>(s >> 32));
     // At the end of the mapping the second page is missing.
-    ASSERT_EQ(space.write_fast<8>(0x3ff0, &w), AccessFault::kNone);
-    ASSERT_EQ(space.read_fast<8>(0x3ff0, &v), AccessFault::kNone);
-    EXPECT_EQ(space.read_fast<8>(0x3ffc, &v), AccessFault::kUnmapped);
-    EXPECT_EQ(space.write_fast<8>(0x3ffc, &s), AccessFault::kUnmapped);
+    ASSERT_EQ(mem.write_fast<8>(0x3ff0, &w), AccessFault::kNone);
+    ASSERT_EQ(mem.read_fast<8>(0x3ff0, &v), AccessFault::kNone);
+    EXPECT_EQ(mem.read_fast<8>(0x3ffc, &v), AccessFault::kUnmapped);
+    EXPECT_EQ(mem.write_fast<8>(0x3ffc, &s), AccessFault::kUnmapped);
 
     // A cached write entry dies with W: protect(R) refuses the store.
-    ASSERT_TRUE(space.write_hit<8>(0x1010, &w));
+    ASSERT_TRUE(mem.write_hit<8>(0x1010, &w));
     ASSERT_TRUE(space.protect(0x1000, 0x1000, kPermR).ok());
-    EXPECT_FALSE(space.write_hit<8>(0x1010, &w));
-    EXPECT_EQ(space.write_fast<8>(0x1010, &w), AccessFault::kNoWrite);
-    ASSERT_EQ(space.read_fast<8>(0x1010, &v), AccessFault::kNone);
+    mem.sync();
+    EXPECT_FALSE(mem.write_hit<8>(0x1010, &w));
+    EXPECT_EQ(mem.write_fast<8>(0x1010, &w), AccessFault::kNoWrite);
+    ASSERT_EQ(mem.read_fast<8>(0x1010, &v), AccessFault::kNone);
     EXPECT_EQ(v, w);
     ASSERT_TRUE(space.protect(0x1000, 0x1000, kPermNone).ok());
-    EXPECT_EQ(space.read_fast<8>(0x1010, &v), AccessFault::kNoRead);
+    mem.sync();
+    EXPECT_EQ(mem.read_fast<8>(0x1010, &v), AccessFault::kNoRead);
 
     // unmap + map at the same address: the old entries name freed
     // bytes, and the fresh page reads as zeros.
-    ASSERT_EQ(space.write_fast<8>(0x2010, &w), AccessFault::kNone);
-    ASSERT_EQ(space.read_fast<8>(0x2010, &v), AccessFault::kNone);
+    ASSERT_EQ(mem.write_fast<8>(0x2010, &w), AccessFault::kNone);
+    ASSERT_EQ(mem.read_fast<8>(0x2010, &v), AccessFault::kNone);
     space.unmap(0x2000, 0x1000);
-    EXPECT_EQ(space.read_fast<8>(0x2010, &v), AccessFault::kUnmapped);
-    EXPECT_EQ(space.write_fast<8>(0x2010, &w), AccessFault::kUnmapped);
+    mem.sync();
+    EXPECT_EQ(mem.read_fast<8>(0x2010, &v), AccessFault::kUnmapped);
+    EXPECT_EQ(mem.write_fast<8>(0x2010, &w), AccessFault::kUnmapped);
     ASSERT_TRUE(space.map(0x2000, 0x1000, kPermRW).ok());
-    ASSERT_EQ(space.read_fast<8>(0x2010, &v), AccessFault::kNone);
+    ASSERT_EQ(mem.read_fast<8>(0x2010, &v), AccessFault::kNone);
     EXPECT_EQ(v, 0u);
 
     // fetch() marks a page whose write entry is cached as code: the
     // next store misses and advances the generation.
     ASSERT_TRUE(space.map(0x5000, 0x1000, kPermRWX).ok());
-    ASSERT_EQ(space.write_fast<8>(0x5000, &w), AccessFault::kNone);
-    ASSERT_TRUE(space.write_hit<8>(0x5008, &w));
+    ASSERT_EQ(mem.write_fast<8>(0x5000, &w), AccessFault::kNone);
+    ASSERT_TRUE(mem.write_hit<8>(0x5008, &w));
     uint64_t gen = space.code_generation();
     uint8_t window[8];
-    ASSERT_EQ(space.fetch(0x5000, window, sizeof(window)),
+    ASSERT_EQ(mem.fetch(0x5000, window, sizeof(window)),
               AccessFault::kNone);
-    EXPECT_FALSE(space.write_hit<8>(0x5010, &w));
+    EXPECT_FALSE(mem.write_hit<8>(0x5010, &w));
     EXPECT_EQ(space.code_generation(), gen);
-    ASSERT_EQ(space.write_fast<8>(0x5010, &w), AccessFault::kNone);
+    ASSERT_EQ(mem.write_fast<8>(0x5010, &w), AccessFault::kNone);
     EXPECT_GT(space.code_generation(), gen);
 }
 
@@ -636,6 +643,47 @@ TEST(Speculation, ForeignAccessAndCodeStoreAbort)
     }
 }
 
+TEST(Speculation, RunsUnderTheGenerationItStartedUnder)
+{
+    // The kernel may advance the code generation while a speculation
+    // runs on another thread. The speculation keeps reporting the one
+    // it started under, so the kernel can tell it is stale; rolled
+    // back and redone, it matches an inline quantum under the new one.
+    SpecHarness ref;
+    for (int i = 0; i < 2; ++i) {
+        ref.cpu.run(900);
+    }
+    ref.space.touch_code();
+    const CpuExit want = ref.cpu.run(900);
+
+    SpecHarness h;
+    for (int i = 0; i < 2; ++i) {
+        h.cpu.run(900);
+    }
+    AccessCache probe(h.space);
+    probe.begin_speculation();
+    h.cpu.speculate(900);
+    const uint64_t start = h.cpu.speculation_generation();
+    EXPECT_EQ(start, h.space.code_generation());
+    h.space.touch_code();
+    EXPECT_EQ(h.cpu.speculation_generation(), start);
+    EXPECT_EQ(probe.code_generation(), start);
+    probe.end_speculation(false);
+    EXPECT_EQ(probe.code_generation(), h.space.code_generation());
+
+    h.cpu.rollback_speculation();
+    const CpuExit got = h.cpu.speculate(900);
+    EXPECT_EQ(h.cpu.speculation_generation(), h.space.code_generation());
+    h.cpu.commit_speculation(got);
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.rip, want.rip);
+    EXPECT_EQ(h.cpu.cycles(), ref.cpu.cycles());
+    EXPECT_EQ(h.cpu.instructions(), ref.cpu.instructions());
+    EXPECT_EQ(h.cpu.block_cache_invalidations(),
+              ref.cpu.block_cache_invalidations());
+    EXPECT_EQ(h.cpu.superblock_count(), ref.cpu.superblock_count());
+}
+
 TEST(Cpu, GuardRegionFaultsLikeMmdsfiExpects)
 {
     // Unmapped pages adjacent to data fault on access: the mechanism
@@ -853,24 +901,29 @@ TEST(BlockCache, WriteToCodePageInvalidatesWithoutTouchCode)
 TEST(BlockCache, PermissionChangesInvolvingExecBumpGeneration)
 {
     AddressSpace space;
+    AccessCache mem(space); // a Cpu's view
     ASSERT_TRUE(space.map(0x1000, 0x1000, kPermRX).ok());
     ASSERT_TRUE(space.map(0x2000, 0x1000, kPermRW).ok());
     uint64_t gen = space.code_generation();
 
     // RW-only traffic leaves code caches alone.
     ASSERT_TRUE(space.protect(0x2000, 0x1000, kPermR).ok());
+    mem.sync();
     uint32_t v = 7;
     ASSERT_TRUE(space.protect(0x2000, 0x1000, kPermRW).ok());
-    ASSERT_EQ(space.write(0x2000, &v, sizeof(v)), AccessFault::kNone);
+    mem.sync();
+    ASSERT_EQ(mem.write(0x2000, &v, sizeof(v)), AccessFault::kNone);
     EXPECT_EQ(space.code_generation(), gen);
 
     // Dropping X (the SGX runtime_protect path) invalidates.
     ASSERT_TRUE(space.protect(0x1000, 0x1000, kPermR).ok());
+    mem.sync();
     EXPECT_GT(space.code_generation(), gen);
     gen = space.code_generation();
 
     // Regaining X invalidates again.
     ASSERT_TRUE(space.protect(0x1000, 0x1000, kPermRX).ok());
+    mem.sync();
     EXPECT_GT(space.code_generation(), gen);
     gen = space.code_generation();
 
@@ -880,10 +933,12 @@ TEST(BlockCache, PermissionChangesInvolvingExecBumpGeneration)
     EXPECT_GT(space.code_generation(), gen);
     gen = space.code_generation();
     space.unmap(0x3000, 0x1000);
+    mem.sync();
     EXPECT_GT(space.code_generation(), gen);
     gen = space.code_generation();
     ASSERT_TRUE(space.map(0x4000, 0x1000, kPermRW).ok());
     space.unmap(0x4000, 0x1000);
+    mem.sync();
     EXPECT_EQ(space.code_generation(), gen);
 }
 
