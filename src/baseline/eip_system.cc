@@ -14,13 +14,16 @@ using oskit::IoResult;
 IoResult
 ProtectedFile::read(oskit::Kernel &kernel, uint8_t *buf, uint64_t len)
 {
-    const Bytes *content = store_->get_mutable(path_);
-    if (offset_ >= content->size()) {
+    auto content = store_->get(path_);
+    if (!content.ok()) {
+        return IoResult::err(content.error().code);
+    }
+    const Bytes &bytes = *content.value();
+    if (offset_ >= bytes.size()) {
         return IoResult::ok(0);
     }
-    uint64_t n = std::min<uint64_t>(len, content->size() - offset_);
-    std::copy(content->begin() + offset_, content->begin() + offset_ + n,
-              buf);
+    uint64_t n = std::min<uint64_t>(len, bytes.size() - offset_);
+    std::copy(bytes.begin() + offset_, bytes.begin() + offset_ + n, buf);
     offset_ += n;
     // OCALL out for the host read, then decrypt + MAC-check in-enclave.
     kernel.ocall();
@@ -34,8 +37,12 @@ ProtectedFile::read(oskit::Kernel &kernel, uint8_t *buf, uint64_t len)
 Result<int64_t>
 ProtectedFile::seek(int64_t offset, int whence)
 {
-    auto pos = oskit::resolve_seek(
-        offset_, store_->get_mutable(path_)->size(), offset, whence);
+    auto content = store_->get(path_);
+    if (!content.ok()) {
+        return content.error();
+    }
+    auto pos = oskit::resolve_seek(offset_, content.value()->size(), offset,
+                                   whence);
     if (pos.ok()) {
         offset_ = static_cast<uint64_t>(pos.value());
     }
@@ -45,7 +52,9 @@ ProtectedFile::seek(int64_t offset, int whence)
 int64_t
 ProtectedFile::size() const
 {
-    return static_cast<int64_t>(store_->get_mutable(path_)->size());
+    auto content = store_->get(path_);
+    return content.ok() ? static_cast<int64_t>(content.value()->size())
+                        : -1;
 }
 
 // ---------------------------------------------------------------------

@@ -15,25 +15,28 @@ ExtFile::ExtFile(host::HostFileStore *store, std::string path,
                  uint64_t flags)
     : store_(store), path_(std::move(path)), flags_(flags)
 {
-    Bytes *content = store_->get_mutable(path_);
+    // fs_open made sure the entry exists.
     if (flags_ & abi::kOpenTrunc) {
-        content->clear();
+        store_->get_mutable(path_).value()->clear();
     }
     if (flags_ & abi::kOpenAppend) {
-        offset_ = content->size();
+        offset_ = store_->get(path_).value()->size();
     }
 }
 
 IoResult
 ExtFile::read(oskit::Kernel &kernel, uint8_t *buf, uint64_t len)
 {
-    const Bytes *content = store_->get_mutable(path_);
-    if (offset_ >= content->size()) {
+    auto content = store_->get(path_);
+    if (!content.ok()) {
+        return IoResult::err(content.error().code);
+    }
+    const Bytes &bytes = *content.value();
+    if (offset_ >= bytes.size()) {
         return IoResult::ok(0);
     }
-    uint64_t n = std::min<uint64_t>(len, content->size() - offset_);
-    std::copy(content->begin() + offset_, content->begin() + offset_ + n,
-              buf);
+    uint64_t n = std::min<uint64_t>(len, bytes.size() - offset_);
+    std::copy(bytes.begin() + offset_, bytes.begin() + offset_ + n, buf);
     offset_ += n;
     kernel.charge(static_cast<uint64_t>(
         n * (CostModel::kDiskReadCyclesPerByte +
@@ -47,11 +50,15 @@ ExtFile::write(oskit::Kernel &kernel, const uint8_t *buf, uint64_t len)
     if ((flags_ & (abi::kOpenWrite | abi::kOpenRdWr)) == 0) {
         return IoResult::err(ErrorCode::kBadF);
     }
-    Bytes *content = store_->get_mutable(path_);
-    if (offset_ + len > content->size()) {
-        content->resize(offset_ + len);
+    auto content = store_->get_mutable(path_);
+    if (!content.ok()) {
+        return IoResult::err(content.error().code);
     }
-    std::copy(buf, buf + len, content->begin() + offset_);
+    Bytes &bytes = *content.value();
+    if (offset_ + len > bytes.size()) {
+        bytes.resize(offset_ + len);
+    }
+    std::copy(buf, buf + len, bytes.begin() + offset_);
     offset_ += len;
     kernel.charge(static_cast<uint64_t>(
         len * (CostModel::kDiskWriteCyclesPerByte +
@@ -62,8 +69,12 @@ ExtFile::write(oskit::Kernel &kernel, const uint8_t *buf, uint64_t len)
 Result<int64_t>
 ExtFile::seek(int64_t offset, int whence)
 {
-    auto pos = oskit::resolve_seek(
-        offset_, store_->get_mutable(path_)->size(), offset, whence);
+    auto content = store_->get(path_);
+    if (!content.ok()) {
+        return content.error();
+    }
+    auto pos = oskit::resolve_seek(offset_, content.value()->size(), offset,
+                                   whence);
     if (pos.ok()) {
         offset_ = static_cast<uint64_t>(pos.value());
     }
@@ -73,7 +84,9 @@ ExtFile::seek(int64_t offset, int whence)
 int64_t
 ExtFile::size() const
 {
-    return static_cast<int64_t>(store_->get_mutable(path_)->size());
+    auto content = store_->get(path_);
+    return content.ok() ? static_cast<int64_t>(content.value()->size())
+                        : -1;
 }
 
 // ---------------------------------------------------------------------

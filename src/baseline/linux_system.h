@@ -16,7 +16,12 @@
 
 namespace occlum::baseline {
 
-/** A plain host file opened through the ext4 model. */
+/**
+ * A plain host file opened through the ext4 model. The store is
+ * path-keyed and keeps no orphan inode: once the path is unlinked,
+ * read, write and lseek on a still-open fd fail with kNoEnt (fstat
+ * with kInval) and never bring the path back.
+ */
 class ExtFile : public oskit::FileObject
 {
   public:

@@ -23,6 +23,7 @@
 #include "base/cost_model.h"
 #include "base/result.h"
 #include "base/sim_clock.h"
+#include "crypto/sha256.h"
 #include "faultsim/faultsim.h"
 
 namespace occlum::host {
@@ -31,14 +32,32 @@ namespace occlum::host {
  * A simple path -> bytes store: the host directory containing OELF
  * binaries and (for the Linux baseline) plain files. Cost charging is
  * the OS personality's job, not this store's.
+ *
+ * Every put() gives the entry a fresh version from a store-wide
+ * counter, so a remove() then put() at the same path never repeats
+ * one. Each entry can memoize the SHA-256 digest of its bytes at one
+ * version (memoized_digest()). The memo is simulator bookkeeping: it
+ * spares the host re-hashing bytes that have not changed, and it
+ * holds a digest, never a verdict. get_mutable() hands out a raw
+ * pointer whose writes the store cannot see, so from then on the
+ * entry is unversioned and nothing is memoized for it. The store
+ * takes no lock: the kernel uses it only on the walk's thread.
  */
 class HostFileStore
 {
   public:
+    /** version() of a missing entry, or of one get_mutable() handed out. */
+    static constexpr uint64_t kUnversioned = 0;
+
     void
     put(const std::string &path, Bytes content)
     {
-        files_[path] = std::move(content);
+        auto [it, fresh] = files_.try_emplace(path);
+        it->second.bytes = std::move(content);
+        // An entry get_mutable() handed out stays unversioned.
+        if (fresh || it->second.version != kUnversioned) {
+            it->second.version = ++next_version_;
+        }
     }
 
     bool exists(const std::string &path) const
@@ -51,23 +70,81 @@ class HostFileStore
     {
         auto it = files_.find(path);
         if (it == files_.end()) {
-            return Error(ErrorCode::kNoEnt, "no such host file: " + path);
+            return no_entry(path);
         }
-        return &it->second;
+        return &it->second.bytes;
     }
 
-    Bytes *
+    /**
+     * Writable bytes of an existing entry; a missing one stays missing.
+     * The pointer stays valid until remove(), and the entry is
+     * unversioned for good.
+     */
+    Result<Bytes *>
     get_mutable(const std::string &path)
     {
-        return &files_[path];
+        auto it = files_.find(path);
+        if (it == files_.end()) {
+            return no_entry(path);
+        }
+        it->second.version = kUnversioned;
+        return &it->second.bytes;
     }
 
     void remove(const std::string &path) { files_.erase(path); }
 
     size_t count() const { return files_.size(); }
 
+    /** The entry's current version (kUnversioned: missing or mutable). */
+    uint64_t
+    version(const std::string &path) const
+    {
+        auto it = files_.find(path);
+        return it == files_.end() ? kUnversioned : it->second.version;
+    }
+
+    /**
+     * The digest of `path`'s bytes at `version`: the memo when it was
+     * taken at that version, else `compute()`, which is memoized if
+     * `version` is still the entry's current one. `compute` must hash
+     * the bytes the caller read at `version`.
+     */
+    template <typename Compute>
+    crypto::Sha256Digest
+    memoized_digest(const std::string &path, uint64_t version,
+                    Compute &&compute)
+    {
+        auto it = files_.find(path);
+        const bool current = version != kUnversioned &&
+                             it != files_.end() &&
+                             it->second.version == version;
+        if (current && it->second.digest_version == version) {
+            return it->second.digest;
+        }
+        crypto::Sha256Digest digest = compute();
+        if (current) {
+            it->second.digest = digest;
+            it->second.digest_version = version;
+        }
+        return digest;
+    }
+
   private:
-    std::map<std::string, Bytes> files_;
+    struct Entry {
+        Bytes bytes;
+        uint64_t version = kUnversioned;
+        uint64_t digest_version = kUnversioned; // when `digest` was taken
+        crypto::Sha256Digest digest{};
+    };
+
+    static Error
+    no_entry(const std::string &path)
+    {
+        return Error(ErrorCode::kNoEnt, "no such host file: " + path);
+    }
+
+    std::map<std::string, Entry> files_;
+    uint64_t next_version_ = kUnversioned;
 };
 
 /**

@@ -245,10 +245,12 @@ OcclumSystem::create_process(const std::string &path,
                              const std::vector<std::string> &argv)
 {
     OCC_TRACE_SPAN(kLibos, "libos.spawn");
-    auto raw = binaries().get(path);
+    host::HostFileStore &store = binaries();
+    auto raw = store.get(path);
     if (!raw.ok()) {
         return raw.error();
     }
+    const uint64_t version = store.version(path);
     auto parsed = oelf::Image::parse(*raw.value());
     if (!parsed.ok()) {
         return parsed.error();
@@ -256,10 +258,16 @@ OcclumSystem::create_process(const std::string &path,
     oelf::Image image = parsed.take();
 
     // The loader only accepts binaries verified and signed by the
-    // Occlum verifier (paper §6).
+    // Occlum verifier (paper §6). The digest of unchanged host bytes
+    // may come from the store's memo; the HMAC under this system's
+    // key and the compare run on every spawn (DESIGN.md §3.5).
     if (config_.check_signatures) {
         if (!(image.flags & oelf::kFlagInstrumented) ||
-            !image.check_signature(config_.verifier_key)) {
+            !image.check_signature(
+                config_.verifier_key,
+                store.memoized_digest(path, version, [&image] {
+                    return image.content_digest();
+                }))) {
             return Error(ErrorCode::kNoExec,
                          "binary is not verifier-signed: " + path);
         }

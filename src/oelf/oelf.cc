@@ -198,10 +198,16 @@ Image::sign(const crypto::Key128 &key)
 bool
 Image::check_signature(const crypto::Key128 &key) const
 {
+    return has_signature && check_signature(key, content_digest());
+}
+
+bool
+Image::check_signature(const crypto::Key128 &key,
+                       const crypto::Sha256Digest &digest) const
+{
     if (!has_signature) {
         return false;
     }
-    crypto::Sha256Digest digest = content_digest();
     crypto::Sha256Digest expect = crypto::hmac_sha256(
         key.data(), key.size(), digest.data(), digest.size());
     return crypto::digest_equal(expect, signature);

@@ -152,6 +152,14 @@ struct Image {
 
     /** Check the signature against `key`. */
     bool check_signature(const crypto::Key128 &key) const;
+
+    /**
+     * Check the signature against `key`, given `digest`, this Image's
+     * content_digest() (a spawn may take it from a memo of the host
+     * bytes the Image was parsed from). The HMAC and compare always run.
+     */
+    bool check_signature(const crypto::Key128 &key,
+                         const crypto::Sha256Digest &digest) const;
 };
 
 } // namespace occlum::oelf

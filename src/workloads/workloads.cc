@@ -49,13 +49,6 @@ build_program(const std::string &source, uint64_t pad_to,
     return build;
 }
 
-void
-install(host::HostFileStore &store, const std::string &name,
-        const Bytes &image)
-{
-    store.put(name, image);
-}
-
 // ---------------------------------------------------------------------
 // Fish-like shell workload (Fig. 5a)
 // ---------------------------------------------------------------------

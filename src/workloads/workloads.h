@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "crypto/hmac.h"
-#include "host/host.h"
 #include "toolchain/minic.h"
 
 namespace occlum::workloads {
@@ -43,10 +42,6 @@ struct ProgramBuild {
 ProgramBuild build_program(const std::string &source, uint64_t pad_to = 0,
                            uint64_t heap_size = 1 << 20,
                            uint64_t code_reserve = 1 << 20);
-
-/** Install one build under `name` for the right system flavor. */
-void install(host::HostFileStore &store, const std::string &name,
-             const Bytes &image);
 
 // ---- application workloads (Fig. 5) ----------------------------------
 

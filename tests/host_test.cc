@@ -398,6 +398,64 @@ TEST(HostFileStore, BasicOps)
     EXPECT_FALSE(store.get("/a").ok());
 }
 
+TEST(HostFileStore, GetMutableLeavesAMissingEntryMissing)
+{
+    HostFileStore store;
+    auto missing = store.get_mutable("/a");
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.error().code, ErrorCode::kNoEnt);
+    EXPECT_FALSE(store.exists("/a"));
+    EXPECT_EQ(store.count(), 0u);
+}
+
+TEST(HostFileStore, DigestMemoFollowsTheEntryVersion)
+{
+    HostFileStore store;
+    int computed = 0;
+    auto digest_of = [&](uint8_t fill) {
+        return [&computed, fill] {
+            ++computed;
+            crypto::Sha256Digest digest{};
+            digest.fill(fill);
+            return digest;
+        };
+    };
+    store.put("/bin", {1, 2, 3});
+    const uint64_t v1 = store.version("/bin");
+    EXPECT_NE(v1, HostFileStore::kUnversioned);
+    EXPECT_EQ(store.memoized_digest("/bin", v1, digest_of(1))[0], 1);
+    EXPECT_EQ(store.memoized_digest("/bin", v1, digest_of(2))[0], 1);
+    EXPECT_EQ(computed, 1);
+
+    // put() moves the version on; a stale version is neither served
+    // nor memoized.
+    store.put("/bin", {4, 5, 6});
+    const uint64_t v2 = store.version("/bin");
+    EXPECT_NE(v2, v1);
+    EXPECT_EQ(store.memoized_digest("/bin", v1, digest_of(3))[0], 3);
+    EXPECT_EQ(store.memoized_digest("/bin", v2, digest_of(4))[0], 4);
+    EXPECT_EQ(store.memoized_digest("/bin", v2, digest_of(5))[0], 4);
+    EXPECT_EQ(computed, 3);
+
+    // remove() then put() never repeats a version.
+    store.remove("/bin");
+    EXPECT_EQ(store.version("/bin"), HostFileStore::kUnversioned);
+    store.put("/bin", {4, 5, 6});
+    EXPECT_NE(store.version("/bin"), v2);
+    EXPECT_NE(store.version("/bin"), v1);
+
+    // get_mutable() leaves the entry unversioned for good: nothing is
+    // memoized, not even after a later put().
+    ASSERT_TRUE(store.get_mutable("/bin").ok());
+    EXPECT_EQ(store.version("/bin"), HostFileStore::kUnversioned);
+    store.put("/bin", {7});
+    const uint64_t v3 = store.version("/bin");
+    EXPECT_EQ(v3, HostFileStore::kUnversioned);
+    EXPECT_EQ(store.memoized_digest("/bin", v3, digest_of(6))[0], 6);
+    EXPECT_EQ(store.memoized_digest("/bin", v3, digest_of(7))[0], 7);
+    EXPECT_EQ(computed, 5);
+}
+
 // ---- base utilities -----------------------------------------------------
 
 TEST(Base, BytesHexRoundTrip)

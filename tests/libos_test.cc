@@ -462,6 +462,110 @@ func main() {
     EXPECT_EQ(h.sys->console(), "beta\n");
 }
 
+// ---- the host store's digest memo ----------------------------------------
+
+/** Spawn `path` under `sys` and run to completion: its exit code. */
+Result<int64_t>
+spawn_and_run(OcclumSystem &sys, const std::string &path)
+{
+    auto pid = sys.spawn(path, {path});
+    if (!pid.ok()) {
+        return pid.error();
+    }
+    sys.run();
+    return sys.exit_code(pid.value());
+}
+
+/** Offset of the last code byte in a serialized image. */
+size_t
+last_code_byte(const Bytes &raw)
+{
+    auto image = oelf::Image::parse(raw);
+    EXPECT_TRUE(image.ok());
+    return raw.size() - image.value().data.size() - 1;
+}
+
+/** Expect `sys` to refuse to spawn `path` as not verifier-signed. */
+void
+expect_no_exec(OcclumSystem &sys, const std::string &path)
+{
+    auto pid = sys.spawn(path, {path});
+    ASSERT_FALSE(pid.ok());
+    EXPECT_EQ(pid.error().code, ErrorCode::kNoExec);
+}
+
+const char *const kExit11 = "func main() { return 11; }";
+const char *const kExit22 = "func main() { return 22; }";
+
+TEST(DigestMemo, TamperThroughPutAfterSpawnIsNoExec)
+{
+    faultsim::ScopedFaultPlan clean{faultsim::FaultPlan{}};
+    OcclumHarness h;
+    h.add_program("p", kExit11);
+    ASSERT_EQ(spawn_and_run(*h.sys, "p").value(), 11);
+    // The spawn filled the memo.
+    h.binaries.memoized_digest("p", h.binaries.version("p"), [] {
+        ADD_FAILURE() << "memo missed";
+        return crypto::Sha256Digest{};
+    });
+
+    Bytes tampered = *h.binaries.get("p").value();
+    tampered[last_code_byte(tampered)] ^= 0x01;
+    h.binaries.put("p", tampered);
+    expect_no_exec(*h.sys, "p");
+}
+
+TEST(DigestMemo, TamperThroughGetMutableIsNoExec)
+{
+    faultsim::ScopedFaultPlan clean{faultsim::FaultPlan{}};
+    OcclumHarness h;
+    h.add_program("p", kExit11);
+    ASSERT_EQ(spawn_and_run(*h.sys, "p").value(), 11);
+
+    Bytes &bytes = *h.binaries.get_mutable("p").value();
+    const size_t at = last_code_byte(bytes);
+    bytes[at] ^= 0x01;
+    expect_no_exec(*h.sys, "p");
+    // Unversioned from now on: every spawn hashes what is there.
+    bytes[at] ^= 0x01;
+    EXPECT_EQ(spawn_and_run(*h.sys, "p").value(), 11);
+    bytes[at] ^= 0x01;
+    expect_no_exec(*h.sys, "p");
+}
+
+TEST(DigestMemo, SystemsSharingAStoreEachCheckTheirOwnKey)
+{
+    faultsim::ScopedFaultPlan clean{faultsim::FaultPlan{}};
+    host::HostFileStore store;
+    store.put("p", build_signed(kExit11));
+    OcclumSystem::Config config;
+    config.num_slots = 2;
+    config.verifier_key = vkey();
+    sgx::Platform platform_a;
+    OcclumSystem a(platform_a, store, config);
+    config.verifier_key[0] ^= 0x5A;
+    sgx::Platform platform_b;
+    OcclumSystem b(platform_b, store, config);
+
+    // A fills the memo; B still refuses a binary its key did not sign.
+    ASSERT_EQ(spawn_and_run(a, "p").value(), 11);
+    expect_no_exec(b, "p");
+    EXPECT_EQ(spawn_and_run(a, "p").value(), 11);
+}
+
+TEST(DigestMemo, RemoveThenPutRunsTheNewProgram)
+{
+    faultsim::ScopedFaultPlan clean{faultsim::FaultPlan{}};
+    OcclumHarness h;
+    h.add_program("p", kExit11);
+    ASSERT_EQ(spawn_and_run(*h.sys, "p").value(), 11);
+    const uint64_t old_version = h.binaries.version("p");
+    h.binaries.remove("p");
+    h.add_program("p", kExit22);
+    EXPECT_NE(h.binaries.version("p"), old_version);
+    EXPECT_EQ(spawn_and_run(*h.sys, "p").value(), 22);
+}
+
 // ---- hostile syscall arguments ------------------------------------------
 
 /**
@@ -512,6 +616,38 @@ TEST(HostileArgs, LseekPastInt64MaxIsEinvalOnLinux)
     ASSERT_TRUE(pid.ok());
     sys.run();
     EXPECT_EQ(sys.exit_code(pid.value()).value(), 0);
+}
+
+TEST(LinuxFiles, UnlinkedFileStaysGoneThroughAnOpenFd)
+{
+    // The host store keeps no orphan inode: I/O on the open fd fails
+    // with ENOENT (2) and must not bring the path back.
+    SimClock clock;
+    host::HostFileStore files;
+    baseline::LinuxSystem sys(clock, files);
+    auto out = toolchain::compile(R"(
+global byte p[16] = "/gone.txt";
+global byte buf[8];
+func main() {
+    var fd = open(p, 0x242);   // CREAT|TRUNC|RDWR
+    if (fd < 0) { return 1; }
+    if (write(fd, "abc", 3) != 3) { return 2; }
+    if (unlink(p) != 0) { return 3; }
+    if (read(fd, buf, 4) != -2) { return 4; }
+    if (write(fd, "xyz", 3) != -2) { return 5; }
+    if (lseek(fd, 0, 0) != -2) { return 6; }
+    if (fstat_size(fd) != -22) { return 7; }
+    if (open(p, 2) != -2) { return 8; }     // RDWR, no CREAT
+    return 0;
+}
+)");
+    ASSERT_TRUE(out.ok());
+    files.put("prog", out.value().image.serialize());
+    auto pid = sys.spawn("prog", {"prog"});
+    ASSERT_TRUE(pid.ok());
+    sys.run();
+    EXPECT_EQ(sys.exit_code(pid.value()).value(), 0);
+    EXPECT_FALSE(files.exists("/gone.txt"));
 }
 
 TEST(HostileArgs, KillWithInt64MinCodeLeavesSiblingAlone)
