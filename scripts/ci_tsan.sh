@@ -40,4 +40,13 @@ for test in oskit_test libos_test property_test; do
     OCCLUM_CORES=4 "$BUILD_DIR/tests/$test"
 done
 
+# Which pre-runs a 3-worker pool has started, finished or not yet
+# touched when the walk reaches them differs from run to run, so one
+# pass sees one interleaving: repeat the pre-run and speculation tests.
+for test in libos_test vm_test; do
+    echo "=== $test PreRun/Speculation x20 ==="
+    "$BUILD_DIR/tests/$test" --gtest_filter='PreRun.*:Speculation.*' \
+        --gtest_repeat=20 --gtest_brief=1
+done
+
 echo "ci_tsan: OK"

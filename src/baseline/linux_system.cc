@@ -13,7 +13,8 @@ using oskit::IoResult;
 
 ExtFile::ExtFile(host::HostFileStore *store, std::string path,
                  uint64_t flags)
-    : store_(store), path_(std::move(path)), flags_(flags)
+    : store_(store), path_(std::move(path)),
+      identity_(store->identity(path_)), flags_(flags)
 {
     // fs_open made sure the entry exists.
     if (flags_ & abi::kOpenTrunc) {
@@ -27,11 +28,10 @@ ExtFile::ExtFile(host::HostFileStore *store, std::string path,
 IoResult
 ExtFile::read(oskit::Kernel &kernel, uint8_t *buf, uint64_t len)
 {
-    auto content = store_->get(path_);
-    if (!content.ok()) {
-        return IoResult::err(content.error().code);
+    if (gone()) {
+        return IoResult::err(ErrorCode::kNoEnt);
     }
-    const Bytes &bytes = *content.value();
+    const Bytes &bytes = *store_->get(path_).value();
     if (offset_ >= bytes.size()) {
         return IoResult::ok(0);
     }
@@ -50,11 +50,10 @@ ExtFile::write(oskit::Kernel &kernel, const uint8_t *buf, uint64_t len)
     if ((flags_ & (abi::kOpenWrite | abi::kOpenRdWr)) == 0) {
         return IoResult::err(ErrorCode::kBadF);
     }
-    auto content = store_->get_mutable(path_);
-    if (!content.ok()) {
-        return IoResult::err(content.error().code);
+    if (gone()) {
+        return IoResult::err(ErrorCode::kNoEnt);
     }
-    Bytes &bytes = *content.value();
+    Bytes &bytes = *store_->get_mutable(path_).value();
     if (offset_ + len > bytes.size()) {
         bytes.resize(offset_ + len);
     }
@@ -69,12 +68,11 @@ ExtFile::write(oskit::Kernel &kernel, const uint8_t *buf, uint64_t len)
 Result<int64_t>
 ExtFile::seek(int64_t offset, int whence)
 {
-    auto content = store_->get(path_);
-    if (!content.ok()) {
-        return content.error();
+    if (gone()) {
+        return Error(ErrorCode::kNoEnt, "unlinked: " + path_);
     }
-    auto pos = oskit::resolve_seek(offset_, content.value()->size(), offset,
-                                   whence);
+    auto pos = oskit::resolve_seek(
+        offset_, store_->get(path_).value()->size(), offset, whence);
     if (pos.ok()) {
         offset_ = static_cast<uint64_t>(pos.value());
     }
@@ -84,9 +82,8 @@ ExtFile::seek(int64_t offset, int whence)
 int64_t
 ExtFile::size() const
 {
-    auto content = store_->get(path_);
-    return content.ok() ? static_cast<int64_t>(content.value()->size())
-                        : -1;
+    return gone() ? -1
+                  : static_cast<int64_t>(store_->get(path_).value()->size());
 }
 
 // ---------------------------------------------------------------------

@@ -20,7 +20,8 @@ namespace occlum::baseline {
  * A plain host file opened through the ext4 model. The store is
  * path-keyed and keeps no orphan inode: once the path is unlinked,
  * read, write and lseek on a still-open fd fail with kNoEnt (fstat
- * with kInval) and never bring the path back.
+ * with kInval) and never bring the path back, nor reach a file
+ * created at the same path later.
  */
 class ExtFile : public oskit::FileObject
 {
@@ -35,8 +36,16 @@ class ExtFile : public oskit::FileObject
     int64_t size() const override;
 
   private:
+    /** The path no longer names the file this fd opened. */
+    bool
+    gone() const
+    {
+        return store_->identity(path_) != identity_;
+    }
+
     host::HostFileStore *store_;
     std::string path_;
+    uint64_t identity_;
     uint64_t flags_;
     uint64_t offset_ = 0;
 };

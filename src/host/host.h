@@ -54,6 +54,9 @@ class HostFileStore
     {
         auto [it, fresh] = files_.try_emplace(path);
         it->second.bytes = std::move(content);
+        if (fresh) {
+            it->second.identity = ++next_identity_;
+        }
         // An entry get_mutable() handed out stays unversioned.
         if (fresh || it->second.version != kUnversioned) {
             it->second.version = ++next_version_;
@@ -95,6 +98,18 @@ class HostFileStore
 
     size_t count() const { return files_.size(); }
 
+    /**
+     * Which file `path` names: drawn when a put() creates the entry,
+     * kept by later puts and get_mutable(), so a path removed and put
+     * again names a new file. 0 for a missing entry.
+     */
+    uint64_t
+    identity(const std::string &path) const
+    {
+        auto it = files_.find(path);
+        return it == files_.end() ? 0 : it->second.identity;
+    }
+
     /** The entry's current version (kUnversioned: missing or mutable). */
     uint64_t
     version(const std::string &path) const
@@ -132,6 +147,7 @@ class HostFileStore
   private:
     struct Entry {
         Bytes bytes;
+        uint64_t identity = 0;
         uint64_t version = kUnversioned;
         uint64_t digest_version = kUnversioned; // when `digest` was taken
         crypto::Sha256Digest digest{};
@@ -145,6 +161,7 @@ class HostFileStore
 
     std::map<std::string, Entry> files_;
     uint64_t next_version_ = kUnversioned;
+    uint64_t next_identity_ = 0;
 };
 
 /**

@@ -154,6 +154,10 @@ OcclumSystem::OcclumSystem(sgx::Platform &platform,
     uint64_t enclave_size = span * config_.num_slots;
     enclave_ = std::make_unique<sgx::Enclave>(
         platform, config_.enclave_base, enclave_size);
+    // Each slot its own code generation: a spawn into one (rewriting
+    // code an exited SIP fetched) leaves the other SIPs' blocks valid.
+    enclave_->mem().set_code_regions(config_.enclave_base, span,
+                                     config_.num_slots);
 
     // Preallocate every domain slot before EINIT (SGX 1.0, paper §6):
     // trampoline+code executable, data writable, guards unmapped.

@@ -540,31 +540,12 @@ Kernel::block_on(Process &proc, uint64_t wake,
 void
 PreRunTask::run()
 {
-    if (speculated) {
-        // Posted again: the walk found this speculation stale.
+    exit = cpu->speculate(quantum);
+    yielded = cpu->speculation_aborted();
+    if (yielded) {
         cpu->rollback_speculation();
-        speculated = false;
-        ++reruns;
     }
-    for (;;) {
-        ++runs;
-        exit = cpu->speculate(quantum);
-        generation = cpu->speculation_generation();
-        if (cpu->speculation_aborted()) {
-            cpu->rollback_speculation();
-            yielded = true;
-            return;
-        }
-        if (space->code_generation() == generation) {
-            speculated = true;
-            return;
-        }
-        // The walk moved code while this ran (a spawn into a reused
-        // slot, a store to a fetched page): its slot will see another
-        // generation. Again, under the new one.
-        cpu->rollback_speculation();
-        ++reruns;
-    }
+    speculated = !yielded;
 }
 
 void
@@ -593,11 +574,9 @@ Kernel::start_preruns()
         task.posted = true;
         task.base_cycles = proc->cpu->cycles();
         task.base_instructions = proc->cpu->instructions();
+        task.generation = proc->cpu->code_generation();
         task.cpu = proc->cpu;
-        task.space = proc->space;
         task.quantum = quantum_;
-        task.speculated = false;
-        task.yielded = false;
         preruns_.push_back(proc);
         to_post_.push_back(&task);
     }
@@ -605,51 +584,33 @@ Kernel::start_preruns()
     pool_->post(to_post_);
 }
 
-bool
+void
 Kernel::settle_prerun(Process &proc)
 {
     PreRunTask &task = proc.prerun;
+    task.posted = false;
+    preruns_.erase(std::find(preruns_.begin(), preruns_.end(), &proc));
     const bool ran = pool_->settle(task);
-    prerun_stats_.preruns += task.runs;
-    prerun_stats_.reruns += task.reruns;
-    task.runs = 0;
-    task.reruns = 0;
+    prerun_stats_.preruns += ran;
     if (!ran) {
         ++prerun_stats_.taken_back;
     } else if (task.yielded) {
         ++prerun_stats_.yields;
     }
-    return ran;
 }
 
 vm::CpuExit
 Kernel::take_prerun(Process &proc)
 {
     PreRunTask &task = proc.prerun;
-    task.posted = false;
-    preruns_.erase(std::find(preruns_.begin(), preruns_.end(), &proc));
-    settle_prerun(proc);
-    if (task.speculated &&
-        proc.space->code_generation() != task.generation) {
-        // An earlier slot moved code after the pre-run finished. So it
-        // did for every other finished pre-run of the same space:
-        // redo those on the pool while this one runs inline.
-        task.speculated = false;
-        proc.cpu->rollback_speculation();
-        ++prerun_stats_.reruns;
-        to_post_.clear();
-        for (Process *other : preruns_) {
-            PreRunTask &stale = other->prerun;
-            if (other->space == proc.space && stale.done() &&
-                stale.speculated &&
-                other->space->code_generation() != stale.generation) {
-                settle_prerun(*other);
-                to_post_.push_back(&stale);
-            }
-        }
-        prerun_stats_.posted += to_post_.size();
-        pool_->post(to_post_);
+    if (proc.cpu->code_generation() != task.generation) {
+        // An earlier slot moved code this Cpu's blocks depend on: the
+        // pre-run may have run the old bytes.
+        ++prerun_stats_.stale;
+        drop_prerun(proc);
+        return proc.cpu->run(quantum_);
     }
+    settle_prerun(proc);
     if (!task.speculated) {
         return proc.cpu->run(quantum_);
     }
@@ -666,8 +627,6 @@ Kernel::drop_prerun(Process &proc)
     if (!task.posted) {
         return;
     }
-    task.posted = false;
-    preruns_.erase(std::find(preruns_.begin(), preruns_.end(), &proc));
     settle_prerun(proc);
     if (task.speculated) {
         task.speculated = false;

@@ -63,8 +63,9 @@ struct PreRunTask final : QuantumPool::Task {
     /** CPU cycles and instructions before the pre-run. */
     uint64_t base_cycles = 0;
     uint64_t base_instructions = 0;
+    /** The Cpu's code generation at the post. */
+    uint64_t generation = 0;
     vm::Cpu *cpu = nullptr;
-    const vm::AddressSpace *space = nullptr;
     uint64_t quantum = 0;
 
     // ---- written by run() ---------------------------------------------
@@ -72,14 +73,8 @@ struct PreRunTask final : QuantumPool::Task {
     bool speculated = false;
     /** The speculation was refused (foreign access, code store). */
     bool yielded = false;
-    /** Code generation the outstanding speculation executed under. */
-    uint64_t generation = 0;
     /** Its exit, consumed at the walk slot. */
     vm::CpuExit exit;
-    /** Speculations run since the kernel last counted them, and how
-     *  many of those were undone because the code generation moved. */
-    uint32_t runs = 0;
-    uint32_t reruns = 0;
 
   private:
     void run() override;
@@ -229,16 +224,20 @@ struct KernelStats {
 
 /**
  * Host-side pre-run bookkeeping (never part of any simulated result:
- * it depends on the host's CPUs).
+ * it depends on the host's CPUs). `stale` counts discards
+ * whose Cpu's code generation moved between post and slot: only a Cpu
+ * that follows the space-wide clock (an unsigned SIP that ran a
+ * sibling's code) can see that, since nothing changes a live SIP's
+ * own slot region before its slot.
  */
 struct PreRunStats {
     uint64_t posted = 0;    // quanta handed to the pool
     uint64_t preruns = 0;   // speculative quanta executed
     uint64_t commits = 0;   // ... kept at their walk slot
     uint64_t yields = 0;    // refused (foreign access, code store)
-    uint64_t reruns = 0;    // undone: an earlier slot moved code
     uint64_t taken_back = 0; // reached by the walk before any thread
-    uint64_t discards = 0;  // undone: killed, or foreign access inline
+    uint64_t discards = 0;  // undone: killed, foreign access, stale
+    uint64_t stale = 0;     // ... of which: code moved since the post
 };
 
 /** Upper bound of Kernel::set_cores. */
@@ -526,14 +525,12 @@ class Kernel
      * server's start-up) is not worth the first batch's threads.
      */
     void start_preruns();
-    /** Settle `proc`'s posted pre-run and count it; false if no
-     *  thread started it. */
-    bool settle_prerun(Process &proc);
+    /** Unpost `proc`'s pre-run, settle it and count it. */
+    void settle_prerun(Process &proc);
     /**
      * `proc`'s quantum at its walk slot: the pre-run's, or an inline
-     * one if the pre-run was taken back, refused, or ran under a code
-     * generation an earlier slot has since moved (then every other
-     * finished pre-run that is stale too is posted again).
+     * one if the pre-run was taken back, refused, or posted under a
+     * code generation of its Cpu that an earlier slot has since moved.
      */
     vm::CpuExit take_prerun(Process &proc);
     /** Undo `proc`'s outstanding pre-run, if any. */

@@ -32,9 +32,6 @@ class QuantumPool
         Task(const Task &) = delete;
         Task &operator=(const Task &) = delete;
 
-        /** True once a thread finished it: settle() will not wait. */
-        bool done() const { return state_ == kDone; }
-
       protected:
         ~Task() = default;
 

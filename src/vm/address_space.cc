@@ -45,7 +45,7 @@ AddressSpace::map(uint64_t addr, uint64_t len, uint8_t perms)
     if (perms & kPermX) {
         // New executable pages may complete instructions that cached
         // blocks previously saw as truncated at an unmapped boundary.
-        touch_code();
+        touch_code(addr, len);
     }
     return Status();
 }
@@ -69,7 +69,7 @@ AddressSpace::unmap(uint64_t addr, uint64_t len)
     // Erased nodes may be cached anywhere: every cache empties itself.
     epoch_.fetch_add(1, std::memory_order_release);
     if (had_exec) {
-        touch_code();
+        touch_code(addr, len);
     }
 }
 
@@ -99,7 +99,7 @@ AddressSpace::protect(uint64_t addr, uint64_t len, uint8_t perms)
     // Host entries are refilled under the new perms.
     epoch_.fetch_add(1, std::memory_order_release);
     if (touched_exec) {
-        touch_code();
+        touch_code(addr, len);
     }
     return Status();
 }
@@ -127,6 +127,35 @@ AddressSpace::perms_at(uint64_t addr) const
 }
 
 void
+AddressSpace::set_code_regions(uint64_t base, uint64_t size, size_t count)
+{
+    region_base_ = base;
+    region_size_ = size;
+    region_count_ = count;
+    region_gen_ = std::make_unique<std::atomic<uint64_t>[]>(count + 2);
+    touch_code(); // every region starts at the clock
+}
+
+size_t
+AddressSpace::region_of(uint64_t addr) const
+{
+    // In address order: below the regions, each region, above them.
+    return addr < region_base_
+               ? 0
+               : 1 + std::min<uint64_t>((addr - region_base_) / region_size_,
+                                        region_count_);
+}
+
+void
+AddressSpace::touch_code(uint64_t addr, uint64_t len)
+{
+    const uint64_t gen = ++clock_;
+    for (size_t r = region_of(addr); r <= region_of(addr + len - 1); ++r) {
+        region_gen_[r] = gen;
+    }
+}
+
+void
 AddressSpace::advance_epoch(AccessCache &by)
 {
     uint64_t old = epoch_.fetch_add(1, std::memory_order_acq_rel);
@@ -148,6 +177,24 @@ AddressSpace::materialize(AccessCache &cache, uint64_t page_no, Page &page)
 // ---------------------------------------------------------------------
 // AccessCache
 // ---------------------------------------------------------------------
+
+AccessCache::AccessCache(AddressSpace &space)
+    : space_(&space), gen_(&space.clock_)
+{
+}
+
+void
+AccessCache::set_private_range(uint64_t lo, uint64_t hi)
+{
+    confined_ = true;
+    lo_ = lo;
+    hi_ = hi;
+    // A range inside one slot region follows that region only.
+    const size_t region = space_->region_of(lo);
+    gen_ = region == space_->region_of(hi - 1) ? &space_->region_gen_[region]
+                                               : &space_->clock_;
+    flush();
+}
 
 void
 AccessCache::sync()
@@ -238,7 +285,6 @@ AccessCache::begin_speculation()
     sync();
     // Write entries filled before now skip the journal.
     write_.fill(HostEntry{});
-    spec_generation_ = space_->code_generation();
     speculating_ = true;
     aborted_ = false;
 }
@@ -313,6 +359,9 @@ AddressSpace::access(AccessCache &cache, uint64_t addr, void *buf,
             cache.aborted_ = true;
             return AccessFault::kUnmapped;
         }
+        if (require & kPermX) {
+            cache.gen_ = &clock_; // see AccessCache, "code generation"
+        }
         if (foreign_hook_) {
             foreign_hook_();
         }
@@ -345,7 +394,7 @@ AddressSpace::access(AccessCache &cache, uint64_t addr, void *buf,
             }
             std::memcpy(page->data.get() + (addr & kPageMask), buf, len);
             if (page->code) {
-                touch_code();
+                touch_code(addr, len);
             }
         } else {
             if ((require & kPermX) && !page->code) {
@@ -374,26 +423,16 @@ AddressSpace::access(AccessCache &cache, uint64_t addr, void *buf,
 
     uint8_t *out = static_cast<uint8_t *>(buf);
     uint64_t done = 0;
-    bool wrote_code = false;
-    // Even a faulting multi-page write has already modified the pages
-    // before the fault, so the generation bump must happen on every
-    // exit path, not only on success.
-    auto finish = [&](AccessFault f) {
-        if (Write && wrote_code) {
-            touch_code();
-        }
-        return f;
-    };
     while (done < len) {
         uint64_t a = addr + done;
         Page *page = cache.lookup(a / kPageSize);
         if (!page) {
-            return finish(AccessFault::kUnmapped);
+            return AccessFault::kUnmapped;
         }
         if (require && !(page->perms & require)) {
-            if (require & kPermW) return finish(AccessFault::kNoWrite);
-            if (require & kPermX) return finish(AccessFault::kNoExec);
-            return finish(AccessFault::kNoRead);
+            if (require & kPermW) return AccessFault::kNoWrite;
+            if (require & kPermX) return AccessFault::kNoExec;
+            return AccessFault::kNoRead;
         }
         uint64_t in_page = kPageSize - (a & kPageMask);
         uint64_t n = std::min(in_page, len - done);
@@ -401,7 +440,7 @@ AddressSpace::access(AccessCache &cache, uint64_t addr, void *buf,
             if (cache.speculating_) {
                 if (page->code) {
                     cache.aborted_ = true;
-                    return finish(AccessFault::kNoWrite);
+                    return AccessFault::kNoWrite;
                 }
                 cache.journal(*page);
             }
@@ -409,7 +448,11 @@ AddressSpace::access(AccessCache &cache, uint64_t addr, void *buf,
                 materialize(cache, a / kPageSize, *page);
             }
             std::memcpy(page->data.get() + (a & kPageMask), out + done, n);
-            wrote_code = wrote_code || page->code;
+            if (page->code) {
+                // Each page as it is written: a write that faults on a
+                // later page has still changed this one.
+                touch_code(a, n);
+            }
         } else {
             if ((require & kPermX) && !page->code) {
                 page->code = true; // an instruction may straddle here
@@ -428,10 +471,7 @@ AddressSpace::access(AccessCache &cache, uint64_t addr, void *buf,
         }
         done += n;
     }
-    // Writes into pages that have supplied decoded bytes (guest
-    // stores through an RWX mapping, loader/debugger pokes via
-    // write_raw) invalidate predecoded blocks covering those bytes.
-    return finish(AccessFault::kNone);
+    return AccessFault::kNone;
 }
 
 AccessFault
@@ -455,14 +495,10 @@ AddressSpace::zero_raw(uint64_t addr, uint64_t len)
 {
     kernel_cache_.sync();
     uint64_t done = 0;
-    bool wrote_code = false;
     while (done < len) {
         uint64_t a = addr + done;
         Page *page = kernel_cache_.lookup(a / kPageSize);
         if (!page) {
-            if (wrote_code) {
-                touch_code();
-            }
             return AccessFault::kUnmapped;
         }
         uint64_t in_page = kPageSize - (a & kPageMask);
@@ -470,15 +506,14 @@ AddressSpace::zero_raw(uint64_t addr, uint64_t len)
         if (page->data) {
             // Materialized page: clear just the requested span.
             std::memset(page->data.get() + (a & kPageMask), 0, n);
-            wrote_code = wrote_code || page->code;
+            if (page->code) {
+                touch_code(a, n);
+            }
         }
         // Lazy pages are already logically zero: nothing to do, and
         // crucially no backing store is allocated, so zero-filling a
         // fresh multi-MiB mapping stays O(pages touched).
         done += n;
-    }
-    if (wrote_code) {
-        touch_code();
     }
     return AccessFault::kNone;
 }

@@ -60,7 +60,7 @@ class AddressSpace;
  *
  * `code` is set by the first fetch() that reads the page and stays
  * set until the page is unmapped: from then on the page may back
- * decoded instructions, so a write to it advances the code
+ * decoded instructions, so a write to it advances its region's code
  * generation.
  */
 struct Page {
@@ -93,23 +93,21 @@ struct Page {
  * it takes the generic path every time; a speculating cache refuses
  * it (see begin_speculation), any other calls the space's
  * foreign-access hook first.
+ *
+ * Code generation: a confined cache reads its region's, any other
+ * the space's clock. Its first fetch outside its range (an unsigned
+ * SIP running a sibling's code) switches it to the clock for good: a
+ * stamp equal to the clock means nothing changed anywhere since.
  */
 class AccessCache
 {
   public:
-    explicit AccessCache(AddressSpace &space) : space_(&space) {}
+    explicit AccessCache(AddressSpace &space);
     AccessCache(const AccessCache &) = delete;
     AccessCache &operator=(const AccessCache &) = delete;
 
     /** Keep host entries (and speculative accesses) inside [lo, hi). */
-    void
-    set_private_range(uint64_t lo, uint64_t hi)
-    {
-        confined_ = true;
-        lo_ = lo;
-        hi_ = hi;
-        flush();
-    }
+    void set_private_range(uint64_t lo, uint64_t hi);
 
     /** Empty every entry if the space's epoch moved since last time. */
     void sync();
@@ -176,9 +174,8 @@ class AccessCache
                                       : write(addr, in, N);
     }
 
-    /** The space's code generation; while speculating, the one the
-     *  speculation began under (see begin_speculation). */
-    inline uint64_t code_generation() const;
+    /** The code generation this cache's decoded blocks depend on. */
+    uint64_t code_generation() const { return *gen_; }
 
     // ---- speculation ---------------------------------------------------
     /**
@@ -188,11 +185,7 @@ class AccessCache
      * advances the code generation and never touches memory outside
      * its private range: such an access fails instead and sets
      * aborted(), so a speculative quantum only ever changes its own
-     * pages and can be undone exactly. It also reports the code
-     * generation of its start throughout: the kernel may advance the
-     * space's meanwhile (the speculation is then discarded), and a
-     * quantum that saw two generations would be neither the one
-     * before the change nor the one after it.
+     * pages and can be undone exactly.
      */
     void begin_speculation();
     bool aborted() const { return aborted_; }
@@ -262,6 +255,8 @@ class AccessCache
     void journal(Page &page);
 
     AddressSpace *space_;
+    /** The space's clock, or this cache's region generation. */
+    const std::atomic<uint64_t> *gen_;
     std::array<TlbEntry, kEntries> tlb_{};
     std::array<HostEntry, kEntries> read_{};
     std::array<HostEntry, kEntries> write_{};
@@ -271,7 +266,6 @@ class AccessCache
     uint64_t hi_ = 0;
     bool speculating_ = false;
     bool aborted_ = false;
-    uint64_t spec_generation_ = 0;
     std::vector<PageUndo> undo_;
     std::vector<Page *> marked_;
     /** Recycled undo buffers. */
@@ -316,18 +310,24 @@ class AddressSpace
     /** Number of currently mapped pages. */
     size_t mapped_pages() const { return pages_.size(); }
 
+    /** Give each of `count` consecutive `size`-byte regions from
+     *  `base` (Occlum's domain slots) its own code generation. Call
+     *  before any cache is confined; until then the space is one. */
+    void set_code_regions(uint64_t base, uint64_t size, size_t count);
+
     /**
-     * Bump the generation counter (invalidates CPU block/decode
-     * caches). The counter also advances automatically on any write
-     * into a page that has supplied decoded bytes (a page fetch() has
-     * read) and on map/protect/unmap operations that add or remove X
-     * permission, so callers only need this for out-of-band
-     * modifications (e.g. tests poking at raw pages). Stores into an
-     * executable page that was never fetched from — the RWX data
-     * region of the EIP baseline — leave every code cache valid.
+     * A code change in [addr, addr+len): each region it touches takes
+     * the clock's next value, invalidating the blocks decoded under
+     * the old one. Automatic on any write into a page that has
+     * supplied decoded bytes (one fetch() has read) and on
+     * map/protect/unmap involving X. Stores into executable pages
+     * never fetched from (the EIP baseline's RWX data) change nothing.
      */
-    void touch_code() { ++code_generation_; }
-    uint64_t code_generation() const { return code_generation_; }
+    void touch_code(uint64_t addr, uint64_t len);
+    /** A code change anywhere (out-of-band pokes, e.g. in tests). */
+    void touch_code() { touch_code(0, ~0ull); }
+    /** The clock: it moves on every code change in any region. */
+    uint64_t code_generation() const { return clock_; }
 
     /**
      * Called before a non-speculating cache with a private range
@@ -353,6 +353,8 @@ class AddressSpace
     /** Advance the epoch on `by`'s behalf: `by` keeps its entries if
      *  it was current (it dropped what the change affects itself). */
     void advance_epoch(AccessCache &by);
+    /** Index of the code region holding `addr`. */
+    size_t region_of(uint64_t addr) const;
 
     std::unordered_map<uint64_t, Page> pages_;
     /**
@@ -364,18 +366,18 @@ class AddressSpace
     mutable std::shared_mutex pages_mu_;
     /** Advanced by every change a cache entry could depend on. */
     std::atomic<uint64_t> epoch_{0};
-    /** Atomic: pool threads read it while the kernel's thread runs
-     *  (a speculating cache never advances it). */
-    std::atomic<uint64_t> code_generation_{0};
+    /** Only the kernel's thread advances these (a speculating cache
+     *  never does); pool threads read them. region_gen_: the clock at
+     *  each region's last change, in address order (see region_of). */
+    std::atomic<uint64_t> clock_{0};
+    std::unique_ptr<std::atomic<uint64_t>[]> region_gen_ =
+        std::make_unique<std::atomic<uint64_t>[]>(2);
+    uint64_t region_base_ = 0;
+    uint64_t region_size_ = 1;
+    size_t region_count_ = 0;
     std::function<void()> foreign_hook_;
     mutable AccessCache kernel_cache_;
 };
-
-inline uint64_t
-AccessCache::code_generation() const
-{
-    return speculating_ ? spec_generation_ : space_->code_generation();
-}
 
 } // namespace occlum::vm
 

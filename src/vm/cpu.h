@@ -17,14 +17,15 @@
  * jump into the middle of a variable-length instruction builds its
  * own, differently-decoded block — the overlapping-instruction
  * semantics that make the disassembly problem real are preserved.
- * Each block records the AddressSpace code generation it was decoded
- * under; the generation advances on writes to a page that has
- * supplied decoded bytes and on mapping-permission changes involving
- * X, and a block whose generation is stale is rebuilt on its next
- * lookup. Stores into executable pages nothing was fetched from (an
- * RWX data region) keep every block valid. Cycle
- * accounting is identical in every tier: the same per-instruction
- * isa::cycle_cost is charged by the shared execute step.
+ * Each block records the code generation it was decoded under (its
+ * slot region's in an Occlum enclave, see AccessCache); the
+ * generation advances on writes to a page that has supplied decoded
+ * bytes and on mapping-permission changes involving X, and a block
+ * whose generation is stale is rebuilt on its next lookup. Stores
+ * into executable pages nothing was fetched from (an RWX data region)
+ * keep every block valid. Cycle accounting is identical in every
+ * tier: the same per-instruction isa::cycle_cost is charged by the
+ * shared execute step.
  *
  * The block cache is the only code cache. A block that reaches
  * kPromoteThreshold dispatches is stitched into a trace of
@@ -138,9 +139,10 @@ class Cpu
 
     /**
      * Confine this Cpu's host-pointer TLB to [lo, hi), its process's
-     * own memory in a shared address space (an Occlum domain slot).
-     * Accesses outside still work, through the generic path; only a
-     * speculative quantum refuses them (see speculate()).
+     * own memory in a shared address space (an Occlum domain slot),
+     * and its blocks to that slot's code generation. Accesses outside
+     * still work, through the generic path; only a speculative
+     * quantum refuses them (see speculate()).
      */
     void
     confine_to(uint64_t lo, uint64_t hi)
@@ -181,6 +183,8 @@ class Cpu
         return dispatch_.bb_invalidations;
     }
     size_t block_cache_blocks() const { return block_cache_.size(); }
+    /** The code generation this Cpu's blocks are checked against. */
+    uint64_t code_generation() const { return cache_->code_generation(); }
 
     /** Superblock statistics (per-Cpu; mirrored in the trace registry
      *  as vm.superblock.{promotions,invalidations,exec_hits,
@@ -223,23 +227,15 @@ class Cpu
      * both; it never advances the code generation and never touches
      * memory outside the confine_to() range — an instruction that
      * would do either fails the speculation instead (see
-     * speculation_aborted()). It runs under the code generation of
-     * its start throughout (speculation_generation()). Safe to run
-     * concurrently with the speculative quanta of other Cpus over
-     * other ranges, and with a kernel that touches neither this Cpu
-     * nor its range and changes the page table only under the
-     * space's lock (DESIGN.md §3.4).
+     * speculation_aborted()). Safe to run concurrently with the
+     * speculative quanta of other Cpus over other ranges, and with a
+     * kernel that touches neither this Cpu nor its range and changes
+     * the page table only under the space's lock (DESIGN.md §3.4).
      */
     CpuExit speculate(uint64_t max_instructions);
     /** True if the speculation hit an access it must not make; its
      *  result is void and it must be rolled back. */
     bool speculation_aborted() const { return cache_->aborted(); }
-    /** The code generation the outstanding speculation ran under: it
-     *  equals an inline quantum only while the space's still does. */
-    uint64_t speculation_generation() const
-    {
-        return cache_->code_generation();
-    }
     /** Keep the speculative quantum and publish it as run() would
      *  have, with `exit` the exit speculate() returned. */
     void commit_speculation(const CpuExit &exit);

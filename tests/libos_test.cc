@@ -650,6 +650,44 @@ func main() {
     EXPECT_FALSE(files.exists("/gone.txt"));
 }
 
+TEST(LinuxFiles, RecreatedPathDoesNotReachAnOldFd)
+{
+    // A file created again at an unlinked path is a new file: the fd
+    // opened before the unlink neither reads nor writes it.
+    SimClock clock;
+    host::HostFileStore files;
+    baseline::LinuxSystem sys(clock, files);
+    auto out = toolchain::compile(R"(
+global byte p[16] = "/f.txt";
+global byte buf[8];
+func main() {
+    var fd = open(p, 0x242);   // CREAT|TRUNC|RDWR
+    if (fd < 0) { return 1; }
+    if (write(fd, "old", 3) != 3) { return 2; }
+    if (unlink(p) != 0) { return 3; }
+    var again = open(p, 0x242);
+    if (again < 0) { return 4; }
+    if (write(again, "7 bytes", 7) != 7) { return 5; }
+    if (lseek(fd, 0, 0) != -2) { return 6; }
+    if (read(fd, buf, 8) != -2) { return 7; }
+    if (write(fd, "x", 1) != -2) { return 8; }
+    if (fstat_size(fd) != -22) { return 9; }
+    if (lseek(again, 0, 0) != 0) { return 10; }
+    if (read(again, buf, 8) != 7) { return 11; }
+    return 0;
+}
+)");
+    ASSERT_TRUE(out.ok());
+    files.put("prog", out.value().image.serialize());
+    auto pid = sys.spawn("prog", {"prog"});
+    ASSERT_TRUE(pid.ok());
+    sys.run();
+    EXPECT_EQ(sys.exit_code(pid.value()).value(), 0);
+    ASSERT_TRUE(files.exists("/f.txt"));
+    const Bytes &now = *files.get("/f.txt").value();
+    EXPECT_EQ(std::string(now.begin(), now.end()), "7 bytes");
+}
+
 TEST(HostileArgs, KillWithInt64MinCodeLeavesSiblingAlone)
 {
     // kill(pid, sig) records -sig as the exit code; sig = 2^63 has no
@@ -732,15 +770,37 @@ vm_kernel_counters()
     return out;
 }
 
+/** Compile MiniC sources: signed, or else with cfi labels (the LibOS
+ *  checks syscall returns) but no load guards, so a load may leave
+ *  the SIP's domain. */
+std::vector<std::pair<std::string, Bytes>>
+build_sips(const std::vector<std::pair<std::string, std::string>> &sources,
+           bool check_signatures)
+{
+    std::vector<std::pair<std::string, Bytes>> out;
+    for (const auto &[name, source] : sources) {
+        if (check_signatures) {
+            out.emplace_back(name, build_signed(source));
+            continue;
+        }
+        toolchain::CompileOptions options;
+        options.instrument = {true, true, false, true};
+        auto compiled = toolchain::compile(source, options);
+        EXPECT_TRUE(compiled.ok());
+        out.emplace_back(name, compiled.value().image.serialize());
+    }
+    return out;
+}
+
 /**
  * Spawn `programs` (name, argv) under one parent-less OcclumSystem at
  * `cores`, run to completion with `pool` pre-running quanta (nullptr:
  * every quantum inline), and fingerprint the run.
  */
 RunPrint
-run_sips(const std::vector<std::pair<std::string, std::string>> &sources,
-         const std::vector<std::vector<std::string>> &spawns, int cores,
-         oskit::QuantumPool *pool, bool check_signatures = true)
+run_images(const std::vector<std::pair<std::string, Bytes>> &images,
+           const std::vector<std::vector<std::string>> &spawns, int cores,
+           oskit::QuantumPool *pool, bool check_signatures)
 {
     // A clean plan whatever OCCLUM_FAULT_PLAN says: the pinned values
     // are those of an undisturbed run, and an AEX storm disables
@@ -753,18 +813,8 @@ run_sips(const std::vector<std::pair<std::string, std::string>> &sources,
     config.verifier_key = vkey();
     config.cores = cores;
     config.check_signatures = check_signatures;
-    for (const auto &[name, source] : sources) {
-        if (check_signatures) {
-            binaries.put(name, build_signed(source));
-            continue;
-        }
-        // Unsigned: cfi labels (the LibOS checks syscall returns) but
-        // no load guards, so a load may leave the SIP's domain.
-        toolchain::CompileOptions options;
-        options.instrument = {true, true, false, true};
-        auto out = toolchain::compile(source, options);
-        EXPECT_TRUE(out.ok());
-        binaries.put(name, out.value().image.serialize());
+    for (const auto &[name, image] : images) {
+        binaries.put(name, image);
     }
     OcclumSystem sys(platform, binaries, config);
     sys.set_quantum_pool(pool);
@@ -805,6 +855,15 @@ run_sips(const std::vector<std::pair<std::string, std::string>> &sources,
     print.code_generation = sys.enclave().mem().code_generation();
     print.prerun = sys.prerun_stats();
     return print;
+}
+
+RunPrint
+run_sips(const std::vector<std::pair<std::string, std::string>> &sources,
+         const std::vector<std::vector<std::string>> &spawns, int cores,
+         oskit::QuantumPool *pool, bool check_signatures = true)
+{
+    return run_images(build_sips(sources, check_signatures), spawns, cores,
+                      pool, check_signatures);
 }
 
 void
@@ -892,7 +951,8 @@ counter_string(const RunPrint &run)
 TEST(PreRun, StormMatchesInlineAndTheParentAtOneAndFourCores)
 {
     // The storm at cores 1 and 4: a spawner reusing slots (every spawn
-    // moves the code generation mid-round) among CPU-bound workers.
+    // moves its slot's code generation mid-round, and no other's)
+    // among CPU-bound workers.
     // Pre-running on 0 workers (the main thread alone) and on 3 must
     // reproduce the inline run exactly — simulated time, every vm.*
     // and kernel.* counter, death order, output and exit codes — and
@@ -907,22 +967,22 @@ TEST(PreRun, StormMatchesInlineAndTheParentAtOneAndFourCores)
         {1, 536063511,
          "kernel.sched_visits=1822;kernel.spawns=7;"
          "kernel.syscalls=39;kernel.wakeups=3;"
-         "vm.block_cache.hits=5665;vm.block_cache.invalidations=133;"
-         "vm.block_cache.misses=708;vm.instructions=3571044;"
+         "vm.block_cache.hits=5543;"
+         "vm.block_cache.misses=575;vm.instructions=3571044;"
          "vm.ltraps=39;vm.quanta=1819;"
-         "vm.superblock.exec_hits=3376;vm.superblock.guards_folded=500;"
-         "vm.superblock.invalidations=9;vm.superblock.promotions=52;"},
+         "vm.superblock.exec_hits=3402;vm.superblock.guards_folded=774;"
+         "vm.superblock.promotions=80;"},
         {4, 531241554,
          "kernel.core0.quanta=72;kernel.core0.steals=2;"
          "kernel.core1.quanta=380;kernel.core1.wakeups=3;"
          "kernel.core2.quanta=403;kernel.core3.quanta=964;"
          "kernel.sched_visits=1822;kernel.spawns=7;"
          "kernel.syscalls=39;kernel.wakeups=3;"
-         "vm.block_cache.hits=5665;vm.block_cache.invalidations=133;"
-         "vm.block_cache.misses=708;vm.instructions=3571044;"
+         "vm.block_cache.hits=5543;"
+         "vm.block_cache.misses=575;vm.instructions=3571044;"
          "vm.ltraps=39;vm.quanta=1819;"
-         "vm.superblock.exec_hits=3376;vm.superblock.guards_folded=500;"
-         "vm.superblock.invalidations=9;vm.superblock.promotions=52;"},
+         "vm.superblock.exec_hits=3402;vm.superblock.guards_folded=774;"
+         "vm.superblock.promotions=80;"},
     };
     oskit::QuantumPool none(0);
     oskit::QuantumPool three(3);
@@ -946,7 +1006,9 @@ TEST(PreRun, StormMatchesInlineAndTheParentAtOneAndFourCores)
                 // Every pre-run ran at its post, before the walk.
                 EXPECT_EQ(pre.prerun.taken_back, 0u);
                 EXPECT_GT(pre.prerun.commits, 0u);
-                EXPECT_GT(pre.prerun.reruns, 0u); // spawns moved code
+                // Spawns into reused slots move only those slots'
+                // code generations: no live SIP's pre-run goes stale.
+                EXPECT_EQ(pre.prerun.stale, 0u);
             }
         }
     }
@@ -1074,6 +1136,152 @@ func main() {
     }
 }
 
+/** An unsigned image of hand-assembled code for the default slots. */
+Bytes
+asm_image(isa::Assembler &a)
+{
+    oelf::Image image;
+    image.code = a.finish();
+    image.code_reserve = OcclumSystem::Config{}.slot_code_size;
+    image.heap_size = 1 << 16;
+    image.stack_size = 1 << 14;
+    return image.serialize();
+}
+
+/** Count r11 down from `n` (three instructions a step). */
+void
+asm_spin(isa::Assembler &a, int64_t n, const std::string &label)
+{
+    a.mov_ri(11, n);
+    a.bind(label);
+    a.sub_ri(11, 1);
+    a.cmp_ri(11, 0);
+    a.jcc(isa::Cond::kNe, label);
+}
+
+/** exit(r1) through the gate whose address the PCB at `pcb` holds. */
+void
+asm_exit(isa::Assembler &a, uint64_t pcb)
+{
+    a.mov_ri(0, static_cast<int64_t>(abi::Sys::kExit));
+    a.mov_ri(14, static_cast<int64_t>(pcb));
+    a.load(14, isa::mem_bd(14, 0));
+    a.call_reg(14);
+    a.cfi_label(); // the syscall's return site
+}
+
+TEST(PreRun, UnsignedCallIntoARespawnedSlotRunsTheNewCode)
+{
+    // An unsigned SIP calls f() in a sibling slot, whose SIP exits and
+    // is replaced there by one with other code at the same address.
+    // The caller's Cpu follows the space-wide clock once it has run
+    // code outside its slot, so the respawn stales its copy of f and
+    // it runs the new bytes: its first call returns 11, its last 22.
+    // Pre-runs on 0 and 3 workers must match the inline run. When the
+    // spawner walks before the caller (pids 1, 2), a respawn lands
+    // between the caller's post and its slot, and the caller's pre-run
+    // is discarded as stale; the other way round, none is.
+    const OcclumSystem::Config config;
+    const uint64_t span = oelf::kTrampSize + config.slot_code_size +
+                          oelf::kGuardSize + config.slot_data_size +
+                          oelf::kGuardSize;
+    auto code_of = [&](int slot) {
+        return config.enclave_base + slot * span + oelf::kTrampSize;
+    };
+    auto pcb_of = [&](int slot) {
+        return code_of(slot) + config.slot_code_size + oelf::kGuardSize;
+    };
+    constexpr int kLibSlot = 3; // after caller, spawner and busy
+    auto lib_prefix = [&](isa::Assembler &a) {
+        a.cfi_label();
+        asm_spin(a, 30000, "live");
+        a.mov_ri(1, 0);
+        asm_exit(a, pcb_of(kLibSlot));
+    };
+    auto lib = [&](int64_t value) {
+        isa::Assembler a(code_of(kLibSlot));
+        lib_prefix(a);
+        a.mov_ri(0, value); // f: return value
+        a.ret();
+        return asm_image(a);
+    };
+    isa::Assembler prefix(code_of(kLibSlot));
+    lib_prefix(prefix);
+    const uint64_t f_at = code_of(kLibSlot) + prefix.finish().size();
+    auto caller = [&](int slot) {
+        // r8 = first f(), r9 = last f(); exit(r8 * 1000 + r9).
+        isa::Assembler a(code_of(slot));
+        a.cfi_label();
+        a.mov_ri(8, 0);
+        a.mov_ri(10, 16);
+        a.bind("loop");
+        asm_spin(a, 3000, "gap");
+        a.mov_ri(5, static_cast<int64_t>(f_at));
+        a.call_reg(5);
+        a.cmp_ri(8, 0);
+        a.jcc(isa::Cond::kNe, "seen");
+        a.mov_rr(8, 0);
+        a.bind("seen");
+        a.mov_rr(9, 0);
+        a.sub_ri(10, 1);
+        a.cmp_ri(10, 0);
+        a.jcc(isa::Cond::kNe, "loop");
+        a.mul_ri(8, 1000);
+        a.add_rr(8, 9);
+        a.mov_rr(1, 8);
+        asm_exit(a, pcb_of(slot));
+        return asm_image(a);
+    };
+    const std::vector<std::pair<std::string, Bytes>> sips = build_sips(
+        {{"spawner", R"(
+global byte lib1[8] = "lib1";
+global byte lib2[8] = "lib2";
+func main() {
+    var argvv[1];
+    argvv[0] = lib1;
+    var a = waitpid(spawn(lib1, argvv, 1));
+    argvv[0] = lib2;
+    return a + waitpid(spawn(lib2, argvv, 1));
+}
+)"},
+         {"busy", R"(
+func main() {
+    var i = 0;
+    var h = 7;
+    while (i < 20000) { h = (h * 31 + i) & 0xffff; i = i + 1; }
+    return 0;
+}
+)"}},
+        /*check_signatures=*/false);
+    oskit::QuantumPool none(0);
+    oskit::QuantumPool three(3);
+    for (bool caller_first : {true, false}) {
+        SCOPED_TRACE(caller_first);
+        std::vector<std::pair<std::string, Bytes>> images = sips;
+        images.emplace_back("caller", caller(caller_first ? 0 : 1));
+        images.emplace_back("lib1", lib(11));
+        images.emplace_back("lib2", lib(22));
+        std::vector<std::vector<std::string>> spawns = {
+            {"caller"}, {"spawner"}, {"busy"}};
+        if (!caller_first) {
+            std::swap(spawns[0], spawns[1]);
+        }
+        RunPrint inline_run =
+            run_images(images, spawns, 1, nullptr, false);
+        EXPECT_EQ(inline_run.codes[caller_first ? 0 : 1], 11022);
+        for (oskit::QuantumPool *pool : {&none, &three}) {
+            RunPrint pre = run_images(images, spawns, 1, pool, false);
+            expect_same_run(inline_run, pre);
+            EXPECT_EQ(pre.deaths, inline_run.deaths);
+            // Posting and staleness depend on simulated state only.
+            if (caller_first) {
+                EXPECT_EQ(pre.prerun.stale, 0u);
+            } else {
+                EXPECT_GT(pre.prerun.stale, 0u);
+            }
+        }
+    }
+}
 
 TEST(Eip, RunsProgramsInPerProcessEnclaves)
 {

@@ -643,45 +643,73 @@ TEST(Speculation, ForeignAccessAndCodeStoreAbort)
     }
 }
 
-TEST(Speculation, RunsUnderTheGenerationItStartedUnder)
+TEST(CodeRegions, AStoreMovesItsRegionAndTheClockOnly)
 {
-    // The kernel may advance the code generation while a speculation
-    // runs on another thread. The speculation keeps reporting the one
-    // it started under, so the kernel can tell it is stale; rolled
-    // back and redone, it matches an inline quantum under the new one.
-    SpecHarness ref;
-    for (int i = 0; i < 2; ++i) {
-        ref.cpu.run(900);
-    }
-    ref.space.touch_code();
-    const CpuExit want = ref.cpu.run(900);
+    // Two slot-sized code regions, A and B, as in an Occlum enclave. A
+    // store into code A has fetched stales A's blocks but not those of
+    // a Cpu confined to B; a Cpu of B that has run A's code follows
+    // the space-wide clock from then on, so it sees the store too.
+    constexpr uint64_t kA = 0x100000;
+    constexpr uint64_t kB = kA + 0x10000;
+    AddressSpace space;
+    space.set_code_regions(kA, 0x10000, 2);
+    ASSERT_TRUE(space.map(kA, 0x1000, kPermRX).ok());
+    ASSERT_TRUE(space.map(kB, 0x1000, kPermRX).ok());
+    auto load = [&space](isa::Assembler &a, uint64_t at) {
+        Bytes code = a.finish();
+        EXPECT_EQ(space.write_raw(at, code.data(), code.size()),
+                  AccessFault::kNone);
+    };
+    auto load_a = [&load](int32_t step) {
+        isa::Assembler a(kA); // A: r1 += step
+        a.add_ri(1, step);
+        a.ltrap();
+        load(a, kA);
+    };
+    load_a(1);
+    isa::Assembler own(kB); // B: r1 += 10
+    own.add_ri(1, 10);
+    own.ltrap();
+    load(own, kB);
+    isa::Assembler reach(kB + 0x100); // B: go run A's code
+    reach.mov_ri(2, kA);
+    reach.jmp_reg(2);
+    load(reach, kB + 0x100);
 
-    SpecHarness h;
-    for (int i = 0; i < 2; ++i) {
-        h.cpu.run(900);
-    }
-    AccessCache probe(h.space);
-    probe.begin_speculation();
-    h.cpu.speculate(900);
-    const uint64_t start = h.cpu.speculation_generation();
-    EXPECT_EQ(start, h.space.code_generation());
-    h.space.touch_code();
-    EXPECT_EQ(h.cpu.speculation_generation(), start);
-    EXPECT_EQ(probe.code_generation(), start);
-    probe.end_speculation(false);
-    EXPECT_EQ(probe.code_generation(), h.space.code_generation());
+    Cpu cpu_a(space);
+    cpu_a.confine_to(kA, kB);
+    Cpu cpu_b(space);
+    cpu_b.confine_to(kB, kB + 0x10000);
+    Cpu cpu_x(space);
+    cpu_x.confine_to(kB, kB + 0x10000);
+    auto run_from = [](Cpu &cpu, uint64_t rip) {
+        cpu.set_rip(rip);
+        cpu.set_reg(1, 0);
+        EXPECT_EQ(cpu.run(100).kind, ExitKind::kLtrap);
+        return cpu.reg(1);
+    };
+    EXPECT_EQ(run_from(cpu_a, kA), 1u);
+    EXPECT_EQ(run_from(cpu_b, kB), 10u);
+    EXPECT_EQ(run_from(cpu_x, kB + 0x100), 1u); // fetched outside B
+    EXPECT_EQ(cpu_x.code_generation(), space.code_generation());
 
-    h.cpu.rollback_speculation();
-    const CpuExit got = h.cpu.speculate(900);
-    EXPECT_EQ(h.cpu.speculation_generation(), h.space.code_generation());
-    h.cpu.commit_speculation(got);
-    EXPECT_EQ(got.kind, want.kind);
-    EXPECT_EQ(got.rip, want.rip);
-    EXPECT_EQ(h.cpu.cycles(), ref.cpu.cycles());
-    EXPECT_EQ(h.cpu.instructions(), ref.cpu.instructions());
-    EXPECT_EQ(h.cpu.block_cache_invalidations(),
-              ref.cpu.block_cache_invalidations());
-    EXPECT_EQ(h.cpu.superblock_count(), ref.cpu.superblock_count());
+    const uint64_t gen_a = cpu_a.code_generation();
+    const uint64_t gen_b = cpu_b.code_generation();
+    const uint64_t clock = space.code_generation();
+    load_a(2); // a store into a page of A that has supplied code
+    EXPECT_GT(space.code_generation(), clock);
+    EXPECT_GT(cpu_a.code_generation(), gen_a);
+    EXPECT_EQ(cpu_a.code_generation(), space.code_generation());
+    EXPECT_EQ(cpu_b.code_generation(), gen_b);
+    EXPECT_EQ(cpu_x.code_generation(), space.code_generation());
+
+    EXPECT_EQ(run_from(cpu_b, kB), 10u);
+    EXPECT_EQ(cpu_b.block_cache_invalidations(), 0u);
+    EXPECT_EQ(cpu_b.block_cache_hits(), 1u);
+    EXPECT_EQ(run_from(cpu_a, kA), 2u);
+    EXPECT_EQ(cpu_a.block_cache_invalidations(), 1u);
+    EXPECT_EQ(run_from(cpu_x, kB + 0x100), 2u);
+    EXPECT_EQ(cpu_x.block_cache_invalidations(), 2u);
 }
 
 TEST(Cpu, GuardRegionFaultsLikeMmdsfiExpects)
