@@ -68,6 +68,12 @@ EipSystem::EipSystem(sgx::Platform &platform,
       config_(config)
 {}
 
+EipSystem::~EipSystem()
+{
+    // Each process's memory and Cpu state live in its enclave.
+    drop_preruns();
+}
+
 Result<std::unique_ptr<oskit::Process>>
 EipSystem::create_process(const std::string &path,
                           const std::vector<std::string> &argv)

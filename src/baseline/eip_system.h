@@ -63,6 +63,8 @@ class EipSystem : public oskit::Kernel
     EipSystem(sgx::Platform &platform, host::HostFileStore &binaries)
         : EipSystem(platform, binaries, Config{}, nullptr)
     {}
+    /** Settles outstanding pre-runs while the enclaves are still there. */
+    ~EipSystem() override;
 
     /** The OCALL gate: EEXIT + EENTER on the caller's own enclave. */
     void ocall() override;

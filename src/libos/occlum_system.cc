@@ -232,6 +232,12 @@ OcclumSystem::OcclumSystem(sgx::Platform &platform,
     }
 }
 
+OcclumSystem::~OcclumSystem()
+{
+    // A pool thread may be running a pre-run in the enclave's memory.
+    drop_preruns();
+}
+
 int
 OcclumSystem::free_slots() const
 {
@@ -330,6 +336,7 @@ OcclumSystem::create_process(const std::string &path,
     proc->domain_base = domain.value().base;
     proc->d_begin = domain.value().d_begin;
     proc->d_end = domain.value().d_end;
+    proc->domain_id = domain.value().domain_id;
     proc->mmap_cursor = domain.value().mmap_begin;
     proc->mmap_end = domain.value().mmap_end;
     slot.used = true;
@@ -386,11 +393,9 @@ OcclumSystem::validate_syscall_return(oskit::Process &proc,
         vm::AccessFault::kNone) {
         return Status(ErrorCode::kFault, "unreadable return target");
     }
-    uint64_t domain_id = 0;
-    proc.space->read_raw(proc.d_begin + abi::kPcbDomainId, &domain_id,
-                         8);
-    if (value != isa::cfi_label_value(
-                     static_cast<uint32_t>(domain_id))) {
+    // The id the loader stamped, not the PCB's copy: the SIP can
+    // overwrite that word.
+    if (value != isa::cfi_label_value(proc.domain_id)) {
         return Status(ErrorCode::kFault,
                       "syscall return target is not this SIP's "
                       "cfi_label");

@@ -121,9 +121,18 @@ class OcclumSystem : public oskit::Kernel
 
     OcclumSystem(sgx::Platform &platform, host::HostFileStore &binaries,
                  Config config, host::NetSim *net = nullptr);
+    /** Settles outstanding pre-runs while the enclave is still there. */
+    ~OcclumSystem() override;
 
     EncFs &fs() { return *encfs_; }
-    sgx::Enclave &enclave() { return *enclave_; }
+    /** The enclave, every SIP's outstanding pre-run undone first: the
+     *  caller may read any SIP's memory through it. */
+    sgx::Enclave &
+    enclave()
+    {
+        drop_preruns();
+        return *enclave_;
+    }
     host::BlockDevice &device() { return *active_device_; }
     const Config &config() const { return config_; }
 

@@ -245,6 +245,9 @@ Kernel::spawn(const std::string &path, const std::vector<std::string> &argv,
     // unsigned binary can) must see it as of its own walk slot.
     proc->space->set_foreign_access_hook([this] { drop_preruns(); });
     run_queues_[proc->home_core].insert(pid);
+    if (posting_) {
+        next_posts_.push_back(proc.get()); // first runs next round
+    }
     procs_.emplace(pid, std::move(proc));
     ++stats_.spawns;
     ctr_spawns_->add();
@@ -323,12 +326,13 @@ Kernel::death_record(int pid) const
 }
 
 const Process *
-Kernel::find_process(int pid) const
+Kernel::find_process(int pid)
 {
     auto it = procs_.find(pid);
     if (it == procs_.end() || it->second->state == ProcState::kDead) {
         return nullptr;
     }
+    drop_prerun(*it->second);
     return it->second.get();
 }
 
@@ -355,6 +359,9 @@ Kernel::next_wake_time() const
 
 Kernel::~Kernel()
 {
+    // Personalities whose processes own their memory and Cpus (Linux)
+    // get here with it intact; the others settled already.
+    drop_preruns();
     // Detach every process from every wait queue while both sides are
     // still alive; plain member destruction would otherwise have
     // queue destructors chasing back-pointers into freed processes.
@@ -551,37 +558,59 @@ PreRunTask::run()
 void
 Kernel::start_preruns()
 {
-    std::vector<Process *> &batch = prerun_batch_;
-    batch.clear();
-    batch.swap(budget_exits_);
-    const bool sustained = prev_budget_exits_ >= 2;
-    prev_budget_exits_ = batch.size();
-    // AEX storms slice quanta inline (run_user_quantum).
-    if (batch.size() < 2 || !sustained || pool_ == nullptr ||
+    const bool armed = pool_ != nullptr &&
+                       faultsim::FaultSim::instance().aex_period() == 0;
+    // next_posts_ holds spawns if the last round posted, else budget
+    // exits (see there).
+    const bool spawns = posting_;
+    posting_ = armed && budget_exits_ >= 2 && prev_budget_exits_ >= 2;
+    prev_budget_exits_ = std::exchange(budget_exits_, 0);
+    if (armed && (spawns || posting_)) {
+        to_post_.clear();
+        for (Process *proc : next_posts_) {
+            // Killed since (a later slot of the last round).
+            if (proc->state == ProcState::kRunnable &&
+                !proc->prerun.posted) {
+                post_prerun(*proc);
+            }
+        }
+        pool_->post(to_post_);
+    }
+    next_posts_.clear();
+}
+
+void
+Kernel::budget_exit(Process &proc)
+{
+    ++budget_exits_;
+    if (!posting_) {
+        next_posts_.push_back(&proc);
+        return;
+    }
+    // The trigger held at the round's start; the pool may have been
+    // swapped for none, or an AEX plan armed, since.
+    if (pool_ == nullptr ||
         faultsim::FaultSim::instance().aex_period() != 0) {
         return;
     }
-    // Killed since its quantum (a later slot of the last round).
-    std::erase_if(batch, [](const Process *proc) {
-        return proc->state != ProcState::kRunnable;
-    });
-    if (batch.size() < 2) {
-        return;
-    }
     to_post_.clear();
-    for (Process *proc : batch) {
-        PreRunTask &task = proc->prerun;
-        task.posted = true;
-        task.base_cycles = proc->cpu->cycles();
-        task.base_instructions = proc->cpu->instructions();
-        task.generation = proc->cpu->code_generation();
-        task.cpu = proc->cpu;
-        task.quantum = quantum_;
-        preruns_.push_back(proc);
-        to_post_.push_back(&task);
-    }
-    prerun_stats_.posted += to_post_.size();
+    post_prerun(proc);
     pool_->post(to_post_);
+}
+
+void
+Kernel::post_prerun(Process &proc)
+{
+    PreRunTask &task = proc.prerun;
+    task.posted = true;
+    task.base_cycles = proc.cpu->cycles();
+    task.base_instructions = proc.cpu->instructions();
+    task.generation = proc.cpu->code_generation();
+    task.cpu = proc.cpu;
+    task.quantum = quantum_;
+    preruns_.push_back(&proc);
+    to_post_.push_back(&task);
+    ++prerun_stats_.posted;
 }
 
 void
@@ -646,10 +675,13 @@ Kernel::drop_preruns()
 vm::CpuExit
 Kernel::run_user_quantum(Process &proc)
 {
-    if (proc.prerun.posted) {
-        return take_prerun(proc); // only when no AEX plan is armed
-    }
     uint64_t period = faultsim::FaultSim::instance().aex_period();
+    if (proc.prerun.posted) {
+        if (period == 0) {
+            return take_prerun(proc);
+        }
+        drop_prerun(proc); // an AEX plan armed since the post
+    }
     if (period == 0) {
         // Idle path: must stay literally the pre-faultsim code so the
         // simulated cycle stream is bit-identical when no plan is set.
@@ -730,11 +762,9 @@ Kernel::run_one_quantum(Process &proc)
         any_progress_ = true;
     }
 
-    if (exit.kind == vm::ExitKind::kInstrBudget) {
-        budget_exits_.push_back(&proc);
-    }
     switch (exit.kind) {
       case vm::ExitKind::kInstrBudget:
+        budget_exit(proc);
         break;
       case vm::ExitKind::kLtrap: {
         // Pop the return address pushed by the user's call into
@@ -878,8 +908,8 @@ Kernel::step_round()
         }
         round_end = std::max(round_end, clock_->cycles());
     }
-    // Every candidate was visited (or killed) above; nothing remains.
-    drop_preruns();
+    // Pre-runs posted at budget exits above stay outstanding: they
+    // are next round's quanta.
     current_core_ = 0;
     clock_->set_cycles(round_end);
     fire_due_timers();

@@ -52,13 +52,13 @@ enum class DeathCause {
 /**
  * A process's pre-run (DESIGN.md §3.4): its next quantum, executed
  * speculatively on a pool thread while the walk goes on, and committed
- * or undone at its walk slot. The kernel owns the fields before the
- * "written by run()" mark; the pool thread running the task writes
- * the ones after it, which the kernel reads only once the task is
- * settled (or done()).
+ * or undone at its walk slot, which may lie in the round after the
+ * post. The kernel owns the fields before the "written by run()" mark;
+ * the pool thread running the task writes the ones after it, which the
+ * kernel reads only once the task is settled.
  */
 struct PreRunTask final : QuantumPool::Task {
-    /** Posted this round and not yet settled at its slot. */
+    /** Posted and not yet settled. */
     bool posted = false;
     /** CPU cycles and instructions before the pre-run. */
     uint64_t base_cycles = 0;
@@ -126,6 +126,9 @@ struct Process {
     uint64_t domain_base = 0;
     uint64_t d_begin = 0; // data region begin
     uint64_t d_end = 0;   // data region end (exclusive)
+    /** The domain id the loader stamped into the SIP's cfi_labels. The
+     *  PCB holds a copy the SIP can overwrite; this one it cannot. */
+    uint32_t domain_id = 0;
 
     /** mmap bump area inside the heap. */
     uint64_t mmap_cursor = 0;
@@ -223,20 +226,25 @@ struct KernelStats {
 };
 
 /**
- * Host-side pre-run bookkeeping (never part of any simulated result:
- * it depends on the host's CPUs). `stale` counts discards
- * whose Cpu's code generation moved between post and slot: only a Cpu
- * that follows the space-wide clock (an unsigned SIP that ran a
- * sibling's code) can see that, since nothing changes a live SIP's
- * own slot region before its slot.
+ * Host-side pre-run bookkeeping. Which posts happen, and which of them
+ * are discarded or go stale, depends on simulated state only; how many
+ * ran on a thread, were taken back or yielded depends on the host's
+ * CPUs and timing too, so none of it is part of a simulated result.
+ * `stale` counts discards whose Cpu's code generation moved between
+ * post and slot: only a Cpu that follows the space-wide clock (an
+ * unsigned SIP that ran a sibling's code) can see that, since nothing
+ * changes a live SIP's own slot region before its slot. A post made at
+ * a budget exit waits for the next round's slot, so a respawn anywhere
+ * in the rest of that round can stale it.
  */
 struct PreRunStats {
     uint64_t posted = 0;    // quanta handed to the pool
     uint64_t preruns = 0;   // speculative quanta executed
     uint64_t commits = 0;   // ... kept at their walk slot
     uint64_t yields = 0;    // refused (foreign access, code store)
-    uint64_t taken_back = 0; // reached by the walk before any thread
-    uint64_t discards = 0;  // undone: killed, foreign access, stale
+    uint64_t taken_back = 0; // settled before any thread started it
+    uint64_t discards = 0;  // undone: killed, foreign access, stale,
+                            // AEX plan, pool swap, accessor, teardown
     uint64_t stale = 0;     // ... of which: code moved since the post
 };
 
@@ -340,7 +348,9 @@ class Kernel
     Result<int64_t> exit_code(int pid) const;
     /** Full post-mortem info (cause, fault kind) for a dead pid. */
     Result<DeathRecord> death_record(int pid) const;
-    const Process *find_process(int pid) const;
+    /** The process record of `pid` (nullptr if none), its pre-run
+     *  settled and undone first: the caller may read its Cpu. */
+    const Process *find_process(int pid);
 
     SimClock &clock() { return *clock_; }
     const std::string &console() const { return console_; }
@@ -350,14 +360,25 @@ class Kernel
     host::HostFileStore &binaries() { return *binaries_; }
 
     /** Instructions per scheduling quantum. */
-    void set_quantum(uint64_t quantum) { quantum_ = quantum; }
+    void
+    set_quantum(uint64_t quantum)
+    {
+        drop_preruns(); // posted with the old budget
+        quantum_ = quantum;
+    }
 
     /**
      * Host threads for pre-running quanta (QuantumPool::shared() by
      * default; nullptr runs every quantum inline at its slot). Results
-     * are the same for every pool; tests pin that.
+     * are the same for every pool; tests pin that. The old pool's
+     * outstanding pre-runs are settled and undone first.
      */
-    void set_quantum_pool(QuantumPool *pool) { pool_ = pool; }
+    void
+    set_quantum_pool(QuantumPool *pool)
+    {
+        drop_preruns();
+        pool_ = pool;
+    }
     const PreRunStats &prerun_stats() const { return prerun_stats_; }
 
     // ---- wakeups ---------------------------------------------------
@@ -516,15 +537,22 @@ class Kernel
     void run_one_quantum(Process &proc);
 
     /**
-     * Pre-run phase of a round: every runnable process whose last
-     * quantum ended on its budget posts its next quantum to the pool,
-     * to run speculatively while the walk goes on and be settled at
-     * its walk slot — once two rounds in a row have had at least two
-     * such quanta. A lone
-     * CPU-bound quantum gains nothing, and a lone round of them (a
-     * server's start-up) is not worth the first batch's threads.
+     * Round start: decide whether this round posts (the trigger: at
+     * least two quanta ended on their budget in each of the last two
+     * rounds, a pool exists and no AEX plan is armed) and post what
+     * waited for this round (see next_posts_). While a round posts,
+     * each quantum that ends on its budget posts its process's next
+     * one at once (budget_exit), to run speculatively while the walk
+     * finishes this round and starts the next, and be settled at its
+     * walk slot. A lone CPU-bound quantum gains nothing, and a lone
+     * round of them (a server's start-up) is not worth the first
+     * batch's threads.
      */
     void start_preruns();
+    /** `proc`'s quantum ended on its budget: post or queue its next. */
+    void budget_exit(Process &proc);
+    /** Fill in `proc`'s task and add it to the next post (to_post_). */
+    void post_prerun(Process &proc);
     /** Unpost `proc`'s pre-run, settle it and count it. */
     void settle_prerun(Process &proc);
     /**
@@ -535,7 +563,12 @@ class Kernel
     vm::CpuExit take_prerun(Process &proc);
     /** Undo `proc`'s outstanding pre-run, if any. */
     void drop_prerun(Process &proc);
-    /** Undo every outstanding pre-run. */
+    /**
+     * Undo every outstanding pre-run. A personality whose memory or
+     * Cpus outlive its process records only in its own members (an
+     * enclave) calls this first thing in its destructor: a pool thread
+     * may still be running a pre-run there.
+     */
     void drop_preruns();
 
     /** Point the NetSim's event observers at this kernel. */
@@ -618,17 +651,22 @@ class Kernel
     std::vector<int> death_order_;
 
     QuantumPool *pool_ = QuantumPool::shared();
-    /** Processes whose pre-run is posted (this round only). */
+    /** Processes whose pre-run is posted and not yet settled. */
     std::vector<Process *> preruns_;
     /** Scratch list of tasks handed to QuantumPool::post(). */
     std::vector<QuantumPool::Task *> to_post_;
-    /** Processes whose quantum this round ended on its budget: the
-     *  next round's pre-run candidates (every runnable process runs
-     *  once per round, so no older entry can be missing). */
-    std::vector<Process *> budget_exits_;
-    /** Last round's list, reused as start_preruns' batch. */
-    std::vector<Process *> prerun_batch_;
-    /** How many quanta ended on their budget the round before. */
+    /** The trigger, as start_preruns found it at this round's start. */
+    bool posting_ = false;
+    /**
+     * Processes start_preruns considers at the next round's start. In
+     * a round that does not post: those whose quantum ended on its
+     * budget, posted if the trigger then holds. In one that does: the
+     * ones spawned, whose first quantum is next round's (every budget
+     * exit posted at once), posted unless no pool or an AEX plan.
+     */
+    std::vector<Process *> next_posts_;
+    /** Quanta that ended on their budget this round, the round before. */
+    size_t budget_exits_ = 0;
     size_t prev_budget_exits_ = 0;
     PreRunStats prerun_stats_;
 

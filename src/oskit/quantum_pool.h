@@ -3,9 +3,11 @@
  * A fixed pool of host threads that runs posted tasks, each of which
  * its poster later settles on its own: a task no thread has started
  * yet is taken back, one in flight is waited for. The kernel uses it
- * to pre-run a round's CPU-bound quanta (DESIGN.md §3.4) while its
- * walk goes on; the threads never decide a simulated result, they
- * only compute quanta the kernel then commits one by one in its usual
+ * to pre-run CPU-bound processes' next quanta (DESIGN.md §3.4): each
+ * is posted as soon as the process's current quantum ends on its
+ * budget and runs while the walk finishes that round and starts the
+ * next. The threads never decide a simulated result, they only
+ * compute quanta the kernel then commits one by one in its usual
  * order.
  */
 #ifndef OCCLUM_OSKIT_QUANTUM_POOL_H

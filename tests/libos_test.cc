@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "baseline/eip_system.h"
 #include "baseline/linux_system.h"
 #include "faultsim/faultsim.h"
@@ -792,15 +794,20 @@ build_sips(const std::vector<std::pair<std::string, std::string>> &sources,
     return out;
 }
 
+/** Called before each round with the rounds run so far. */
+using RoundHook = std::function<void(OcclumSystem &, int)>;
+
 /**
  * Spawn `programs` (name, argv) under one parent-less OcclumSystem at
  * `cores`, run to completion with `pool` pre-running quanta (nullptr:
- * every quantum inline), and fingerprint the run.
+ * every quantum inline), and fingerprint the run. A `between` hook
+ * runs before every round.
  */
 RunPrint
 run_images(const std::vector<std::pair<std::string, Bytes>> &images,
            const std::vector<std::vector<std::string>> &spawns, int cores,
-           oskit::QuantumPool *pool, bool check_signatures)
+           oskit::QuantumPool *pool, bool check_signatures,
+           const RoundHook &between = nullptr)
 {
     // A clean plan whatever OCCLUM_FAULT_PLAN says: the pinned values
     // are those of an undisturbed run, and an AEX storm disables
@@ -826,6 +833,15 @@ run_images(const std::vector<std::pair<std::string, Bytes>> &images,
         auto pid = sys.spawn(argv[0], argv);
         EXPECT_TRUE(pid.ok());
         pids.push_back(pid.ok() ? pid.value() : -1);
+    }
+    for (int round = 0; between && !sys.all_exited(); ++round) {
+        between(sys, round);
+        // No timed waits: while anything lives, every round progresses,
+        // which is when Kernel::run() steps the next one at once.
+        if (!sys.step_round()) {
+            ADD_FAILURE() << "round " << round << " made no progress";
+            break;
+        }
     }
     sys.run();
     RunPrint print;
@@ -860,10 +876,11 @@ run_images(const std::vector<std::pair<std::string, Bytes>> &images,
 RunPrint
 run_sips(const std::vector<std::pair<std::string, std::string>> &sources,
          const std::vector<std::vector<std::string>> &spawns, int cores,
-         oskit::QuantumPool *pool, bool check_signatures = true)
+         oskit::QuantumPool *pool, bool check_signatures = true,
+         const RoundHook &between = nullptr)
 {
     return run_images(build_sips(sources, check_signatures), spawns, cores,
-                      pool, check_signatures);
+                      pool, check_signatures, between);
 }
 
 void
@@ -1177,10 +1194,11 @@ TEST(PreRun, UnsignedCallIntoARespawnedSlotRunsTheNewCode)
     // The caller's Cpu follows the space-wide clock once it has run
     // code outside its slot, so the respawn stales its copy of f and
     // it runs the new bytes: its first call returns 11, its last 22.
-    // Pre-runs on 0 and 3 workers must match the inline run. When the
-    // spawner walks before the caller (pids 1, 2), a respawn lands
-    // between the caller's post and its slot, and the caller's pre-run
-    // is discarded as stale; the other way round, none is.
+    // Pre-runs on 0 and 3 workers must match the inline run. The
+    // caller's next quantum is posted at its budget exit and settled at
+    // its slot in the next round, so the one respawn (lib2 into lib1's
+    // slot) lands between a post and its slot whichever pid walks
+    // first: exactly that one pre-run is discarded as stale.
     const OcclumSystem::Config config;
     const uint64_t span = oelf::kTrampSize + config.slot_code_size +
                           oelf::kGuardSize + config.slot_data_size +
@@ -1274,11 +1292,261 @@ func main() {
             expect_same_run(inline_run, pre);
             EXPECT_EQ(pre.deaths, inline_run.deaths);
             // Posting and staleness depend on simulated state only.
-            if (caller_first) {
-                EXPECT_EQ(pre.prerun.stale, 0u);
-            } else {
-                EXPECT_GT(pre.prerun.stale, 0u);
-            }
+            EXPECT_EQ(pre.prerun.stale, 1u);
+        }
+    }
+}
+
+/** Pre-runs posted and not yet settled (each settle either finds the
+ *  task run or takes it back); a function of simulated state only. */
+uint64_t
+outstanding(const oskit::PreRunStats &stats)
+{
+    return stats.posted - stats.preruns - stats.taken_back;
+}
+
+/** A CPU-bound SIP that makes no syscall for its first ~300 quanta of
+ *  2000 instructions. */
+const std::pair<std::string, std::string> kSpin = {"spin", R"(
+func main() {
+    var i = 0;
+    var h = 7;
+    while (i < 60000) { h = (h * 31 + i) & 0xffff; i = i + 1; }
+    return h & 0x7f;
+}
+)"};
+
+TEST(PreRun, KilledVictimWalkingFirstLeavesNoTrace)
+{
+    // KilledSiblingsPreRunLeavesNoTrace turned around: the victim
+    // (pid 1) walks before its killer (pid 3), so when the kill lands
+    // the victim has already run this round and its next quantum,
+    // posted at its budget exit, is outstanding. Undoing it must leave
+    // no trace in any counter, DeathRecord or code mark.
+    const std::vector<std::pair<std::string, std::string>> sources = {
+        {"killer", R"(
+func main() {
+    var i = 0;
+    var h = 1;
+    while (i < 30000) { h = h * 3 + i; i = i + 1; }
+    kill(1, 9);
+    i = 0;
+    while (i < 10000) { h = h * 5 + i; i = i + 1; }
+    return h & 0x3f;
+}
+)"},
+        {"victim", R"(
+global int cells[512];
+func main() {
+    var i = 0;
+    while (1) { cells[i & 511] = cells[(i * 3) & 511] + i; i = i + 1; }
+    return 0;
+}
+)"},
+        kSpin,
+    };
+    // Pids 1..3: the victim shares the killer's home core at cores 2.
+    const std::vector<std::vector<std::string>> spawns = {
+        {"victim"}, {"spin"}, {"killer"}};
+    oskit::QuantumPool none(0);
+    oskit::QuantumPool three(3);
+    for (int cores : {1, 2}) {
+        SCOPED_TRACE(cores);
+        RunPrint inline_run = run_sips(sources, spawns, cores, nullptr);
+        EXPECT_EQ(inline_run.codes[0], -9);
+        EXPECT_EQ(inline_run.death_order.front(), 1);
+        for (oskit::QuantumPool *pool : {&none, &three}) {
+            RunPrint pre = run_sips(sources, spawns, cores, pool);
+            expect_same_run(inline_run, pre);
+            EXPECT_EQ(pre.deaths, inline_run.deaths);
+            EXPECT_EQ(pre.code_generation, inline_run.code_generation);
+            // The victim's next quantum is undone at the kill.
+            EXPECT_GT(pre.prerun.discards, 0u);
+        }
+    }
+}
+
+TEST(PreRun, PoolSwapsMidRunSettleAndMatchInline)
+{
+    // Between rounds the storm's pre-runs for the next round are
+    // outstanding. Swapping the pool then (for none, for another, back)
+    // settles them with the pool that took them, and the run still
+    // matches the inline one.
+    oskit::QuantumPool none(0);
+    oskit::QuantumPool three(3);
+    oskit::QuantumPool other(2);
+    uint64_t at_swaps = 0;
+    const RoundHook swap = [&](OcclumSystem &sys, int round) {
+        oskit::QuantumPool *next = nullptr;
+        switch (round) {
+          case 40: next = &other; break;
+          case 60: next = nullptr; break;
+          case 80: next = &none; break;
+          case 100: next = &three; break;
+          default: return;
+        }
+        at_swaps += outstanding(sys.prerun_stats());
+        sys.set_quantum_pool(next);
+        EXPECT_EQ(outstanding(sys.prerun_stats()), 0u);
+    };
+    RunPrint inline_run = run_sips(kStorm, {{"storm"}}, 4, nullptr);
+    for (oskit::QuantumPool *pool : {&none, &three}) {
+        at_swaps = 0;
+        RunPrint pre =
+            run_sips(kStorm, {{"storm"}}, 4, pool, true, swap);
+        expect_same_run(inline_run, pre);
+        EXPECT_GT(at_swaps, 0u);
+        EXPECT_EQ(outstanding(pre.prerun), 0u);
+    }
+}
+
+TEST(PreRun, TeardownSettlesOutstandingPreRuns)
+{
+    // Systems destroyed mid-run, with pre-runs outstanding on three
+    // threads: each personality settles them before its enclaves go
+    // (ASan and TSan see it if not).
+    oskit::QuantumPool three(3);
+    faultsim::ScopedFaultPlan clean{faultsim::FaultPlan{}};
+    auto run_six_rounds = [&](oskit::Kernel &sys) {
+        sys.set_quantum_pool(&three);
+        sys.set_quantum(2000);
+        for (int i = 0; i < 3; ++i) {
+            EXPECT_TRUE(sys.spawn("spin", {"spin"}).ok());
+        }
+        for (int round = 0; round < 6; ++round) {
+            sys.step_round();
+        }
+        EXPECT_GT(outstanding(sys.prerun_stats()), 0u);
+    };
+    {
+        sgx::Platform platform;
+        host::HostFileStore binaries;
+        binaries.put("spin", build_signed(kSpin.second));
+        OcclumSystem::Config config;
+        config.num_slots = 4;
+        config.verifier_key = vkey();
+        config.cores = 2;
+        OcclumSystem sys(platform, binaries, config);
+        run_six_rounds(sys);
+    }
+    {
+        sgx::Platform platform;
+        host::HostFileStore binaries;
+        binaries.put("spin", build_plain(kSpin.second));
+        baseline::EipSystem sys(platform, binaries);
+        run_six_rounds(sys);
+    }
+}
+
+TEST(PreRun, AexPlanArmedWithPreRunsOutstandingMatchesInline)
+{
+    // An AEX storm armed between rounds, while next round's pre-runs
+    // are outstanding: each is discarded at its slot and the quantum
+    // runs inline, sliced, exactly as in the inline run.
+    uint64_t at_arm = 0;
+    const RoundHook arm = [&](OcclumSystem &sys, int round) {
+        if (round != 50) {
+            return;
+        }
+        at_arm = outstanding(sys.prerun_stats());
+        faultsim::FaultPlan plan;
+        plan.aex_every = 1500;
+        faultsim::FaultSim::instance().install(plan);
+    };
+    oskit::QuantumPool none(0);
+    oskit::QuantumPool three(3);
+    for (int cores : {1, 4}) {
+        SCOPED_TRACE(cores);
+        RunPrint inline_run =
+            run_sips(kStorm, {{"storm"}}, cores, nullptr, true, arm);
+        for (oskit::QuantumPool *pool : {&none, &three}) {
+            at_arm = 0;
+            RunPrint pre =
+                run_sips(kStorm, {{"storm"}}, cores, pool, true, arm);
+            expect_same_run(inline_run, pre);
+            EXPECT_GT(at_arm, 0u);
+            EXPECT_GE(pre.prerun.discards, at_arm);
+        }
+    }
+}
+
+TEST(PreRun, FreshSipsFirstQuantumIsPosted)
+{
+    // Two spinners keep the pool posting. A third spawned between
+    // rounds 6 and 7 has its first quantum posted at round 7's start,
+    // so that round posts four quanta (the newcomer's first, then each
+    // spinner's and the newcomer's next at their budget exits) and,
+    // on the 0-worker pool, commits three pre-runs (the spinners' and
+    // the newcomer's first).
+    oskit::QuantumPool none(0);
+    oskit::PreRunStats before;
+    oskit::PreRunStats after;
+    const RoundHook spawn_one = [&](OcclumSystem &sys, int round) {
+        if (round == 6) {
+            before = sys.prerun_stats();
+            EXPECT_TRUE(sys.spawn("spin", {"spin"}).ok());
+        } else if (round == 7) {
+            after = sys.prerun_stats();
+        }
+    };
+    const std::vector<std::vector<std::string>> spawns = {{"spin"},
+                                                          {"spin"}};
+    RunPrint inline_run =
+        run_sips({kSpin}, spawns, 1, nullptr, true, spawn_one);
+    RunPrint pre = run_sips({kSpin}, spawns, 1, &none, true, spawn_one);
+    expect_same_run(inline_run, pre);
+    EXPECT_EQ(after.posted - before.posted, 4u);
+    EXPECT_EQ(after.commits - before.commits, 3u);
+    EXPECT_EQ(after.taken_back, 0u);
+}
+
+TEST(Occlum, SyscallReturnCheckIgnoresTheSipsPcbDomainId)
+{
+    // The domain id the return check compares against is the one the
+    // loader stamped, not the PCB's copy, which the SIP can overwrite:
+    // a SIP that scribbles over it still makes syscalls, and a return
+    // target that is not its own cfi_label is still refused.
+    const OcclumSystem::Config defaults;
+    const uint64_t code = defaults.enclave_base + oelf::kTrampSize;
+    const uint64_t pcb = code + defaults.slot_code_size + oelf::kGuardSize;
+    auto sip = [&](bool forge_return) {
+        isa::Assembler a(code);
+        a.cfi_label();
+        a.mov_ri(14, static_cast<int64_t>(pcb));
+        a.mov_ri(13, 0x5eed);
+        a.store(isa::mem_bd(14, abi::kPcbDomainId), 13);
+        a.load(14, isa::mem_bd(14, abi::kPcbTrampoline));
+        a.mov_ri(0, static_cast<int64_t>(abi::Sys::kGetPid));
+        if (forge_return) {
+            // The gate pops this as the return address.
+            a.mov_rl(3, "not_a_label");
+            a.push(3);
+            a.jmp_reg(14);
+            a.bind("not_a_label");
+            a.nop();
+        } else {
+            a.call_reg(14);
+            a.cfi_label(); // the syscall's return site
+        }
+        a.mov_rr(1, 0);
+        a.add_ri(1, 40);
+        asm_exit(a, pcb);
+        return asm_image(a);
+    };
+    for (bool forge_return : {false, true}) {
+        SCOPED_TRACE(forge_return);
+        RunPrint run = run_images({{"sip", sip(forge_return)}}, {{"sip"}},
+                                  1, nullptr, /*check_signatures=*/false);
+        if (!forge_return) {
+            EXPECT_EQ(run.codes, std::vector<int64_t>{41}); // getpid() + 40
+            EXPECT_EQ(run.deaths[0].substr(0, 2), "1/"); // kExited
+        } else {
+            EXPECT_EQ(run.codes, std::vector<int64_t>{-1});
+            const std::string bound_range =
+                "2/" + std::to_string(static_cast<int>(
+                           vm::FaultKind::kBoundRange)) + "/";
+            EXPECT_EQ(run.deaths[0].substr(0, bound_range.size()),
+                      bound_range);
         }
     }
 }
