@@ -5,8 +5,9 @@
 # spawn and SPEC-kernel rows match their committed snapshot, so bench
 # or script rot is caught on every push rather than at paper-figure
 # time, runs the build-path, spawn, byte-plane and EncFs substrate rows
-# once, then runs perfbench's self-check and two sip-storm runs. The
-# full (slow) suite is recorded manually via scripts/bench_record.sh.
+# once, then runs perfbench's self-check and sip-storm and
+# gcc-pipeline runs at two seeds. The full (slow) suite is recorded
+# manually via scripts/bench_record.sh.
 #
 # Usage: scripts/ci_bench_smoke.sh [build-dir]   (default: build-bench)
 set -euo pipefail
@@ -114,14 +115,16 @@ rm -rf "$OUT_DIR" "bench/results/$LABEL-sb0" "bench/results/$LABEL-cref"
 # $CARGO_TARGET_DIR (default .bench_build/); about 3 s once built.
 python3 perfbench/run.py --self-check
 
-# Pre-run determinism: sip-storm pre-runs most of its quanta on host
-# threads, and perfbench exits 3 when a later pass does not reproduce
-# pass 0 bit for bit. Which pre-runs a worker has started when the walk
-# reaches them differs from pass to pass, so a slip in settling or
-# rolling one back shows here only now and then: run a few seconds of
-# passes at two seeds.
+# Pre-run determinism: sip-storm and gcc-pipeline pre-run quanta on
+# host threads, and perfbench exits 3 when a later pass does not
+# reproduce pass 0 bit for bit. Which pre-runs a worker has started
+# when the walk reaches them differs from pass to pass, so a slip in
+# settling or rolling one back shows here only now and then: run a few
+# seconds of passes of each at two seeds.
 for seed in 1 20261016; do
     python3 perfbench/run.py --workload sip-storm --seed "$seed" \
         --seconds 5 --trace 0 > /dev/null
+    python3 perfbench/run.py --workload gcc-pipeline --seed "$seed" \
+        --seconds 3 --trace 0 > /dev/null
 done
 echo "bench smoke OK"

@@ -123,8 +123,6 @@ class Status
     Status(ErrorCode code, std::string msg)
         : error_(Error(code, std::move(msg))) {}
 
-    static Status ok_status() { return Status(); }
-
     bool ok() const { return error_.code == ErrorCode::kOk; }
     const Error &error() const { return error_; }
     ErrorCode code() const { return error_.code; }

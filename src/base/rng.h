@@ -36,14 +36,6 @@ class Rng
         return next() % bound;
     }
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    int64_t
-    next_range(int64_t lo, int64_t hi)
-    {
-        return lo + static_cast<int64_t>(
-            next_below(static_cast<uint64_t>(hi - lo + 1)));
-    }
-
     /** Uniform double in [0, 1). */
     double
     next_double()

@@ -51,12 +51,6 @@ class SimClock
     }
 
     static double
-    cycles_to_millis(uint64_t cycles)
-    {
-        return cycles / kFrequencyHz * 1e3;
-    }
-
-    static double
     cycles_to_seconds(uint64_t cycles)
     {
         return cycles / kFrequencyHz;

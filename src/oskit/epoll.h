@@ -82,7 +82,6 @@ class EpollObject : public FileObject
 
     /** True if `fd` is in the interest list. */
     bool contains(int fd) const { return interest_.count(fd) != 0; }
-    size_t interest_size() const { return interest_.size(); }
 
     /** Watch-cycle check: can events from `target` reach this epoll? */
     bool reaches(const EpollObject *target) const;

@@ -249,12 +249,6 @@ class Pipe
     size_t pop(uint8_t *dst, size_t len);
 
     bool
-    can_read() const
-    {
-        return !empty() || writers == 0;
-    }
-
-    bool
     can_write() const
     {
         return size_ < kCapacity;

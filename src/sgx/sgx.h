@@ -347,7 +347,6 @@ class SgxThread
     bool in_aex() const { return phase_ == TcsPhase::kAexed; }
     TcsPhase phase() const { return phase_; }
     const vm::CpuState &ssa() const { return ssa_; }
-    int tcs_id() const { return tcs_id_; }
 
   private:
     /** Report one transition to the monitor at the platform clock. */

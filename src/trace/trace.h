@@ -81,7 +81,6 @@ class Tracer
 
     /** Clock whose cycles() stamps every event (may be null: ts=0). */
     void bind_clock(const SimClock *clock) { clock_ = clock; }
-    const SimClock *bound_clock() const { return clock_; }
     uint64_t now() const { return clock_ ? clock_->cycles() : 0; }
 
     void

@@ -475,7 +475,6 @@ translate_superblock(const SbDecodeFn &decode, uint64_t entry_rip,
     }
 
     uint32_t folded = 0;
-    peephole::elide_duplicate_guards(uops, is_target, &folded);
     peephole::fuse_bound_pairs(uops, is_target, &folded);
     peephole::fuse_compare_branches(uops, is_target);
     peephole::collapse_charge_runs(uops, is_target);

@@ -21,11 +21,12 @@
  * is first lowered 1:1 into uops with operands bound (register slots,
  * immediates, rip-relative addresses folded to constants), then a
  * series of peephole passes runs over the linear buffer —
- * bndcl/bndcu pairs fused, compare+branch fused, duplicate bound
- * checks that a range analysis over the trace proves redundant folded
- * to charge-only uops, and nop/label/collapsed-jump runs merged —
- * before dead uops are compacted out and intra-trace targets
- * relocated.
+ * bndcl/bndcu pairs fused, compare+branch fused, nop/label/
+ * collapsed-jump runs merged, and a bound check fused into the access
+ * it guards — before dead uops are compacted out and intra-trace
+ * targets relocated. The passes fuse checks but never drop one:
+ * redundant checks are removed by the toolchain before the binary is
+ * verified, the one place that policy lives.
  *
  * Cycle accounting is bit-identical to the other tiers, but it is
  * charged per budget segment, not per uop. A segment runs from a
@@ -40,9 +41,7 @@
  * the uops after it, and the part of its own group past the fault
  * point. A fused uop that faults in its first component keeps only
  * that component (`cost_head`); `rdcycle` reads the counter minus the
- * rest of its segment. Folded guards still charge their cycles — only
- * the dispatch and the re-check are removed, never the simulated
- * time.
+ * rest of its segment.
  */
 #ifndef OCCLUM_VM_SUPERBLOCK_H
 #define OCCLUM_VM_SUPERBLOCK_H
@@ -69,7 +68,7 @@ constexpr int kMaxStitchDepth = 8;
 enum class UopKind : uint8_t {
     kDead,    // translation-time tombstone (never installed)
     kCharge,  // charge cycles/instructions only (nops, labels,
-              // collapsed jumps, folded guards)
+              // collapsed jumps)
 
     kMovRI, kMovRR,
     kAddRI, kAddRR, kSubRI, kSubRR, kMulRI, kMulRR,
@@ -171,7 +170,7 @@ is_intra_trace_branch(UopKind kind)
 /** An installed trace, owned by the block it was promoted from. */
 struct Superblock {
     std::vector<Uop> uops; // uops[0].seg_instrs: the budget to enter
-    uint32_t guards_folded = 0;  // fused pairs + elided duplicates
+    uint32_t guards_folded = 0;  // bound checks fused into a pair or an access
 };
 
 /** Decode callback: fills `out` at `rip`, false on fetch/decode fault. */
@@ -189,25 +188,9 @@ bool translate_superblock(const SbDecodeFn &decode, uint64_t entry_rip,
 // ---- peephole passes (superblock_peephole.cc) ---------------------------
 // All passes operate on the linear uop buffer between lowering and
 // compaction. `is_target[i]` marks uops that are intra-trace jump
-// targets; a pass must never merge a target into its predecessor and
-// must reset any dataflow assumptions at a target (control may enter
-// there from a back edge with different register state).
+// targets; a pass must never merge a target into its predecessor
+// (control may enter there from a back edge).
 namespace peephole {
-
-/** Registers written by a uop, as a bitmask (sp included). */
-uint32_t written_regs(const Uop &op);
-
-/**
- * Fold bound checks that an earlier check on the same trace path
- * already proves: an identical (bnd, EA/reg operand) check whose
- * operand registers are unmodified since must produce the same
- * outcome, and the earlier outcome was "pass" (a failure would have
- * exited the trace). Folded checks become kCharge — simulated cycles
- * are still charged; only the re-check is removed.
- */
-void elide_duplicate_guards(std::vector<Uop> &uops,
-                            const std::vector<uint8_t> &is_target,
-                            uint32_t *folded);
 
 /** Fuse adjacent bndcl+bndcu on the same operand into one uop. */
 void fuse_bound_pairs(std::vector<Uop> &uops,
@@ -223,7 +206,7 @@ void fuse_bound_pairs(std::vector<Uop> &uops,
  * cycle charges stay exactly tiered: lo-check fail charges
  * `cost_head`, hi-check fail charges the check portion (`target`),
  * an access fault charges the full group. A plain kCharge run in
- * front of an access (elided guards, nops) fuses the same way with
+ * front of an access (nops, labels) fuses the same way with
  * `mask` 0 — charge-then-access, no checks. Runs after
  * collapse_charge_runs so a collapsed run is absorbed whole.
  */
@@ -235,7 +218,7 @@ void fuse_bound_accesses(std::vector<Uop> &uops,
 void fuse_compare_branches(std::vector<Uop> &uops,
                            const std::vector<uint8_t> &is_target);
 
-/** Merge runs of adjacent kCharge uops (nops, labels, folded guards). */
+/** Merge runs of adjacent kCharge uops (nops, labels, collapsed jumps). */
 void collapse_charge_runs(std::vector<Uop> &uops,
                           const std::vector<uint8_t> &is_target);
 

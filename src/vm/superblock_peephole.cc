@@ -6,168 +6,18 @@
  * Soundness rules shared by every pass:
  *  - never merge a uop that is an intra-trace jump target into its
  *    predecessor (control can enter at it from a back edge);
- *  - reset all dataflow assumptions at a target (the incoming path is
- *    unknown);
- *  - bound registers are constants within a trace — every instruction
- *    that can mutate them (bndmk/bndmov/xrstor) is dangerous and
- *    terminates stitching — so a bound check is a pure function of
- *    its operand registers;
- *  - only *exact duplicates* of an earlier check are folded. Proving
- *    subsumption from monotone displacements is unsound under
- *    unsigned effective-address wraparound, so it is not attempted.
- *  - folding never touches simulated time: a folded check becomes a
- *    kCharge carrying its original cost and instruction count.
+ *  - fuse only program-adjacent uops, so no register can change
+ *    between the components of a group;
+ *  - never drop a bound check: a fused group runs every check it
+ *    covers. Redundant checks are removed once, by the toolchain
+ *    before the binary is verified (eliminate_redundant_guards);
+ *  - fusion never touches simulated time: a group charges the sum of
+ *    its components, and one that faults part-way charges only the
+ *    components that ran.
  */
 #include "vm/superblock.h"
 
 namespace occlum::vm::peephole {
-
-uint32_t
-written_regs(const Uop &op)
-{
-    switch (op.kind) {
-      case UopKind::kMovRI:
-      case UopKind::kMovRR:
-      case UopKind::kAddRI: case UopKind::kAddRR:
-      case UopKind::kSubRI: case UopKind::kSubRR:
-      case UopKind::kMulRI: case UopKind::kMulRR:
-      case UopKind::kDivRR: case UopKind::kModRR:
-      case UopKind::kAndRI: case UopKind::kAndRR:
-      case UopKind::kOrRI: case UopKind::kOrRR:
-      case UopKind::kXorRI: case UopKind::kXorRR:
-      case UopKind::kShlRI: case UopKind::kShrRI: case UopKind::kSarRI:
-      case UopKind::kShlRR: case UopKind::kShrRR: case UopKind::kSarRR:
-      case UopKind::kNeg: case UopKind::kNot:
-      case UopKind::kLea:
-      case UopKind::kRdcycle:
-      case UopKind::kLoad:
-      case UopKind::kLoadChk:
-        return 1u << op.reg1;
-      case UopKind::kPop:
-        return (1u << op.reg1) | (1u << isa::kSp);
-      case UopKind::kPush:
-      case UopKind::kPushImm:
-      case UopKind::kCall:
-      case UopKind::kCallExit:
-      case UopKind::kCallRegExit:
-      case UopKind::kCallMemExit:
-      case UopKind::kRetGuard:
-      case UopKind::kRetExit:
-        return 1u << isa::kSp;
-      default:
-        return 0; // charges, stores, compares, checks, branches
-    }
-}
-
-namespace {
-
-/** A bound check whose outcome is known to be "pass" at this point. */
-struct SeenCheck {
-    bool is_mem = false;
-    uint8_t bnd = 0;
-    uint8_t mask = 0; // bits already proven
-    // mem operand signature
-    uint8_t ea = kEaConst;
-    uint8_t base = 0;
-    uint8_t index = 0;
-    uint8_t scale = 0;
-    int64_t disp = 0;
-    // reg operand signature
-    uint8_t reg = 0;
-
-    bool
-    same_operand(const Uop &u, bool mem_check) const
-    {
-        if (is_mem != mem_check || bnd != u.bnd) {
-            return false;
-        }
-        if (is_mem) {
-            if (ea != u.ea) return false;
-            switch (ea) {
-              case kEaConst: return disp == u.disp;
-              case kEaBaseDisp: return base == u.base && disp == u.disp;
-              default:
-                return base == u.base && index == u.index &&
-                       scale == u.scale && disp == u.disp;
-            }
-        }
-        return reg == u.reg1;
-    }
-
-    bool
-    depends_on(uint32_t reg_mask) const
-    {
-        if (is_mem) {
-            switch (ea) {
-              case kEaConst: return false;
-              case kEaBaseDisp: return (reg_mask >> base) & 1;
-              default:
-                return ((reg_mask >> base) & 1) ||
-                       ((reg_mask >> index) & 1);
-            }
-        }
-        return (reg_mask >> reg) & 1;
-    }
-};
-
-} // namespace
-
-void
-elide_duplicate_guards(std::vector<Uop> &uops,
-                       const std::vector<uint8_t> &is_target,
-                       uint32_t *folded)
-{
-    std::vector<SeenCheck> seen;
-    for (size_t i = 0; i < uops.size(); ++i) {
-        if (is_target[i]) {
-            seen.clear(); // join point: forget everything
-        }
-        Uop &u = uops[i];
-        if (u.kind == UopKind::kBndChkMem ||
-            u.kind == UopKind::kBndChkReg) {
-            bool mem_check = u.kind == UopKind::kBndChkMem;
-            SeenCheck *match = nullptr;
-            for (SeenCheck &c : seen) {
-                if (c.same_operand(u, mem_check)) {
-                    match = &c;
-                    break;
-                }
-            }
-            if (match != nullptr && (match->mask & u.mask) == u.mask) {
-                // The identical check already passed on every path
-                // reaching here — re-checking is pure dispatch cost.
-                u.kind = UopKind::kCharge;
-                ++*folded;
-            } else if (match != nullptr) {
-                match->mask |= u.mask;
-            } else {
-                SeenCheck c;
-                c.is_mem = mem_check;
-                c.bnd = u.bnd;
-                c.mask = u.mask;
-                c.ea = u.ea;
-                c.base = u.base;
-                c.index = u.index;
-                c.scale = u.scale;
-                c.disp = u.disp;
-                c.reg = u.reg1;
-                seen.push_back(c);
-            }
-            continue;
-        }
-        uint32_t w = written_regs(u);
-        if (w != 0) {
-            for (size_t k = 0; k < seen.size();) {
-                if (seen[k].depends_on(w)) {
-                    seen[k] = seen.back();
-                    seen.pop_back();
-                } else {
-                    ++k;
-                }
-            }
-        }
-    }
-}
 
 void
 fuse_bound_pairs(std::vector<Uop> &uops,
@@ -242,10 +92,10 @@ fuse_bound_accesses(std::vector<Uop> &uops,
 {
     for (size_t i = 0; i + 1 < uops.size(); ++i) {
         Uop &chk = uops[i];
-        // kCharge heads fuse too (mask 0 = no checks): an elided
-        // guard or nop run in front of an access is pure dispatch
-        // cost, and budget segments count whole uops, so
-        // multi-instruction groups are already covered.
+        // kCharge heads fuse too (mask 0 = no checks): a nop or label
+        // run in front of an access is pure dispatch cost, and
+        // budget segments count whole uops, so multi-instruction
+        // groups are already covered.
         bool is_check = chk.kind == UopKind::kBndChkMem;
         if (!is_check && chk.kind != UopKind::kCharge) {
             continue;

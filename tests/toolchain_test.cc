@@ -8,6 +8,8 @@
 
 #include "baseline/linux_system.h"
 #include "crypto/reference.h"
+#include "isa/assembler.h"
+#include "toolchain/codegen.h"
 #include "toolchain/minic.h"
 
 namespace occlum::toolchain {
@@ -374,6 +376,160 @@ TEST(Oelf, StreamedDigestMatchesUnsignedSerialization)
         }
     }
     crypto::set_reference_mode(saved_mode);
+}
+
+// ---- eliminate_redundant_guards on hand-built item lists ----------------
+// Every Occlum binary goes through this pass; the trace translator
+// fuses checks but never drops one, so this is the only place a
+// redundant mem_guard disappears.
+
+/** Append a removable mem_guard pair (bndcl+bndcu, one group) on `mem`. */
+void
+add_guard(std::vector<AsmItem> &items, const isa::MemOperand &mem)
+{
+    int group = static_cast<int>(items.size());
+    for (isa::Opcode op : {isa::Opcode::kBndclMem, isa::Opcode::kBndcuMem}) {
+        AsmItem item;
+        item.instr.op = op;
+        item.instr.bnd = isa::kBndData;
+        item.instr.mem = mem;
+        item.guard_group = group;
+        items.push_back(item);
+    }
+}
+
+void
+add_instr(std::vector<AsmItem> &items, isa::Opcode op, uint8_t reg1 = 0)
+{
+    AsmItem item;
+    item.instr.op = op;
+    item.instr.reg1 = reg1;
+    items.push_back(item);
+}
+
+/** Guard on `first`, then `between`, then a guard on `second`: the
+ *  number of pairs removed and the items left. */
+std::pair<uint64_t, size_t>
+eliminate_around(const isa::MemOperand &first,
+                 const std::vector<AsmItem> &between,
+                 const isa::MemOperand &second)
+{
+    std::vector<AsmItem> items;
+    add_guard(items, first);
+    items.insert(items.end(), between.begin(), between.end());
+    add_guard(items, second);
+    uint64_t removed = eliminate_redundant_guards(items);
+    return {removed, items.size()};
+}
+
+TEST(RedundantGuards, ExactDuplicateInOneBlockIsRemovedAndCounted)
+{
+    std::vector<AsmItem> load;
+    add_instr(load, isa::Opcode::kLoad, 1);
+    load.back().instr.mem = isa::mem_bd(3, 16);
+    auto [removed, left] =
+        eliminate_around(isa::mem_bd(3, 16), load, isa::mem_bd(3, 16));
+    EXPECT_EQ(removed, 1u);
+    EXPECT_EQ(left, 3u); // first pair + the load
+
+    std::vector<AsmItem> items;
+    add_guard(items, isa::mem_sib(3, 4, 3, 8));
+    add_guard(items, isa::mem_sib(3, 4, 3, 8));
+    add_guard(items, isa::mem_sib(3, 4, 3, 8));
+    EXPECT_EQ(eliminate_redundant_guards(items), 2u);
+    ASSERT_EQ(items.size(), 2u);
+    EXPECT_EQ(items[0].instr.op, isa::Opcode::kBndclMem);
+    EXPECT_EQ(items[1].instr.op, isa::Opcode::kBndcuMem);
+}
+
+TEST(RedundantGuards, DisplacementWindowIsExactly2048Bytes)
+{
+    EXPECT_EQ(eliminate_around(isa::mem_bd(3, 0), {}, isa::mem_bd(3, 2048))
+                  .first,
+              1u);
+    EXPECT_EQ(eliminate_around(isa::mem_bd(3, 2048), {}, isa::mem_bd(3, 0))
+                  .first,
+              1u);
+    auto [removed, left] =
+        eliminate_around(isa::mem_bd(3, 0), {}, isa::mem_bd(3, 2049));
+    EXPECT_EQ(removed, 0u);
+    EXPECT_EQ(left, 4u);
+    EXPECT_EQ(eliminate_around(isa::mem_bd(3, 2049), {}, isa::mem_bd(3, 0))
+                  .first,
+              0u);
+    // The window also holds for SIB operands of one shape...
+    EXPECT_EQ(eliminate_around(isa::mem_sib(3, 4, 0, 0), {},
+                               isa::mem_sib(3, 4, 0, 2048))
+                  .first,
+              1u);
+    EXPECT_EQ(eliminate_around(isa::mem_sib(3, 4, 0, 0), {},
+                               isa::mem_sib(3, 4, 0, 2049))
+                  .first,
+              0u);
+    // ...and never across shapes.
+    EXPECT_EQ(eliminate_around(isa::mem_bd(3, 0), {}, isa::mem_bd(5, 0))
+                  .first,
+              0u);
+    EXPECT_EQ(eliminate_around(isa::mem_sib(3, 4, 0, 0), {},
+                               isa::mem_sib(3, 4, 3, 0))
+                  .first,
+              0u);
+}
+
+TEST(RedundantGuards, BlockBoundariesForgetValidatedAddresses)
+{
+    std::vector<AsmItem> bind(1);
+    bind[0].kind = AsmItem::Kind::kBind;
+    bind[0].bind_name = "L";
+    std::vector<AsmItem> jmp;
+    add_instr(jmp, isa::Opcode::kJmp);
+    jmp.back().branch_ref = "L";
+    std::vector<AsmItem> ltrap;
+    add_instr(ltrap, isa::Opcode::kLtrap);
+    std::vector<AsmItem> label;
+    add_instr(label, isa::Opcode::kCfiLabel);
+    for (const auto *between : {&bind, &jmp, &ltrap, &label}) {
+        auto [removed, left] =
+            eliminate_around(isa::mem_bd(3, 8), *between, isa::mem_bd(3, 8));
+        EXPECT_EQ(removed, 0u);
+        EXPECT_EQ(left, 5u);
+    }
+}
+
+TEST(RedundantGuards, RegisterWritesForgetDependentAddresses)
+{
+    std::vector<AsmItem> base_write;
+    add_instr(base_write, isa::Opcode::kAddRI, 3);
+    base_write.back().instr.imm = 8;
+    EXPECT_EQ(eliminate_around(isa::mem_bd(3, 8), base_write,
+                               isa::mem_bd(3, 8))
+                  .first,
+              0u);
+
+    std::vector<AsmItem> index_write;
+    add_instr(index_write, isa::Opcode::kMovRI, 4);
+    EXPECT_EQ(eliminate_around(isa::mem_sib(3, 4, 3, 0), index_write,
+                               isa::mem_sib(3, 4, 3, 0))
+                  .first,
+              0u);
+    std::vector<AsmItem> sib_base_write;
+    add_instr(sib_base_write, isa::Opcode::kMovRI, 3);
+    EXPECT_EQ(eliminate_around(isa::mem_sib(3, 4, 3, 0), sib_base_write,
+                               isa::mem_sib(3, 4, 3, 0))
+                  .first,
+              0u);
+
+    // A write to a register the address does not use keeps the fact.
+    std::vector<AsmItem> other_write;
+    add_instr(other_write, isa::Opcode::kMovRI, 5);
+    EXPECT_EQ(eliminate_around(isa::mem_bd(3, 8), other_write,
+                               isa::mem_bd(3, 8))
+                  .first,
+              1u);
+    EXPECT_EQ(eliminate_around(isa::mem_sib(3, 4, 3, 0), other_write,
+                               isa::mem_sib(3, 4, 3, 0))
+                  .first,
+              1u);
 }
 
 } // namespace

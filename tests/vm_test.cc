@@ -1455,15 +1455,17 @@ TEST(SuperblockDefault, FollowsEnvAndStaticSetter)
 TEST_F(Superblock, GuardFoldingPreservesStateAndCycles)
 {
     // Two identical mem_guard pairs per iteration: the translator
-    // fuses the first bndcl+bndcu pair and elides the duplicate pair
-    // outright. Simulated time must not move by a single cycle.
+    // fuses each bndcl+bndcu pair and the first pair into the load it
+    // guards. The duplicate is fused and still checked, never dropped
+    // (only the toolchain removes redundant guards). Simulated time
+    // must not move by a single cycle.
     auto program = [](isa::Assembler &a) {
         a.mov_ri(2, 100);
         a.mov_ri(3, static_cast<int64_t>(kData));
         a.bind("loop");
         a.mem_guard(mem_bd(3, 0));
         a.load(4, mem_bd(3, 0));
-        a.mem_guard(mem_bd(3, 0)); // exact duplicate -> folded
+        a.mem_guard(mem_bd(3, 0)); // exact duplicate -> fused pair
         a.add_ri(4, 1);
         a.store(mem_bd(3, 0), 4);
         a.sub_ri(2, 1);
@@ -1487,7 +1489,8 @@ TEST_F(Superblock, GuardFoldingPreservesStateAndCycles)
     EXPECT_EQ(on.cpu.reg(4), 100u);
     EXPECT_EQ(on.cpu.cycles(), off.cpu.cycles());
     EXPECT_EQ(on.cpu.instructions(), off.cpu.instructions());
-    // Fused pair + two elided duplicates per promotion.
+    // Per promotion: two fused pairs + the first pair fused into the
+    // load.
     EXPECT_GE(on.cpu.superblock_guards_folded(), 3u);
     EXPECT_EQ(off.cpu.superblock_guards_folded(), 0u);
 }
