@@ -7,7 +7,8 @@
  * (compile, verify_and_sign, serialize), the Occlum spawn path
  * (parse, signature check, slot wipe, load), the EIP reserve
  * measurement, the byte plane (a pipe round trip, one NetSim
- * request), and the EncFs block path under cache churn. These
+ * request), a whole syscall round trip through an OcclumSystem, and
+ * the EncFs block path under cache churn. These
  * measure the *simulator*, not the simulated system;
  * the figure benches report simulated time.
  */
@@ -23,6 +24,7 @@
 #include "host/host.h"
 #include "isa/assembler.h"
 #include "libos/encfs.h"
+#include "libos/occlum_system.h"
 #include "oskit/file_object.h"
 #include "oskit/loader.h"
 #include "sgx/sgx.h"
@@ -484,6 +486,147 @@ BM_NetSimRequest(benchmark::State &state)
         static_cast<int64_t>(request.size() + response.size()));
 }
 BENCHMARK(BM_NetSimRequest);
+
+/** The SIPs of BM_SyscallRoundTrip: a server that relays each
+ *  request through a worker, and the worker. */
+const char *const kRelayServer = R"(
+global int evs[8];
+global byte req[512];
+global byte job[8];
+global byte reply[10240];
+global byte child[8] = "worker";
+func main() {
+    var l = sock_listen(8080, 16);
+    var ep = epoll_create();
+    if (epoll_ctl(ep, 1, l, 0x1) != 0) { return 1; }
+    var jp[2];
+    var rp[2];
+    if (pipe(jp) != 0) { return 2; }
+    if (pipe(rp) != 0) { return 2; }
+    var io3[3];
+    io3[0] = jp[0];
+    io3[1] = rp[1];
+    io3[2] = 0 - 1;
+    var argvv[1];
+    argvv[0] = child;
+    if (spawn_io(child, argvv, 1, io3) < 0) { return 3; }
+    close(jp[0]);
+    close(rp[1]);
+    while (1) {
+        var n = epoll_wait(ep, evs, 4, 0 - 1);
+        var i = 0;
+        while (i < n) {
+            var fd = evs[i * 2];
+            if (fd == l) {
+                var c = sock_accept(l);
+                if (c >= 0) { epoll_ctl(ep, 1, c, 0x1); }
+            } else {
+                if (sock_recv(fd, req, 512) > 0) {
+                    write(jp[1], job, 8);
+                    var got = 0;
+                    while (got < 10240) {
+                        got = got + read(rp[0], reply + got, 10240 - got);
+                    }
+                    sock_send(fd, reply, 10240);
+                }
+                close(fd);
+            }
+            i = i + 1;
+        }
+    }
+    return 0;
+}
+)";
+
+const char *const kRelayWorker = R"(
+global byte job[8];
+global byte out[10240];
+func main() {
+    while (1) {
+        var got = 0;
+        while (got < 8) {
+            var n = read(0, job + got, 8 - got);
+            if (n <= 0) { return 0; }
+            got = got + n;
+        }
+        var sent = 0;
+        while (sent < 10240) {
+            sent = sent + write(1, out + sent, 10240 - sent);
+        }
+    }
+    return 0;
+}
+)";
+
+/**
+ * The syscall round trip as the http-proxy workload makes it, whole:
+ * guest code, the ltrap, the first dispatch, blocked retries and the
+ * scheduler walk, on an OcclumSystem at 1 core. Each iteration is one
+ * request: a NetSim client connects and sends 27 bytes; the server SIP
+ * takes it through epoll_wait, sock_accept, epoll_ctl and sock_recv,
+ * hands an 8-byte job to the worker SIP over a pipe, reads its 10 KiB
+ * reply from another, sock_sends it and closes. The client's
+ * drain is host work too. Reports host time per syscall.
+ */
+void
+BM_SyscallRoundTrip(benchmark::State &state)
+{
+    crypto::Key128 key{};
+    key[0] = 0x5E;
+    verifier::Verifier verifier(key);
+    host::HostFileStore binaries;
+    for (auto [name, source] :
+         {std::pair{"server", kRelayServer}, {"worker", kRelayWorker}}) {
+        auto out = toolchain::compile(source);
+        OCC_CHECK(out.ok());
+        auto signed_image = verifier.verify_and_sign(out.value().image);
+        OCC_CHECK(signed_image.ok());
+        binaries.put(name, signed_image.value().serialize());
+    }
+    sgx::Platform platform;
+    host::NetSim net(platform.clock());
+    libos::OcclumSystem::Config config;
+    config.num_slots = 2;
+    config.verifier_key = key;
+    config.cores = 1;
+    libos::OcclumSystem sys(platform, binaries, config, &net);
+    OCC_CHECK(sys.spawn("server", {"server"}).ok());
+    sys.run(/*allow_idle=*/true); // both SIPs park
+
+    const Bytes request(27, 'G');
+    uint8_t buf[4096];
+    const uint64_t syscalls = sys.stats().syscalls;
+    for (auto _ : state) {
+        auto connected = net.connect(8080);
+        OCC_CHECK(connected.ok());
+        host::NetSim::Connection *conn = connected.value();
+        net.send(conn, false, request.data(), request.size());
+        size_t got = 0;
+        while (got < 10240) {
+            bool progress = sys.step_round();
+            uint64_t next = ~0ull;
+            size_t n = net.recv(conn, false, buf, sizeof(buf),
+                                sys.clock().cycles(), next);
+            got += n;
+            if (progress || n > 0) {
+                continue;
+            }
+            uint64_t wake = std::min(sys.next_wake_time(), next);
+            OCC_CHECK(wake != ~0ull);
+            if (wake > sys.clock().cycles()) {
+                sys.clock().advance(wake - sys.clock().cycles());
+            }
+        }
+        net.close(conn, false);
+    }
+    state.counters["syscalls_per_request"] = benchmark::Counter(
+        static_cast<double>(sys.stats().syscalls - syscalls),
+        benchmark::Counter::kAvgIterations);
+    state.counters["host_per_syscall"] = benchmark::Counter(
+        static_cast<double>(sys.stats().syscalls - syscalls),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SyscallRoundTrip)->Unit(benchmark::kMicrosecond);
 
 /**
  * The EncFs block path under cache pressure, with no SIP or syscall

@@ -4,10 +4,10 @@
 # that a snapshot with machine-readable JSON came out and that the
 # spawn and SPEC-kernel rows match their committed snapshot, so bench
 # or script rot is caught on every push rather than at paper-figure
-# time, runs the build-path, spawn, byte-plane and EncFs substrate rows
-# once, then runs perfbench's self-check and sip-storm and
-# gcc-pipeline runs at two seeds. The full (slow) suite is recorded
-# manually via scripts/bench_record.sh.
+# time, runs the build-path, spawn, byte-plane, syscall round-trip and
+# EncFs substrate rows once, then runs perfbench's self-check and
+# sip-storm, gcc-pipeline and http-proxy runs at two seeds. The full
+# (slow) suite is recorded manually via scripts/bench_record.sh.
 #
 # Usage: scripts/ci_bench_smoke.sh [build-dir]   (default: build-bench)
 set -euo pipefail
@@ -93,17 +93,18 @@ cmp "$JSON" "$JSON_CREF" ||
     { echo "smoke failed: reference crypto changed simulated results" >&2;
       exit 1; }
 
-# Substrate build-path, spawn, byte-plane and EncFs rows: one brief
-# run of the verifier (unpadded and 14 MiB-padded), build_program-style
-# build, Occlum spawn, pipe round-trip, NetSim request and EncFs churn
-# benchmarks, so rot in them fails here. Timings are not compared.
+# Substrate build-path, spawn, byte-plane, syscall and EncFs rows: one
+# brief run of the verifier (unpadded and 14 MiB-padded),
+# build_program-style build, Occlum spawn, pipe round-trip, NetSim
+# request, whole syscall round trip and EncFs churn benchmarks, so rot
+# in them fails here. Timings are not compared.
 # Run from the smoke directory, which is removed below, so
 # BENCH_substrate.json does not land in the tree.
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_substrate
 SUBSTRATE="$PWD/$BUILD_DIR/bench/bench_substrate"
 (cd "$OUT_DIR" &&
     "$SUBSTRATE" \
-        --benchmark_filter='VerifyBinary|BuildProgram|OcclumSpawn|PipeRoundTrip|NetSimRequest|EncFsChurn' \
+        --benchmark_filter='VerifyBinary|BuildProgram|OcclumSpawn|PipeRoundTrip|NetSimRequest|SyscallRoundTrip|EncFsChurn' \
         --benchmark_min_time=0.01)
 
 # The smoke snapshots are CI artifacts, not recorded results.
@@ -120,11 +121,15 @@ python3 perfbench/run.py --self-check
 # reproduce pass 0 bit for bit. Which pre-runs a worker has started
 # when the walk reaches them differs from pass to pass, so a slip in
 # settling or rolling one back shows here only now and then: run a few
-# seconds of passes of each at two seeds.
+# seconds of passes of each at two seeds. http-proxy runs the syscall
+# path's flat tables, direct copies and recycled network buffers; a
+# pass that leaves state behind for the next one shows the same way.
 for seed in 1 20261016; do
     python3 perfbench/run.py --workload sip-storm --seed "$seed" \
         --seconds 5 --trace 0 > /dev/null
     python3 perfbench/run.py --workload gcc-pipeline --seed "$seed" \
+        --seconds 3 --trace 0 > /dev/null
+    python3 perfbench/run.py --workload http-proxy --seed "$seed" \
         --seconds 3 --trace 0 > /dev/null
 done
 echo "bench smoke OK"

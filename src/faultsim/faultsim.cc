@@ -150,13 +150,6 @@ FaultSim::FaultSim()
     }
 }
 
-FaultSim &
-FaultSim::instance()
-{
-    static FaultSim sim;
-    return sim;
-}
-
 void
 FaultSim::install(const FaultPlan &plan)
 {

@@ -134,8 +134,15 @@ enum class DevFault {
 class FaultSim
 {
   public:
-    /** The singleton; loads OCCLUM_FAULT_PLAN on first use. */
-    static FaultSim &instance();
+    /** The singleton; loads OCCLUM_FAULT_PLAN on first use. Inline:
+     *  the scheduler and the network ask for it on every quantum and
+     *  every receive. */
+    static FaultSim &
+    instance()
+    {
+        static FaultSim sim;
+        return sim;
+    }
 
     /** Arm `plan`: reseeds every site stream and zeroes counters. */
     void install(const FaultPlan &plan);

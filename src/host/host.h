@@ -278,6 +278,37 @@ class BlockDevice
 };
 
 /**
+ * A std::allocator whose value-less construct() leaves the element
+ * uninitialized: growing a buffer of this kind before copying bytes
+ * into it does not zero them first.
+ */
+template <typename T>
+struct UninitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+        using other = UninitAllocator<U>;
+    };
+
+    UninitAllocator() = default;
+    template <typename U>
+    UninitAllocator(const UninitAllocator<U> &) noexcept
+    {}
+
+    template <typename U>
+    void
+    construct(U *p) noexcept
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+};
+
+/**
  * The 1 Gbps LAN between the server under test and the load
  * generator. Models a shared-bandwidth link ("busy-until" semantics)
  * plus a fixed round-trip latency; data chunks become readable at
@@ -303,7 +334,9 @@ class NetSim
             uint64_t arrival_cycles;
         };
 
-        Bytes data;
+        /** Every byte is written by send_with's fill before it is
+         *  read, so growing this buffer does not zero it. */
+        std::vector<uint8_t, UninitAllocator<uint8_t>> data;
         std::vector<Mark> marks;
         size_t read = 0;
         size_t head = 0;
@@ -332,30 +365,110 @@ class NetSim
     uint64_t next_accept_time(uint16_t port) const;
 
     /** Enqueue bytes (shared-link bandwidth + half-RTT latency). */
-    void send(Connection *conn, bool from_server, const uint8_t *data,
-              size_t len);
+    void
+    send(Connection *conn, bool from_server, const uint8_t *data,
+         size_t len)
+    {
+        send_with(conn, from_server, len, [data, len](uint8_t *dst) {
+            std::copy(data, data + len, dst);
+        });
+    }
+
+    /**
+     * send() whose `len` bytes `fill(dst)` writes straight into the
+     * stream, so a caller holding them elsewhere (guest pages) copies
+     * them once.
+     */
+    template <typename Fill>
+    void
+    send_with(Connection *conn, bool from_server, size_t len, Fill &&fill)
+    {
+        fill(append(conn, from_server, len));
+        sent(conn, from_server);
+    }
 
     /**
      * Dequeue up to `cap` arrived bytes. Returns bytes read; sets
      * `next_arrival` to the earliest pending arrival when 0 is
      * returned with data still in flight (~0 if the queue is empty).
      */
-    size_t recv(Connection *conn, bool at_server, uint8_t *out, size_t cap,
-                uint64_t now_cycles, uint64_t &next_arrival);
+    size_t
+    recv(Connection *conn, bool at_server, uint8_t *out, size_t cap,
+         uint64_t now_cycles, uint64_t &next_arrival)
+    {
+        return recv_with(conn, at_server, cap, now_cycles, next_arrival,
+                         [out](const uint8_t *src, size_t n) {
+                             std::copy(src, src + n, out);
+                         });
+    }
+
+    /**
+     * recv() that hands the dequeued bytes to `sink(src, n)` instead
+     * of copying them out, so a caller copies them once to where they
+     * go (guest pages). Not called when nothing is dequeued.
+     */
+    template <typename Sink>
+    size_t
+    recv_with(Connection *conn, bool at_server, size_t cap,
+              uint64_t now_cycles, uint64_t &next_arrival, Sink &&sink)
+    {
+        Stream &stream = at_server ? conn->to_server : conn->to_client;
+        next_arrival = ~0ull;
+        if (stream.empty()) {
+            return 0; // the common poll of an idle connection
+        }
+        const uint64_t head = stream.marks[stream.head].arrival_cycles;
+        if (head > now_cycles) {
+            // Nothing has arrived: report when it will. The short-read
+            // draw happens on every receive from a non-empty stream.
+            next_arrival = head;
+            faultsim::FaultSim::instance().net_recv_cap(cap);
+            return 0;
+        }
+        size_t begin = 0;
+        size_t total = take(stream, cap, now_cycles, next_arrival, begin);
+        if (total > 0) {
+            sink(stream.data.data() + begin, total);
+        }
+        if (stream.empty()) {
+            release(stream);
+        }
+        return total;
+    }
 
     void close(Connection *conn, bool server_side);
 
     /** True if the peer closed and nothing is left to read. */
-    bool is_drained(const Connection *conn, bool at_server,
-                    uint64_t now_cycles) const;
+    bool
+    is_drained(const Connection *conn, bool at_server,
+               uint64_t now_cycles) const
+    {
+        (void)now_cycles;
+        const Stream &stream = at_server ? conn->to_server : conn->to_client;
+        bool peer_open = at_server ? conn->open_client : conn->open_server;
+        // Marks still unread once every byte is read are zero-length
+        // sends: nothing is left to deliver.
+        return !peer_open && stream.read == stream.data.size();
+    }
 
     /** True if recv() would return bytes right now. */
-    bool readable_now(const Connection *conn, bool at_server,
-                      uint64_t now_cycles) const;
+    bool
+    readable_now(const Connection *conn, bool at_server,
+                 uint64_t now_cycles) const
+    {
+        const Stream &stream = at_server ? conn->to_server : conn->to_client;
+        return !stream.empty() &&
+               stream.marks[stream.head].arrival_cycles <= now_cycles;
+    }
 
     /** Earliest in-flight arrival toward `at_server` (~0 if none). */
-    uint64_t next_arrival_time(const Connection *conn,
-                               bool at_server) const;
+    uint64_t
+    next_arrival_time(const Connection *conn, bool at_server) const
+    {
+        const Stream &stream = at_server ? conn->to_server : conn->to_client;
+        return stream.empty() ? ~0ull
+                              : stream.marks[stream.head].arrival_cycles;
+    }
 
     /**
      * Observer hooks for the in-enclave kernel's wait queues: fired
@@ -374,6 +487,29 @@ class NetSim
     void set_events(Events events) { events_ = std::move(events); }
 
   private:
+    /** send()'s link accounting: grows the stream by `len` bytes and
+     *  returns where they go. */
+    uint8_t *append(Connection *conn, bool from_server, size_t len);
+    /** send()'s end: fires on_data for the mark append() pushed. */
+    void sent(Connection *conn, bool from_server);
+    /** recv()'s mark walk over a stream whose head mark has arrived:
+     *  consumes up to `cap` arrived bytes starting at `begin`; returns
+     *  how many. */
+    size_t take(Stream &stream, size_t cap, uint64_t now_cycles,
+                uint64_t &next_arrival, size_t &begin);
+    /** A drained stream holds no storage: its buffers go to spares_. */
+    void release(Stream &stream);
+
+    /**
+     * Buffers of drained streams, handed to the next empty stream that
+     * is sent to, so a connection per request (and a drain per
+     * response) does not allocate and free its buffers every time.
+     * At most kSpares, none larger than kSpareBytes.
+     */
+    static constexpr size_t kSpares = 8;
+    static constexpr size_t kSpareBytes = 1 << 20;
+    std::vector<Stream> spares_;
+
     struct Listener {
         int backlog = 16;
         std::deque<std::pair<std::unique_ptr<Connection>, uint64_t>>

@@ -86,9 +86,8 @@ NetSim::next_accept_time(uint16_t port) const
     return it->second.pending.front().second;
 }
 
-void
-NetSim::send(Connection *conn, bool from_server, const uint8_t *data,
-             size_t len)
+uint8_t *
+NetSim::append(Connection *conn, bool from_server, size_t len)
 {
     // Shared 1 Gbps link: the transfer occupies the link starting at
     // max(now, busy_until); it lands half an RTT after it finishes.
@@ -117,6 +116,11 @@ NetSim::send(Connection *conn, bool from_server, const uint8_t *data,
     }
 
     Stream &stream = from_server ? conn->to_client : conn->to_server;
+    if (stream.marks.empty() && stream.data.capacity() == 0 &&
+        !spares_.empty()) {
+        stream = std::move(spares_.back()); // a fresh stream's buffers
+        spares_.pop_back();
+    }
     // Drop the fully read marks and their bytes once they are at
     // least half the buffer: each byte moves at most once more.
     size_t base = stream.head == 0 ? 0 : stream.marks[stream.head - 1].end;
@@ -133,33 +137,48 @@ NetSim::send(Connection *conn, bool from_server, const uint8_t *data,
         stream.read -= base;
         stream.head = 0;
     }
-    stream.data.insert(stream.data.end(), data, data + len);
+    const size_t at = stream.data.size();
+    stream.data.resize(at + len);
     stream.marks.push_back({stream.data.size(), arrival});
+    return stream.data.data() + at;
+}
+
+void
+NetSim::sent(Connection *conn, bool from_server)
+{
     if (events_.on_data) {
-        events_.on_data(conn, !from_server, arrival);
+        const Stream &stream = from_server ? conn->to_client
+                                           : conn->to_server;
+        events_.on_data(conn, !from_server,
+                        stream.marks.back().arrival_cycles);
+    }
+}
+
+void
+NetSim::release(Stream &stream)
+{
+    Stream spare = std::move(stream);
+    stream = Stream();
+    if (spares_.size() < kSpares && spare.data.capacity() <= kSpareBytes) {
+        spare.data.clear();
+        spare.marks.clear();
+        spare.read = 0;
+        spare.head = 0;
+        spares_.push_back(std::move(spare));
     }
 }
 
 size_t
-NetSim::recv(Connection *conn, bool at_server, uint8_t *out, size_t cap,
-             uint64_t now_cycles, uint64_t &next_arrival)
+NetSim::take(Stream &stream, size_t cap, uint64_t now_cycles,
+             uint64_t &next_arrival, size_t &begin)
 {
-    Stream &stream = at_server ? conn->to_server : conn->to_client;
-    next_arrival = ~0ull;
-    if (stream.empty()) {
-        return 0;
-    }
-    if (stream.marks[stream.head].arrival_cycles > now_cycles) {
-        // Report the pending arrival even for zero-capacity probes.
-        next_arrival = stream.marks[stream.head].arrival_cycles;
-    }
     // Short read: the NIC hands over less than asked. Capacity never
     // drops below 1 byte, so a looping reader always makes progress
     // (no livelock against the retry machinery).
     cap = faultsim::FaultSim::instance().net_recv_cap(cap);
     // Take whole arrived marks while they fit, then a prefix of the
     // next one; stop at the first mark still in flight (head of line).
-    size_t begin = stream.read;
+    begin = stream.read;
     size_t stop = begin;
     while (stop - begin < cap && !stream.empty()) {
         const Stream::Mark &mark = stream.marks[stream.head];
@@ -176,14 +195,10 @@ NetSim::recv(Connection *conn, bool at_server, uint8_t *out, size_t cap,
     }
     size_t total = stop - begin;
     if (total > 0) {
-        std::memcpy(out, stream.data.data() + begin, total);
         static trace::Counter *ctr = &net_counter("net.bytes_received");
         ctr->add(total);
     }
     stream.read = stop;
-    if (stream.empty()) {
-        stream = Stream(); // drained: hold no storage
-    }
     return total;
 }
 
@@ -201,34 +216,6 @@ NetSim::close(Connection *conn, bool server_side)
     if (events_.on_close) {
         events_.on_close(conn, server_side);
     }
-}
-
-bool
-NetSim::readable_now(const Connection *conn, bool at_server,
-                     uint64_t now_cycles) const
-{
-    const Stream &stream = at_server ? conn->to_server : conn->to_client;
-    return !stream.empty() &&
-           stream.marks[stream.head].arrival_cycles <= now_cycles;
-}
-
-uint64_t
-NetSim::next_arrival_time(const Connection *conn, bool at_server) const
-{
-    const Stream &stream = at_server ? conn->to_server : conn->to_client;
-    return stream.empty() ? ~0ull : stream.marks[stream.head].arrival_cycles;
-}
-
-bool
-NetSim::is_drained(const Connection *conn, bool at_server,
-                   uint64_t now_cycles) const
-{
-    (void)now_cycles;
-    const Stream &stream = at_server ? conn->to_server : conn->to_client;
-    bool peer_open = at_server ? conn->open_client : conn->open_server;
-    // Marks still unread once every byte is read are zero-length
-    // sends: nothing is left to deliver.
-    return !peer_open && stream.read == stream.data.size();
 }
 
 } // namespace occlum::host

@@ -8,9 +8,59 @@ namespace occlum::oskit {
 
 EpollObject::~EpollObject()
 {
-    for (auto &[fd, entry] : interest_) {
-        detach_watches(entry);
+    for (Entry &entry : interest_) {
+        if (entry.live) {
+            detach_watches(entry);
+        }
     }
+}
+
+void
+EpollObject::Ring::push_back(int fd)
+{
+    if (size_ == slots_.size()) {
+        // Unroll into a buffer twice the size (a power of two).
+        std::vector<int> grown(std::max<size_t>(16, 2 * slots_.size()));
+        for (size_t i = 0; i < size_; ++i) {
+            grown[i] = at(i);
+        }
+        slots_.swap(grown);
+        head_ = 0;
+    }
+    slots_[(head_ + size_) & mask()] = fd;
+    ++size_;
+}
+
+int
+EpollObject::Ring::pop_front()
+{
+    int fd = slots_[head_];
+    head_ = (head_ + 1) & mask();
+    --size_;
+    return fd;
+}
+
+void
+EpollObject::Ring::remove(int fd)
+{
+    size_t kept = 0;
+    for (size_t i = 0; i < size_; ++i) {
+        int v = at(i);
+        if (v != fd) {
+            slots_[(head_ + kept++) & mask()] = v;
+        }
+    }
+    size_ = kept;
+}
+
+void
+EpollObject::release(int fd, Entry &entry)
+{
+    detach_watches(entry);
+    if (entry.queued) {
+        ready_.remove(fd);
+    }
+    entry = Entry{};
 }
 
 void
@@ -55,21 +105,14 @@ EpollObject::enqueue_candidate(int fd, Entry &entry, uint64_t when)
     ready_.push_back(fd);
 }
 
-void
-EpollObject::drop_from_ready(int fd)
-{
-    ready_.erase(std::remove(ready_.begin(), ready_.end(), fd),
-                 ready_.end());
-}
-
 bool
 EpollObject::reaches(const EpollObject *target) const
 {
-    for (const auto &[fd, entry] : interest_) {
-        auto *nested = dynamic_cast<const EpollObject *>(entry.file.get());
-        if (!nested) {
+    for (const Entry &entry : interest_) {
+        if (!entry.live || entry.file->kind() != FileKind::kEpoll) {
             continue;
         }
+        auto *nested = static_cast<const EpollObject *>(entry.file.get());
         if (nested == target || nested->reaches(target)) {
             return true;
         }
@@ -106,18 +149,21 @@ Result<int64_t>
 EpollObject::add(Kernel &kernel, int fd, const FilePtr &file,
                  uint64_t events)
 {
-    if (interest_.count(fd)) {
+    if (contains(fd)) {
         return Error(ErrorCode::kExist, "epoll_ctl: fd already added");
     }
     if (file.get() == this) {
         return Error(ErrorCode::kLoop, "epoll_ctl: self-add");
     }
-    if (auto *nested = dynamic_cast<EpollObject *>(file.get())) {
-        if (nested->reaches(this)) {
-            return Error(ErrorCode::kLoop, "epoll_ctl: watch cycle");
-        }
+    if (file->kind() == FileKind::kEpoll &&
+        static_cast<EpollObject *>(file.get())->reaches(this)) {
+        return Error(ErrorCode::kLoop, "epoll_ctl: watch cycle");
     }
-    Entry &entry = interest_[fd];
+    if (static_cast<size_t>(fd) >= interest_.size()) {
+        interest_.resize(static_cast<size_t>(fd) + 1);
+    }
+    Entry &entry = interest_[static_cast<size_t>(fd)];
+    entry.live = true;
     entry.file = file;
     entry.edge = (events & static_cast<uint64_t>(abi::kEpollEt)) != 0;
     entry.events = events & ~static_cast<uint64_t>(abi::kEpollEt);
@@ -129,11 +175,11 @@ EpollObject::add(Kernel &kernel, int fd, const FilePtr &file,
 Result<int64_t>
 EpollObject::modify(Kernel &kernel, int fd, uint64_t events)
 {
-    auto it = interest_.find(fd);
-    if (it == interest_.end()) {
+    Entry *found = find(fd);
+    if (!found) {
         return Error(ErrorCode::kNoEnt, "epoll_ctl: fd not watched");
     }
-    Entry &entry = it->second;
+    Entry &entry = *found;
     detach_watches(entry);
     entry.edge = (events & static_cast<uint64_t>(abi::kEpollEt)) != 0;
     entry.events = events & ~static_cast<uint64_t>(abi::kEpollEt);
@@ -149,40 +195,30 @@ EpollObject::modify(Kernel &kernel, int fd, uint64_t events)
 Result<int64_t>
 EpollObject::remove(int fd)
 {
-    auto it = interest_.find(fd);
-    if (it == interest_.end()) {
+    Entry *entry = find(fd);
+    if (!entry) {
         return Error(ErrorCode::kNoEnt, "epoll_ctl: fd not watched");
     }
-    detach_watches(it->second);
-    if (it->second.queued) {
-        drop_from_ready(fd);
-    }
-    interest_.erase(it);
+    release(fd, *entry);
     return 0;
 }
 
 void
 EpollObject::forget_fd(int fd)
 {
-    auto it = interest_.find(fd);
-    if (it == interest_.end()) {
-        return;
+    if (Entry *entry = find(fd)) {
+        release(fd, *entry);
     }
-    detach_watches(it->second);
-    if (it->second.queued) {
-        drop_from_ready(fd);
-    }
-    interest_.erase(it);
 }
 
 void
 EpollObject::on_source_event(Kernel &kernel, int fd, uint64_t when)
 {
-    auto it = interest_.find(fd);
-    if (it == interest_.end()) {
+    Entry *entry = find(fd);
+    if (!entry) {
         return;
     }
-    enqueue_candidate(fd, it->second, when);
+    enqueue_candidate(fd, *entry, when);
     // Recursive wake: blocked epoll_wait callers get their retry (or
     // a timer at `when` for in-flight data), and any parent epoll
     // watching this epoll fd gets the same notification — nesting
@@ -191,29 +227,32 @@ EpollObject::on_source_event(Kernel &kernel, int fd, uint64_t when)
 }
 
 int64_t
-EpollObject::collect(Kernel &kernel, int64_t *out, uint64_t max_events,
+EpollObject::collect(Kernel &kernel, IoBuffer &out, uint64_t max_events,
                      uint64_t &min_due)
 {
     uint64_t now = kernel.clock().cycles();
     int64_t n = 0;
+    // One pass over the candidates queued now; nothing this loop calls
+    // queues more. Kept candidates go back on the end as they are
+    // seen, so they rotate in their original relative order (fairness
+    // across busy fds).
     size_t pending = ready_.size();
     while (pending-- > 0) {
-        int fd = ready_.front();
-        ready_.pop_front();
-        auto it = interest_.find(fd);
-        if (it == interest_.end() || !it->second.queued) {
+        int fd = ready_.pop_front();
+        Entry *found = find(fd);
+        if (!found || !found->queued) {
             continue; // stale: removed or already dequeued
         }
-        Entry &entry = it->second;
+        Entry &entry = *found;
         if (n == static_cast<int64_t>(max_events)) {
-            kept_.push_back(fd); // out of room this call; keep queued
+            ready_.push_back(fd); // out of room this call; keep queued
             continue;
         }
         if (entry.due > now) {
             // In-flight: stays a candidate; the caller blocks no
             // later than this.
             min_due = std::min(min_due, entry.due);
-            kept_.push_back(fd);
+            ready_.push_back(fd);
             continue;
         }
         uint64_t bits =
@@ -221,15 +260,17 @@ EpollObject::collect(Kernel &kernel, int64_t *out, uint64_t max_events,
             (entry.events |
              static_cast<uint64_t>(abi::kPollErr | abi::kPollHup));
         if (bits != 0) {
-            out[2 * n] = fd;
-            out[2 * n + 1] = static_cast<int64_t>(bits);
+            const int64_t event[2] = {fd, static_cast<int64_t>(bits)};
+            out.store(static_cast<uint64_t>(n) * sizeof(event),
+                      reinterpret_cast<const uint8_t *>(event),
+                      sizeof(event));
             ++n;
             if (entry.edge) {
                 // Edge-triggered: consumed. The next wake_queue
                 // notification (a genuinely new edge) re-queues it.
                 entry.queued = false;
             } else {
-                kept_.push_back(fd); // level-triggered: still high
+                ready_.push_back(fd); // level-triggered: still high
             }
             continue;
         }
@@ -237,18 +278,10 @@ EpollObject::collect(Kernel &kernel, int64_t *out, uint64_t max_events,
         if (due != ~0ull && due > now) {
             entry.due = due;
             min_due = std::min(min_due, due);
-            kept_.push_back(fd);
+            ready_.push_back(fd);
         } else {
             entry.queued = false; // spurious candidate: drop
         }
-    }
-    // Order-preserving: verified-but-kept candidates rotate back in
-    // their original relative order (fairness across busy fds).
-    if (ready_.empty()) {
-        ready_.swap(kept_); // kept_ takes the empty storage
-    } else {
-        ready_.insert(ready_.end(), kept_.begin(), kept_.end());
-        kept_.clear();
     }
     return n;
 }
@@ -257,17 +290,17 @@ uint64_t
 EpollObject::poll_ready(Kernel &kernel)
 {
     uint64_t now = kernel.clock().cycles();
-    for (int fd : ready_) {
-        auto it = interest_.find(fd);
-        if (it == interest_.end() || !it->second.queued) {
+    for (size_t i = 0; i < ready_.size(); ++i) {
+        const Entry *found = find(ready_.at(i));
+        if (!found || !found->queued) {
             continue;
         }
-        const Entry &entry = it->second;
+        const Entry &entry = *found;
         if (entry.due > now) {
             continue;
         }
         uint64_t bits =
-            it->second.file->poll_ready(kernel) &
+            entry.file->poll_ready(kernel) &
             (entry.events |
              static_cast<uint64_t>(abi::kPollErr | abi::kPollHup));
         if (bits != 0) {
@@ -282,12 +315,12 @@ EpollObject::next_event_time(Kernel &kernel)
 {
     uint64_t now = kernel.clock().cycles();
     uint64_t min_due = ~0ull;
-    for (int fd : ready_) {
-        auto it = interest_.find(fd);
-        if (it == interest_.end() || !it->second.queued) {
+    for (size_t i = 0; i < ready_.size(); ++i) {
+        const Entry *found = find(ready_.at(i));
+        if (!found || !found->queued) {
             continue;
         }
-        uint64_t due = it->second.due;
+        uint64_t due = found->due;
         if (due > now) {
             min_due = std::min(min_due, due);
         }
@@ -300,8 +333,10 @@ EpollObject::on_fd_release(Kernel &kernel)
 {
     (void)kernel;
     if (--fd_refs_ == 0) {
-        for (auto &[fd, entry] : interest_) {
-            detach_watches(entry);
+        for (Entry &entry : interest_) {
+            if (entry.live) {
+                detach_watches(entry);
+            }
         }
         interest_.clear();
         ready_.clear();

@@ -29,7 +29,7 @@
 #define OCCLUM_OSKIT_EPOLL_H
 
 #include <deque>
-#include <map>
+#include <vector>
 
 #include "oskit/file_object.h"
 
@@ -38,7 +38,7 @@ namespace occlum::oskit {
 class EpollObject : public FileObject
 {
   public:
-    EpollObject() = default;
+    EpollObject() : FileObject(FileKind::kEpoll) {}
     ~EpollObject() override;
 
     /**
@@ -71,17 +71,17 @@ class EpollObject : public FileObject
 
     /**
      * Pop up to `max_events` ready events into `out` as {fd, revents}
-     * int64 pairs. Level-triggered entries that remain ready stay
-     * queued; edge-triggered entries are dequeued when reported.
-     * `min_due` receives the earliest future candidate due time (for
-     * the caller's block deadline). Cost is O(ready), never
-     * O(interested).
+     * int64 pairs (out.size() holds at least max_events of them).
+     * Level-triggered entries that remain ready stay queued;
+     * edge-triggered entries are dequeued when reported. `min_due`
+     * receives the earliest future candidate due time (for the caller's
+     * block deadline). Cost is O(ready), never O(interested).
      */
-    int64_t collect(Kernel &kernel, int64_t *out, uint64_t max_events,
+    int64_t collect(Kernel &kernel, IoBuffer &out, uint64_t max_events,
                     uint64_t &min_due);
 
     /** True if `fd` is in the interest list. */
-    bool contains(int fd) const { return interest_.count(fd) != 0; }
+    bool contains(int fd) const { return find(fd) != nullptr; }
 
     /** Watch-cycle check: can events from `target` reach this epoll? */
     bool reaches(const EpollObject *target) const;
@@ -94,6 +94,7 @@ class EpollObject : public FileObject
 
   private:
     struct Entry {
+        bool live = false;   // in the interest list
         FilePtr file;
         uint64_t events = 0; // requested abi::kPoll* bits
         bool edge = false;   // abi::kEpollEt
@@ -107,19 +108,63 @@ class EpollObject : public FileObject
         WaitQueue *write_q = nullptr;
     };
 
+    /**
+     * The candidate list: fds in arrival order, in a ring that grows by
+     * doubling and never shrinks, so queueing allocates nothing once it
+     * has held the most candidates at once.
+     */
+    class Ring
+    {
+      public:
+        size_t size() const { return size_; }
+        bool empty() const { return size_ == 0; }
+        int at(size_t i) const { return slots_[(head_ + i) & mask()]; }
+        void push_back(int fd);
+        int pop_front();
+        /** Drop every occurrence of `fd`, keeping the others' order. */
+        void remove(int fd);
+        void clear() { head_ = size_ = 0; }
+
+      private:
+        size_t mask() const { return slots_.size() - 1; }
+        std::vector<int> slots_;
+        size_t head_ = 0;
+        size_t size_ = 0;
+    };
+
+    /** The live entry of `fd`, or null. */
+    Entry *
+    find(int fd)
+    {
+        return fd >= 0 && static_cast<size_t>(fd) < interest_.size() &&
+                       interest_[static_cast<size_t>(fd)].live
+                   ? &interest_[static_cast<size_t>(fd)]
+                   : nullptr;
+    }
+    const Entry *
+    find(int fd) const
+    {
+        return const_cast<EpollObject *>(this)->find(fd);
+    }
+    /** Free `entry`: detach its watches, leave the ready list. */
+    void release(int fd, Entry &entry);
+
     void attach_watches(int fd, Entry &entry);
     void detach_watches(Entry &entry);
     /** Queue fd as a candidate (or pull its due time earlier). */
     void enqueue_candidate(int fd, Entry &entry, uint64_t when);
     /** Initial/MOD-time readiness probe: queue if ready or in-flight. */
     void prime_entry(Kernel &kernel, int fd, Entry &entry);
-    void drop_from_ready(int fd);
 
-    std::map<int, Entry> interest_;
-    std::deque<int> ready_;
-    // collect()'s scratch list of candidates to re-queue, a member so
-    // a wait does not allocate a fresh deque; empty between calls.
-    std::deque<int> kept_;
+    /**
+     * The interest list, indexed by fd (a dead slot is not `live`). A
+     * deque, because each live entry's EpollWatches are registered on
+     * wait queues by address: growing it at the end moves no entry.
+     */
+    std::deque<Entry> interest_;
+    /** Invariant: an fd is on ready_ exactly once while its entry is
+     *  live and `queued`, and never otherwise. */
+    Ring ready_;
     int fd_refs_ = 0;
 };
 

@@ -30,6 +30,76 @@ resolve_seek(uint64_t cur, uint64_t size, int64_t offset, int whence)
 }
 
 // ---------------------------------------------------------------------
+// IoBuffer
+// ---------------------------------------------------------------------
+
+void
+IoBuffer::load(uint64_t off, uint8_t *dst, uint64_t n) const
+{
+    if (flat_) {
+        std::memcpy(dst, flat_ + off, n);
+        return;
+    }
+    const uint64_t first = addr_ / vm::kPageSize;
+    while (n > 0) {
+        const uint64_t a = addr_ + off;
+        const uint64_t chunk =
+            std::min(n, vm::kPageSize - (a & vm::kPageMask));
+        std::memcpy(dst,
+                    vm::AddressSpace::page_bytes(
+                        *pages_[a / vm::kPageSize - first]) +
+                        (a & vm::kPageMask),
+                    chunk);
+        dst += chunk;
+        off += chunk;
+        n -= chunk;
+    }
+}
+
+void
+IoBuffer::store(uint64_t off, const uint8_t *src, uint64_t n)
+{
+    if (flat_) {
+        std::memcpy(flat_ + off, src, n);
+        return;
+    }
+    const uint64_t first = addr_ / vm::kPageSize;
+    while (n > 0) {
+        const uint64_t a = addr_ + off;
+        const uint64_t chunk =
+            std::min(n, vm::kPageSize - (a & vm::kPageMask));
+        space_->store_raw(*pages_[a / vm::kPageSize - first], a, src,
+                          chunk);
+        src += chunk;
+        off += chunk;
+        n -= chunk;
+    }
+}
+
+// ---------------------------------------------------------------------
+// FileObject
+// ---------------------------------------------------------------------
+
+IoResult
+FileObject::read_user(Kernel &kernel, IoBuffer &dst)
+{
+    uint8_t *staging = kernel.staging(dst.size());
+    IoResult r = read(kernel, staging, dst.size());
+    if (r.value > 0) {
+        dst.store(0, staging, static_cast<uint64_t>(r.value));
+    }
+    return r;
+}
+
+IoResult
+FileObject::write_user(Kernel &kernel, const IoBuffer &src)
+{
+    uint8_t *staging = kernel.staging(src.size());
+    src.load(0, staging, src.size());
+    return write(kernel, staging, src.size());
+}
+
+// ---------------------------------------------------------------------
 // WaitQueue
 // ---------------------------------------------------------------------
 
@@ -60,10 +130,11 @@ WaitQueue::remove(Process *proc)
                    waiters_.end());
 }
 
-std::vector<Process *>
-WaitQueue::take()
+void
+WaitQueue::take(std::vector<Process *> &out)
 {
-    return std::exchange(waiters_, {});
+    out.clear();
+    out.swap(waiters_);
 }
 
 void
@@ -88,9 +159,9 @@ WaitQueue::remove_watch(EpollWatch *watch)
 // ---------------------------------------------------------------------
 
 size_t
-Pipe::push(const uint8_t *src, size_t len)
+Pipe::push(const IoBuffer &src)
 {
-    size_t n = std::min(len, kCapacity - size_);
+    size_t n = std::min<size_t>(src.size(), kCapacity - size_);
     if (n == 0) {
         return 0;
     }
@@ -99,22 +170,22 @@ Pipe::push(const uint8_t *src, size_t len)
     }
     size_t tail = (head_ + size_) % kCapacity;
     size_t first = std::min(n, kCapacity - tail);
-    std::memcpy(ring_.get() + tail, src, first);
-    std::memcpy(ring_.get(), src + first, n - first);
+    src.load(0, ring_.get() + tail, first);
+    src.load(first, ring_.get(), n - first);
     size_ += n;
     return n;
 }
 
 size_t
-Pipe::pop(uint8_t *dst, size_t len)
+Pipe::pop(IoBuffer &dst)
 {
-    size_t n = std::min(len, size_);
+    size_t n = std::min<size_t>(dst.size(), size_);
     if (n == 0) {
         return 0;
     }
     size_t first = std::min(n, kCapacity - head_);
-    std::memcpy(dst, ring_.get() + head_, first);
-    std::memcpy(dst + first, ring_.get(), n - first);
+    dst.store(0, ring_.get() + head_, first);
+    dst.store(first, ring_.get(), n - first);
     head_ = (head_ + n) % kCapacity;
     size_ -= n;
     return n;
@@ -154,7 +225,7 @@ PipeEnd::on_fd_release(Kernel &kernel)
 }
 
 IoResult
-PipeEnd::read(Kernel &kernel, uint8_t *buf, uint64_t len)
+PipeEnd::read_user(Kernel &kernel, IoBuffer &dst)
 {
     if (!read_end_) {
         return IoResult::err(ErrorCode::kBadF);
@@ -165,7 +236,7 @@ PipeEnd::read(Kernel &kernel, uint8_t *buf, uint64_t len)
         }
         return IoResult::block();
     }
-    uint64_t n = pipe_->pop(buf, len);
+    uint64_t n = pipe_->pop(dst);
     kernel.charge(kernel.pipe_op_cost() +
                   static_cast<uint64_t>(n * kernel.pipe_byte_cost()));
     if (n > 0) {
@@ -176,7 +247,7 @@ PipeEnd::read(Kernel &kernel, uint8_t *buf, uint64_t len)
 }
 
 IoResult
-PipeEnd::write(Kernel &kernel, const uint8_t *buf, uint64_t len)
+PipeEnd::write_user(Kernel &kernel, const IoBuffer &src)
 {
     if (read_end_) {
         return IoResult::err(ErrorCode::kBadF);
@@ -187,7 +258,7 @@ PipeEnd::write(Kernel &kernel, const uint8_t *buf, uint64_t len)
     if (!pipe_->can_write()) {
         return IoResult::block();
     }
-    uint64_t n = pipe_->push(buf, len);
+    uint64_t n = pipe_->push(src);
     kernel.charge(kernel.pipe_op_cost() +
                   static_cast<uint64_t>(n * kernel.pipe_byte_cost()));
     if (n > 0) {
@@ -227,11 +298,13 @@ PipeEnd::poll_ready(Kernel &kernel)
 // ---------------------------------------------------------------------
 
 IoResult
-SocketFile::read(Kernel &kernel, uint8_t *buf, uint64_t len)
+SocketFile::read_user(Kernel &kernel, IoBuffer &dst)
 {
     uint64_t next_arrival = ~0ull;
-    size_t n = net_->recv(conn_, at_server_, buf, len,
-                          kernel.clock().cycles(), next_arrival);
+    size_t n = net_->recv_with(
+        conn_, at_server_, dst.size(), kernel.clock().cycles(),
+        next_arrival,
+        [&dst](const uint8_t *src, size_t len) { dst.store(0, src, len); });
     if (n == 0) {
         if (net_->is_drained(conn_, at_server_,
                              kernel.clock().cycles())) {
@@ -249,8 +322,9 @@ SocketFile::read(Kernel &kernel, uint8_t *buf, uint64_t len)
 }
 
 IoResult
-SocketFile::write(Kernel &kernel, const uint8_t *buf, uint64_t len)
+SocketFile::write_user(Kernel &kernel, const IoBuffer &src)
 {
+    const uint64_t len = src.size();
     bool peer_open =
         at_server_ ? conn_->open_client : conn_->open_server;
     if (!peer_open) {
@@ -259,7 +333,8 @@ SocketFile::write(Kernel &kernel, const uint8_t *buf, uint64_t len)
         // to succeed silently.
         return IoResult::err(ErrorCode::kPipe);
     }
-    net_->send(conn_, at_server_, buf, len);
+    net_->send_with(conn_, at_server_, len,
+                    [&src, len](uint8_t *dst) { src.load(0, dst, len); });
     {
         OCC_TRACE_SPAN(kOcall, "net.send", len);
         kernel.ocall();

@@ -16,6 +16,7 @@
 #include "base/result.h"
 #include "host/host.h"
 #include "oelf/abi.h"
+#include "vm/address_space.h"
 
 namespace occlum::oskit {
 
@@ -59,8 +60,12 @@ class WaitQueue
     void add(Process *proc);
     /** Drop one process (no-op if absent). */
     void remove(Process *proc);
-    /** Detach and return every waiter, emptying the queue. */
-    std::vector<Process *> take();
+    /**
+     * Detach every waiter into `out` (emptied first), in queue order,
+     * emptying the queue. The two swap storage, so a queue that wakes
+     * and refills again and again never allocates.
+     */
+    void take(std::vector<Process *> &out);
 
     /** The current waiters, without detaching them. */
     const std::vector<Process *> &peek() const { return waiters_; }
@@ -116,11 +121,68 @@ struct IoResult {
     }
 };
 
+/**
+ * The bytes of one read or write: a plain host buffer, or a syscall's
+ * user range resolved once (AddressSpace::resolve_raw) so that a file
+ * object moves bytes straight between the guest's pages and its own
+ * storage. Offsets are relative to the start of the buffer; callers
+ * stay inside size().
+ */
+class IoBuffer
+{
+  public:
+    IoBuffer(uint8_t *data, uint64_t len) : flat_(data), len_(len) {}
+    IoBuffer(const uint8_t *data, uint64_t len)
+        : IoBuffer(const_cast<uint8_t *>(data), len)
+    {}
+    /** [addr, addr+len) of `space`, whose pages resolve_raw put in
+     *  `pages`; `pages` must outlive the buffer. */
+    IoBuffer(vm::AddressSpace &space, uint64_t addr, uint64_t len,
+             const std::vector<vm::Page *> &pages)
+        : space_(&space), pages_(pages.data()), addr_(addr), len_(len)
+    {}
+
+    uint64_t size() const { return len_; }
+
+    /** Copy [off, off+n) of the buffer to `dst`. */
+    void load(uint64_t off, uint8_t *dst, uint64_t n) const;
+    /** Copy `n` bytes from `src` to [off, off+n) of the buffer. */
+    void store(uint64_t off, const uint8_t *src, uint64_t n);
+
+  private:
+    uint8_t *flat_ = nullptr; // a plain buffer, else null
+    vm::AddressSpace *space_ = nullptr;
+    vm::Page *const *pages_ = nullptr;
+    uint64_t addr_ = 0;
+    uint64_t len_ = 0;
+};
+
+/** What the kernel needs to know about an fd's object without a
+ *  dynamic_cast: the syscalls that only take one kind check this. */
+enum class FileKind : uint8_t {
+    kOther,
+    kListener,
+    kEpoll,
+};
+
 /** Base class for everything an fd can point at. */
 class FileObject
 {
   public:
+    explicit FileObject(FileKind kind = FileKind::kOther) : kind_(kind) {}
     virtual ~FileObject() = default;
+
+    FileKind kind() const { return kind_; }
+
+    /**
+     * The read/write/sock_recv/sock_send syscalls' entry points. The
+     * defaults stage the bytes through the kernel's buffer and call
+     * read()/write(), since file-system files charge per call and need
+     * one contiguous buffer; pipes, sockets and the console override
+     * them to copy straight between the user's pages and their storage.
+     */
+    virtual IoResult read_user(Kernel &kernel, IoBuffer &dst);
+    virtual IoResult write_user(Kernel &kernel, const IoBuffer &src);
 
     virtual IoResult
     read(Kernel &kernel, uint8_t *buf, uint64_t len)
@@ -202,6 +264,7 @@ class FileObject
     }
 
   private:
+    FileKind kind_;
     WaitQueue read_waiters_;
     WaitQueue write_waiters_;
 };
@@ -225,7 +288,8 @@ Result<int64_t> resolve_seek(uint64_t cur, uint64_t size, int64_t offset,
  *
  * The bytes live in a fixed ring of kCapacity, allocated on the first
  * write and freed with the Pipe, so moving bytes never allocates:
- * push() and pop() are at most two memcpy each.
+ * push() and pop() copy straight between the ring and the caller's
+ * buffer (a user range's pages), split at the wrap point.
  */
 class Pipe
 {
@@ -243,10 +307,21 @@ class Pipe
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
-    /** Append min(len, room) bytes; returns how many. */
-    size_t push(const uint8_t *src, size_t len);
-    /** Remove min(len, size()) bytes into `dst`; returns how many. */
-    size_t pop(uint8_t *dst, size_t len);
+    /** Append the first min(src.size(), room) bytes of `src`;
+     *  returns how many. */
+    size_t push(const IoBuffer &src);
+    /** Remove min(dst.size(), size()) bytes into `dst`; returns how
+     *  many. */
+    size_t pop(IoBuffer &dst);
+    size_t push(const uint8_t *src, size_t len)
+    {
+        return push(IoBuffer(src, len));
+    }
+    size_t pop(uint8_t *dst, size_t len)
+    {
+        IoBuffer buf(dst, len);
+        return pop(buf);
+    }
 
     bool
     can_write() const
@@ -268,9 +343,18 @@ class PipeEnd : public FileObject
         : pipe_(std::move(pipe)), read_end_(is_read_end)
     {}
 
-    IoResult read(Kernel &kernel, uint8_t *buf, uint64_t len) override;
+    IoResult read(Kernel &kernel, uint8_t *buf, uint64_t len) override
+    {
+        IoBuffer dst(buf, len);
+        return read_user(kernel, dst);
+    }
     IoResult write(Kernel &kernel, const uint8_t *buf,
-                   uint64_t len) override;
+                   uint64_t len) override
+    {
+        return write_user(kernel, IoBuffer(buf, len));
+    }
+    IoResult read_user(Kernel &kernel, IoBuffer &dst) override;
+    IoResult write_user(Kernel &kernel, const IoBuffer &src) override;
     void on_fd_acquire() override;
     void on_fd_release(Kernel &kernel) override;
 
@@ -294,16 +378,19 @@ class Console : public FileObject
     explicit Console(std::string *sink) : sink_(sink) {}
 
     IoResult
-    read(Kernel &, uint8_t *, uint64_t) override
+    read_user(Kernel &, IoBuffer &) override
     {
         return IoResult::ok(0); // EOF
     }
 
     IoResult
-    write(Kernel &, const uint8_t *buf, uint64_t len) override
+    write_user(Kernel &, const IoBuffer &src) override
     {
-        sink_->append(reinterpret_cast<const char *>(buf), len);
-        return IoResult::ok(static_cast<int64_t>(len));
+        size_t old = sink_->size();
+        sink_->resize(old + src.size());
+        src.load(0, reinterpret_cast<uint8_t *>(sink_->data() + old),
+                 src.size());
+        return IoResult::ok(static_cast<int64_t>(src.size()));
     }
 
   private:
@@ -319,9 +406,18 @@ class SocketFile : public FileObject
         : net_(net), conn_(conn), at_server_(at_server)
     {}
 
-    IoResult read(Kernel &kernel, uint8_t *buf, uint64_t len) override;
+    IoResult read(Kernel &kernel, uint8_t *buf, uint64_t len) override
+    {
+        IoBuffer dst(buf, len);
+        return read_user(kernel, dst);
+    }
     IoResult write(Kernel &kernel, const uint8_t *buf,
-                   uint64_t len) override;
+                   uint64_t len) override
+    {
+        return write_user(kernel, IoBuffer(buf, len));
+    }
+    IoResult read_user(Kernel &kernel, IoBuffer &dst) override;
+    IoResult write_user(Kernel &kernel, const IoBuffer &src) override;
     void on_fd_acquire() override { ++fd_refs_; }
     void on_fd_release(Kernel &kernel) override;
     uint64_t poll_ready(Kernel &kernel) override;
@@ -343,7 +439,7 @@ class ListenerFile : public FileObject
 {
   public:
     ListenerFile(host::NetSim *net, uint16_t port)
-        : net_(net), port_(port)
+        : FileObject(FileKind::kListener), net_(net), port_(port)
     {}
 
     host::NetSim *net() { return net_; }

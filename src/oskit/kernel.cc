@@ -55,14 +55,12 @@ timeout_deadline(uint64_t now, int64_t timeout_ns)
 void
 epoll_fd_dropped(Process &proc, int fd, const FilePtr &file)
 {
-    if (auto *ep = dynamic_cast<EpollObject *>(file.get())) {
+    if (file->kind() == FileKind::kEpoll) {
+        auto *ep = static_cast<EpollObject *>(file.get());
         bool still_open = false;
-        for (const auto &[ofd, f] : proc.fds) {
-            if (f.get() == ep) {
-                still_open = true;
-                break;
-            }
-        }
+        proc.fds.for_each([&](int, const FilePtr &f) {
+            still_open = still_open || f.get() == ep;
+        });
         if (!still_open) {
             auto &eps = proc.epolls;
             eps.erase(std::remove(eps.begin(), eps.end(), ep),
@@ -84,13 +82,20 @@ epoll_fd_dropped(Process &proc, int fd, const FilePtr &file)
 Status
 Kernel::validate_user_range(Process &proc, uint64_t addr, uint64_t len)
 {
-    if (len == 0) {
-        return Status();
-    }
-    if (addr + len < addr || !proc.space->is_mapped(addr, len)) {
+    // Any address the process maps is its own; whether the range is
+    // mapped is the probe of the copy that follows.
+    (void)proc;
+    if (len != 0 && addr + len < addr) {
         return Status(ErrorCode::kFault, "bad user pointer");
     }
     return Status();
+}
+
+bool
+Kernel::resolve_user(Process &proc, uint64_t addr, uint64_t len)
+{
+    return validate_user_range(proc, addr, len).ok() &&
+           proc.space->resolve_raw(addr, len, io_pages_);
 }
 
 Status
@@ -209,28 +214,24 @@ Kernel::spawn(const std::string &path, const std::vector<std::string> &argv,
     // stdio: inherit from the parent per the fd map, else console.
     Process *parent = nullptr;
     if (parent_pid >= 0) {
-        auto it = procs_.find(parent_pid);
-        if (it != procs_.end()) {
-            parent = it->second.get();
-        }
+        parent = process(parent_pid);
     }
     auto console = std::make_shared<Console>(&console_);
     for (int i = 0; i < 3; ++i) {
         FilePtr file;
         int64_t mapped = stdio_fds ? (*stdio_fds)[i] : -1;
         if (parent && mapped >= 0) {
-            auto fit = parent->fds.find(static_cast<int>(mapped));
-            if (fit == parent->fds.end()) {
+            file = parent->fds.ref(static_cast<int>(mapped));
+            if (!file) {
                 return Error(ErrorCode::kBadF, "spawn: bad stdio fd");
             }
-            file = fit->second;
-        } else if (parent && parent->fds.count(i)) {
-            file = parent->fds.at(i);
+        } else if (parent && parent->fds.contains(i)) {
+            file = parent->fds.ref(i);
         } else {
             file = console;
         }
         file->on_fd_acquire();
-        proc->fds[i] = std::move(file);
+        proc->fds.set(i, std::move(file));
     }
 
     int pid = proc->pid;
@@ -248,7 +249,8 @@ Kernel::spawn(const std::string &path, const std::vector<std::string> &argv,
     if (posting_) {
         next_posts_.push_back(proc.get()); // first runs next round
     }
-    procs_.emplace(pid, std::move(proc));
+    procs_.resize(static_cast<size_t>(pid) + 1);
+    procs_[static_cast<size_t>(pid)] = std::move(proc);
     ++stats_.spawns;
     ctr_spawns_->add();
     OCC_TRACE_INSTANT(kSched, "proc.spawn",
@@ -274,9 +276,8 @@ Kernel::kill_process(Process &proc, DeathCause cause, int64_t code)
     home_queue(proc).erase(proc.pid);
     // Release fds so pipe peers see EOF / EPIPE (the release hooks
     // wake any peers blocked on the other end).
-    for (auto &[fd, file] : proc.fds) {
-        file->on_fd_release(*this);
-    }
+    proc.fds.for_each(
+        [this](int, const FilePtr &file) { file->on_fd_release(*this); });
     proc.fds.clear();
     proc.epolls.clear();
     proc.fd_scan_hint = 0;
@@ -328,19 +329,19 @@ Kernel::death_record(int pid) const
 const Process *
 Kernel::find_process(int pid)
 {
-    auto it = procs_.find(pid);
-    if (it == procs_.end() || it->second->state == ProcState::kDead) {
+    Process *proc = process(pid);
+    if (!proc || proc->state == ProcState::kDead) {
         return nullptr;
     }
-    drop_prerun(*it->second);
-    return it->second.get();
+    drop_prerun(*proc);
+    return proc;
 }
 
 bool
 Kernel::all_exited() const
 {
-    for (const auto &[pid, proc] : procs_) {
-        if (proc->state != ProcState::kDead) {
+    for (const auto &proc : procs_) {
+        if (proc && proc->state != ProcState::kDead) {
             return false;
         }
     }
@@ -350,7 +351,7 @@ Kernel::all_exited() const
 uint64_t
 Kernel::next_wake_time() const
 {
-    return timers_.empty() ? ~0ull : timers_.begin()->first;
+    return timers_.empty() ? ~0ull : timers_.back().first;
 }
 
 // ---------------------------------------------------------------------
@@ -365,8 +366,10 @@ Kernel::~Kernel()
     // Detach every process from every wait queue while both sides are
     // still alive; plain member destruction would otherwise have
     // queue destructors chasing back-pointers into freed processes.
-    for (auto &[pid, proc] : procs_) {
-        detach_waits(*proc);
+    for (auto &proc : procs_) {
+        if (proc) {
+            detach_waits(*proc);
+        }
     }
     if (net_) {
         net_->set_events({});
@@ -382,9 +385,8 @@ Kernel::install_net_events()
     host::NetSim::Events events;
     events.on_data = [this](host::NetSim::Connection *conn,
                             bool to_server, uint64_t when) {
-        auto it = socket_registry_.find({conn, to_server});
-        if (it != socket_registry_.end()) {
-            wake_queue(it->second->read_waiters(), when);
+        if (FileObject *sock = socket_at(conn, to_server)) {
+            wake_queue(sock->read_waiters(), when);
         }
     };
     events.on_connect = [this](uint16_t port, uint64_t when) {
@@ -396,27 +398,51 @@ Kernel::install_net_events()
     events.on_close = [this](host::NetSim::Connection *conn,
                              bool closed_by_server) {
         // The side still open sees EOF (and EPIPE on write) now.
-        auto it = socket_registry_.find({conn, !closed_by_server});
-        if (it != socket_registry_.end()) {
+        if (FileObject *sock = socket_at(conn, !closed_by_server)) {
             uint64_t now = clock_->cycles();
-            wake_queue(it->second->read_waiters(), now);
-            wake_queue(it->second->write_waiters(), now);
+            wake_queue(sock->read_waiters(), now);
+            wake_queue(sock->write_waiters(), now);
         }
     };
     net_->set_events(std::move(events));
+}
+
+namespace {
+
+/** A socket's slot in Kernel::socket_registry_. */
+size_t
+socket_slot(const host::NetSim::Connection *conn, bool at_server)
+{
+    return 2 * static_cast<size_t>(conn->id) + at_server;
+}
+
+} // namespace
+
+FileObject *
+Kernel::socket_at(const host::NetSim::Connection *conn, bool at_server) const
+{
+    const size_t slot = socket_slot(conn, at_server);
+    return slot < socket_registry_.size() ? socket_registry_[slot] : nullptr;
 }
 
 void
 Kernel::register_socket(host::NetSim::Connection *conn, bool at_server,
                         FileObject *file)
 {
-    socket_registry_[{conn, at_server}] = file;
+    const size_t slot = socket_slot(conn, at_server);
+    if (slot >= socket_registry_.size()) {
+        socket_registry_.resize(slot + 1);
+    }
+    socket_registry_[slot] = file;
 }
 
 void
 Kernel::socket_closed(host::NetSim::Connection *conn, bool at_server)
 {
-    socket_registry_.erase({conn, at_server});
+    const size_t slot = socket_slot(conn, at_server);
+    if (slot < socket_registry_.size()) {
+        socket_registry_[slot] = nullptr;
+    }
 }
 
 void
@@ -462,14 +488,22 @@ Kernel::arm_timer(Process &proc, uint64_t when)
     }
     cancel_timer(proc);
     proc.wake_time = when;
-    timers_.emplace(when, proc.pid);
+    const std::pair<uint64_t, int> key(when, proc.pid);
+    timers_.insert(std::lower_bound(timers_.begin(), timers_.end(), key,
+                                    std::greater<>()),
+                   key);
 }
 
 void
 Kernel::cancel_timer(Process &proc)
 {
     if (proc.wake_time != ~0ull) {
-        timers_.erase({proc.wake_time, proc.pid});
+        const std::pair<uint64_t, int> key(proc.wake_time, proc.pid);
+        auto it = std::lower_bound(timers_.begin(), timers_.end(), key,
+                                   std::greater<>());
+        if (it != timers_.end() && *it == key) {
+            timers_.erase(it);
+        }
         proc.wake_time = ~0ull;
     }
 }
@@ -477,11 +511,14 @@ Kernel::cancel_timer(Process &proc)
 void
 Kernel::notify_watches(WaitQueue &queue, uint64_t when)
 {
-    // Copy: on_source_event recursively wake_queue()s the epoll's own
-    // read waiters, and a parent epoll watching that queue may mutate
-    // its watch list while we iterate.
-    std::vector<EpollWatch *> watches = queue.watches();
-    for (EpollWatch *watch : watches) {
+    // By index, re-reading the list each step: on_source_event
+    // recursively wake_queue()s the epoll's own read waiters and,
+    // through their watches, parent epolls. None of that adds or
+    // removes a watch (only epoll_ctl, close and teardown do), but a
+    // pointer into the list would not survive it if it did.
+    const std::vector<EpollWatch *> &watches = queue.watches();
+    for (size_t i = 0; i < watches.size(); ++i) {
+        EpollWatch *watch = watches[i];
         watch->epoll->on_source_event(*this, watch->fd, when);
     }
 }
@@ -499,9 +536,13 @@ Kernel::wake_queue(WaitQueue &queue, uint64_t when)
         return;
     }
     if (when <= clock_->cycles()) {
-        for (Process *proc : queue.take()) {
+        // mark_wake_pending never wakes a queue, so woken_ is not in
+        // use by an outer call here.
+        queue.take(woken_);
+        for (Process *proc : woken_) {
             mark_wake_pending(*proc);
         }
+        woken_.clear();
         return;
     }
     // Future event (in-flight network data): arm timers but leave the
@@ -512,11 +553,11 @@ Kernel::wake_queue(WaitQueue &queue, uint64_t when)
 }
 
 void
-Kernel::fire_due_timers()
+Kernel::fire_timers()
 {
     uint64_t now = clock_->cycles();
-    while (!timers_.empty() && timers_.begin()->first <= now) {
-        Process &proc = *procs_.at(timers_.begin()->second);
+    while (!timers_.empty() && timers_.back().first <= now) {
+        Process &proc = *process(timers_.back().second);
         cancel_timer(proc);
         mark_wake_pending(proc);
     }
@@ -924,26 +965,24 @@ Kernel::walk_core(int core, int cap)
     // where the old retry-polling scheduler's retry would have
     // succeeded (failed retries charged zero cycles), so the
     // simulated cycle stream is unchanged.
-    std::set<int> &queue = run_queues_[core];
+    PidSet &queue = run_queues_[core];
     int ran = 0;
     int last = 0; // pids start at 1
     for (;;) {
-        auto rit = queue.upper_bound(last);
-        if (rit == queue.end() || *rit > cap) {
+        int pid = queue.next_after(last);
+        if (pid < 0 || pid > cap) {
             break;
         }
-        int pid = *rit;
         last = pid;
-        auto it = procs_.find(pid);
-        if (it == procs_.end() || it->second->state == ProcState::kDead ||
-            (it->second->state == ProcState::kBlocked &&
-             !it->second->wake_pending)) {
+        Process *found = process(pid);
+        if (!found || found->state == ProcState::kDead ||
+            (found->state == ProcState::kBlocked && !found->wake_pending)) {
             // Dead, or a stale entry (the process blocked after
             // joining the walk); it leaves until an explicit wakeup.
             queue.erase(pid);
             continue;
         }
-        Process &proc = *it->second;
+        Process &proc = *found;
         if (proc.ran_round == round_seq_) {
             // An earlier core stole this pid this round. If its stolen
             // quantum blocked and a later walk woke it, retrying now
@@ -997,18 +1036,16 @@ Kernel::pick_steal(int core, int cap, int ran)
         }
         int count = 0;
         Process *lowest = nullptr;
-        for (int pid : run_queues_[other]) {
-            if (pid > cap) {
-                break;
-            }
-            auto it = procs_.find(pid);
-            if (it == procs_.end() ||
-                it->second->state != ProcState::kRunnable ||
-                it->second->ran_round == round_seq_) {
+        const PidSet &queue = run_queues_[other];
+        for (int pid = queue.next_after(0); pid >= 0 && pid <= cap;
+             pid = queue.next_after(pid)) {
+            Process *proc = process(pid);
+            if (!proc || proc->state != ProcState::kRunnable ||
+                proc->ran_round == round_seq_) {
                 continue;
             }
             if (lowest == nullptr) {
-                lowest = it->second.get();
+                lowest = proc;
             }
             ++count;
         }
@@ -1084,8 +1121,7 @@ Kernel::dispatch(Process &proc, uint64_t num,
                  const uint64_t args[abi::kSyscallArgs])
 {
     auto file_of = [&](uint64_t fd) -> FilePtr {
-        auto it = proc.fds.find(static_cast<int>(fd));
-        return it == proc.fds.end() ? nullptr : it->second;
+        return proc.fds.ref(static_cast<int>(fd));
     };
 
     switch (static_cast<Sys>(num)) {
@@ -1099,11 +1135,11 @@ Kernel::dispatch(Process &proc, uint64_t num,
       case Sys::kSockSend:
       case Sys::kSockRecv: {
         // Hot path: no FilePtr refcount traffic (the fd table entry
-        // outlives the call) and a reused kernel bounce buffer
-        // instead of a fresh zero-filled allocation per syscall.
-        auto it = proc.fds.find(static_cast<int>(args[0]));
-        if (it == proc.fds.end()) return neg_errno(ErrorCode::kBadF);
-        FileObject *file = it->second.get();
+        // outlives the call), and the user buffer is resolved once and
+        // handed to the file object, which copies straight between the
+        // guest's pages and its own storage.
+        FileObject *file = proc.fds.get(static_cast<int>(args[0]));
+        if (!file) return neg_errno(ErrorCode::kBadF);
         uint64_t buf = args[1];
         uint64_t len = std::min<uint64_t>(args[2], 1 << 20);
         Sys sys = static_cast<Sys>(num);
@@ -1113,15 +1149,17 @@ Kernel::dispatch(Process &proc, uint64_t num,
         // file; the socket calls always reach the object (sock_send
         // pays the per-op network cost even for an empty payload).
         if (len == 0 && !is_sock) return 0;
-        if (io_scratch_.size() < len) {
-            io_scratch_.resize(len);
+        // All-or-nothing: the whole range must be mapped before a byte
+        // moves. A write's source is read as the object takes it, and
+        // pipe/socket reads are destructive, so a destination that
+        // faults after the read would silently discard consumed bytes.
+        // The stores ignore permission bits, so mapped == writable.
+        if (!resolve_user(proc, buf, len)) {
+            return neg_errno(ErrorCode::kFault);
         }
-        uint8_t *tmp = io_scratch_.data();
+        IoBuffer io(*proc.space, buf, len, io_pages_);
         if (is_write) {
-            if (!copy_from_user(proc, buf, tmp, len).ok()) {
-                return neg_errno(ErrorCode::kFault);
-            }
-            IoResult r = file->write(*this, tmp, len);
+            IoResult r = file->write_user(*this, io);
             if (r.would_block) {
                 return block_on(proc, r.wake_time,
                                 file->write_waiters());
@@ -1141,25 +1179,9 @@ Kernel::dispatch(Process &proc, uint64_t num,
             }
             return r.value;
         }
-        // Probe the destination before reading: pipe/socket reads are
-        // destructive, so failing copy_to_user afterwards would
-        // silently discard the consumed bytes. write_raw ignores
-        // permission bits, so mapped == writable here.
-        if (len > 0 &&
-            (!validate_user_range(proc, buf, len).ok() ||
-             buf + len < buf || !proc.space->is_mapped(buf, len))) {
-            return neg_errno(ErrorCode::kFault);
-        }
-        IoResult r = file->read(*this, tmp, len);
+        IoResult r = file->read_user(*this, io);
         if (r.would_block) {
             return block_on(proc, r.wake_time, file->read_waiters());
-        }
-        if (r.value > 0) {
-            if (!copy_to_user(proc, buf, tmp,
-                              static_cast<uint64_t>(r.value))
-                     .ok()) {
-                return neg_errno(ErrorCode::kFault);
-            }
         }
         return r.value;
       }
@@ -1171,17 +1193,16 @@ Kernel::dispatch(Process &proc, uint64_t num,
         if (!file.ok()) return neg_errno(file.error().code);
         int fd = proc.alloc_fd();
         file.value()->on_fd_acquire();
-        proc.fds[fd] = file.take();
+        proc.fds.set(fd, file.take());
         return fd;
       }
 
       case Sys::kClose: {
         int fd = static_cast<int>(args[0]);
-        auto it = proc.fds.find(fd);
-        if (it == proc.fds.end()) return neg_errno(ErrorCode::kBadF);
-        FilePtr file = it->second; // keep alive through the hooks
-        file->on_fd_release(*this);
-        proc.fds.erase(it);
+        FileObject *open = proc.fds.get(fd);
+        if (!open) return neg_errno(ErrorCode::kBadF);
+        open->on_fd_release(*this);
+        FilePtr file = proc.fds.take(fd); // alive through epoll cleanup
         proc.fd_closed(fd);
         epoll_fd_dropped(proc, fd, file);
         return 0;
@@ -1228,7 +1249,7 @@ Kernel::dispatch(Process &proc, uint64_t num,
         if (it != reaped_.end()) {
             return it->second.code;
         }
-        if (pid == proc.pid || !procs_.count(pid)) {
+        if (pid == proc.pid || !process(pid)) {
             // Self-wait can never be satisfied (the caller would be
             // parked on its own death edge, forever); report "no
             // such child" like an unknown pid.
@@ -1249,19 +1270,19 @@ Kernel::dispatch(Process &proc, uint64_t num,
         // so two back-to-back allocations would alias.
         int rfd = proc.alloc_fd();
         read_end->on_fd_acquire();
-        proc.fds[rfd] = read_end;
+        proc.fds.set(rfd, read_end);
         int wfd = proc.alloc_fd();
         write_end->on_fd_acquire();
-        proc.fds[wfd] = write_end;
+        proc.fds.set(wfd, write_end);
         int64_t fds[2] = {rfd, wfd};
         if (!copy_to_user(proc, args[0], fds, sizeof(fds)).ok()) {
             // Linux's do_pipe2 cleanup: a failed copy-out uninstalls
             // both descriptors. Leaving them installed would leak two
             // fds the program never learned the numbers of.
             write_end->on_fd_release(*this);
-            proc.fds.erase(wfd);
+            proc.fds.take(wfd);
             read_end->on_fd_release(*this);
-            proc.fds.erase(rfd);
+            proc.fds.take(rfd);
             proc.fd_closed(rfd);
             return neg_errno(ErrorCode::kFault);
         }
@@ -1279,18 +1300,19 @@ Kernel::dispatch(Process &proc, uint64_t num,
             // a blocked peer.
             return newfd;
         }
-        auto old = proc.fds.find(newfd);
-        if (old != proc.fds.end()) {
+        if (newfd < 0 || newfd >= FdTable::kLimit) {
+            return neg_errno(ErrorCode::kBadF);
+        }
+        if (FileObject *old = proc.fds.get(newfd)) {
             // Implicit close: full kClose discipline minus the
             // fd_closed() hint rewind (the slot is reoccupied on the
             // next line, so everything below the hint stays taken).
-            FilePtr doomed = old->second;
-            doomed->on_fd_release(*this);
-            proc.fds.erase(old);
+            old->on_fd_release(*this);
+            FilePtr doomed = proc.fds.take(newfd);
             epoll_fd_dropped(proc, newfd, doomed);
         }
         file->on_fd_acquire();
-        proc.fds[newfd] = file;
+        proc.fds.set(newfd, std::move(file));
         return newfd;
       }
 
@@ -1370,13 +1392,12 @@ Kernel::dispatch(Process &proc, uint64_t num,
         return static_cast<int64_t>(clock_->nanos());
 
       case Sys::kKill: {
-        auto it = procs_.find(static_cast<int>(args[0]));
-        if (it == procs_.end() ||
-            it->second->state == ProcState::kDead) {
+        Process *target = process(static_cast<int>(args[0]));
+        if (!target || target->state == ProcState::kDead) {
             return neg_errno(ErrorCode::kSrch);
         }
         // Negate in uint64_t: -INT64_MIN does not exist in int64_t.
-        kill_process(*it->second, DeathCause::kKilled,
+        kill_process(*target, DeathCause::kKilled,
                      static_cast<int64_t>(0 - args[1]));
         return 0;
       }
@@ -1408,16 +1429,18 @@ Kernel::dispatch(Process &proc, uint64_t num,
         int fd = proc.alloc_fd();
         auto listener = std::make_shared<ListenerFile>(net_, port);
         listener->on_fd_acquire();
-        proc.fds[fd] = listener;
+        proc.fds.set(fd, listener);
         listener_registry_[port] = listener.get();
         return fd;
       }
 
       case Sys::kSockAccept: {
         if (!net_) return neg_errno(ErrorCode::kNoSys);
-        FilePtr file = file_of(args[0]);
-        auto *listener = dynamic_cast<ListenerFile *>(file.get());
-        if (!listener) return neg_errno(ErrorCode::kBadF);
+        FileObject *file = proc.fds.get(static_cast<int>(args[0]));
+        if (!file || file->kind() != FileKind::kListener) {
+            return neg_errno(ErrorCode::kBadF);
+        }
+        auto *listener = static_cast<ListenerFile *>(file);
         host::NetSim::Connection *conn =
             net_->try_accept(listener->port(), clock_->cycles());
         if (!conn) {
@@ -1429,8 +1452,8 @@ Kernel::dispatch(Process &proc, uint64_t num,
         int fd = proc.alloc_fd();
         auto sock = std::make_shared<SocketFile>(net_, conn, true);
         sock->on_fd_acquire();
-        proc.fds[fd] = sock;
         register_socket(conn, true, sock.get());
+        proc.fds.set(fd, std::move(sock));
         return fd;
       }
 
@@ -1442,8 +1465,8 @@ Kernel::dispatch(Process &proc, uint64_t num,
         auto sock = std::make_shared<SocketFile>(net_, conn.value(),
                                                  false);
         sock->on_fd_acquire();
-        proc.fds[fd] = sock;
         register_socket(conn.value(), false, sock.get());
+        proc.fds.set(fd, std::move(sock));
         return fd;
       }
 
@@ -1462,15 +1485,10 @@ Kernel::dispatch(Process &proc, uint64_t num,
                 timeout_deadline(clock_->cycles(), timeout_ns);
         }
         uint64_t bytes = nfds * abi::kPollRecordBytes;
-        if (io_scratch_.size() < bytes) {
-            io_scratch_.resize(bytes);
-        }
-        if (bytes > 0 &&
-            !copy_from_user(proc, fds_ptr, io_scratch_.data(), bytes)
-                 .ok()) {
+        int64_t *rec = reinterpret_cast<int64_t *>(staging(bytes));
+        if (bytes > 0 && !copy_from_user(proc, fds_ptr, rec, bytes).ok()) {
             return neg_errno(ErrorCode::kFault);
         }
-        int64_t *rec = reinterpret_cast<int64_t *>(io_scratch_.data());
         int64_t ready = 0;
         uint64_t min_event = ~0ull;
         std::vector<WaitQueue *> queues;
@@ -1479,11 +1497,10 @@ Kernel::dispatch(Process &proc, uint64_t num,
             int64_t events = rec[3 * i + 1];
             int64_t revents = 0;
             if (fd >= 0) { // POSIX: negative fds are skipped
-                auto fit = proc.fds.find(static_cast<int>(fd));
-                if (fit == proc.fds.end()) {
+                FileObject *pf = proc.fds.get(static_cast<int>(fd));
+                if (!pf) {
                     revents = abi::kPollNval;
                 } else {
-                    FileObject *pf = fit->second.get();
                     uint64_t bits = pf->poll_ready(*this);
                     // POLLERR/POLLHUP are always reported; POLLIN/
                     // POLLOUT only when requested.
@@ -1524,8 +1541,8 @@ Kernel::dispatch(Process &proc, uint64_t num,
         int fd = proc.alloc_fd();
         auto ep = std::make_shared<EpollObject>();
         ep->on_fd_acquire();
-        proc.fds[fd] = ep;
         proc.epolls.push_back(ep.get());
+        proc.fds.set(fd, std::move(ep));
         return fd;
       }
 
@@ -1533,10 +1550,12 @@ Kernel::dispatch(Process &proc, uint64_t num,
         // epoll_ctl(epfd, op, fd, events). Errors follow Linux: EBADF
         // for dead descriptors, EINVAL for a non-epoll epfd, EEXIST /
         // ENOENT / ELOOP from the interest-list operation itself.
-        FilePtr epfile = file_of(args[0]);
+        FileObject *epfile = proc.fds.get(static_cast<int>(args[0]));
         if (!epfile) return neg_errno(ErrorCode::kBadF);
-        auto *ep = dynamic_cast<EpollObject *>(epfile.get());
-        if (!ep) return neg_errno(ErrorCode::kInval);
+        if (epfile->kind() != FileKind::kEpoll) {
+            return neg_errno(ErrorCode::kInval);
+        }
+        auto *ep = static_cast<EpollObject *>(epfile);
         int fd = static_cast<int>(args[2]);
         FilePtr target = file_of(args[2]);
         if (!target) return neg_errno(ErrorCode::kBadF);
@@ -1560,10 +1579,12 @@ Kernel::dispatch(Process &proc, uint64_t num,
         // an array of {fd, revents} int64 pairs. Timeout semantics
         // match kPoll (deadline pinned at the first dispatch).
         constexpr uint64_t kMaxEpollEvents = 4096;
-        FilePtr epfile = file_of(args[0]);
+        FileObject *epfile = proc.fds.get(static_cast<int>(args[0]));
         if (!epfile) return neg_errno(ErrorCode::kBadF);
-        auto *ep = dynamic_cast<EpollObject *>(epfile.get());
-        if (!ep) return neg_errno(ErrorCode::kInval);
+        if (epfile->kind() != FileKind::kEpoll) {
+            return neg_errno(ErrorCode::kInval);
+        }
+        auto *ep = static_cast<EpollObject *>(epfile);
         uint64_t evs_ptr = args[1];
         uint64_t max_events = args[2];
         int64_t timeout_ns = static_cast<int64_t>(args[3]);
@@ -1577,30 +1598,19 @@ Kernel::dispatch(Process &proc, uint64_t num,
         uint64_t bytes = max_events * abi::kEpollRecordBytes;
         // All-or-nothing EFAULT *before* collect(): collecting is
         // destructive for edge-triggered entries, so the whole output
-        // buffer must be probed before any candidate is consumed
-        // (same discipline as the kRead/kSockRecv destination probe).
-        if (!validate_user_range(proc, evs_ptr, bytes).ok() ||
-            evs_ptr + bytes < evs_ptr ||
-            !proc.space->is_mapped(evs_ptr, bytes)) {
+        // buffer must be resolved before any candidate is consumed
+        // (same discipline as the kRead/kSockRecv destination). The
+        // events then go straight into the resolved pages.
+        if (!resolve_user(proc, evs_ptr, bytes)) {
             return neg_errno(ErrorCode::kFault);
         }
-        if (io_scratch_.size() < bytes) {
-            io_scratch_.resize(bytes);
-        }
-        int64_t *rec = reinterpret_cast<int64_t *>(io_scratch_.data());
+        IoBuffer evs(*proc.space, evs_ptr, bytes, io_pages_);
         uint64_t min_due = ~0ull;
-        int64_t n = ep->collect(*this, rec, max_events, min_due);
+        int64_t n = ep->collect(*this, evs, max_events, min_due);
         uint64_t now = clock_->cycles();
         bool timed_out =
             proc.sys_deadline != ~0ull && now >= proc.sys_deadline;
         if (n > 0 || timed_out) {
-            if (n > 0 &&
-                !copy_to_user(proc, evs_ptr, rec,
-                              static_cast<uint64_t>(n) *
-                                  abi::kEpollRecordBytes)
-                     .ok()) {
-                return neg_errno(ErrorCode::kFault);
-            }
             ctr_epoll_waits_->add();
             return n;
         }

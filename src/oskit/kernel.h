@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <set>
 #include <span>
 #include <string>
 #include <utility>
@@ -87,6 +86,131 @@ enum class ProcState {
     kDead,
 };
 
+/**
+ * A process's descriptor table: a flat array indexed by fd, a null
+ * slot being a free descriptor. Lookup is an index; installing and
+ * closing allocate nothing once the array covers the highest fd used.
+ * Fds are the `int` the syscall layer truncates its argument to.
+ */
+class FdTable
+{
+  public:
+    /** dup2's newfd bound, like RLIMIT_NOFILE: the one call that can
+     *  name a descriptor far above the ones in use. */
+    static constexpr int kLimit = 1 << 20;
+
+    /** The object open at `fd`, or null (free or out of range). */
+    FileObject *
+    get(int fd) const
+    {
+        return fd >= 0 && static_cast<size_t>(fd) < slots_.size()
+                   ? slots_[static_cast<size_t>(fd)].get()
+                   : nullptr;
+    }
+    /** get() as a strong reference (null if not open). */
+    FilePtr
+    ref(int fd) const
+    {
+        return get(fd) ? slots_[static_cast<size_t>(fd)] : nullptr;
+    }
+    bool contains(int fd) const { return get(fd) != nullptr; }
+
+    /** Install `file` at `fd` (0 <= fd), replacing nothing: the slot
+     *  must be free. */
+    void
+    set(int fd, FilePtr file)
+    {
+        if (static_cast<size_t>(fd) >= slots_.size()) {
+            slots_.resize(static_cast<size_t>(fd) + 1);
+        }
+        slots_[static_cast<size_t>(fd)] = std::move(file);
+    }
+    /** Free `fd`, returning what was open there. */
+    FilePtr
+    take(int fd)
+    {
+        return std::move(slots_[static_cast<size_t>(fd)]);
+    }
+
+    /** The lowest free descriptor at or above `from`. */
+    int
+    lowest_free(int from) const
+    {
+        while (static_cast<size_t>(from) < slots_.size() &&
+               slots_[static_cast<size_t>(from)]) {
+            ++from;
+        }
+        return from;
+    }
+
+    /** `fn(fd, file)` for every open descriptor, ascending. */
+    template <typename Fn>
+    void
+    for_each(Fn &&fn) const
+    {
+        for (size_t fd = 0; fd < slots_.size(); ++fd) {
+            if (slots_[fd]) {
+                fn(static_cast<int>(fd), slots_[fd]);
+            }
+        }
+    }
+
+    void clear() { slots_.clear(); }
+
+  private:
+    std::vector<FilePtr> slots_;
+};
+
+/**
+ * A set of pids as a bitmap: insert and erase are a bit flip, and the
+ * ascending scan the walk makes reads a word per 64 pids.
+ */
+class PidSet
+{
+  public:
+    void
+    insert(int pid)
+    {
+        const size_t word = static_cast<size_t>(pid) / 64;
+        if (word >= words_.size()) {
+            words_.resize(word + 1);
+        }
+        words_[word] |= 1ull << (pid % 64);
+    }
+
+    void
+    erase(int pid)
+    {
+        const size_t word = static_cast<size_t>(pid) / 64;
+        if (word < words_.size()) {
+            words_[word] &= ~(1ull << (pid % 64));
+        }
+    }
+
+    /** The lowest member above `pid` (>= 0), or -1 if none. */
+    int
+    next_after(int pid) const
+    {
+        size_t word = static_cast<size_t>(pid + 1) / 64;
+        if (word >= words_.size()) {
+            return -1;
+        }
+        uint64_t bits = words_[word] & (~0ull << ((pid + 1) % 64));
+        for (;;) {
+            if (bits != 0) {
+                return static_cast<int>(word * 64) + __builtin_ctzll(bits);
+            }
+            if (++word == words_.size()) {
+                return -1;
+            }
+            bits = words_[word];
+        }
+    }
+
+  private:
+    std::vector<uint64_t> words_;
+};
+
 /** One process (a SIP under Occlum; a full enclave under EIP). */
 struct Process {
     int pid = 0;
@@ -114,7 +238,7 @@ struct Process {
     vm::Cpu *cpu = nullptr;
     vm::AddressSpace *space = nullptr;
 
-    std::map<int, FilePtr> fds;
+    FdTable fds;
 
     std::vector<std::string> argv;
 
@@ -196,12 +320,7 @@ struct Process {
     int
     alloc_fd()
     {
-        int fd = fd_scan_hint;
-        auto it = fds.lower_bound(fd);
-        while (it != fds.end() && it->first == fd) {
-            ++fd;
-            ++it;
-        }
+        int fd = fds.lowest_free(fd_scan_hint);
         // Everything below the returned fd is occupied, so the next
         // scan may start here (the caller installs this fd).
         fd_scan_hint = fd;
@@ -345,6 +464,18 @@ class Kernel
     /** Armed timed waits (one per process with a wake_time). */
     size_t timer_entries() const { return timers_.size(); }
 
+    /** The kernel's staging buffer of at least `len` bytes: poll()'s
+     *  records, and a read/write on a file that takes one contiguous
+     *  buffer (FileObject::read_user). */
+    uint8_t *
+    staging(uint64_t len)
+    {
+        if (io_scratch_.size() < len) {
+            io_scratch_.resize(len);
+        }
+        return io_scratch_.data();
+    }
+
     Result<int64_t> exit_code(int pid) const;
     /** Full post-mortem info (cause, fault kind) for a dead pid. */
     Result<DeathRecord> death_record(int pid) const;
@@ -459,7 +590,9 @@ class Kernel
     /**
      * Check a user buffer is legal for the calling process. Occlum
      * confines it to the SIP's own data region — a malicious SIP must
-     * not use the LibOS as a deputy to read other SIPs' memory.
+     * not use the LibOS as a deputy to read other SIPs' memory. The
+     * base refuses only a range that wraps: whether it is mapped is
+     * the probe of the copy or resolve that follows.
      */
     virtual Status validate_user_range(Process &proc, uint64_t addr,
                                        uint64_t len);
@@ -476,6 +609,13 @@ class Kernel
     // ---- helpers available to personalities -----------------------------
   public:
     void charge(uint64_t cycles) { clock_->advance(cycles); }
+
+    /**
+     * Resolve a syscall buffer once into io_pages_: validate_user_range
+     * plus AddressSpace::resolve_raw. False means EFAULT, and nothing
+     * was touched.
+     */
+    bool resolve_user(Process &proc, uint64_t addr, uint64_t len);
 
     /** Copy data out of / into a process's memory (EFAULT checked). */
     Status copy_from_user(Process &proc, uint64_t addr, void *out,
@@ -524,8 +664,16 @@ class Kernel
     /** Disarm the process's timer (if any) and reset its wake_time. */
     void cancel_timer(Process &proc);
 
-    /** Pop every due timer, waking the processes they refer to. */
-    void fire_due_timers();
+    /** Pop every due timer, waking the processes they refer to. The
+     *  walk calls this after every visit, and nearly always none is. */
+    void
+    fire_due_timers()
+    {
+        if (!timers_.empty() && timers_.back().first <= clock_->cycles()) {
+            fire_timers();
+        }
+    }
+    void fire_timers();
 
     /** One ascending walk of `core`'s home queue (pids <= cap):
      *  retries and quanta in pid order. Returns the quanta run. */
@@ -590,10 +738,20 @@ class Kernel
     /** The process whose syscall is being dispatched, else null. */
     Process *syscall_process() const { return syscall_proc_; }
 
+    /** The record of `pid` (dead ones too), or null if none. */
+    Process *
+    process(int pid) const
+    {
+        return pid > 0 && static_cast<size_t>(pid) < procs_.size()
+                   ? procs_[static_cast<size_t>(pid)].get()
+                   : nullptr;
+    }
+
     SimClock *clock_;
     host::HostFileStore *binaries_;
     host::NetSim *net_;
-    std::map<int, std::unique_ptr<Process>> procs_;
+    /** Every process ever spawned, indexed by pid (slot 0 unused). */
+    std::vector<std::unique_ptr<Process>> procs_;
     std::map<int, DeathRecord> reaped_;
     int next_pid_ = 1;
     uint64_t quantum_ = 20000;
@@ -616,8 +774,13 @@ class Kernel
     trace::Counter *ctr_epoll_waits_;
     /** Processes whose blocked syscall should be retried. */
     bool any_progress_ = false;
-    /** Reused read/write bounce buffer (grows to the largest I/O). */
+    /** staging()'s buffer: poll()'s records and the bytes of files
+     *  that take one contiguous buffer; grows to the largest such I/O. */
     Bytes io_scratch_;
+    /** The pages of the syscall buffer being dispatched (resolve_raw). */
+    std::vector<vm::Page *> io_pages_;
+    /** wake_queue's list of the waiters it is waking. */
+    std::vector<Process *> woken_;
 
     /**
      * Per-core scheduling walks: runnable pids plus wake-pending
@@ -625,10 +788,10 @@ class Kernel
      * Membership is always by home core; blocked processes leave the
      * set, so idle connections cost zero dispatches per round.
      */
-    std::vector<std::set<int>> run_queues_{1};
+    std::vector<PidSet> run_queues_{1};
 
     /** The home-core queue a pid is (or would be) enqueued on. */
-    std::set<int> &home_queue(const Process &proc)
+    PidSet &home_queue(const Process &proc)
     {
         return run_queues_[proc.home_core];
     }
@@ -671,20 +834,24 @@ class Kernel
     PreRunStats prerun_stats_;
 
     /**
-     * Timed waits, ordered by (wake_time, pid): exactly one entry per
-     * process whose wake_time is armed. Every path that resets
-     * wake_time (wakeup, completion, death, an earlier re-arm) erases
-     * the entry through cancel_timer, so due timers fire in
-     * (when, pid) order and nothing stale is ever left behind.
+     * Timed waits, sorted by (wake_time, pid) descending, so the next
+     * to fire is at the back: exactly one entry per process whose
+     * wake_time is armed. Every path that resets wake_time (wakeup,
+     * completion, death, an earlier re-arm) erases the entry through
+     * cancel_timer, so due timers fire in (when, pid) order and nothing
+     * stale is ever left behind. A few processes wait at a time, so a
+     * sorted array beats a tree and arming never allocates.
      */
-    std::set<std::pair<uint64_t, int>> timers_;
+    std::vector<std::pair<uint64_t, int>> timers_;
 
     /** waitpid(pid) wait queues, keyed by the awaited pid. */
     std::map<int, WaitQueue> pid_waiters_;
 
-    /** Live sockets by (connection, at_server), for NetSim events. */
-    std::map<std::pair<host::NetSim::Connection *, bool>, FileObject *>
-        socket_registry_;
+    /** Live sockets by (connection, at_server), for NetSim events: the
+     *  slot 2 * Connection::id + at_server, null when none. */
+    std::vector<FileObject *> socket_registry_;
+    FileObject *socket_at(const host::NetSim::Connection *conn,
+                          bool at_server) const;
     /** Live listeners by port, for NetSim connect events. */
     std::map<uint16_t, FileObject *> listener_registry_;
 

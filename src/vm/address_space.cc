@@ -178,8 +178,8 @@ AddressSpace::materialize(AccessCache &cache, uint64_t page_no, Page &page)
 // AccessCache
 // ---------------------------------------------------------------------
 
-AccessCache::AccessCache(AddressSpace &space)
-    : space_(&space), gen_(&space.clock_)
+AccessCache::AccessCache(AddressSpace &space, bool folded)
+    : space_(&space), gen_(&space.clock_), folded_(folded)
 {
 }
 
@@ -217,7 +217,7 @@ AccessCache::flush()
 void
 AccessCache::fill(uint64_t page_no, const Page &page, bool writable)
 {
-    const size_t s = page_no % kEntries;
+    const size_t s = index(page_no);
     if (page.perms & kPermR) {
         read_[s] = {page_no, page.data ? page.data.get()
                                        : const_cast<uint8_t *>(kZeroPage)};
@@ -230,7 +230,7 @@ AccessCache::fill(uint64_t page_no, const Page &page, bool writable)
 void
 AccessCache::drop(uint64_t page_no)
 {
-    const size_t s = page_no % kEntries;
+    const size_t s = index(page_no);
     if (read_[s].page_no == page_no) {
         read_[s] = HostEntry{};
     }
@@ -247,11 +247,12 @@ AccessCache::lookup_slow(uint64_t page_no)
     if (speculating_) {
         lock.lock();
     }
+    ++slow_lookups_;
     auto it = space_->pages_.find(page_no);
     if (it == space_->pages_.end()) {
         return nullptr; // misses are not cached (map() must be seen)
     }
-    TlbEntry &entry = tlb_[page_no % kEntries];
+    TlbEntry &entry = tlb_[index(page_no)];
     entry.page_no = page_no;
     entry.page = &it->second;
     return entry.page;
@@ -478,6 +479,11 @@ AccessFault
 AddressSpace::read_raw(uint64_t addr, void *out, uint64_t len) const
 {
     kernel_cache_.sync();
+    // The syscall path's 8-byte reads (the return address, its
+    // cfi_label) nearly always hit a read entry.
+    if (len != 0 && kernel_cache_.read_hit(addr, out, len)) {
+        return AccessFault::kNone;
+    }
     return const_cast<AddressSpace *>(this)->access<false>(
         kernel_cache_, addr, out, len, 0);
 }
@@ -488,6 +494,48 @@ AddressSpace::write_raw(uint64_t addr, const void *in, uint64_t len)
     kernel_cache_.sync();
     return access<true>(kernel_cache_, addr, const_cast<void *>(in), len,
                         0);
+}
+
+bool
+AddressSpace::resolve_raw(uint64_t addr, uint64_t len,
+                          std::vector<Page *> &pages) const
+{
+    pages.clear();
+    if (len == 0) {
+        return true;
+    }
+    if (wraps(addr, len)) {
+        return false;
+    }
+    kernel_cache_.sync();
+    const uint64_t last = (addr + len - 1) / kPageSize;
+    for (uint64_t page_no = addr / kPageSize; page_no <= last; ++page_no) {
+        Page *page = kernel_cache_.lookup(page_no);
+        if (!page) {
+            return false;
+        }
+        pages.push_back(page);
+    }
+    return true;
+}
+
+const uint8_t *
+AddressSpace::page_bytes(const Page &page)
+{
+    return page.data ? page.data.get() : kZeroPage;
+}
+
+void
+AddressSpace::store_raw(Page &page, uint64_t addr, const void *src,
+                        uint64_t n)
+{
+    if (!page.data) {
+        materialize(kernel_cache_, addr / kPageSize, page);
+    }
+    std::memcpy(page.data.get() + (addr & kPageMask), src, n);
+    if (page.code) {
+        touch_code(addr, n);
+    }
 }
 
 AccessFault

@@ -102,7 +102,9 @@ struct Page {
 class AccessCache
 {
   public:
-    explicit AccessCache(AddressSpace &space);
+    /** `folded`: pick slots by the folded index (the space's own
+     *  cache), see index(). */
+    explicit AccessCache(AddressSpace &space, bool folded = false);
     AccessCache(const AccessCache &) = delete;
     AccessCache &operator=(const AccessCache &) = delete;
 
@@ -119,7 +121,8 @@ class AccessCache
 
     /**
      * Width-templated single-access fast paths used by the superblock
-     * tier's micro-op loop. An entry exists only where the access
+     * tier's micro-op loop (a Cpu's cache only: they pick the slot by
+     * the low byte, see index()). An entry exists only where the access
      * needs no further check, so a hit is one tag compare plus the
      * host copy, inline at the call site. The tag is compared against
      * the page of the access's *last* byte while the slot is picked by
@@ -221,6 +224,28 @@ class AccessCache
         std::unique_ptr<uint8_t[]> bytes;
     };
 
+    /**
+     * The slot of a page. A Cpu's cache uses the page's low byte: one
+     * AND on every guest load and store of the trace tier, and
+     * consecutive pages never share a slot, which the fast paths'
+     * straddle check depends on. The space's own (trusted) cache folds
+     * in the bits above, as its low byte plus 129 times them: the
+     * syscall path reads an Occlum SIP's code page (the return
+     * address's cfi_label) and writes its data page 256 pages up on
+     * every call, and with the low byte alone the two evict each other.
+     * Pages d apart across n multiples of 256 share a folded slot only
+     * if d + 129 * n is a multiple of 256: never for d = 255, 256 or
+     * 257, nor for consecutive pages. The fold costs a shift and two
+     * adds, which the Cpus' fast paths do not pay.
+     */
+    size_t
+    index(uint64_t page_no) const
+    {
+        return folded_ ? (page_no + 129 * (page_no >> 8)) % kEntries
+                       : page_no % kEntries;
+    }
+
+    /** A Cpu cache's slot of an address (the fast paths). */
     static size_t
     slot(uint64_t addr)
     {
@@ -238,13 +263,25 @@ class AccessCache
     Page *
     lookup(uint64_t page_no)
     {
-        TlbEntry &entry = tlb_[page_no % kEntries];
+        TlbEntry &entry = tlb_[index(page_no)];
         if (entry.page_no == page_no) {
             return entry.page;
         }
         return lookup_slow(page_no);
     }
     Page *lookup_slow(uint64_t page_no);
+    /** An in-page read on a read-entry hit only; false: nothing read. */
+    bool
+    read_hit(uint64_t addr, void *out, uint64_t len) const
+    {
+        const HostEntry &entry = read_[index(addr / kPageSize)];
+        if (entry.page_no != (addr + len - 1) / kPageSize ||
+            (addr & kPageMask) + len > kPageSize) {
+            return false;
+        }
+        std::memcpy(out, entry.host + (addr & kPageMask), len);
+        return true;
+    }
     void flush();
     /** Drop both host entries of one page. */
     void drop(uint64_t page_no);
@@ -266,6 +303,9 @@ class AccessCache
     uint64_t hi_ = 0;
     bool speculating_ = false;
     bool aborted_ = false;
+    bool folded_;
+    /** Lookups that missed the Page-pointer cache (host bookkeeping). */
+    uint64_t slow_lookups_ = 0;
     std::vector<PageUndo> undo_;
     std::vector<Page *> marked_;
     /** Recycled undo buffers. */
@@ -276,7 +316,7 @@ class AccessCache
 class AddressSpace
 {
   public:
-    AddressSpace() : kernel_cache_(*this) {}
+    AddressSpace() : kernel_cache_(*this, /*folded=*/true) {}
     AddressSpace(const AddressSpace &) = delete;
     AddressSpace &operator=(const AddressSpace &) = delete;
 
@@ -306,6 +346,33 @@ class AddressSpace
 
     /** Zero-fill a range (trusted; used when zeroing BSS / new pages). */
     AccessFault zero_raw(uint64_t addr, uint64_t len);
+
+    /**
+     * A trusted copy's range, resolved once: every page of [addr,
+     * addr+len) looked up in one walk, in address order, into `pages`
+     * (its storage is reused). False, with `pages` meaningless and
+     * nothing touched, if the range wraps or any page is unmapped: the
+     * all-or-nothing probe of a syscall buffer. The pointers stay valid
+     * until the next unmap.
+     */
+    bool resolve_raw(uint64_t addr, uint64_t len,
+                     std::vector<Page *> &pages) const;
+    /** A resolved page's bytes for reading: its data, or zeros while it
+     *  is lazy. */
+    static const uint8_t *page_bytes(const Page &page);
+    /**
+     * Trusted store of `n` bytes from `src` at `addr`, which lies in the
+     * resolved `page`: what write_raw does to one page (materialize a
+     * lazy page; advance the code generation if the page has supplied
+     * decoded bytes).
+     */
+    void store_raw(Page &page, uint64_t addr, const void *src, uint64_t n);
+
+    /** Page-pointer cache misses of the trusted accessors so far. */
+    uint64_t kernel_slow_lookups() const
+    {
+        return kernel_cache_.slow_lookups_;
+    }
 
     /** Number of currently mapped pages. */
     size_t mapped_pages() const { return pages_.size(); }

@@ -7,8 +7,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <functional>
+#include <set>
 
+#include "base/rng.h"
 #include "baseline/eip_system.h"
 #include "baseline/linux_system.h"
 #include "faultsim/faultsim.h"
@@ -19,6 +23,7 @@
 #include "toolchain/minic.h"
 #include "trace/metrics.h"
 #include "verifier/verifier.h"
+#include "workloads/workloads.h"
 
 namespace occlum::libos {
 namespace {
@@ -1031,6 +1036,256 @@ TEST(PreRun, StormMatchesInlineAndTheParentAtOneAndFourCores)
     }
 }
 
+// ---- the syscall path: order pinned through its flat tables -------------
+
+/** What a small run of the http-proxy workload must reproduce. */
+struct ProxyPrint {
+    uint64_t cycles = 0;
+    std::string counters; // non-zero kernel.* / vm.* / net.* deltas
+    double syscall_p50 = 0;
+    double syscall_p99 = 0;
+    std::vector<int> death_order;
+    std::string accepted; // the fds sock_accept returned, in order
+};
+
+/** The frontend's open socket fds (none once it is dead). */
+std::set<int>
+socket_fds(OcclumSystem &sys, int pid)
+{
+    std::set<int> fds;
+    if (const oskit::Process *proc = sys.find_process(pid)) {
+        proc->fds.for_each([&fds](int fd, const oskit::FilePtr &file) {
+            if (dynamic_cast<const oskit::SocketFile *>(file.get())) {
+                fds.insert(fd);
+            }
+        });
+    }
+    return fds;
+}
+
+/**
+ * perfbench's http-proxy in miniature: the epoll frontend and its 4
+ * backends behind NetSim at `cores`, 300 open-loop requests of a 10 KiB
+ * page on a Poisson schedule from seed 1 at 8000 requests/s.
+ */
+ProxyPrint
+run_small_proxy(int cores)
+{
+    constexpr int kRequests = 300;
+    constexpr size_t kPage = 10240;
+    faultsim::ScopedFaultPlan clean{faultsim::FaultPlan{}};
+    sgx::Platform platform;
+    host::NetSim net(platform.clock());
+    host::HostFileStore binaries;
+    binaries.put("proxy_frontend",
+                 workloads::build_program(workloads::proxy_frontend_source())
+                     .occlum);
+    binaries.put("proxy_backend",
+                 workloads::build_program(workloads::proxy_backend_source())
+                     .occlum);
+    OcclumSystem::Config config;
+    config.num_slots = 8;
+    config.slot_data_size = 8 << 20;
+    config.verifier_key = workloads::bench_verifier_key();
+    config.cores = cores;
+    OcclumSystem sys(platform, binaries, config, &net);
+
+    auto watched = [] {
+        std::map<std::string, uint64_t> out;
+        for (const auto &[name, counter] :
+             trace::Registry::instance().counters()) {
+            if (name.rfind("vm.", 0) == 0 || name.rfind("kernel.", 0) == 0 ||
+                name.rfind("net.", 0) == 0) {
+                out[name] = counter.value();
+            }
+        }
+        return out;
+    };
+    const std::map<std::string, uint64_t> before = watched();
+    trace::Histogram &syscall_cycles =
+        trace::Registry::instance().histogram("kernel.syscall_cycles");
+    syscall_cycles.reset();
+
+    auto pid = sys.spawn("proxy_frontend",
+                         {"proxy_frontend", std::to_string(kRequests), "64"});
+    EXPECT_TRUE(pid.ok());
+    sys.run(/*allow_idle=*/true); // frontend + backends parked
+    Rng rng(1 ^ 0x687474702d707278ull);
+    const uint64_t t0 = sys.clock().cycles();
+    std::vector<uint64_t> due(kRequests);
+    for (uint64_t &d : due) {
+        d = t0 + static_cast<uint64_t>(rng.next_double() * kRequests /
+                                       8000.0 * SimClock::kFrequencyHz);
+    }
+    std::sort(due.begin(), due.end());
+
+    ProxyPrint print;
+    struct Client {
+        host::NetSim::Connection *conn;
+        size_t received;
+    };
+    std::vector<Client> clients;
+    static const char kRequest[] = "GET /page.html HTTP/1.1\r\n\r\n";
+    uint8_t buf[4096];
+    int issued = 0;
+    int finished = 0;
+    while (finished < kRequests) {
+        uint64_t now = sys.clock().cycles();
+        for (; issued < kRequests && due[issued] <= now; ++issued) {
+            auto conn = net.connect(8080);
+            EXPECT_TRUE(conn.ok());
+            if (!conn.ok()) {
+                return print;
+            }
+            net.send(conn.value(), false,
+                     reinterpret_cast<const uint8_t *>(kRequest),
+                     sizeof(kRequest) - 1);
+            clients.push_back({conn.value(), 0});
+        }
+        const std::set<int> open = socket_fds(sys, pid.value());
+        bool progress = sys.step_round();
+        for (int fd : socket_fds(sys, pid.value())) {
+            if (!open.count(fd)) {
+                print.accepted += std::to_string(fd) + ",";
+            }
+        }
+        now = sys.clock().cycles();
+        for (Client &client : clients) {
+            uint64_t next_arrival = ~0ull;
+            size_t n = net.recv(client.conn, false, buf, sizeof(buf), now,
+                                next_arrival);
+            progress = progress || n > 0;
+            client.received += n;
+            if (n > 0 && client.received == kPage) {
+                net.close(client.conn, false);
+                client.conn = nullptr;
+                ++finished;
+            }
+        }
+        std::erase_if(clients,
+                      [](const Client &c) { return c.conn == nullptr; });
+        if (progress) {
+            continue;
+        }
+        uint64_t wake = sys.next_wake_time();
+        for (Client &client : clients) {
+            uint64_t next_arrival = ~0ull;
+            net.recv(client.conn, false, buf, 0, now, next_arrival);
+            wake = std::min(wake, next_arrival);
+        }
+        if (issued < kRequests) {
+            wake = std::min(wake, due[issued]);
+        }
+        if (wake == ~0ull || wake <= now) {
+            ADD_FAILURE() << "stalled after " << finished << " requests";
+            return print;
+        }
+        sys.clock().advance(wake - now);
+    }
+    sys.run(/*allow_idle=*/true); // the frontend reaps its backends
+    EXPECT_TRUE(sys.all_exited());
+
+    print.cycles = sys.clock().cycles();
+    for (const auto &[name, value] : watched()) {
+        auto was = before.find(name);
+        uint64_t delta = value - (was == before.end() ? 0 : was->second);
+        if (delta != 0) {
+            print.counters += name + "=" + std::to_string(delta) + ";";
+        }
+    }
+    print.syscall_p50 = syscall_cycles.p50();
+    print.syscall_p99 = syscall_cycles.p99();
+    print.death_order = sys.death_order();
+    return print;
+}
+
+TEST(SyscallPath, SmallProxyMatchesTheParentAtOneAndFourCores)
+{
+    // The syscall path resolves each user buffer once, copies straight
+    // between guest pages and pipe rings or network streams, and keeps
+    // its descriptors, epoll interest lists, run queues, timers and
+    // socket registry in flat tables. None of that may move simulated
+    // time or any order the tables used to give: wake order, epoll
+    // ready order, walk order and lowest-free fd allocation. Every
+    // value below was captured before that rework.
+    struct Golden {
+        int cores;
+        uint64_t cycles;
+        const char *counters;
+        double p50;
+        double p99;
+        const char *accepted;
+    };
+    const Golden golden[] = {
+        {1, 799769327,
+         "kernel.epoll_waits=784;kernel.sched_visits=4363;"
+         "kernel.spawns=5;kernel.syscalls=3530;kernel.wakeups=805;"
+         "net.accepts=300;net.bytes_received=3080100;"
+         "net.bytes_sent=3080100;net.connects=300;"
+         "vm.block_cache.hits=5817;vm.block_cache.misses=328;"
+         "vm.instructions=1102563;vm.ltraps=3530;vm.quanta=3558;"
+         "vm.superblock.exec_hits=17939;"
+         "vm.superblock.guards_folded=252;"
+         "vm.superblock.promotions=92;",
+         144.14046822742475, 31891.781302170282,
+         "5,5,5,5,5,5,5,5,5,5,14,5,5,5,14,5,14,15,5,5,5,5,14,15,5,5,"
+         "5,5,5,5,5,5,5,14,15,16,5,5,14,15,16,5,14,5,14,15,5,14,15,"
+         "5,5,14,5,5,5,14,5,15,5,5,5,5,5,5,5,5,5,5,5,5,5,5,5,5,14,5,"
+         "5,5,14,5,5,5,5,5,5,5,5,5,5,5,5,5,5,5,5,5,14,5,14,5,5,5,14,"
+         "15,5,5,14,5,5,14,5,5,5,5,5,5,5,5,5,5,5,5,5,5,5,14,15,5,5,"
+         "5,14,15,16,17,5,14,5,15,14,16,17,5,14,15,16,5,5,14,5,5,5,"
+         "5,5,5,5,5,5,5,14,15,5,5,14,15,16,17,5,5,14,5,5,5,5,14,15,"
+         "16,5,14,15,16,17,5,5,5,14,5,5,5,5,5,5,14,15,5,14,15,16,5,"
+         "14,5,5,5,5,5,5,5,5,5,5,5,5,14,5,14,5,5,5,5,5,5,5,14,5,5,5,"
+         "14,15,16,5,14,15,16,17,5,5,14,5,5,14,15,5,5,14,15,16,5,17,"
+         "18,5,5,14,15,16,17,18,19,5,5,14,15,5,14,15,16,17,18,5,5,"
+         "14,5,5,5,5,14,5,5,14,15,5,5,5,14,5,5,5,14,5,5,5,5,5,14,5,"
+         "5,5,5,5,5,14,5,"},
+        {4, 799199413,
+         "kernel.core0.quanta=258;kernel.core0.steals=99;"
+         "kernel.core0.wakeups=76;kernel.core1.quanta=2978;"
+         "kernel.core1.wakeups=598;kernel.core2.quanta=159;"
+         "kernel.core2.wakeups=76;kernel.core3.quanta=159;"
+         "kernel.core3.wakeups=76;kernel.epoll_waits=780;"
+         "kernel.sched_visits=4380;kernel.spawns=5;"
+         "kernel.syscalls=3526;kernel.wakeups=826;"
+         "kernel.wasted_retries=34;net.accepts=300;"
+         "net.bytes_received=3080100;net.bytes_sent=3080100;"
+         "net.connects=300;vm.block_cache.hits=5813;"
+         "vm.block_cache.misses=328;vm.instructions=1102299;"
+         "vm.ltraps=3526;vm.quanta=3554;"
+         "vm.superblock.exec_hits=17923;"
+         "vm.superblock.guards_folded=252;"
+         "vm.superblock.promotions=92;",
+         144.98996655518394, 31891.781302170282,
+         "5,5,5,5,5,5,5,5,5,5,14,5,5,5,14,5,14,5,5,5,5,5,14,15,5,5,"
+         "5,5,5,5,5,5,5,14,15,16,5,5,14,15,16,5,14,5,14,15,5,14,15,"
+         "5,5,14,5,5,5,14,5,15,5,5,5,5,5,5,5,5,5,5,5,5,5,5,5,5,14,5,"
+         "5,5,14,5,5,5,5,5,5,5,5,5,5,5,5,5,5,5,5,5,14,5,14,5,5,5,14,"
+         "5,14,5,14,5,5,14,5,5,5,5,5,5,5,5,5,5,5,5,5,5,5,14,15,5,5,"
+         "14,15,16,17,5,5,14,15,16,17,18,19,5,14,15,16,5,5,14,5,5,5,"
+         "5,5,5,5,5,5,5,14,15,5,5,14,15,16,5,5,5,14,5,5,5,5,14,15,"
+         "16,5,14,15,16,17,5,5,5,14,5,5,5,5,5,5,14,5,5,14,15,16,5,"
+         "14,5,5,5,5,5,5,5,5,5,5,5,5,14,5,14,5,5,5,5,5,5,5,14,5,5,5,"
+         "14,15,16,5,14,15,16,17,5,5,14,5,5,14,15,5,14,15,16,5,14,5,"
+         "14,15,5,14,15,5,16,17,14,5,15,14,16,5,14,15,16,17,18,5,5,"
+         "14,5,5,5,5,14,15,5,14,15,5,14,5,14,5,5,5,5,5,14,5,14,5,14,"
+         "5,5,5,5,5,5,14,5,"},
+    };
+    for (const Golden &g : golden) {
+        SCOPED_TRACE(g.cores);
+        ProxyPrint run = run_small_proxy(g.cores);
+        EXPECT_EQ(run.cycles, g.cycles);
+        EXPECT_EQ(run.counters, g.counters);
+        EXPECT_EQ(run.syscall_p50, g.p50);
+        EXPECT_EQ(run.syscall_p99, g.p99);
+        EXPECT_EQ(run.accepted, g.accepted);
+        // The backends die in spawn order as the frontend closes their
+        // job pipes; the frontend (pid 1) outlives them.
+        EXPECT_EQ(run.death_order, (std::vector<int>{2, 3, 4, 5, 1}));
+    }
+}
+
 TEST(PreRun, KilledSiblingsPreRunLeavesNoTrace)
 {
     // pid 1 computes, then kills pid 3 — runnable and CPU-bound, its
@@ -1548,6 +1803,110 @@ TEST(Occlum, SyscallReturnCheckIgnoresTheSipsPcbDomainId)
             EXPECT_EQ(run.deaths[0].substr(0, bound_range.size()),
                       bound_range);
         }
+    }
+}
+
+/**
+ * An image for a personality that loads at `base` (Linux, EIP): it
+ * calls a routine in its data region that returns 11, read()s over it
+ * through a pipe the bytes of one that returns 22, calls it again and
+ * exits with 100 * first + second.
+ */
+Bytes
+asm_rewrite_by_read(uint64_t base)
+{
+    oelf::Image image;
+    image.heap_size = 1 << 16;
+    image.stack_size = 1 << 14;
+    image.code_reserve = 1 << 16;
+    const uint64_t d_begin = base + image.data_offset();
+    // Data (after the PCB): the pipe's fds, then the routine alone on
+    // the next page, then the replacement's bytes on the one after.
+    const uint64_t fds = d_begin + abi::kPcbSize;
+    const uint64_t routine = d_begin + vm::kPageSize;
+    const uint64_t fresh = d_begin + 2 * vm::kPageSize;
+    auto returning = [](uint64_t at, int64_t value) {
+        isa::Assembler r(at);
+        r.mov_ri(0, value);
+        r.ret();
+        return r.finish();
+    };
+    const Bytes old_code = returning(routine, 11);
+    const Bytes new_code = returning(routine, 22);
+    image.data.assign(3 * vm::kPageSize - abi::kPcbSize, 0);
+    std::copy(old_code.begin(), old_code.end(),
+              image.data.begin() + (routine - fds));
+    std::copy(new_code.begin(), new_code.end(),
+              image.data.begin() + (fresh - fds));
+
+    isa::Assembler a(base + oelf::kTrampSize);
+    auto syscall = [&](abi::Sys num) {
+        a.mov_ri(0, static_cast<int64_t>(num));
+        a.mov_ri(14, static_cast<int64_t>(d_begin));
+        a.load(14, isa::mem_bd(14, abi::kPcbTrampoline));
+        a.call_reg(14);
+        a.cfi_label();
+    };
+    a.cfi_label();
+    a.mov_ri(12, static_cast<int64_t>(routine));
+    a.call_reg(12); // decodes the page: from now on it supplies code
+    a.mov_rr(13, 0);
+    a.mov_ri(1, static_cast<int64_t>(fds));
+    syscall(abi::Sys::kPipe);
+    a.mov_ri(2, static_cast<int64_t>(fds));
+    a.load(1, isa::mem_bd(2, 8));
+    a.mov_ri(2, static_cast<int64_t>(fresh));
+    a.mov_ri(3, static_cast<int64_t>(new_code.size()));
+    syscall(abi::Sys::kWrite);
+    a.mov_ri(2, static_cast<int64_t>(fds));
+    a.load(1, isa::mem_bd(2, 0));
+    a.mov_ri(2, static_cast<int64_t>(routine));
+    a.mov_ri(3, static_cast<int64_t>(new_code.size()));
+    syscall(abi::Sys::kRead);
+    a.mov_ri(12, static_cast<int64_t>(routine));
+    a.call_reg(12);
+    a.mul_ri(13, 100);
+    a.add_rr(13, 0);
+    a.mov_rr(1, 13);
+    syscall(abi::Sys::kExit);
+    image.code = a.finish();
+    return image.serialize();
+}
+
+TEST(Baselines, ReadIntoDecodedRwxPageRunsTheNewCode)
+{
+    // read() stores into the user's pages directly. A store into a
+    // page that has supplied decoded instructions must still advance
+    // the code generation, as write_raw did, so the next call decodes
+    // the bytes the read delivered. EIP maps its data RWX (the SGX 1.0
+    // RWX pool); under Linux the test makes the routine's page RWX.
+    {
+        sgx::Platform platform;
+        host::HostFileStore binaries;
+        binaries.put("rewrite", asm_rewrite_by_read(0x100000000ull));
+        baseline::EipSystem sys(platform, binaries);
+        auto pid = sys.spawn("rewrite", {"rewrite"});
+        ASSERT_TRUE(pid.ok());
+        sys.run();
+        // 1111 if the second call ran the stale decode.
+        EXPECT_EQ(sys.exit_code(pid.value()).value(), 1122);
+    }
+    {
+        SimClock clock;
+        host::HostFileStore binaries;
+        const uint64_t base = 0x10000000;
+        const Bytes bytes = asm_rewrite_by_read(base);
+        binaries.put("rewrite", bytes);
+        baseline::LinuxSystem sys(clock, binaries);
+        auto pid = sys.spawn("rewrite", {"rewrite"});
+        ASSERT_TRUE(pid.ok());
+        vm::AddressSpace &space = *sys.find_process(pid.value())->space;
+        const uint64_t routine =
+            base + oelf::Image::parse(bytes).value().data_offset() +
+            vm::kPageSize;
+        ASSERT_TRUE(space.protect(routine, vm::kPageSize, vm::kPermRWX).ok());
+        sys.run();
+        EXPECT_EQ(sys.exit_code(pid.value()).value(), 1122);
     }
 }
 

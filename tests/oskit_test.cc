@@ -1092,10 +1092,16 @@ TEST(Regression, EfaultReadLeavesStreamIntact)
     // The kernel read data into its bounce buffer *before* checking
     // that the destination was writable; a faulting read() therefore
     // consumed the bytes. Destructive reads must probe first: after
-    // -EFAULT the stream still holds the data.
+    // -EFAULT the stream still holds the data. Reads now copy straight
+    // from the pipe ring or network stream into the user's pages, so
+    // the probe is the resolve of the whole destination: one that
+    // starts mapped and ends on an unmapped page (above the stack, at
+    // the end of the data region) must leave bytes that wrap round the
+    // pipe ring, and a socket's arrived bytes, exactly where they were.
     KernelHarness h;
     EXPECT_EQ(h.run(R"(
 global byte b[8];
+global byte big[65536];
 func main() {
     var fds[2];
     if (pipe(fds) != 0) { return 1; }
@@ -1104,6 +1110,98 @@ func main() {
     if (read(fds[0], b, 8) != 2) { return 4; }  // data survived
     if (bload(b) != 'a') { return 5; }
     if (bload(b + 1) != 'b') { return 6; }
+    // Park the ring's head 4 bytes before its end, then queue 10
+    // bytes that wrap round it.
+    if (write(fds[1], big, 65530) != 65530) { return 7; }
+    if (read(fds[0], big, 65530) != 65530) { return 8; }
+    if (write(fds[1], "0123456789", 10) != 10) { return 9; }
+    var probe[2];
+    var edge = (probe + 4095) & (0 - 4096); // the unmapped page above
+    if (read(fds[0], edge - 4, 10) != -14) { return 10; }
+    if (read(fds[0], edge - 8, 8) != 8) { return 11; } // in bounds
+    if (bload(edge - 8) != '0') { return 12; }
+    if (bload(edge - 1) != '7') { return 13; }
+    if (read(fds[0], b, 8) != 2) { return 14; }
+    if (bload(b) != '8') { return 15; }
+    if (bload(b + 1) != '9') { return 16; }
+    return 0;
+}
+)"),
+              0);
+
+    SimClock clock;
+    host::HostFileStore files;
+    host::NetSim net(clock);
+    baseline::LinuxSystem sys(clock, files, &net);
+    auto out = toolchain::compile(R"(
+global byte b[8];
+global int evs[2];
+func main() {
+    var l = sock_listen(9, 4);
+    var c = sock_connect(9);
+    var s = sock_accept(l);
+    if (s < 0) { return 1; }
+    if (sock_send(c, "hello", 5) != 5) { return 2; }
+    var ep = epoll_create();
+    if (epoll_ctl(ep, 1, s, 0x1) != 0) { return 3; }
+    if (epoll_wait(ep, evs, 1, 0 - 1) != 1) { return 4; } // arrived
+    var probe[2];
+    var edge = (probe + 4095) & (0 - 4096);
+    if (sock_recv(s, edge - 2, 5) != -14) { return 5; }
+    var got = 0;
+    while (got < 5) { // short reads under a fault plan
+        var n = sock_recv(s, b + got, 8 - got);
+        if (n <= 0) { return 6; }
+        got = got + n;
+    }
+    if (bload(b) != 'h') { return 7; }
+    if (bload(b + 4) != 'o') { return 8; }
+    return 0;
+}
+)");
+    ASSERT_TRUE(out.ok());
+    files.put("prog", out.value().image.serialize());
+    auto pid = sys.spawn("prog", {"prog"});
+    ASSERT_TRUE(pid.ok());
+    sys.run();
+    EXPECT_EQ(sys.exit_code(pid.value()).value(), 0);
+}
+
+TEST(Syscalls, DirectCopiesSpanPagesAndTheRingWrap)
+{
+    // write() copies straight from the user's pages into the pipe
+    // ring and read() straight back out. A 3-page source (12000 bytes
+    // from an unaligned start) pushed into a ring whose tail sits 5536
+    // bytes before its end splits at the wrap and at every page
+    // boundary, in a different place on each side; the bytes must come
+    // back intact. The destination is a never-touched global: its lazy
+    // pages are materialized as the bytes land.
+    KernelHarness h;
+    EXPECT_EQ(h.run(R"(
+global byte src[12288];
+global byte filler[60000];
+global byte dst[12288];
+func main() {
+    var fds[2];
+    if (pipe(fds) != 0) { return 1; }
+    var i = 0;
+    while (i < 12288) { bstore(src + i, (i * 7 + 3) & 0xff); i = i + 1; }
+    if (write(fds[1], filler, 60000) != 60000) { return 2; }
+    if (read(fds[0], filler, 60000) != 60000) { return 3; }
+    if (write(fds[1], src + 100, 12000) != 12000) { return 4; }
+    var got = 0;
+    while (got < 12000) {
+        var n = read(fds[0], dst + 37 + got, 12000 - got);
+        if (n <= 0) { return 5; }
+        got = got + n;
+    }
+    i = 0;
+    while (i < 12000) {
+        if (bload(dst + 37 + i) != bload(src + 100 + i)) { return 6; }
+        i = i + 1;
+    }
+    if (bload(dst + 36) != 0) { return 7; }
+    if (bload(dst + 12037) != 0) { return 8; }
     return 0;
 }
 )"),

@@ -178,6 +178,98 @@ TEST(AddressSpace, OnlyPagesThatSuppliedCodeAdvanceTheGeneration)
     EXPECT_GT(space.code_generation(), gen);
 }
 
+TEST(AddressSpace, PagesACacheSizeApartKeepTheirOwnSlots)
+{
+    // An Occlum SIP's first code page and its first data page sit 256
+    // pages apart: the syscall-return check reads one, epoll_wait
+    // writes the other, on every syscall. The trusted accessors' cache
+    // must hold both, so once both are cached a second round of
+    // alternating reads takes no slow lookup.
+    AddressSpace space;
+    const uint64_t code = 0x100002ull * kPageSize;
+    const uint64_t data = code + 256 * kPageSize;
+    ASSERT_TRUE(space.map(code, kPageSize, kPermRX).ok());
+    ASSERT_TRUE(space.map(data, kPageSize, kPermRW).ok());
+    uint64_t v = 0;
+    for (int round = 0; round < 2; ++round) {
+        const uint64_t before = space.kernel_slow_lookups();
+        for (int i = 0; i < 4; ++i) {
+            ASSERT_EQ(space.read_raw(code + 8 * i, &v, 8),
+                      AccessFault::kNone);
+            ASSERT_EQ(space.read_raw(data + 8 * i, &v, 8),
+                      AccessFault::kNone);
+        }
+        EXPECT_EQ(space.kernel_slow_lookups() - before,
+                  round == 0 ? 2u : 0u)
+            << "round " << round;
+    }
+}
+
+TEST(AddressSpace, StraddlingFastAccessesMissWhateverTheNextPageCached)
+{
+    // The fast paths pick a slot by an access's first page and compare
+    // the tag with its last, so consecutive pages must never share a
+    // slot. 0x7fff and 0x8000 are the pair an XOR fold of the high
+    // bits would put in one slot: with the second page's entries warm,
+    // an access straddling into it must still take the two-page path.
+    AddressSpace space;
+    AccessCache mem(space);
+    const uint64_t lo = 0x7fffull * kPageSize;
+    ASSERT_TRUE(space.map(lo, 2 * kPageSize, kPermRW).ok());
+    const uint64_t s = 0xa1a2a3a4b1b2b3b4ull;
+    ASSERT_EQ(space.write_raw(lo + kPageSize - 4, &s, 8), AccessFault::kNone);
+    uint64_t v = 0;
+    uint32_t w = 0;
+    ASSERT_EQ(mem.read_fast<4>(lo + kPageSize, &w), AccessFault::kNone);
+    ASSERT_EQ(mem.write_fast<4>(lo + kPageSize + 4, &w), AccessFault::kNone);
+    ASSERT_EQ(mem.read_fast<8>(lo + kPageSize - 4, &v), AccessFault::kNone);
+    EXPECT_EQ(v, s);
+    const uint64_t t = 0x0102030405060708ull;
+    ASSERT_EQ(mem.write_fast<8>(lo + kPageSize - 4, &t), AccessFault::kNone);
+    ASSERT_EQ(space.read_raw(lo + kPageSize - 4, &v, 8), AccessFault::kNone);
+    EXPECT_EQ(v, t);
+}
+
+TEST(AddressSpace, ResolvedStoresMaterializeAndMarkCodeLikeWriteRaw)
+{
+    // A syscall buffer is resolved once and stored into page by page.
+    // Each store must do what write_raw does to its page: a lazy page
+    // is materialized (and a cache holding its zero-page read entry
+    // sees the bytes after its next sync), and a page that has supplied
+    // decoded bytes advances the code generation; an unmapped page
+    // anywhere in the range fails the resolve before anything moves.
+    AddressSpace space;
+    AccessCache cpu(space);
+    ASSERT_TRUE(space.map(0x10000, 3 * kPageSize, kPermRWX).ok());
+    std::vector<Page *> pages;
+    EXPECT_FALSE(space.resolve_raw(0x10000, 4 * kPageSize, pages));
+    EXPECT_FALSE(space.resolve_raw(~0ull - 8, 16, pages));
+    ASSERT_TRUE(space.resolve_raw(0x10ff8, 16, pages));
+    ASSERT_EQ(pages.size(), 2u);
+
+    uint64_t v = ~0ull;
+    ASSERT_EQ(cpu.read_fast<8>(0x11000, &v), AccessFault::kNone);
+    EXPECT_EQ(v, 0u); // lazy: the zero page
+    EXPECT_EQ(AddressSpace::page_bytes(*pages[1])[0], 0u);
+    const uint64_t bytes[2] = {0x1111111111111111ull, 0x2222222222222222ull};
+    space.store_raw(*pages[0], 0x10ff8, &bytes[0], 8);
+    space.store_raw(*pages[1], 0x11000, &bytes[1], 8);
+    cpu.sync();
+    ASSERT_EQ(cpu.read_fast<8>(0x11000, &v), AccessFault::kNone);
+    EXPECT_EQ(v, bytes[1]);
+    ASSERT_EQ(space.read_raw(0x10ff8, &v, 8), AccessFault::kNone);
+    EXPECT_EQ(v, bytes[0]);
+
+    // Only a page that has supplied decoded bytes moves the clock.
+    const uint64_t gen = space.code_generation();
+    space.store_raw(*pages[0], 0x10ff0, &bytes[0], 8);
+    EXPECT_EQ(space.code_generation(), gen);
+    uint8_t insn[8];
+    ASSERT_EQ(cpu.fetch(0x11000, insn, sizeof(insn)), AccessFault::kNone);
+    space.store_raw(*pages[1], 0x11008, &bytes[1], 8);
+    EXPECT_GT(space.code_generation(), gen);
+}
+
 TEST(AddressSpace, HostTlbFollowsPermsLazyZeroAndCodeBit)
 {
     // The host-pointer TLB caches a read entry (lazy pages: the shared
