@@ -442,7 +442,8 @@ BENCHMARK(BM_PipeRoundTrip);
 /**
  * One proxied page's trip over NetSim: connect, a 27-byte request, a
  * 10 KiB response drained in 4 KiB recvs, then close, with the clock
- * advanced to each arrival.
+ * advanced to each arrival. `live_connections` is what NetSim still
+ * holds after the run: 0, unless a closed connection leaks.
  */
 void
 BM_NetSimRequest(benchmark::State &state)
@@ -481,6 +482,8 @@ BM_NetSimRequest(benchmark::State &state)
         net.close(conn, true);
         benchmark::DoNotOptimize(buf);
     }
+    state.counters["live_connections"] =
+        static_cast<double>(net.live_connections());
     state.SetBytesProcessed(
         state.iterations() *
         static_cast<int64_t>(request.size() + response.size()));

@@ -5,9 +5,11 @@
 # spawn and SPEC-kernel rows match their committed snapshot, so bench
 # or script rot is caught on every push rather than at paper-figure
 # time, runs the build-path, spawn, byte-plane, syscall round-trip and
-# EncFs substrate rows once, then runs perfbench's self-check and
-# sip-storm, gcc-pipeline and http-proxy runs at two seeds. The full
-# (slow) suite is recorded manually via scripts/bench_record.sh.
+# EncFs substrate rows once, then runs perfbench's self-check and one
+# run of every perfbench workload at two seeds, bounds http-proxy's
+# peak RSS, and diffs those runs' sim rows against the newest perfbench
+# snapshot. The full (slow) suites are recorded manually via
+# scripts/bench_record.sh and scripts/bench_snapshot.sh.
 #
 # Usage: scripts/ci_bench_smoke.sh [build-dir]   (default: build-bench)
 set -euo pipefail
@@ -110,26 +112,44 @@ SUBSTRATE="$PWD/$BUILD_DIR/bench/bench_substrate"
 # The smoke snapshots are CI artifacts, not recorded results.
 rm -rf "$OUT_DIR" "bench/results/$LABEL-sb0" "bench/results/$LABEL-cref"
 
-# perfbench self-check: reproduces fig5b gzip.c and bench_smp proxy-c1
-# exactly and runs the oracle checks of all four workloads, so a
-# change that perturbs simulated results fails here. Builds into
-# $CARGO_TARGET_DIR (default .bench_build/); about 3 s once built.
-python3 perfbench/run.py --self-check
+# perfbench: one short snapshot through scripts/bench_snapshot.sh,
+# which first runs perfbench's self-check (fig5b gzip.c and bench_smp
+# proxy-c1 reproduced exactly, and the oracle checks of all four
+# workloads), then one run of every workload at seeds 1 and 20261016.
+# perfbench exits 3, and the snapshot stops, when a later pass does not
+# reproduce pass 0 bit for bit: sip-storm and gcc-pipeline pre-run
+# quanta on host threads, and http-proxy recycles connection slots and
+# network buffers, so a pass that leaves state behind shows here.
+# Builds into $CARGO_TARGET_DIR (default .bench_build/).
+PERF_OUT="$(mktemp -d)"
+trap 'rm -rf "$PERF_OUT"' EXIT
+RUNS=1 TRACED_RUNS=0 SECONDS_PER_RUN=3 \
+    scripts/bench_snapshot.sh "$PERF_OUT/snapshot" > /dev/null
 
-# Pre-run determinism: sip-storm and gcc-pipeline pre-run quanta on
-# host threads, and perfbench exits 3 when a later pass does not
-# reproduce pass 0 bit for bit. Which pre-runs a worker has started
-# when the walk reaches them differs from pass to pass, so a slip in
-# settling or rolling one back shows here only now and then: run a few
-# seconds of passes of each at two seeds. http-proxy runs the syscall
-# path's flat tables, direct copies and recycled network buffers; a
-# pass that leaves state behind for the next one shows the same way.
-for seed in 1 20261016; do
-    python3 perfbench/run.py --workload sip-storm --seed "$seed" \
-        --seconds 5 --trace 0 > /dev/null
-    python3 perfbench/run.py --workload gcc-pipeline --seed "$seed" \
-        --seconds 3 --trace 0 > /dev/null
-    python3 perfbench/run.py --workload http-proxy --seed "$seed" \
-        --seconds 3 --trace 0 > /dev/null
-done
+# Host memory follows live connections: NetSim frees each connection
+# once both sides close, so http-proxy's peak RSS stays near 20 MB
+# (it was 28.5 MB while every accepted connection stayed resident).
+python3 - "$PERF_OUT/snapshot/runs.jsonl" <<'EOF' ||
+import json
+import sys
+
+LIMIT_MB = 24.0
+with open(sys.argv[1]) as f:
+    runs = [json.loads(line) for line in f]
+rss = [run["result"]["metrics"]["host_rss_mb"]["value"] for run in runs
+       if run["workload"] == "http-proxy" and run["seed"] == 1]
+print("http-proxy seed 1 host_rss_mb %s (limit %.0f)" % (rss, LIMIT_MB))
+sys.exit(0 if rss and max(rss) <= LIMIT_MB else 1)
+EOF
+    { echo "smoke failed: http-proxy host_rss_mb over the limit" >&2;
+      exit 1; }
+
+# Sim rows against the newest committed perfbench snapshot (by the
+# date its MANIFEST.txt records): every workload at both seeds must
+# reproduce its simulated metrics exactly.
+NEWEST="$(for json in bench/results/*/perfbench.json; do
+    dir="$(dirname "$json")"
+    echo "$(sed -n 's/^date: *//p' "$dir/MANIFEST.txt") $dir"
+done | sort | tail -n 1 | cut -d ' ' -f 2)"
+python3 scripts/bench_diff.py --sim-only "$NEWEST" "$PERF_OUT/snapshot"
 echo "bench smoke OK"

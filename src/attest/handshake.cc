@@ -165,8 +165,10 @@ Transport::next_arrival() const
 bool
 Transport::peer_drained() const
 {
+    // Closed here means the peer may have freed the connection too.
     return rx_pos_ == rx_.size() &&
-           net_->is_drained(conn_, at_server_, clock_->cycles());
+           (closed_ || net_->is_drained(conn_, at_server_,
+                                        clock_->cycles()));
 }
 
 void

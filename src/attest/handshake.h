@@ -78,12 +78,12 @@ class Transport
     /** Earliest in-flight arrival toward this side (~0 if none). */
     uint64_t next_arrival() const;
 
-    /** True if the peer closed and everything sent was consumed. */
+    /** True if the peer closed and everything sent was consumed, or
+     *  this side closed (the connection is then off limits). */
     bool peer_drained() const;
 
     void close();
     bool closed() const { return closed_; }
-    host::NetSim::Connection *connection() { return conn_; }
 
   private:
     host::NetSim *net_;

@@ -313,6 +313,12 @@ struct UninitAllocator : std::allocator<T> {
  * generator. Models a shared-bandwidth link ("busy-until" semantics)
  * plus a fixed round-trip latency; data chunks become readable at
  * their computed arrival timestamps.
+ *
+ * Connection lifetime: connect() creates the record and gives it a
+ * slot, and the record is freed once both sides have closed it after
+ * it was accepted. So after close(conn, side), that side must never
+ * touch `conn` again: the peer's close may already have freed it. A
+ * connection never accepted lives until the NetSim does.
  */
 class NetSim
 {
@@ -345,7 +351,12 @@ class NetSim
     };
 
     struct Connection {
+        /** Monotonic over the NetSim's life (trace instants print it). */
         int id = 0;
+        /** Index among the live connections, stable for this one's
+         *  life and handed to a later connection once it is freed. */
+        uint32_t slot = 0;
+        bool accepted = false;     // off its listener's queue
         bool open_server = true;   // server side not closed
         bool open_client = true;   // client side not closed
         Stream to_server;
@@ -436,7 +447,18 @@ class NetSim
         return total;
     }
 
+    /** Close one side (idempotent while the record lives). Frees an
+     *  accepted connection's record once both sides are closed. */
     void close(Connection *conn, bool server_side);
+
+    /** Connections not yet freed. */
+    size_t
+    live_connections() const
+    {
+        return connections_.size() - free_slots_.size();
+    }
+    /** Slots ever handed out: the peak of live_connections(). */
+    size_t slot_capacity() const { return connections_.size(); }
 
     /** True if the peer closed and nothing is left to read. */
     bool
@@ -512,13 +534,16 @@ class NetSim
 
     struct Listener {
         int backlog = 16;
-        std::deque<std::pair<std::unique_ptr<Connection>, uint64_t>>
+        std::deque<std::pair<Connection *, uint64_t>>
             pending; // connection + arrival time
     };
 
     SimClock *clock_;
     std::map<uint16_t, Listener> listeners_;
-    std::vector<std::unique_ptr<Connection>> established_;
+    /** Every live connection at its slot; a freed slot is null and
+     *  listed in free_slots_, which the next connect() reuses. */
+    std::vector<std::unique_ptr<Connection>> connections_;
+    std::vector<uint32_t> free_slots_;
     uint64_t link_busy_until_ = 0;
     int next_conn_id_ = 1;
     Events events_;

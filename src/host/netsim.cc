@@ -41,14 +41,23 @@ NetSim::connect(uint16_t port)
         static_cast<size_t>(it->second.backlog)) {
         return Error(ErrorCode::kAgain, "backlog full");
     }
-    auto conn = std::make_unique<Connection>();
-    conn->id = next_conn_id_++;
-    OCC_TRACE_INSTANT(kNet, "net.connect", conn->id);
+    uint32_t slot;
+    if (free_slots_.empty()) {
+        slot = static_cast<uint32_t>(connections_.size());
+        connections_.emplace_back();
+    } else {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+    }
+    connections_[slot] = std::make_unique<Connection>();
+    Connection *raw = connections_[slot].get();
+    raw->id = next_conn_id_++;
+    raw->slot = slot;
+    OCC_TRACE_INSTANT(kNet, "net.connect", raw->id);
     static trace::Counter *ctr = &net_counter("net.connects");
     ctr->add();
-    Connection *raw = conn.get();
     uint64_t arrival = clock_->cycles() + CostModel::kNetRttCycles / 2;
-    it->second.pending.emplace_back(std::move(conn), arrival);
+    it->second.pending.emplace_back(raw, arrival);
     if (events_.on_connect) {
         events_.on_connect(port, arrival);
     }
@@ -65,15 +74,13 @@ NetSim::try_accept(uint16_t port, uint64_t now_cycles)
     if (it->second.pending.front().second > now_cycles) {
         return nullptr;
     }
-    std::unique_ptr<Connection> conn =
-        std::move(it->second.pending.front().first);
+    Connection *conn = it->second.pending.front().first;
     it->second.pending.pop_front();
-    Connection *raw = conn.get();
-    OCC_TRACE_INSTANT(kNet, "net.accept", raw->id);
+    conn->accepted = true;
+    OCC_TRACE_INSTANT(kNet, "net.accept", conn->id);
     static trace::Counter *ctr = &net_counter("net.accepts");
     ctr->add();
-    established_.push_back(std::move(conn));
-    return raw;
+    return conn;
 }
 
 uint64_t
@@ -215,6 +222,13 @@ NetSim::close(Connection *conn, bool server_side)
     open = false;
     if (events_.on_close) {
         events_.on_close(conn, server_side);
+    }
+    // Neither side may touch the record now; a pending one is still
+    // referenced by its listener's queue.
+    if (!conn->open_server && !conn->open_client && conn->accepted) {
+        const uint32_t slot = conn->slot;
+        connections_[slot].reset();
+        free_slots_.push_back(slot);
     }
 }
 

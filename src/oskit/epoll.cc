@@ -8,11 +8,19 @@ namespace occlum::oskit {
 
 EpollObject::~EpollObject()
 {
-    for (Entry &entry : interest_) {
+    release_all();
+}
+
+void
+EpollObject::release_all()
+{
+    interest_.for_each([this](size_t, Entry &entry) {
         if (entry.live) {
             detach_watches(entry);
         }
-    }
+    });
+    interest_.clear();
+    ready_.clear();
 }
 
 void
@@ -60,7 +68,7 @@ EpollObject::release(int fd, Entry &entry)
     if (entry.queued) {
         ready_.remove(fd);
     }
-    entry = Entry{};
+    interest_.release(static_cast<size_t>(fd));
 }
 
 void
@@ -108,16 +116,16 @@ EpollObject::enqueue_candidate(int fd, Entry &entry, uint64_t when)
 bool
 EpollObject::reaches(const EpollObject *target) const
 {
-    for (const Entry &entry : interest_) {
-        if (!entry.live || entry.file->kind() != FileKind::kEpoll) {
-            continue;
+    bool found = false;
+    interest_.for_each([&](size_t, const Entry &entry) {
+        if (found || !entry.live ||
+            entry.file->kind() != FileKind::kEpoll) {
+            return;
         }
         auto *nested = static_cast<const EpollObject *>(entry.file.get());
-        if (nested == target || nested->reaches(target)) {
-            return true;
-        }
-    }
-    return false;
+        found = nested == target || nested->reaches(target);
+    });
+    return found;
 }
 
 void
@@ -159,10 +167,7 @@ EpollObject::add(Kernel &kernel, int fd, const FilePtr &file,
         static_cast<EpollObject *>(file.get())->reaches(this)) {
         return Error(ErrorCode::kLoop, "epoll_ctl: watch cycle");
     }
-    if (static_cast<size_t>(fd) >= interest_.size()) {
-        interest_.resize(static_cast<size_t>(fd) + 1);
-    }
-    Entry &entry = interest_[static_cast<size_t>(fd)];
+    Entry &entry = interest_.claim(static_cast<size_t>(fd));
     entry.live = true;
     entry.file = file;
     entry.edge = (events & static_cast<uint64_t>(abi::kEpollEt)) != 0;
@@ -333,13 +338,7 @@ EpollObject::on_fd_release(Kernel &kernel)
 {
     (void)kernel;
     if (--fd_refs_ == 0) {
-        for (Entry &entry : interest_) {
-            if (entry.live) {
-                detach_watches(entry);
-            }
-        }
-        interest_.clear();
-        ready_.clear();
+        release_all();
     }
 }
 

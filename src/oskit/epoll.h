@@ -28,10 +28,10 @@
 #ifndef OCCLUM_OSKIT_EPOLL_H
 #define OCCLUM_OSKIT_EPOLL_H
 
-#include <deque>
 #include <vector>
 
 #include "oskit/file_object.h"
+#include "oskit/leaf_table.h"
 
 namespace occlum::oskit {
 
@@ -82,6 +82,8 @@ class EpollObject : public FileObject
 
     /** True if `fd` is in the interest list. */
     bool contains(int fd) const { return find(fd) != nullptr; }
+    /** Allocated leaves of the interest list (its memory). */
+    size_t interest_leaves() const { return interest_.leaves(); }
 
     /** Watch-cycle check: can events from `target` reach this epoll? */
     bool reaches(const EpollObject *target) const;
@@ -134,20 +136,16 @@ class EpollObject : public FileObject
 
     /** The live entry of `fd`, or null. */
     Entry *
-    find(int fd)
-    {
-        return fd >= 0 && static_cast<size_t>(fd) < interest_.size() &&
-                       interest_[static_cast<size_t>(fd)].live
-                   ? &interest_[static_cast<size_t>(fd)]
-                   : nullptr;
-    }
-    const Entry *
     find(int fd) const
     {
-        return const_cast<EpollObject *>(this)->find(fd);
+        Entry *entry =
+            fd >= 0 ? interest_.find(static_cast<size_t>(fd)) : nullptr;
+        return entry && entry->live ? entry : nullptr;
     }
     /** Free `entry`: detach its watches, leave the ready list. */
     void release(int fd, Entry &entry);
+    /** Detach every live entry's watches and drop them all. */
+    void release_all();
 
     void attach_watches(int fd, Entry &entry);
     void detach_watches(Entry &entry);
@@ -158,10 +156,10 @@ class EpollObject : public FileObject
 
     /**
      * The interest list, indexed by fd (a dead slot is not `live`). A
-     * deque, because each live entry's EpollWatches are registered on
-     * wait queues by address: growing it at the end moves no entry.
+     * LeafTable: each live entry's EpollWatches are registered on wait
+     * queues by address, and a claimed entry never moves.
      */
-    std::deque<Entry> interest_;
+    LeafTable<Entry> interest_;
     /** Invariant: an fd is on ready_ exactly once while its entry is
      *  live and `queued`, and never otherwise. */
     Ring ready_;

@@ -300,6 +300,9 @@ PipeEnd::poll_ready(Kernel &kernel)
 IoResult
 SocketFile::read_user(Kernel &kernel, IoBuffer &dst)
 {
+    if (!conn_) {
+        return IoResult::ok(0); // closed here: EOF
+    }
     uint64_t next_arrival = ~0ull;
     size_t n = net_->recv_with(
         conn_, at_server_, dst.size(), kernel.clock().cycles(),
@@ -325,9 +328,7 @@ IoResult
 SocketFile::write_user(Kernel &kernel, const IoBuffer &src)
 {
     const uint64_t len = src.size();
-    bool peer_open =
-        at_server_ ? conn_->open_client : conn_->open_server;
-    if (!peer_open) {
+    if (!conn_ || !(at_server_ ? conn_->open_client : conn_->open_server)) {
         // Same default-fatal SIGPIPE shape as pipes (the kernel's
         // epipe_kills() path); a send into a closed connection used
         // to succeed silently.
@@ -352,15 +353,23 @@ SocketFile::on_fd_release(Kernel &kernel)
     // Closing on the first release tore the socket out of the wakeup
     // registry while another SIP still held a live fd: a poller
     // blocked on the surviving descriptor never saw later data.
+    // The close may free the connection (the peer closed first), so
+    // the registry lets go of it before, and this file forgets it
+    // after: an epoll entry can keep the file alive past this point.
     if (--fd_refs_ == 0) {
-        net_->close(conn_, at_server_); // fires on_close → wakes peer
         kernel.socket_closed(conn_, at_server_);
+        net_->close(conn_, at_server_); // fires on_close → wakes peer
+        conn_ = nullptr;
     }
 }
 
 uint64_t
 SocketFile::poll_ready(Kernel &kernel)
 {
+    if (!conn_) {
+        // Closed here: hung up, and reading gives EOF.
+        return static_cast<uint64_t>(abi::kPollHup | abi::kPollIn);
+    }
     uint64_t now = kernel.clock().cycles();
     uint64_t bits = 0;
     bool peer_open =
@@ -382,7 +391,7 @@ uint64_t
 SocketFile::next_event_time(Kernel &kernel)
 {
     (void)kernel;
-    return net_->next_arrival_time(conn_, at_server_);
+    return conn_ ? net_->next_arrival_time(conn_, at_server_) : ~0ull;
 }
 
 // ---------------------------------------------------------------------

@@ -424,11 +424,12 @@ class SocketFile : public FileObject
     uint64_t next_event_time(Kernel &kernel) override;
     bool epipe_kills() const override { return true; }
 
-    host::NetSim::Connection *conn() { return conn_; }
     bool at_server() const { return at_server_; }
 
   private:
     host::NetSim *net_;
+    /** Null once the last fd is released: the connection may be gone,
+     *  and every method reads as closed and drained. */
     host::NetSim::Connection *conn_;
     bool at_server_;
     int fd_refs_ = 0;

@@ -413,7 +413,7 @@ namespace {
 size_t
 socket_slot(const host::NetSim::Connection *conn, bool at_server)
 {
-    return 2 * static_cast<size_t>(conn->id) + at_server;
+    return 2 * static_cast<size_t>(conn->slot) + at_server;
 }
 
 } // namespace

@@ -32,6 +32,7 @@
 #include "base/sim_clock.h"
 #include "oelf/abi.h"
 #include "oskit/file_object.h"
+#include "oskit/leaf_table.h"
 #include "oskit/quantum_pool.h"
 #include "trace/metrics.h"
 #include "vm/cpu.h"
@@ -87,10 +88,11 @@ enum class ProcState {
 };
 
 /**
- * A process's descriptor table: a flat array indexed by fd, a null
- * slot being a free descriptor. Lookup is an index; installing and
- * closing allocate nothing once the array covers the highest fd used.
- * Fds are the `int` the syscall layer truncates its argument to.
+ * A process's descriptor table: a LeafTable indexed by fd, a null slot
+ * being a free descriptor. Lookup is two indexes; memory follows the
+ * descriptors open, so a dup2 far up costs one leaf, not the span
+ * below it. Fds are the `int` the syscall layer truncates its
+ * argument to.
  */
 class FdTable
 {
@@ -103,41 +105,39 @@ class FdTable
     FileObject *
     get(int fd) const
     {
-        return fd >= 0 && static_cast<size_t>(fd) < slots_.size()
-                   ? slots_[static_cast<size_t>(fd)].get()
-                   : nullptr;
+        const FilePtr *slot = find(fd);
+        return slot ? slot->get() : nullptr;
     }
     /** get() as a strong reference (null if not open). */
     FilePtr
     ref(int fd) const
     {
-        return get(fd) ? slots_[static_cast<size_t>(fd)] : nullptr;
+        const FilePtr *slot = find(fd);
+        return slot ? *slot : nullptr;
     }
     bool contains(int fd) const { return get(fd) != nullptr; }
 
-    /** Install `file` at `fd` (0 <= fd), replacing nothing: the slot
-     *  must be free. */
+    /** Install `file` at `fd` (0 <= fd < kLimit), replacing nothing:
+     *  the slot must be free. */
     void
     set(int fd, FilePtr file)
     {
-        if (static_cast<size_t>(fd) >= slots_.size()) {
-            slots_.resize(static_cast<size_t>(fd) + 1);
-        }
-        slots_[static_cast<size_t>(fd)] = std::move(file);
+        slots_.claim(static_cast<size_t>(fd)) = std::move(file);
     }
-    /** Free `fd`, returning what was open there. */
+    /** Free the open `fd`, returning what was open there. */
     FilePtr
     take(int fd)
     {
-        return std::move(slots_[static_cast<size_t>(fd)]);
+        FilePtr file = std::move(*slots_.find(static_cast<size_t>(fd)));
+        slots_.release(static_cast<size_t>(fd));
+        return file;
     }
 
     /** The lowest free descriptor at or above `from`. */
     int
     lowest_free(int from) const
     {
-        while (static_cast<size_t>(from) < slots_.size() &&
-               slots_[static_cast<size_t>(from)]) {
+        while (get(from)) {
             ++from;
         }
         return from;
@@ -148,17 +148,26 @@ class FdTable
     void
     for_each(Fn &&fn) const
     {
-        for (size_t fd = 0; fd < slots_.size(); ++fd) {
-            if (slots_[fd]) {
-                fn(static_cast<int>(fd), slots_[fd]);
+        slots_.for_each([&fn](size_t fd, const FilePtr &file) {
+            if (file) {
+                fn(static_cast<int>(fd), file);
             }
-        }
+        });
     }
 
     void clear() { slots_.clear(); }
 
+    /** Allocated leaves of LeafTable::kLeafSize slots each. */
+    size_t leaves() const { return slots_.leaves(); }
+
   private:
-    std::vector<FilePtr> slots_;
+    const FilePtr *
+    find(int fd) const
+    {
+        return fd >= 0 ? slots_.find(static_cast<size_t>(fd)) : nullptr;
+    }
+
+    LeafTable<FilePtr> slots_;
 };
 
 /**
@@ -848,7 +857,9 @@ class Kernel
     std::map<int, WaitQueue> pid_waiters_;
 
     /** Live sockets by (connection, at_server), for NetSim events: the
-     *  slot 2 * Connection::id + at_server, null when none. */
+     *  slot 2 * Connection::slot + at_server, null when none. NetSim
+     *  recycles connection slots, so this follows the peak number of
+     *  live connections, not every connection ever opened. */
     std::vector<FileObject *> socket_registry_;
     FileObject *socket_at(const host::NetSim::Connection *conn,
                           bool at_server) const;
@@ -861,6 +872,8 @@ class Kernel
                          FileObject *file);
     void socket_closed(host::NetSim::Connection *conn, bool at_server);
     void listener_closed(uint16_t port);
+    /** Entries the socket registry holds (two per connection slot). */
+    size_t socket_registry_size() const { return socket_registry_.size(); }
 };
 
 } // namespace occlum::oskit

@@ -1286,6 +1286,170 @@ TEST(SyscallPath, SmallProxyMatchesTheParentAtOneAndFourCores)
     }
 }
 
+// ---- connection lifetime: host memory follows live connections ----------
+
+/** An Occlum system with a NetSim, for SIPs on both ends of sockets. */
+struct NetHarness {
+    sgx::Platform platform;
+    host::NetSim net{platform.clock()};
+    host::HostFileStore binaries;
+    std::unique_ptr<OcclumSystem> sys;
+
+    NetHarness()
+    {
+        OcclumSystem::Config config;
+        config.num_slots = 4;
+        config.verifier_key = vkey();
+        sys = std::make_unique<OcclumSystem>(platform, binaries, config,
+                                             &net);
+    }
+
+    int64_t
+    run_main(const std::string &source)
+    {
+        binaries.put("main", build_signed(source));
+        auto pid = sys->spawn("main", {"main"});
+        EXPECT_TRUE(pid.ok());
+        if (!pid.ok()) return -999;
+        sys->run();
+        auto code = sys->exit_code(pid.value());
+        return code.ok() ? code.value() : -998;
+    }
+};
+
+TEST(ConnectionLifetime, SequentialConnectionsKeepTablesAtTheLiveCount)
+{
+    // 10^5 connect/accept/close cycles, closing either side first. A
+    // connection is freed at its second close and its slot reused, so
+    // NetSim and the kernel's socket registry never outgrow the one
+    // connection live at a time.
+    NetHarness h;
+    EXPECT_EQ(h.run_main(R"(
+func main() {
+    var l = sock_listen(7000, 4);
+    if (l < 0) { return 1; }
+    var i = 0;
+    while (i < 100000) {
+        var c = sock_connect(7000);
+        var a = sock_accept(l);
+        if (c < 0 || a < 0) { return 2; }
+        if (i & 1) {
+            close(a);
+            close(c);
+        } else {
+            close(c);
+            close(a);
+        }
+        i = i + 1;
+    }
+    return 0;
+}
+)"),
+              0);
+    EXPECT_EQ(h.net.live_connections(), 0u);
+    EXPECT_EQ(h.net.slot_capacity(), 1u);
+    EXPECT_LE(h.sys->socket_registry_size(), 2u);
+}
+
+TEST(ConnectionLifetime, PollingPeerSeesHangupAtTheLastClose)
+{
+    // The client holds its end at two fds. Closing the first leaves
+    // the connection up (a byte still goes through the second); the
+    // server's blocked poll sees the hangup only at the last close,
+    // and the connection is freed once the server closes too.
+    NetHarness h;
+    h.binaries.put("client", build_signed(R"(
+func main() {
+    var c = sock_connect(7001);
+    if (c < 0) { return 1; }
+    if (dup2(c, 9) != 9) { return 2; }
+    close(c);
+    poll(0, 0, 1000000);  // 1 ms with one fd still open
+    if (sock_send(9, "x", 1) != 1) { return 3; }
+    poll(0, 0, 1000000);
+    close(9);
+    return 0;
+}
+)"));
+    EXPECT_EQ(h.run_main(R"(
+global byte client[8] = "client";
+global byte b[4];
+func main() {
+    var l = sock_listen(7001, 4);
+    var argvv[1];
+    argvv[0] = client;
+    var pid = spawn(client, argvv, 1);
+    if (pid < 0) { return 1; }
+    var a = sock_accept(l);
+    if (a < 0) { return 2; }
+    var pfd[3];
+    pfd[0] = a;
+    pfd[1] = 0x1;
+    pfd[2] = 0;
+    if (poll(pfd, 1, 0 - 1) != 1) { return 3; }
+    if (pfd[2] & 0x10) { return 4; }   // one client fd is still open
+    if (sock_recv(a, b, 4) != 1) { return 5; }
+    pfd[2] = 0;
+    if (poll(pfd, 1, 0 - 1) != 1) { return 6; }
+    if ((pfd[2] & 0x10) == 0) { return 7; }
+    if (sock_recv(a, b, 4) != 0) { return 8; }  // EOF
+    close(a);
+    return waitpid(pid);
+}
+)"),
+              0);
+    EXPECT_EQ(h.net.live_connections(), 0u);
+}
+
+TEST(ConnectionLifetime, EpollEntryOutlivesTheSocketsLastFd)
+{
+    // The parent hands its epoll set to a child and drops its own fd
+    // of it, then closes both ends of a watched connection: the
+    // epoll entry's reference keeps the server SocketFile alive while
+    // NetSim frees the connection. The child's epoll_wait must report
+    // a hangup without reading the freed record (ASan checks this).
+    NetHarness h;
+    h.binaries.put("waiter", build_signed(R"(
+global byte b[4];
+global int evs[8];
+func main() {
+    if (read(1, b, 1) != 1) { return 1; }  // parent closed everything
+    if (epoll_wait(0, evs, 4, 0 - 1) != 1) { return 2; }
+    if ((evs[1] & 0x10) == 0) { return 3; }
+    return 0;
+}
+)"));
+    EXPECT_EQ(h.run_main(R"(
+global byte waiter[8] = "waiter";
+func main() {
+    var l = sock_listen(7002, 4);
+    var c = sock_connect(7002);
+    var a = sock_accept(l);
+    if (c < 0 || a < 0) { return 1; }
+    var ep = epoll_create();
+    if (epoll_ctl(ep, 1, a, 0x1) != 0) { return 2; }
+    if (sock_send(c, "x", 1) != 1) { return 3; }  // queues the entry
+    var fds[2];
+    if (pipe(fds) != 0) { return 4; }
+    var argvv[1];
+    argvv[0] = waiter;
+    var io3[3];
+    io3[0] = ep;
+    io3[1] = fds[0];
+    io3[2] = 0 - 1;
+    var pid = spawn_io(waiter, argvv, 1, io3);
+    if (pid < 0) { return 5; }
+    close(ep);
+    close(a);
+    close(c);
+    if (write(fds[1], "g", 1) != 1) { return 6; }
+    return waitpid(pid);
+}
+)"),
+              0);
+    EXPECT_EQ(h.net.live_connections(), 0u);
+}
+
 TEST(PreRun, KilledSiblingsPreRunLeavesNoTrace)
 {
     // pid 1 computes, then kills pid 3 — runnable and CPU-bound, its

@@ -14,6 +14,7 @@
 #include "base/rng.h"
 #include "baseline/linux_system.h"
 #include "faultsim/faultsim.h"
+#include "oskit/epoll.h"
 #include "oskit/loader.h"
 #include "toolchain/minic.h"
 #include "trace/metrics.h"
@@ -1643,6 +1644,76 @@ TEST(Regression, EpollWaitAcrossPageHoleKeepsEdgeState)
     // And the edge is now consumed: nothing further to report.
     r = h.kernel.sys(h.proc, abi::Sys::kEpollWait, good_args);
     ASSERT_TRUE(r && *r == 0);
+}
+
+TEST(Regression, FarDescriptorCostsOneLeafPerTable)
+{
+    // dup2 may name any fd below FdTable::kLimit. The fd table and an
+    // epoll interest list must pay for the descriptors in use, not for
+    // the span below the highest one: fd 2^20-1 costs each table at
+    // most one more leaf, and closing it gives the leaf back.
+    HoleyHarness h;
+    h.proc.pid = 1;
+    uint64_t pipe_args[abi::kSyscallArgs] = {0x1000};
+    auto r = h.kernel.sys(h.proc, abi::Sys::kPipe, pipe_args); // 0, 1
+    ASSERT_TRUE(r && *r == 0);
+    uint64_t create_args[abi::kSyscallArgs] = {};
+    r = h.kernel.sys(h.proc, abi::Sys::kEpollCreate, create_args);
+    ASSERT_TRUE(r && *r == 2);
+    auto *ep = static_cast<EpollObject *>(h.proc.fds.get(2));
+    const uint64_t in = static_cast<uint64_t>(abi::kPollIn);
+    uint64_t add_low[abi::kSyscallArgs] = {2, abi::kEpollCtlAdd, 0, in};
+    r = h.kernel.sys(h.proc, abi::Sys::kEpollCtl, add_low);
+    ASSERT_TRUE(r && *r == 0);
+    const size_t fd_leaves = h.proc.fds.leaves();
+    const size_t interest_leaves = ep->interest_leaves();
+    EXPECT_EQ(fd_leaves, 1u);
+    EXPECT_EQ(interest_leaves, 1u);
+
+    const uint64_t far = FdTable::kLimit - 1;
+    uint64_t dup_args[abi::kSyscallArgs] = {0, far};
+    r = h.kernel.sys(h.proc, abi::Sys::kDup2, dup_args);
+    ASSERT_TRUE(r && *r == static_cast<int64_t>(far));
+    uint64_t add_far[abi::kSyscallArgs] = {2, abi::kEpollCtlAdd, far, in};
+    r = h.kernel.sys(h.proc, abi::Sys::kEpollCtl, add_far);
+    ASSERT_TRUE(r && *r == 0);
+    EXPECT_LE(h.proc.fds.leaves(), fd_leaves + 1);
+    EXPECT_LE(ep->interest_leaves(), interest_leaves + 1);
+    EXPECT_TRUE(ep->contains(static_cast<int>(far)));
+    EXPECT_EQ(h.proc.alloc_fd(), 3); // lowest-free is unchanged
+
+    uint64_t close_args[abi::kSyscallArgs] = {far};
+    r = h.kernel.sys(h.proc, abi::Sys::kClose, close_args);
+    ASSERT_TRUE(r && *r == 0);
+    EXPECT_EQ(h.proc.fds.leaves(), fd_leaves);
+    EXPECT_EQ(ep->interest_leaves(), interest_leaves);
+    EXPECT_FALSE(ep->contains(static_cast<int>(far)));
+}
+
+TEST(LeafTableTest, FirstLeafShortcutFollowsItsLeaf)
+{
+    // find() below kLeafSize skips the directory; the shortcut must
+    // go when leaf 0 is freed and come back when it is reclaimed.
+    LeafTable<int> table;
+    EXPECT_EQ(table.find(3), nullptr);
+    table.claim(3) = 7;
+    table.claim(600) = 8;
+    ASSERT_NE(table.find(3), nullptr);
+    EXPECT_EQ(*table.find(3), 7);
+    EXPECT_EQ(*table.find(600), 8);
+    EXPECT_EQ(table.leaves(), 2u);
+
+    table.release(3);
+    EXPECT_EQ(table.leaves(), 1u);
+    EXPECT_EQ(table.find(3), nullptr);
+    table.claim(5) = 9;
+    EXPECT_EQ(*table.find(5), 9);
+    EXPECT_EQ(*table.find(3), 0); // a fresh leaf, not the freed one
+
+    table.clear();
+    EXPECT_EQ(table.leaves(), 0u);
+    EXPECT_EQ(table.find(5), nullptr);
+    EXPECT_EQ(table.find(600), nullptr);
 }
 
 // ---- fd lifecycle under dup2 (PR 9 bugfix sweep) ----------------------
