@@ -27,7 +27,11 @@ install_all(Store &files, bool occlum_flavor,
             const std::map<std::string, workloads::ProgramBuild> &builds)
 {
     for (const auto &[name, build] : builds) {
-        files.put(name, occlum_flavor ? build.occlum : build.plain);
+        if (occlum_flavor) {
+            files.put(name, build.occlum);
+        } else {
+            files.put(name, build.plain);
+        }
     }
 }
 

@@ -114,7 +114,7 @@ main()
             workloads::spec_kernel_source(name), 0, 2 << 20);
         CacheStats cache;
         double plain = run_kernel(build.plain, &cache);
-        double sfi = run_kernel(build.occlum, &cache);
+        double sfi = run_kernel(build.occlum.bytes(), &cache);
         double overhead = sfi / plain - 1.0;
         double lookups = static_cast<double>(cache.hits + cache.misses);
         double hit_rate =
@@ -126,9 +126,9 @@ main()
         constexpr int kReps = 3;
         CacheStats sb_stats;
         double wall_t1 =
-            best_wall(build.occlum, vm::Tier::kBlocks, kReps, sfi);
+            best_wall(build.occlum.bytes(), vm::Tier::kBlocks, kReps, sfi);
         double wall_t2 =
-            best_wall(build.occlum, vm::Tier::kTraces, kReps, sfi, &sb_stats);
+            best_wall(build.occlum.bytes(), vm::Tier::kTraces, kReps, sfi, &sb_stats);
         double sb_speedup = wall_t2 > 0 ? wall_t1 / wall_t2 : 0.0;
         total_wall_t1 += wall_t1;
         total_wall_t2 += wall_t2;

@@ -6,10 +6,11 @@
 # or script rot is caught on every push rather than at paper-figure
 # time, runs the build-path, spawn, byte-plane, syscall round-trip and
 # EncFs substrate rows once, then runs perfbench's self-check and one
-# run of every perfbench workload at two seeds, bounds http-proxy's
-# peak RSS, and diffs those runs' sim rows against the newest perfbench
-# snapshot. The full (slow) suites are recorded manually via
-# scripts/bench_record.sh and scripts/bench_snapshot.sh.
+# run of every perfbench workload at two seeds, runs the pair runner
+# once, bounds http-proxy's peak RSS, and diffs those runs' sim rows
+# against the newest perfbench snapshot. The full (slow) suites are
+# recorded manually via scripts/bench_record.sh and
+# scripts/bench_snapshot.sh.
 #
 # Usage: scripts/ci_bench_smoke.sh [build-dir]   (default: build-bench)
 set -euo pipefail
@@ -125,6 +126,11 @@ PERF_OUT="$(mktemp -d)"
 trap 'rm -rf "$PERF_OUT"' EXIT
 RUNS=1 TRACED_RUNS=0 SECONDS_PER_RUN=3 \
     scripts/bench_snapshot.sh "$PERF_OUT/snapshot" > /dev/null
+
+# The pair runner, on one pair of 1 s runs of the same binary.
+PERFBENCH="${CARGO_TARGET_DIR:-.bench_build}/perfbench/perfbench"
+python3 scripts/bench_pairs.py --pairs 1 --seconds 1 --workload sip-storm \
+    --seed 1 "$PERFBENCH" "$PERFBENCH"
 
 # Host memory follows live connections: NetSim frees each connection
 # once both sides close, so http-proxy's peak RSS stays near 20 MB

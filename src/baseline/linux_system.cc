@@ -142,7 +142,7 @@ LinuxSystem::fs_open(oskit::Process &proc, const std::string &path,
         if (!(flags & abi::kOpenCreate)) {
             return Error(ErrorCode::kNoEnt, "no such file: " + path);
         }
-        binaries().put(path, {});
+        binaries().put(path, Bytes{});
     }
     return oskit::FilePtr(
         std::make_shared<ExtFile>(&binaries(), path, flags));

@@ -25,6 +25,7 @@
 #include "base/sim_clock.h"
 #include "crypto/sha256.h"
 #include "faultsim/faultsim.h"
+#include "oelf/oelf.h"
 
 namespace occlum::host {
 
@@ -40,8 +41,10 @@ namespace occlum::host {
  * spares the host re-hashing bytes that have not changed, and it
  * holds a digest, never a verdict. get_mutable() hands out a raw
  * pointer whose writes the store cannot see, so from then on the
- * entry is unversioned and nothing is memoized for it. The store
- * takes no lock: the kernel uses it only on the walk's thread.
+ * entry is unversioned and nothing is memoized for it. A put() of an
+ * oelf::SignedBinary memoizes the digest the build signed, so the
+ * first spawn after a build hashes nothing either. The store takes no
+ * lock: the kernel uses it only on the walk's thread.
  */
 class HostFileStore
 {
@@ -52,14 +55,23 @@ class HostFileStore
     void
     put(const std::string &path, Bytes content)
     {
-        auto [it, fresh] = files_.try_emplace(path);
-        it->second.bytes = std::move(content);
-        if (fresh) {
-            it->second.identity = ++next_identity_;
-        }
-        // An entry get_mutable() handed out stays unversioned.
-        if (fresh || it->second.version != kUnversioned) {
-            it->second.version = ++next_version_;
+        store(path, std::move(content));
+    }
+
+    /**
+     * put() a verifier-built binary and memoize its signed digest at
+     * the version this put creates. Only the trusted build makes a
+     * SignedBinary, so the digest is that of the Image its bytes parse
+     * to; the memo is a digest, never a verdict, and is dropped like
+     * any other by the next put, get_mutable or remove.
+     */
+    void
+    put(const std::string &path, const oelf::SignedBinary &binary)
+    {
+        Entry &entry = store(path, binary.bytes());
+        if (entry.version != kUnversioned) {
+            entry.digest = binary.digest();
+            entry.digest_version = entry.version;
         }
     }
 
@@ -136,6 +148,7 @@ class HostFileStore
         if (current && it->second.digest_version == version) {
             return it->second.digest;
         }
+        ++memo_misses_;
         crypto::Sha256Digest digest = compute();
         if (current) {
             it->second.digest = digest;
@@ -143,6 +156,9 @@ class HostFileStore
         }
         return digest;
     }
+
+    /** memoized_digest() calls that had to call `compute`. */
+    uint64_t memo_misses() const { return memo_misses_; }
 
   private:
     struct Entry {
@@ -153,6 +169,22 @@ class HostFileStore
         crypto::Sha256Digest digest{};
     };
 
+    /** Both put()s: replace the bytes and draw a fresh version. */
+    Entry &
+    store(const std::string &path, Bytes content)
+    {
+        auto [it, fresh] = files_.try_emplace(path);
+        it->second.bytes = std::move(content);
+        if (fresh) {
+            it->second.identity = ++next_identity_;
+        }
+        // An entry get_mutable() handed out stays unversioned.
+        if (fresh || it->second.version != kUnversioned) {
+            it->second.version = ++next_version_;
+        }
+        return it->second;
+    }
+
     static Error
     no_entry(const std::string &path)
     {
@@ -162,6 +194,7 @@ class HostFileStore
     std::map<std::string, Entry> files_;
     uint64_t next_version_ = kUnversioned;
     uint64_t next_identity_ = 0;
+    uint64_t memo_misses_ = 0;
 };
 
 /**
@@ -316,9 +349,9 @@ struct UninitAllocator : std::allocator<T> {
  *
  * Connection lifetime: connect() creates the record and gives it a
  * slot, and the record is freed once both sides have closed it after
- * it was accepted. So after close(conn, side), that side must never
- * touch `conn` again: the peer's close may already have freed it. A
- * connection never accepted lives until the NetSim does.
+ * it left its listener's queue (accepted, or refused by unlisten()).
+ * So after close(conn, side), that side must never touch `conn`
+ * again: the peer's close may already have freed it.
  */
 class NetSim
 {
@@ -356,7 +389,7 @@ class NetSim
         /** Index among the live connections, stable for this one's
          *  life and handed to a later connection once it is freed. */
         uint32_t slot = 0;
-        bool accepted = false;     // off its listener's queue
+        bool queued = true;        // on its listener's queue
         bool open_server = true;   // server side not closed
         bool open_client = true;   // client side not closed
         Stream to_server;
@@ -365,6 +398,14 @@ class NetSim
 
     /** Create a listener; returns false if the port is taken. */
     bool listen(uint16_t port, int backlog);
+
+    /**
+     * Remove the port's listener: later connects are refused, and each
+     * connection still queued is refused too. Its server side closes
+     * (the client sees a hangup), and it is freed once the client
+     * closes, or at once if the client already has.
+     */
+    void unlisten(uint16_t port);
 
     /** Client side: initiate a connection (completes after RTT/2). */
     Result<Connection *> connect(uint16_t port);
@@ -447,8 +488,8 @@ class NetSim
         return total;
     }
 
-    /** Close one side (idempotent while the record lives). Frees an
-     *  accepted connection's record once both sides are closed. */
+    /** Close one side (idempotent while the record lives). Frees the
+     *  record of one off its listener's queue once both are closed. */
     void close(Connection *conn, bool server_side);
 
     /** Connections not yet freed. */
@@ -537,6 +578,10 @@ class NetSim
         std::deque<std::pair<Connection *, uint64_t>>
             pending; // connection + arrival time
     };
+
+    /** Free `conn`'s record if both sides are closed and it is off
+     *  its listener's queue; no one may touch it after that. */
+    void free_if_done(Connection *conn);
 
     SimClock *clock_;
     std::map<uint16_t, Listener> listeners_;

@@ -30,6 +30,26 @@ NetSim::listen(uint16_t port, int backlog)
     return true;
 }
 
+void
+NetSim::unlisten(uint16_t port)
+{
+    auto it = listeners_.find(port);
+    if (it == listeners_.end()) {
+        return;
+    }
+    const auto pending = std::move(it->second.pending);
+    listeners_.erase(it);
+    for (const auto &[conn, arrival] : pending) {
+        conn->queued = false;
+        if (conn->open_server) {
+            close(conn, true);
+        } else {
+            // close() would return at once for a closed side.
+            free_if_done(conn);
+        }
+    }
+}
+
 Result<NetSim::Connection *>
 NetSim::connect(uint16_t port)
 {
@@ -76,7 +96,7 @@ NetSim::try_accept(uint16_t port, uint64_t now_cycles)
     }
     Connection *conn = it->second.pending.front().first;
     it->second.pending.pop_front();
-    conn->accepted = true;
+    conn->queued = false;
     OCC_TRACE_INSTANT(kNet, "net.accept", conn->id);
     static trace::Counter *ctr = &net_counter("net.accepts");
     ctr->add();
@@ -223,9 +243,15 @@ NetSim::close(Connection *conn, bool server_side)
     if (events_.on_close) {
         events_.on_close(conn, server_side);
     }
-    // Neither side may touch the record now; a pending one is still
+    free_if_done(conn);
+}
+
+void
+NetSim::free_if_done(Connection *conn)
+{
+    // Neither side may touch the record now; a queued one is still
     // referenced by its listener's queue.
-    if (!conn->open_server && !conn->open_client && conn->accepted) {
+    if (!conn->open_server && !conn->open_client && !conn->queued) {
         const uint32_t slot = conn->slot;
         connections_[slot].reset();
         free_slots_.push_back(slot);

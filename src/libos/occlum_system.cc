@@ -269,8 +269,9 @@ OcclumSystem::create_process(const std::string &path,
 
     // The loader only accepts binaries verified and signed by the
     // Occlum verifier (paper §6). The digest of unchanged host bytes
-    // may come from the store's memo; the HMAC under this system's
-    // key and the compare run on every spawn (DESIGN.md §3.5).
+    // may come from the store's memo, seeded by the build's put or
+    // filled by an earlier spawn; the HMAC under this system's key and
+    // the compare run on every spawn (DESIGN.md §3.5).
     if (config_.check_signatures) {
         if (!(image.flags & oelf::kFlagInstrumented) ||
             !image.check_signature(

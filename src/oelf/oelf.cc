@@ -186,13 +186,14 @@ Image::content_digest() const
     return hasher.finish();
 }
 
-void
+crypto::Sha256Digest
 Image::sign(const crypto::Key128 &key)
 {
     crypto::Sha256Digest digest = content_digest();
     signature = crypto::hmac_sha256(key.data(), key.size(), digest.data(),
                                     digest.size());
     has_signature = true;
+    return digest;
 }
 
 bool

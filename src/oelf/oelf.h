@@ -36,6 +36,10 @@
 #include "crypto/hmac.h"
 #include "vm/address_space.h"
 
+namespace occlum::verifier {
+class Verifier;
+} // namespace occlum::verifier
+
 namespace occlum::oelf {
 
 /** Size of the guard regions G1/G2 (paper §6 sets them to 4 KiB). */
@@ -147,8 +151,11 @@ struct Image {
      */
     crypto::Sha256Digest content_digest() const;
 
-    /** Sign with the given verifier key (HMAC over content digest). */
-    void sign(const crypto::Key128 &key);
+    /**
+     * Sign with the given verifier key (HMAC over content digest).
+     * Returns the content digest it signed.
+     */
+    crypto::Sha256Digest sign(const crypto::Key128 &key);
 
     /** Check the signature against `key`. */
     bool check_signature(const crypto::Key128 &key) const;
@@ -160,6 +167,60 @@ struct Image {
      */
     bool check_signature(const crypto::Key128 &key,
                          const crypto::Sha256Digest &digest) const;
+};
+
+/**
+ * The serialized bytes of a verifier-signed image and the content
+ * digest its signature covers, which is the content_digest() of the
+ * Image those bytes parse to. Only SignedImage::serialize() makes one
+ * with bytes, so the two always agree and a host store may take the
+ * digest as its memo (host::HostFileStore::put). A default-constructed
+ * one holds no bytes, which no spawn parses.
+ */
+class SignedBinary
+{
+  public:
+    SignedBinary() = default;
+
+    const Bytes &bytes() const { return bytes_; }
+    const crypto::Sha256Digest &digest() const { return digest_; }
+    size_t size() const { return bytes_.size(); }
+
+  private:
+    friend class SignedImage;
+    SignedBinary(Bytes bytes, const crypto::Sha256Digest &digest)
+        : bytes_(std::move(bytes)), digest_(digest)
+    {}
+
+    Bytes bytes_;
+    crypto::Sha256Digest digest_{};
+};
+
+/**
+ * An Image the verifier approved and signed, with the content digest
+ * the signature covers. Only verifier::Verifier makes one, and the
+ * Image stays read-only, so the digest stays its content_digest().
+ */
+class SignedImage
+{
+  public:
+    const Image &image() const { return image_; }
+    const crypto::Sha256Digest &digest() const { return digest_; }
+
+    /** serialize() of the image, carrying its digest. */
+    SignedBinary serialize() const
+    {
+        return SignedBinary(image_.serialize(), digest_);
+    }
+
+  private:
+    friend class verifier::Verifier;
+    SignedImage(Image image, const crypto::Sha256Digest &digest)
+        : image_(std::move(image)), digest_(digest)
+    {}
+
+    Image image_;
+    crypto::Sha256Digest digest_{};
 };
 
 } // namespace occlum::oelf

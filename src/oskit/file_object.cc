@@ -402,7 +402,7 @@ void
 ListenerFile::on_fd_release(Kernel &kernel)
 {
     // The listener is shared across master and workers through fd
-    // inheritance; only the last close unregisters the port.
+    // inheritance; only the last close gives up the port.
     if (--fd_refs_ == 0) {
         kernel.listener_closed(port_);
     }
@@ -411,6 +411,11 @@ ListenerFile::on_fd_release(Kernel &kernel)
 uint64_t
 ListenerFile::poll_ready(Kernel &kernel)
 {
+    // Closed (an epoll entry may outlive the fds): the port may be
+    // another listener's now.
+    if (fd_refs_ == 0) {
+        return 0;
+    }
     return net_->next_accept_time(port_) <= kernel.clock().cycles()
                ? static_cast<uint64_t>(abi::kPollIn)
                : 0;
@@ -420,7 +425,7 @@ uint64_t
 ListenerFile::next_event_time(Kernel &kernel)
 {
     (void)kernel;
-    return net_->next_accept_time(port_);
+    return fd_refs_ == 0 ? ~0ull : net_->next_accept_time(port_);
 }
 
 } // namespace occlum::oskit

@@ -449,6 +449,7 @@ void
 Kernel::listener_closed(uint16_t port)
 {
     listener_registry_.erase(port);
+    net_->unlisten(port);
 }
 
 void

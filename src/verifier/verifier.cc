@@ -937,7 +937,7 @@ Verifier::verify(const oelf::Image &image) const
     return analysis.run();
 }
 
-Result<oelf::Image>
+Result<oelf::SignedImage>
 Verifier::verify_and_sign(oelf::Image image) const
 {
     VerifyReport report = verify(image);
@@ -947,8 +947,8 @@ Verifier::verify_and_sign(oelf::Image image) const
                          std::to_string(report.failed_stage) +
                          "): " + report.reason);
     }
-    image.sign(key_);
-    return image;
+    const crypto::Sha256Digest digest = image.sign(key_);
+    return oelf::SignedImage(std::move(image), digest);
 }
 
 } // namespace occlum::verifier

@@ -75,11 +75,12 @@ class Verifier
     VerifyReport verify(const oelf::Image &image) const;
 
     /**
-     * verify() and, on success, sign `image` in place and return it.
+     * verify() and, on success, sign `image` and return it with the
+     * content digest the signature covers (hashed once, by the sign).
      * Taken by value so a caller that moves its image in copies
      * nothing image-sized.
      */
-    Result<oelf::Image> verify_and_sign(oelf::Image image) const;
+    Result<oelf::SignedImage> verify_and_sign(oelf::Image image) const;
 
     const crypto::Key128 &key() const { return key_; }
 

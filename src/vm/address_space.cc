@@ -167,8 +167,7 @@ AddressSpace::advance_epoch(AccessCache &by)
 void
 AddressSpace::materialize(AccessCache &cache, uint64_t page_no, Page &page)
 {
-    page.data = std::make_unique<uint8_t[]>(kPageSize);
-    std::memset(page.data.get(), 0, kPageSize);
+    page.data = std::make_unique<uint8_t[]>(kPageSize); // zeroed
     // Read entries of the lazy page still name the zero page.
     cache.drop(page_no);
     advance_epoch(cache);

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "crypto/hmac.h"
+#include "oelf/oelf.h"
 #include "toolchain/minic.h"
 
 namespace occlum::workloads {
@@ -27,8 +28,10 @@ crypto::Key128 bench_verifier_key();
 
 /** Build variants of one program for the three systems. */
 struct ProgramBuild {
-    Bytes occlum; // instrumented (+optimizations), verified, signed
-    Bytes plain;  // uninstrumented (Linux model, EIP baseline)
+    /** Instrumented (+optimizations), verified, signed; carries the
+     *  digest the verifier signed, for HostFileStore::put to memoize. */
+    oelf::SignedBinary occlum;
+    Bytes plain; // uninstrumented (Linux model, EIP baseline)
     uint64_t occlum_size = 0;
     uint64_t plain_size = 0;
 };

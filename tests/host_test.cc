@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "base/rng.h"
 #include "base/stats.h"
 #include "faultsim/faultsim.h"
@@ -101,6 +103,44 @@ TEST(NetSim, CloseIsIdempotentPerSide)
     net.close(conn.value(), true); // the other side is independent
     net.close(conn.value(), true);
     EXPECT_EQ(closes, 2);
+}
+
+TEST(NetSim, UnlistenRefusesQueuedAndLaterConnects)
+{
+    // A connection still queued when its listener goes is refused: its
+    // server side closes (the client's hangup), and it is freed once
+    // the client closes too. Later connects are refused, and the port
+    // can be listened on again.
+    SimClock clock;
+    NetSim net(clock);
+    ASSERT_TRUE(net.listen(80, 4));
+    auto queued = net.connect(80);
+    ASSERT_TRUE(queued.ok());
+    std::vector<bool> closed_by_server;
+    NetSim::Events events;
+    events.on_close = [&](NetSim::Connection *, bool by_server) {
+        closed_by_server.push_back(by_server);
+    };
+    net.set_events(std::move(events));
+
+    net.unlisten(80);
+    EXPECT_EQ(closed_by_server, std::vector<bool>{true});
+    EXPECT_TRUE(net.is_drained(queued.value(), false, clock.cycles()));
+    EXPECT_FALSE(net.connect(80).ok());
+    EXPECT_EQ(net.live_connections(), 1u);
+    net.close(queued.value(), false);
+    EXPECT_EQ(net.live_connections(), 0u);
+    EXPECT_TRUE(net.listen(80, 4));
+
+    // A queued connection both of whose sides already closed is freed
+    // by unlisten itself.
+    auto closed = net.connect(80);
+    ASSERT_TRUE(closed.ok());
+    net.close(closed.value(), false);
+    net.close(closed.value(), true);
+    EXPECT_EQ(net.live_connections(), 1u);
+    net.unlisten(80);
+    EXPECT_EQ(net.live_connections(), 0u);
 }
 
 TEST(NetSim, SharedLinkSerializesTransfers)

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <set>
 
 #include "base/rng.h"
@@ -36,9 +37,10 @@ vkey()
     return key;
 }
 
-/** Compile + verify + sign a MiniC program for Occlum. */
-Bytes
-build_signed(const std::string &source)
+/** Compile + verify + sign a MiniC program for Occlum: the build
+ *  product, whose put() memoizes the digest the verifier signed. */
+oelf::SignedBinary
+build_product(const std::string &source)
 {
     auto out = toolchain::compile(source);
     EXPECT_TRUE(out.ok()) << (out.ok() ? "" : out.error().message);
@@ -47,6 +49,14 @@ build_signed(const std::string &source)
     EXPECT_TRUE(signed_image.ok())
         << (signed_image.ok() ? "" : signed_image.error().message);
     return signed_image.value().serialize();
+}
+
+/** The build product's bytes alone: a put() of them memoizes nothing,
+ *  so the first spawn hashes them. */
+Bytes
+build_signed(const std::string &source)
+{
+    return build_product(source).bytes();
 }
 
 struct OcclumHarness {
@@ -377,7 +387,7 @@ func main() {
     auto b_image = oelf::Image::parse(*h.binaries.get("b").value());
     ASSERT_TRUE(b_image.ok());
     const oelf::Image &b = b_image.value();
-    const oelf::Image &a = a_signed.value();
+    const oelf::Image &a = a_signed.value().image();
     // A's real (nonzero) code runs past B's code, so the code check
     // below sees stale bytes unless the tail was wiped.
     ASSERT_FALSE(all_zero(a.code, b.code.size(), a.code.size()));
@@ -571,6 +581,142 @@ TEST(DigestMemo, RemoveThenPutRunsTheNewProgram)
     h.add_program("p", kExit22);
     EXPECT_NE(h.binaries.version("p"), old_version);
     EXPECT_EQ(spawn_and_run(*h.sys, "p").value(), 22);
+}
+
+TEST(DigestMemo, PlainPutIsHashedAtTheFirstSpawnOnly)
+{
+    // A put of plain bytes memoizes nothing: the first spawn hashes
+    // them and stores the digest, and the second hashes nothing.
+    faultsim::ScopedFaultPlan clean{faultsim::FaultPlan{}};
+    OcclumHarness h;
+    h.add_program("p", kExit11);
+    const uint64_t misses = h.binaries.memo_misses();
+    ASSERT_EQ(spawn_and_run(*h.sys, "p").value(), 11);
+    EXPECT_EQ(h.binaries.memo_misses(), misses + 1);
+    ASSERT_EQ(spawn_and_run(*h.sys, "p").value(), 11);
+    EXPECT_EQ(h.binaries.memo_misses(), misses + 1);
+}
+
+TEST(DigestMemo, SeededPutThenTamperIsNoExec)
+{
+    // The put of a build product memoizes the signed digest before any
+    // spawn. A bit flipped through get_mutable must still be refused,
+    // and flipping it back makes the binary run.
+    faultsim::ScopedFaultPlan clean{faultsim::FaultPlan{}};
+    OcclumHarness h;
+    h.binaries.put("p", build_product(kExit11));
+    Bytes &bytes = *h.binaries.get_mutable("p").value();
+    const size_t at = last_code_byte(bytes);
+    bytes[at] ^= 0x01;
+    expect_no_exec(*h.sys, "p");
+    bytes[at] ^= 0x01;
+    EXPECT_EQ(spawn_and_run(*h.sys, "p").value(), 11);
+}
+
+TEST(DigestMemo, PlainPutDropsTheSeed)
+{
+    // A plain put of other bytes at a seeded path is hashed again, so
+    // the seed of the signed bytes cannot vouch for them.
+    faultsim::ScopedFaultPlan clean{faultsim::FaultPlan{}};
+    OcclumHarness h;
+    h.binaries.put("p", build_product(kExit11));
+    Bytes tampered = *h.binaries.get("p").value();
+    tampered[last_code_byte(tampered)] ^= 0x01;
+    h.binaries.put("p", tampered);
+    const uint64_t misses = h.binaries.memo_misses();
+    expect_no_exec(*h.sys, "p");
+    EXPECT_EQ(h.binaries.memo_misses(), misses + 1);
+}
+
+TEST(DigestMemo, BuildProductsCarryTheirContentDigest)
+{
+    // The digest a build product carries is the content digest of the
+    // Image its bytes parse to, for every workload program the benches
+    // build (unpadded, plus one at sip-storm's 256 KiB pad).
+    std::vector<std::string> sources = {
+        workloads::gcc_driver_source(),
+        workloads::proxy_frontend_source(),
+        workloads::proxy_backend_source(),
+        workloads::httpd_master_source(),
+        workloads::httpd_worker_source(),
+        workloads::httpd_poll_source(),
+        workloads::httpd_epoll_source(),
+        workloads::fish_driver_source(),
+        workloads::spawn_noop_source(),
+        workloads::pipe_writer_source(),
+        workloads::pipe_reader_source(),
+        workloads::file_write_bench_source(),
+        workloads::file_read_bench_source(),
+    };
+    for (const char *stage : {"cpp", "cc1", "as", "ld"}) {
+        sources.push_back(workloads::gcc_stage_source(stage));
+    }
+    for (const char *util : {"gen", "sort", "grep", "od", "wc"}) {
+        sources.push_back(workloads::fish_utility_source(util));
+    }
+    for (const std::string &kernel : workloads::spec_kernel_names()) {
+        sources.push_back(workloads::spec_kernel_source(kernel));
+    }
+    for (const std::string &source : sources) {
+        const oelf::SignedBinary binary =
+            workloads::build_program(source).occlum;
+        auto image = oelf::Image::parse(binary.bytes());
+        ASSERT_TRUE(image.ok());
+        EXPECT_EQ(image.value().content_digest(), binary.digest());
+    }
+    const oelf::SignedBinary padded =
+        workloads::build_program(workloads::spawn_noop_source(), 256 << 10,
+                                 64 << 10)
+            .occlum;
+    auto image = oelf::Image::parse(padded.bytes());
+    ASSERT_TRUE(image.ok());
+    EXPECT_GE(image.value().code.size(), 256u << 10);
+    EXPECT_EQ(image.value().content_digest(), padded.digest());
+}
+
+TEST(DigestMemo, SeededGccPassHashesNothingAtSpawn)
+{
+    // One Occlum pass of the gcc pipeline (driver, cpp, cc1, as, ld):
+    // staged from the build products, no spawn misses the memo; staged
+    // as plain bytes, each of the five binaries is hashed once.
+    faultsim::ScopedFaultPlan clean{faultsim::FaultPlan{}};
+    std::map<std::string, workloads::ProgramBuild> builds;
+    builds.emplace("gcc",
+                   workloads::build_program(workloads::gcc_driver_source()));
+    for (const char *stage : {"cpp", "cc1", "as", "ld"}) {
+        builds.emplace(stage, workloads::build_program(
+                                  workloads::gcc_stage_source(stage)));
+    }
+    const std::string text(2048, 'x');
+    const Bytes source(text.begin(), text.end());
+    auto misses_of_one_pass = [&](bool seeded) -> uint64_t {
+        sgx::Platform platform;
+        host::HostFileStore store;
+        for (const auto &[name, build] : builds) {
+            if (seeded) {
+                store.put(name, build.occlum);
+            } else {
+                store.put(name, build.occlum.bytes());
+            }
+        }
+        OcclumSystem::Config config;
+        config.num_slots = 6;
+        config.slot_data_size = 8 << 20;
+        config.verifier_key = workloads::bench_verifier_key();
+        OcclumSystem sys(platform, store, config);
+        EXPECT_TRUE(sys.fs().write_file("/src.c", source).ok());
+        auto pid = sys.spawn("gcc", {"gcc", "/src.c"});
+        EXPECT_TRUE(pid.ok());
+        if (!pid.ok()) {
+            return ~0ull;
+        }
+        sys.run();
+        EXPECT_EQ(sys.exit_code(pid.value()).value(), 0);
+        EXPECT_EQ(sys.death_order().size(), 5u);
+        return store.memo_misses();
+    };
+    EXPECT_EQ(misses_of_one_pass(true), 0u);
+    EXPECT_EQ(misses_of_one_pass(false), 5u);
 }
 
 // ---- hostile syscall arguments ------------------------------------------
@@ -1444,6 +1590,92 @@ func main() {
     close(c);
     if (write(fds[1], "g", 1) != 1) { return 6; }
     return waitpid(pid);
+}
+)"),
+              0);
+    EXPECT_EQ(h.net.live_connections(), 0u);
+}
+
+TEST(ConnectionLifetime, ClosedListenerGivesUpItsPort)
+{
+    // The last close of a listener gives its port back to NetSim: a
+    // connection it never accepted sees a hangup and EOF, the port can
+    // be listened on again, a host connect to it is refused, and no
+    // connection record is left behind.
+    NetHarness h;
+    EXPECT_EQ(h.run_main(R"(
+global byte b[4];
+func main() {
+    var l = sock_listen(7003, 4);
+    if (l < 0) { return 1; }
+    var c = sock_connect(7003);   // queued, never accepted
+    if (c < 0) { return 2; }
+    close(l);
+    var pfd[3];
+    pfd[0] = c;
+    pfd[1] = 0x1;
+    pfd[2] = 0;
+    if (poll(pfd, 1, 0 - 1) != 1) { return 3; }
+    if ((pfd[2] & 0x10) == 0) { return 4; }
+    if (sock_recv(c, b, 4) != 0) { return 5; }  // EOF
+    close(c);
+    l = sock_listen(7003, 4);
+    if (l < 0) { return 6; }
+    close(l);
+    return 0;
+}
+)"),
+              0);
+    EXPECT_FALSE(h.net.connect(7003).ok());
+    EXPECT_EQ(h.net.live_connections(), 0u);
+}
+
+TEST(ConnectionLifetime, ClosedListenersEpollEntryIgnoresTheNextListener)
+{
+    // The parent hands an epoll set that watches its listener (queued
+    // ready by a pending connect) to a child, closes its own fds of
+    // both, and listens on the port again. The old entry outlives the
+    // old listener's last fd; it must not report the new listener's
+    // pending connection.
+    NetHarness h;
+    h.binaries.put("waiter", build_signed(R"(
+global byte b[4];
+global int evs[8];
+func main() {
+    if (read(1, b, 1) != 1) { return 1; }
+    return epoll_wait(0, evs, 4, 0);
+}
+)"));
+    EXPECT_EQ(h.run_main(R"(
+global byte waiter[8] = "waiter";
+func main() {
+    var l = sock_listen(7004, 4);
+    var ep = epoll_create();
+    if (epoll_ctl(ep, 1, l, 0x1) != 0) { return 11; }
+    var c = sock_connect(7004);
+    poll(0, 0, 1000000);          // 1 ms: c has arrived
+    var fds[2];
+    if (pipe(fds) != 0) { return 12; }
+    var argvv[1];
+    argvv[0] = waiter;
+    var io3[3];
+    io3[0] = ep;
+    io3[1] = fds[0];
+    io3[2] = 0 - 1;
+    var pid = spawn_io(waiter, argvv, 1, io3);
+    if (pid < 0) { return 13; }
+    close(ep);
+    close(l);
+    close(c);
+    l = sock_listen(7004, 4);
+    if (l < 0) { return 14; }
+    c = sock_connect(7004);
+    poll(0, 0, 1000000);          // c is on the new listener's queue
+    if (write(fds[1], "g", 1) != 1) { return 15; }
+    var ready = waitpid(pid);
+    close(c);
+    close(l);
+    return ready;
 }
 )"),
               0);

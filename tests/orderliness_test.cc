@@ -316,7 +316,7 @@ build_signed(const std::string &source)
     verifier::Verifier verifier(vkey());
     auto signed_image = verifier.verify_and_sign(out.value().image);
     EXPECT_TRUE(signed_image.ok());
-    return signed_image.value().serialize();
+    return signed_image.value().image().serialize();
 }
 
 /** A parent spawning workers that hammer the syscall trampoline: each

@@ -60,7 +60,7 @@ run_linux(const Bytes &image)
 }
 
 int64_t
-run_occlum(const Bytes &image)
+run_occlum(const oelf::SignedBinary &image)
 {
     sgx::Platform platform;
     host::HostFileStore files;
@@ -342,7 +342,7 @@ TEST_P(MutationRobustness, MutatedImagesNeverLoadOrCrash)
     config.verifier_key = workloads::bench_verifier_key();
     libos::OcclumSystem sys(platform, files, config);
     for (int trial = 0; trial < 20; ++trial) {
-        Bytes mutated = build.occlum;
+        Bytes mutated = build.occlum.bytes();
         mutated[rng.next_below(mutated.size())] ^=
             static_cast<uint8_t>(1 + rng.next_below(255));
         files.put("m", mutated);
@@ -355,7 +355,7 @@ TEST_P(MutationRobustness, MutatedImagesNeverLoadOrCrash)
     //     accept deterministically twice in a row.
     verifier::Verifier verifier(workloads::bench_verifier_key());
     for (int trial = 0; trial < 10; ++trial) {
-        Bytes mutated = build.occlum;
+        Bytes mutated = build.occlum.bytes();
         for (int i = 0; i < 8; ++i) {
             mutated[rng.next_below(mutated.size())] =
                 static_cast<uint8_t>(rng.next());

@@ -288,7 +288,7 @@ build_signed(const std::string &source)
     auto signed_image = verifier.verify_and_sign(out.value().image);
     EXPECT_TRUE(signed_image.ok())
         << (signed_image.ok() ? "" : signed_image.error().message);
-    return signed_image.value().serialize();
+    return signed_image.value().image().serialize();
 }
 
 // Depends on the hook macros being compiled in.

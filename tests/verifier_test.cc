@@ -591,7 +591,7 @@ TEST(Verifier, SignsOnlyVerifiedImages)
     Verifier v(test_key());
     auto signed_image = v.verify_and_sign(good.value().image);
     ASSERT_TRUE(signed_image.ok());
-    EXPECT_TRUE(signed_image.value().check_signature(test_key()));
+    EXPECT_TRUE(signed_image.value().image().check_signature(test_key()));
 
     CompileOptions plain;
     plain.instrument = InstrumentOptions::none();
