@@ -98,16 +98,17 @@ cmp "$JSON" "$JSON_CREF" ||
 
 # Substrate build-path, spawn, byte-plane, syscall and EncFs rows: one
 # brief run of the verifier (unpadded and 14 MiB-padded),
-# build_program-style build, Occlum spawn, pipe round-trip, NetSim
-# request, whole syscall round trip and EncFs churn benchmarks, so rot
-# in them fails here. Timings are not compared.
+# build_program-style build, Occlum spawn, EIP reserve measurement
+# (cold, and a platform's memo hit), pipe round-trip, NetSim request,
+# whole syscall round trip and EncFs churn benchmarks, so rot in them
+# fails here. Timings are not compared.
 # Run from the smoke directory, which is removed below, so
 # BENCH_substrate.json does not land in the tree.
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_substrate
 SUBSTRATE="$PWD/$BUILD_DIR/bench/bench_substrate"
 (cd "$OUT_DIR" &&
     "$SUBSTRATE" \
-        --benchmark_filter='VerifyBinary|BuildProgram|OcclumSpawn|PipeRoundTrip|NetSimRequest|SyscallRoundTrip|EncFsChurn' \
+        --benchmark_filter='VerifyBinary|BuildProgram|OcclumSpawn|MeasureReserved|PipeRoundTrip|NetSimRequest|SyscallRoundTrip|EncFsChurn' \
         --benchmark_min_time=0.01)
 
 # The smoke snapshots are CI artifacts, not recorded results.

@@ -252,6 +252,15 @@ Sha256::initial_midstate()
 }
 
 bool
+Sha256::same_state(const Sha256 &other) const
+{
+    return std::memcmp(state_, other.state_, sizeof(state_)) == 0 &&
+           total_len_ == other.total_len_ &&
+           buffered_ == other.buffered_ &&
+           std::memcmp(buffer_, other.buffer_, buffered_) == 0;
+}
+
+bool
 Sha256::has_sha_ni()
 {
     return g_has_sha_ni;

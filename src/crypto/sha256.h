@@ -18,7 +18,9 @@
  * HmacKey caches the post-pad midstates so each MAC skips two
  * compressions, and sgx::Enclave resumes one persistent page hasher
  * from the initial midstate instead of constructing a hasher per
- * measured page.
+ * measured page. same_state() compares two full hashers, buffered
+ * bytes included; sgx::Platform keys its reserve-measurement memo on
+ * it.
  */
 #ifndef OCCLUM_CRYPTO_SHA256_H
 #define OCCLUM_CRYPTO_SHA256_H
@@ -72,6 +74,14 @@ class Sha256
 
     /** The midstate of a fresh hasher (total_len = 0). */
     static const Sha256Midstate &initial_midstate();
+
+    /**
+     * True if both hashers would produce the same digest from here on:
+     * same chaining value, total length and buffered bytes. Only the
+     * buffered prefix of the block buffer is compared; the rest is
+     * stale. Works off a block boundary, unlike midstate().
+     */
+    bool same_state(const Sha256 &other) const;
 
     /** True if this CPU has the SHA extensions, i.e. the SHA-NI
      *  kernel runs whenever reference mode is off. */

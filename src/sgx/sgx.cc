@@ -4,6 +4,7 @@
 #include <array>
 #include <cstring>
 
+#include "crypto/reference.h"
 #include "faultsim/faultsim.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
@@ -229,14 +230,34 @@ Enclave::measure_reserved(uint64_t len)
     if (len & vm::kPageMask) {
         return Status(ErrorCode::kInval, "unaligned reserve");
     }
+    // Subtraction form, as in add_pages: the reserve must fit beside
+    // the pages already added.
+    const uint64_t added = added_pages_ * vm::kPageSize;
+    if (added > size_ || len > size_ - added) {
+        return Status(ErrorCode::kInval, "reserve exceeds enclave size");
+    }
     OCC_TRACE_SPAN(kSgx, "sgx.eadd_reserve", len / vm::kPageSize);
     uint64_t pages = len / vm::kPageSize;
-    // Per page: LE64(~0) anonymous-reserve marker, perms, zero-page
-    // digest — fed a prebuilt run of records at a time.
-    for (uint64_t left = pages; left > 0;) {
-        uint64_t n = std::min(left, kReserveRunPages);
-        measuring_.update(reserve_run().data(), n * kReserveRecordSize);
-        left -= n;
+    Platform::ReserveMemo &memo = platform_->reserve_memo_;
+    const bool reference = crypto::reference_mode();
+    if (memo.pages == pages && memo.reference == reference &&
+        memo.before.same_state(measuring_)) {
+        // Same state, same records: the hashing would end where the
+        // platform's previous reserve did.
+        measuring_ = memo.after;
+        ++platform_->reserve_memo_hits_;
+    } else {
+        memo.before = measuring_;
+        // Per page: LE64(~0) anonymous-reserve marker, perms, zero-page
+        // digest — fed a prebuilt run of records at a time.
+        for (uint64_t left = pages; left > 0;) {
+            uint64_t n = std::min(left, kReserveRunPages);
+            measuring_.update(reserve_run().data(), n * kReserveRecordSize);
+            left -= n;
+        }
+        memo.after = measuring_;
+        memo.pages = pages;
+        memo.reference = reference;
     }
     added_pages_ += pages;
     charge(pages * CostModel::kEaddEextendCyclesPerPage);

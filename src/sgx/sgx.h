@@ -10,8 +10,12 @@
  *    with enclave size" (paper §2.1) is an emergent property, not a
  *    hard-coded delay. For zero-filled heap reserve pages a cached
  *    zero-page digest is folded in instead of re-hashing 4 KiB of
- *    zeros — a pure wall-clock optimization with no observable effect
- *    on the simulated cost or the uniqueness of measurements.
+ *    zeros, and a Platform remembers the hasher state its last
+ *    anonymous reserve left behind, so a same-sized enclave created
+ *    from the same state reuses it instead of re-absorbing the page
+ *    records. Both are pure wall-clock optimizations: the simulated
+ *    cost is charged per page either way, and the measurement is the
+ *    one the full byte stream gives.
  *  - SGX 1.0 semantics: after EINIT no enclave page may be added,
  *    removed, or have its permissions changed (paper §2.1). The
  *    Enclave API enforces this; the Occlum LibOS therefore
@@ -68,11 +72,36 @@ class Platform
     Status reserve_epc(uint64_t bytes);
     void release_epc(uint64_t bytes);
 
+    /**
+     * Host bookkeeping: the Enclave::measure_reserved calls served from
+     * the reserve memo (see there) rather than by hashing.
+     */
+    uint64_t reserve_memo_hits() const { return reserve_memo_hits_; }
+
   private:
+    friend class Enclave;
+
+    /**
+     * One-entry memo of the last anonymous-reserve measurement on this
+     * platform: the measuring hasher before and after absorbing `pages`
+     * reserve records in `reference` crypto mode. The default entry
+     * (no records from a fresh hasher) is itself true. Host wall-clock
+     * only; enclaves are created on one thread at a time, so it takes
+     * no lock.
+     */
+    struct ReserveMemo {
+        bool reference = false;
+        uint64_t pages = 0;
+        crypto::Sha256 before;
+        crypto::Sha256 after;
+    };
+
     SimClock clock_;
     uint64_t epc_capacity_;
     uint64_t epc_used_ = 0;
     crypto::Key128 report_key_;
+    ReserveMemo reserve_memo_;
+    uint64_t reserve_memo_hits_ = 0;
 };
 
 /**
@@ -144,7 +173,15 @@ class Enclave
      * record LE64(~0) anonymous-reserve marker, RW perms, zero-page
      * digest, absorbed 64 records (41 SHA-256 blocks) per update.
      * Used by the EIP baseline, whose minimal enclaves are hundreds
-     * of MiB of mostly-zero pages.
+     * of MiB of mostly-zero pages. `len` must fit in the enclave
+     * beside the pages already added (kInval otherwise).
+     *
+     * The Platform's reserve memo skips the hashing when the measuring
+     * hasher's full state, the page count and crypto::reference_mode()
+     * all equal those of the platform's previous reserve: the hasher
+     * then takes the state that reserve ended in, which is the state
+     * absorbing the records would give. The charge, added_pages() and
+     * the sgx.eadd_reserve span are the same on a hit.
      */
     Status measure_reserved(uint64_t len);
 

@@ -494,6 +494,41 @@ TEST(Sha256Kat, MidstateSaveResume)
     });
 }
 
+TEST(Sha256, SameStateComparesOnlyTheBufferedPrefix)
+{
+    // x and y absorb the same 69 bytes, but their block buffers differ
+    // past the 5 live bytes: x's still holds 0xAA from before reset()
+    // (its full block went straight from the input), y's holds the
+    // 0x01 block it staged. Only the live prefix counts.
+    Sha256 x;
+    x.update(Bytes(32, 0xAA));
+    x.reset();
+    x.update(Bytes(64, 0x01));
+    Sha256 y;
+    y.update(Bytes(63, 0x01));
+    y.update(Bytes(1, 0x01));
+    EXPECT_TRUE(x.same_state(y));
+    x.update(Bytes(5, 0x07));
+    y.update(Bytes(5, 0x07));
+    EXPECT_TRUE(x.same_state(y));
+    EXPECT_EQ(Sha256(x).finish(), Sha256(y).finish());
+
+    // A differing buffered byte, chaining value or length is not the
+    // same state.
+    Sha256 longer = x;
+    longer.update(Bytes(1, 0x07));
+    EXPECT_FALSE(x.same_state(longer));
+    Sha256 other_block;
+    other_block.update(Bytes(64, 0x02));
+    other_block.update(Bytes(5, 0x07));
+    EXPECT_FALSE(x.same_state(other_block));
+    Sha256 other_byte;
+    other_byte.update(Bytes(64, 0x01));
+    other_byte.update(Bytes(4, 0x07));
+    other_byte.update(Bytes(1, 0x08));
+    EXPECT_FALSE(x.same_state(other_byte));
+}
+
 TEST(Sha256Kat, ShaNiMatchesReferenceOnRandomSplits)
 {
     // Seeded random messages of 0-8 KiB, absorbed through random

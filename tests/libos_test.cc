@@ -719,6 +719,49 @@ TEST(DigestMemo, SeededGccPassHashesNothingAtSpawn)
     EXPECT_EQ(misses_of_one_pass(false), 5u);
 }
 
+TEST(EipReserveMemo, GccLegHashesOneReservePerPlatform)
+{
+    // gcc-pipeline's EIP leg: every program is built with the same code
+    // reserve, so all five enclaves are one size and their reserves
+    // start from one hasher state. The first spawn on a platform
+    // hashes its reserve and the other four hit the platform's memo;
+    // a second leg on the same platform hits on all five, in the same
+    // simulated time.
+    faultsim::ScopedFaultPlan clean{faultsim::FaultPlan{}};
+    constexpr uint64_t kCodeReserve = 16 << 20;
+    host::HostFileStore store;
+    store.put("gcc", workloads::build_program(workloads::gcc_driver_source(),
+                                              0, 1 << 20, kCodeReserve)
+                         .plain);
+    for (const char *stage : {"cpp", "cc1", "as", "ld"}) {
+        store.put(stage,
+                  workloads::build_program(workloads::gcc_stage_source(stage),
+                                           0, 1 << 20, kCodeReserve)
+                      .plain);
+    }
+    const std::string text(2048, 'x');
+    store.put("/src.c", Bytes(text.begin(), text.end()));
+    sgx::Platform platform;
+    auto leg = [&]() -> uint64_t {
+        const uint64_t before = platform.clock().cycles();
+        baseline::EipSystem sys(platform, store);
+        sys.set_cores(1);
+        auto pid = sys.spawn("gcc", {"gcc", "/src.c"});
+        EXPECT_TRUE(pid.ok());
+        if (!pid.ok()) {
+            return 0;
+        }
+        sys.run();
+        EXPECT_EQ(sys.exit_code(pid.value()).value(), 0);
+        EXPECT_EQ(sys.death_order().size(), 5u);
+        return platform.clock().cycles() - before;
+    };
+    const uint64_t first = leg();
+    EXPECT_EQ(platform.reserve_memo_hits(), 4u);
+    EXPECT_EQ(leg(), first);
+    EXPECT_EQ(platform.reserve_memo_hits(), 9u);
+}
+
 // ---- hostile syscall arguments ------------------------------------------
 
 /**

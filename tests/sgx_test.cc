@@ -523,9 +523,9 @@ TEST(Attestation, LongUserDataBindsDigestNotTruncation)
 
 TEST(Enclave, ZeroReserveMatchesExplicitZeroPages)
 {
-    // measure_reserved must be measurement-compatible with adding
-    // explicit zero pages is NOT required (different metadata), but
-    // it must be deterministic and cost the same cycles per page.
+    // measure_reserved need not give the measurement of explicit zero
+    // pages (its page records carry different metadata), but it must
+    // cost the same cycles per page.
     Platform p1, p2;
     Enclave e1(p1, kBase, 1 << 20);
     uint64_t before1 = p1.clock().cycles();
@@ -588,6 +588,158 @@ TEST(Enclave, ReserveMeasurementMatchesPerPageStream)
         }
     }
     crypto::set_reference_mode(saved_mode);
+}
+
+/**
+ * The per-page stream measure_reserved must match: ECREATE header, an
+ * optional explicit zero RX page at the base, then `pages` records of
+ * LE64(~0) + RW perms + SHA-256 of a zero page.
+ */
+crypto::Sha256Digest
+per_page_reserve_measurement(uint64_t size, bool lead_page, uint64_t pages)
+{
+    const crypto::Sha256Digest zero_digest =
+        crypto::Sha256::digest(Bytes(vm::kPageSize, 0));
+    crypto::Sha256 expect;
+    Bytes header;
+    put_le<uint64_t>(header, kBase);
+    put_le<uint64_t>(header, size);
+    expect.update(header);
+    Bytes record;
+    if (lead_page) {
+        put_le<uint64_t>(record, kBase);
+        record.push_back(vm::kPermRX);
+        record.insert(record.end(), zero_digest.begin(), zero_digest.end());
+        expect.update(record);
+        record.clear();
+    }
+    put_le<uint64_t>(record, ~0ull);
+    record.push_back(vm::kPermRW);
+    record.insert(record.end(), zero_digest.begin(), zero_digest.end());
+    for (uint64_t i = 0; i < pages; ++i) {
+        expect.update(record);
+    }
+    return expect.finish();
+}
+
+/** What one enclave of `size` with a `pages` reserve leaves behind. */
+struct ReserveOutcome {
+    crypto::Sha256Digest measurement{};
+    uint64_t cycles = 0;
+    uint64_t added_pages = 0;
+};
+
+/** ECREATE, an optional lead page, the reserve, EINIT on `p`. */
+ReserveOutcome
+reserve_enclave(Platform &p, uint64_t size, bool lead_page, uint64_t pages)
+{
+    const uint64_t before = p.clock().cycles();
+    Enclave e(p, kBase, size);
+    if (lead_page) {
+        EXPECT_TRUE(e.add_pages(kBase, vm::kPageSize, vm::kPermRX).ok());
+    }
+    EXPECT_TRUE(e.measure_reserved(pages * vm::kPageSize).ok());
+    EXPECT_TRUE(e.init().ok());
+    return {e.measurement(), p.clock().cycles() - before, e.added_pages()};
+}
+
+TEST(Enclave, SameSizedReserveHitsThePlatformMemo)
+{
+    // A second enclave of the same size on one platform starts its
+    // reserve from the same hasher state: it is served from the memo
+    // and leaves exactly what a fresh platform's enclave does.
+    constexpr uint64_t kSize = 16 << 20;
+    constexpr uint64_t kPages = 3000; // 41-byte records: off a block edge
+    Platform fresh;
+    const ReserveOutcome cold = reserve_enclave(fresh, kSize, false, kPages);
+    EXPECT_EQ(fresh.reserve_memo_hits(), 0u);
+    EXPECT_EQ(cold.measurement,
+              per_page_reserve_measurement(kSize, false, kPages));
+
+    Platform p;
+    reserve_enclave(p, kSize, false, kPages);
+    for (uint64_t hits = 1; hits <= 2; ++hits) {
+        const ReserveOutcome warm = reserve_enclave(p, kSize, false, kPages);
+        EXPECT_EQ(p.reserve_memo_hits(), hits);
+        EXPECT_EQ(warm.measurement, cold.measurement);
+        EXPECT_EQ(warm.cycles, cold.cycles);
+        EXPECT_EQ(warm.added_pages, kPages);
+    }
+}
+
+TEST(Enclave, ReserveMemoMissesOnAnyOtherStart)
+{
+    // After a hit, a different size (another ECREATE header), a leading
+    // add_pages (another pre-reserve state), another page count or a
+    // flipped crypto mode each hash again, and each still gives the
+    // per-page stream. Coming back to the first shape hashes too: the
+    // memo holds one entry.
+    constexpr uint64_t kSize = 16 << 20;
+    constexpr uint64_t kPages = 1000;
+    const bool saved_mode = crypto::reference_mode();
+    Platform p;
+    reserve_enclave(p, kSize, false, kPages);
+    reserve_enclave(p, kSize, false, kPages);
+    ASSERT_EQ(p.reserve_memo_hits(), 1u);
+
+    struct Case {
+        const char *name;
+        uint64_t size;
+        bool lead_page;
+        uint64_t pages;
+        bool flip_mode;
+    };
+    const Case cases[] = {
+        {"other size", kSize + vm::kPageSize, false, kPages, false},
+        {"lead page", kSize, true, kPages, false},
+        {"other pages", kSize, false, kPages + 1, false},
+        {"first shape again", kSize, false, kPages, false},
+        {"flipped mode", kSize, false, kPages, true},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        if (c.flip_mode) {
+            crypto::set_reference_mode(!saved_mode);
+        }
+        const ReserveOutcome out =
+            reserve_enclave(p, c.size, c.lead_page, c.pages);
+        crypto::set_reference_mode(saved_mode);
+        EXPECT_EQ(p.reserve_memo_hits(), 1u);
+        EXPECT_EQ(out.measurement,
+                  per_page_reserve_measurement(c.size, c.lead_page,
+                                               c.pages));
+        EXPECT_EQ(out.added_pages, c.pages + (c.lead_page ? 1 : 0));
+    }
+}
+
+TEST(Enclave, ReserveMustFitBesideAddedPages)
+{
+    constexpr uint64_t kSize = 16 * vm::kPageSize;
+    Platform p;
+    {
+        Enclave e(p, kBase, kSize);
+        EXPECT_EQ(e.measure_reserved(kSize + vm::kPageSize).code(),
+                  ErrorCode::kInval);
+        EXPECT_EQ(e.added_pages(), 0u);
+        EXPECT_TRUE(e.measure_reserved(kSize).ok());
+        EXPECT_EQ(e.measure_reserved(vm::kPageSize).code(),
+                  ErrorCode::kInval);
+        // A reserve maps nothing, so an EADD may still land in its
+        // range; the pages added then exceed the enclave, and the
+        // next reserve must not wrap past the check.
+        ASSERT_TRUE(e.add_pages(kBase, vm::kPageSize, vm::kPermRX).ok());
+        EXPECT_EQ(e.measure_reserved(vm::kPageSize).code(),
+                  ErrorCode::kInval);
+    }
+    {
+        Enclave e(p, kBase, kSize);
+        ASSERT_TRUE(e.add_pages(kBase, 4 * vm::kPageSize, vm::kPermRX).ok());
+        EXPECT_EQ(e.measure_reserved(13 * vm::kPageSize).code(),
+                  ErrorCode::kInval);
+        EXPECT_EQ(e.added_pages(), 4u);
+        EXPECT_TRUE(e.measure_reserved(12 * vm::kPageSize).ok());
+        EXPECT_EQ(e.added_pages(), 16u);
+    }
 }
 
 } // namespace
